@@ -49,6 +49,7 @@ from .sim import (
     FileStore,
     PlacementState,
     ReductionReport,
+    RowPass,
     VerificationReport,
     decode,
     deliver,

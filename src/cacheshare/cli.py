@@ -38,6 +38,7 @@ from .model import (
 from .sim import (
     DecodeMismatchError,
     DivisibilityError,
+    RowPass,
     place,
     random_file_store,
     reduction_demo,
@@ -391,7 +392,9 @@ def cmd_simulate(
     chosen = base_size if base_size is not None else needed
     try:
         store = random_file_store(config, chosen, state.seed)
-        report = verify_all(store, config, allocation, cap=demand_cap)
+        placement = place(store, config, allocation)
+        row_pass = RowPass(store, config, placement)
+        report = verify_all(store, config, allocation, cap=demand_cap, rows=row_pass)
     except DivisibilityError as exc:
         raise click.UsageError(str(exc)) from exc
     except CapExceededError as exc:
@@ -405,9 +408,10 @@ def cmd_simulate(
     payload = report.to_json()
     payload["decode_ok"] = True
     if stack:
-        placement = place(store, config, allocation)
         try:
-            stack_report = reduction_demo(store, config, placement, cap=demand_cap)
+            stack_report = reduction_demo(
+                store, config, placement, cap=demand_cap, rows=row_pass
+            )
         except CapExceededError as exc:
             raise click.UsageError(str(exc)) from exc
         except DecodeMismatchError as exc:
@@ -415,6 +419,7 @@ def cmd_simulate(
         payload["stack"] = stack_report.to_json()
     rows = [
         ["demands_checked", report.demands_checked],
+        ["demand_vectors_run", report.demand_vectors_run],
         ["base_size", report.base_size],
         ["measured_rate", _pq(report.measured_rate)],
         ["measured_rate_decimal", format_decimal(report.measured_rate)],

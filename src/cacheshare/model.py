@@ -147,6 +147,15 @@ def demand_count(config: NetworkConfig) -> int:
     return count
 
 
+def check_demand_cap(config: NetworkConfig, cap: int) -> int:
+    """Return the number of demand vectors; raise CapExceededError, naming it,
+    when it exceeds `cap`."""
+    count = demand_count(config)
+    if count > cap:
+        raise CapExceededError(f"demand enumeration needs {count} vectors, cap is {cap}")
+    return count
+
+
 def enumerate_demands(
     config: NetworkConfig, cap: int = DEFAULT_DEMAND_CAP
 ) -> Iterator[DemandVector]:
@@ -155,9 +164,7 @@ def enumerate_demands(
     Raises CapExceededError up front, naming the count, when the full space
     would exceed `cap`.
     """
-    count = demand_count(config)
-    if count > cap:
-        raise CapExceededError(f"demand enumeration needs {count} vectors, cap is {cap}")
+    check_demand_cap(config, cap)
     k = config.num_users
     ranges = [range(1, lib.num_files + 1) for lib in config.libraries for _ in range(k)]
     for flat in product(*ranges):

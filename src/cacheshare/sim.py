@@ -29,7 +29,7 @@ from .model import (
     CapExceededError,
     DemandVector,
     NetworkConfig,
-    enumerate_demands,
+    check_demand_cap,
 )
 from .tradeoff import build_scheme_tradeoff
 
@@ -118,11 +118,6 @@ class DeliveryTranscript:
     @property
     def total_bits(self) -> int:
         return sum(self.library_bits(lib + 1) for lib in range(len(self.per_library)))
-
-    def payload(self) -> BitString:
-        return concat(
-            m for parts in self.per_library for part in parts for m in part.messages
-        )
 
 
 def library_bit_requirement(config: NetworkConfig) -> int:
@@ -233,18 +228,48 @@ def _subset_rank(num_users: int, size: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _user_subset_rank(num_users: int, size: int, user: int) -> dict:
-    return {s: i for i, s in enumerate(t for t in _subsets(num_users, size) if user in t)}
+def _user_subset_ranks(num_users: int, size: int, user: int) -> tuple[int, ...]:
+    """Lexicographic ranks of the size-`size` subsets containing `user`: the
+    subfiles of one file that user caches, in cache order."""
+    return tuple(i for i, s in enumerate(_subsets(num_users, size)) if user in s)
 
 
-def _subfile(
-    file_content: BitString, plan: LibraryPlan, part_idx: int, num_users: int, subset: tuple
-) -> BitString:
-    offset = sum(p.file_bits for p in plan.parts[:part_idx])
-    part = plan.parts[part_idx]
-    rank = _subset_rank(num_users, part.t)[subset]
-    start = offset + rank * part.subfile_bits
-    return file_content.slice(start, start + part.subfile_bits)
+@lru_cache(maxsize=None)
+def _delivery_table(num_users: int, t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per size-(t + 1) group, in lexicographic order: (member, rank of the
+    group without that member) for each member, the subfiles its message XORs."""
+    rank = _subset_rank(num_users, t)
+    return tuple(
+        tuple((member, rank[tuple(x for x in group if x != member)]) for member in group)
+        for group in _subsets(num_users, t + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _decode_table(
+    num_users: int, t: int, user: int
+) -> tuple[tuple[int, tuple[tuple[int, int], ...] | None], ...]:
+    """How `user` recovers each size-t subfile, subsets in lexicographic order.
+
+    (p, None): the subfile sits at position p of the user's cached block.
+    (m, pairs): XOR message m (the rank of subset + {user}) with the cached
+    subfile at each (member, position) of pairs, read from that member's file.
+    """
+    position = {s: p for p, s in enumerate(s for s in _subsets(num_users, t) if user in s)}
+    group_rank = _subset_rank(num_users, t + 1)
+    table = []
+    for subset in _subsets(num_users, t):
+        if user in subset:
+            table.append((position[subset], None))
+            continue
+        group = tuple(sorted(subset + (user,)))
+        pairs = tuple(
+            (member, position[tuple(x for x in group if x != member)])
+            for member in group
+            if member != user
+        )
+        table.append((group_rank[group], pairs))
+    return tuple(table)
 
 
 def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> PlacementState:
@@ -258,44 +283,58 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
     caches = []
     for user in range(1, k + 1):
         segments = []
-        for lib_idx, lib in enumerate(config.libraries):
-            pieces = []
-            plan = plans[lib_idx]
-            for part_idx, part in enumerate(plan.parts):
-                if part.t == 0:
-                    continue
-                for file_id in range(1, lib.num_files + 1):
-                    content = store.files[lib_idx][file_id - 1]
-                    for subset in _subsets(k, part.t):
-                        if user in subset:
-                            pieces.append(_subfile(content, plan, part_idx, k, subset))
-            segments.append(concat(pieces))
+        for files, plan in zip(store.files, plans):
+            value = width = offset = 0
+            for part in plan.parts:
+                sub = part.subfile_bits
+                if part.t:
+                    mask = (1 << sub) - 1
+                    ranks = _user_subset_ranks(k, part.t, user)
+                    for content in files:
+                        top = content.width - offset - sub
+                        for rank in ranks:
+                            value = (value << sub) | ((content.value >> (top - rank * sub)) & mask)
+                    width += len(files) * len(ranks) * sub
+                offset += part.file_bits
+            segments.append(BitString(width, value))
         caches.append(tuple(segments))
     return PlacementState(allocation=allocation, plans=plans, caches=tuple(caches))
 
 
-def _cached_subfile(
-    placement: PlacementState,
-    config: NetworkConfig,
-    user: int,
-    lib_idx: int,
-    part_idx: int,
-    file_id: int,
-    subset: tuple,
-) -> BitString:
-    plan = placement.plans[lib_idx]
-    k = config.num_users
-    n = config.libraries[lib_idx].num_files
-    base = 0
-    for prev in plan.parts[:part_idx]:
-        per_file = math.comb(k - 1, prev.t - 1) if prev.t >= 1 else 0
-        base += n * per_file * prev.subfile_bits
-    part = plan.parts[part_idx]
-    per_file = math.comb(k - 1, part.t - 1)
-    pos = _user_subset_rank(k, part.t, user)[subset]
-    start = base + ((file_id - 1) * per_file + pos) * part.subfile_bits
-    segment = placement.caches[user - 1][lib_idx]
-    return segment.slice(start, start + part.subfile_bits)
+def _library_transcript(
+    files: tuple[BitString, ...], plan: LibraryPlan, num_users: int, row: tuple[int, ...]
+) -> tuple[PartTranscript, ...]:
+    """One library's share of the broadcast for one demand row, XORed on raw ints."""
+    parts = []
+    offset = 0
+    for part in plan.parts:
+        sub = part.subfile_bits
+        if part.t == 0:
+            wanted = tuple(sorted(set(row)))
+            messages = tuple(files[n - 1].slice(offset, offset + sub) for n in wanted)
+            parts.append(
+                PartTranscript(t=0, uncoded_files=wanted, coded_subsets=(), messages=messages)
+            )
+        else:
+            mask = (1 << sub) - 1
+            top = files[0].width - offset - sub
+            requested = [files[n - 1].value for n in row]
+            messages = []
+            for group in _delivery_table(num_users, part.t):
+                msg = 0
+                for member, rank in group:
+                    msg ^= (requested[member - 1] >> (top - rank * sub)) & mask
+                messages.append(BitString(sub, msg))
+            parts.append(
+                PartTranscript(
+                    t=part.t,
+                    uncoded_files=(),
+                    coded_subsets=_subsets(num_users, part.t + 1),
+                    messages=tuple(messages),
+                )
+            )
+        offset += part.file_bits
+    return tuple(parts)
 
 
 def deliver(
@@ -307,45 +346,11 @@ def deliver(
     """Broadcast transcript serving every user's request in one shot."""
     demand.validate_for(config)
     k = config.num_users
-    per_library = []
-    for lib_idx, lib in enumerate(config.libraries):
-        row = demand.rows[lib_idx]
-        plan = placement.plans[lib_idx]
-        parts = []
-        for part_idx, part in enumerate(plan.parts):
-            if part.t == 0:
-                wanted = tuple(sorted(set(row)))
-                messages = tuple(
-                    _subfile(store.files[lib_idx][n - 1], plan, part_idx, k, ())
-                    for n in wanted
-                )
-                parts.append(
-                    PartTranscript(
-                        t=0, uncoded_files=wanted, coded_subsets=(), messages=messages
-                    )
-                )
-                continue
-            subsets = _subsets(k, part.t + 1)
-            messages = []
-            for group in subsets:
-                msg = None
-                for member in group:
-                    rest = tuple(x for x in group if x != member)
-                    piece = _subfile(
-                        store.files[lib_idx][row[member - 1] - 1], plan, part_idx, k, rest
-                    )
-                    msg = piece if msg is None else msg ^ piece
-                messages.append(msg)
-            parts.append(
-                PartTranscript(
-                    t=part.t,
-                    uncoded_files=(),
-                    coded_subsets=subsets,
-                    messages=tuple(messages),
-                )
-            )
-        per_library.append(tuple(parts))
-    return DeliveryTranscript(demand=demand, per_library=tuple(per_library))
+    per_library = tuple(
+        _library_transcript(files, plan, k, row)
+        for files, plan, row in zip(store.files, placement.plans, demand.rows)
+    )
+    return DeliveryTranscript(demand=demand, per_library=per_library)
 
 
 def decode(
@@ -359,38 +364,108 @@ def decode(
     using only that user's cache and the transcript."""
     lib_idx = library - 1
     k = config.num_users
+    n = config.libraries[lib_idx].num_files
     row = transcript.demand.rows[lib_idx]
     want = row[user - 1]
-    plan = placement.plans[lib_idx]
-    pieces = []
-    for part_idx, part in enumerate(plan.parts):
-        part_tr = transcript.per_library[lib_idx][part_idx]
+    segment = placement.caches[user - 1][lib_idx]
+    cache = segment.value
+    # shifting the segment right by `top - i * sub` leaves subfile i of the
+    # current part's cached block in the low bits
+    top = segment.width
+    value = width = 0
+    for part, part_tr in zip(placement.plans[lib_idx].parts, transcript.per_library[lib_idx]):
+        sub = part.subfile_bits
+        width += part.file_bits
         if part.t == 0:
-            idx = part_tr.uncoded_files.index(want)
-            pieces.append(part_tr.messages[idx])
+            msg = part_tr.messages[part_tr.uncoded_files.index(want)]
+            value = (value << sub) | msg.value
             continue
-        for subset in _subsets(k, part.t):
-            if user in subset:
-                pieces.append(
-                    _cached_subfile(placement, config, user, lib_idx, part_idx, want, subset)
-                )
+        per_file = math.comb(k - 1, part.t - 1)
+        mask = (1 << sub) - 1
+        top -= sub
+        messages = part_tr.messages
+        for pos, pairs in _decode_table(k, part.t, user):
+            if pairs is None:
+                piece = (cache >> (top - ((want - 1) * per_file + pos) * sub)) & mask
             else:
-                group = tuple(sorted(subset + (user,)))
-                msg = part_tr.messages[_subset_rank(k, part.t + 1)[group]]
-                for member in group:
-                    if member == user:
-                        continue
-                    rest = tuple(x for x in group if x != member)
-                    msg = msg ^ _cached_subfile(
-                        placement, config, user, lib_idx, part_idx, row[member - 1], rest
-                    )
-                pieces.append(msg)
-    return concat(pieces)
+                piece = messages[pos].value
+                for member, p in pairs:
+                    piece ^= (cache >> (top - ((row[member - 1] - 1) * per_file + p) * sub)) & mask
+            value = (value << sub) | piece
+        top -= (n * per_file - 1) * sub
+    return BitString(width, value)
+
+
+@dataclass(frozen=True)
+class RowOutcome:
+    """One library serving one demand row: its transcript bits, every user's
+    decode of that library, and the users whose decode differs from the file."""
+
+    bits: int
+    decoded: tuple[BitString, ...]
+    failed: tuple[int, ...]
+
+
+class RowPass:
+    """Library-by-library delivery and decoding, each (library, row) served once.
+
+    Libraries never interact: the library-l transcript and every library-l
+    decode read only row l of the demand and segment l of each cache. Serving a
+    row delivers that library once, decodes every user once and compares each
+    decode with the stored file; the outcome is kept, so `verify_all` and
+    `reduction_demo` can read the same rows without serving them twice.
+    """
+
+    def __init__(self, store: FileStore, config: NetworkConfig, placement: PlacementState):
+        self.store = store
+        self.config = config
+        self.placement = placement
+        self.outcomes: tuple[dict[tuple[int, ...], RowOutcome], ...] = tuple(
+            {} for _ in config.libraries
+        )
+
+    @property
+    def served(self) -> int:
+        """Library rows served so far."""
+        return sum(len(rows) for rows in self.outcomes)
+
+    def serve(self, library: int, row: tuple[int, ...]) -> RowOutcome:
+        known = self.outcomes[library - 1]
+        outcome = known.get(row)
+        if outcome is None:
+            outcome = known[row] = self._serve(library, row)
+        return outcome
+
+    def _serve(self, library: int, row: tuple[int, ...]) -> RowOutcome:
+        config = self.config
+        lib_idx = library - 1
+        files = self.store.files[lib_idx]
+        parts = _library_transcript(files, self.placement.plans[lib_idx], config.num_users, row)
+        # a library-l transcript: the demand puts `row` in library l and ones
+        # elsewhere, and the other libraries send nothing
+        ones = (1,) * config.num_users
+        transcript = DeliveryTranscript(
+            demand=DemandVector(
+                tuple(row if i == lib_idx else ones for i in range(config.num_libraries))
+            ),
+            per_library=tuple(parts if i == lib_idx else () for i in range(config.num_libraries)),
+        )
+        decoded = tuple(
+            decode(self.placement, transcript, config, user, library)
+            for user in range(1, config.num_users + 1)
+        )
+        failed = tuple(
+            user
+            for user, (actual, want) in enumerate(zip(decoded, row), start=1)
+            if actual != files[want - 1]
+        )
+        return RowOutcome(bits=sum(part.bits for part in parts), decoded=decoded, failed=failed)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     demands_checked: int
+    demand_vectors_run: int
     base_size: int
     allocation: Allocation
     formula_rate: Fraction
@@ -403,6 +478,7 @@ class VerificationReport:
 
         return {
             "demands_checked": self.demands_checked,
+            "demand_vectors_run": self.demand_vectors_run,
             "base_size": self.base_size,
             "allocation": [str(m) for m in self.allocation.per_library],
             "formula_rate": str(self.formula_rate),
@@ -427,33 +503,48 @@ def verify_all(
     config: NetworkConfig,
     allocation: Allocation,
     cap: int = DEFAULT_DEMAND_CAP,
+    *,
+    rows: RowPass | None = None,
 ) -> VerificationReport:
-    """Drive every demand end to end; raise DecodeMismatchError on the first
-    failure (lexicographically first witness), else report exact rates.
+    """Verify every demand vector, library by library; raise DecodeMismatchError
+    with the lexicographically first witness, else report exact rates.
 
-    The measured rate is the worst-case transcript length over all demands,
-    divided by the base size; it must equal the formula rate bit for bit.
+    Libraries never interact (see `RowPass`), so each library is served over
+    its own N_l^K rows and every combination of per-library rows is a demand
+    vector. A vector decodes exactly when each of its rows does, and its
+    transcript length is the sum of its rows' lengths, so the worst case over
+    all vectors is the sum of the per-library maxima. The measured rate is
+    that sum divided by the base size; it must equal the formula rate bit for
+    bit. `demands_checked` counts the vectors covered, the product of N_l^K;
+    `demand_vectors_run` counts the library rows served, the sum of N_l^K.
+    `cap` still bounds the covered vectors, with enumeration's error message.
+
+    Pass `rows` to share one row pass with `reduction_demo`; it must have been
+    built from this store, network and split.
     """
-    placement = place(store, config, allocation)
-    L = config.num_libraries
+    if rows is None:
+        rows = RowPass(store, config, place(store, config, allocation))
+    elif (rows.store, rows.config, rows.placement.allocation) != (store, config, allocation):
+        raise ValueError("row pass was built for a different store, network or split")
+    covered = check_demand_cap(config, cap)
     k = config.num_users
-    max_total = 0
-    per_lib_max = [0] * L
-    count = 0
-    for demand in enumerate_demands(config, cap):
-        transcript = deliver(store, config, placement, demand)
-        max_total = max(max_total, transcript.total_bits)
-        for lib in range(L):
-            per_lib_max[lib] = max(per_lib_max[lib], transcript.library_bits(lib + 1))
-        for user in range(1, k + 1):
-            for lib in range(1, L + 1):
-                actual = decode(placement, transcript, config, user, lib)
-                expected = store.files[lib - 1][demand.rows[lib - 1][user - 1] - 1]
-                if actual != expected:
-                    raise DecodeMismatchError(demand, user, lib, expected, actual)
-        count += 1
+    per_lib_max = []
+    first_failing: list[tuple[int, ...] | None] = []
+    for library, lib in enumerate(config.libraries, start=1):
+        most, failing = 0, None
+        for row in product(range(1, lib.num_files + 1), repeat=k):
+            outcome = rows.serve(library, row)
+            most = max(most, outcome.bits)
+            if failing is None and outcome.failed:
+                failing = row
+        per_lib_max.append(most)
+        first_failing.append(failing)
+    if any(first_failing):
+        raise _first_witness(rows, first_failing)
+    max_total = sum(per_lib_max)
     return VerificationReport(
-        demands_checked=count,
+        demands_checked=covered,
+        demand_vectors_run=rows.served,
         base_size=store.base_size,
         allocation=allocation,
         formula_rate=formula_rate(config, allocation),
@@ -461,6 +552,37 @@ def verify_all(
         max_total_bits=max_total,
         per_library_max_bits=tuple(per_lib_max),
     )
+
+
+def _first_witness(
+    rows: RowPass, first_failing: list[tuple[int, ...] | None]
+) -> DecodeMismatchError:
+    """The failure a full product enumeration would meet first.
+
+    Vectors run in lexicographic order, the last library's row fastest. So the
+    first failing vector is all ones if any library fails on its all-ones row;
+    otherwise it is all ones with the last failing library's first failing row
+    put in. At that vector users are checked in turn, each over all libraries.
+    """
+    config = rows.config
+    ones = (1,) * config.num_users
+    witness = [ones] * config.num_libraries
+    if ones not in first_failing:
+        last = max(i for i, row in enumerate(first_failing) if row is not None)
+        witness[last] = first_failing[last]
+    for user in range(1, config.num_users + 1):
+        for lib_idx, row in enumerate(witness):
+            outcome = rows.serve(lib_idx + 1, row)
+            if user in outcome.failed:
+                expected = rows.store.files[lib_idx][row[user - 1] - 1]
+                return DecodeMismatchError(
+                    DemandVector(tuple(witness)),
+                    user,
+                    lib_idx + 1,
+                    expected,
+                    outcome.decoded[user - 1],
+                )
+    raise AssertionError("a failing row has no failing user")
 
 
 @dataclass(frozen=True)
@@ -488,6 +610,8 @@ def reduction_demo(
     stack: ConcatenatedLibrary | None = None,
     stack_demands: Sequence[tuple[int, ...]] | None = None,
     cap: int = DEFAULT_DEMAND_CAP,
+    *,
+    rows: RowPass | None = None,
 ) -> ReductionReport:
     """Serve the stacked single library with the unchanged multi-library scheme.
 
@@ -497,13 +621,28 @@ def reduction_demo(
     stacked file (the pieces of every library large enough to hold it, in
     ascending-file-count order) from the same caches and a transcript no longer
     than the multi-library worst case.
+
+    Each library's clamped row is read from `rows` (a `RowPass` over this
+    store and placement), so rows `verify_all` already served are not served
+    again.
     """
     if stack is None:
         stack = concatenate(config)
     sorted_config, permutation = sort_by_library_size(config)
     if stack.config != sorted_config or stack.permutation != permutation:
         raise ValueError("stack was built for a different network")
+    if rows is None:
+        rows = RowPass(store, config, placement)
+    elif (rows.store, rows.config, rows.placement) != (store, config, placement):
+        raise ValueError("row pass was built for a different store, network or placement")
     k = config.num_users
+    cache_bits = placement.cache_bits(1)
+    for user in range(2, k + 1):
+        if placement.cache_bits(user) != cache_bits:
+            raise ValueError(
+                f"user {user} caches {placement.cache_bits(user)} bits and user 1 "
+                f"{cache_bits}; the stacked library needs equal caches"
+            )
     n_max = stack.num_files
     if stack_demands is None:
         total = n_max**k
@@ -517,23 +656,16 @@ def reduction_demo(
     for prime in stack_demands:
         if len(prime) != k or any(not 1 <= x <= n_max for x in prime):
             raise ValueError(f"bad stack demand {prime}")
-        induced = DemandVector(
-            tuple(tuple(min(x, counts[lib]) for x in prime) for lib in range(config.num_libraries))
-        )
-        transcript = deliver(store, config, placement, induced)
-        max_total = max(max_total, transcript.total_bits)
-        for user in range(1, k + 1):
-            decoded = [
-                decode(placement, transcript, config, user, lib)
-                for lib in range(1, config.num_libraries + 1)
-            ]
-            n = prime[user - 1]
+        induced = tuple(tuple(min(x, n) for x in prime) for n in counts)
+        outcomes = [rows.serve(library, row) for library, row in enumerate(induced, start=1)]
+        max_total = max(max_total, sum(outcome.bits for outcome in outcomes))
+        for user, n in enumerate(prime, start=1):
             level = subfile_level(sorted_config, n)
             keep = [permutation[pos] for pos in range(level - 1, config.num_libraries)]
-            actual = concat(decoded[orig - 1] for orig in keep)
+            actual = concat(outcomes[orig - 1].decoded[user - 1] for orig in keep)
             expected = concat(store.files[orig - 1][n - 1] for orig in keep)
             if actual != expected:
-                raise DecodeMismatchError(induced, user, 0, expected, actual)
+                raise DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
         checked += 1
 
     stacked_bits = []
@@ -543,9 +675,6 @@ def reduction_demo(
             int(lib.alpha * store.base_size) for lib in sorted_config.libraries[level - 1 :]
         )
         stacked_bits.append(width)
-    cache_bits = placement.cache_bits(1)
-    for user in range(2, k + 1):
-        assert placement.cache_bits(user) == cache_bits
     return ReductionReport(
         demands_checked=checked,
         stacked_file_bits=tuple(stacked_bits),

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import cacheshare
+import cacheshare.cli as cli
 import cacheshare.sim as sim
 from cacheshare.cli import main
 
@@ -261,3 +262,26 @@ def test_decode_mismatch_exits_one(runner, monkeypatch):
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate"])
     assert result.exit_code == 1
     assert "decoded library" in result.output
+
+
+def test_simulate_reports_served_rows(runner):
+    result = run_json(runner, ["--config", EXAMPLE, "simulate"])["result"]
+    assert list(result)[:2] == ["demands_checked", "demand_vectors_run"]
+    assert (result["demands_checked"], result["demand_vectors_run"]) == (16, 8)
+    csv_out = runner.invoke(main, ["--config", EXAMPLE, "--format", "csv", "simulate"])
+    rows = list(csv.reader(io.StringIO(csv_out.output)))
+    assert rows[1:3] == [["demands_checked", "16"], ["demand_vectors_run", "8"]]
+
+
+def test_simulate_stack_places_caches_once(runner, monkeypatch):
+    calls = []
+    real = sim.place
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sim, "place", counted)
+    monkeypatch.setattr(cli, "place", counted)
+    run_json(runner, ["--config", EXAMPLE, "simulate", "--stack"])
+    assert len(calls) == 1

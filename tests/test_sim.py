@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cacheshare.sim import (
     DivisibilityError,
     FileStore,
     LibraryPlan,
+    RowPass,
     SchemePart,
     build_plans,
     decode,
@@ -30,7 +32,18 @@ from cacheshare.sim import (
     verify_all,
 )
 
-from util import curves_for, make_config, reference_config, unequal_config
+from cacheshare.tradeoff import build_scheme_tradeoff
+
+from util import (
+    curves_for,
+    make_config,
+    random_corner_allocation,
+    random_sim_config,
+    reference_config,
+    reference_reduction,
+    reference_verify,
+    unequal_config,
+)
 
 F = Fraction
 
@@ -264,3 +277,137 @@ def test_reduction_demo_rejects_foreign_stack_and_bad_demands():
         reduction_demo(store, config, placement, stack_demands=[(0, 1)])
     with pytest.raises(CapExceededError):
         reduction_demo(store, config, placement, cap=3)
+
+
+def test_verify_counts_covered_vectors_and_served_rows():
+    config = reference_config()
+    store = random_file_store(config, 40, seed=2026)
+    report = verify_all(store, config, Allocation((F(2, 5), F(3, 5))))
+    assert report.demands_checked == 16
+    assert report.demand_vectors_run == 8
+    payload = report.to_json()
+    assert list(payload)[:2] == ["demands_checked", "demand_vectors_run"]
+    assert payload["demand_vectors_run"] == 8
+
+
+def random_split_allocation(rng, config):
+    """Run each library strictly between two adjacent envelope vertices, so
+    its plan has two parts; returns the rebuilt config and the split."""
+    picks = []
+    for lib in config.libraries:
+        env = build_scheme_tradeoff(lib.num_files, config.num_users)
+        seg = rng.randrange(env.num_segments)
+        lo, hi = env.breakpoints[seg], env.breakpoints[seg + 1]
+        picks.append((lo + rng.choice((F(1, 3), F(1, 2))) * (hi - lo)) * lib.alpha)
+    total = sum(picks, F(0))
+    rebuilt = dataclasses.replace(config, cache_size=total)
+    return rebuilt, Allocation(tuple(picks))
+
+
+def test_row_pass_agrees_with_full_product_reference():
+    rng = random.Random(4102)
+    for seed in range(30):
+        shape = random_sim_config(rng)
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, shape)
+        store = random_file_store(config, required_base_size(config, allocation), seed)
+        expected = reference_verify(store, config, allocation)
+        placement = place(store, config, allocation)
+        rows = RowPass(store, config, placement)
+        report = verify_all(store, config, allocation, rows=rows)
+        for field in ("demands_checked", "measured_rate", "max_total_bits", "per_library_max_bits"):
+            assert getattr(report, field) == getattr(expected, field), (seed, field)
+        assert report.measured_rate == report.formula_rate
+        assert report.demand_vectors_run == sum(
+            n**config.num_users for n in config.file_counts
+        )
+        stack = reduction_demo(store, config, placement, rows=rows)
+        assert stack == reference_reduction(store, config, placement)
+        # every clamped stack row is a library row verification already served
+        assert rows.served == report.demand_vectors_run
+
+
+def three_library_run():
+    config = make_config(
+        counts=(2, 2, 2), weights=(F(1, 5), F(2, 5), F(2, 5)), users=2, cache="1"
+    )
+    allocation = Allocation((F(1, 5), F(2, 5), F(2, 5)))
+    return config, allocation, random_file_store(config, 10, seed=21)
+
+
+@pytest.mark.parametrize(
+    "failing, witness_rows, user, library",
+    [
+        # only library 2 fails, off its all-ones row, and only for user 2
+        ({2: {(2, 1): {2}}}, ((1, 1), (2, 1), (1, 1)), 2, 2),
+        # the last failing library's first failing row is put in
+        ({1: {(1, 2): {1}}, 2: {(2, 2): {1, 2}}}, ((1, 1), (2, 2), (1, 1)), 1, 2),
+        # an all-ones failure wins; user-major order picks library 3 for user 1
+        ({2: {(1, 2): {1}, (1, 1): {2}}, 3: {(1, 1): {1}}}, ((1, 1), (1, 1), (1, 1)), 1, 3),
+        # an all-ones failure also beats a later library's failure off all-ones
+        ({1: {(1, 1): {2}}, 3: {(2, 1): {1}}}, ((1, 1), (1, 1), (1, 1)), 2, 1),
+    ],
+)
+def test_witness_matches_full_product_reference(
+    monkeypatch, failing, witness_rows, user, library
+):
+    config, allocation, store = three_library_run()
+    real = sim.decode
+
+    def corrupted(placement, transcript, cfg, u, lib):
+        out = real(placement, transcript, cfg, u, lib)
+        bad_users = failing.get(lib, {}).get(transcript.demand.rows[lib - 1], ())
+        return out.flip(0) if u in bad_users else out
+
+    monkeypatch.setattr(sim, "decode", corrupted)
+    with pytest.raises(DecodeMismatchError) as reference:
+        reference_verify(store, config, allocation)
+    with pytest.raises(DecodeMismatchError) as info:
+        verify_all(store, config, allocation)
+    want, got = reference.value, info.value
+    assert (got.demand, got.user, got.library, got.expected, got.actual) == (
+        want.demand, want.user, want.library, want.expected, want.actual
+    )
+    assert got.demand.rows == witness_rows
+    assert (got.user, got.library) == (user, library)
+
+
+def test_stack_reads_the_rows_verification_served():
+    config = make_config(counts=(2,), weights=(F(1),), users=3, cache="1")
+    allocation = Allocation((F(1),))
+    store = random_file_store(config, required_base_size(config, allocation), seed=16)
+    placement = place(store, config, allocation)
+    rows = RowPass(store, config, placement)
+    assert verify_all(store, config, allocation, rows=rows).demand_vectors_run == 8
+    report = reduction_demo(store, config, placement, rows=rows)
+    assert report.demands_checked == 8
+    assert rows.served == 8
+
+
+def test_row_pass_must_match_the_run_it_serves():
+    config = reference_config()
+    store = random_file_store(config, 10, seed=17)
+    allocation = Allocation((F(2, 5), F(3, 5)))
+    placement = place(store, config, allocation)
+    rows = RowPass(store, config, placement)
+    other = Allocation((F(1, 5), F(4, 5)))
+    with pytest.raises(ValueError, match="different store, network or split"):
+        verify_all(store, config, other, rows=rows)
+    with pytest.raises(ValueError, match="different store, network or placement"):
+        reduction_demo(store, config, place(store, config, other), rows=rows)
+
+
+def test_reduction_demo_rejects_uneven_caches():
+    config = reference_config()
+    store = random_file_store(config, 10, seed=18)
+    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    segment = placement.caches[1][0]
+    uneven = dataclasses.replace(
+        placement,
+        caches=(
+            placement.caches[0],
+            (segment.slice(0, segment.width - 1), placement.caches[1][1]),
+        ),
+    )
+    with pytest.raises(ValueError, match="user 2 caches 9 bits and user 1 10"):
+        reduction_demo(store, config, uneven)

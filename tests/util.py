@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
+import cacheshare.sim as sim
 from cacheshare.allocation import Allocation
-from cacheshare.model import LibrarySpec, NetworkConfig
+from cacheshare.bits import concat
+from cacheshare.converse import concatenate, sort_by_library_size, subfile_level
+from cacheshare.model import DemandVector, LibrarySpec, NetworkConfig, enumerate_demands
 from cacheshare.tradeoff import PiecewiseLinearTradeoff, build_by_kind, build_scheme_tradeoff
 
 
@@ -93,3 +97,73 @@ def random_corner_allocation(
         libraries=config.libraries, num_users=config.num_users, cache_size=total
     )
     return rebuilt, Allocation(tuple(picks))
+
+
+def reference_verify(
+    store: sim.FileStore, config: NetworkConfig, allocation: Allocation
+) -> sim.VerificationReport:
+    """The full product loop: deliver and decode every demand vector end to end
+    through the public `sim.deliver`/`sim.decode`, raising on the first failure."""
+    placement = sim.place(store, config, allocation)
+    L = config.num_libraries
+    max_total = 0
+    per_lib_max = [0] * L
+    count = 0
+    for demand in enumerate_demands(config):
+        transcript = sim.deliver(store, config, placement, demand)
+        max_total = max(max_total, transcript.total_bits)
+        for lib in range(L):
+            per_lib_max[lib] = max(per_lib_max[lib], transcript.library_bits(lib + 1))
+        for user in range(1, config.num_users + 1):
+            for lib in range(1, L + 1):
+                actual = sim.decode(placement, transcript, config, user, lib)
+                expected = store.files[lib - 1][demand.rows[lib - 1][user - 1] - 1]
+                if actual != expected:
+                    raise sim.DecodeMismatchError(demand, user, lib, expected, actual)
+        count += 1
+    return sim.VerificationReport(
+        demands_checked=count,
+        demand_vectors_run=count,
+        base_size=store.base_size,
+        allocation=allocation,
+        formula_rate=sim.formula_rate(config, allocation),
+        measured_rate=Fraction(max_total, store.base_size),
+        max_total_bits=max_total,
+        per_library_max_bits=tuple(per_lib_max),
+    )
+
+
+def reference_reduction(
+    store: sim.FileStore, config: NetworkConfig, placement: sim.PlacementState
+) -> sim.ReductionReport:
+    """Serve every stacked demand with its own full delivery and decodes."""
+    sorted_config, permutation = sort_by_library_size(config)
+    n_max = concatenate(config).num_files
+    k = config.num_users
+    max_total = 0
+    checked = 0
+    for prime in product(range(1, n_max + 1), repeat=k):
+        induced = DemandVector(tuple(tuple(min(x, n) for x in prime) for n in config.file_counts))
+        transcript = sim.deliver(store, config, placement, induced)
+        max_total = max(max_total, transcript.total_bits)
+        for user, n in enumerate(prime, start=1):
+            level = subfile_level(sorted_config, n)
+            keep = [permutation[pos] for pos in range(level - 1, config.num_libraries)]
+            actual = concat(sim.decode(placement, transcript, config, user, orig) for orig in keep)
+            expected = concat(store.files[orig - 1][n - 1] for orig in keep)
+            if actual != expected:
+                raise sim.DecodeMismatchError(induced, user, 0, expected, actual)
+        checked += 1
+    stacked_bits = tuple(
+        sum(
+            int(lib.alpha * store.base_size)
+            for lib in sorted_config.libraries[subfile_level(sorted_config, n) - 1 :]
+        )
+        for n in range(1, n_max + 1)
+    )
+    return sim.ReductionReport(
+        demands_checked=checked,
+        stacked_file_bits=stacked_bits,
+        cache_bits=placement.cache_bits(1),
+        max_total_bits=max_total,
+    )
