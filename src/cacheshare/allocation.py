@@ -9,14 +9,16 @@ two-library splits, and certify the equal-size case.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product, repeat
+from operator import neg
 from typing import Callable, Sequence
 
-from .model import CapExceededError, NetworkConfig, to_fraction
-from .tradeoff import PiecewiseLinearTradeoff
+from .model import CapExceededError, NetworkConfig, to_fraction, total_content
+from .tradeoff import PiecewiseLinearTradeoff, shared_curve
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def memory_sharing_rate(
 
 def proportional_allocation(config: NetworkConfig) -> Allocation:
     """Split the budget in proportion to each library's share of total content."""
-    total = sum((lib.alpha * lib.num_files for lib in config.libraries), Fraction(0))
+    total = total_content(config)
     if total == 0:
         raise ValueError("network has no content")
     return Allocation(
@@ -115,39 +117,41 @@ def greedy_allocate(
     Library l sitting on segment i contributes alpha_l * R_l(M_l / alpha_l)
     to the rate, so one more unit of cache there buys a reduction of exactly
     gamma_i — the alpha weight and the per-library memory rescaling cancel.
-    The ranking key is therefore the raw segment slope. Ties go to the
-    smallest library index. The last step may stop mid-segment; every other
-    library ends exactly on a corner.
+    The ranking key is therefore the raw segment slope, and since each curve's
+    slopes strictly decrease, the buying order is a k-way merge of the curves on
+    (-slope, library, segment): ties go to the smallest library index. The last
+    step may stop mid-segment; every other library ends exactly on a corner.
     """
     check_pairing(config, tradeoffs)
     alphas = config.alphas
     budget = config.cache_size
     cursor = [0] * config.num_libraries
-    filled = [Fraction(0)] * config.num_libraries
     steps: list[AllocationStep] = []
     total = Fraction(0)
-    while total < budget:
-        best = -1
-        best_slope = Fraction(-1)
-        for lib in range(config.num_libraries):
-            seg = cursor[lib]
-            if seg >= tradeoffs[lib].num_segments:
-                continue
-            gain = tradeoffs[lib].slopes[seg]
-            if gain > best_slope:
-                best, best_slope = lib, gain
-        if best < 0:
-            # every curve exhausted; cannot happen while total < total content
-            raise ValueError(f"budget {budget} exceeds total content")
-        curve = tradeoffs[best]
-        seg = cursor[best]
-        seg_width = alphas[best] * (curve.breakpoints[seg + 1] - curve.breakpoints[seg])
-        delta = min(seg_width, budget - total)
-        filled[best] += delta
+    inside = None  # library whose last step stopped inside a segment
+    order = heapq.merge(
+        *(
+            zip(map(neg, curve.slopes), repeat(lib), count())
+            for lib, curve in enumerate(tradeoffs)
+        )
+    )
+    for _, lib, seg in order:
+        if total >= budget:
+            break
+        bp = tradeoffs[lib].breakpoints
+        delta = alphas[lib] * (bp[seg + 1] - bp[seg])
+        if total + delta <= budget:
+            cursor[lib] += 1
+        else:
+            delta, inside = budget - total, lib
         total += delta
-        steps.append(AllocationStep(best + 1, seg, delta, total))
-        if delta == seg_width:
-            cursor[best] += 1
+        steps.append(AllocationStep(lib + 1, seg, delta, total))
+    if total < budget:
+        # every curve exhausted; cannot happen while total < total content
+        raise ValueError(f"budget {budget} exceeds total content")
+    filled = [a * curve.breakpoints[c] for a, curve, c in zip(alphas, tradeoffs, cursor)]
+    if inside is not None:
+        filled[inside] += steps[-1].delta
     final = Allocation(tuple(filled))
     rate = memory_sharing_rate(config, final, tradeoffs)
     return AllocationTrace(
@@ -209,8 +213,9 @@ def brute_force_allocate(
 
     candidates: list[tuple[Fraction, ...]] = []
     if ratio.denominator == 1:
+        grid = [k * grid_step for k in range(int(ratio) + 1)]
         for comp in _compositions(int(ratio), L):
-            candidates.append(tuple(k * grid_step for k in comp))
+            candidates.append(tuple(grid[k] for k in comp))
     for free in range(L):
         corner_axes = [
             [bp * alphas[lib] for bp in tradeoffs[lib].breakpoints]
@@ -225,10 +230,15 @@ def brute_force_allocate(
                 split.insert(free, remainder)
                 candidates.append(tuple(split))
 
+    # library l's share alpha_l * R_l(m / alpha_l) of the rate, once per memory m
+    parts: list[dict[Fraction, Fraction]] = [{} for _ in range(L)]
     best_split: tuple[Fraction, ...] | None = None
     best_rate: Fraction | None = None
     for split in candidates:
-        rate = memory_sharing_rate(config, Allocation(split), tradeoffs)
+        for lib, m in enumerate(split):
+            if m not in parts[lib]:
+                parts[lib][m] = alphas[lib] * tradeoffs[lib].evaluate(m / alphas[lib])
+        rate = sum(part[m] for part, m in zip(parts, split))
         if (
             best_rate is None
             or rate < best_rate
@@ -237,7 +247,8 @@ def brute_force_allocate(
             best_split, best_rate = split, rate
     if best_split is None:
         raise ValueError("no feasible split on the grid")
-    return Allocation(best_split), best_rate
+    best = Allocation(best_split)
+    return best, memory_sharing_rate(config, best, tradeoffs)
 
 
 def corner_structure_violations(
@@ -411,12 +422,9 @@ def certify_equal_n_optimality(
     counts = set(config.file_counts)
     if len(counts) != 1:
         raise ValueError(f"certification needs equal library sizes, got {sorted(counts)}")
-    distinct = {
-        (c.num_files, c.breakpoints, c.slopes, c.intercepts) for c in tradeoffs
-    }
-    if len(distinct) != 1:
+    curve = shared_curve(tradeoffs)
+    if curve is None:
         raise ValueError("certification needs one shared tradeoff across libraries")
-    curve = tradeoffs[0]
     prop = memory_sharing_rate(config, proportional_allocation(config), tradeoffs)
     pooled = curve.evaluate(config.cache_size)
     greedy = greedy_allocate(config, tradeoffs).rate

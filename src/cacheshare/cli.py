@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterable
 
 import click
 
@@ -88,12 +88,12 @@ def _record(state: CliState, command: str, config: NetworkConfig | None, **optio
     }
 
 
-def _emit(state: CliState, record: dict, result: dict, csv_rows: tuple[list, list[list]]) -> None:
-    """Write JSON (record + result) or CSV (header, rows) to --out."""
+def _emit(state: CliState, record: dict, result: dict, header: list, rows: Iterable) -> None:
+    """Write JSON (record + result) or CSV (header, rows) to --out. `rows` is
+    lazy and consumed only for CSV."""
     if state.fmt == "json":
         text = json.dumps({"record": record, "result": result}, indent=2, sort_keys=False)
     else:
-        header, rows = csv_rows
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -114,17 +114,13 @@ def _curves(config: NetworkConfig, kinds: str):
         raise click.UsageError(
             f"--kinds lists {len(names)} entries for {config.num_libraries} libraries"
         )
+    shapes = list(zip(names, config.file_counts))
     try:
-        return [
-            build_by_kind(name, lib.num_files, config.num_users)
-            for name, lib in zip(names, config.libraries)
-        ]
+        # one build per distinct (kind, file count), kept for this command only
+        built = {s: build_by_kind(*s, config.num_users) for s in dict.fromkeys(shapes)}
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-
-
-def _pq(value: Fraction) -> str:
-    return str(value)
+    return [built[s] for s in shapes]
 
 
 @click.group()
@@ -177,20 +173,20 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> None:
         "corners": corners,
         "segments": [
             {
-                "start": _pq(curve.breakpoints[i]),
-                "end": _pq(curve.breakpoints[i + 1]),
-                "intercept": _pq(curve.intercepts[i]),
-                "slope": _pq(-curve.slopes[i]),
+                "start": str(curve.breakpoints[i]),
+                "end": str(curve.breakpoints[i + 1]),
+                "intercept": str(curve.intercepts[i]),
+                "slope": str(-curve.slopes[i]),
             }
             for i in range(curve.num_segments)
         ],
     }
-    rows = [
+    rows = (
         [m, r, format_decimal(to_fraction(m)), format_decimal(to_fraction(r))]
         for m, r in corners
-    ]
+    )
     record = _record(state, "tradeoff", None, files=files, users=users, kind=kind)
-    _emit(state, record, result, (["memory", "rate", "memory_decimal", "rate_decimal"], rows))
+    _emit(state, record, result, ["memory", "rate", "memory_decimal", "rate_decimal"], rows)
 
 
 @main.command("allocate")
@@ -217,7 +213,7 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
             raise click.UsageError(f"bad --oracle-step: {exc}") from exc
         try:
             best_alloc, best_rate = brute_force_allocate(config, curves, step)
-        except CapExceededError as exc:
+        except ValueError as exc:  # a step that is not positive, or too many splits
             raise click.UsageError(str(exc)) from exc
         if best_rate != trace.rate:
             raise VerificationFailure(
@@ -225,20 +221,20 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
                 f"at split {[str(m) for m in best_alloc.per_library]}"
             )
         oracle = {
-            "rate": _pq(best_rate),
-            "allocation": [_pq(m) for m in best_alloc.per_library],
+            "rate": str(best_rate),
+            "allocation": [str(m) for m in best_alloc.per_library],
         }
     result = {
-        "allocation": [_pq(m) for m in trace.final.per_library],
-        "rate": _pq(trace.rate),
+        "allocation": [str(m) for m in trace.final.per_library],
+        "rate": str(trace.rate),
         "rate_decimal": format_decimal(trace.rate),
         "labels": list(trace.tradeoff_labels),
         "steps": [
             {
                 "library": s.library,
                 "segment": s.segment,
-                "delta": _pq(s.delta),
-                "allocated_total": _pq(s.allocated_total),
+                "delta": str(s.delta),
+                "allocated_total": str(s.allocated_total),
             }
             for s in trace.steps
         ],
@@ -246,36 +242,29 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
     }
     if oracle is not None:
         result["oracle"] = oracle
-    rows = [
+    rows = (
         [
             i + 1,
             s.library,
             s.segment,
-            _pq(s.delta),
+            str(s.delta),
             format_decimal(s.delta),
-            _pq(s.allocated_total),
+            str(s.allocated_total),
             format_decimal(s.allocated_total),
         ]
         for i, s in enumerate(trace.steps)
-    ]
-    record = _record(state, "allocate", config, kinds=kinds, oracle_step=oracle_step)
-    _emit(
-        state,
-        record,
-        result,
-        (
-            [
-                "step",
-                "library",
-                "segment",
-                "delta",
-                "delta_decimal",
-                "allocated_total",
-                "allocated_total_decimal",
-            ],
-            rows,
-        ),
     )
+    record = _record(state, "allocate", config, kinds=kinds, oracle_step=oracle_step)
+    header = [
+        "step",
+        "library",
+        "segment",
+        "delta",
+        "delta_decimal",
+        "allocated_total",
+        "allocated_total_decimal",
+    ]
+    _emit(state, record, result, header, rows)
 
 
 @main.command("sweep")
@@ -292,29 +281,22 @@ def cmd_sweep(state: CliState, samples: int, kinds: str) -> None:
         raise click.UsageError(str(exc)) from exc
     share, rate = result.minimum()
     payload = {
-        "points": [[_pq(s), _pq(r)] for s, r in result.points],
-        "breakpoints": [_pq(b) for b in result.breakpoints],
+        "points": [[str(s), str(r)] for s, r in result.points],
+        "breakpoints": [str(b) for b in result.breakpoints],
         "segments": [
             {
-                "start": _pq(seg.start),
-                "end": _pq(seg.end),
-                "intercept": _pq(seg.intercept),
-                "slope": _pq(seg.slope),
+                "start": str(seg.start),
+                "end": str(seg.end),
+                "intercept": str(seg.intercept),
+                "slope": str(seg.slope),
             }
             for seg in result.segments
         ],
-        "minimum": {"lambda": _pq(share), "rate": _pq(rate)},
+        "minimum": {"lambda": str(share), "rate": str(rate)},
     }
-    rows = [
-        [_pq(s), _pq(r), format_decimal(s), format_decimal(r)] for s, r in result.points
-    ]
+    rows = ([str(s), str(r), format_decimal(s), format_decimal(r)] for s, r in result.points)
     record = _record(state, "sweep", config, samples=samples, kinds=kinds)
-    _emit(
-        state,
-        record,
-        payload,
-        (["lambda", "rate", "lambda_decimal", "rate_decimal"], rows),
-    )
+    _emit(state, record, payload, ["lambda", "rate", "lambda_decimal", "rate_decimal"], rows)
 
 
 @main.command("converse")
@@ -332,13 +314,12 @@ def cmd_converse(state: CliState, kinds: str) -> None:
     stack = concatenate(config)
     payload = report.to_json()
     payload["stack"] = {
-        "betas": [_pq(b) for b in stack.betas],
+        "betas": [str(b) for b in stack.betas],
         "library_order": list(stack.permutation),
-        "scale": _pq(concatenation_scale(config)),
+        "scale": str(concatenation_scale(config)),
     }
-    rows = [[key, value] for key, value in report.to_json().items()]
     record = _record(state, "converse", config, kinds=kinds)
-    _emit(state, record, payload, (["key", "value"], rows))
+    _emit(state, record, payload, ["key", "value"], report.to_json().items())
 
 
 @main.command("simulate")
@@ -421,9 +402,9 @@ def cmd_simulate(
         ["demands_checked", report.demands_checked],
         ["demand_vectors_run", report.demand_vectors_run],
         ["base_size", report.base_size],
-        ["measured_rate", _pq(report.measured_rate)],
+        ["measured_rate", str(report.measured_rate)],
         ["measured_rate_decimal", format_decimal(report.measured_rate)],
-        ["formula_rate", _pq(report.formula_rate)],
+        ["formula_rate", str(report.formula_rate)],
         ["max_total_bits", report.max_total_bits],
     ]
     record = _record(
@@ -437,7 +418,7 @@ def cmd_simulate(
         demand_cap=demand_cap,
         stack=stack,
     )
-    _emit(state, record, payload, (["key", "value"], rows))
+    _emit(state, record, payload, ["key", "value"], rows)
 
 
 if __name__ == "__main__":

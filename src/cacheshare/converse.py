@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .model import NetworkConfig, to_fraction, total_content
-from .tradeoff import PiecewiseLinearTradeoff
+from .tradeoff import PiecewiseLinearTradeoff, shared_curve
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,14 @@ def concatenate(config: NetworkConfig) -> ConcatenatedLibrary:
     """Stack all libraries into one of N_max files, sizes normalized so that
     the stack's total content equals N_max file-size units."""
     sorted_config, permutation = sort_by_library_size(config)
-    total = total_content(sorted_config)
-    if total == 0:
-        raise ValueError("network has no content")
-    n_max = sorted_config.file_counts[-1]
+    scale = concatenation_scale(sorted_config)
     betas = []
-    for n in range(1, n_max + 1):
+    for n in range(1, sorted_config.file_counts[-1] + 1):
         level = subfile_level(sorted_config, n)
         raw = sum(
             (lib.alpha for lib in sorted_config.libraries[level - 1 :]), Fraction(0)
         )
-        betas.append(raw / total * n_max)
+        betas.append(raw * scale)
     return ConcatenatedLibrary(config=sorted_config, permutation=permutation, betas=tuple(betas))
 
 
@@ -173,10 +170,8 @@ def conjecture_gap(
     from .allocation import greedy_allocate  # local import, avoids a cycle
 
     trace = greedy_allocate(config, tradeoffs)
-    counts = set(config.file_counts)
-    distinct = {(c.num_files, c.breakpoints, c.slopes, c.intercepts) for c in tradeoffs}
-    if len(counts) == 1 and len(distinct) == 1:
-        curve = tradeoffs[0]
+    curve = shared_curve(tradeoffs)
+    if curve is not None:
         converse = converse_bound(config, curve.evaluate)
         kind = "exact" if curve.exact else "scheme"
         status = "tight"

@@ -22,11 +22,13 @@ class CapExceededError(ValueError):
 
 
 def to_fraction(value: int | str | Fraction) -> Fraction:
-    """Coerce exact input (int, "p/q" or "n" string, Fraction) to Fraction.
+    """Coerce exact input (int, "p/q" or "n" string) to Fraction; a Fraction passes as is.
 
     Floats are rejected: 0.4 is not 2/5, and a silently inexact size weight
     would poison every downstream comparison.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a string like '2/5'")
     return Fraction(value)
@@ -64,7 +66,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "libraries", tuple(self.libraries))
         cache = to_fraction(self.cache_size)
-        total = sum((lib.alpha * lib.num_files for lib in self.libraries), Fraction(0))
+        total = total_content(self)
         if cache > total:
             warnings.warn(
                 f"cache size {cache} exceeds total content {total}; clamping",
@@ -193,7 +195,7 @@ def config_from_json(data: dict) -> NetworkConfig:
             num_users=int(data["num_users"]),
             cache_size=to_fraction(data["cache_size"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed network config: {exc}") from exc
 
 

@@ -90,8 +90,21 @@ class PiecewiseLinearTradeoff:
         return self.slopes[segment]
 
     def corner_points(self) -> tuple[CornerPoint, ...]:
-        pts = [CornerPoint(bp, self.evaluate(bp)) for bp in self.breakpoints]
+        bp, sl, ic = self.breakpoints, self.slopes, self.intercepts
+        pts = [CornerPoint(bp[i], ic[i] - sl[i] * bp[i]) for i in range(len(sl))]
+        pts.append(CornerPoint(bp[-1], Fraction(0)))
         return tuple(pts)
+
+
+def shared_curve(tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> PiecewiseLinearTradeoff | None:
+    """The first curve if all have its file count, breakpoints, slopes and intercepts."""
+    first = tradeoffs[0]
+    shape = (first.num_files, first.breakpoints, first.slopes, first.intercepts)
+    same = all(
+        c is first or (c.num_files, c.breakpoints, c.slopes, c.intercepts) == shape
+        for c in tradeoffs
+    )
+    return first if same else None
 
 
 def lower_convex_envelope(
@@ -166,10 +179,41 @@ def scheme_corner_points(num_files: int, num_users: int) -> tuple[tuple[Fraction
 
 
 def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
-    """Envelope of the subset-coded scheme's corners for one library."""
-    pts = scheme_corner_points(num_files, num_users)
-    return lower_convex_envelope(
-        pts, num_files, label=f"scheme(N={num_files},K={num_users})", exact=False
+    """Envelope of the subset-coded scheme's corners for one library, in closed form.
+
+    For t >= 1 the corners (tN/K, (K-t)/(1+t)) are strictly convex: the slope
+    magnitude from t to t+1 is K(K+1) / (N(t+1)(t+2)). The envelope is therefore
+    the anchor (0, min(N, K)) followed by the corners t*..K, where t* = 0 when
+    N >= K and otherwise the first corner lying strictly below the chord from
+    the anchor to the next corner (K when there is none). This equals
+    `lower_convex_envelope(scheme_corner_points(N, K), N)`.
+    """
+    if num_files < 1 or num_users < 1:
+        raise ValueError("need at least one file and one user")
+    n, k = num_files, num_users
+    breakpoints, slopes, intercepts = [Fraction(0)], [], []
+    first = 0
+    if n < k:
+        # the anchor (0, N) lies below corner 0; corner t is a hull vertex iff the
+        # anchor-to-t slope beats the t-to-(t+1) slope: (N(1+t) - (K-t))(t+2) > (K+1)t
+        first = next(
+            (t for t in range(1, k) if (k - t - n - n * t) * (t + 2) < -(k + 1) * t), k
+        )
+        breakpoints.append(Fraction(first * n, k))
+        slopes.append((n - Fraction(k - first, 1 + first)) * k / (first * n))
+        intercepts.append(Fraction(n))
+    for t in range(first, k):
+        denominator = (t + 1) * (t + 2)
+        breakpoints.append(Fraction((t + 1) * n, k))
+        slopes.append(Fraction(k * (k + 1), n * denominator))
+        intercepts.append(Fraction(2 * k * t + 2 * k - t * t - t, denominator))
+    return PiecewiseLinearTradeoff(
+        num_files=n,
+        breakpoints=tuple(breakpoints),
+        slopes=tuple(slopes),
+        intercepts=tuple(intercepts),
+        label=f"scheme(N={num_files},K={num_users})",
+        exact=False,
     )
 
 

@@ -20,7 +20,10 @@ from util import (
     make_config,
     random_config,
     random_equal_n_config,
+    random_weights,
+    reference_brute_force,
     reference_config,
+    reference_greedy,
     unequal_config,
 )
 
@@ -263,3 +266,60 @@ def test_certificate_rejects_mixed_curves():
         certify_equal_n_optimality(
             cfg, [build_exact_two_by_two(), build_scheme_tradeoff(2, 2)]
         )
+
+
+def _shared_curve_network(rng: random.Random, max_libraries: int, max_users: int):
+    """Libraries drawn from a few file counts, so that several share one curve:
+    every slope of a shared curve ties across those libraries. Half the shared
+    curves are one object, half equal copies built separately."""
+    L = rng.randint(1, max_libraries)
+    counts = [rng.choice((1, 2, 3, 5)) for _ in range(L)]
+    libs = tuple(LibrarySpec(n, w) for n, w in zip(counts, random_weights(rng, L)))
+    k = rng.randint(1, max_users)
+    content = sum((lib.alpha * lib.num_files for lib in libs), F(0))
+    cfg = NetworkConfig(libs, k, F(rng.randint(0, 16), 16) * content)
+    if rng.random() < 0.5:
+        shapes = {n: build_scheme_tradeoff(n, k) for n in set(counts)}
+        curves = [shapes[n] for n in counts]
+    else:
+        curves = curves_for(cfg)
+    return cfg, curves
+
+
+def test_heap_greedy_equals_scan_on_random_networks():
+    rng = random.Random(31337)
+    for _ in range(150):
+        cfg, curves = _shared_curve_network(rng, max_libraries=8, max_users=12)
+        assert greedy_allocate(cfg, curves) == reference_greedy(cfg, curves)
+    for _ in range(60):
+        cfg = random_config(rng, max_libraries=4)
+        curves = curves_for(cfg)
+        assert greedy_allocate(cfg, curves) == reference_greedy(cfg, curves)
+
+
+def test_tabulated_oracle_equals_per_candidate_rating():
+    rng = random.Random(8080)
+    for L in (2, 3):
+        for _ in range(25):
+            libs = tuple(
+                LibrarySpec(rng.choice((1, 2, 3)), w) for w in random_weights(rng, L)
+            )
+            content = sum((lib.alpha * lib.num_files for lib in libs), F(0))
+            cfg = NetworkConfig(libs, rng.randint(1, 4), F(rng.randint(0, 8), 8) * content)
+            curves = curves_for(cfg, rng.choice(("auto", "scheme")))
+            step = cfg.cache_size / rng.choice((3, 6, 10)) if cfg.cache_size > 0 else F(1, 4)
+            got = brute_force_allocate(cfg, curves, step)
+            assert got == reference_brute_force(cfg, curves, step)
+
+
+def test_tabulated_oracle_keeps_tie_break_on_tied_optima():
+    # equal libraries sharing one curve: every split of the budget along the
+    # same segments rates the same, and the smallest split must win
+    for counts, cache in (((2, 2), F(1)), ((2, 2, 2), F(3, 2)), ((3, 3), F(2))):
+        L = len(counts)
+        cfg = make_config(counts=counts, weights=(F(1, L),) * L, users=3, cache=cache)
+        curves = curves_for(cfg)
+        step = F(1, 20)
+        alloc, rate = brute_force_allocate(cfg, curves, step)
+        assert (alloc, rate) == reference_brute_force(cfg, curves, step)
+        assert rate == greedy_allocate(cfg, curves).rate

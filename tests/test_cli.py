@@ -285,3 +285,64 @@ def test_simulate_stack_places_caches_once(runner, monkeypatch):
     monkeypatch.setattr(cli, "place", counted)
     run_json(runner, ["--config", EXAMPLE, "simulate", "--stack"])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("step", ["0", "-1/2"])
+def test_oracle_step_not_positive_is_usage_error(runner, step):
+    result = runner.invoke(main, ["--config", EXAMPLE, "allocate", "--oracle-step", step])
+    assert result.exit_code == 2
+    assert f"grid step {step} must be positive" in result.output
+
+
+@pytest.mark.parametrize("field", ["alpha", "cache_size"])
+def test_zero_denominator_in_config_is_usage_error(runner, tmp_path, field):
+    data = {"libraries": [{"num_files": 2, "alpha": "1"}], "num_users": 2, "cache_size": "1"}
+    if field == "alpha":
+        data["libraries"][0]["alpha"] = "1/0"
+    else:
+        data["cache_size"] = "1/0"
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["--config", str(bad), "allocate"])
+    assert result.exit_code == 2
+    assert "cannot load config" in result.output
+    assert "malformed network config" in result.output
+
+
+def test_csv_rows_are_built_only_for_csv(runner, monkeypatch):
+    calls = []
+    real = cli.format_decimal
+    monkeypatch.setattr(cli, "format_decimal", lambda v: calls.append(v) or real(v))
+    run_json(runner, ["tradeoff", "--files", "3", "--users", "40"])
+    run_json(runner, ["--config", EXAMPLE, "sweep"])
+    assert calls == []
+    run_json(runner, ["--config", EXAMPLE, "allocate"])
+    assert len(calls) == 1  # the result's rate_decimal only
+    result = runner.invoke(main, ["--format", "csv", "tradeoff", "--files", "3", "--users", "40"])
+    assert result.exit_code == 0
+    assert len(calls) > 1
+
+
+def test_allocate_builds_each_curve_shape_once(runner, monkeypatch, tmp_path):
+    built = []
+    real = cli.build_by_kind
+    monkeypatch.setattr(cli, "build_by_kind", lambda *a: built.append(a) or real(*a))
+    network = tmp_path / "repeat.json"
+    network.write_text(
+        json.dumps(
+            {
+                "libraries": [
+                    {"num_files": 2, "alpha": "1/4"},
+                    {"num_files": 3, "alpha": "1/4"},
+                    {"num_files": 2, "alpha": "1/4"},
+                    {"num_files": 2, "alpha": "1/4"},
+                ],
+                "num_users": 3,
+                "cache_size": "1",
+            }
+        )
+    )
+    run_json(runner, ["--config", str(network), "allocate"])
+    assert sorted(built) == [("auto", 2, 3), ("auto", 3, 3)]
+    run_json(runner, ["--config", str(network), "converse", "--kinds", "scheme,auto,auto,auto"])
+    assert sorted(built[2:]) == [("auto", 2, 3), ("auto", 3, 3), ("scheme", 2, 3)]

@@ -28,6 +28,11 @@ def test_to_fraction_accepts_exact_forms():
     assert to_fraction(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_to_fraction_returns_a_fraction_unchanged():
+    value = Fraction(3, 7)
+    assert to_fraction(value) is value
+
+
 def test_to_fraction_rejects_float():
     with pytest.raises(TypeError):
         to_fraction(0.4)
@@ -117,6 +122,14 @@ def test_json_round_trip():
 def test_malformed_json_is_a_value_error():
     with pytest.raises(ValueError, match="malformed"):
         config_from_json({"libraries": [{"num_files": 2}], "num_users": 1, "cache_size": "0"})
+    with pytest.raises(ValueError, match="malformed"):
+        config_from_json(
+            {"libraries": [{"num_files": 2, "alpha": "1/0"}], "num_users": 1, "cache_size": "0"}
+        )
+    with pytest.raises(ValueError, match="malformed"):
+        config_from_json(
+            {"libraries": [{"num_files": 2, "alpha": "1"}], "num_users": 1, "cache_size": "1/0"}
+        )
     with pytest.raises(ValueError, match="inexact float"):
         config_from_json({"libraries": [], "num_users": 1, "cache_size": 0.25})
 

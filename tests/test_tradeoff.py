@@ -14,6 +14,7 @@ from cacheshare.tradeoff import (
     tradeoff_from_json,
     tradeoff_to_json,
 )
+from util import reference_scheme_tradeoff
 
 F = Fraction
 
@@ -170,3 +171,23 @@ def test_build_by_kind():
         build_by_kind("exact2x2", 3, 2)
     with pytest.raises(ValueError, match="unknown"):
         build_by_kind("best", 2, 2)
+
+
+def test_closed_form_scheme_curve_equals_envelope_of_all_corners():
+    # covers N >= K, N = 1 and K = 1
+    for n in range(1, 41):
+        for k in range(1, 121):
+            assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
+
+
+def test_closed_form_scheme_curve_on_large_shapes():
+    for n, k in [(50, 3000), (30, 3000), (17, 1234), (3000, 50)]:
+        assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
+
+
+def test_corner_points_match_evaluate():
+    curves = [build_exact_two_by_two(), build_scheme_tradeoff(1, 1), build_scheme_tradeoff(7, 30)]
+    for curve in curves:
+        corners = curve.corner_points()
+        assert [p.memory for p in corners] == list(curve.breakpoints)
+        assert [p.rate for p in corners] == [curve.evaluate(m) for m in curve.breakpoints]

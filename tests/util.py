@@ -7,11 +7,23 @@ from fractions import Fraction
 from itertools import product
 
 import cacheshare.sim as sim
-from cacheshare.allocation import Allocation
+from cacheshare.allocation import (
+    Allocation,
+    AllocationStep,
+    AllocationTrace,
+    _compositions,
+    memory_sharing_rate,
+)
 from cacheshare.bits import concat
 from cacheshare.converse import concatenate, sort_by_library_size, subfile_level
 from cacheshare.model import DemandVector, LibrarySpec, NetworkConfig, enumerate_demands
-from cacheshare.tradeoff import PiecewiseLinearTradeoff, build_by_kind, build_scheme_tradeoff
+from cacheshare.tradeoff import (
+    PiecewiseLinearTradeoff,
+    build_by_kind,
+    build_scheme_tradeoff,
+    lower_convex_envelope,
+    scheme_corner_points,
+)
 
 
 def make_config(*, counts, weights, users, cache) -> NetworkConfig:
@@ -167,3 +179,80 @@ def reference_reduction(
         cache_bits=placement.cache_bits(1),
         max_total_bits=max_total,
     )
+
+
+def reference_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
+    """The scheme curve as the hull of all K + 1 corners."""
+    return lower_convex_envelope(
+        scheme_corner_points(num_files, num_users),
+        num_files,
+        label=f"scheme(N={num_files},K={num_users})",
+    )
+
+
+def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
+    """Greedy split by rescanning every library for the steepest next segment
+    on each step; ties to the smallest library index."""
+    alphas = config.alphas
+    budget = config.cache_size
+    cursor = [0] * config.num_libraries
+    filled = [Fraction(0)] * config.num_libraries
+    steps = []
+    total = Fraction(0)
+    while total < budget:
+        best, best_slope = -1, Fraction(-1)
+        for lib in range(config.num_libraries):
+            seg = cursor[lib]
+            if seg < tradeoffs[lib].num_segments and tradeoffs[lib].slopes[seg] > best_slope:
+                best, best_slope = lib, tradeoffs[lib].slopes[seg]
+        if best < 0:
+            raise ValueError(f"budget {budget} exceeds total content")
+        bp = tradeoffs[best].breakpoints
+        seg = cursor[best]
+        width = alphas[best] * (bp[seg + 1] - bp[seg])
+        delta = min(width, budget - total)
+        filled[best] += delta
+        total += delta
+        steps.append(AllocationStep(best + 1, seg, delta, total))
+        if delta == width:
+            cursor[best] += 1
+    final = Allocation(tuple(filled))
+    return AllocationTrace(
+        steps=tuple(steps),
+        final=final,
+        rate=memory_sharing_rate(config, final, tradeoffs),
+        tradeoff_labels=tuple(curve.label for curve in tradeoffs),
+    )
+
+
+def reference_brute_force(
+    config: NetworkConfig, tradeoffs, grid_step: Fraction
+) -> tuple[Allocation, Fraction]:
+    """Every grid and corner-aligned split rated on its own by
+    `memory_sharing_rate`; ties to the lexicographically smallest split."""
+    L = config.num_libraries
+    budget = config.cache_size
+    alphas = config.alphas
+    ratio = budget / grid_step
+    candidates = []
+    if ratio.denominator == 1:
+        for comp in _compositions(int(ratio), L):
+            candidates.append(tuple(k * grid_step for k in comp))
+    for free in range(L):
+        axes = [
+            [bp * alphas[lib] for bp in tradeoffs[lib].breakpoints]
+            for lib in range(L)
+            if lib != free
+        ]
+        for combo in product(*axes):
+            remainder = budget - sum(combo, Fraction(0))
+            if 0 <= remainder <= alphas[free] * tradeoffs[free].num_files:
+                split = list(combo)
+                split.insert(free, remainder)
+                candidates.append(tuple(split))
+    best_split, best_rate = None, None
+    for split in candidates:
+        rate = memory_sharing_rate(config, Allocation(split), tradeoffs)
+        if best_rate is None or (rate, split) < (best_rate, best_split):
+            best_split, best_rate = split, rate
+    return Allocation(best_split), best_rate
