@@ -17,7 +17,7 @@ from .allocation import (
     memory_sharing_rate,
     proportional_allocation,
 )
-from .bits import BitString, concat, pack_records, random_bits, unpack_records
+from .bits import BitString, concat, random_bits
 from .converse import (
     ConcatenatedLibrary,
     GapReport,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product, repeat
-from operator import neg
 from typing import Callable, Sequence
 
 from .model import CapExceededError, NetworkConfig, to_fraction, total_content
@@ -108,6 +107,27 @@ def proportional_allocation(config: NetworkConfig) -> Allocation:
     )
 
 
+class _Steeper:
+    """Heap key of one curve segment: steeper slope first, ties to the smaller
+    library index.
+
+    The slope is held as its integer (numerator, denominator) with the
+    denominator positive, so g/h beats g'/h' exactly when g*h' > g'*h: one
+    integer comparison per heap step, no Fraction arithmetic.
+    """
+
+    __slots__ = ("num", "den", "lib", "seg")
+
+    def __init__(self, slope: Fraction, lib: int, seg: int) -> None:
+        self.num, self.den = slope.as_integer_ratio()
+        self.lib = lib
+        self.seg = seg
+
+    def __lt__(self, other: "_Steeper") -> bool:
+        mine, theirs = self.num * other.den, other.num * self.den
+        return mine > theirs or (mine == theirs and self.lib < other.lib)
+
+
 def greedy_allocate(
     config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
 ) -> AllocationTrace:
@@ -121,38 +141,52 @@ def greedy_allocate(
     slopes strictly decrease, the buying order is a k-way merge of the curves on
     (-slope, library, segment): ties go to the smallest library index. The last
     step may stop mid-segment; every other library ends exactly on a corner.
+
+    Memory is counted in integer units of 1/scale, where scale is the lcm of
+    the budget's denominator and of each alpha_l's denominator times the lcm
+    of its curve's breakpoint denominators: every alpha_l * breakpoint and the
+    budget are whole there, so the running total is an int and the steps'
+    Fractions are built only for the trace.
     """
     check_pairing(config, tradeoffs)
-    alphas = config.alphas
     budget = config.cache_size
-    cursor = [0] * config.num_libraries
+    shares = [alpha.as_integer_ratio() for alpha in config.alphas]
+    distinct = {id(curve): curve for curve in tradeoffs}  # libraries often share a curve
+    spacing = {
+        key: math.lcm(*(b.denominator for b in curve.breakpoints))
+        for key, curve in distinct.items()
+    }
+    scale = math.lcm(
+        budget.denominator, *(d * spacing[id(curve)] for (_, d), curve in zip(shares, tradeoffs))
+    )
+    limit = budget.numerator * (scale // budget.denominator)
+    weight = [n * (scale // d) for n, d in shares]  # alpha_l * scale, an int
+    filled = [0] * config.num_libraries  # alpha_l * (breakpoint at the cursor) * scale
     steps: list[AllocationStep] = []
-    total = Fraction(0)
+    total = 0
     inside = None  # library whose last step stopped inside a segment
     order = heapq.merge(
-        *(
-            zip(map(neg, curve.slopes), repeat(lib), count())
-            for lib, curve in enumerate(tradeoffs)
-        )
+        *(map(_Steeper, curve.slopes, repeat(lib), count()) for lib, curve in enumerate(tradeoffs))
     )
-    for _, lib, seg in order:
-        if total >= budget:
+    for key in order:
+        if total >= limit:
             break
-        bp = tradeoffs[lib].breakpoints
-        delta = alphas[lib] * (bp[seg + 1] - bp[seg])
-        if total + delta <= budget:
-            cursor[lib] += 1
+        lib, seg = key.lib, key.seg
+        p, q = tradeoffs[lib].breakpoints[seg + 1].as_integer_ratio()
+        end = weight[lib] * p // q
+        delta = end - filled[lib]
+        if total + delta <= limit:
+            filled[lib] = end
         else:
-            delta, inside = budget - total, lib
+            delta, inside = limit - total, lib
         total += delta
-        steps.append(AllocationStep(lib + 1, seg, delta, total))
-    if total < budget:
+        steps.append(AllocationStep(lib + 1, seg, Fraction(delta, scale), Fraction(total, scale)))
+    if total < limit:
         # every curve exhausted; cannot happen while total < total content
         raise ValueError(f"budget {budget} exceeds total content")
-    filled = [a * curve.breakpoints[c] for a, curve, c in zip(alphas, tradeoffs, cursor)]
     if inside is not None:
-        filled[inside] += steps[-1].delta
-    final = Allocation(tuple(filled))
+        filled[inside] += delta  # the partial step is always the last one
+    final = Allocation(tuple(Fraction(m, scale) for m in filled))
     rate = memory_sharing_rate(config, final, tradeoffs)
     return AllocationTrace(
         steps=tuple(steps),

@@ -34,11 +34,6 @@ class BitString:
         width = stop - start
         return BitString(width, (self.value >> (self.width - stop)) & ((1 << width) - 1))
 
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.width:
-            raise ValueError(f"bit index {index} outside width {self.width}")
-        return (self.value >> (self.width - 1 - index)) & 1
-
     def flip(self, index: int) -> "BitString":
         """Copy with the bit at `index` toggled."""
         if not 0 <= index < self.width:
@@ -58,36 +53,3 @@ def concat(parts: Iterable[BitString]) -> BitString:
 def random_bits(width: int, rng: random.Random) -> BitString:
     return BitString(width, rng.getrandbits(width) if width else 0)
 
-
-def pack_records(parts: Iterable[BitString]) -> bytes:
-    """Frame bit strings for transport: 4-byte big-endian bit length, then the
-    payload packed MSB-first and zero-padded to a byte boundary."""
-    out = bytearray()
-    for part in parts:
-        if part.width >= 1 << 32:
-            raise ValueError(f"record of {part.width} bits exceeds the 32-bit frame")
-        out += part.width.to_bytes(4, "big")
-        nbytes = (part.width + 7) // 8
-        padded = part.value << (nbytes * 8 - part.width) if part.width else 0
-        out += padded.to_bytes(nbytes, "big")
-    return bytes(out)
-
-
-def unpack_records(data: bytes) -> list[BitString]:
-    parts: list[BitString] = []
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise ValueError(f"truncated record header at byte {pos}")
-        width = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        nbytes = (width + 7) // 8
-        if pos + nbytes > len(data):
-            raise ValueError(f"truncated record payload at byte {pos}")
-        raw = int.from_bytes(data[pos : pos + nbytes], "big")
-        pos += nbytes
-        pad = nbytes * 8 - width
-        if raw & ((1 << pad) - 1):
-            raise ValueError("nonzero padding bits in record")
-        parts.append(BitString(width, raw >> pad))
-    return parts

@@ -106,7 +106,9 @@ def _emit(state: CliState, record: dict, result: dict, header: list, rows: Itera
             fh.write(text + "\n")
 
 
-def _curves(config: NetworkConfig, kinds: str):
+def _curves(config: NetworkConfig, kinds: str, built: dict | None = None):
+    """One curve per library. Each distinct (kind, file count) is built once
+    and kept in `built`, a dict that lives for one command only."""
     names = [part.strip() for part in kinds.split(",") if part.strip()]
     if len(names) == 1:
         names = names * config.num_libraries
@@ -115,9 +117,12 @@ def _curves(config: NetworkConfig, kinds: str):
             f"--kinds lists {len(names)} entries for {config.num_libraries} libraries"
         )
     shapes = list(zip(names, config.file_counts))
+    if built is None:
+        built = {}
     try:
-        # one build per distinct (kind, file count), kept for this command only
-        built = {s: build_by_kind(*s, config.num_users) for s in dict.fromkeys(shapes)}
+        for shape in dict.fromkeys(shapes):
+            if shape not in built:
+                built[shape] = build_by_kind(*shape, config.num_users)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     return [built[s] for s in shapes]
@@ -346,8 +351,12 @@ def cmd_simulate(
 ) -> None:
     """Run the scheme bit for bit over every demand and verify decoding."""
     config = state.load()
+    built: dict = {}
     if alloc == "greedy":
-        allocation = greedy_allocate(config, _curves(config, kinds)).final
+        curves = _curves(config, kinds, built)
+        allocation = greedy_allocate(config, curves).final
+        # a greedy curve that is not exact is its library's scheme curve
+        built.update({("scheme", c.num_files): c for c in curves if not c.exact})
     elif alloc == "proportional":
         allocation = proportional_allocation(config)
     else:
@@ -366,16 +375,19 @@ def cmd_simulate(
             raise click.UsageError(
                 f"--explicit totals {allocation.total}, budget is {config.cache_size}"
             )
+    scheme = _curves(config, "scheme", built)  # the curves the simulator runs
     try:
-        needed = required_base_size(config, allocation)
+        needed = required_base_size(config, allocation, scheme)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     chosen = base_size if base_size is not None else needed
     try:
         store = random_file_store(config, chosen, state.seed)
-        placement = place(store, config, allocation)
+        placement = place(store, config, allocation, scheme)
         row_pass = RowPass(store, config, placement)
-        report = verify_all(store, config, allocation, cap=demand_cap, rows=row_pass)
+        report = verify_all(
+            store, config, allocation, cap=demand_cap, rows=row_pass, curves=scheme
+        )
     except DivisibilityError as exc:
         raise click.UsageError(str(exc)) from exc
     except CapExceededError as exc:

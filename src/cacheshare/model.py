@@ -25,13 +25,27 @@ def to_fraction(value: int | str | Fraction) -> Fraction:
     """Coerce exact input (int, "p/q" or "n" string) to Fraction; a Fraction passes as is.
 
     Floats are rejected: 0.4 is not 2/5, and a silently inexact size weight
-    would poison every downstream comparison.
+    would poison every downstream comparison. Booleans are rejected too: JSON
+    `true` is not the number 1.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a string like '2/5'")
+    if isinstance(value, bool):
+        raise TypeError(f"refusing boolean {value!r} as a number")
     return Fraction(value)
+
+
+def _to_count(value: int | str, name: str) -> int:
+    """Coerce an exact integer (int or integer string) for the count `name`.
+
+    Floats and booleans are rejected rather than truncated: a file count of
+    2.7 is not 2, and `true` is not 1.
+    """
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def format_decimal(value: Fraction) -> str:
@@ -187,12 +201,14 @@ def config_to_json(config: NetworkConfig) -> dict:
 def config_from_json(data: dict) -> NetworkConfig:
     try:
         libraries = tuple(
-            LibrarySpec(num_files=int(lib["num_files"]), alpha=to_fraction(lib["alpha"]))
+            LibrarySpec(
+                num_files=_to_count(lib["num_files"], "num_files"), alpha=to_fraction(lib["alpha"])
+            )
             for lib in data["libraries"]
         )
         return NetworkConfig(
             libraries=libraries,
-            num_users=int(data["num_users"]),
+            num_users=_to_count(data["num_users"], "num_users"),
             cache_size=to_fraction(data["cache_size"]),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -31,7 +31,7 @@ from .model import (
     NetworkConfig,
     check_demand_cap,
 )
-from .tradeoff import build_scheme_tradeoff
+from .tradeoff import PiecewiseLinearTradeoff, build_scheme_tradeoff
 
 
 class DivisibilityError(ValueError):
@@ -145,8 +145,27 @@ def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileS
     return FileStore(base_size=base_size, files=files)
 
 
+def scheme_curves(
+    config: NetworkConfig, curves: Sequence[PiecewiseLinearTradeoff] | None = None
+) -> Sequence[PiecewiseLinearTradeoff]:
+    """Each library's scheme envelope, built once per distinct file count.
+
+    Given `curves`, check that they are those envelopes and return them as is,
+    so a command can build them once and pass them to every step.
+    """
+    k = config.num_users
+    if curves is not None:
+        if [c.label for c in curves] != [f"scheme(N={n},K={k})" for n in config.file_counts]:
+            raise ValueError("the simulator needs each library's own scheme curve")
+        return curves
+    built = {n: build_scheme_tradeoff(n, k) for n in dict.fromkeys(config.file_counts)}
+    return [built[n] for n in config.file_counts]
+
+
 def _plan_weights(
-    config: NetworkConfig, allocation: Allocation
+    config: NetworkConfig,
+    allocation: Allocation,
+    curves: Sequence[PiecewiseLinearTradeoff] | None,
 ) -> list[list[tuple[int, Fraction]]]:
     """Per library, the (t, fraction-of-file) parts realizing its memory slice."""
     if len(allocation.per_library) != config.num_libraries:
@@ -156,14 +175,15 @@ def _plan_weights(
         )
     k = config.num_users
     out: list[list[tuple[int, Fraction]]] = []
-    for idx, (lib, budget) in enumerate(zip(config.libraries, allocation.per_library), start=1):
+    for idx, (lib, budget, env) in enumerate(
+        zip(config.libraries, allocation.per_library, scheme_curves(config, curves)), start=1
+    ):
         m = budget / lib.alpha
         n = lib.num_files
         if m > n:
             raise ValueError(
                 f"library {idx} gets memory {budget}, more than its content {lib.alpha * n}"
             )
-        env = build_scheme_tradeoff(n, k)
         seg = env.segment_index(m) if m < n else env.num_segments
         parts: list[tuple[int, Fraction]]
         if seg == env.num_segments or env.breakpoints[seg] == m:
@@ -181,23 +201,35 @@ def _plan_weights(
     return out
 
 
-def required_base_size(config: NetworkConfig, allocation: Allocation) -> int:
-    """Smallest base size (total bits) this split can run at; valid sizes are
-    its multiples. Covers whole-bit files, parts, and subfiles."""
+def _base_requirement(config: NetworkConfig, weights: list[list[tuple[int, Fraction]]]) -> int:
     req = library_bit_requirement(config)
     k = config.num_users
-    for lib, parts in zip(config.libraries, _plan_weights(config, allocation)):
+    for lib, parts in zip(config.libraries, weights):
         for t, weight in parts:
             per_subfile = lib.alpha * weight / math.comb(k, t)
             req = math.lcm(req, per_subfile.denominator)
     return req
 
 
+def required_base_size(
+    config: NetworkConfig,
+    allocation: Allocation,
+    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
+) -> int:
+    """Smallest base size (total bits) this split can run at; valid sizes are
+    its multiples. Covers whole-bit files, parts, and subfiles. Pass the
+    libraries' scheme curves as `curves` to skip building them."""
+    return _base_requirement(config, _plan_weights(config, allocation, curves))
+
+
 def build_plans(
-    config: NetworkConfig, allocation: Allocation, base_size: int
+    config: NetworkConfig,
+    allocation: Allocation,
+    base_size: int,
+    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
 ) -> tuple[LibraryPlan, ...]:
-    weights = _plan_weights(config, allocation)
-    req = required_base_size(config, allocation)
+    weights = _plan_weights(config, allocation, curves)
+    req = _base_requirement(config, weights)
     if base_size < 1 or base_size % req:
         raise DivisibilityError(
             f"base size {base_size} bits cannot realize this split; "
@@ -272,13 +304,19 @@ def _decode_table(
     return tuple(table)
 
 
-def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> PlacementState:
+def place(
+    store: FileStore,
+    config: NetworkConfig,
+    allocation: Allocation,
+    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
+) -> PlacementState:
     """Fill every user's cache; deterministic given the store and the split.
 
     Cache layout per (user, library): parts in plan order, files in id order,
-    cached subsets in lexicographic order.
+    cached subsets in lexicographic order. `curves` are the libraries' scheme
+    curves; None builds them.
     """
-    plans = build_plans(config, allocation, store.base_size)
+    plans = build_plans(config, allocation, store.base_size, curves)
     k = config.num_users
     caches = []
     for user in range(1, k + 1):
@@ -489,11 +527,16 @@ class VerificationReport:
         }
 
 
-def formula_rate(config: NetworkConfig, allocation: Allocation) -> Fraction:
-    """Scheme-envelope rate of the split, the value delivery must realize."""
+def formula_rate(
+    config: NetworkConfig,
+    allocation: Allocation,
+    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
+) -> Fraction:
+    """Scheme-envelope rate of the split, the value delivery must realize.
+    `curves` are the libraries' scheme curves; None builds them."""
     rate = Fraction(0)
-    for lib, budget in zip(config.libraries, allocation.per_library):
-        env = build_scheme_tradeoff(lib.num_files, config.num_users)
+    curves = scheme_curves(config, curves)
+    for lib, budget, env in zip(config.libraries, allocation.per_library, curves):
         rate += lib.alpha * env.evaluate(budget / lib.alpha)
     return rate
 
@@ -505,6 +548,7 @@ def verify_all(
     cap: int = DEFAULT_DEMAND_CAP,
     *,
     rows: RowPass | None = None,
+    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
 ) -> VerificationReport:
     """Verify every demand vector, library by library; raise DecodeMismatchError
     with the lexicographically first witness, else report exact rates.
@@ -520,10 +564,12 @@ def verify_all(
     `cap` still bounds the covered vectors, with enumeration's error message.
 
     Pass `rows` to share one row pass with `reduction_demo`; it must have been
-    built from this store, network and split.
+    built from this store, network and split. Pass the libraries' scheme
+    curves as `curves` to skip building them.
     """
+    curves = scheme_curves(config, curves)
     if rows is None:
-        rows = RowPass(store, config, place(store, config, allocation))
+        rows = RowPass(store, config, place(store, config, allocation, curves))
     elif (rows.store, rows.config, rows.placement.allocation) != (store, config, allocation):
         raise ValueError("row pass was built for a different store, network or split")
     covered = check_demand_cap(config, cap)
@@ -547,7 +593,7 @@ def verify_all(
         demand_vectors_run=rows.served,
         base_size=store.base_size,
         allocation=allocation,
-        formula_rate=formula_rate(config, allocation),
+        formula_rate=formula_rate(config, allocation, curves),
         measured_rate=Fraction(max_total, store.base_size),
         max_total_bits=max_total,
         per_library_max_bits=tuple(per_lib_max),

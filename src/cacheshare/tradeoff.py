@@ -49,18 +49,28 @@ class PiecewiseLinearTradeoff:
             raise ValueError("need r >= 1 segments with matching slope/intercept counts")
         if bp[0] != 0 or bp[-1] != self.num_files:
             raise ValueError(f"breakpoints must run from 0 to {self.num_files}, got {bp}")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
+        # The shape checks run on (numerator, denominator) pairs. Denominators
+        # are positive, so a/b < c/d exactly when a*d < c*b: the same exact
+        # answers as Fraction arithmetic, with no Fraction built on the way.
+        bpr = list(map(Fraction.as_integer_ratio, bp))
+        slr = list(map(Fraction.as_integer_ratio, sl))
+        icr = list(map(Fraction.as_integer_ratio, ic))
+        if any(a * d >= c * b for (a, b), (c, d) in zip(bpr, bpr[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(g <= 0 for g in sl):
+        if any(g <= 0 for g, _ in slr):
             raise ValueError("slopes must be positive")
-        if any(a <= b for a, b in zip(sl, sl[1:])):
+        if any(a * d <= c * b for (a, b), (c, d) in zip(slr, slr[1:])):
             raise ValueError("slopes must be strictly decreasing (convexity)")
-        for i in range(len(sl) - 1):
-            left = ic[i] - sl[i] * bp[i + 1]
-            right = ic[i + 1] - sl[i + 1] * bp[i + 1]
-            if left != right:
+        # continuity at theta = p/q: zeta_i - zeta_{i+1} == (gamma_i - gamma_{i+1}) * theta,
+        # with zeta = z/w and gamma = g/h, times w_i w_{i+1} h_i h_{i+1} q
+        pairs = zip(icr, icr[1:], slr, slr[1:], bpr[1:])
+        for i, ((z0, w0), (z1, w1), (g0, h0), (g1, h1), (p, q)) in enumerate(pairs):
+            if (z0 * w1 - z1 * w0) * h0 * h1 * q != (g0 * h1 - g1 * h0) * p * w0 * w1:
+                left = ic[i] - sl[i] * bp[i + 1]
+                right = ic[i + 1] - sl[i + 1] * bp[i + 1]
                 raise ValueError(f"discontinuity at breakpoint {bp[i + 1]}: {left} != {right}")
-        if ic[-1] - sl[-1] * bp[-1] != 0:
+        (z, w), (g, h), (p, q) = icr[-1], slr[-1], bpr[-1]
+        if z * h * q != g * p * w:
             raise ValueError(f"curve must hit zero at memory {self.num_files}")
 
     @property
@@ -123,35 +133,45 @@ def lower_convex_envelope(
     pts = sorted((to_fraction(m), to_fraction(r)) for m, r in points)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    for (m1, _), (m2, _) in zip(pts, pts[1:]):
-        if m1 == m2:
+    # Each point as integers (x, x', y, y'): memory x/x' and rate y/y', in
+    # lowest terms with x', y' > 0. Every test and every edge below is exact
+    # integer arithmetic on these, with the denominators multiplied through.
+    ratios = [m.as_integer_ratio() + r.as_integer_ratio() for m, r in pts]
+    for (m1, _), (x1, x1d, _, _), (x2, x2d, _, _) in zip(pts, ratios, ratios[1:]):
+        if x1 == x2 and x1d == x2d:
             raise ValueError(f"duplicate memory value {m1}")
     if pts[0][0] != 0:
         raise ValueError("missing anchor point at memory 0")
     if pts[-1] != (Fraction(num_files), Fraction(0)):
         raise ValueError(f"missing anchor point ({num_files}, 0)")
-    for m, r in pts:
-        if r < 0:
+    for (m, r), (_, _, y, _) in zip(pts, ratios):
+        if y < 0:
             raise ValueError(f"negative rate {r} at memory {m}")
 
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in pts:
-        # pop the middle point while it sits on or above the chord
+    hull: list[int] = []  # indices into pts
+    for i, (px, pxd, py, pyd) in enumerate(ratios):
+        # pop the middle point b while it sits on or above the chord from a to p:
+        # (by - ay)(px - bx) >= (py - by)(bx - ax), times ay' ax' by' bx' py' px'
         while len(hull) >= 2:
-            (ax, ay), (bx, by) = hull[-2], hull[-1]
-            if (by - ay) * (p[0] - bx) >= (p[1] - by) * (bx - ax):
+            ax, axd, ay, ayd = ratios[hull[-2]]
+            bx, bxd, by, byd = ratios[hull[-1]]
+            rise_ab, run_bp = by * ayd - ay * byd, px * bxd - bx * pxd
+            rise_bp, run_ab = py * byd - by * pyd, bx * axd - ax * bxd
+            if rise_ab * run_bp * pyd * axd >= rise_bp * run_ab * ayd * pxd:
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append(i)
 
-    breakpoints = tuple(m for m, _ in hull)
+    breakpoints = tuple(pts[i][0] for i in hull)
     slopes = []
     intercepts = []
-    for (m1, r1), (m2, r2) in zip(hull, hull[1:]):
-        gamma = (r1 - r2) / (m2 - m1)
-        slopes.append(gamma)
-        intercepts.append(r1 + gamma * m1)
+    # edge (m1, r1)-(m2, r2): gamma = (r1 - r2)/(m2 - m1), zeta = r1 + gamma m1
+    corners = [ratios[i] for i in hull]
+    for (x1, x1d, y1, y1d), (x2, x2d, y2, y2d) in zip(corners, corners[1:]):
+        run = (x2 * x1d - x1 * x2d) * y1d * y2d
+        slopes.append(Fraction((y1 * y2d - y2 * y1d) * x1d * x2d, run))
+        intercepts.append(Fraction(y1 * y2d * x2 * x1d - y2 * y1d * x2d * x1, run))
     return PiecewiseLinearTradeoff(
         num_files=num_files,
         breakpoints=breakpoints,

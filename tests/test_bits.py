@@ -1,4 +1,4 @@
-"""Tests for fixed-width bit strings and record framing."""
+"""Tests for fixed-width bit strings."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cacheshare.bits import BitString, concat, pack_records, random_bits, unpack_records
+from cacheshare.bits import BitString, concat, random_bits
 
 
 def test_constructor_bounds():
@@ -44,12 +44,12 @@ def test_slice_is_msb_first():
 
 def test_bit_and_flip():
     s = BitString(5, 0b10010)
-    assert [s.bit(i) for i in range(5)] == [1, 0, 0, 1, 0]
+    assert [s.slice(i, i + 1).value for i in range(5)] == [1, 0, 0, 1, 0]
     flipped = s.flip(1)
     assert flipped == BitString(5, 0b11010)
     assert flipped.flip(1) == s
     with pytest.raises(ValueError, match="outside width"):
-        s.bit(5)
+        s.flip(5)
     with pytest.raises(ValueError, match="outside width"):
         s.flip(-1)
 
@@ -71,26 +71,3 @@ def test_random_bits_fit_and_are_reproducible():
         assert s.width == width
         assert s == random_bits(width, again)
 
-
-def test_pack_unpack_round_trip():
-    rng = random.Random(5)
-    for _ in range(50):
-        parts = [random_bits(rng.randint(0, 40), rng) for _ in range(rng.randint(0, 6))]
-        data = pack_records(parts)
-        assert unpack_records(data) == parts
-
-
-def test_pack_layout_is_big_endian_and_padded():
-    data = pack_records([BitString(4, 0b1011)])
-    assert data == bytes([0, 0, 0, 4, 0b1011_0000])
-    assert pack_records([BitString(0, 0)]) == bytes([0, 0, 0, 0])
-
-
-def test_unpack_rejects_truncation_and_dirty_padding():
-    with pytest.raises(ValueError, match="truncated record header"):
-        unpack_records(bytes([0, 0, 1]))
-    with pytest.raises(ValueError, match="truncated record payload"):
-        unpack_records(bytes([0, 0, 0, 9, 0xFF]))
-    with pytest.raises(ValueError, match="nonzero padding"):
-        unpack_records(bytes([0, 0, 0, 4, 0b1011_1000]))
-    assert unpack_records(b"") == []

@@ -14,6 +14,7 @@ import cacheshare
 import cacheshare.cli as cli
 import cacheshare.sim as sim
 from cacheshare.cli import main
+from util import INEXACT_CONFIG_VALUES, config_with
 
 CONFIG_DIR = Path(cacheshare.__file__).parent / "configs"
 EXAMPLE = str(CONFIG_DIR / "reference.json")
@@ -307,6 +308,19 @@ def test_zero_denominator_in_config_is_usage_error(runner, tmp_path, field):
     assert result.exit_code == 2
     assert "cannot load config" in result.output
     assert "malformed network config" in result.output
+
+
+@pytest.mark.parametrize("field, value, message", INEXACT_CONFIG_VALUES)
+def test_inexact_count_or_boolean_in_config_is_usage_error(
+    runner, tmp_path, field, value, message
+):
+    bad = tmp_path / "inexact.json"
+    bad.write_text(json.dumps(config_with(field, value)))
+    result = runner.invoke(main, ["--config", str(bad), "allocate"])
+    assert result.exit_code == 2
+    assert "malformed network config" in result.output
+    assert message in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_csv_rows_are_built_only_for_csv(runner, monkeypatch):

@@ -1,8 +1,11 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacheshare.model import (
     CapExceededError,
@@ -18,7 +21,14 @@ from cacheshare.model import (
     total_content,
     validate,
 )
-from util import make_config, random_config, reference_config, unequal_config
+from util import (
+    INEXACT_CONFIG_VALUES,
+    config_with,
+    make_config,
+    random_config,
+    reference_config,
+    unequal_config,
+)
 
 
 def test_to_fraction_accepts_exact_forms():
@@ -36,6 +46,26 @@ def test_to_fraction_returns_a_fraction_unchanged():
 def test_to_fraction_rejects_float():
     with pytest.raises(TypeError):
         to_fraction(0.4)
+
+
+def test_to_fraction_rejects_booleans():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="boolean"):
+            to_fraction(value)
+
+
+@pytest.mark.parametrize("field, value, message", INEXACT_CONFIG_VALUES)
+def test_config_refuses_inexact_counts_and_booleans(field, value, message):
+    with pytest.raises(ValueError, match="malformed network config") as err:
+        config_from_json(config_with(field, value))
+    assert message in str(err.value)
+
+
+def test_config_accepts_integer_strings_for_counts():
+    cfg = config_from_json(
+        {"libraries": [{"num_files": "3", "alpha": "1"}], "num_users": "2", "cache_size": "1"}
+    )
+    assert (cfg.file_counts, cfg.num_users) == ((3,), 2)
 
 
 def test_reference_config_is_clean():
@@ -132,6 +162,39 @@ def test_malformed_json_is_a_value_error():
         )
     with pytest.raises(ValueError, match="inexact float"):
         config_from_json({"libraries": [], "num_users": 1, "cache_size": 0.25})
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 40)
+    | st.floats(allow_nan=False, allow_infinity=False, width=32)
+    | st.text(alphabet="0123456789/-.x", max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["num_files", "num_users", "alpha", "cache_size"]), JSON_SCALARS)
+def test_config_fields_are_read_exactly_or_refused(field, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an oversized cache is clamped with a warning
+        try:
+            cfg = config_from_json(config_with(field, value))
+        except ValueError as exc:
+            assert str(exc).startswith("malformed network config")
+            return
+    # accepted: the value was an int or a string, read without rounding
+    assert not isinstance(value, (bool, float, type(None)))
+    read = {
+        "num_files": cfg.file_counts[0],
+        "num_users": cfg.num_users,
+        "alpha": cfg.libraries[0].alpha,
+        "cache_size": cfg.cache_size,
+    }[field]
+    expected = Fraction(value)
+    if field == "cache_size":
+        expected = min(expected, total_content(cfg))
+    assert read == expected
 
 
 def test_random_configs_validate_clean():

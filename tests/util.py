@@ -45,6 +45,27 @@ def unequal_config(cache: Fraction | str = "1/2") -> NetworkConfig:
     )
 
 
+# (field, value, message): inputs that used to be truncated or read as 1
+INEXACT_CONFIG_VALUES = [
+    ("num_files", 2.7, "num_files must be an integer, got 2.7"),
+    ("num_files", True, "num_files must be an integer, got True"),
+    ("num_users", 2.7, "num_users must be an integer, got 2.7"),
+    ("num_users", True, "num_users must be an integer, got True"),
+    ("alpha", True, "refusing boolean True"),
+    ("cache_size", True, "refusing boolean True"),
+]
+
+
+def config_with(field, value) -> dict:
+    """A one-library network document with `field` (top level or library) set to `value`."""
+    data = {"libraries": [{"num_files": 2, "alpha": "1"}], "num_users": 2, "cache_size": "1"}
+    if field in data:
+        data[field] = value
+    else:
+        data["libraries"][0][field] = value
+    return data
+
+
 def random_weights(rng: random.Random, count: int) -> list[Fraction]:
     raw = [rng.randint(1, 6) for _ in range(count)]
     total = sum(raw)
@@ -256,3 +277,65 @@ def reference_brute_force(
         if best_rate is None or (rate, split) < (best_rate, best_split):
             best_split, best_rate = split, rate
     return Allocation(best_split), best_rate
+
+
+def reference_check_curve(num_files: int, bp, sl, ic) -> None:
+    """The shape checks of `PiecewiseLinearTradeoff`, in Fraction arithmetic:
+    raise the same ValueError for the same first violation, else return."""
+    if num_files < 1:
+        raise ValueError(f"num_files = {num_files} < 1")
+    if len(bp) < 2 or len(sl) != len(bp) - 1 or len(ic) != len(sl):
+        raise ValueError("need r >= 1 segments with matching slope/intercept counts")
+    if bp[0] != 0 or bp[-1] != num_files:
+        raise ValueError(f"breakpoints must run from 0 to {num_files}, got {bp}")
+    if any(a >= b for a, b in zip(bp, bp[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if any(g <= 0 for g in sl):
+        raise ValueError("slopes must be positive")
+    if any(a <= b for a, b in zip(sl, sl[1:])):
+        raise ValueError("slopes must be strictly decreasing (convexity)")
+    for i in range(len(sl) - 1):
+        left = ic[i] - sl[i] * bp[i + 1]
+        right = ic[i + 1] - sl[i + 1] * bp[i + 1]
+        if left != right:
+            raise ValueError(f"discontinuity at breakpoint {bp[i + 1]}: {left} != {right}")
+    if ic[-1] - sl[-1] * bp[-1] != 0:
+        raise ValueError(f"curve must hit zero at memory {num_files}")
+
+
+def reference_envelope(points, num_files: int, label: str = "envelope") -> PiecewiseLinearTradeoff:
+    """Lower convex envelope with Fraction orientation tests and Fraction edges."""
+    pts = sorted((Fraction(m), Fraction(r)) for m, r in points)
+    if len(pts) < 2:
+        raise ValueError("need at least two points")
+    for (m1, _), (m2, _) in zip(pts, pts[1:]):
+        if m1 == m2:
+            raise ValueError(f"duplicate memory value {m1}")
+    if pts[0][0] != 0:
+        raise ValueError("missing anchor point at memory 0")
+    if pts[-1] != (Fraction(num_files), Fraction(0)):
+        raise ValueError(f"missing anchor point ({num_files}, 0)")
+    for m, r in pts:
+        if r < 0:
+            raise ValueError(f"negative rate {r} at memory {m}")
+    hull: list[tuple[Fraction, Fraction]] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            if (by - ay) * (p[0] - bx) >= (p[1] - by) * (bx - ax):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    slopes, intercepts = [], []
+    for (m1, r1), (m2, r2) in zip(hull, hull[1:]):
+        gamma = (r1 - r2) / (m2 - m1)
+        slopes.append(gamma)
+        intercepts.append(r1 + gamma * m1)
+    return PiecewiseLinearTradeoff(
+        num_files=num_files,
+        breakpoints=tuple(m for m, _ in hull),
+        slopes=tuple(slopes),
+        intercepts=tuple(intercepts),
+        label=label,
+    )
