@@ -16,6 +16,7 @@ from .allocation import (
     lambda_sweep,
     memory_sharing_rate,
     proportional_allocation,
+    split_rate,
 )
 from .bits import BitString, concat, random_bits
 from .converse import (

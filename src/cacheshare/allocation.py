@@ -71,29 +71,37 @@ def check_pairing(
             )
 
 
-def memory_sharing_rate(
+def split_rate(
     config: NetworkConfig,
     allocation: Allocation,
     tradeoffs: Sequence[PiecewiseLinearTradeoff],
 ) -> Fraction:
-    """Total delivery rate when library l runs on allocation.per_library[l].
-
-    The split must use the whole budget exactly; rates are weighted by each
-    library's size share.
-    """
+    """Total delivery rate sum_l alpha_l * R_l(M_l / alpha_l) of any split,
+    whatever it totals: library l runs on allocation.per_library[l], and rates
+    are weighted by each library's size share."""
     check_pairing(config, tradeoffs)
     if len(allocation.per_library) != config.num_libraries:
         raise ValueError(
             f"allocation has {len(allocation.per_library)} entries for "
             f"{config.num_libraries} libraries"
         )
+    rate = Fraction(0)
+    for lib, m, curve in zip(config.libraries, allocation.per_library, tradeoffs):
+        rate += lib.alpha * curve.evaluate(m / lib.alpha)
+    return rate
+
+
+def memory_sharing_rate(
+    config: NetworkConfig,
+    allocation: Allocation,
+    tradeoffs: Sequence[PiecewiseLinearTradeoff],
+) -> Fraction:
+    """`split_rate` of a split that uses the whole budget exactly."""
+    rate = split_rate(config, allocation, tradeoffs)
     if allocation.total != config.cache_size:
         raise ValueError(
             f"allocation totals {allocation.total}, budget is {config.cache_size}"
         )
-    rate = Fraction(0)
-    for lib, m, curve in zip(config.libraries, allocation.per_library, tradeoffs):
-        rate += lib.alpha * curve.evaluate(m / lib.alpha)
     return rate
 
 
@@ -196,16 +204,6 @@ def greedy_allocate(
     )
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def brute_force_allocate(
     config: NetworkConfig,
     tradeoffs: Sequence[PiecewiseLinearTradeoff],
@@ -220,6 +218,11 @@ def brute_force_allocate(
     that library's content). The best split has at most one library off a
     corner, so the corner-aligned family contains an optimum; the grid adds
     interior probes. Ties resolve to the lexicographically smallest split.
+
+    The search runs on integers and stays exact: memories are counted in 1/D
+    units and each library's rate share is tabulated once per memory, then
+    cleared to an int over a common denominator Q, so a candidate's rate is a
+    sum of ints. Only the winner becomes Fractions again.
     """
     check_pairing(config, tradeoffs)
     grid_step = to_fraction(grid_step)
@@ -245,43 +248,60 @@ def brute_force_allocate(
             f"oracle would evaluate {grid_count + corner_count} splits, cap is {cap}"
         )
 
-    candidates: list[tuple[Fraction, ...]] = []
-    if ratio.denominator == 1:
-        grid = [k * grid_step for k in range(int(ratio) + 1)]
-        for comp in _compositions(int(ratio), L):
-            candidates.append(tuple(grid[k] for k in comp))
-    for free in range(L):
-        corner_axes = [
-            [bp * alphas[lib] for bp in tradeoffs[lib].breakpoints]
-            for lib in range(L)
-            if lib != free
-        ]
-        content_free = alphas[free] * tradeoffs[free].num_files
-        for combo in product(*corner_axes):
-            remainder = budget - sum(combo, Fraction(0))
-            if 0 <= remainder <= content_free:
-                split = list(combo)
-                split.insert(free, remainder)
-                candidates.append(tuple(split))
+    # every candidate memory as an int count of 1/D units: D clears the
+    # budget, the step and every corner alpha_l * breakpoint
+    corners = [
+        [(a * p, b * q) for p, q in map(Fraction.as_integer_ratio, curve.breakpoints)]
+        for (a, b), curve in zip(map(Fraction.as_integer_ratio, alphas), tradeoffs)
+    ]
+    D = math.lcm(
+        budget.denominator,
+        grid_step.denominator,
+        *(q // math.gcd(p, q) for axis in corners for p, q in axis),
+    )
+    corner_units = [[p * D // q for p, q in axis] for axis in corners]
+    total = budget.numerator * (D // budget.denominator)
 
-    # library l's share alpha_l * R_l(m / alpha_l) of the rate, once per memory m
-    parts: list[dict[Fraction, Fraction]] = [{} for _ in range(L)]
-    best_split: tuple[Fraction, ...] | None = None
-    best_rate: Fraction | None = None
-    for split in candidates:
-        for lib, m in enumerate(split):
-            if m not in parts[lib]:
-                parts[lib][m] = alphas[lib] * tradeoffs[lib].evaluate(m / alphas[lib])
-        rate = sum(part[m] for part, m in zip(parts, split))
-        if (
-            best_rate is None
-            or rate < best_rate
-            or (rate == best_rate and split < best_split)
-        ):
-            best_split, best_rate = split, rate
-    if best_split is None:
+    candidates: list[tuple[int, ...]] = []
+    if ratio.denominator == 1:
+        # grid splits in lexicographic order: (prefix, units left) grows by one
+        # library at a time, and the last library takes what is left
+        unit = grid_step.numerator * (D // grid_step.denominator)
+        rows = [((), total)]
+        for _ in range(L - 1):
+            rows = [
+                (prefix + (m,), left - m)
+                for prefix, left in rows
+                for m in range(0, left + 1, unit)
+            ]
+        candidates = [prefix + (left,) for prefix, left in rows]
+    for free in range(L):
+        content_free = corner_units[free][-1]  # alpha_free * N_free
+        others = corner_units[:free] + corner_units[free + 1 :]
+        for combo in product(*others):
+            remainder = total - sum(combo)
+            if 0 <= remainder <= content_free:
+                candidates.append(combo[:free] + (remainder,) + combo[free:])
+    if not candidates:
         raise ValueError("no feasible split on the grid")
-    best = Allocation(best_split)
+
+    # library l's share alpha_l * R_l(m / alpha_l) of the rate, once per memory
+    # m, then cleared to ints over Q, the lcm of the shares' denominators
+    columns = list(zip(*candidates))
+    shares = [
+        {m: alpha * curve.evaluate(Fraction(m, D) / alpha) for m in set(column)}
+        for alpha, curve, column in zip(alphas, tradeoffs, columns)
+    ]
+    Q = math.lcm(*(r.denominator for share in shares for r in share.values()))
+    cleared = [
+        map({m: r.numerator * (Q // r.denominator) for m, r in share.items()}.__getitem__, column)
+        for share, column in zip(shares, columns)
+    ]
+    rates = map(sum, zip(*cleared))
+    # the lowest rate, ties to the lexicographically smallest split: int
+    # tuples over one D order as the Fraction splits do
+    best_rate, best_split = min(zip(rates, candidates))
+    best = Allocation(tuple(Fraction(m, D) for m in best_split))
     return best, memory_sharing_rate(config, best, tradeoffs)
 
 

@@ -23,6 +23,7 @@ from .allocation import (
     corner_structure_violations,
     greedy_allocate,
     lambda_sweep,
+    memory_sharing_rate,
     proportional_allocation,
 )
 from .converse import concatenate, concatenation_scale, conjecture_gap
@@ -88,11 +89,40 @@ def _record(state: CliState, command: str, config: NetworkConfig | None, **optio
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode  # bool, None and any other scalar
+
+
+def _json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, without the generator-based encoder that
+    json falls back to whenever it indents. `pad` is the newline and indent
+    of the line `value` starts on."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        # str leaves, most of every document, skip the call
+        if kind is dict:
+            items = [
+                _escape(k) + ": " + (_escape(v) if type(v) is str else _json(v, inner))
+                for k, v in value.items()
+            ]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        items = [_escape(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return _scalar(value)
+
+
 def _emit(state: CliState, record: dict, result: dict, header: list, rows: Iterable) -> None:
     """Write JSON (record + result) or CSV (header, rows) to --out. `rows` is
     lazy and consumed only for CSV."""
     if state.fmt == "json":
-        text = json.dumps({"record": record, "result": result}, indent=2, sort_keys=False)
+        text = _json({"record": record, "result": result})
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -335,7 +365,7 @@ def cmd_converse(state: CliState, kinds: str) -> None:
     show_default=True,
 )
 @click.option("--explicit", default=None, help="Comma-separated per-library memories (fractions).")
-@click.option("--kinds", default="auto", show_default=True, help="Curves for the greedy split.")
+@click.option("--kinds", default="auto", show_default=True, help="Curves for the greedy split and claimed_rate.")
 @click.option("--base-size", type=int, default=None, help="Total bits per size unit (default: smallest usable).")
 @click.option("--demand-cap", type=int, default=4096, show_default=True)
 @click.option("--stack/--no-stack", default=False, help="Also serve every stacked-library demand.")
@@ -352,9 +382,11 @@ def cmd_simulate(
     """Run the scheme bit for bit over every demand and verify decoding."""
     config = state.load()
     built: dict = {}
+    claimed = None  # the split's rate on the --kinds curves
     if alloc == "greedy":
         curves = _curves(config, kinds, built)
-        allocation = greedy_allocate(config, curves).final
+        trace = greedy_allocate(config, curves)
+        allocation, claimed = trace.final, trace.rate
         # a greedy curve that is not exact is its library's scheme curve
         built.update({("scheme", c.num_files): c for c in curves if not c.exact})
     elif alloc == "proportional":
@@ -375,6 +407,8 @@ def cmd_simulate(
             raise click.UsageError(
                 f"--explicit totals {allocation.total}, budget is {config.cache_size}"
             )
+    if claimed is None:
+        claimed = memory_sharing_rate(config, allocation, _curves(config, kinds, built))
     scheme = _curves(config, "scheme", built)  # the curves the simulator runs
     try:
         needed = required_base_size(config, allocation, scheme)
@@ -399,6 +433,7 @@ def cmd_simulate(
             f"measured rate {report.measured_rate} != formula rate {report.formula_rate}"
         )
     payload = report.to_json()
+    payload["claimed_rate"] = str(claimed)
     payload["decode_ok"] = True
     if stack:
         try:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .allocation import Allocation
+from .allocation import Allocation, split_rate
 from .bits import BitString, concat, random_bits
 from .converse import ConcatenatedLibrary, concatenate, sort_by_library_size, subfile_level
 from .model import (
@@ -534,11 +534,7 @@ def formula_rate(
 ) -> Fraction:
     """Scheme-envelope rate of the split, the value delivery must realize.
     `curves` are the libraries' scheme curves; None builds them."""
-    rate = Fraction(0)
-    curves = scheme_curves(config, curves)
-    for lib, budget, env in zip(config.libraries, allocation.per_library, curves):
-        rate += lib.alpha * env.evaluate(budget / lib.alpha)
-    return rate
+    return split_rate(config, allocation, scheme_curves(config, curves))
 
 
 def verify_all(

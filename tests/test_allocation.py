@@ -12,6 +12,7 @@ from cacheshare.allocation import (
     lambda_sweep,
     memory_sharing_rate,
     proportional_allocation,
+    split_rate,
 )
 from cacheshare.model import CapExceededError, LibrarySpec, NetworkConfig, total_content
 from cacheshare.tradeoff import build_exact_two_by_two, build_scheme_tradeoff
@@ -59,6 +60,21 @@ def test_rate_requires_exact_budget():
         memory_sharing_rate(cfg, Allocation((F(1, 2), F(1, 4))), reference_curves())
     with pytest.raises(ValueError, match="entries"):
         memory_sharing_rate(cfg, Allocation((F(1),)), reference_curves())
+
+
+def test_split_rate_rates_any_split_and_checks_the_rest():
+    cfg = reference_config()
+    curves = reference_curves()
+    short = Allocation((F(1, 2), F(1, 4)))  # totals 3/4, budget is 1
+    a1, a2 = cfg.alphas
+    expected = a1 * curves[0].evaluate(F(1, 2) / a1) + a2 * curves[1].evaluate(F(1, 4) / a2)
+    assert split_rate(cfg, short, curves) == expected
+    full = Allocation((F(2, 5), F(3, 5)))
+    assert split_rate(cfg, full, curves) == memory_sharing_rate(cfg, full, curves)
+    with pytest.raises(ValueError, match="entries"):
+        split_rate(cfg, Allocation((F(1),)), curves)
+    with pytest.raises(ValueError, match="tradeoffs for"):
+        split_rate(cfg, full, curves[:1])
 
 
 def test_rate_requires_matching_curves():

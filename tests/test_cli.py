@@ -120,6 +120,42 @@ def test_simulate_explicit_allocation(runner):
     assert result["measured_rate"] == "7/10" == result["formula_rate"]
 
 
+def test_simulate_reports_the_claimed_rate_next_to_the_realized_one(runner, tmp_path):
+    # on {N=2, K=2, M=1/2} allocate promises 1 from the exact 2x2 curve, while
+    # the scheme the simulator runs realizes 5/4
+    network = tmp_path / "n2k2.json"
+    network.write_text(
+        json.dumps(
+            {"libraries": [{"num_files": 2, "alpha": "1"}], "num_users": 2, "cache_size": "1/2"}
+        )
+    )
+    promised = run_json(runner, ["--config", str(network), "allocate"])["result"]["rate"]
+    result = run_json(runner, ["--config", str(network), "simulate"])["result"]
+    assert promised == result["claimed_rate"] == "1"
+    assert result["measured_rate"] == "5/4" == result["formula_rate"]
+    for args in (["--kinds", "scheme"], ["--alloc", "proportional", "--kinds", "scheme"]):
+        result = run_json(runner, ["--config", str(network), "simulate"] + args)["result"]
+        assert result["claimed_rate"] == "5/4" == result["measured_rate"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": ()},
+        {"s": "tab\t quote\" é ✓", "n": [0, -7, 10**30], "flags": [True, False, None]},
+        {"x": 1.5, "nested": [[{"deep": [1, [2, []]]}], ("t", 3)]},
+        "top",
+        12,
+        None,
+    ],
+)
+def test_json_writer_matches_indented_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
 def test_tradeoff_csv_corners(runner):
     result = runner.invoke(
         main, ["--format", "csv", "tradeoff", "--files", "2", "--users", "2", "--kind", "exact2x2"]

@@ -3,20 +3,22 @@
 `greedy_allocate` compares slopes cross-multiplied and counts memory as an
 integer over a common denominator; `PiecewiseLinearTradeoff` validates on
 (numerator, denominator) pairs; `lower_convex_envelope` runs its orientation
-test and edges on integers. Each must match its plain-Fraction reference in
-`util` exactly: same steps, same accept/reject with the same message, same
-curve.
+test and edges on integers; `brute_force_allocate` counts candidate memories
+in 1/D units and rates each candidate as a sum of ints. Each must match its
+plain-Fraction reference in `util` exactly: same steps, same accept/reject
+with the same message, same curve, same split and rate.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cacheshare.allocation import greedy_allocate
+from cacheshare.allocation import brute_force_allocate, greedy_allocate
 from cacheshare.model import LibrarySpec, NetworkConfig, total_content
 from cacheshare.tradeoff import (
     PiecewiseLinearTradeoff,
@@ -24,7 +26,14 @@ from cacheshare.tradeoff import (
     build_scheme_tradeoff,
     lower_convex_envelope,
 )
-from util import reference_check_curve, reference_envelope, reference_greedy
+from util import (
+    make_config,
+    random_weights,
+    reference_check_curve,
+    reference_envelope,
+    reference_greedy,
+    reference_tabulated_oracle,
+)
 
 F = Fraction
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -202,3 +211,82 @@ def test_integer_hull_rejects_like_fraction_hull(pts, n):
     expected = outcome(reference_envelope, pts, n)
     assert expected is not None
     assert outcome(lower_convex_envelope, pts, n) == expected
+
+
+def _oracle_network(rng: random.Random, L: int, kind: str):
+    """A seeded network of L libraries and its curves. `exact2x2` runs every
+    two-file library at K = 2 on the exact curve, the others on scheme."""
+    k = 2 if kind == "exact2x2" else rng.randint(1, 5)
+    counts = [rng.choice((1, 2, 3)) for _ in range(L)]
+    libs = tuple(LibrarySpec(n, w) for n, w in zip(counts, random_weights(rng, L)))
+    config = NetworkConfig(libs, k, F(0))
+    config = NetworkConfig(libs, k, F(rng.randint(0, 12), 12) * total_content(config))
+    if kind == "exact2x2":
+        curves = [build_by_kind("exact2x2" if n == 2 else "scheme", n, k) for n in counts]
+    else:
+        curves = [build_by_kind(kind, n, k) for n in counts]
+    return config, curves
+
+
+@pytest.mark.parametrize("kind", ["auto", "scheme", "exact2x2"])
+@pytest.mark.parametrize("L", [2, 3])
+def test_integer_oracle_matches_fraction_oracle(L, kind):
+    rng = random.Random(f"oracle:{L}:{kind}")
+    for _ in range(30):
+        config, curves = _oracle_network(rng, L, kind)
+        budget = config.cache_size
+        # a step that divides the budget, often with a prime (7, 11, 13) that
+        # no corner's denominator has, and steps that need not divide it
+        step = budget / rng.choice((2, 7, 11, 13)) if budget else F(1, 7)
+        for grid_step in (step, F(1, 10), F(3, 7)):
+            expected = reference_tabulated_oracle(config, curves, grid_step)
+            assert brute_force_allocate(config, curves, grid_step) == expected
+
+
+def test_integer_oracle_skips_the_grid_when_the_step_does_not_divide_the_budget():
+    config = make_config(counts=(2, 3), weights=(F(1, 3), F(2, 3)), users=3, cache=F(1))
+    curves = [build_by_kind("scheme", n, 3) for n in (2, 3)]
+    step = F(3, 10)
+    assert (config.cache_size / step).denominator != 1
+    assert brute_force_allocate(config, curves, step) == reference_tabulated_oracle(
+        config, curves, step
+    )
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_integer_oracle_keeps_a_remainder_equal_to_the_free_content(L):
+    # the whole content as budget, and a step that skips the grid: the only
+    # feasible split fills every library, the free one to exactly its content
+    weights = (F(1, 7), F(2, 7), F(4, 7))[:L]
+    config = make_config(counts=(2, 3, 1)[:L], weights=weights, users=3, cache=F(0))
+    config = NetworkConfig(config.libraries, 3, total_content(config))
+    curves = [build_by_kind("auto", lib.num_files, 3) for lib in config.libraries]
+    step = config.cache_size / F(5, 2)
+    alloc, rate = brute_force_allocate(config, curves, step)
+    assert (alloc, rate) == reference_tabulated_oracle(config, curves, step)
+    assert alloc.per_library == tuple(lib.alpha * lib.num_files for lib in config.libraries)
+    assert rate == 0
+
+
+@pytest.mark.parametrize(
+    "counts, cache, step",
+    [((2, 2), F(1), F(1, 20)), ((2, 2, 2), F(3, 2), F(1, 20)), ((3, 3), F(3, 2), F(1, 6))],
+)
+def test_integer_oracle_breaks_ties_to_the_smallest_split(counts, cache, step):
+    # equal libraries on one curve: many splits rate the same
+    L = len(counts)
+    config = make_config(counts=counts, weights=(F(1, L),) * L, users=3, cache=cache)
+    curves = [build_by_kind("auto", counts[0], 3)] * L
+    alloc, rate = brute_force_allocate(config, curves, step)
+    assert (alloc, rate) == reference_tabulated_oracle(config, curves, step)
+    mirrored = tuple(reversed(alloc.per_library))
+    assert alloc.per_library < mirrored  # the tie is real and went to the smaller split
+
+
+def test_integer_oracle_at_three_thousand_users():
+    config = make_config(counts=(5, 20), weights=(F(2, 7), F(5, 7)), users=3000, cache=F(3, 2))
+    curves = [build_by_kind("auto", n, 3000) for n in (5, 20)]
+    step = F(1, 40)
+    assert brute_force_allocate(config, curves, step) == reference_tabulated_oracle(
+        config, curves, step
+    )

@@ -11,7 +11,6 @@ from cacheshare.allocation import (
     Allocation,
     AllocationStep,
     AllocationTrace,
-    _compositions,
     memory_sharing_rate,
 )
 from cacheshare.bits import concat
@@ -246,6 +245,16 @@ def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
     )
 
 
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` non-negative ints summing to `total`, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 def reference_brute_force(
     config: NetworkConfig, tradeoffs, grid_step: Fraction
 ) -> tuple[Allocation, Fraction]:
@@ -277,6 +286,49 @@ def reference_brute_force(
         if best_rate is None or (rate, split) < (best_rate, best_split):
             best_split, best_rate = split, rate
     return Allocation(best_split), best_rate
+
+
+def reference_tabulated_oracle(
+    config: NetworkConfig, tradeoffs, grid_step: Fraction
+) -> tuple[Allocation, Fraction]:
+    """The oracle on Fractions: the same candidates in the same order, each
+    library's rate share tabulated once per Fraction memory, candidates rated
+    as Fraction sums; ties to the lexicographically smallest split."""
+    L = config.num_libraries
+    budget = config.cache_size
+    alphas = config.alphas
+    ratio = budget / grid_step
+    candidates = []
+    if ratio.denominator == 1:
+        grid = [k * grid_step for k in range(int(ratio) + 1)]
+        for comp in _compositions(int(ratio), L):
+            candidates.append(tuple(grid[k] for k in comp))
+    for free in range(L):
+        axes = [
+            [bp * alphas[lib] for bp in tradeoffs[lib].breakpoints]
+            for lib in range(L)
+            if lib != free
+        ]
+        content_free = alphas[free] * tradeoffs[free].num_files
+        for combo in product(*axes):
+            remainder = budget - sum(combo, Fraction(0))
+            if 0 <= remainder <= content_free:
+                split = list(combo)
+                split.insert(free, remainder)
+                candidates.append(tuple(split))
+    parts: list[dict[Fraction, Fraction]] = [{} for _ in range(L)]
+    best_split, best_rate = None, None
+    for split in candidates:
+        for lib, m in enumerate(split):
+            if m not in parts[lib]:
+                parts[lib][m] = alphas[lib] * tradeoffs[lib].evaluate(m / alphas[lib])
+        rate = sum(part[m] for part, m in zip(parts, split))
+        if best_rate is None or rate < best_rate or (rate == best_rate and split < best_split):
+            best_split, best_rate = split, rate
+    if best_split is None:
+        raise ValueError("no feasible split on the grid")
+    best = Allocation(best_split)
+    return best, memory_sharing_rate(config, best, tradeoffs)
 
 
 def reference_check_curve(num_files: int, bp, sl, ic) -> None:
