@@ -255,11 +255,8 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def reference_brute_force(
-    config: NetworkConfig, tradeoffs, grid_step: Fraction
-) -> tuple[Allocation, Fraction]:
-    """Every grid and corner-aligned split rated on its own by
-    `memory_sharing_rate`; ties to the lexicographically smallest split."""
+def _oracle_candidates(config: NetworkConfig, tradeoffs, grid_step: Fraction) -> list:
+    """The oracle's grid and corner-aligned splits, as Fractions, in its order."""
     L = config.num_libraries
     budget = config.cache_size
     alphas = config.alphas
@@ -280,8 +277,16 @@ def reference_brute_force(
                 split = list(combo)
                 split.insert(free, remainder)
                 candidates.append(tuple(split))
+    return candidates
+
+
+def reference_brute_force(
+    config: NetworkConfig, tradeoffs, grid_step: Fraction
+) -> tuple[Allocation, Fraction]:
+    """Every grid and corner-aligned split rated on its own by
+    `memory_sharing_rate`; ties to the lexicographically smallest split."""
     best_split, best_rate = None, None
-    for split in candidates:
+    for split in _oracle_candidates(config, tradeoffs, grid_step):
         rate = memory_sharing_rate(config, Allocation(split), tradeoffs)
         if best_rate is None or (rate, split) < (best_rate, best_split):
             best_split, best_rate = split, rate
@@ -291,34 +296,13 @@ def reference_brute_force(
 def reference_tabulated_oracle(
     config: NetworkConfig, tradeoffs, grid_step: Fraction
 ) -> tuple[Allocation, Fraction]:
-    """The oracle on Fractions: the same candidates in the same order, each
-    library's rate share tabulated once per Fraction memory, candidates rated
-    as Fraction sums; ties to the lexicographically smallest split."""
-    L = config.num_libraries
-    budget = config.cache_size
+    """The oracle on Fractions: each library's rate share tabulated once per
+    Fraction memory, candidates rated as Fraction sums; ties to the
+    lexicographically smallest split."""
     alphas = config.alphas
-    ratio = budget / grid_step
-    candidates = []
-    if ratio.denominator == 1:
-        grid = [k * grid_step for k in range(int(ratio) + 1)]
-        for comp in _compositions(int(ratio), L):
-            candidates.append(tuple(grid[k] for k in comp))
-    for free in range(L):
-        axes = [
-            [bp * alphas[lib] for bp in tradeoffs[lib].breakpoints]
-            for lib in range(L)
-            if lib != free
-        ]
-        content_free = alphas[free] * tradeoffs[free].num_files
-        for combo in product(*axes):
-            remainder = budget - sum(combo, Fraction(0))
-            if 0 <= remainder <= content_free:
-                split = list(combo)
-                split.insert(free, remainder)
-                candidates.append(tuple(split))
-    parts: list[dict[Fraction, Fraction]] = [{} for _ in range(L)]
+    parts: list[dict[Fraction, Fraction]] = [{} for _ in alphas]
     best_split, best_rate = None, None
-    for split in candidates:
+    for split in _oracle_candidates(config, tradeoffs, grid_step):
         for lib, m in enumerate(split):
             if m not in parts[lib]:
                 parts[lib][m] = alphas[lib] * tradeoffs[lib].evaluate(m / alphas[lib])
