@@ -6,11 +6,9 @@ from .allocation import (
     Allocation,
     AllocationStep,
     AllocationTrace,
-    OptimalityCertificate,
     SweepResult,
     SweepSegment,
     brute_force_allocate,
-    certify_equal_n_optimality,
     corner_structure_violations,
     greedy_allocate,
     lambda_sweep,
@@ -54,7 +52,6 @@ from .sim import (
     VerificationReport,
     decode,
     deliver,
-    formula_rate,
     place,
     random_file_store,
     reduction_demo,
@@ -67,10 +64,7 @@ from .tradeoff import (
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
-    cut_set_bound,
     lower_convex_envelope,
-    scheme_corner_points,
-    tradeoff_from_json,
     tradeoff_to_json,
 )
 

@@ -3,21 +3,22 @@
 Serving each library with its own single-library scheme on a slice of the
 cache gives total rate sum_l alpha_l * R_l(M_l / alpha_l) for any split
 (M_1, ..., M_L) of the budget. The functions here evaluate that rate, find
-the best split (greedy, provably optimal; brute force as an oracle), sweep
-two-library splits, and certify the equal-size case.
+the best split (greedy, provably optimal; brute force as an oracle) and
+sweep two-library splits.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product, repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import CapExceededError, NetworkConfig, to_fraction, total_content
-from .tradeoff import PiecewiseLinearTradeoff, shared_curve
+from .tradeoff import PiecewiseLinearTradeoff
 
 
 @dataclass(frozen=True)
@@ -400,10 +401,6 @@ def lambda_sweep(
     a1, a2 = config.alphas
     t1, t2 = tradeoffs
 
-    def rate_of(share: Fraction) -> Fraction:
-        alloc = Allocation((share * budget, (1 - share) * budget))
-        return memory_sharing_rate(config, alloc, tradeoffs)
-
     def line_at(share: Fraction) -> tuple[Fraction, Fraction]:
         # rate = intercept + slope * share on the segment containing `share`
         i = t1.segment_index(share * budget / a1)
@@ -445,48 +442,10 @@ def lambda_sweep(
     shares = set(breakpoints)
     for k in range(num_samples):
         shares.add(Fraction(k, num_samples - 1))
-    points = tuple((s, rate_of(s)) for s in sorted(shares))
-    return SweepResult(points=points, breakpoints=breakpoints, segments=tuple(segments))
-
-
-@dataclass(frozen=True)
-class OptimalityCertificate:
-    """Equal-size-library certificate: the three rates that must coincide."""
-
-    memory: Fraction
-    proportional_rate: Fraction
-    pooled_rate: Fraction
-    greedy_rate: Fraction
-    tradeoff_label: str
-    exact_tradeoff: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.proportional_rate == self.pooled_rate == self.greedy_rate
-
-
-def certify_equal_n_optimality(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
-) -> OptimalityCertificate:
-    """When all libraries are the same size and share one curve, splitting the
-    budget proportionally matches running a single pooled library at the full
-    budget, and the greedy split matches both. Returns the three rates.
-    """
-    check_pairing(config, tradeoffs)
-    counts = set(config.file_counts)
-    if len(counts) != 1:
-        raise ValueError(f"certification needs equal library sizes, got {sorted(counts)}")
-    curve = shared_curve(tradeoffs)
-    if curve is None:
-        raise ValueError("certification needs one shared tradeoff across libraries")
-    prop = memory_sharing_rate(config, proportional_allocation(config), tradeoffs)
-    pooled = curve.evaluate(config.cache_size)
-    greedy = greedy_allocate(config, tradeoffs).rate
-    return OptimalityCertificate(
-        memory=config.cache_size,
-        proportional_rate=prop,
-        pooled_rate=pooled,
-        greedy_rate=greedy,
-        tradeoff_label=curve.label,
-        exact_tradeoff=curve.exact,
-    )
+    # each point on its segment's line; the rate is continuous, so a share on
+    # a breakpoint reads the same from either side
+    points = []
+    for s in sorted(shares):
+        seg = segments[bisect_right(breakpoints, s, hi=len(segments)) - 1]
+        points.append((s, seg.intercept + seg.slope * s))
+    return SweepResult(points=tuple(points), breakpoints=breakpoints, segments=tuple(segments))

@@ -419,9 +419,7 @@ def cmd_simulate(
         store = random_file_store(config, chosen, state.seed)
         placement = place(store, config, allocation, scheme)
         row_pass = RowPass(store, config, placement)
-        report = verify_all(
-            store, config, allocation, cap=demand_cap, rows=row_pass, curves=scheme
-        )
+        report = verify_all(row_pass, demand_cap)
     except DivisibilityError as exc:
         raise click.UsageError(str(exc)) from exc
     except CapExceededError as exc:
@@ -437,9 +435,7 @@ def cmd_simulate(
     payload["decode_ok"] = True
     if stack:
         try:
-            stack_report = reduction_demo(
-                store, config, placement, cap=demand_cap, rows=row_pass
-            )
+            stack_report = reduction_demo(row_pass, demand_cap)
         except CapExceededError as exc:
             raise click.UsageError(str(exc)) from exc
         except DecodeMismatchError as exc:

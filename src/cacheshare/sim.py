@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .allocation import Allocation, split_rate
 from .bits import BitString, concat, random_bits
-from .converse import ConcatenatedLibrary, concatenate, sort_by_library_size, subfile_level
+from .converse import sort_by_library_size, subfile_level
 from .model import (
     DEFAULT_DEMAND_CAP,
     CapExceededError,
@@ -85,11 +85,15 @@ class LibraryPlan:
 
 @dataclass(frozen=True)
 class PlacementState:
-    """Per-user caches, one segment per library: caches[user - 1][library - 1]."""
+    """Per-user caches, one segment per library: caches[user - 1][library - 1].
+
+    `formula_rate` is the split's rate on the scheme envelopes, the value
+    delivery must realize."""
 
     allocation: Allocation
     plans: tuple[LibraryPlan, ...]
     caches: tuple[tuple[BitString, ...], ...]
+    formula_rate: Fraction
 
     def cache_bits(self, user: int) -> int:
         return sum(seg.width for seg in self.caches[user - 1])
@@ -97,9 +101,10 @@ class PlacementState:
 
 @dataclass(frozen=True)
 class PartTranscript:
+    """One plan part's messages: for t = 0 each distinct requested file's part
+    in id order, else one XOR per size-(t + 1) user subset in lexicographic order."""
+
     t: int
-    uncoded_files: tuple[int, ...]
-    coded_subsets: tuple[tuple[int, ...], ...]
     messages: tuple[BitString, ...]
 
     @property
@@ -112,12 +117,9 @@ class DeliveryTranscript:
     demand: DemandVector
     per_library: tuple[tuple[PartTranscript, ...], ...]
 
-    def library_bits(self, library: int) -> int:
-        return sum(part.bits for part in self.per_library[library - 1])
-
     @property
     def total_bits(self) -> int:
-        return sum(self.library_bits(lib + 1) for lib in range(len(self.per_library)))
+        return sum(part.bits for parts in self.per_library for part in parts)
 
 
 def library_bit_requirement(config: NetworkConfig) -> int:
@@ -316,6 +318,7 @@ def place(
     cached subsets in lexicographic order. `curves` are the libraries' scheme
     curves; None builds them.
     """
+    curves = scheme_curves(config, curves)
     plans = build_plans(config, allocation, store.base_size, curves)
     k = config.num_users
     caches = []
@@ -336,7 +339,12 @@ def place(
                 offset += part.file_bits
             segments.append(BitString(width, value))
         caches.append(tuple(segments))
-    return PlacementState(allocation=allocation, plans=plans, caches=tuple(caches))
+    return PlacementState(
+        allocation=allocation,
+        plans=plans,
+        caches=tuple(caches),
+        formula_rate=split_rate(config, allocation, curves),
+    )
 
 
 def _library_transcript(
@@ -348,11 +356,8 @@ def _library_transcript(
     for part in plan.parts:
         sub = part.subfile_bits
         if part.t == 0:
-            wanted = tuple(sorted(set(row)))
-            messages = tuple(files[n - 1].slice(offset, offset + sub) for n in wanted)
-            parts.append(
-                PartTranscript(t=0, uncoded_files=wanted, coded_subsets=(), messages=messages)
-            )
+            messages = tuple(files[n - 1].slice(offset, offset + sub) for n in sorted(set(row)))
+            parts.append(PartTranscript(t=0, messages=messages))
         else:
             mask = (1 << sub) - 1
             top = files[0].width - offset - sub
@@ -363,14 +368,7 @@ def _library_transcript(
                 for member, rank in group:
                     msg ^= (requested[member - 1] >> (top - rank * sub)) & mask
                 messages.append(BitString(sub, msg))
-            parts.append(
-                PartTranscript(
-                    t=part.t,
-                    uncoded_files=(),
-                    coded_subsets=_subsets(num_users, part.t + 1),
-                    messages=tuple(messages),
-                )
-            )
+            parts.append(PartTranscript(t=part.t, messages=tuple(messages)))
         offset += part.file_bits
     return tuple(parts)
 
@@ -393,17 +391,18 @@ def deliver(
 
 def decode(
     placement: PlacementState,
-    transcript: DeliveryTranscript,
+    parts: Sequence[PartTranscript],
+    row: tuple[int, ...],
     config: NetworkConfig,
     user: int,
     library: int,
 ) -> BitString:
     """Reconstruct the file `user` requested from `library` (both 1-based),
-    using only that user's cache and the transcript."""
+    using only that user's cache and the library's transcript `parts` for
+    demand row `row`."""
     lib_idx = library - 1
     k = config.num_users
     n = config.libraries[lib_idx].num_files
-    row = transcript.demand.rows[lib_idx]
     want = row[user - 1]
     segment = placement.caches[user - 1][lib_idx]
     cache = segment.value
@@ -411,11 +410,11 @@ def decode(
     # current part's cached block in the low bits
     top = segment.width
     value = width = 0
-    for part, part_tr in zip(placement.plans[lib_idx].parts, transcript.per_library[lib_idx]):
+    for part, part_tr in zip(placement.plans[lib_idx].parts, parts):
         sub = part.subfile_bits
         width += part.file_bits
         if part.t == 0:
-            msg = part_tr.messages[part_tr.uncoded_files.index(want)]
+            msg = part_tr.messages[sorted(set(row)).index(want)]
             value = (value << sub) | msg.value
             continue
         per_file = math.comb(k - 1, part.t - 1)
@@ -451,7 +450,9 @@ class RowPass:
     decode read only row l of the demand and segment l of each cache. Serving a
     row delivers that library once, decodes every user once and compares each
     decode with the stored file; the outcome is kept, so `verify_all` and
-    `reduction_demo` can read the same rows without serving them twice.
+    `reduction_demo` can read the same rows without serving them twice. The
+    row pass is the one context of a run: both read the store, the network
+    and the placement from it.
     """
 
     def __init__(self, store: FileStore, config: NetworkConfig, placement: PlacementState):
@@ -479,17 +480,8 @@ class RowPass:
         lib_idx = library - 1
         files = self.store.files[lib_idx]
         parts = _library_transcript(files, self.placement.plans[lib_idx], config.num_users, row)
-        # a library-l transcript: the demand puts `row` in library l and ones
-        # elsewhere, and the other libraries send nothing
-        ones = (1,) * config.num_users
-        transcript = DeliveryTranscript(
-            demand=DemandVector(
-                tuple(row if i == lib_idx else ones for i in range(config.num_libraries))
-            ),
-            per_library=tuple(parts if i == lib_idx else () for i in range(config.num_libraries)),
-        )
         decoded = tuple(
-            decode(self.placement, transcript, config, user, library)
+            decode(self.placement, parts, row, config, user, library)
             for user in range(1, config.num_users + 1)
         )
         failed = tuple(
@@ -527,25 +519,7 @@ class VerificationReport:
         }
 
 
-def formula_rate(
-    config: NetworkConfig,
-    allocation: Allocation,
-    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
-) -> Fraction:
-    """Scheme-envelope rate of the split, the value delivery must realize.
-    `curves` are the libraries' scheme curves; None builds them."""
-    return split_rate(config, allocation, scheme_curves(config, curves))
-
-
-def verify_all(
-    store: FileStore,
-    config: NetworkConfig,
-    allocation: Allocation,
-    cap: int = DEFAULT_DEMAND_CAP,
-    *,
-    rows: RowPass | None = None,
-    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
-) -> VerificationReport:
+def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationReport:
     """Verify every demand vector, library by library; raise DecodeMismatchError
     with the lexicographically first witness, else report exact rates.
 
@@ -558,16 +532,8 @@ def verify_all(
     bit. `demands_checked` counts the vectors covered, the product of N_l^K;
     `demand_vectors_run` counts the library rows served, the sum of N_l^K.
     `cap` still bounds the covered vectors, with enumeration's error message.
-
-    Pass `rows` to share one row pass with `reduction_demo`; it must have been
-    built from this store, network and split. Pass the libraries' scheme
-    curves as `curves` to skip building them.
     """
-    curves = scheme_curves(config, curves)
-    if rows is None:
-        rows = RowPass(store, config, place(store, config, allocation, curves))
-    elif (rows.store, rows.config, rows.placement.allocation) != (store, config, allocation):
-        raise ValueError("row pass was built for a different store, network or split")
+    config, store, placement = rows.config, rows.store, rows.placement
     covered = check_demand_cap(config, cap)
     k = config.num_users
     per_lib_max = []
@@ -588,8 +554,8 @@ def verify_all(
         demands_checked=covered,
         demand_vectors_run=rows.served,
         base_size=store.base_size,
-        allocation=allocation,
-        formula_rate=formula_rate(config, allocation, curves),
+        allocation=placement.allocation,
+        formula_rate=placement.formula_rate,
         measured_rate=Fraction(max_total, store.base_size),
         max_total_bits=max_total,
         per_library_max_bits=tuple(per_lib_max),
@@ -645,16 +611,7 @@ class ReductionReport:
         }
 
 
-def reduction_demo(
-    store: FileStore,
-    config: NetworkConfig,
-    placement: PlacementState,
-    stack: ConcatenatedLibrary | None = None,
-    stack_demands: Sequence[tuple[int, ...]] | None = None,
-    cap: int = DEFAULT_DEMAND_CAP,
-    *,
-    rows: RowPass | None = None,
-) -> ReductionReport:
+def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionReport:
     """Serve the stacked single library with the unchanged multi-library scheme.
 
     A stack demand gives each user one file id in 1..N_max; each library serves
@@ -664,19 +621,11 @@ def reduction_demo(
     ascending-file-count order) from the same caches and a transcript no longer
     than the multi-library worst case.
 
-    Each library's clamped row is read from `rows` (a `RowPass` over this
-    store and placement), so rows `verify_all` already served are not served
-    again.
+    Each library's clamped row is read from `rows`, so rows `verify_all`
+    already served are not served again.
     """
-    if stack is None:
-        stack = concatenate(config)
+    config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
-    if stack.config != sorted_config or stack.permutation != permutation:
-        raise ValueError("stack was built for a different network")
-    if rows is None:
-        rows = RowPass(store, config, placement)
-    elif (rows.store, rows.config, rows.placement) != (store, config, placement):
-        raise ValueError("row pass was built for a different store, network or placement")
     k = config.num_users
     cache_bits = placement.cache_bits(1)
     for user in range(2, k + 1):
@@ -685,19 +634,14 @@ def reduction_demo(
                 f"user {user} caches {placement.cache_bits(user)} bits and user 1 "
                 f"{cache_bits}; the stacked library needs equal caches"
             )
-    n_max = stack.num_files
-    if stack_demands is None:
-        total = n_max**k
-        if total > cap:
-            raise CapExceededError(f"stack enumeration needs {total} vectors, cap is {cap}")
-        stack_demands = list(product(range(1, n_max + 1), repeat=k))
+    n_max = sorted_config.file_counts[-1]
+    total = n_max**k
+    if total > cap:
+        raise CapExceededError(f"stack enumeration needs {total} vectors, cap is {cap}")
 
     counts = config.file_counts
     max_total = 0
-    checked = 0
-    for prime in stack_demands:
-        if len(prime) != k or any(not 1 <= x <= n_max for x in prime):
-            raise ValueError(f"bad stack demand {prime}")
+    for prime in product(range(1, n_max + 1), repeat=k):
         induced = tuple(tuple(min(x, n) for x in prime) for n in counts)
         outcomes = [rows.serve(library, row) for library, row in enumerate(induced, start=1)]
         max_total = max(max_total, sum(outcome.bits for outcome in outcomes))
@@ -708,7 +652,6 @@ def reduction_demo(
             expected = concat(store.files[orig - 1][n - 1] for orig in keep)
             if actual != expected:
                 raise DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
-        checked += 1
 
     stacked_bits = []
     for n in range(1, n_max + 1):
@@ -718,7 +661,7 @@ def reduction_demo(
         )
         stacked_bits.append(width)
     return ReductionReport(
-        demands_checked=checked,
+        demands_checked=total,
         stacked_file_bits=tuple(stacked_bits),
         cache_bits=cache_bits,
         max_total_bits=max_total,

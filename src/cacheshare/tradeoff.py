@@ -182,22 +182,6 @@ def lower_convex_envelope(
     )
 
 
-def scheme_corner_points(num_files: int, num_users: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Achievable (memory, rate) corners of the subset-coded broadcast scheme.
-
-    For cache parameter t = 0..K the scheme stores t/K of each file and
-    serves any demand at rate (K - t)/(1 + t), capped for t = 0 by sending
-    each of the at most min(N, K) distinct requested files whole.
-    """
-    if num_files < 1 or num_users < 1:
-        raise ValueError("need at least one file and one user")
-    n, k = num_files, num_users
-    pts = [(Fraction(0), Fraction(min(n, k)))]
-    for t in range(1, k + 1):
-        pts.append((Fraction(t * n, k), Fraction(k - t, 1 + t)))
-    return tuple(pts)
-
-
 def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
     """Envelope of the subset-coded scheme's corners for one library, in closed form.
 
@@ -205,8 +189,8 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
     magnitude from t to t+1 is K(K+1) / (N(t+1)(t+2)). The envelope is therefore
     the anchor (0, min(N, K)) followed by the corners t*..K, where t* = 0 when
     N >= K and otherwise the first corner lying strictly below the chord from
-    the anchor to the next corner (K when there is none). This equals
-    `lower_convex_envelope(scheme_corner_points(N, K), N)`.
+    the anchor to the next corner (K when there is none). This equals the
+    lower convex envelope of the anchor and all K corners.
     """
     if num_files < 1 or num_users < 1:
         raise ValueError("need at least one file and one user")
@@ -248,40 +232,9 @@ def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
     return lower_convex_envelope(pts, 2, label="exact2x2", exact=True)
 
 
-def cut_set_bound(num_files: int, num_users: int, memory: Fraction) -> Fraction:
-    """Cut-based lower bound on the rate of any single-library scheme.
-
-    For each group size s, a cut serving s users floor(N/s) times in a row
-    yields R >= s - s*M / floor(N/s); the bound is the best such cut,
-    clamped at zero.
-    """
-    memory = to_fraction(memory)
-    if memory < 0:
-        raise ValueError(f"memory {memory} < 0")
-    best = Fraction(0)
-    for s in range(1, min(num_files, num_users) + 1):
-        value = s - Fraction(s, num_files // s) * memory
-        if value > best:
-            best = value
-    return best
-
-
 def tradeoff_to_json(curve: PiecewiseLinearTradeoff) -> list[list[str]]:
     """Corner-list serialization: [[memory, rate], ...] as exact strings."""
     return [[str(p.memory), str(p.rate)] for p in curve.corner_points()]
-
-
-def tradeoff_from_json(
-    data: Sequence[Sequence[str]], label: str = "custom", exact: bool = False
-) -> PiecewiseLinearTradeoff:
-    """Rebuild a curve from its corner list, revalidating shape on the way."""
-    pts = [(to_fraction(m), to_fraction(r)) for m, r in data]
-    if not pts:
-        raise ValueError("empty corner list")
-    num_files_frac = max(m for m, _ in pts)
-    if num_files_frac.denominator != 1:
-        raise ValueError(f"last corner memory {num_files_frac} is not an integer file count")
-    return lower_convex_envelope(pts, int(num_files_frac), label=label, exact=exact)
 
 
 def build_by_kind(kind: str, num_files: int, num_users: int) -> PiecewiseLinearTradeoff:

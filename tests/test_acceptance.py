@@ -24,22 +24,28 @@ from cacheshare.allocation import (
     proportional_allocation,
 )
 from cacheshare.cli import main
-from cacheshare.converse import concatenate, conjecture_gap, converse_bound
+from cacheshare.converse import (
+    concatenate,
+    concatenated_cut_set_bound,
+    conjecture_gap,
+    converse_bound,
+)
 from cacheshare.sim import random_file_store, required_base_size, verify_all
 from cacheshare.tradeoff import (
     build_exact_two_by_two,
     build_scheme_tradeoff,
-    cut_set_bound,
     lower_convex_envelope,
 )
 
 from util import (
     curves_for,
+    make_config,
     random_config,
     random_equal_n_config,
     random_corner_allocation,
     random_sim_config,
     reference_config,
+    row_pass,
     unequal_config,
 )
 
@@ -92,9 +98,12 @@ def test_reference_budget_split_optimum():
 def test_equal_library_counts_make_pooling_optimal():
     started = time.perf_counter()
     rng = random.Random(3001)
+    # the shipped pair and three equal libraries with skewed sizes, both at rate
+    # 1/2 on the exact 2x2 curve, which exhaustive search confirms
+    three = make_config(counts=(2, 2, 2), weights=(F(1, 5), F(2, 5), F(2, 5)), users=2, cache=1)
+    fixed = [reference_config(), three]
     checked = 0
-    for _ in range(120):
-        config = random_equal_n_config(rng)
+    for config in fixed + [random_equal_n_config(rng) for _ in range(120)]:
         curves = curves_for(config)
         curve = curves[0]
         pooled = curve.evaluate(config.cache_size)
@@ -102,6 +111,8 @@ def test_equal_library_counts_make_pooling_optimal():
         greedy = greedy_allocate(config, curves).rate
         bound = converse_bound(config, curve.evaluate)
         assert proportional == pooled == greedy == bound
+        if config in fixed:
+            assert pooled == F(1, 2) == brute_force_allocate(config, curves, F(1, 10))[1]
         checked += 1
     assert checked >= 100
     _verdict(
@@ -172,7 +183,7 @@ def test_bit_exact_delivery_and_decoding():
         config, allocation = random_corner_allocation(rng, shape)
         base = required_base_size(config, allocation)
         store = random_file_store(config, base, seed)
-        report = verify_all(store, config, allocation)
+        report = verify_all(row_pass(store, config, allocation))
         assert report.measured_rate == report.formula_rate
         runs += 1
     assert runs >= 20
@@ -237,7 +248,7 @@ def test_curve_algebra_properties():
         assert again.breakpoints == curve.breakpoints
         assert again.slopes == curve.slopes
         assert again.intercepts == curve.intercepts
-        assert cut_set_bound(n, k, lo) <= curve.evaluate(lo)
+        assert concatenated_cut_set_bound((F(1),) * n, k, lo) <= curve.evaluate(lo)
     _verdict(
         8,
         "curves are convex, monotone, envelope-stable, and dominate the cut bound",

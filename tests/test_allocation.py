@@ -6,7 +6,6 @@ import pytest
 from cacheshare.allocation import (
     Allocation,
     brute_force_allocate,
-    certify_equal_n_optimality,
     corner_structure_violations,
     greedy_allocate,
     lambda_sweep,
@@ -20,7 +19,6 @@ from util import (
     curves_for,
     make_config,
     random_config,
-    random_equal_n_config,
     random_weights,
     reference_brute_force,
     reference_config,
@@ -248,40 +246,6 @@ def test_sweep_endpoints_match_rate_function():
             for share, rate in result.points:
                 if seg.start <= share <= seg.end:
                     assert rate == seg.intercept + seg.slope * share
-
-
-def test_certificate_on_reference_config():
-    cert = certify_equal_n_optimality(reference_config(), reference_curves())
-    assert cert.holds
-    assert cert.proportional_rate == F(1, 2)
-    assert cert.pooled_rate == F(1, 2)
-    assert cert.greedy_rate == F(1, 2)
-    assert cert.exact_tradeoff
-
-
-def test_certificate_three_libraries():
-    cfg = make_config(
-        counts=(2, 2, 2), weights=(F(1, 5), F(2, 5), F(2, 5)), users=2, cache=1
-    )
-    curves = [build_exact_two_by_two()] * 3
-    cert = certify_equal_n_optimality(cfg, curves)
-    assert cert.holds
-    assert cert.pooled_rate == F(1, 2)
-    _, best = brute_force_allocate(cfg, curves, F(1, 10))
-    assert best == F(1, 2)
-
-
-def test_certificate_rejects_unequal_sizes():
-    with pytest.raises(ValueError, match="equal"):
-        certify_equal_n_optimality(unequal_config(), curves_for(unequal_config()))
-
-
-def test_certificate_rejects_mixed_curves():
-    cfg = reference_config()
-    with pytest.raises(ValueError, match="shared"):
-        certify_equal_n_optimality(
-            cfg, [build_exact_two_by_two(), build_scheme_tradeoff(2, 2)]
-        )
 
 
 def _shared_curve_network(rng: random.Random, max_libraries: int, max_users: int):

@@ -292,8 +292,8 @@ def test_demand_cap_exceeded(runner):
 def test_decode_mismatch_exits_one(runner, monkeypatch):
     real = sim.decode
 
-    def corrupted(placement, transcript, config, user, library):
-        return real(placement, transcript, config, user, library).flip(0)
+    def corrupted(placement, parts, row, config, user, library):
+        return real(placement, parts, row, config, user, library).flip(0)
 
     monkeypatch.setattr(sim, "decode", corrupted)
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate"])

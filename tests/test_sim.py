@@ -11,7 +11,6 @@ import pytest
 import cacheshare.sim as sim
 from cacheshare.allocation import Allocation, greedy_allocate
 from cacheshare.bits import BitString, concat
-from cacheshare.converse import concatenate
 from cacheshare.model import CapExceededError, DemandVector
 from cacheshare.sim import (
     DecodeMismatchError,
@@ -23,7 +22,6 @@ from cacheshare.sim import (
     build_plans,
     decode,
     deliver,
-    formula_rate,
     library_bit_requirement,
     place,
     random_file_store,
@@ -42,6 +40,7 @@ from util import (
     reference_config,
     reference_reduction,
     reference_verify,
+    row_pass,
     unequal_config,
 )
 
@@ -123,7 +122,6 @@ def test_delivery_message_is_the_cross_xor():
     file1, file2 = store.files[0]
     transcript = deliver(store, config, placement, DemandVector(((1, 2),)))
     part = transcript.per_library[0][0]
-    assert part.coded_subsets == ((1, 2),)
     # user 1 misses its half of file 1, user 2 misses its half of file 2
     assert part.messages == (file1.slice(2, 4) ^ file2.slice(0, 2),)
     assert transcript.total_bits == 2
@@ -143,14 +141,15 @@ def test_decode_uses_only_own_cache_and_transcript():
         ),
     )
     for library in (1, 2):
-        want = demand.rows[library - 1][0]
-        assert decode(zeroed, transcript, config, 1, library) == store.files[library - 1][want - 1]
+        parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
+        want = row[0]
+        assert decode(zeroed, parts, row, config, 1, library) == store.files[library - 1][want - 1]
 
 
 def test_verify_reference_corner_run():
     config = reference_config()
     store = random_file_store(config, 40, seed=2026)
-    report = verify_all(store, config, Allocation((F(2, 5), F(3, 5))))
+    report = verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))))
     assert report.demands_checked == 16
     assert report.max_total_bits == 20
     assert report.per_library_max_bits == (8, 12)
@@ -164,7 +163,7 @@ def test_verify_reference_corner_run():
 def test_verify_split_allocation_run():
     config = reference_config()
     store = random_file_store(config, 10, seed=77)
-    report = verify_all(store, config, Allocation((F(1, 5), F(4, 5))))
+    report = verify_all(row_pass(store, config, Allocation((F(1, 5), F(4, 5)))))
     assert report.measured_rate == F(7, 10) == report.formula_rate
     assert report.per_library_max_bits == (5, 2)
     placement = place(store, config, Allocation((F(1, 5), F(4, 5))))
@@ -175,7 +174,7 @@ def test_verify_split_allocation_run():
 def test_verify_zero_memory_sends_each_distinct_request_once():
     config = reference_config(cache="0")
     store = random_file_store(config, 5, seed=8)
-    report = verify_all(store, config, Allocation((F(0), F(0))))
+    report = verify_all(row_pass(store, config, Allocation((F(0), F(0)))))
     assert report.measured_rate == F(2) == report.formula_rate
     assert report.per_library_max_bits == (4, 6)
     assert place(store, config, Allocation((F(0), F(0)))).cache_bits(1) == 0
@@ -184,7 +183,7 @@ def test_verify_zero_memory_sends_each_distinct_request_once():
 def test_verify_full_cache_sends_nothing():
     config = reference_config(cache="2")
     store = random_file_store(config, 10, seed=9)
-    report = verify_all(store, config, Allocation((F(4, 5), F(6, 5))))
+    report = verify_all(row_pass(store, config, Allocation((F(4, 5), F(6, 5)))))
     assert report.measured_rate == 0 == report.formula_rate
     assert report.max_total_bits == 0
     assert place(store, config, Allocation((F(4, 5), F(6, 5)))).cache_bits(1) == 20
@@ -194,7 +193,7 @@ def test_verify_honours_demand_cap():
     config = reference_config()
     store = random_file_store(config, 10, seed=10)
     with pytest.raises(CapExceededError):
-        verify_all(store, config, Allocation((F(2, 5), F(3, 5))), cap=3)
+        verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))), cap=3)
 
 
 def test_libraries_do_not_interact():
@@ -224,12 +223,12 @@ def test_decode_failure_reports_first_witness(monkeypatch):
     store = random_file_store(config, 10, seed=12)
     real = sim.decode
 
-    def corrupted(placement, transcript, cfg, user, library):
-        return real(placement, transcript, cfg, user, library).flip(0)
+    def corrupted(placement, parts, row, cfg, user, library):
+        return real(placement, parts, row, cfg, user, library).flip(0)
 
     monkeypatch.setattr(sim, "decode", corrupted)
     with pytest.raises(DecodeMismatchError) as info:
-        verify_all(store, config, Allocation((F(2, 5), F(3, 5))))
+        verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))))
     err = info.value
     assert err.demand.rows == ((1, 1), (1, 1))
     assert err.user == 1
@@ -241,14 +240,15 @@ def test_decode_failure_reports_first_witness(monkeypatch):
 def test_formula_rate_matches_memory_sharing_on_scheme_curves():
     config = reference_config()
     trace = greedy_allocate(config, curves_for(config, "scheme"))
-    assert formula_rate(config, trace.final) == trace.rate
+    store = random_file_store(config, required_base_size(config, trace.final), seed=1)
+    assert place(store, config, trace.final).formula_rate == trace.rate
 
 
 def test_reduction_demo_equal_sizes():
     config = reference_config()
     store = random_file_store(config, 40, seed=13)
     placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
-    report = reduction_demo(store, config, placement)
+    report = reduction_demo(RowPass(store, config, placement))
     assert report.demands_checked == 4
     assert report.stacked_file_bits == (40, 40)
     assert report.cache_bits == 40
@@ -259,30 +259,27 @@ def test_reduction_demo_unequal_sizes():
     config = unequal_config()
     store = random_file_store(config, 8, seed=14)
     placement = place(store, config, Allocation((F(1, 4), F(1, 4))))
-    report = reduction_demo(store, config, placement)
+    report = reduction_demo(RowPass(store, config, placement))
     assert report.demands_checked == 4
     assert report.stacked_file_bits == (8, 4)
     assert report.cache_bits == 4
     # worst stacked transcript can be no longer than the multi-library worst case
-    assert F(report.max_total_bits, 8) <= formula_rate(config, placement.allocation)
+    assert F(report.max_total_bits, 8) <= placement.formula_rate
 
 
-def test_reduction_demo_rejects_foreign_stack_and_bad_demands():
+def test_reduction_demo_honours_demand_cap():
     config = reference_config()
     store = random_file_store(config, 10, seed=15)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
-    with pytest.raises(ValueError, match="different network"):
-        reduction_demo(store, config, placement, stack=concatenate(unequal_config()))
-    with pytest.raises(ValueError, match="bad stack demand"):
-        reduction_demo(store, config, placement, stack_demands=[(0, 1)])
-    with pytest.raises(CapExceededError):
-        reduction_demo(store, config, placement, cap=3)
+    rows = row_pass(store, config, Allocation((F(2, 5), F(3, 5))))
+    with pytest.raises(CapExceededError, match="stack enumeration needs 4 vectors, cap is 3"):
+        reduction_demo(rows, cap=3)
+    assert rows.served == 0
 
 
 def test_verify_counts_covered_vectors_and_served_rows():
     config = reference_config()
     store = random_file_store(config, 40, seed=2026)
-    report = verify_all(store, config, Allocation((F(2, 5), F(3, 5))))
+    report = verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))))
     assert report.demands_checked == 16
     assert report.demand_vectors_run == 8
     payload = report.to_json()
@@ -314,14 +311,14 @@ def test_row_pass_agrees_with_full_product_reference():
         expected = reference_verify(store, config, allocation)
         placement = place(store, config, allocation)
         rows = RowPass(store, config, placement)
-        report = verify_all(store, config, allocation, rows=rows)
+        report = verify_all(rows)
         for field in ("demands_checked", "measured_rate", "max_total_bits", "per_library_max_bits"):
             assert getattr(report, field) == getattr(expected, field), (seed, field)
         assert report.measured_rate == report.formula_rate
         assert report.demand_vectors_run == sum(
             n**config.num_users for n in config.file_counts
         )
-        stack = reduction_demo(store, config, placement, rows=rows)
+        stack = reduction_demo(rows)
         assert stack == reference_reduction(store, config, placement)
         # every clamped stack row is a library row verification already served
         assert rows.served == report.demand_vectors_run
@@ -354,16 +351,16 @@ def test_witness_matches_full_product_reference(
     config, allocation, store = three_library_run()
     real = sim.decode
 
-    def corrupted(placement, transcript, cfg, u, lib):
-        out = real(placement, transcript, cfg, u, lib)
-        bad_users = failing.get(lib, {}).get(transcript.demand.rows[lib - 1], ())
+    def corrupted(placement, parts, row, cfg, u, lib):
+        out = real(placement, parts, row, cfg, u, lib)
+        bad_users = failing.get(lib, {}).get(row, ())
         return out.flip(0) if u in bad_users else out
 
     monkeypatch.setattr(sim, "decode", corrupted)
     with pytest.raises(DecodeMismatchError) as reference:
         reference_verify(store, config, allocation)
     with pytest.raises(DecodeMismatchError) as info:
-        verify_all(store, config, allocation)
+        verify_all(row_pass(store, config, allocation))
     want, got = reference.value, info.value
     assert (got.demand, got.user, got.library, got.expected, got.actual) == (
         want.demand, want.user, want.library, want.expected, want.actual
@@ -376,25 +373,11 @@ def test_stack_reads_the_rows_verification_served():
     config = make_config(counts=(2,), weights=(F(1),), users=3, cache="1")
     allocation = Allocation((F(1),))
     store = random_file_store(config, required_base_size(config, allocation), seed=16)
-    placement = place(store, config, allocation)
-    rows = RowPass(store, config, placement)
-    assert verify_all(store, config, allocation, rows=rows).demand_vectors_run == 8
-    report = reduction_demo(store, config, placement, rows=rows)
+    rows = row_pass(store, config, allocation)
+    assert verify_all(rows).demand_vectors_run == 8
+    report = reduction_demo(rows)
     assert report.demands_checked == 8
     assert rows.served == 8
-
-
-def test_row_pass_must_match_the_run_it_serves():
-    config = reference_config()
-    store = random_file_store(config, 10, seed=17)
-    allocation = Allocation((F(2, 5), F(3, 5)))
-    placement = place(store, config, allocation)
-    rows = RowPass(store, config, placement)
-    other = Allocation((F(1, 5), F(4, 5)))
-    with pytest.raises(ValueError, match="different store, network or split"):
-        verify_all(store, config, other, rows=rows)
-    with pytest.raises(ValueError, match="different store, network or placement"):
-        reduction_demo(store, config, place(store, config, other), rows=rows)
 
 
 def test_reduction_demo_rejects_uneven_caches():
@@ -410,4 +393,4 @@ def test_reduction_demo_rejects_uneven_caches():
         ),
     )
     with pytest.raises(ValueError, match="user 2 caches 9 bits and user 1 10"):
-        reduction_demo(store, config, uneven)
+        reduction_demo(RowPass(store, config, uneven))

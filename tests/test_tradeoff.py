@@ -3,18 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from cacheshare.converse import concatenated_cut_set_bound
 from cacheshare.tradeoff import (
     PiecewiseLinearTradeoff,
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
-    cut_set_bound,
     lower_convex_envelope,
-    scheme_corner_points,
-    tradeoff_from_json,
     tradeoff_to_json,
 )
-from util import reference_scheme_tradeoff
+from util import reference_scheme_tradeoff, scheme_corner_points
 
 F = Fraction
 
@@ -127,15 +125,29 @@ def test_constructor_rejects_bad_shapes():
         PiecewiseLinearTradeoff(2, (F(0), F(2)), (F(1, 2),), (F(3, 2),))
 
 
+def unit_cut_set_bound(num_files: int, num_users: int, memory: Fraction) -> Fraction:
+    """The cut bound on N unit files: s users served b rounds need
+    R >= (s*b - s*M) / b, clamped at 0."""
+    return concatenated_cut_set_bound((F(1),) * num_files, num_users, memory)
+
+
 def test_cut_set_bound_examples():
-    assert cut_set_bound(2, 2, F(0)) == 2
-    assert cut_set_bound(2, 2, F(1)) == F(1, 2)
-    assert cut_set_bound(2, 2, F(2)) == 0
+    assert unit_cut_set_bound(2, 2, F(0)) == 2
+    assert unit_cut_set_bound(2, 2, F(1)) == F(1, 2)
+    assert unit_cut_set_bound(2, 2, F(2)) == 0
     # four files, two users: the two-user cut reuses the cache twice
-    assert cut_set_bound(4, 2, F(1)) == 1
-    assert cut_set_bound(4, 2, F(0)) == 2
+    assert unit_cut_set_bound(4, 2, F(1)) == 1
+    assert unit_cut_set_bound(4, 2, F(0)) == 2
     with pytest.raises(ValueError):
-        cut_set_bound(2, 2, F(-1))
+        unit_cut_set_bound(2, 2, F(-1))
+    # the best round count is floor(N/s), so the bound is the closed form
+    # max over s <= min(N, K) of s - s*M / floor(N/s), clamped at 0
+    for n in range(1, 9):
+        for k in range(1, 9):
+            for j in range(0, 4 * n + 1):
+                m = F(j, 4)
+                cuts = (s - F(s, n // s) * m for s in range(1, min(n, k) + 1))
+                assert unit_cut_set_bound(n, k, m) == max(F(0), *cuts), (n, k, m)
 
 
 def test_cut_set_never_exceeds_scheme_envelope():
@@ -145,22 +157,16 @@ def test_cut_set_never_exceeds_scheme_envelope():
         env = build_scheme_tradeoff(n, k)
         for j in range(0, 4 * n + 1):
             m = F(j, 4)
-            assert cut_set_bound(n, k, m) <= env.evaluate(m)
+            assert unit_cut_set_bound(n, k, m) <= env.evaluate(m)
 
 
 def test_corner_serialization_round_trip():
     env = build_scheme_tradeoff(3, 2)
-    again = tradeoff_from_json(tradeoff_to_json(env), label=env.label)
+    corners = [(F(m), F(r)) for m, r in tradeoff_to_json(env)]
+    again = lower_convex_envelope(corners, env.num_files, label=env.label)
     assert again.breakpoints == env.breakpoints
     assert again.slopes == env.slopes
     assert again.intercepts == env.intercepts
-
-
-def test_tradeoff_from_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        tradeoff_from_json([])
-    with pytest.raises(ValueError, match="integer"):
-        tradeoff_from_json([["0", "1"], ["3/2", "0"]])
 
 
 def test_build_by_kind():

@@ -12,6 +12,7 @@ from cacheshare.allocation import (
     AllocationStep,
     AllocationTrace,
     memory_sharing_rate,
+    split_rate,
 )
 from cacheshare.bits import concat
 from cacheshare.converse import concatenate, sort_by_library_size, subfile_level
@@ -21,7 +22,6 @@ from cacheshare.tradeoff import (
     build_by_kind,
     build_scheme_tradeoff,
     lower_convex_envelope,
-    scheme_corner_points,
 )
 
 
@@ -131,6 +131,18 @@ def random_corner_allocation(
     return rebuilt, Allocation(tuple(picks))
 
 
+def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation) -> sim.RowPass:
+    """A fresh row pass over the store placed with `allocation`."""
+    return sim.RowPass(store, config, sim.place(store, config, allocation))
+
+
+def reference_decode(placement, transcript, config, user: int, library: int):
+    """`sim.decode` of one library read off a full delivery transcript."""
+    parts = transcript.per_library[library - 1]
+    row = transcript.demand.rows[library - 1]
+    return sim.decode(placement, parts, row, config, user, library)
+
+
 def reference_verify(
     store: sim.FileStore, config: NetworkConfig, allocation: Allocation
 ) -> sim.VerificationReport:
@@ -144,11 +156,11 @@ def reference_verify(
     for demand in enumerate_demands(config):
         transcript = sim.deliver(store, config, placement, demand)
         max_total = max(max_total, transcript.total_bits)
-        for lib in range(L):
-            per_lib_max[lib] = max(per_lib_max[lib], transcript.library_bits(lib + 1))
+        for lib, parts in enumerate(transcript.per_library):
+            per_lib_max[lib] = max(per_lib_max[lib], sum(part.bits for part in parts))
         for user in range(1, config.num_users + 1):
             for lib in range(1, L + 1):
-                actual = sim.decode(placement, transcript, config, user, lib)
+                actual = reference_decode(placement, transcript, config, user, lib)
                 expected = store.files[lib - 1][demand.rows[lib - 1][user - 1] - 1]
                 if actual != expected:
                     raise sim.DecodeMismatchError(demand, user, lib, expected, actual)
@@ -158,7 +170,7 @@ def reference_verify(
         demand_vectors_run=count,
         base_size=store.base_size,
         allocation=allocation,
-        formula_rate=sim.formula_rate(config, allocation),
+        formula_rate=split_rate(config, allocation, curves_for(config, "scheme")),
         measured_rate=Fraction(max_total, store.base_size),
         max_total_bits=max_total,
         per_library_max_bits=tuple(per_lib_max),
@@ -181,7 +193,9 @@ def reference_reduction(
         for user, n in enumerate(prime, start=1):
             level = subfile_level(sorted_config, n)
             keep = [permutation[pos] for pos in range(level - 1, config.num_libraries)]
-            actual = concat(sim.decode(placement, transcript, config, user, orig) for orig in keep)
+            actual = concat(
+                reference_decode(placement, transcript, config, user, orig) for orig in keep
+            )
             expected = concat(store.files[orig - 1][n - 1] for orig in keep)
             if actual != expected:
                 raise sim.DecodeMismatchError(induced, user, 0, expected, actual)
@@ -199,6 +213,22 @@ def reference_reduction(
         cache_bits=placement.cache_bits(1),
         max_total_bits=max_total,
     )
+
+
+def scheme_corner_points(num_files: int, num_users: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Achievable (memory, rate) corners of the subset-coded broadcast scheme.
+
+    For cache parameter t = 0..K the scheme stores t/K of each file and
+    serves any demand at rate (K - t)/(1 + t), capped for t = 0 by sending
+    each of the at most min(N, K) distinct requested files whole.
+    """
+    if num_files < 1 or num_users < 1:
+        raise ValueError("need at least one file and one user")
+    n, k = num_files, num_users
+    pts = [(Fraction(0), Fraction(min(n, k)))]
+    for t in range(1, k + 1):
+        pts.append((Fraction(t * n, k), Fraction(k - t, 1 + t)))
+    return tuple(pts)
 
 
 def reference_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
