@@ -29,8 +29,9 @@ class Allocation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_library", tuple(map(to_fraction, self.per_library)))
-        if any(m < 0 for m in self.per_library):
-            raise ValueError(f"negative allocation in {self.per_library}")
+        for library, m in enumerate(self.per_library, start=1):
+            if m < 0:
+                raise ValueError(f"library {library} gets negative memory {m}")
 
     @property
     def total(self) -> Fraction:

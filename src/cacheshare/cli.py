@@ -396,9 +396,12 @@ def cmd_simulate(
             raise click.UsageError("--alloc explicit needs --explicit")
         try:
             parts = tuple(to_fraction(p.strip()) for p in explicit.split(","))
-            allocation = Allocation(parts)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise click.UsageError(f"bad --explicit: {exc}") from exc
+        try:
+            allocation = Allocation(parts)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
         if len(parts) != config.num_libraries:
             raise click.UsageError(
                 f"--explicit lists {len(parts)} memories for {config.num_libraries} libraries"

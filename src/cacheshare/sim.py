@@ -133,7 +133,9 @@ def library_bit_requirement(config: NetworkConfig) -> int:
 def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileStore:
     """Independent uniform file contents; library l files get alpha_l * base_size bits."""
     req = library_bit_requirement(config)
-    if base_size < 1 or base_size % req:
+    if base_size < 1:
+        raise DivisibilityError(f"base size {base_size} bits must be positive")
+    if base_size % req:
         raise DivisibilityError(
             f"base size {base_size} bits leaves fractional files; use a multiple of {req}"
         )

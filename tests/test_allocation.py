@@ -34,8 +34,8 @@ def reference_curves():
 
 
 def test_allocation_rejects_negative():
-    with pytest.raises(ValueError):
-        Allocation((F(-1, 2), F(3, 2)))
+    with pytest.raises(ValueError, match="^library 2 gets negative memory -1/2$"):
+        Allocation((F(3, 2), F(-1, 2)))
 
 
 def test_rate_at_reference_split():

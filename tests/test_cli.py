@@ -284,6 +284,23 @@ def test_unusable_base_size(runner):
     assert "use a multiple of" in result.output
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_base_size_not_positive_is_named(runner, size):
+    # 0 and -5 are multiples of 5: the problem is the sign, not divisibility
+    result = runner.invoke(main, ["--config", EXAMPLE, "simulate", "--base-size", size])
+    assert result.exit_code == 2
+    assert f"Error: base size {size} bits must be positive\n" in result.stderr
+    assert "multiple" not in result.stderr
+
+
+def test_negative_explicit_memory_is_named_exactly(runner):
+    args = ["--config", EXAMPLE, "simulate", "--alloc", "explicit", "--explicit", "-1/5,6/5"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Error: library 1 gets negative memory -1/5\n" in result.stderr
+    assert "Fraction(" not in result.stderr
+
+
 def test_demand_cap_exceeded(runner):
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate", "--demand-cap", "3"])
     assert result.exit_code == 2

@@ -59,8 +59,9 @@ def test_library_bit_requirement_and_store_sizes():
     assert [f.width for f in store.files[1]] == [24, 24]
     with pytest.raises(DivisibilityError, match="use a multiple of 5"):
         random_file_store(config, 7, seed=1)
-    with pytest.raises(DivisibilityError):
-        random_file_store(config, 0, seed=1)
+    for size in (0, -5):
+        with pytest.raises(DivisibilityError, match=f"^base size {size} bits must be positive$"):
+            random_file_store(config, size, seed=1)
 
 
 def test_required_base_size_frozen_examples():
