@@ -8,10 +8,12 @@ fails (decode mismatch, oracle disagreement, measured rate off the formula),
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import click
@@ -28,7 +30,6 @@ from .allocation import (
 )
 from .converse import concatenate, concatenation_scale, conjecture_gap
 from .model import (
-    CapExceededError,
     NetworkConfig,
     canonical_config_json,
     format_decimal,
@@ -38,7 +39,6 @@ from .model import (
 )
 from .sim import (
     DecodeMismatchError,
-    DivisibilityError,
     RowPass,
     place,
     random_file_store,
@@ -73,20 +73,6 @@ class CliState:
         if problems:
             raise click.UsageError("invalid config: " + "; ".join(problems))
         return config
-
-
-def _record(state: CliState, command: str, config: NetworkConfig | None, **options) -> dict:
-    digest = None
-    if config is not None:
-        digest = hashlib.sha256(canonical_config_json(config).encode()).hexdigest()[:16]
-    return {
-        "tool": "cacheshare",
-        "version": __version__,
-        "command": command,
-        "seed": state.seed,
-        "config_digest": digest,
-        "options": options,
-    }
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -149,13 +135,18 @@ def _curves(config: NetworkConfig, kinds: str, built: dict | None = None):
     shapes = list(zip(names, config.file_counts))
     if built is None:
         built = {}
-    try:
-        for shape in dict.fromkeys(shapes):
-            if shape not in built:
-                built[shape] = build_by_kind(*shape, config.num_users)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    for shape in dict.fromkeys(shapes):
+        if shape not in built:
+            built[shape] = build_by_kind(*shape, config.num_users)
     return [built[s] for s in shapes]
+
+
+def _fraction(text: str, flag: str) -> Fraction:
+    """An exact fraction given to `flag`; anything else is bad input naming the flag."""
+    try:
+        return to_fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"bad {flag}: {exc}") from exc
 
 
 @click.group()
@@ -183,7 +174,49 @@ def main(ctx: click.Context, config_path: str | None, out: str, fmt: str, seed: 
     ctx.obj = CliState(config_path=config_path, out=out, fmt=fmt, seed=seed)
 
 
-@main.command("tradeoff")
+def _command(name: str):
+    """Register a command on `main`. This is the CLI's one error boundary.
+
+    The body takes the CLI state and its options and returns (config, result,
+    header, rows), optionally followed by a dict of option values to record in
+    place of the given ones. The scaffold records every declared option in
+    declaration order, writes the output, and maps library errors to exit
+    codes: a ValueError (DivisibilityError and CapExceededError among them) is
+    bad input and exits 2; a DecodeMismatchError is a failed check and exits 1.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(**params) -> None:
+            ctx = click.get_current_context()
+            state: CliState = ctx.obj
+            try:
+                config, result, header, rows, *used = body(state, **params)
+            except ValueError as exc:
+                raise click.UsageError(str(exc)) from exc
+            except DecodeMismatchError as exc:
+                raise VerificationFailure(str(exc)) from exc
+            options = {p.name: params[p.name] for p in ctx.command.params}
+            options.update(*used)
+            digest = None
+            if config is not None:
+                digest = hashlib.sha256(canonical_config_json(config).encode()).hexdigest()[:16]
+            record = {
+                "tool": "cacheshare",
+                "version": __version__,
+                "command": name,
+                "seed": state.seed,
+                "config_digest": digest,
+                "options": options,
+            }
+            _emit(state, record, result, header, rows)
+
+        return main.command(name)(run)
+
+    return register
+
+
+@_command("tradeoff")
 @click.option("--files", type=int, required=True, help="Files in the library.")
 @click.option("--users", type=int, required=True, help="Users served.")
 @click.option(
@@ -192,15 +225,11 @@ def main(ctx: click.Context, config_path: str | None, out: str, fmt: str, seed: 
     default="auto",
     show_default=True,
 )
-@click.pass_obj
-def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> None:
+def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
     """Print one library's memory-rate curve (corners and exact segments)."""
     if files < 1 or users < 1:
         raise click.UsageError("--files and --users must be at least 1")
-    try:
-        curve = build_by_kind(kind, files, users)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    curve = build_by_kind(kind, files, users)
     corners = tradeoff_to_json(curve)
     result = {
         "label": curve.label,
@@ -220,19 +249,17 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> None:
         [m, r, format_decimal(to_fraction(m)), format_decimal(to_fraction(r))]
         for m, r in corners
     )
-    record = _record(state, "tradeoff", None, files=files, users=users, kind=kind)
-    _emit(state, record, result, ["memory", "rate", "memory_decimal", "rate_decimal"], rows)
+    return None, result, ["memory", "rate", "memory_decimal", "rate_decimal"], rows
 
 
-@main.command("allocate")
+@_command("allocate")
 @click.option("--kinds", default="auto", show_default=True, help="Per-library curve kinds (comma list or one for all).")
 @click.option(
     "--oracle-step",
     default=None,
     help="Cross-check against exhaustive search on this grid step (exact fraction).",
 )
-@click.pass_obj
-def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
+def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
     """Split the cache budget across libraries greedily and rate the result."""
     config = state.load()
     curves = _curves(config, kinds)
@@ -242,14 +269,8 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
         raise VerificationFailure("allocation structure broken: " + "; ".join(problems))
     oracle = None
     if oracle_step is not None:
-        try:
-            step = to_fraction(oracle_step)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise click.UsageError(f"bad --oracle-step: {exc}") from exc
-        try:
-            best_alloc, best_rate = brute_force_allocate(config, curves, step)
-        except ValueError as exc:  # a step that is not positive, or too many splits
-            raise click.UsageError(str(exc)) from exc
+        step = _fraction(oracle_step, "--oracle-step")
+        best_alloc, best_rate = brute_force_allocate(config, curves, step)
         if best_rate != trace.rate:
             raise VerificationFailure(
                 f"greedy rate {trace.rate} differs from oracle rate {best_rate} "
@@ -289,7 +310,6 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
         ]
         for i, s in enumerate(trace.steps)
     )
-    record = _record(state, "allocate", config, kinds=kinds, oracle_step=oracle_step)
     header = [
         "step",
         "library",
@@ -299,21 +319,17 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> None:
         "allocated_total",
         "allocated_total_decimal",
     ]
-    _emit(state, record, result, header, rows)
+    return config, result, header, rows
 
 
-@main.command("sweep")
+@_command("sweep")
 @click.option("--samples", type=int, default=11, show_default=True, help="Grid sample count.")
 @click.option("--kinds", default="auto", show_default=True)
-@click.pass_obj
-def cmd_sweep(state: CliState, samples: int, kinds: str) -> None:
+def cmd_sweep(state: CliState, samples: int, kinds: str) -> tuple:
     """Sweep the first library's budget share from 0 to 1 (two libraries only)."""
     config = state.load()
     curves = _curves(config, kinds)
-    try:
-        result = lambda_sweep(config, curves, num_samples=samples)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    result = lambda_sweep(config, curves, num_samples=samples)
     share, rate = result.minimum()
     payload = {
         "points": [[str(s), str(r)] for s, r in result.points],
@@ -330,14 +346,12 @@ def cmd_sweep(state: CliState, samples: int, kinds: str) -> None:
         "minimum": {"lambda": str(share), "rate": str(rate)},
     }
     rows = ([str(s), str(r), format_decimal(s), format_decimal(r)] for s, r in result.points)
-    record = _record(state, "sweep", config, samples=samples, kinds=kinds)
-    _emit(state, record, payload, ["lambda", "rate", "lambda_decimal", "rate_decimal"], rows)
+    return config, payload, ["lambda", "rate", "lambda_decimal", "rate_decimal"], rows
 
 
-@main.command("converse")
+@_command("converse")
 @click.option("--kinds", default="auto", show_default=True)
-@click.pass_obj
-def cmd_converse(state: CliState, kinds: str) -> None:
+def cmd_converse(state: CliState, kinds: str) -> tuple:
     """Lower-bound the rate via the stacked library and report the gap."""
     config = state.load()
     curves = _curves(config, kinds)
@@ -353,11 +367,10 @@ def cmd_converse(state: CliState, kinds: str) -> None:
         "library_order": list(stack.permutation),
         "scale": str(concatenation_scale(config)),
     }
-    record = _record(state, "converse", config, kinds=kinds)
-    _emit(state, record, payload, ["key", "value"], report.to_json().items())
+    return config, payload, ["key", "value"], report.to_json().items()
 
 
-@main.command("simulate")
+@_command("simulate")
 @click.option(
     "--alloc",
     type=click.Choice(["greedy", "proportional", "explicit"]),
@@ -369,7 +382,6 @@ def cmd_converse(state: CliState, kinds: str) -> None:
 @click.option("--base-size", type=int, default=None, help="Total bits per size unit (default: smallest usable).")
 @click.option("--demand-cap", type=int, default=4096, show_default=True)
 @click.option("--stack/--no-stack", default=False, help="Also serve every stacked-library demand.")
-@click.pass_obj
 def cmd_simulate(
     state: CliState,
     alloc: str,
@@ -378,7 +390,7 @@ def cmd_simulate(
     base_size: int | None,
     demand_cap: int,
     stack: bool,
-) -> None:
+) -> tuple:
     """Run the scheme bit for bit over every demand and verify decoding."""
     config = state.load()
     built: dict = {}
@@ -394,14 +406,8 @@ def cmd_simulate(
     else:
         if explicit is None:
             raise click.UsageError("--alloc explicit needs --explicit")
-        try:
-            parts = tuple(to_fraction(p.strip()) for p in explicit.split(","))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise click.UsageError(f"bad --explicit: {exc}") from exc
-        try:
-            allocation = Allocation(parts)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        parts = tuple(_fraction(p, "--explicit") for p in explicit.split(","))
+        allocation = Allocation(parts)
         if len(parts) != config.num_libraries:
             raise click.UsageError(
                 f"--explicit lists {len(parts)} memories for {config.num_libraries} libraries"
@@ -413,22 +419,12 @@ def cmd_simulate(
     if claimed is None:
         claimed = memory_sharing_rate(config, allocation, _curves(config, kinds, built))
     scheme = _curves(config, "scheme", built)  # the curves the simulator runs
-    try:
-        needed = required_base_size(config, allocation, scheme)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    needed = required_base_size(config, allocation, scheme)
     chosen = base_size if base_size is not None else needed
-    try:
-        store = random_file_store(config, chosen, state.seed)
-        placement = place(store, config, allocation, scheme)
-        row_pass = RowPass(store, config, placement)
-        report = verify_all(row_pass, demand_cap)
-    except DivisibilityError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except CapExceededError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except DecodeMismatchError as exc:
-        raise VerificationFailure(str(exc)) from exc
+    store = random_file_store(config, chosen, state.seed)
+    placement = place(store, config, allocation, scheme)
+    row_pass = RowPass(store, config, placement)
+    report = verify_all(row_pass, demand_cap)
     if report.measured_rate != report.formula_rate:
         raise VerificationFailure(
             f"measured rate {report.measured_rate} != formula rate {report.formula_rate}"
@@ -437,12 +433,7 @@ def cmd_simulate(
     payload["claimed_rate"] = str(claimed)
     payload["decode_ok"] = True
     if stack:
-        try:
-            stack_report = reduction_demo(row_pass, demand_cap)
-        except CapExceededError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except DecodeMismatchError as exc:
-            raise VerificationFailure(str(exc)) from exc
+        stack_report = reduction_demo(row_pass, demand_cap)
         payload["stack"] = stack_report.to_json()
     rows = [
         ["demands_checked", report.demands_checked],
@@ -453,18 +444,7 @@ def cmd_simulate(
         ["formula_rate", str(report.formula_rate)],
         ["max_total_bits", report.max_total_bits],
     ]
-    record = _record(
-        state,
-        "simulate",
-        config,
-        alloc=alloc,
-        explicit=explicit,
-        kinds=kinds,
-        base_size=chosen,
-        demand_cap=demand_cap,
-        stack=stack,
-    )
-    _emit(state, record, payload, ["key", "value"], rows)
+    return config, payload, ["key", "value"], rows, {"base_size": chosen}
 
 
 if __name__ == "__main__":

@@ -191,6 +191,34 @@ def test_output_is_deterministic(runner):
     assert first.output == second.output
 
 
+@pytest.mark.parametrize(
+    "args, options",
+    [
+        (
+            ["allocate", "--oracle-step", "1/10", "--kinds", "auto"],
+            {"kinds": "auto", "oracle_step": "1/10"},
+        ),
+        # no --base-size: the record names the size the run chose
+        (
+            ["simulate", "--stack", "--demand-cap", "20000", "--alloc", "greedy"],
+            {
+                "alloc": "greedy",
+                "explicit": None,
+                "kinds": "auto",
+                "base_size": 10,
+                "demand_cap": 20000,
+                "stack": True,
+            },
+        ),
+    ],
+)
+def test_record_lists_options_in_declaration_order(runner, args, options):
+    payload = run_json(runner, ["--config", EXAMPLE] + args)
+    assert list(payload["record"]["options"].items()) == list(options.items())
+    if "base_size" in options:
+        assert payload["result"]["base_size"] == options["base_size"]
+
+
 def test_out_writes_file(runner, tmp_path):
     target = tmp_path / "sweep.json"
     result = runner.invoke(main, ["--config", EXAMPLE, "--out", str(target), "sweep"])
