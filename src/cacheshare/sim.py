@@ -624,7 +624,9 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     than the multi-library worst case.
 
     Each library's clamped row is read from `rows`, so rows `verify_all`
-    already served are not served again.
+    already served are not served again. A library kept for stacked file n
+    holds at least n files, so it serves file n itself, and its row outcome
+    already says which users decoded their piece wrongly.
     """
     config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
@@ -641,6 +643,8 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     if total > cap:
         raise CapExceededError(f"stack enumeration needs {total} vectors, cap is {cap}")
 
+    # per stacked file, the libraries (original 1-based indices) holding a piece of it
+    keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
     counts = config.file_counts
     max_total = 0
     for prime in product(range(1, n_max + 1), repeat=k):
@@ -648,20 +652,16 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
         outcomes = [rows.serve(library, row) for library, row in enumerate(induced, start=1)]
         max_total = max(max_total, sum(outcome.bits for outcome in outcomes))
         for user, n in enumerate(prime, start=1):
-            level = subfile_level(sorted_config, n)
-            keep = [permutation[pos] for pos in range(level - 1, config.num_libraries)]
-            actual = concat(outcomes[orig - 1].decoded[user - 1] for orig in keep)
-            expected = concat(store.files[orig - 1][n - 1] for orig in keep)
-            if actual != expected:
+            keep = keeps[n - 1]
+            if any(user in outcomes[orig - 1].failed for orig in keep):
+                actual = concat(outcomes[orig - 1].decoded[user - 1] for orig in keep)
+                expected = concat(store.files[orig - 1][n - 1] for orig in keep)
                 raise DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
 
-    stacked_bits = []
-    for n in range(1, n_max + 1):
-        level = subfile_level(sorted_config, n)
-        width = sum(
-            int(lib.alpha * store.base_size) for lib in sorted_config.libraries[level - 1 :]
-        )
-        stacked_bits.append(width)
+    stacked_bits = [
+        sum(store.files[orig - 1][n - 1].width for orig in keep)
+        for n, keep in enumerate(keeps, start=1)
+    ]
     return ReductionReport(
         demands_checked=total,
         stacked_file_bits=tuple(stacked_bits),

@@ -381,6 +381,52 @@ def test_stack_reads_the_rows_verification_served():
     assert rows.served == 8
 
 
+def stack_run():
+    # unsorted file counts, so the stacked files draw on different library sets
+    config = make_config(counts=(3, 1, 2), weights=(F(1, 3),) * 3, users=2, cache="1")
+    allocation = Allocation((F(1, 2), F(1, 6), F(1, 3)))
+    store = random_file_store(config, required_base_size(config, allocation), seed=22)
+    return config, allocation, store
+
+
+@pytest.mark.parametrize(
+    "mutant, witness_rows, user",
+    [
+        # library 3 flips a bit for user 2 asking for its file 2: stacked file 2
+        # draws on libraries 3 and 1, so user 2 fails at stack demand (1, 2)
+        ("flip", ((1, 2), (1, 1), (1, 2)), 2),
+        # library 1 hands user 1 file 1 for file 3: stacked file 3 lies in
+        # library 1 alone, so user 1 fails at stack demand (3, 1)
+        ("wrong_file", ((3, 1), (1, 1), (2, 1)), 1),
+    ],
+)
+def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witness_rows, user):
+    config, allocation, store = stack_run()
+    real = sim.decode
+
+    def corrupted(placement, parts, row, cfg, u, lib):
+        out = real(placement, parts, row, cfg, u, lib)
+        want = row[u - 1]
+        if mutant == "flip" and (lib, u, want) == (3, 2, 2):
+            return out.flip(0)
+        if mutant == "wrong_file" and (lib, u, want) == (1, 1, 3):
+            return store.files[0][0]
+        return out
+
+    monkeypatch.setattr(sim, "decode", corrupted)
+    placement = place(store, config, allocation)
+    with pytest.raises(DecodeMismatchError) as reference:
+        reference_reduction(store, config, placement)
+    with pytest.raises(DecodeMismatchError) as info:
+        reduction_demo(RowPass(store, config, placement))
+    want, got = reference.value, info.value
+    assert (got.demand, got.user, got.library, got.expected, got.actual) == (
+        want.demand, want.user, want.library, want.expected, want.actual
+    )
+    assert (got.demand.rows, got.user, got.library) == (witness_rows, user, 0)
+    assert got.actual != got.expected
+
+
 def test_reduction_demo_rejects_uneven_caches():
     config = reference_config()
     store = random_file_store(config, 10, seed=18)
