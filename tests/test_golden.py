@@ -91,7 +91,7 @@ def _invoke(args: list[str]):
 
 def _run(name: str, fmt: str) -> tuple[bytes, int]:
     config = str(CONFIG_DIR / (name.split(".")[0] + ".json"))
-    result = CliRunner().invoke(main, ["--config", config, "--format", fmt] + CASES[name])
+    result = _invoke(["--config", config, "--format", fmt] + CASES[name])
     return result.stdout_bytes, result.exit_code
 
 
