@@ -122,9 +122,8 @@ def _emit(state: CliState, record: dict, result: dict, header: list, rows: Itera
             fh.write(text + "\n")
 
 
-def _curves(config: NetworkConfig, kinds: str, built: dict | None = None):
-    """One curve per library. Each distinct (kind, file count) is built once
-    and kept in `built`, a dict that lives for one command only."""
+def _curves(config: NetworkConfig, kinds: str):
+    """One curve per library; each distinct (kind, file count) is built once."""
     names = [part.strip() for part in kinds.split(",") if part.strip()]
     if len(names) == 1:
         names = names * config.num_libraries
@@ -133,11 +132,7 @@ def _curves(config: NetworkConfig, kinds: str, built: dict | None = None):
             f"--kinds lists {len(names)} entries for {config.num_libraries} libraries"
         )
     shapes = list(zip(names, config.file_counts))
-    if built is None:
-        built = {}
-    for shape in dict.fromkeys(shapes):
-        if shape not in built:
-            built[shape] = build_by_kind(*shape, config.num_users)
+    built = {shape: build_by_kind(*shape, config.num_users) for shape in dict.fromkeys(shapes)}
     return [built[s] for s in shapes]
 
 
@@ -181,8 +176,9 @@ def _command(name: str):
     header, rows), optionally followed by a dict of option values to record in
     place of the given ones. The scaffold records every declared option in
     declaration order, writes the output, and maps library errors to exit
-    codes: a ValueError (DivisibilityError and CapExceededError among them) is
-    bad input and exits 2; a DecodeMismatchError is a failed check and exits 1.
+    codes: a ValueError (DivisibilityError and CapExceededError among them) or
+    an --out that cannot be written is bad input and exits 2; a
+    DecodeMismatchError is a failed check and exits 1.
     """
 
     def register(body):
@@ -209,7 +205,10 @@ def _command(name: str):
                 "config_digest": digest,
                 "options": options,
             }
-            _emit(state, record, result, header, rows)
+            try:
+                _emit(state, record, result, header, rows)
+            except OSError as exc:
+                raise click.UsageError(f"cannot write --out {state.out}: {exc.strerror}") from exc
 
         return main.command(name)(run)
 
@@ -393,14 +392,10 @@ def cmd_simulate(
 ) -> tuple:
     """Run the scheme bit for bit over every demand and verify decoding."""
     config = state.load()
-    built: dict = {}
     claimed = None  # the split's rate on the --kinds curves
     if alloc == "greedy":
-        curves = _curves(config, kinds, built)
-        trace = greedy_allocate(config, curves)
+        trace = greedy_allocate(config, _curves(config, kinds))
         allocation, claimed = trace.final, trace.rate
-        # a greedy curve that is not exact is its library's scheme curve
-        built.update({("scheme", c.num_files): c for c in curves if not c.exact})
     elif alloc == "proportional":
         allocation = proportional_allocation(config)
     else:
@@ -417,12 +412,11 @@ def cmd_simulate(
                 f"--explicit totals {allocation.total}, budget is {config.cache_size}"
             )
     if claimed is None:
-        claimed = memory_sharing_rate(config, allocation, _curves(config, kinds, built))
-    scheme = _curves(config, "scheme", built)  # the curves the simulator runs
-    needed = required_base_size(config, allocation, scheme)
-    chosen = base_size if base_size is not None else needed
-    store = random_file_store(config, chosen, state.seed)
-    placement = place(store, config, allocation, scheme)
+        claimed = memory_sharing_rate(config, allocation, _curves(config, kinds))
+    if base_size is None:
+        base_size = required_base_size(config, allocation)
+    store = random_file_store(config, base_size, state.seed)
+    placement = place(store, config, allocation)
     row_pass = RowPass(store, config, placement)
     report = verify_all(row_pass, demand_cap)
     if report.measured_rate != report.formula_rate:
@@ -444,7 +438,7 @@ def cmd_simulate(
         ["formula_rate", str(report.formula_rate)],
         ["max_total_bits", report.max_total_bits],
     ]
-    return config, payload, ["key", "value"], rows, {"base_size": chosen}
+    return config, payload, ["key", "value"], rows, {"base_size": base_size}
 
 
 if __name__ == "__main__":

@@ -78,10 +78,6 @@ class SchemePart:
 class LibraryPlan:
     parts: tuple[SchemePart, ...]
 
-    @property
-    def file_bits(self) -> int:
-        return sum(p.file_bits for p in self.parts)
-
 
 @dataclass(frozen=True)
 class PlacementState:
@@ -130,11 +126,15 @@ def library_bit_requirement(config: NetworkConfig) -> int:
     return req
 
 
-def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileStore:
-    """Independent uniform file contents; library l files get alpha_l * base_size bits."""
-    req = library_bit_requirement(config)
+def _check_positive(base_size: int) -> None:
     if base_size < 1:
         raise DivisibilityError(f"base size {base_size} bits must be positive")
+
+
+def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileStore:
+    """Independent uniform file contents; library l files get alpha_l * base_size bits."""
+    _check_positive(base_size)
+    req = library_bit_requirement(config)
     if base_size % req:
         raise DivisibilityError(
             f"base size {base_size} bits leaves fractional files; use a multiple of {req}"
@@ -149,19 +149,9 @@ def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileS
     return FileStore(base_size=base_size, files=files)
 
 
-def scheme_curves(
-    config: NetworkConfig, curves: Sequence[PiecewiseLinearTradeoff] | None = None
-) -> Sequence[PiecewiseLinearTradeoff]:
-    """Each library's scheme envelope, built once per distinct file count.
-
-    Given `curves`, check that they are those envelopes and return them as is,
-    so a command can build them once and pass them to every step.
-    """
+def scheme_curves(config: NetworkConfig) -> list[PiecewiseLinearTradeoff]:
+    """Each library's scheme envelope, built once per distinct file count."""
     k = config.num_users
-    if curves is not None:
-        if [c.label for c in curves] != [f"scheme(N={n},K={k})" for n in config.file_counts]:
-            raise ValueError("the simulator needs each library's own scheme curve")
-        return curves
     built = {n: build_scheme_tradeoff(n, k) for n in dict.fromkeys(config.file_counts)}
     return [built[n] for n in config.file_counts]
 
@@ -169,9 +159,10 @@ def scheme_curves(
 def _plan_weights(
     config: NetworkConfig,
     allocation: Allocation,
-    curves: Sequence[PiecewiseLinearTradeoff] | None,
+    curves: Sequence[PiecewiseLinearTradeoff],
 ) -> list[list[tuple[int, Fraction]]]:
-    """Per library, the (t, fraction-of-file) parts realizing its memory slice."""
+    """Per library, the (t, fraction-of-file) parts realizing its memory slice
+    on its scheme curve in `curves`."""
     if len(allocation.per_library) != config.num_libraries:
         raise ValueError(
             f"allocation has {len(allocation.per_library)} entries for "
@@ -180,7 +171,7 @@ def _plan_weights(
     k = config.num_users
     out: list[list[tuple[int, Fraction]]] = []
     for idx, (lib, budget, env) in enumerate(
-        zip(config.libraries, allocation.per_library, scheme_curves(config, curves)), start=1
+        zip(config.libraries, allocation.per_library, curves), start=1
     ):
         m = budget / lib.alpha
         n = lib.num_files
@@ -191,8 +182,7 @@ def _plan_weights(
         seg = env.segment_index(m) if m < n else env.num_segments
         parts: list[tuple[int, Fraction]]
         if seg == env.num_segments or env.breakpoints[seg] == m:
-            theta = m
-            t = theta * k / n
+            t = m * k / n
             assert t.denominator == 1
             parts = [(int(t), Fraction(1))]
         else:
@@ -215,42 +205,10 @@ def _base_requirement(config: NetworkConfig, weights: list[list[tuple[int, Fract
     return req
 
 
-def required_base_size(
-    config: NetworkConfig,
-    allocation: Allocation,
-    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
-) -> int:
+def required_base_size(config: NetworkConfig, allocation: Allocation) -> int:
     """Smallest base size (total bits) this split can run at; valid sizes are
-    its multiples. Covers whole-bit files, parts, and subfiles. Pass the
-    libraries' scheme curves as `curves` to skip building them."""
-    return _base_requirement(config, _plan_weights(config, allocation, curves))
-
-
-def build_plans(
-    config: NetworkConfig,
-    allocation: Allocation,
-    base_size: int,
-    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
-) -> tuple[LibraryPlan, ...]:
-    weights = _plan_weights(config, allocation, curves)
-    req = _base_requirement(config, weights)
-    if base_size < 1 or base_size % req:
-        raise DivisibilityError(
-            f"base size {base_size} bits cannot realize this split; "
-            f"use a multiple of {req}"
-        )
-    k = config.num_users
-    plans = []
-    for lib, parts in zip(config.libraries, weights):
-        scheme_parts = []
-        for t, weight in parts:
-            sub = lib.alpha * weight * base_size / math.comb(k, t)
-            assert sub.denominator == 1
-            scheme_parts.append(
-                SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
-            )
-        plans.append(LibraryPlan(parts=tuple(scheme_parts)))
-    return tuple(plans)
+    its multiples. Covers whole-bit files, parts, and subfiles."""
+    return _base_requirement(config, _plan_weights(config, allocation, scheme_curves(config)))
 
 
 @lru_cache(maxsize=None)
@@ -308,21 +266,34 @@ def _decode_table(
     return tuple(table)
 
 
-def place(
-    store: FileStore,
-    config: NetworkConfig,
-    allocation: Allocation,
-    curves: Sequence[PiecewiseLinearTradeoff] | None = None,
-) -> PlacementState:
-    """Fill every user's cache; deterministic given the store and the split.
+def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> PlacementState:
+    """Plan the split on the libraries' scheme curves and fill every user's
+    cache; deterministic given the store and the split.
 
     Cache layout per (user, library): parts in plan order, files in id order,
-    cached subsets in lexicographic order. `curves` are the libraries' scheme
-    curves; None builds them.
+    cached subsets in lexicographic order.
     """
-    curves = scheme_curves(config, curves)
-    plans = build_plans(config, allocation, store.base_size, curves)
+    base_size = store.base_size
+    _check_positive(base_size)
+    curves = scheme_curves(config)
+    weights = _plan_weights(config, allocation, curves)
+    req = _base_requirement(config, weights)
+    if base_size % req:
+        raise DivisibilityError(
+            f"base size {base_size} bits cannot realize this split; "
+            f"use a multiple of {req}"
+        )
     k = config.num_users
+    plans = []
+    for lib, parts in zip(config.libraries, weights):
+        scheme_parts = []
+        for t, weight in parts:
+            sub = lib.alpha * weight * base_size / math.comb(k, t)
+            assert sub.denominator == 1
+            scheme_parts.append(
+                SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
+            )
+        plans.append(LibraryPlan(parts=tuple(scheme_parts)))
     caches = []
     for user in range(1, k + 1):
         segments = []
@@ -343,7 +314,7 @@ def place(
         caches.append(tuple(segments))
     return PlacementState(
         allocation=allocation,
-        plans=plans,
+        plans=tuple(plans),
         caches=tuple(caches),
         formula_rate=split_rate(config, allocation, curves),
     )

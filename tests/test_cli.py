@@ -228,6 +228,15 @@ def test_out_writes_file(runner, tmp_path):
     assert payload["record"]["command"] == "sweep"
 
 
+def test_out_that_cannot_be_opened_is_usage_error(runner, tmp_path):
+    target = tmp_path / "missing" / "sweep.json"
+    result = runner.invoke(main, ["--config", EXAMPLE, "--out", str(target), "sweep"])
+    assert result.exit_code == 2
+    assert f"Error: cannot write --out {target}: No such file or directory\n" in result.stderr
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_is_usage_error(runner):
     result = runner.invoke(main, ["allocate"])
     assert result.exit_code == 2

@@ -19,7 +19,6 @@ from cacheshare.sim import (
     LibraryPlan,
     RowPass,
     SchemePart,
-    build_plans,
     decode,
     deliver,
     library_bit_requirement,
@@ -72,17 +71,21 @@ def test_required_base_size_frozen_examples():
     assert required_base_size(unequal, Allocation((F(1, 4), F(1, 4)))) == 8
 
 
+def plans_at(config, allocation, base_size):
+    return place(random_file_store(config, base_size, seed=1), config, allocation).plans
+
+
 def test_corner_plans_match_hand_layout():
     config = reference_config()
     allocation = Allocation((F(2, 5), F(3, 5)))
-    plans = build_plans(config, allocation, 40)
+    plans = plans_at(config, allocation, 40)
     assert plans[0] == LibraryPlan(parts=(SchemePart(t=1, file_bits=16, subfile_bits=8),))
     assert plans[1] == LibraryPlan(parts=(SchemePart(t=1, file_bits=24, subfile_bits=12),))
 
 
 def test_split_plans_share_between_adjacent_vertices():
     config = reference_config()
-    plans = build_plans(config, Allocation((F(1, 5), F(4, 5))), 10)
+    plans = plans_at(config, Allocation((F(1, 5), F(4, 5))), 10)
     # library one runs halfway between t=0 and t=1
     assert plans[0] == LibraryPlan(
         parts=(SchemePart(t=0, file_bits=2, subfile_bits=2), SchemePart(t=1, file_bits=2, subfile_bits=1))
@@ -93,17 +96,49 @@ def test_split_plans_share_between_adjacent_vertices():
     )
 
 
-def test_build_plans_rejects_indivisible_base_size():
+def test_place_rejects_indivisible_base_size():
     config = reference_config()
     allocation = Allocation((F(2, 5), F(3, 5)))
     with pytest.raises(DivisibilityError, match="use a multiple of 10"):
-        build_plans(config, allocation, 15)
+        plans_at(config, allocation, 15)
 
 
 def test_allocation_beyond_library_content_is_rejected():
     config = reference_config(cache="2")
     with pytest.raises(ValueError, match="more than its content"):
-        build_plans(config, Allocation((F(9, 10), F(11, 10))), 40)
+        plans_at(config, Allocation((F(9, 10), F(11, 10))), 40)
+
+
+@pytest.mark.parametrize("size", [0, -10])
+def test_place_names_a_base_size_that_is_not_positive(size):
+    # a hand-built store skips random_file_store's check; place gives the same message
+    config = reference_config()
+    store = FileStore(base_size=size, files=((), ()))
+    with pytest.raises(DivisibilityError, match=f"^base size {size} bits must be positive$"):
+        place(store, config, Allocation((F(2, 5), F(3, 5))))
+
+
+def test_place_accepts_exactly_the_multiples_of_the_required_base_size():
+    rng = random.Random(8117)
+    rejected = 0
+    for seed in range(40):
+        shape = random_sim_config(rng)
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, shape)
+        need = required_base_size(config, allocation)
+        for size in (need, 2 * need):
+            plans = place(random_file_store(config, size, seed), config, allocation).plans
+            for lib, plan in zip(config.libraries, plans):
+                assert sum(part.file_bits for part in plan.parts) == lib.alpha * size
+        # sizes that give whole-bit files but not whole-bit subfiles, if any
+        files_only = library_bit_requirement(config)
+        assert need % files_only == 0
+        if need > files_only:
+            rejected += 1
+            for bad in (files_only, need + files_only):
+                with pytest.raises(DivisibilityError, match=f"use a multiple of {need}$"):
+                    place(random_file_store(config, bad, seed), config, allocation)
+    assert rejected > 0
 
 
 def test_cache_layout_is_store_slices_in_declared_order():
