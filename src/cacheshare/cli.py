@@ -140,7 +140,9 @@ def _fraction(text: str, flag: str) -> Fraction:
     """An exact fraction given to `flag`; anything else is bad input naming the flag."""
     try:
         return to_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise click.UsageError(f"bad {flag}: {text} has a zero denominator") from exc
+    except ValueError as exc:
         raise click.UsageError(f"bad {flag}: {exc}") from exc
 
 

@@ -338,6 +338,14 @@ def test_negative_explicit_memory_is_named_exactly(runner):
     assert "Fraction(" not in result.stderr
 
 
+def test_zero_denominator_in_explicit_is_named(runner):
+    args = ["--config", EXAMPLE, "simulate", "--alloc", "explicit", "--explicit", "1/0,1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Error: bad --explicit: 1/0 has a zero denominator\n" in result.stderr
+    assert "Fraction(" not in result.stderr
+
+
 def test_demand_cap_exceeded(runner):
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate", "--demand-cap", "3"])
     assert result.exit_code == 2
