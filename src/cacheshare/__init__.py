@@ -65,6 +65,7 @@ from .tradeoff import (
     build_exact_two_by_two,
     build_scheme_tradeoff,
     lower_convex_envelope,
+    tradeoff_segments_to_json,
     tradeoff_to_json,
 )
 

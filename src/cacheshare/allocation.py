@@ -17,7 +17,13 @@ from fractions import Fraction
 from itertools import count, product, repeat
 from typing import Sequence
 
-from .model import CapExceededError, NetworkConfig, to_fraction, total_content
+from .model import (
+    CapExceededError,
+    NetworkConfig,
+    reduce_ratio,
+    to_fraction,
+    total_content,
+)
 from .tradeoff import PiecewiseLinearTradeoff
 
 
@@ -38,15 +44,50 @@ class Allocation:
         return sum(self.per_library, Fraction(0))
 
 
-@dataclass(frozen=True)
 class AllocationStep:
     """One greedy step: library chosen (1-based), its segment before the step,
-    memory added, and the running total afterwards."""
+    memory added, and the running total afterwards.
 
-    library: int
-    segment: int
-    delta: Fraction
-    allocated_total: Fraction
+    The greedy counts memory in integer units of 1/scale, and a step keeps its
+    two memories that way; `delta` and `allocated_total` read them as exact
+    Fractions. Steps are equal when these four values are, whatever the scale.
+    """
+
+    __slots__ = ("library", "segment", "delta_units", "total_units", "scale")
+
+    def __init__(
+        self, library: int, segment: int, delta_units: int, total_units: int, scale: int
+    ) -> None:
+        self.library = library
+        self.segment = segment
+        self.delta_units = delta_units
+        self.total_units = total_units
+        self.scale = scale
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.delta_units, self.scale)
+
+    @property
+    def allocated_total(self) -> Fraction:
+        return Fraction(self.total_units, self.scale)
+
+    def _values(self) -> tuple:
+        return self.library, self.segment, self.delta, self.allocated_total
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AllocationStep):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"AllocationStep(library={self.library}, segment={self.segment}, "
+            f"delta={self.delta!r}, allocated_total={self.allocated_total!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,8 +169,8 @@ class _Steeper:
 
     __slots__ = ("num", "den", "lib", "seg")
 
-    def __init__(self, slope: Fraction, lib: int, seg: int) -> None:
-        self.num, self.den = slope.as_integer_ratio()
+    def __init__(self, slope: tuple[int, int], lib: int, seg: int) -> None:
+        self.num, self.den = slope
         self.lib = lib
         self.seg = seg
 
@@ -155,15 +196,15 @@ def greedy_allocate(
     Memory is counted in integer units of 1/scale, where scale is the lcm of
     the budget's denominator and of each alpha_l's denominator times the lcm
     of its curve's breakpoint denominators: every alpha_l * breakpoint and the
-    budget are whole there, so the running total is an int and the steps'
-    Fractions are built only for the trace.
+    budget are whole there, so the running total is an int, and each step
+    keeps its memories as ints over scale.
     """
     check_pairing(config, tradeoffs)
     budget = config.cache_size
     shares = [alpha.as_integer_ratio() for alpha in config.alphas]
     distinct = {id(curve): curve for curve in tradeoffs}  # libraries often share a curve
     spacing = {
-        key: math.lcm(*(b.denominator for b in curve.breakpoints))
+        key: math.lcm(*(q for _, q in curve.breakpoint_ratios))
         for key, curve in distinct.items()
     }
     scale = math.lcm(
@@ -176,13 +217,16 @@ def greedy_allocate(
     total = 0
     inside = None  # library whose last step stopped inside a segment
     order = heapq.merge(
-        *(map(_Steeper, curve.slopes, repeat(lib), count()) for lib, curve in enumerate(tradeoffs))
+        *(
+            map(_Steeper, curve.slope_ratios, repeat(lib), count())
+            for lib, curve in enumerate(tradeoffs)
+        )
     )
     for key in order:
         if total >= limit:
             break
         lib, seg = key.lib, key.seg
-        p, q = tradeoffs[lib].breakpoints[seg + 1].as_integer_ratio()
+        p, q = tradeoffs[lib].breakpoint_ratios[seg + 1]
         end = weight[lib] * p // q
         delta = end - filled[lib]
         if total + delta <= limit:
@@ -190,7 +234,7 @@ def greedy_allocate(
         else:
             delta, inside = limit - total, lib
         total += delta
-        steps.append(AllocationStep(lib + 1, seg, Fraction(delta, scale), Fraction(total, scale)))
+        steps.append(AllocationStep(lib + 1, seg, delta, total, scale))
     if total < limit:
         # every curve exhausted; cannot happen while total < total content
         raise ValueError(f"budget {budget} exceeds total content")
@@ -243,7 +287,7 @@ def brute_force_allocate(
         combo = 1
         for lib in range(L):
             if lib != free:
-                combo *= len(tradeoffs[lib].breakpoints)
+                combo *= len(tradeoffs[lib].breakpoint_ratios)
         corner_count += combo
     if grid_count + corner_count > cap:
         raise CapExceededError(
@@ -253,7 +297,7 @@ def brute_force_allocate(
     # every candidate memory as an int count of 1/D units: D clears the
     # budget, the step and every corner alpha_l * breakpoint
     corners = [
-        [(a * p, b * q) for p, q in map(Fraction.as_integer_ratio, curve.breakpoints)]
+        [(a * p, b * q) for p, q in curve.breakpoint_ratios]
         for (a, b), curve in zip(map(Fraction.as_integer_ratio, alphas), tradeoffs)
     ]
     D = math.lcm(
@@ -319,20 +363,25 @@ def corner_structure_violations(
     gain still available where the partially filled library stopped.
     """
     check_pairing(config, tradeoffs)
-    alphas = config.alphas
     L = config.num_libraries
     index: list[int] = []
-    interior: list[bool] = []
-    for lib in range(L):
-        m = allocation.per_library[lib] / alphas[lib]
-        curve = tradeoffs[lib]
-        seg = curve.segment_index(m)
-        at_corner = seg == curve.num_segments or curve.breakpoints[seg] == m
+    inside: list[int] = []
+    gains: list[tuple[int, int]] = []  # next-segment slopes as pairs, (0, 1) past the end
+    for lib, (m, alpha, curve) in enumerate(zip(allocation.per_library, config.alphas, tradeoffs)):
+        p, q = (m / alpha).as_integer_ratio()
+        seg = curve.segment_of(p, q)
         index.append(seg)
-        interior.append(not at_corner)
+        if seg == curve.num_segments:
+            gains.append((0, 1))
+        else:
+            gains.append(curve.slope_ratios[seg])
+            if curve.breakpoint_ratios[seg] != (p, q):
+                inside.append(lib)
+
+    def beats(a: tuple[int, int], b: tuple[int, int]) -> bool:
+        return a[0] * b[1] > b[0] * a[1]
 
     violations: list[str] = []
-    inside = [lib for lib in range(L) if interior[lib]]
     if len(inside) > 1:
         violations.append(
             f"libraries {[lib + 1 for lib in inside]} all sit strictly inside a segment"
@@ -340,22 +389,27 @@ def corner_structure_violations(
     if inside:
         pivot = inside[0]
     else:
-        pivot = max(range(L), key=lambda lib: tradeoffs[lib].right_slope(index[lib]))
-    pivot_gain = tradeoffs[pivot].right_slope(index[pivot])
-    for lib in range(L):
-        gain = tradeoffs[lib].right_slope(index[lib])
-        if gain > pivot_gain:
+        pivot = 0  # the steepest gain, ties to the smallest library
+        for lib in range(1, L):
+            if beats(gains[lib], gains[pivot]):
+                pivot = lib
+    pivot_gain = gains[pivot]
+    consumed = [
+        (other, tradeoffs[other].slope_ratios[index[other] - 1])
+        for other in range(L)
+        if index[other] > 0
+    ]
+    for lib, gain in enumerate(gains):
+        if beats(gain, pivot_gain):
             violations.append(
-                f"library {lib + 1} next gain {gain} beats stopping gain {pivot_gain}"
+                f"library {lib + 1} next gain {Fraction(*gain)} beats stopping gain "
+                f"{Fraction(*pivot_gain)}"
             )
-        for other in range(L):
-            if index[other] == 0:
-                continue
-            consumed = tradeoffs[other].slopes[index[other] - 1]
-            if gain > consumed:
+        for other, slope in consumed:
+            if beats(gain, slope):
                 violations.append(
-                    f"library {lib + 1} next gain {gain} beats consumed segment "
-                    f"of library {other + 1} ({consumed})"
+                    f"library {lib + 1} next gain {Fraction(*gain)} beats consumed segment "
+                    f"of library {other + 1} ({Fraction(*slope)})"
                 )
     return violations
 
@@ -398,55 +452,68 @@ def lambda_sweep(
         raise ValueError(f"sweep needs exactly two libraries, got {config.num_libraries}")
     if num_samples < 2:
         raise ValueError("need at least two samples")
-    budget = config.cache_size
-    a1, a2 = config.alphas
+    (P, Q), (A1, B1), (A2, B2) = (
+        value.as_integer_ratio() for value in (config.cache_size, *config.alphas)
+    )
     t1, t2 = tradeoffs
-
-    def line_at(share: Fraction) -> tuple[Fraction, Fraction]:
-        # rate = intercept + slope * share on the segment containing `share`
-        i = t1.segment_index(share * budget / a1)
-        j = t2.segment_index((1 - share) * budget / a2)
-        z1, g1 = (
-            (t1.intercepts[i], t1.slopes[i]) if i < t1.num_segments else (Fraction(0),) * 2
-        )
-        z2, g2 = (
-            (t2.intercepts[j], t2.slopes[j]) if j < t2.num_segments else (Fraction(0),) * 2
-        )
-        intercept = a1 * z1 + a2 * z2 - g2 * budget
-        slope = (g2 - g1) * budget
-        return intercept, slope
-
-    cuts = {Fraction(0), Fraction(1)}
-    if budget > 0:
-        for theta in t1.breakpoints[1:]:
-            share = theta * a1 / budget
-            if 0 < share < 1:
-                cuts.add(share)
-        for theta in t2.breakpoints[1:]:
-            share = 1 - theta * a2 / budget
-            if 0 < share < 1:
-                cuts.add(share)
-    cut_list = sorted(cuts)
-
-    segments: list[SweepSegment] = []
-    for lo, hi in zip(cut_list, cut_list[1:]):
-        intercept, slope = line_at((lo + hi) / 2)
-        if segments and (segments[-1].intercept, segments[-1].slope) == (intercept, slope):
-            last = segments.pop()
-            segments.append(SweepSegment(last.start, hi, intercept, slope))
-        else:
-            segments.append(SweepSegment(lo, hi, intercept, slope))
-    breakpoints = tuple(
-        [segments[0].start] + [seg.end for seg in segments]
+    # Memory in integer units of 1/E, as in greedy_allocate: E clears the budget
+    # and every alpha_l * breakpoint, so each library's corners are whole.
+    E = math.lcm(
+        Q,
+        B1 * math.lcm(*(q for _, q in t1.breakpoint_ratios)),
+        B2 * math.lcm(*(q for _, q in t2.breakpoint_ratios)),
+    )
+    total = P * (E // Q)
+    corners1 = [A1 * (E // B1) * p // q for p, q in t1.breakpoint_ratios]
+    corners2 = [A2 * (E // B2) * p // q for p, q in t2.breakpoint_ratios]
+    # Shares are ints over den: share s puts s * total / den units into library
+    # one and the rest into library two. den is the budget in units, or 1 when
+    # the budget is empty and every share puts nothing anywhere.
+    den = total or 1
+    cuts = sorted(
+        {0, den}
+        | {c for c in corners1 if 0 < c < total}
+        | {total - c for c in corners2 if 0 < c < total}
     )
 
-    shares = set(breakpoints)
-    for k in range(num_samples):
-        shares.add(Fraction(k, num_samples - 1))
+    def segment_line(curve: PiecewiseLinearTradeoff, seg: int) -> tuple[tuple[int, int], ...]:
+        """(intercept, slope) of segment `seg` as pairs; zero past the end."""
+        if seg == curve.num_segments:
+            return (0, 1), (0, 1)
+        return curve.intercept_ratios[seg], curve.slope_ratios[seg]
+
+    # No corner lies strictly between two cuts, so on (lo, hi) library one sits
+    # on the segment of its memory at lo and library two on that of its memory
+    # at hi: the count of corners past 0 at or below that memory.
+    lines = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        (z1, w1), (g1, h1) = segment_line(t1, bisect_right(corners1, lo * total // den) - 1)
+        (z2, w2), (g2, h2) = segment_line(t2, bisect_right(corners2, (den - hi) * total // den) - 1)
+        # rate = alpha_1 zeta_1 + alpha_2 zeta_2 - gamma_2 M + (gamma_2 - gamma_1) M * share
+        intercept = reduce_ratio(
+            (A1 * z1 * B2 * w2 + A2 * z2 * B1 * w1) * h2 * Q - g2 * P * B1 * w1 * B2 * w2,
+            B1 * w1 * B2 * w2 * h2 * Q,
+        )
+        slope = reduce_ratio((g2 * h1 - g1 * h2) * P, h1 * h2 * Q)
+        if lines and lines[-1][2:] == (intercept, slope):
+            lines[-1] = (lines[-1][0], hi, intercept, slope)
+        else:
+            lines.append((lo, hi, intercept, slope))
+    segments = tuple(
+        SweepSegment(Fraction(lo, den), Fraction(hi, den), Fraction(*ic), Fraction(*sl))
+        for lo, hi, ic, sl in lines
+    )
+    breakpoints = (segments[0].start,) + tuple(seg.end for seg in segments)
+
+    # every breakpoint and sample share as an int over D = den * (num_samples - 1)
+    steps = num_samples - 1
+    D = den * steps
+    ends = [lo * steps for lo, _, _, _ in lines]
+    shares = {hi * steps for _, hi, _, _ in lines} | set(ends) | set(range(0, D + 1, den))
     # each point on its segment's line; the rate is continuous, so a share on
     # a breakpoint reads the same from either side
     points = []
-    for s in sorted(shares):
-        seg = segments[bisect_right(breakpoints, s, hi=len(segments)) - 1]
-        points.append((s, seg.intercept + seg.slope * s))
-    return SweepResult(points=tuple(points), breakpoints=breakpoints, segments=tuple(segments))
+    for u in sorted(shares):
+        _, _, (a, b), (c, d) = lines[bisect_right(ends, u) - 1]
+        points.append((Fraction(u, D), Fraction(a * d * D + c * u * b, b * d * D)))
+    return SweepResult(points=tuple(points), breakpoints=breakpoints, segments=segments)

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import io
 import json
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -34,6 +35,8 @@ from .model import (
     canonical_config_json,
     format_decimal,
     load_config,
+    ratio_decimal,
+    ratio_text,
     to_fraction,
     validate,
 )
@@ -46,7 +49,7 @@ from .sim import (
     required_base_size,
     verify_all,
 )
-from .tradeoff import build_by_kind, tradeoff_to_json
+from .tradeoff import build_by_kind, tradeoff_segments_to_json, tradeoff_to_json
 
 
 class VerificationFailure(click.ClickException):
@@ -66,9 +69,13 @@ class CliState:
         if self.config_path is None:
             raise click.UsageError("this command needs --config")
         try:
-            config = load_config(self.config_path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                config = load_config(self.config_path)
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load config: {exc}") from exc
+        for warning in caught:  # an oversized cache, clamped
+            click.echo(f"warning: {warning.message}", err=True)
         problems = validate(config)
         if problems:
             raise click.UsageError("invalid config: " + "; ".join(problems))
@@ -236,15 +243,7 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
         "label": curve.label,
         "exact": curve.exact,
         "corners": corners,
-        "segments": [
-            {
-                "start": str(curve.breakpoints[i]),
-                "end": str(curve.breakpoints[i + 1]),
-                "intercept": str(curve.intercepts[i]),
-                "slope": str(-curve.slopes[i]),
-            }
-            for i in range(curve.num_segments)
-        ],
+        "segments": tradeoff_segments_to_json(curve),
     }
     rows = (
         [m, r, format_decimal(to_fraction(m)), format_decimal(to_fraction(r))]
@@ -281,19 +280,19 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
             "rate": str(best_rate),
             "allocation": [str(m) for m in best_alloc.per_library],
         }
+    # each step's memories as text, straight from its integer units
+    texts = [
+        (ratio_text(s.delta_units, s.scale), ratio_text(s.total_units, s.scale))
+        for s in trace.steps
+    ]
     result = {
         "allocation": [str(m) for m in trace.final.per_library],
         "rate": str(trace.rate),
         "rate_decimal": format_decimal(trace.rate),
         "labels": list(trace.tradeoff_labels),
         "steps": [
-            {
-                "library": s.library,
-                "segment": s.segment,
-                "delta": str(s.delta),
-                "allocated_total": str(s.allocated_total),
-            }
-            for s in trace.steps
+            {"library": s.library, "segment": s.segment, "delta": delta, "allocated_total": total}
+            for s, (delta, total) in zip(trace.steps, texts)
         ],
         "structure_ok": True,
     }
@@ -304,12 +303,12 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
             i + 1,
             s.library,
             s.segment,
-            str(s.delta),
-            format_decimal(s.delta),
-            str(s.allocated_total),
-            format_decimal(s.allocated_total),
+            delta,
+            ratio_decimal(s.delta_units, s.scale),
+            total,
+            ratio_decimal(s.total_units, s.scale),
         ]
-        for i, s in enumerate(trace.steps)
+        for i, (s, (delta, total)) in enumerate(zip(trace.steps, texts))
     )
     header = [
         "step",

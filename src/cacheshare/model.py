@@ -8,11 +8,13 @@ Floats are refused at the boundary rather than silently truncated.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 DEFAULT_DEMAND_CAP = 4096
 
@@ -53,6 +55,44 @@ def format_decimal(value: Fraction) -> str:
     return f"{float(value):.17g}"
 
 
+def ratio_decimal(numerator: int, denominator: int) -> str:
+    """`format_decimal(Fraction(numerator, denominator))` without building the
+    Fraction: int true division rounds correctly, as a Fraction's float does."""
+    return f"{numerator / denominator:.17g}"
+
+
+def reduce_ratio(numerator: int, denominator: int) -> tuple[int, int]:
+    """numerator/denominator in lowest terms; the denominator must be positive."""
+    g = math.gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def ratio_text(numerator: int, denominator: int) -> str:
+    """`str(Fraction(numerator, denominator))` for a positive denominator,
+    without building the Fraction: one gcd, then "n/d", or "n" when the
+    denominator divides."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
+
+
+def reduced_texts(ratios: Iterable[tuple[int, int]]) -> list[str]:
+    """`ratio_text` of each pair, for pairs already in lowest terms: no gcd."""
+    return [str(n) if d == 1 else f"{n}/{d}" for n, d in ratios]
+
+
+def _caller_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, for the function that calls this one, of
+    the nearest frame outside the package, so that a warning names the line of
+    the caller's own code that led to it (the dataclass-generated `__init__`
+    runs in the package's namespace too)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("cacheshare."):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class LibrarySpec:
     """One file library: how many files it holds and its size weight."""
@@ -84,7 +124,7 @@ class NetworkConfig:
         if cache > total:
             warnings.warn(
                 f"cache size {cache} exceeds total content {total}; clamping",
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
             cache = total
         object.__setattr__(self, "cache_size", cache)

@@ -9,12 +9,19 @@ enforced at construction, so downstream code can lean on it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .model import to_fraction
+from .model import reduce_ratio, reduced_texts, to_fraction
+
+Ratio = tuple[int, int]  # (numerator, denominator): lowest terms, denominator > 0
+
+
+def _fractions(ratios: Iterable[Ratio]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, d) for n, d in ratios)
 
 
 @dataclass(frozen=True)
@@ -23,38 +30,67 @@ class CornerPoint:
     rate: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseLinearTradeoff:
     """Convex decreasing memory-rate curve on [0, N], zero at N.
 
     `label` names the construction (for traces and reports); `exact` marks
     curves known to be the true optimum rather than just achievable.
+
+    The curve keeps its breakpoints, slopes and intercepts as integer
+    (numerator, denominator) pairs in lowest terms with positive
+    denominators, and every method works on those. Denominators are positive,
+    so a/b < c/d exactly when a*d < c*b: the same exact answers as Fraction
+    arithmetic, with no Fraction built on the way. `breakpoints`, `slopes` and
+    `intercepts` read the pairs as Fractions, built on first read.
     """
 
     num_files: int
-    breakpoints: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
-    intercepts: tuple[Fraction, ...]
+    breakpoint_ratios: tuple[Ratio, ...]
+    slope_ratios: tuple[Ratio, ...]
+    intercept_ratios: tuple[Ratio, ...]
     label: str = "custom"
     exact: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(map(to_fraction, self.breakpoints)))
-        object.__setattr__(self, "slopes", tuple(map(to_fraction, self.slopes)))
-        object.__setattr__(self, "intercepts", tuple(map(to_fraction, self.intercepts)))
-        if self.num_files < 1:
-            raise ValueError(f"num_files = {self.num_files} < 1")
-        bp, sl, ic = self.breakpoints, self.slopes, self.intercepts
-        if len(bp) < 2 or len(sl) != len(bp) - 1 or len(ic) != len(sl):
+    def __init__(
+        self,
+        num_files: int,
+        breakpoints: Iterable[Fraction | int | str],
+        slopes: Iterable[Fraction | int | str],
+        intercepts: Iterable[Fraction | int | str],
+        label: str = "custom",
+        exact: bool = False,
+    ) -> None:
+        ratios = (
+            tuple(to_fraction(v).as_integer_ratio() for v in values)
+            for values in (breakpoints, slopes, intercepts)
+        )
+        self._set(num_files, *ratios, label, exact)
+
+    @classmethod
+    def from_ratios(
+        cls,
+        num_files: int,
+        breakpoints: tuple[Ratio, ...],
+        slopes: tuple[Ratio, ...],
+        intercepts: tuple[Ratio, ...],
+        label: str = "custom",
+        exact: bool = False,
+    ) -> "PiecewiseLinearTradeoff":
+        """The curve of the given pairs, each in lowest terms with a positive
+        denominator; checked like any other."""
+        curve = cls.__new__(cls)
+        curve._set(num_files, breakpoints, slopes, intercepts, label, exact)
+        return curve
+
+    def _set(self, num_files, bpr, slr, icr, label, exact) -> None:
+        """Check the shape on the pairs, then store them."""
+        if num_files < 1:
+            raise ValueError(f"num_files = {num_files} < 1")
+        if len(bpr) < 2 or len(slr) != len(bpr) - 1 or len(icr) != len(slr):
             raise ValueError("need r >= 1 segments with matching slope/intercept counts")
-        if bp[0] != 0 or bp[-1] != self.num_files:
-            raise ValueError(f"breakpoints must run from 0 to {self.num_files}, got {bp}")
-        # The shape checks run on (numerator, denominator) pairs. Denominators
-        # are positive, so a/b < c/d exactly when a*d < c*b: the same exact
-        # answers as Fraction arithmetic, with no Fraction built on the way.
-        bpr = list(map(Fraction.as_integer_ratio, bp))
-        slr = list(map(Fraction.as_integer_ratio, sl))
-        icr = list(map(Fraction.as_integer_ratio, ic))
+        if bpr[0] != (0, 1) or bpr[-1] != (num_files, 1):
+            raise ValueError(f"breakpoints must run from 0 to {num_files}, got {_fractions(bpr)}")
         if any(a * d >= c * b for (a, b), (c, d) in zip(bpr, bpr[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(g <= 0 for g, _ in slr):
@@ -64,54 +100,99 @@ class PiecewiseLinearTradeoff:
         # continuity at theta = p/q: zeta_i - zeta_{i+1} == (gamma_i - gamma_{i+1}) * theta,
         # with zeta = z/w and gamma = g/h, times w_i w_{i+1} h_i h_{i+1} q
         pairs = zip(icr, icr[1:], slr, slr[1:], bpr[1:])
-        for i, ((z0, w0), (z1, w1), (g0, h0), (g1, h1), (p, q)) in enumerate(pairs):
+        for (z0, w0), (z1, w1), (g0, h0), (g1, h1), (p, q) in pairs:
             if (z0 * w1 - z1 * w0) * h0 * h1 * q != (g0 * h1 - g1 * h0) * p * w0 * w1:
-                left = ic[i] - sl[i] * bp[i + 1]
-                right = ic[i + 1] - sl[i + 1] * bp[i + 1]
-                raise ValueError(f"discontinuity at breakpoint {bp[i + 1]}: {left} != {right}")
+                theta = Fraction(p, q)
+                left = Fraction(z0, w0) - Fraction(g0, h0) * theta
+                right = Fraction(z1, w1) - Fraction(g1, h1) * theta
+                raise ValueError(f"discontinuity at breakpoint {theta}: {left} != {right}")
         (z, w), (g, h), (p, q) = icr[-1], slr[-1], bpr[-1]
         if z * h * q != g * p * w:
-            raise ValueError(f"curve must hit zero at memory {self.num_files}")
+            raise ValueError(f"curve must hit zero at memory {num_files}")
+        object.__setattr__(self, "num_files", num_files)
+        object.__setattr__(self, "breakpoint_ratios", bpr)
+        object.__setattr__(self, "slope_ratios", slr)
+        object.__setattr__(self, "intercept_ratios", icr)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "exact", exact)
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return _fractions(self.breakpoint_ratios)
+
+    @cached_property
+    def slopes(self) -> tuple[Fraction, ...]:
+        return _fractions(self.slope_ratios)
+
+    @cached_property
+    def intercepts(self) -> tuple[Fraction, ...]:
+        return _fractions(self.intercept_ratios)
 
     @property
     def num_segments(self) -> int:
-        return len(self.slopes)
+        return len(self.slope_ratios)
+
+    def segment_of(self, p: int, q: int) -> int:
+        """`segment_index` of the memory p/q, q > 0."""
+        if p < 0:
+            raise ValueError(f"memory {Fraction(p, q)} < 0")
+        bp = self.breakpoint_ratios
+        hi = len(bp) - 1
+        if p >= self.num_files * q:
+            return hi
+        lo = 0  # bp[lo] <= p/q < bp[hi]: the last breakpoint at or below p/q
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            a, b = bp[mid]
+            if a * q <= p * b:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def segment_index(self, memory: Fraction) -> int:
         """Index of the segment containing `memory`; num_segments when full."""
-        memory = to_fraction(memory)
-        if memory < 0:
-            raise ValueError(f"memory {memory} < 0")
-        if memory >= self.num_files:
-            return self.num_segments
-        return bisect_right(self.breakpoints, memory) - 1
+        return self.segment_of(*to_fraction(memory).as_integer_ratio())
 
     def evaluate(self, memory: Fraction) -> Fraction:
         """Rate at the given memory; zero for any memory at or beyond N."""
-        i = self.segment_index(memory)
+        p, q = to_fraction(memory).as_integer_ratio()
+        i = self.segment_of(p, q)
         if i == self.num_segments:
             return Fraction(0)
-        return self.intercepts[i] - self.slopes[i] * to_fraction(memory)
+        (z, w), (g, h) = self.intercept_ratios[i], self.slope_ratios[i]
+        return Fraction(z * h * q - g * p * w, w * h * q)
 
     def right_slope(self, segment: int) -> Fraction:
         """Magnitude of the decrease on segment `segment`; zero past the end."""
         if segment >= self.num_segments:
             return Fraction(0)
-        return self.slopes[segment]
+        return Fraction(*self.slope_ratios[segment])
+
+    def corner_ratios(self) -> list[tuple[Ratio, Ratio]]:
+        """(memory, rate) of every corner, as pairs."""
+        pts = [
+            ((p, q), reduce_ratio(z * h * q - g * p * w, w * h * q))
+            for (p, q), (g, h), (z, w) in zip(
+                self.breakpoint_ratios, self.slope_ratios, self.intercept_ratios
+            )
+        ]
+        pts.append(((self.num_files, 1), (0, 1)))
+        return pts
 
     def corner_points(self) -> tuple[CornerPoint, ...]:
-        bp, sl, ic = self.breakpoints, self.slopes, self.intercepts
-        pts = [CornerPoint(bp[i], ic[i] - sl[i] * bp[i]) for i in range(len(sl))]
-        pts.append(CornerPoint(bp[-1], Fraction(0)))
-        return tuple(pts)
+        return tuple(
+            CornerPoint(Fraction(*m), Fraction(*r)) for m, r in self.corner_ratios()
+        )
 
 
 def shared_curve(tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> PiecewiseLinearTradeoff | None:
     """The first curve if all have its file count, breakpoints, slopes and intercepts."""
     first = tradeoffs[0]
-    shape = (first.num_files, first.breakpoints, first.slopes, first.intercepts)
+    shape = (first.num_files, first.breakpoint_ratios, first.slope_ratios, first.intercept_ratios)
     same = all(
-        c is first or (c.num_files, c.breakpoints, c.slopes, c.intercepts) == shape
+        c is first
+        or (c.num_files, c.breakpoint_ratios, c.slope_ratios, c.intercept_ratios) == shape
         for c in tradeoffs
     )
     return first if same else None
@@ -163,20 +244,19 @@ def lower_convex_envelope(
                 break
         hull.append(i)
 
-    breakpoints = tuple(pts[i][0] for i in hull)
     slopes = []
     intercepts = []
     # edge (m1, r1)-(m2, r2): gamma = (r1 - r2)/(m2 - m1), zeta = r1 + gamma m1
     corners = [ratios[i] for i in hull]
     for (x1, x1d, y1, y1d), (x2, x2d, y2, y2d) in zip(corners, corners[1:]):
         run = (x2 * x1d - x1 * x2d) * y1d * y2d
-        slopes.append(Fraction((y1 * y2d - y2 * y1d) * x1d * x2d, run))
-        intercepts.append(Fraction(y1 * y2d * x2 * x1d - y2 * y1d * x2d * x1, run))
-    return PiecewiseLinearTradeoff(
-        num_files=num_files,
-        breakpoints=breakpoints,
-        slopes=tuple(slopes),
-        intercepts=tuple(intercepts),
+        slopes.append(reduce_ratio((y1 * y2d - y2 * y1d) * x1d * x2d, run))
+        intercepts.append(reduce_ratio(y1 * y2d * x2 * x1d - y2 * y1d * x2d * x1, run))
+    return PiecewiseLinearTradeoff.from_ratios(
+        num_files,
+        tuple((x, xd) for x, xd, _, _ in corners),
+        tuple(slopes),
+        tuple(intercepts),
         label=label,
         exact=exact,
     )
@@ -195,7 +275,7 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
     if num_files < 1 or num_users < 1:
         raise ValueError("need at least one file and one user")
     n, k = num_files, num_users
-    breakpoints, slopes, intercepts = [Fraction(0)], [], []
+    breakpoints, slopes, intercepts = [(0, 1)], [], []
     first = 0
     if n < k:
         # the anchor (0, N) lies below corner 0; corner t is a hull vertex iff the
@@ -203,19 +283,24 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
         first = next(
             (t for t in range(1, k) if (k - t - n - n * t) * (t + 2) < -(k + 1) * t), k
         )
-        breakpoints.append(Fraction(first * n, k))
-        slopes.append((n - Fraction(k - first, 1 + first)) * k / (first * n))
-        intercepts.append(Fraction(n))
-    for t in range(first, k):
-        denominator = (t + 1) * (t + 2)
-        breakpoints.append(Fraction((t + 1) * n, k))
-        slopes.append(Fraction(k * (k + 1), n * denominator))
-        intercepts.append(Fraction(2 * k * t + 2 * k - t * t - t, denominator))
-    return PiecewiseLinearTradeoff(
-        num_files=n,
-        breakpoints=tuple(breakpoints),
-        slopes=tuple(slopes),
-        intercepts=tuple(intercepts),
+        # slope (N - (K - t*)/(1 + t*)) / (t* N / K)
+        breakpoints.append(reduce_ratio(first * n, k))
+        slopes.append(reduce_ratio((n * (1 + first) - (k - first)) * k, (1 + first) * first * n))
+        intercepts.append((n, 1))
+    # corner t + 1 at (t + 1)N/K, and on the segment from t to t + 1 the slope
+    # K(K+1) / (N(t+1)(t+2)) and the intercept (2Kt + 2K - t^2 - t) / ((t+1)(t+2)) = (2K - t)/(t + 2),
+    # each reduced by one gcd
+    ts = range(first, k)
+    gcd = math.gcd
+    breakpoints += [(x // (g := gcd(x, k)), k // g) for x in range((first + 1) * n, k * n + 1, n)]
+    rise = k * (k + 1)
+    slopes += [(rise // (g := gcd(rise, x)), x // g) for x in (n * (t + 1) * (t + 2) for t in ts)]
+    intercepts += [(x // (g := gcd(x, y)), y // g) for x, y in ((2 * k - t, t + 2) for t in ts)]
+    return PiecewiseLinearTradeoff.from_ratios(
+        n,
+        tuple(breakpoints),
+        tuple(slopes),
+        tuple(intercepts),
         label=f"scheme(N={num_files},K={num_users})",
         exact=False,
     )
@@ -234,7 +319,21 @@ def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
 
 def tradeoff_to_json(curve: PiecewiseLinearTradeoff) -> list[list[str]]:
     """Corner-list serialization: [[memory, rate], ...] as exact strings."""
-    return [[str(p.memory), str(p.rate)] for p in curve.corner_points()]
+    memories, rates = zip(*curve.corner_ratios())
+    return [list(pt) for pt in zip(reduced_texts(memories), reduced_texts(rates))]
+
+
+def tradeoff_segments_to_json(curve: PiecewiseLinearTradeoff) -> list[dict[str, str]]:
+    """Each segment's memory range and its line rate = intercept + slope * memory,
+    as exact strings; the slope is the negated magnitude."""
+    bp, ic, sl = map(
+        reduced_texts, (curve.breakpoint_ratios, curve.intercept_ratios, curve.slope_ratios)
+    )
+    # magnitudes are positive, so "-" before one negates it
+    return [
+        {"start": start, "end": end, "intercept": intercept, "slope": "-" + slope}
+        for start, end, intercept, slope in zip(bp, bp[1:], ic, sl)
+    ]
 
 
 def build_by_kind(kind: str, num_files: int, num_users: int) -> PiecewiseLinearTradeoff:

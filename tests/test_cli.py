@@ -269,6 +269,20 @@ def test_invalid_config_contents(runner, tmp_path):
     assert "cannot load config" in result.output
 
 
+def test_oversized_cache_is_clamped_with_a_plain_warning(runner, tmp_path):
+    # content 1/2 * 2 + 1/2 * 3 = 5/2: a cache of 7 is clamped to it
+    network = {"libraries": [{"num_files": 2, "alpha": "1/2"}, {"num_files": 3, "alpha": "1/2"}]}
+    big, fitted = tmp_path / "big.json", tmp_path / "fitted.json"
+    big.write_text(json.dumps({**network, "num_users": 2, "cache_size": "7"}))
+    fitted.write_text(json.dumps({**network, "num_users": 2, "cache_size": "5/2"}))
+    result = runner.invoke(main, ["--config", str(big), "allocate"])
+    assert result.exit_code == 0
+    assert result.stderr == "warning: cache size 7 exceeds total content 5/2; clamping\n"
+    clamped = runner.invoke(main, ["--config", str(fitted), "allocate"])
+    assert (clamped.exit_code, clamped.stderr) == (0, "")
+    assert result.stdout == clamped.stdout
+
+
 def test_bad_kind_for_library_shape(runner):
     result = runner.invoke(main, ["--config", UNEQUAL, "allocate", "--kinds", "exact2x2"])
     assert result.exit_code == 2

@@ -1,37 +1,58 @@
 """Property tests: the integer kernels give the Fraction references' answers.
 
 `greedy_allocate` compares slopes cross-multiplied and counts memory as an
-integer over a common denominator; `PiecewiseLinearTradeoff` validates on
-(numerator, denominator) pairs; `lower_convex_envelope` runs its orientation
-test and edges on integers; `brute_force_allocate` counts candidate memories
-in 1/D units and rates each candidate as a sum of ints. Each must match its
-plain-Fraction reference in `util` exactly: same steps, same accept/reject
-with the same message, same curve, same split and rate.
+integer over a common denominator; `PiecewiseLinearTradeoff` keeps its shape
+as (numerator, denominator) pairs, validates, locates, evaluates and prints
+on them; `lower_convex_envelope` runs its orientation test and edges on
+integers; `brute_force_allocate` counts candidate memories in 1/D units and
+rates each candidate as a sum of ints. Each must match its plain-Fraction
+reference in `util` exactly: same steps, same accept/reject with the same
+message, same curve, same segment, rate and strings, same split and rate.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cacheshare.allocation import brute_force_allocate, greedy_allocate
-from cacheshare.model import LibrarySpec, NetworkConfig, total_content
+from cacheshare.cli import main
+from cacheshare.model import (
+    LibrarySpec,
+    NetworkConfig,
+    config_to_json,
+    format_decimal,
+    total_content,
+)
 from cacheshare.tradeoff import (
     PiecewiseLinearTradeoff,
     build_by_kind,
     build_scheme_tradeoff,
     lower_convex_envelope,
+    tradeoff_segments_to_json,
+    tradeoff_to_json,
 )
 from util import (
     make_config,
     random_weights,
     reference_check_curve,
+    reference_corners_json,
     reference_envelope,
+    reference_evaluate,
     reference_greedy,
+    reference_right_slope,
+    reference_segment_index,
+    reference_segments_json,
     reference_tabulated_oracle,
 )
 
@@ -290,3 +311,99 @@ def test_integer_oracle_at_three_thousand_users():
     assert brute_force_allocate(config, curves, step) == reference_tabulated_oracle(
         config, curves, step
     )
+
+
+def probe_memories(curve: PiecewiseLinearTradeoff) -> list[Fraction]:
+    """0, every breakpoint, every midpoint, N and beyond N."""
+    bp, n = curve.breakpoints, curve.num_files
+    midpoints = [(a + b) / 2 for a, b in zip(bp, bp[1:])]
+    return [F(0), *bp, *midpoints, F(n), n + F(1, 3), F(n + 1), F(2 * n)]
+
+
+def assert_pair_kernels_match_fractions(curve: PiecewiseLinearTradeoff) -> None:
+    for m in probe_memories(curve):
+        assert curve.segment_index(m) == reference_segment_index(curve, m)
+        assert curve.evaluate(m) == reference_evaluate(curve, m)
+    for seg in range(curve.num_segments + 2):
+        assert curve.right_slope(seg) == reference_right_slope(curve, seg)
+    below = F(-1, 3)
+    assert outcome(curve.segment_index, below) == outcome(reference_segment_index, curve, below)
+    assert outcome(curve.evaluate, below) == outcome(reference_evaluate, curve, below)
+    assert tradeoff_to_json(curve) == reference_corners_json(curve)
+    assert tradeoff_segments_to_json(curve) == reference_segments_json(curve)
+
+
+@pytest.mark.parametrize("shape", [(50, 3000), (30, 3000), (17, 1234), (3000, 50), (1, 1), "exact2x2"])
+def test_pair_kernels_match_fraction_bisect(shape):
+    if shape == "exact2x2":
+        curve = build_by_kind("exact2x2", 2, 2)
+    else:
+        curve = build_scheme_tradeoff(*shape)
+    assert_pair_kernels_match_fractions(curve)
+
+
+@PROPERTY
+@given(point_sets())
+def test_pair_kernels_match_fraction_bisect_on_hulls(case):
+    n, pts = case
+    assume(outcome(lower_convex_envelope, pts, n) is None)
+    assert_pair_kernels_match_fractions(lower_convex_envelope(pts, n))
+
+
+def assert_printed_steps(config: NetworkConfig, curves) -> tuple:
+    """`allocate` prints each step's delta and running total, in JSON and in
+    CSV, as str() and `format_decimal` of the reference greedy's Fractions.
+    Returns the reference steps."""
+    steps = reference_greedy(config, curves).steps
+    kinds = ",".join("exact2x2" if curve.exact else "scheme" for curve in curves)
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "network.json"
+        path.write_text(json.dumps(config_to_json(config)), encoding="utf-8")
+        args = ["--config", str(path)]
+        as_json = runner.invoke(main, [*args, "allocate", "--kinds", kinds])
+        as_csv = runner.invoke(main, [*args, "--format", "csv", "allocate", "--kinds", kinds])
+    assert (as_json.exit_code, as_csv.exit_code) == (0, 0)
+    printed = json.loads(as_json.stdout)["result"]["steps"]
+    assert [(s["delta"], s["allocated_total"]) for s in printed] == [
+        (str(s.delta), str(s.allocated_total)) for s in steps
+    ]
+    rows = list(csv.reader(io.StringIO(as_csv.stdout)))[1:]
+    assert rows == [
+        [
+            str(i + 1),
+            str(s.library),
+            str(s.segment),
+            str(s.delta),
+            format_decimal(s.delta),
+            str(s.allocated_total),
+            format_decimal(s.allocated_total),
+        ]
+        for i, s in enumerate(steps)
+    ]
+    return steps
+
+
+@PROPERTY
+@given(networks())
+def test_printed_step_strings_are_the_fraction_strings(network):
+    assert_printed_steps(*network)
+
+
+@pytest.mark.parametrize("share", [F(0), F(1), F(1, 3)])
+def test_printed_step_strings_at_zero_full_and_partial_budgets(share):
+    libraries = (LibrarySpec(2, F(2, 7)), LibrarySpec(3, F(5, 7)))
+    content = total_content(NetworkConfig(libraries, 5, F(0)))
+    config = NetworkConfig(libraries, 5, share * content)
+    curves = [build_scheme_tradeoff(n, 5) for n in (2, 3)]
+    steps = assert_printed_steps(config, curves)
+    if share == 0:
+        assert steps == ()
+        return
+    last = steps[-1]
+    lib = config.libraries[last.library - 1]
+    bp = curves[last.library - 1].breakpoints
+    width = lib.alpha * (bp[last.segment + 1] - bp[last.segment])
+    assert last.allocated_total == share * content
+    # the full budget ends on the last corner; a third of it stops mid-segment
+    assert (last.delta == width) == (share == 1)

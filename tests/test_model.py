@@ -17,6 +17,7 @@ from cacheshare.model import (
     config_to_json,
     demand_count,
     enumerate_demands,
+    load_config,
     to_fraction,
     total_content,
     validate,
@@ -103,6 +104,16 @@ def test_oversized_cache_clamps_with_warning():
         cfg = reference_config(cache=Fraction(5))
     assert cfg.cache_size == 2
     assert validate(cfg) == []
+
+
+def test_clamping_warning_names_the_callers_line(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config_with("cache_size", "7")))
+    with pytest.warns(UserWarning, match="clamping") as caught:
+        load_config(str(path))
+        NetworkConfig((LibrarySpec(2, 1),), 2, 5)
+    assert [w.filename for w in caught] == [__file__, __file__]
+    assert caught[1].lineno == caught[0].lineno + 1  # each names its own line
 
 
 def test_total_content():

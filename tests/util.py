@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -263,7 +265,9 @@ def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
         delta = min(width, budget - total)
         filled[best] += delta
         total += delta
-        steps.append(AllocationStep(best + 1, seg, delta, total))
+        # the step's memories as ints over the lcm of their denominators
+        scale = math.lcm(delta.denominator, total.denominator)
+        steps.append(AllocationStep(best + 1, seg, int(delta * scale), int(total * scale), scale))
         if delta == width:
             cursor[best] += 1
     final = Allocation(tuple(filled))
@@ -405,3 +409,40 @@ def reference_envelope(points, num_files: int, label: str = "envelope") -> Piece
         intercepts=tuple(intercepts),
         label=label,
     )
+
+
+def reference_segment_index(curve: PiecewiseLinearTradeoff, memory: Fraction) -> int:
+    """`segment_index` by a bisect over the curve's Fraction breakpoints."""
+    if memory < 0:
+        raise ValueError(f"memory {memory} < 0")
+    if memory >= curve.num_files:
+        return curve.num_segments
+    return bisect_right(curve.breakpoints, memory) - 1
+
+
+def reference_evaluate(curve: PiecewiseLinearTradeoff, memory: Fraction) -> Fraction:
+    """`evaluate` in Fraction arithmetic on the bisected segment."""
+    i = reference_segment_index(curve, memory)
+    if i == curve.num_segments:
+        return Fraction(0)
+    return curve.intercepts[i] - curve.slopes[i] * memory
+
+
+def reference_right_slope(curve: PiecewiseLinearTradeoff, segment: int) -> Fraction:
+    return curve.slopes[segment] if segment < curve.num_segments else Fraction(0)
+
+
+def reference_corners_json(curve: PiecewiseLinearTradeoff) -> list[list[str]]:
+    """`tradeoff_to_json`: str() of each corner's Fraction memory and rate."""
+    bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
+    corners = [[str(m), str(z - g * m)] for m, g, z in zip(bp, sl, ic)]
+    return corners + [[str(bp[-1]), "0"]]
+
+
+def reference_segments_json(curve: PiecewiseLinearTradeoff) -> list[dict[str, str]]:
+    """`tradeoff_segments_to_json`: str() of each segment's Fraction values."""
+    bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
+    return [
+        {"start": str(bp[i]), "end": str(bp[i + 1]), "intercept": str(ic[i]), "slope": str(-sl[i])}
+        for i in range(curve.num_segments)
+    ]
