@@ -44,6 +44,7 @@ class Allocation:
         return sum(self.per_library, Fraction(0))
 
 
+@dataclass(slots=True, eq=False)
 class AllocationStep:
     """One greedy step: library chosen (1-based), its segment before the step,
     memory added, and the running total afterwards.
@@ -53,16 +54,11 @@ class AllocationStep:
     Fractions. Steps are equal when these four values are, whatever the scale.
     """
 
-    __slots__ = ("library", "segment", "delta_units", "total_units", "scale")
-
-    def __init__(
-        self, library: int, segment: int, delta_units: int, total_units: int, scale: int
-    ) -> None:
-        self.library = library
-        self.segment = segment
-        self.delta_units = delta_units
-        self.total_units = total_units
-        self.scale = scale
+    library: int
+    segment: int
+    delta_units: int
+    total_units: int
+    scale: int
 
     @property
     def delta(self) -> Fraction:
@@ -82,12 +78,6 @@ class AllocationStep:
 
     def __hash__(self) -> int:
         return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"AllocationStep(library={self.library}, segment={self.segment}, "
-            f"delta={self.delta!r}, allocated_total={self.allocated_total!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -487,8 +477,10 @@ def lambda_sweep(
     # at hi: the count of corners past 0 at or below that memory.
     lines = []
     for lo, hi in zip(cuts, cuts[1:]):
-        (z1, w1), (g1, h1) = segment_line(t1, bisect_right(corners1, lo * total // den) - 1)
-        (z2, w2), (g2, h2) = segment_line(t2, bisect_right(corners2, (den - hi) * total // den) - 1)
+        i = bisect_right(corners1, lo * total // den) - 1
+        j = bisect_right(corners2, (den - hi) * total // den) - 1
+        (z1, w1), (g1, h1) = segment_line(t1, i)
+        (z2, w2), (g2, h2) = segment_line(t2, j)
         # rate = alpha_1 zeta_1 + alpha_2 zeta_2 - gamma_2 M + (gamma_2 - gamma_1) M * share
         intercept = reduce_ratio(
             (A1 * z1 * B2 * w2 + A2 * z2 * B1 * w1) * h2 * Q - g2 * P * B1 * w1 * B2 * w2,
@@ -505,15 +497,16 @@ def lambda_sweep(
     )
     breakpoints = (segments[0].start,) + tuple(seg.end for seg in segments)
 
-    # every breakpoint and sample share as an int over D = den * (num_samples - 1)
-    steps = num_samples - 1
-    D = den * steps
-    ends = [lo * steps for lo, _, _, _ in lines]
-    shares = {hi * steps for _, hi, _, _ in lines} | set(ends) | set(range(0, D + 1, den))
+    # every breakpoint and sample share as an int over D = den * (num_samples - 1);
+    # the segments' starts and the last sample, share 1, are the breakpoints
+    parts = num_samples - 1
+    D = den * parts
+    starts = [lo * parts for lo, _, _, _ in lines]
+    shares = set(starts) | set(range(0, D + 1, den))
     # each point on its segment's line; the rate is continuous, so a share on
     # a breakpoint reads the same from either side
     points = []
     for u in sorted(shares):
-        _, _, (a, b), (c, d) = lines[bisect_right(ends, u) - 1]
+        _, _, (a, b), (c, d) = lines[bisect_right(starts, u) - 1]
         points.append((Fraction(u, D), Fraction(a * d * D + c * u * b, b * d * D)))
     return SweepResult(points=tuple(points), breakpoints=breakpoints, segments=segments)

@@ -287,9 +287,9 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
         breakpoints.append(reduce_ratio(first * n, k))
         slopes.append(reduce_ratio((n * (1 + first) - (k - first)) * k, (1 + first) * first * n))
         intercepts.append((n, 1))
-    # corner t + 1 at (t + 1)N/K, and on the segment from t to t + 1 the slope
-    # K(K+1) / (N(t+1)(t+2)) and the intercept (2Kt + 2K - t^2 - t) / ((t+1)(t+2)) = (2K - t)/(t + 2),
-    # each reduced by one gcd
+    # corner t + 1 sits at (t + 1)N/K; the segment from corner t to t + 1 has
+    # slope K(K+1) / (N(t+1)(t+2)) and intercept (2Kt + 2K - t^2 - t) / ((t+1)(t+2)),
+    # which is (2K - t)/(t + 2). Each value is reduced with one gcd.
     ts = range(first, k)
     gcd = math.gcd
     breakpoints += [(x // (g := gcd(x, k)), k // g) for x in range((first + 1) * n, k * n + 1, n)]

@@ -25,7 +25,12 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cacheshare.allocation import brute_force_allocate, greedy_allocate
+from cacheshare.allocation import (
+    Allocation,
+    brute_force_allocate,
+    corner_structure_violations,
+    greedy_allocate,
+)
 from cacheshare.cli import main
 from cacheshare.model import (
     LibrarySpec,
@@ -53,6 +58,7 @@ from util import (
     reference_right_slope,
     reference_segment_index,
     reference_segments_json,
+    reference_structure_violations,
     reference_tabulated_oracle,
 )
 
@@ -333,7 +339,9 @@ def assert_pair_kernels_match_fractions(curve: PiecewiseLinearTradeoff) -> None:
     assert tradeoff_segments_to_json(curve) == reference_segments_json(curve)
 
 
-@pytest.mark.parametrize("shape", [(50, 3000), (30, 3000), (17, 1234), (3000, 50), (1, 1), "exact2x2"])
+@pytest.mark.parametrize(
+    "shape", [(50, 3000), (30, 3000), (17, 1234), (3000, 50), (1, 1), "exact2x2"]
+)
 def test_pair_kernels_match_fraction_bisect(shape):
     if shape == "exact2x2":
         curve = build_by_kind("exact2x2", 2, 2)
@@ -348,6 +356,25 @@ def test_pair_kernels_match_fraction_bisect_on_hulls(case):
     n, pts = case
     assume(outcome(lower_convex_envelope, pts, n) is None)
     assert_pair_kernels_match_fractions(lower_convex_envelope(pts, n))
+
+
+@PROPERTY
+@given(networks(), st.data())
+def test_pair_structure_check_matches_fraction_check(network, data):
+    """On any split of corners and points inside segments, the check on slope
+    pairs reports what the Fraction check reports."""
+    config, curves = network
+    split = []
+    for lib, curve in zip(config.libraries, curves):
+        bp = curve.breakpoints
+        i = data.draw(st.integers(0, len(bp) - 1))
+        if i < len(bp) - 1 and data.draw(st.booleans()):
+            split.append(lib.alpha * (bp[i] + bp[i + 1]) / 2)
+        else:
+            split.append(lib.alpha * bp[i])
+    allocation = Allocation(tuple(split))
+    expected = reference_structure_violations(config, curves, allocation)
+    assert corner_structure_violations(config, curves, allocation) == expected
 
 
 def assert_printed_steps(config: NetworkConfig, curves) -> tuple:

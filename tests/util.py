@@ -443,6 +443,43 @@ def reference_segments_json(curve: PiecewiseLinearTradeoff) -> list[dict[str, st
     """`tradeoff_segments_to_json`: str() of each segment's Fraction values."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
     return [
-        {"start": str(bp[i]), "end": str(bp[i + 1]), "intercept": str(ic[i]), "slope": str(-sl[i])}
+        {
+            "start": str(bp[i]),
+            "end": str(bp[i + 1]),
+            "intercept": str(ic[i]),
+            "slope": str(-sl[i]),
+        }
         for i in range(curve.num_segments)
     ]
+
+
+def reference_structure_violations(
+    config: NetworkConfig, tradeoffs, allocation: Allocation
+) -> list[str]:
+    """`corner_structure_violations` in Fraction arithmetic: the same
+    messages, in the same order."""
+    index, interior = [], []
+    for m, alpha, curve in zip(allocation.per_library, config.alphas, tradeoffs):
+        seg = reference_segment_index(curve, m / alpha)
+        index.append(seg)
+        interior.append(seg < curve.num_segments and curve.breakpoints[seg] != m / alpha)
+    gains = [reference_right_slope(curve, seg) for curve, seg in zip(tradeoffs, index)]
+    violations = []
+    inside = [lib for lib, flag in enumerate(interior) if flag]
+    if len(inside) > 1:
+        violations.append(
+            f"libraries {[lib + 1 for lib in inside]} all sit strictly inside a segment"
+        )
+    pivot = inside[0] if inside else max(range(len(gains)), key=gains.__getitem__)
+    for lib, gain in enumerate(gains):
+        if gain > gains[pivot]:
+            violations.append(
+                f"library {lib + 1} next gain {gain} beats stopping gain {gains[pivot]}"
+            )
+        for other, seg in enumerate(index):
+            if seg > 0 and gain > tradeoffs[other].slopes[seg - 1]:
+                violations.append(
+                    f"library {lib + 1} next gain {gain} beats consumed segment "
+                    f"of library {other + 1} ({tradeoffs[other].slopes[seg - 1]})"
+                )
+    return violations
