@@ -29,7 +29,7 @@ from .allocation import (
     memory_sharing_rate,
     proportional_allocation,
 )
-from .converse import concatenate, concatenation_scale, conjecture_gap
+from .converse import conjecture_gap
 from .model import (
     NetworkConfig,
     canonical_config_json,
@@ -360,12 +360,12 @@ def cmd_converse(state: CliState, kinds: str) -> tuple:
         raise VerificationFailure(
             f"converse {report.converse} exceeds achievable {report.achievable}"
         )
-    stack = concatenate(config)
+    stack = report.stack
     payload = report.to_json()
     payload["stack"] = {
         "betas": [str(b) for b in stack.betas],
         "library_order": list(stack.permutation),
-        "scale": str(concatenation_scale(config)),
+        "scale": str(stack.scale),
     }
     return config, payload, ["key", "value"], report.to_json().items()
 

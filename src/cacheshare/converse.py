@@ -24,12 +24,14 @@ class ConcatenatedLibrary:
     """The stacked library: file n has relative size betas[n-1].
 
     `permutation[i]` is the original 1-based index of the i-th library after
-    sorting by file count; `config` is the sorted network.
+    sorting by file count; `config` is the sorted network; `scale` is its
+    `concatenation_scale`.
     """
 
     config: NetworkConfig
     permutation: tuple[int, ...]
     betas: tuple[Fraction, ...]
+    scale: Fraction
 
     @property
     def num_files(self) -> int:
@@ -69,14 +71,21 @@ def concatenate(config: NetworkConfig) -> ConcatenatedLibrary:
     the stack's total content equals N_max file-size units."""
     sorted_config, permutation = sort_by_library_size(config)
     scale = concatenation_scale(sorted_config)
-    betas = []
-    for n in range(1, sorted_config.file_counts[-1] + 1):
-        level = subfile_level(sorted_config, n)
-        raw = sum(
-            (lib.alpha for lib in sorted_config.libraries[level - 1 :]), Fraction(0)
-        )
-        betas.append(raw * scale)
-    return ConcatenatedLibrary(config=sorted_config, permutation=permutation, betas=tuple(betas))
+    # stacked file n draws on every library holding at least n files, so its
+    # size is a suffix sum of the sorted alphas: walking the libraries down
+    # from the largest, library i adds its alpha and sizes the stacked files
+    # above the next smaller library's count, up to its own
+    counts = sorted_config.file_counts
+    betas: list[Fraction] = []
+    raw = Fraction(0)
+    for i in range(len(counts) - 1, -1, -1):
+        raw += sorted_config.libraries[i].alpha
+        below = counts[i - 1] if i else 0
+        betas += [raw * scale] * (counts[i] - below)
+    betas.reverse()
+    return ConcatenatedLibrary(
+        config=sorted_config, permutation=permutation, betas=tuple(betas), scale=scale
+    )
 
 
 def concatenation_scale(config: NetworkConfig) -> Fraction:
@@ -117,6 +126,7 @@ def concatenated_cut_set_bound(
 def converse_bound(
     config: NetworkConfig,
     single_library_bound: Callable[[Fraction], Fraction] | None = None,
+    stack: ConcatenatedLibrary | None = None,
 ) -> Fraction:
     """Lower bound on the network's rate from its stacked single library.
 
@@ -124,10 +134,11 @@ def converse_bound(
     stacked library at per-user memory m (in stacked-file units where files
     average size 1). Default: the cut bound on the stack. The crossing scale
     c converts the network's budget into stack units and the stack's rate
-    back.
+    back. `stack` is `concatenate(config)`, built here unless passed in.
     """
-    stack = concatenate(config)
-    c = concatenation_scale(config)
+    if stack is None:
+        stack = concatenate(config)
+    c = stack.scale
     memory = c * config.cache_size
     if single_library_bound is None:
         value = concatenated_cut_set_bound(stack.betas, config.num_users, memory)
@@ -138,13 +149,15 @@ def converse_bound(
 
 @dataclass(frozen=True)
 class GapReport:
-    """Best known achievable rate vs best converse, and whether they meet."""
+    """Best known achievable rate vs best converse, and whether they meet;
+    `stack` is the stacked library the converse was computed on."""
 
     achievable: Fraction
     converse: Fraction
     gap: Fraction
     status: str
     converse_kind: str
+    stack: ConcatenatedLibrary
 
     def to_json(self) -> dict:
         return {
@@ -171,17 +184,23 @@ def conjecture_gap(
 
     trace = greedy_allocate(config, tradeoffs)
     curve = shared_curve(tradeoffs)
+    stack = concatenate(config)
     if curve is not None:
-        converse = converse_bound(config, curve.evaluate)
+        converse = converse_bound(config, curve.evaluate, stack)
         kind = "exact" if curve.exact else "scheme"
         status = "tight"
     else:
-        converse = converse_bound(config)
+        converse = converse_bound(config, stack=stack)
         kind = "cutset"
         status = "open"
     gap = trace.rate - converse
     if gap == 0:
         status = "tight"
     return GapReport(
-        achievable=trace.rate, converse=converse, gap=gap, status=status, converse_kind=kind
+        achievable=trace.rate,
+        converse=converse,
+        gap=gap,
+        status=status,
+        converse_kind=kind,
+        stack=stack,
     )

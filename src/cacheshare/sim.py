@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -79,6 +79,10 @@ class LibraryPlan:
     parts: tuple[SchemePart, ...]
 
 
+# per plan part, per file: subfile ints in lexicographic subset order
+SubfileTable = tuple[tuple[tuple[int, ...], ...], ...]
+
+
 @dataclass(frozen=True)
 class PlacementState:
     """Per-user caches, one segment per library: caches[user - 1][library - 1].
@@ -90,9 +94,28 @@ class PlacementState:
     plans: tuple[LibraryPlan, ...]
     caches: tuple[tuple[BitString, ...], ...]
     formula_rate: Fraction
+    _subfiles: dict[tuple[int, int], SubfileTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def cache_bits(self, user: int) -> int:
         return sum(seg.width for seg in self.caches[user - 1])
+
+    def cached_subfiles(self, user: int, library: int, num_files: int) -> SubfileTable:
+        """Segment `library` of `user`'s cache cut into subfile ints: per plan
+        part, per file, the cached subsets in lexicographic order (no pieces
+        for t = 0). Cut from `caches` on first use; a copy made with
+        `dataclasses.replace` cuts its own caches again."""
+        key = (user, library)
+        table = self._subfiles.get(key)
+        if table is None:
+            table = self._subfiles[key] = _split_segment(
+                self.caches[user - 1][library - 1],
+                self.plans[library - 1],
+                num_files,
+                len(self.caches),
+            )
+        return table
 
 
 @dataclass(frozen=True)
@@ -266,6 +289,49 @@ def _decode_table(
     return tuple(table)
 
 
+def _split_files(
+    files: tuple[BitString, ...], plan: LibraryPlan, num_users: int
+) -> SubfileTable:
+    """One library's files cut into subfile ints: per plan part, per file, all
+    C(K, t) subfiles in lexicographic subset order (t = 0: the whole part)."""
+    table = []
+    offset = 0
+    for part in plan.parts:
+        sub = part.subfile_bits
+        mask = (1 << sub) - 1
+        count = math.comb(num_users, part.t)
+        per_file = []
+        for content in files:
+            # shifting right by `top - i * sub` leaves subfile i in the low bits
+            top = content.width - offset - sub
+            per_file.append(tuple((content.value >> (top - i * sub)) & mask for i in range(count)))
+        table.append(tuple(per_file))
+        offset += part.file_bits
+    return tuple(table)
+
+
+def _split_segment(
+    segment: BitString, plan: LibraryPlan, num_files: int, num_users: int
+) -> SubfileTable:
+    """A cache segment cut back into the subfiles `place` put in it, laid out
+    as `PlacementState.cached_subfiles` describes."""
+    table = []
+    top = segment.width
+    for part in plan.parts:
+        sub = part.subfile_bits
+        mask = (1 << sub) - 1
+        count = math.comb(num_users - 1, part.t - 1) if part.t else 0
+        per_file = []
+        for _ in range(num_files):
+            pieces = []
+            for _ in range(count):
+                top -= sub
+                pieces.append((segment.value >> top) & mask)
+            per_file.append(tuple(pieces))
+        table.append(tuple(per_file))
+    return tuple(table)
+
+
 def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> PlacementState:
     """Plan the split on the libraries' scheme curves and fill every user's
     cache; deterministic given the store and the split.
@@ -294,22 +360,20 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
                 SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
             )
         plans.append(LibraryPlan(parts=tuple(scheme_parts)))
+    tables = [_split_files(files, plan, k) for files, plan in zip(store.files, plans)]
     caches = []
     for user in range(1, k + 1):
         segments = []
-        for files, plan in zip(store.files, plans):
-            value = width = offset = 0
-            for part in plan.parts:
-                sub = part.subfile_bits
+        for table, plan in zip(tables, plans):
+            value = width = 0
+            for part, per_file in zip(plan.parts, table):
                 if part.t:
-                    mask = (1 << sub) - 1
+                    sub = part.subfile_bits
                     ranks = _user_subset_ranks(k, part.t, user)
-                    for content in files:
-                        top = content.width - offset - sub
+                    for pieces in per_file:
                         for rank in ranks:
-                            value = (value << sub) | ((content.value >> (top - rank * sub)) & mask)
-                    width += len(files) * len(ranks) * sub
-                offset += part.file_bits
+                            value = (value << sub) | pieces[rank]
+                    width += len(per_file) * len(ranks) * sub
             segments.append(BitString(width, value))
         caches.append(tuple(segments))
     return PlacementState(
@@ -321,28 +385,28 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
 
 
 def _library_transcript(
-    files: tuple[BitString, ...], plan: LibraryPlan, num_users: int, row: tuple[int, ...]
+    table: SubfileTable, plan: LibraryPlan, num_users: int, row: tuple[int, ...]
 ) -> tuple[PartTranscript, ...]:
-    """One library's share of the broadcast for one demand row, XORed on raw ints."""
+    """One library's share of the broadcast for one demand row, XORed from the
+    library's subfile table (`_split_files`)."""
     parts = []
-    offset = 0
-    for part in plan.parts:
+    for part, per_file in zip(plan.parts, table):
         sub = part.subfile_bits
         if part.t == 0:
-            messages = tuple(files[n - 1].slice(offset, offset + sub) for n in sorted(set(row)))
+            messages = tuple(BitString(sub, per_file[n - 1][0]) for n in sorted(set(row)))
             parts.append(PartTranscript(t=0, messages=messages))
-        else:
-            mask = (1 << sub) - 1
-            top = files[0].width - offset - sub
-            requested = [files[n - 1].value for n in row]
-            messages = []
-            for group in _delivery_table(num_users, part.t):
-                msg = 0
-                for member, rank in group:
-                    msg ^= (requested[member - 1] >> (top - rank * sub)) & mask
-                messages.append(BitString(sub, msg))
-            parts.append(PartTranscript(t=part.t, messages=tuple(messages)))
-        offset += part.file_bits
+            continue
+        # each member's requested file, indexed by the 1-based member
+        requested = [None]
+        for n in row:
+            requested.append(per_file[n - 1])
+        messages = []
+        for group in _delivery_table(num_users, part.t):
+            msg = 0
+            for member, rank in group:
+                msg ^= requested[member][rank]
+            messages.append(BitString(sub, msg))
+        parts.append(PartTranscript(t=part.t, messages=tuple(messages)))
     return tuple(parts)
 
 
@@ -356,7 +420,7 @@ def deliver(
     demand.validate_for(config)
     k = config.num_users
     per_library = tuple(
-        _library_transcript(files, plan, k, row)
+        _library_transcript(_split_files(files, plan, k), plan, k, row)
         for files, plan, row in zip(store.files, placement.plans, demand.rows)
     )
     return DeliveryTranscript(demand=demand, per_library=per_library)
@@ -375,34 +439,31 @@ def decode(
     demand row `row`."""
     lib_idx = library - 1
     k = config.num_users
-    n = config.libraries[lib_idx].num_files
     want = row[user - 1]
-    segment = placement.caches[user - 1][lib_idx]
-    cache = segment.value
-    # shifting the segment right by `top - i * sub` leaves subfile i of the
-    # current part's cached block in the low bits
-    top = segment.width
+    table = placement.cached_subfiles(user, library, config.libraries[lib_idx].num_files)
     value = width = 0
-    for part, part_tr in zip(placement.plans[lib_idx].parts, parts):
+    for part, part_tr, per_file in zip(placement.plans[lib_idx].parts, parts, table):
         sub = part.subfile_bits
         width += part.file_bits
         if part.t == 0:
             msg = part_tr.messages[sorted(set(row)).index(want)]
             value = (value << sub) | msg.value
             continue
-        per_file = math.comb(k - 1, part.t - 1)
-        mask = (1 << sub) - 1
-        top -= sub
+        # the cached block of each member's requested file, looked up once and
+        # indexed by the 1-based member (a loop: a comprehension costs a call)
+        blocks = [None]
+        for n in row:
+            blocks.append(per_file[n - 1])
+        own = blocks[user]
         messages = part_tr.messages
         for pos, pairs in _decode_table(k, part.t, user):
             if pairs is None:
-                piece = (cache >> (top - ((want - 1) * per_file + pos) * sub)) & mask
+                piece = own[pos]
             else:
                 piece = messages[pos].value
                 for member, p in pairs:
-                    piece ^= (cache >> (top - ((row[member - 1] - 1) * per_file + p) * sub)) & mask
+                    piece ^= blocks[member][p]
             value = (value << sub) | piece
-        top -= (n * per_file - 1) * sub
     return BitString(width, value)
 
 
@@ -425,13 +486,18 @@ class RowPass:
     decode with the stored file; the outcome is kept, so `verify_all` and
     `reduction_demo` can read the same rows without serving them twice. The
     row pass is the one context of a run: both read the store, the network
-    and the placement from it.
+    and the placement from it. `subfiles[l - 1]` is library l's files cut
+    into subfile ints once (`_split_files`), the table every delivery reads.
     """
 
     def __init__(self, store: FileStore, config: NetworkConfig, placement: PlacementState):
         self.store = store
         self.config = config
         self.placement = placement
+        self.subfiles = tuple(
+            _split_files(files, plan, config.num_users)
+            for files, plan in zip(store.files, placement.plans)
+        )
         self.outcomes: tuple[dict[tuple[int, ...], RowOutcome], ...] = tuple(
             {} for _ in config.libraries
         )
@@ -452,7 +518,9 @@ class RowPass:
         config = self.config
         lib_idx = library - 1
         files = self.store.files[lib_idx]
-        parts = _library_transcript(files, self.placement.plans[lib_idx], config.num_users, row)
+        parts = _library_transcript(
+            self.subfiles[lib_idx], self.placement.plans[lib_idx], config.num_users, row
+        )
         decoded = tuple(
             decode(self.placement, parts, row, config, user, library)
             for user in range(1, config.num_users + 1)

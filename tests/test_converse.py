@@ -23,6 +23,7 @@ from util import (
     curves_for,
     make_config,
     random_config,
+    reference_betas,
     reference_config,
     unequal_config,
 )
@@ -94,6 +95,27 @@ def test_betas_sum_to_file_count_and_never_increase():
         assert sum(stack.betas, F(0)) == n_max
         assert all(a >= b for a, b in zip(stack.betas, stack.betas[1:]))
         assert all(beta > 0 for beta in stack.betas)
+
+
+def test_betas_match_level_by_level_sums():
+    rng = random.Random(20261018)
+    configs = [reference_config(), unequal_config()] + [random_config(rng) for _ in range(200)]
+    configs.append(
+        make_config(counts=(3, 1, 3, 2, 1), weights=(F(1, 5),) * 5, users=2, cache=0)
+    )
+    for config in configs:
+        stack = concatenate(config)
+        assert stack.betas == reference_betas(config), config
+        assert stack.scale == concatenation_scale(config)
+
+
+def test_gap_report_carries_the_stack_its_bound_used():
+    for config in (reference_config(), unequal_config()):
+        report = conjecture_gap(config, curves_for(config))
+        assert report.stack == concatenate(config)
+        assert report.converse == converse_bound(
+            config, None if report.converse_kind == "cutset" else curves_for(config)[0].evaluate
+        )
 
 
 def test_cut_bound_single_unit_library():

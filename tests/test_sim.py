@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -37,6 +38,7 @@ from util import (
     random_corner_allocation,
     random_sim_config,
     reference_config,
+    reference_file_subfiles,
     reference_reduction,
     reference_verify,
     row_pass,
@@ -169,6 +171,13 @@ def test_decode_uses_only_own_cache_and_transcript():
     placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
     demand = DemandVector(((1, 2), (2, 1)))
     transcript = deliver(store, config, placement, demand)
+    for library in (1, 2):
+        # decode every user once first, so the untampered subfile tables exist
+        parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
+        for user in (1, 2):
+            assert decode(placement, parts, row, config, user, library) == (
+                store.files[library - 1][row[user - 1] - 1]
+            )
     zeroed = dataclasses.replace(
         placement,
         caches=(
@@ -180,6 +189,32 @@ def test_decode_uses_only_own_cache_and_transcript():
         parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
         want = row[0]
         assert decode(zeroed, parts, row, config, 1, library) == store.files[library - 1][want - 1]
+        # decode reads the zeroed cache: user 2 now sees only zero subfiles
+        num_files = config.libraries[library - 1].num_files
+        assert {
+            piece
+            for part in zeroed.cached_subfiles(2, library, num_files)
+            for pieces in part
+            for piece in pieces
+        } == {0}
+        assert decode(zeroed, parts, row, config, 2, library) != store.files[library - 1][row[1] - 1]
+
+
+def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
+    config = reference_config()
+    store = random_file_store(config, 40, seed=5)
+    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    assert verify_all(RowPass(store, config, placement)).measured_rate == placement.formula_rate
+    for library in (1, 2):
+        for index in (0, placement.caches[0][library - 1].width - 1):
+            segments = list(placement.caches[0])
+            segments[library - 1] = segments[library - 1].flip(index)
+            tampered = dataclasses.replace(
+                placement, caches=(tuple(segments),) + placement.caches[1:]
+            )
+            with pytest.raises(DecodeMismatchError) as info:
+                verify_all(RowPass(store, config, tampered))
+            assert (info.value.user, info.value.library) == (1, library)
 
 
 def test_verify_reference_corner_run():
@@ -358,6 +393,47 @@ def test_row_pass_agrees_with_full_product_reference():
         assert stack == reference_reduction(store, config, placement)
         # every clamped stack row is a library row verification already served
         assert rows.served == report.demand_vectors_run
+
+
+def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
+    rng = random.Random(5120)
+    seen = {"two_parts": 0, "t0": 0}
+    for seed in range(40):
+        shape = random_sim_config(rng)
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, shape)
+        store = random_file_store(config, required_base_size(config, allocation), seed)
+        placement = place(store, config, allocation)
+        rows = RowPass(store, config, placement)
+        k = config.num_users
+        for library, (files, plan) in enumerate(zip(store.files, placement.plans), start=1):
+            seen["two_parts"] += len(plan.parts) == 2
+            seen["t0"] += any(part.t == 0 for part in plan.parts)
+            slices = reference_file_subfiles(files, plan, k)
+            server = rows.subfiles[library - 1]
+            assert server == tuple(
+                tuple(tuple(piece.value for piece in pieces) for pieces in per_file)
+                for per_file in slices
+            ), (seed, library)
+            for user in range(1, k + 1):
+                cached = placement.cached_subfiles(user, library, len(files))
+                assert placement.caches[user - 1][library - 1] == concat(
+                    BitString(part.subfile_bits, piece)
+                    for part, per_file in zip(plan.parts, cached)
+                    for pieces in per_file
+                    for piece in pieces
+                ), (seed, library, user)
+                # the user holds the server's subfiles of the subsets it is in
+                for part, mine, theirs in zip(plan.parts, cached, server):
+                    ranks = [
+                        i
+                        for i, subset in enumerate(combinations(range(1, k + 1), part.t))
+                        if user in subset
+                    ]
+                    assert mine == tuple(
+                        tuple(pieces[i] for i in ranks) for pieces in theirs
+                    ), (seed, library, user)
+    assert seen["two_parts"] and seen["t0"], seen
 
 
 def three_library_run():

@@ -179,6 +179,42 @@ def reference_verify(
     )
 
 
+def reference_file_subfiles(files, plan: sim.LibraryPlan, num_users: int):
+    """One library's files cut with `BitString.slice`: per plan part, per file,
+    subfile i of the part is the i-th slice of `subfile_bits` bits after the
+    part's offset, in lexicographic subset order (t = 0: one slice, the part)."""
+    table = []
+    offset = 0
+    for part in plan.parts:
+        sub = part.subfile_bits
+        table.append(
+            tuple(
+                tuple(
+                    content.slice(offset + i * sub, offset + (i + 1) * sub)
+                    for i in range(math.comb(num_users, part.t))
+                )
+                for content in files
+            )
+        )
+        offset += part.file_bits
+    return tuple(table)
+
+
+def reference_betas(config: NetworkConfig) -> tuple[Fraction, ...]:
+    """Stacked file sizes summed level by level through `subfile_level`."""
+    sorted_config, _ = sort_by_library_size(config)
+    total = sum((lib.alpha * lib.num_files for lib in config.libraries), Fraction(0))
+    scale = Fraction(max(config.file_counts)) / total
+    return tuple(
+        sum(
+            (lib.alpha for lib in sorted_config.libraries[subfile_level(sorted_config, n) - 1 :]),
+            Fraction(0),
+        )
+        * scale
+        for n in range(1, max(config.file_counts) + 1)
+    )
+
+
 def reference_reduction(
     store: sim.FileStore, config: NetworkConfig, placement: sim.PlacementState
 ) -> sim.ReductionReport:
