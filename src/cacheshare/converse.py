@@ -174,33 +174,27 @@ def conjecture_gap(
 ) -> GapReport:
     """Compare the greedy split's rate against the best available converse.
 
-    Equal-size libraries sharing one curve: the stacked network IS that
-    library, so the curve itself is the reference (kind "exact" when the
-    curve is optimal, else "scheme"); the gap is provably zero. Otherwise:
-    cut bound on the stack (kind "cutset"), gap >= 0, status "open" unless
-    it happens to close.
+    Equal-size libraries sharing one exact curve: the stacked network IS
+    that library and the curve is optimal for it, so the curve is the
+    converse (kind "exact"). Any other curve is only achievable, and a better
+    scheme may beat it, so otherwise the converse is the cut bound on the
+    stack (kind "cutset"). Status is "tight" exactly when the gap is zero.
     """
     from .allocation import greedy_allocate  # local import, avoids a cycle
 
     trace = greedy_allocate(config, tradeoffs)
     curve = shared_curve(tradeoffs)
     stack = concatenate(config)
-    if curve is not None:
-        converse = converse_bound(config, curve.evaluate, stack)
-        kind = "exact" if curve.exact else "scheme"
-        status = "tight"
+    if curve is not None and curve.exact:
+        converse, kind = converse_bound(config, curve.evaluate, stack), "exact"
     else:
-        converse = converse_bound(config, stack=stack)
-        kind = "cutset"
-        status = "open"
+        converse, kind = converse_bound(config, stack=stack), "cutset"
     gap = trace.rate - converse
-    if gap == 0:
-        status = "tight"
     return GapReport(
         achievable=trace.rate,
         converse=converse,
         gap=gap,
-        status=status,
+        status="tight" if gap == 0 else "open",
         converse_kind=kind,
         stack=stack,
     )

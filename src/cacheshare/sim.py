@@ -9,6 +9,11 @@ contains k. Delivery XORs, per size-(t_p + 1) subset S, the subfiles
 wanted-by/unknown-to each member of S; the uncoded part (t = 0) sends each
 distinct requested part once. Decoding uses only the user's own cache and the
 transcript.
+
+`BitString` marks the bit-layer boundary: stored files, cache segments and
+decoded files. Inside, everything is plain ints. A `PlacementState` cuts
+each cache segment into its subfile table once, when it is built, and checks
+its width against the plan; messages are ints of their part's subfile width.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .model import (
     DemandVector,
     NetworkConfig,
     check_demand_cap,
+    format_decimal,
 )
 from .tradeoff import PiecewiseLinearTradeoff, build_scheme_tradeoff
 
@@ -77,6 +83,13 @@ class SchemePart:
 @dataclass(frozen=True)
 class LibraryPlan:
     parts: tuple[SchemePart, ...]
+    num_files: int
+
+    def cache_bits(self, num_users: int) -> int:
+        """Bits one user caches: C(K - 1, t - 1) subfiles per file and part."""
+        return self.num_files * sum(
+            math.comb(num_users - 1, p.t - 1) * p.subfile_bits for p in self.parts if p.t
+        )
 
 
 # per plan part, per file: subfile ints in lexicographic subset order
@@ -88,47 +101,46 @@ class PlacementState:
     """Per-user caches, one segment per library: caches[user - 1][library - 1].
 
     `formula_rate` is the split's rate on the scheme envelopes, the value
-    delivery must realize."""
+    delivery must realize. `cached_subfiles[user - 1][library - 1]` is that
+    segment cut into subfile ints (`_split_segment`) when the state is built,
+    so a copy made with `dataclasses.replace` cuts its own caches."""
 
     allocation: Allocation
     plans: tuple[LibraryPlan, ...]
     caches: tuple[tuple[BitString, ...], ...]
     formula_rate: Fraction
-    _subfiles: dict[tuple[int, int], SubfileTable] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    cached_subfiles: tuple[tuple[SubfileTable, ...], ...] = field(
+        init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        k = len(self.caches)
+        tables = tuple(
+            tuple(
+                _split_segment(segment, plan, k, user, library)
+                for library, (segment, plan) in enumerate(zip(segments, self.plans), start=1)
+            )
+            for user, segments in enumerate(self.caches, start=1)
+        )
+        object.__setattr__(self, "cached_subfiles", tables)
 
     def cache_bits(self, user: int) -> int:
         return sum(seg.width for seg in self.caches[user - 1])
 
-    def cached_subfiles(self, user: int, library: int, num_files: int) -> SubfileTable:
-        """Segment `library` of `user`'s cache cut into subfile ints: per plan
-        part, per file, the cached subsets in lexicographic order (no pieces
-        for t = 0). Cut from `caches` on first use; a copy made with
-        `dataclasses.replace` cuts its own caches again."""
-        key = (user, library)
-        table = self._subfiles.get(key)
-        if table is None:
-            table = self._subfiles[key] = _split_segment(
-                self.caches[user - 1][library - 1],
-                self.plans[library - 1],
-                num_files,
-                len(self.caches),
-            )
-        return table
-
 
 @dataclass(frozen=True)
 class PartTranscript:
-    """One plan part's messages: for t = 0 each distinct requested file's part
-    in id order, else one XOR per size-(t + 1) user subset in lexicographic order."""
+    """One plan part's messages, ints of `subfile_bits` bits: for t = 0 each
+    distinct requested file's part in id order, else one XOR per
+    size-(t + 1) user subset in lexicographic order."""
 
     t: int
-    messages: tuple[BitString, ...]
+    subfile_bits: int
+    messages: tuple[int, ...]
 
     @property
     def bits(self) -> int:
-        return sum(m.width for m in self.messages)
+        return len(self.messages) * self.subfile_bits
 
 
 @dataclass(frozen=True)
@@ -311,23 +323,27 @@ def _split_files(
 
 
 def _split_segment(
-    segment: BitString, plan: LibraryPlan, num_files: int, num_users: int
+    segment: BitString, plan: LibraryPlan, num_users: int, user: int, library: int
 ) -> SubfileTable:
-    """A cache segment cut back into the subfiles `place` put in it, laid out
-    as `PlacementState.cached_subfiles` describes."""
+    """`user`'s cache segment of `library` cut back into the subfiles `place`
+    put in it: per plan part, per file, the cached subsets in lexicographic
+    order (no pieces for t = 0). A width other than the plan's is an error."""
+    top = plan.cache_bits(num_users)
+    if segment.width != top:
+        raise ValueError(
+            f"user {user} library {library} cache segment has {segment.width} bits; "
+            f"its plan places {top}"
+        )
     table = []
-    top = segment.width
     for part in plan.parts:
         sub = part.subfile_bits
         mask = (1 << sub) - 1
         count = math.comb(num_users - 1, part.t - 1) if part.t else 0
         per_file = []
-        for _ in range(num_files):
-            pieces = []
-            for _ in range(count):
-                top -= sub
-                pieces.append((segment.value >> top) & mask)
-            per_file.append(tuple(pieces))
+        for _ in range(plan.num_files):
+            top -= count * sub
+            block = segment.value >> top  # this file's pieces, the last in the low bits
+            per_file.append(tuple((block >> (i * sub)) & mask for i in reversed(range(count))))
         table.append(tuple(per_file))
     return tuple(table)
 
@@ -359,13 +375,13 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
             scheme_parts.append(
                 SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
             )
-        plans.append(LibraryPlan(parts=tuple(scheme_parts)))
+        plans.append(LibraryPlan(parts=tuple(scheme_parts), num_files=lib.num_files))
     tables = [_split_files(files, plan, k) for files, plan in zip(store.files, plans)]
     caches = []
     for user in range(1, k + 1):
         segments = []
         for table, plan in zip(tables, plans):
-            value = width = 0
+            value = 0
             for part, per_file in zip(plan.parts, table):
                 if part.t:
                     sub = part.subfile_bits
@@ -373,8 +389,7 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
                     for pieces in per_file:
                         for rank in ranks:
                             value = (value << sub) | pieces[rank]
-                    width += len(per_file) * len(ranks) * sub
-            segments.append(BitString(width, value))
+            segments.append(BitString(plan.cache_bits(k), value))
         caches.append(tuple(segments))
     return PlacementState(
         allocation=allocation,
@@ -393,8 +408,8 @@ def _library_transcript(
     for part, per_file in zip(plan.parts, table):
         sub = part.subfile_bits
         if part.t == 0:
-            messages = tuple(BitString(sub, per_file[n - 1][0]) for n in sorted(set(row)))
-            parts.append(PartTranscript(t=0, messages=messages))
+            messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
+            parts.append(PartTranscript(t=0, subfile_bits=sub, messages=messages))
             continue
         # each member's requested file, indexed by the 1-based member
         requested = [None]
@@ -405,8 +420,8 @@ def _library_transcript(
             msg = 0
             for member, rank in group:
                 msg ^= requested[member][rank]
-            messages.append(BitString(sub, msg))
-        parts.append(PartTranscript(t=part.t, messages=tuple(messages)))
+            messages.append(msg)
+        parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=tuple(messages)))
     return tuple(parts)
 
 
@@ -430,24 +445,23 @@ def decode(
     placement: PlacementState,
     parts: Sequence[PartTranscript],
     row: tuple[int, ...],
-    config: NetworkConfig,
     user: int,
     library: int,
 ) -> BitString:
     """Reconstruct the file `user` requested from `library` (both 1-based),
     using only that user's cache and the library's transcript `parts` for
-    demand row `row`."""
-    lib_idx = library - 1
-    k = config.num_users
+    demand row `row` (one file id per user)."""
+    k = len(row)
     want = row[user - 1]
-    table = placement.cached_subfiles(user, library, config.libraries[lib_idx].num_files)
+    table = placement.cached_subfiles[user - 1][library - 1]
     value = width = 0
-    for part, part_tr, per_file in zip(placement.plans[lib_idx].parts, parts, table):
+    for part, part_tr, per_file in zip(placement.plans[library - 1].parts, parts, table):
         sub = part.subfile_bits
         width += part.file_bits
         if part.t == 0:
-            msg = part_tr.messages[sorted(set(row)).index(want)]
-            value = (value << sub) | msg.value
+            # sent in id order: count the distinct requests below `want`
+            msg = part_tr.messages[len({n for n in row if n < want})]
+            value = (value << sub) | msg
             continue
         # the cached block of each member's requested file, looked up once and
         # indexed by the 1-based member (a loop: a comprehension costs a call)
@@ -460,7 +474,7 @@ def decode(
             if pairs is None:
                 piece = own[pos]
             else:
-                piece = messages[pos].value
+                piece = messages[pos]
                 for member, p in pairs:
                     piece ^= blocks[member][p]
             value = (value << sub) | piece
@@ -522,7 +536,7 @@ class RowPass:
             self.subfiles[lib_idx], self.placement.plans[lib_idx], config.num_users, row
         )
         decoded = tuple(
-            decode(self.placement, parts, row, config, user, library)
+            decode(self.placement, parts, row, user, library)
             for user in range(1, config.num_users + 1)
         )
         failed = tuple(
@@ -545,8 +559,6 @@ class VerificationReport:
     per_library_max_bits: tuple[int, ...]
 
     def to_json(self) -> dict:
-        from .model import format_decimal
-
         return {
             "demands_checked": self.demands_checked,
             "demand_vectors_run": self.demand_vectors_run,
@@ -670,13 +682,6 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
     k = config.num_users
-    cache_bits = placement.cache_bits(1)
-    for user in range(2, k + 1):
-        if placement.cache_bits(user) != cache_bits:
-            raise ValueError(
-                f"user {user} caches {placement.cache_bits(user)} bits and user 1 "
-                f"{cache_bits}; the stacked library needs equal caches"
-            )
     n_max = sorted_config.file_counts[-1]
     total = n_max**k
     if total > cap:
@@ -704,6 +709,6 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     return ReductionReport(
         demands_checked=total,
         stacked_file_bits=tuple(stacked_bits),
-        cache_bits=cache_bits,
+        cache_bits=placement.cache_bits(1),
         max_total_bits=max_total,
     )

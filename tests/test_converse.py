@@ -204,7 +204,22 @@ def test_gap_report_equal_sizes_scheme_curves():
     report = conjecture_gap(config, curves_for(config, "scheme"))
     assert report.gap == 0
     assert report.status == "tight"
-    assert report.converse_kind == "scheme"
+    # a scheme curve is only achievable; the cut bound happens to meet it here
+    assert report.converse_kind == "cutset"
+
+
+def test_gap_report_never_uses_an_inexact_shared_curve_as_converse():
+    # on the stack (N=K=3) memory sharing between the coded-placement corner
+    # (1/3, 2) and the scheme corner (1, 1) reaches 7/4 at M=1/2, below the
+    # scheme curve's 2, so 2 is no lower bound; the cut bound there is 3/2
+    config = make_config(counts=(3, 3), weights=(F(1, 2), F(1, 2)), users=3, cache="1/2")
+    report = conjecture_gap(config, curves_for(config))
+    assert report.achievable == 2
+    assert report.converse == F(3, 2) == converse_bound(config)
+    assert report.gap == F(1, 2)
+    assert report.status == "open"
+    assert report.converse_kind == "cutset"
+    assert report.converse <= F(7, 4)
 
 
 def test_gap_report_unequal_sizes_stays_open():

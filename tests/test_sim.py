@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -81,8 +81,12 @@ def test_corner_plans_match_hand_layout():
     config = reference_config()
     allocation = Allocation((F(2, 5), F(3, 5)))
     plans = plans_at(config, allocation, 40)
-    assert plans[0] == LibraryPlan(parts=(SchemePart(t=1, file_bits=16, subfile_bits=8),))
-    assert plans[1] == LibraryPlan(parts=(SchemePart(t=1, file_bits=24, subfile_bits=12),))
+    assert plans[0] == LibraryPlan(
+        parts=(SchemePart(t=1, file_bits=16, subfile_bits=8),), num_files=2
+    )
+    assert plans[1] == LibraryPlan(
+        parts=(SchemePart(t=1, file_bits=24, subfile_bits=12),), num_files=2
+    )
 
 
 def test_split_plans_share_between_adjacent_vertices():
@@ -90,11 +94,13 @@ def test_split_plans_share_between_adjacent_vertices():
     plans = plans_at(config, Allocation((F(1, 5), F(4, 5))), 10)
     # library one runs halfway between t=0 and t=1
     assert plans[0] == LibraryPlan(
-        parts=(SchemePart(t=0, file_bits=2, subfile_bits=2), SchemePart(t=1, file_bits=2, subfile_bits=1))
+        parts=(SchemePart(t=0, file_bits=2, subfile_bits=2), SchemePart(t=1, file_bits=2, subfile_bits=1)),
+        num_files=2,
     )
     # library two runs a third of the way from t=1 to t=2
     assert plans[1] == LibraryPlan(
-        parts=(SchemePart(t=1, file_bits=4, subfile_bits=2), SchemePart(t=2, file_bits=2, subfile_bits=2))
+        parts=(SchemePart(t=1, file_bits=4, subfile_bits=2), SchemePart(t=2, file_bits=2, subfile_bits=2)),
+        num_files=2,
     )
 
 
@@ -161,7 +167,7 @@ def test_delivery_message_is_the_cross_xor():
     transcript = deliver(store, config, placement, DemandVector(((1, 2),)))
     part = transcript.per_library[0][0]
     # user 1 misses its half of file 1, user 2 misses its half of file 2
-    assert part.messages == (file1.slice(2, 4) ^ file2.slice(0, 2),)
+    assert part.messages == ((file1.slice(2, 4) ^ file2.slice(0, 2)).value,)
     assert transcript.total_bits == 2
 
 
@@ -172,10 +178,9 @@ def test_decode_uses_only_own_cache_and_transcript():
     demand = DemandVector(((1, 2), (2, 1)))
     transcript = deliver(store, config, placement, demand)
     for library in (1, 2):
-        # decode every user once first, so the untampered subfile tables exist
         parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
         for user in (1, 2):
-            assert decode(placement, parts, row, config, user, library) == (
+            assert decode(placement, parts, row, user, library) == (
                 store.files[library - 1][row[user - 1] - 1]
             )
     zeroed = dataclasses.replace(
@@ -188,16 +193,15 @@ def test_decode_uses_only_own_cache_and_transcript():
     for library in (1, 2):
         parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
         want = row[0]
-        assert decode(zeroed, parts, row, config, 1, library) == store.files[library - 1][want - 1]
-        # decode reads the zeroed cache: user 2 now sees only zero subfiles
-        num_files = config.libraries[library - 1].num_files
+        assert decode(zeroed, parts, row, 1, library) == store.files[library - 1][want - 1]
+        # the copy cut its own caches: user 2 now sees only zero subfiles
         assert {
             piece
-            for part in zeroed.cached_subfiles(2, library, num_files)
+            for part in zeroed.cached_subfiles[1][library - 1]
             for pieces in part
             for piece in pieces
         } == {0}
-        assert decode(zeroed, parts, row, config, 2, library) != store.files[library - 1][row[1] - 1]
+        assert decode(zeroed, parts, row, 2, library) != store.files[library - 1][row[1] - 1]
 
 
 def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
@@ -294,8 +298,8 @@ def test_decode_failure_reports_first_witness(monkeypatch):
     store = random_file_store(config, 10, seed=12)
     real = sim.decode
 
-    def corrupted(placement, parts, row, cfg, user, library):
-        return real(placement, parts, row, cfg, user, library).flip(0)
+    def corrupted(placement, parts, row, user, library):
+        return real(placement, parts, row, user, library).flip(0)
 
     monkeypatch.setattr(sim, "decode", corrupted)
     with pytest.raises(DecodeMismatchError) as info:
@@ -416,7 +420,7 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
                 for per_file in slices
             ), (seed, library)
             for user in range(1, k + 1):
-                cached = placement.cached_subfiles(user, library, len(files))
+                cached = placement.cached_subfiles[user - 1][library - 1]
                 assert placement.caches[user - 1][library - 1] == concat(
                     BitString(part.subfile_bits, piece)
                     for part, per_file in zip(plan.parts, cached)
@@ -433,6 +437,18 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
                     assert mine == tuple(
                         tuple(pieces[i] for i in ranks) for pieces in theirs
                     ), (seed, library, user)
+            # every message served for every row of this library is an int of
+            # its part's subfile width (the other libraries ask for file 1)
+            for row in product(range(1, len(files) + 1), repeat=k):
+                demand = [(1,) * k] * config.num_libraries
+                demand[library - 1] = row
+                transcript = deliver(store, config, placement, DemandVector(tuple(demand)))
+                for part in transcript.per_library[library - 1]:
+                    assert all(
+                        type(m) is int and 0 <= m < 1 << part.subfile_bits
+                        for m in part.messages
+                    ), (seed, library, row)
+                    assert part.bits == len(part.messages) * part.subfile_bits
     assert seen["two_parts"] and seen["t0"], seen
 
 
@@ -463,8 +479,8 @@ def test_witness_matches_full_product_reference(
     config, allocation, store = three_library_run()
     real = sim.decode
 
-    def corrupted(placement, parts, row, cfg, u, lib):
-        out = real(placement, parts, row, cfg, u, lib)
+    def corrupted(placement, parts, row, u, lib):
+        out = real(placement, parts, row, u, lib)
         bad_users = failing.get(lib, {}).get(row, ())
         return out.flip(0) if u in bad_users else out
 
@@ -515,8 +531,8 @@ def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witn
     config, allocation, store = stack_run()
     real = sim.decode
 
-    def corrupted(placement, parts, row, cfg, u, lib):
-        out = real(placement, parts, row, cfg, u, lib)
+    def corrupted(placement, parts, row, u, lib):
+        out = real(placement, parts, row, u, lib)
         want = row[u - 1]
         if mutant == "flip" and (lib, u, want) == (3, 2, 2):
             return out.flip(0)
@@ -538,17 +554,35 @@ def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witn
     assert got.actual != got.expected
 
 
+def tampered_segment(placement, user, library, segment):
+    """A copy of `placement` with one cache segment replaced."""
+    caches = [list(segments) for segments in placement.caches]
+    caches[user - 1][library - 1] = segment
+    return dataclasses.replace(placement, caches=tuple(map(tuple, caches)))
+
+
+def test_placement_names_a_segment_wider_or_narrower_than_its_plan():
+    config = reference_config()
+    store = random_file_store(config, 10, seed=5)
+    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    segment = placement.caches[1][0]
+    assert segment.width == 4
+    # one trailing zero bit more, one bit less: both are named, neither is decoded
+    for changed in (BitString(5, segment.value << 1), segment.slice(0, 3)):
+        with pytest.raises(
+            ValueError,
+            match=f"^user 2 library 1 cache segment has {changed.width} bits; its plan places 4$",
+        ):
+            tampered_segment(placement, 2, 1, changed)
+
+
 def test_reduction_demo_rejects_uneven_caches():
+    # uneven caches can no longer reach the stack: the width check stops the copy
     config = reference_config()
     store = random_file_store(config, 10, seed=18)
     placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
     segment = placement.caches[1][0]
-    uneven = dataclasses.replace(
-        placement,
-        caches=(
-            placement.caches[0],
-            (segment.slice(0, segment.width - 1), placement.caches[1][1]),
-        ),
-    )
-    with pytest.raises(ValueError, match="user 2 caches 9 bits and user 1 10"):
-        reduction_demo(RowPass(store, config, uneven))
+    with pytest.raises(
+        ValueError, match="^user 2 library 1 cache segment has 3 bits; its plan places 4$"
+    ):
+        tampered_segment(placement, 2, 1, segment.slice(0, segment.width - 1))

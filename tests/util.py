@@ -138,11 +138,11 @@ def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation
     return sim.RowPass(store, config, sim.place(store, config, allocation))
 
 
-def reference_decode(placement, transcript, config, user: int, library: int):
+def reference_decode(placement, transcript, user: int, library: int):
     """`sim.decode` of one library read off a full delivery transcript."""
     parts = transcript.per_library[library - 1]
     row = transcript.demand.rows[library - 1]
-    return sim.decode(placement, parts, row, config, user, library)
+    return sim.decode(placement, parts, row, user, library)
 
 
 def reference_verify(
@@ -162,7 +162,7 @@ def reference_verify(
             per_lib_max[lib] = max(per_lib_max[lib], sum(part.bits for part in parts))
         for user in range(1, config.num_users + 1):
             for lib in range(1, L + 1):
-                actual = reference_decode(placement, transcript, config, user, lib)
+                actual = reference_decode(placement, transcript, user, lib)
                 expected = store.files[lib - 1][demand.rows[lib - 1][user - 1] - 1]
                 if actual != expected:
                     raise sim.DecodeMismatchError(demand, user, lib, expected, actual)
@@ -232,7 +232,7 @@ def reference_reduction(
             level = subfile_level(sorted_config, n)
             keep = [permutation[pos] for pos in range(level - 1, config.num_libraries)]
             actual = concat(
-                reference_decode(placement, transcript, config, user, orig) for orig in keep
+                reference_decode(placement, transcript, user, orig) for orig in keep
             )
             expected = concat(store.files[orig - 1][n - 1] for orig in keep)
             if actual != expected:
