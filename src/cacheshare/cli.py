@@ -99,14 +99,21 @@ def _json(value, pad: str = "\n") -> str:
         if not value:
             return "{}" if kind is dict else "[]"
         inner = pad + "  "
-        # str leaves, most of every document, skip the call
+        # str and int leaves, most of every document, skip the call
         if kind is dict:
             items = [
-                _escape(k) + ": " + (_escape(v) if type(v) is str else _json(v, inner))
+                _escape(k) + ": " + (
+                    _escape(v) if (leaf := type(v)) is str
+                    else int.__repr__(v) if leaf is int else _json(v, inner)
+                )
                 for k, v in value.items()
             ]
             return "{" + inner + ("," + inner).join(items) + pad + "}"
-        items = [_escape(v) if type(v) is str else _json(v, inner) for v in value]
+        items = [
+            _escape(v) if (leaf := type(v)) is str
+            else int.__repr__(v) if leaf is int else _json(v, inner)
+            for v in value
+        ]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return _scalar(value)
 

@@ -14,6 +14,17 @@ transcript.
 decoded files. Inside, everything is plain ints. A `PlacementState` cuts
 each cache segment into its subfile table once, when it is built, and checks
 its width against the plan; messages are ints of their part's subfile width.
+
+The scheme is linear over GF(2), so delivery and decoding XOR whole images,
+wide ints of subfile-wide slots laid out once per run, instead of one subfile
+at a time. Send images (`RowPass.send_images`, from the server's subfile
+table): per part, member and file, the member's share of every message at
+its group's slot, so a row's messages are the XOR of its K members' images,
+cut at the slots. Decode images (`PlacementState.decode_images`, from one
+user's own subfile table only): per part, member and file, in file order,
+the user's own pieces for itself and, for any other member, that member's
+share of each message the user reads. A decode XORs its K images, one per
+member's request, and the messages it reads, each at its subfile's slot.
 """
 
 from __future__ import annotations
@@ -95,6 +106,13 @@ class LibraryPlan:
 # per plan part, per file: subfile ints in lexicographic subset order
 SubfileTable = tuple[tuple[tuple[int, ...], ...], ...]
 
+# per plan part (None for t = 0, whose messages are whole parts), per member,
+# per file: one wide int of subfile-wide slots (`_images`)
+ImageTable = tuple[tuple[tuple[int, ...], ...] | None, ...]
+
+# (message rank, shift) pairs: where a decode puts each message it reads
+ReadSlots = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class PlacementState:
@@ -103,7 +121,11 @@ class PlacementState:
     `formula_rate` is the split's rate on the scheme envelopes, the value
     delivery must realize. `cached_subfiles[user - 1][library - 1]` is that
     segment cut into subfile ints (`_split_segment`) when the state is built,
-    so a copy made with `dataclasses.replace` cuts its own caches."""
+    and `decode_images[user - 1][library - 1]` lays those ints out as the
+    user's decode images (`_decode_sources`), built from nothing else; a copy
+    made with `dataclasses.replace` cuts and lays out its own caches.
+    `read_slots[user - 1][library - 1]` is, per plan part with t >= 1, where
+    each message the user reads goes in its decode (`_read_slots`)."""
 
     allocation: Allocation
     plans: tuple[LibraryPlan, ...]
@@ -112,17 +134,38 @@ class PlacementState:
     cached_subfiles: tuple[tuple[SubfileTable, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    decode_images: tuple[tuple[ImageTable, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    read_slots: tuple[tuple[tuple[ReadSlots | None, ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         k = len(self.caches)
-        tables = tuple(
-            tuple(
-                _split_segment(segment, plan, k, user, library)
-                for library, (segment, plan) in enumerate(zip(segments, self.plans), start=1)
-            )
-            for user, segments in enumerate(self.caches, start=1)
-        )
-        object.__setattr__(self, "cached_subfiles", tables)
+        tables, images, reads = [], [], []
+        for user, segments in enumerate(self.caches, start=1):
+            user_tables, user_images, user_reads = [], [], []
+            for library, (segment, plan) in enumerate(zip(segments, self.plans), start=1):
+                table = _split_segment(segment, plan, k, user, library)
+                part_images, part_reads = [], []
+                for part, per_file in zip(plan.parts, table):
+                    if part.t:
+                        sources = _decode_sources(k, part.t, user)
+                        part_images.append(_images(per_file, sources, part.subfile_bits))
+                        part_reads.append(_read_slots(k, part.t, user, part.subfile_bits))
+                    else:
+                        part_images.append(None)
+                        part_reads.append(None)
+                user_tables.append(table)
+                user_images.append(tuple(part_images))
+                user_reads.append(tuple(part_reads))
+            tables.append(tuple(user_tables))
+            images.append(tuple(user_images))
+            reads.append(tuple(user_reads))
+        object.__setattr__(self, "cached_subfiles", tuple(tables))
+        object.__setattr__(self, "decode_images", tuple(images))
+        object.__setattr__(self, "read_slots", tuple(reads))
 
     def cache_bits(self, user: int) -> int:
         return sum(seg.width for seg in self.caches[user - 1])
@@ -263,42 +306,91 @@ def _user_subset_ranks(num_users: int, size: int, user: int) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(_subsets(num_users, size)) if user in s)
 
 
+# per member: (slot, index) pairs, slots counted from the low end of an image
+Sources = tuple[tuple[tuple[int, int], ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _delivery_table(num_users: int, t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per size-(t + 1) group, in lexicographic order: (member, rank of the
-    group without that member) for each member, the subfiles its message XORs."""
+def _send_sources(num_users: int, t: int) -> Sources:
+    """Per member, per size-(t + 1) group holding it: the group's slot (groups
+    in transcript order, the first highest) and the rank of the group without
+    the member among the size-t subsets, the subfile of the member's request
+    that the group's message XORs."""
+    groups = _subsets(num_users, t + 1)
     rank = _subset_rank(num_users, t)
     return tuple(
-        tuple((member, rank[tuple(x for x in group if x != member)]) for member in group)
-        for group in _subsets(num_users, t + 1)
+        tuple(
+            (len(groups) - 1 - g, rank[tuple(x for x in group if x != member)])
+            for g, group in enumerate(groups)
+            if member in group
+        )
+        for member in range(1, num_users + 1)
     )
 
 
 @lru_cache(maxsize=None)
-def _decode_table(
-    num_users: int, t: int, user: int
-) -> tuple[tuple[int, tuple[tuple[int, int], ...] | None], ...]:
-    """How `user` recovers each size-t subfile, subsets in lexicographic order.
+def _decode_sources(num_users: int, t: int, user: int) -> Sources:
+    """Per member, per size-t subset S that `user` fills from that member's
+    request: the slot of S (subsets in file order, the first highest) and the
+    position in `user`'s cached block of the piece it puts there.
 
-    (p, None): the subfile sits at position p of the user's cached block.
-    (m, pairs): XOR message m (the rank of subset + {user}) with the cached
-    subfile at each (member, position) of pairs, read from that member's file.
+    The user itself: S, for every S holding `user` (its own pieces).
+    Any other member: S + {user} - {member}, for every S holding that member
+    but not `user` (the member's share of the message of group S + {user}).
     """
-    position = {s: p for p, s in enumerate(s for s in _subsets(num_users, t) if user in s)}
-    group_rank = _subset_rank(num_users, t + 1)
-    table = []
-    for subset in _subsets(num_users, t):
-        if user in subset:
-            table.append((position[subset], None))
-            continue
-        group = tuple(sorted(subset + (user,)))
-        pairs = tuple(
-            (member, position[tuple(x for x in group if x != member)])
-            for member in group
-            if member != user
+    subsets = _subsets(num_users, t)
+    top = len(subsets) - 1
+    position = {s: p for p, s in enumerate(s for s in subsets if user in s)}
+    return tuple(
+        tuple((top - i, position[s]) for i, s in enumerate(subsets) if user in s)
+        if member == user
+        else tuple(
+            (top - i, position[tuple(sorted({user, *s} - {member}))])
+            for i, s in enumerate(subsets)
+            if member in s and user not in s
         )
-        table.append((group_rank[group], pairs))
-    return tuple(table)
+        for member in range(1, num_users + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _send_shifts(num_users: int, t: int, slot_bits: int) -> tuple[int, ...]:
+    """Per size-(t + 1) group, in transcript order: the shift of its slot in
+    a send image of `slot_bits`-bit slots."""
+    return tuple(i * slot_bits for i in reversed(range(math.comb(num_users, t + 1))))
+
+
+@lru_cache(maxsize=None)
+def _read_slots(num_users: int, t: int, user: int, slot_bits: int) -> ReadSlots:
+    """Per size-t subset S without `user`: (rank of group S + {user}, the
+    message `user` reads for subfile S; shift of slot S in a file-order image
+    of `slot_bits`-bit slots)."""
+    subsets = _subsets(num_users, t)
+    group_rank = _subset_rank(num_users, t + 1)
+    return tuple(
+        (group_rank[tuple(sorted(subset + (user,)))], (len(subsets) - 1 - i) * slot_bits)
+        for i, subset in enumerate(subsets)
+        if user not in subset
+    )
+
+
+def _images(
+    per_file: tuple[tuple[int, ...], ...], sources: Sources, slot_bits: int
+) -> tuple[tuple[int, ...], ...]:
+    """Per member, per file: one wide int of `slot_bits`-bit slots holding
+    the file's pieces[index] at each (slot, index) of the member's sources,
+    zeros elsewhere. `per_file` is one part's subfile ints: the server's
+    (`_send_sources`) or one user's cached ones (`_decode_sources`)."""
+    images = []
+    for member_sources in sources:
+        member_images = []
+        for pieces in per_file:
+            value = 0
+            for slot, index in member_sources:
+                value |= pieces[index] << (slot * slot_bits)
+            member_images.append(value)
+        images.append(tuple(member_images))
+    return tuple(images)
 
 
 def _split_files(
@@ -316,7 +408,7 @@ def _split_files(
         for content in files:
             # shifting right by `top - i * sub` leaves subfile i in the low bits
             top = content.width - offset - sub
-            per_file.append(tuple((content.value >> (top - i * sub)) & mask for i in range(count)))
+            per_file.append(tuple([(content.value >> (top - i * sub)) & mask for i in range(count)]))
         table.append(tuple(per_file))
         offset += part.file_bits
     return tuple(table)
@@ -343,7 +435,7 @@ def _split_segment(
         for _ in range(plan.num_files):
             top -= count * sub
             block = segment.value >> top  # this file's pieces, the last in the low bits
-            per_file.append(tuple((block >> (i * sub)) & mask for i in reversed(range(count))))
+            per_file.append(tuple([(block >> (i * sub)) & mask for i in reversed(range(count))]))
         table.append(tuple(per_file))
     return tuple(table)
 
@@ -399,29 +491,37 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
     )
 
 
+def _library_send_images(table: SubfileTable, plan: LibraryPlan, num_users: int) -> ImageTable:
+    """One library's send images (`_send_sources`), per plan part, from its
+    subfile table: a row's messages of a part are the XOR of its members'
+    images for their requested files."""
+    return tuple(
+        _images(per_file, _send_sources(num_users, part.t), part.subfile_bits) if part.t else None
+        for part, per_file in zip(plan.parts, table)
+    )
+
+
 def _library_transcript(
-    table: SubfileTable, plan: LibraryPlan, num_users: int, row: tuple[int, ...]
+    table: SubfileTable, images: ImageTable, plan: LibraryPlan, row: tuple[int, ...]
 ) -> tuple[PartTranscript, ...]:
-    """One library's share of the broadcast for one demand row, XORed from the
-    library's subfile table (`_split_files`)."""
+    """One library's share of the broadcast for one demand row: t = 0 parts
+    send whole parts from the subfile table (`_split_files`); every other part
+    XORs its members' send images (`_library_send_images`) and cuts the
+    result into its messages."""
     parts = []
-    for part, per_file in zip(plan.parts, table):
+    for part, per_file, by_member in zip(plan.parts, table, images):
         sub = part.subfile_bits
         if part.t == 0:
             messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
-            parts.append(PartTranscript(t=0, subfile_bits=sub, messages=messages))
-            continue
-        # each member's requested file, indexed by the 1-based member
-        requested = [None]
-        for n in row:
-            requested.append(per_file[n - 1])
-        messages = []
-        for group in _delivery_table(num_users, part.t):
-            msg = 0
-            for member, rank in group:
-                msg ^= requested[member][rank]
-            messages.append(msg)
-        parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=tuple(messages)))
+        else:
+            wide = 0
+            for member_images, n in zip(by_member, row):
+                wide ^= member_images[n - 1]
+            mask = (1 << sub) - 1
+            shifts = _send_shifts(len(row), part.t, sub)
+            # a list, not a generator: cheaper on the many tiny transcripts of small K
+            messages = tuple([(wide >> shift) & mask for shift in shifts])
+        parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=messages))
     return tuple(parts)
 
 
@@ -434,11 +534,12 @@ def deliver(
     """Broadcast transcript serving every user's request in one shot."""
     demand.validate_for(config)
     k = config.num_users
-    per_library = tuple(
-        _library_transcript(_split_files(files, plan, k), plan, k, row)
-        for files, plan, row in zip(store.files, placement.plans, demand.rows)
-    )
-    return DeliveryTranscript(demand=demand, per_library=per_library)
+    per_library = []
+    for files, plan, row in zip(store.files, placement.plans, demand.rows):
+        table = _split_files(files, plan, k)
+        images = _library_send_images(table, plan, k)
+        per_library.append(_library_transcript(table, images, plan, row))
+    return DeliveryTranscript(demand=demand, per_library=tuple(per_library))
 
 
 def decode(
@@ -450,34 +551,31 @@ def decode(
 ) -> BitString:
     """Reconstruct the file `user` requested from `library` (both 1-based),
     using only that user's cache and the library's transcript `parts` for
-    demand row `row` (one file id per user)."""
-    k = len(row)
+    demand row `row` (one file id per user).
+
+    Per part with t >= 1: the XOR of the user's decode images for every
+    member's request holds its own pieces and cancels the other members'
+    shares; the messages it reads, put at their subfiles' slots, complete it.
+    """
     want = row[user - 1]
-    table = placement.cached_subfiles[user - 1][library - 1]
+    images = placement.decode_images[user - 1][library - 1]
+    reads = placement.read_slots[user - 1][library - 1]
     value = width = 0
-    for part, part_tr, per_file in zip(placement.plans[library - 1].parts, parts, table):
-        sub = part.subfile_bits
+    for part, part_tr, by_member, slots in zip(
+        placement.plans[library - 1].parts, parts, images, reads
+    ):
         width += part.file_bits
+        messages = part_tr.messages
         if part.t == 0:
             # sent in id order: count the distinct requests below `want`
-            msg = part_tr.messages[len({n for n in row if n < want})]
-            value = (value << sub) | msg
-            continue
-        # the cached block of each member's requested file, looked up once and
-        # indexed by the 1-based member (a loop: a comprehension costs a call)
-        blocks = [None]
-        for n in row:
-            blocks.append(per_file[n - 1])
-        own = blocks[user]
-        messages = part_tr.messages
-        for pos, pairs in _decode_table(k, part.t, user):
-            if pairs is None:
-                piece = own[pos]
-            else:
-                piece = messages[pos]
-                for member, p in pairs:
-                    piece ^= blocks[member][p]
-            value = (value << sub) | piece
+            piece = messages[len({n for n in row if n < want})]
+        else:
+            piece = 0
+            for member_images, n in zip(by_member, row):
+                piece ^= member_images[n - 1]
+            for group, shift in slots:
+                piece ^= messages[group] << shift
+        value = (value << part.file_bits) | piece
     return BitString(width, value)
 
 
@@ -501,7 +599,10 @@ class RowPass:
     `reduction_demo` can read the same rows without serving them twice. The
     row pass is the one context of a run: both read the store, the network
     and the placement from it. `subfiles[l - 1]` is library l's files cut
-    into subfile ints once (`_split_files`), the table every delivery reads.
+    into subfile ints once (`_split_files`); t = 0 deliveries read it whole.
+    `send_images[l - 1]` lays that table out once per part, member and file
+    as the member's share of every message (`_library_send_images`); every
+    other delivery XORs one image per member.
     """
 
     def __init__(self, store: FileStore, config: NetworkConfig, placement: PlacementState):
@@ -511,6 +612,10 @@ class RowPass:
         self.subfiles = tuple(
             _split_files(files, plan, config.num_users)
             for files, plan in zip(store.files, placement.plans)
+        )
+        self.send_images = tuple(
+            _library_send_images(table, plan, config.num_users)
+            for table, plan in zip(self.subfiles, placement.plans)
         )
         self.outcomes: tuple[dict[tuple[int, ...], RowOutcome], ...] = tuple(
             {} for _ in config.libraries
@@ -533,7 +638,7 @@ class RowPass:
         lib_idx = library - 1
         files = self.store.files[lib_idx]
         parts = _library_transcript(
-            self.subfiles[lib_idx], self.placement.plans[lib_idx], config.num_users, row
+            self.subfiles[lib_idx], self.send_images[lib_idx], self.placement.plans[lib_idx], row
         )
         decoded = tuple(
             decode(self.placement, parts, row, user, library)

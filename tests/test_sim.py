@@ -39,7 +39,9 @@ from util import (
     random_sim_config,
     reference_config,
     reference_file_subfiles,
+    reference_library_transcript,
     reference_reduction,
+    reference_subfile_decode,
     reference_verify,
     row_pass,
     unequal_config,
@@ -194,14 +196,63 @@ def test_decode_uses_only_own_cache_and_transcript():
         parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
         want = row[0]
         assert decode(zeroed, parts, row, 1, library) == store.files[library - 1][want - 1]
-        # the copy cut its own caches: user 2 now sees only zero subfiles
+        # the copy cut its own caches: user 2 now sees only zero subfiles, and
+        # so are the decode images `decode` reads laid out from them
         assert {
             piece
             for part in zeroed.cached_subfiles[1][library - 1]
             for pieces in part
             for piece in pieces
         } == {0}
+        assert {
+            image
+            for by_member in zeroed.decode_images[1][library - 1]
+            for per_file in by_member
+            for image in per_file
+        } == {0}
+        assert zeroed.decode_images[0] == placement.decode_images[0]
         assert decode(zeroed, parts, row, 2, library) != store.files[library - 1][row[1] - 1]
+
+
+def library_demand(config, library, row):
+    """The demand vector asking `row` of `library` and file 1 of every other."""
+    rows = [(1,) * config.num_users] * config.num_libraries
+    rows[library - 1] = row
+    return DemandVector(tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "config, allocation",
+    [
+        (reference_config(), Allocation((F(2, 5), F(3, 5)))),
+        # t = 1 and t = 2 parts: user 2's pieces also cancel others' shares
+        (make_config(counts=(2,), weights=(F(1),), users=3, cache="1"), Allocation((F(1),))),
+    ],
+)
+def test_flipping_one_cached_bit_changes_only_that_users_decode(config, allocation):
+    store = random_file_store(config, required_base_size(config, allocation), seed=7)
+    placement = place(store, config, allocation)
+    k = config.num_users
+    for library, lib in enumerate(config.libraries, start=1):
+        rows = list(product(range(1, lib.num_files + 1), repeat=k))
+        transcripts = [
+            deliver(store, config, placement, library_demand(config, library, row)).per_library[
+                library - 1
+            ]
+            for row in rows
+        ]
+        for index in range(placement.caches[1][library - 1].width):
+            segment = placement.caches[1][library - 1].flip(index)
+            tampered = tampered_segment(placement, 2, library, segment)
+            changed = set()
+            for row, parts in zip(rows, transcripts):
+                for user in range(1, k + 1):
+                    before = decode(placement, parts, row, user, library)
+                    after = decode(tampered, parts, row, user, library)
+                    assert before == store.files[library - 1][row[user - 1] - 1]
+                    if after != before:
+                        changed.add(user)
+            assert changed == {2}, (library, index)
 
 
 def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
@@ -440,9 +491,7 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
             # every message served for every row of this library is an int of
             # its part's subfile width (the other libraries ask for file 1)
             for row in product(range(1, len(files) + 1), repeat=k):
-                demand = [(1,) * k] * config.num_libraries
-                demand[library - 1] = row
-                transcript = deliver(store, config, placement, DemandVector(tuple(demand)))
+                transcript = deliver(store, config, placement, library_demand(config, library, row))
                 for part in transcript.per_library[library - 1]:
                     assert all(
                         type(m) is int and 0 <= m < 1 << part.subfile_bits
@@ -586,3 +635,37 @@ def test_reduction_demo_rejects_uneven_caches():
         ValueError, match="^user 2 library 1 cache segment has 3 bits; its plan places 4$"
     ):
         tampered_segment(placement, 2, 1, segment.slice(0, segment.width - 1))
+
+
+def test_image_delivery_and_decode_match_the_per_subfile_reference():
+    rng = random.Random(6131)
+    seen = dict.fromkeys(("t0", "tK", "two_parts", "one_user", "one_file"), 0)
+    for seed in range(60):
+        shape = random_sim_config(rng)
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, shape)
+        store = random_file_store(config, required_base_size(config, allocation), seed)
+        placement = place(store, config, allocation)
+        rows = RowPass(store, config, placement)
+        k = config.num_users
+        seen["one_user"] += k == 1
+        for library, (files, plan) in enumerate(zip(store.files, placement.plans), start=1):
+            seen["t0"] += any(part.t == 0 for part in plan.parts)
+            seen["tK"] += any(part.t == k for part in plan.parts)
+            seen["two_parts"] += len(plan.parts) == 2
+            seen["one_file"] += plan.num_files == 1
+            table = rows.subfiles[library - 1]
+            for row in product(range(1, plan.num_files + 1), repeat=k):
+                expected = reference_library_transcript(table, plan, k, row)
+                parts = sim._library_transcript(table, rows.send_images[library - 1], plan, row)
+                assert parts == expected, (seed, library, row)
+                delivered = deliver(store, config, placement, library_demand(config, library, row))
+                assert delivered.per_library[library - 1] == expected, (seed, library, row)
+                for part in parts:
+                    if part.t == k:  # every user caches the whole part: nothing is sent
+                        assert part.messages == ()
+                for user in range(1, k + 1):
+                    got = decode(placement, parts, row, user, library)
+                    assert got == reference_subfile_decode(placement, parts, row, user, library)
+                    assert got == files[row[user - 1] - 1], (seed, library, row, user)
+    assert all(seen.values()), seen

@@ -6,7 +6,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import cacheshare.sim as sim
 from cacheshare.allocation import (
@@ -16,7 +16,7 @@ from cacheshare.allocation import (
     memory_sharing_rate,
     split_rate,
 )
-from cacheshare.bits import concat
+from cacheshare.bits import BitString, concat
 from cacheshare.converse import concatenate, sort_by_library_size, subfile_level
 from cacheshare.model import DemandVector, LibrarySpec, NetworkConfig, enumerate_demands
 from cacheshare.tradeoff import (
@@ -198,6 +198,57 @@ def reference_file_subfiles(files, plan: sim.LibraryPlan, num_users: int):
         )
         offset += part.file_bits
     return tuple(table)
+
+
+def reference_library_transcript(table, plan: sim.LibraryPlan, num_users: int, row):
+    """One library's transcript XORed one subfile at a time from its server
+    subfile table: each size-(t + 1) group's message XORs, member by member,
+    the subfile of that member's request indexed by the group without it."""
+    parts = []
+    for part, per_file in zip(plan.parts, table):
+        if part.t == 0:
+            messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
+        else:
+            rank = {s: i for i, s in enumerate(combinations(range(1, num_users + 1), part.t))}
+            messages = []
+            for group in combinations(range(1, num_users + 1), part.t + 1):
+                msg = 0
+                for member in group:
+                    msg ^= per_file[row[member - 1] - 1][rank[tuple(x for x in group if x != member)]]
+                messages.append(msg)
+            messages = tuple(messages)
+        parts.append(sim.PartTranscript(t=part.t, subfile_bits=part.subfile_bits, messages=messages))
+    return tuple(parts)
+
+
+def reference_subfile_decode(placement: sim.PlacementState, parts, row, user: int, library: int):
+    """`user`'s decode rebuilt one subfile at a time from its own subfile table
+    (`cached_subfiles`): a cached subfile is read, any other subfile S is the
+    message of group S + {user} XORed with every other member's cached piece."""
+    k = len(row)
+    table = placement.cached_subfiles[user - 1][library - 1]
+    value = width = 0
+    for part, part_tr, per_file in zip(placement.plans[library - 1].parts, parts, table):
+        sub = part.subfile_bits
+        width += part.file_bits
+        if part.t == 0:
+            value = (value << sub) | part_tr.messages[sorted(set(row)).index(row[user - 1])]
+            continue
+        subsets = list(combinations(range(1, k + 1), part.t))
+        position = {s: p for p, s in enumerate(s for s in subsets if user in s)}
+        group_rank = {g: i for i, g in enumerate(combinations(range(1, k + 1), part.t + 1))}
+        for subset in subsets:
+            if user in subset:
+                piece = per_file[row[user - 1] - 1][position[subset]]
+            else:
+                group = tuple(sorted(subset + (user,)))
+                piece = part_tr.messages[group_rank[group]]
+                for member in group:
+                    if member != user:
+                        rest = tuple(x for x in group if x != member)
+                        piece ^= per_file[row[member - 1] - 1][position[rest]]
+            value = (value << sub) | piece
+    return BitString(width, value)
 
 
 def reference_betas(config: NetworkConfig) -> tuple[Fraction, ...]:
