@@ -9,12 +9,11 @@ sweep two-library splits.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product, repeat
+from itertools import product
 from typing import Sequence
 
 from .model import (
@@ -148,27 +147,6 @@ def proportional_allocation(config: NetworkConfig) -> Allocation:
     )
 
 
-class _Steeper:
-    """Heap key of one curve segment: steeper slope first, ties to the smaller
-    library index.
-
-    The slope is held as its integer (numerator, denominator) with the
-    denominator positive, so g/h beats g'/h' exactly when g*h' > g'*h: one
-    integer comparison per heap step, no Fraction arithmetic.
-    """
-
-    __slots__ = ("num", "den", "lib", "seg")
-
-    def __init__(self, slope: tuple[int, int], lib: int, seg: int) -> None:
-        self.num, self.den = slope
-        self.lib = lib
-        self.seg = seg
-
-    def __lt__(self, other: "_Steeper") -> bool:
-        mine, theirs = self.num * other.den, other.num * self.den
-        return mine > theirs or (mine == theirs and self.lib < other.lib)
-
-
 def greedy_allocate(
     config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
 ) -> AllocationTrace:
@@ -178,10 +156,16 @@ def greedy_allocate(
     Library l sitting on segment i contributes alpha_l * R_l(M_l / alpha_l)
     to the rate, so one more unit of cache there buys a reduction of exactly
     gamma_i — the alpha weight and the per-library memory rescaling cancel.
-    The ranking key is therefore the raw segment slope, and since each curve's
-    slopes strictly decrease, the buying order is a k-way merge of the curves on
-    (-slope, library, segment): ties go to the smallest library index. The last
-    step may stop mid-segment; every other library ends exactly on a corner.
+    The ranking key is therefore the raw segment slope, and the buying order is
+    one sort of every segment on (-slope, library, segment): ties go to the
+    smallest library index, and each curve's strictly decreasing slopes keep
+    its segments in order. The last step may stop mid-segment; every other
+    library ends exactly on a corner.
+
+    A slope g/h sorts on the int -(g * S // h), where S = (max h)**2 over every
+    slope denominator: two different slopes differ by at least
+    1/(h * h') >= 1/S, so their floors at scale S differ, and equal slopes get
+    equal ranks. A rank has about bits(g) + 2 * bits(max h) bits.
 
     Memory is counted in integer units of 1/scale, where scale is the lcm of
     the budget's denominator and of each alpha_l's denominator times the lcm
@@ -206,16 +190,18 @@ def greedy_allocate(
     steps: list[AllocationStep] = []
     total = 0
     inside = None  # library whose last step stopped inside a segment
-    order = heapq.merge(
-        *(
-            map(_Steeper, curve.slope_ratios, repeat(lib), count())
-            for lib, curve in enumerate(tradeoffs)
-        )
+    S = max((h for curve in distinct.values() for _, h in curve.slope_ratios), default=1) ** 2
+    ranks = {
+        key: [-(g * S // h) for g, h in curve.slope_ratios] for key, curve in distinct.items()
+    }
+    order = sorted(
+        (rank, lib, seg)
+        for lib, curve in enumerate(tradeoffs)
+        for seg, rank in enumerate(ranks[id(curve)])
     )
-    for key in order:
+    for _, lib, seg in order:
         if total >= limit:
             break
-        lib, seg = key.lib, key.seg
         p, q = tradeoffs[lib].breakpoint_ratios[seg + 1]
         end = weight[lib] * p // q
         delta = end - filled[lib]

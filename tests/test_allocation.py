@@ -266,7 +266,7 @@ def _shared_curve_network(rng: random.Random, max_libraries: int, max_users: int
     return cfg, curves
 
 
-def test_heap_greedy_equals_scan_on_random_networks():
+def test_greedy_equals_scan_on_random_networks():
     rng = random.Random(31337)
     for _ in range(150):
         cfg, curves = _shared_curve_network(rng, max_libraries=8, max_users=12)

@@ -1,13 +1,14 @@
 """Property tests: the integer kernels give the Fraction references' answers.
 
-`greedy_allocate` compares slopes cross-multiplied and counts memory as an
-integer over a common denominator; `PiecewiseLinearTradeoff` keeps its shape
-as (numerator, denominator) pairs, validates, locates, evaluates and prints
-on them; `lower_convex_envelope` runs its orientation test and edges on
-integers; `brute_force_allocate` counts candidate memories in 1/D units and
-rates each candidate as a sum of ints. Each must match its plain-Fraction
-reference in `util` exactly: same steps, same accept/reject with the same
-message, same curve, same segment, rate and strings, same split and rate.
+`greedy_allocate` sorts slopes g/h on the int rank -(g * S // h) with
+S = (max h)**2 and counts memory as an integer over a common denominator;
+`PiecewiseLinearTradeoff` keeps its shape as (numerator, denominator) pairs,
+validates, locates, evaluates and prints on them; `lower_convex_envelope`
+runs its orientation test and edges on integers; `brute_force_allocate`
+counts candidate memories in 1/D units and rates each candidate as a sum of
+ints. Each must match its plain-Fraction reference in `util` exactly: same
+steps, same accept/reject with the same message, same curve, same segment,
+rate and strings, same split and rate.
 """
 
 from __future__ import annotations
@@ -100,6 +101,54 @@ def networks(draw):
 @given(networks())
 def test_integer_greedy_matches_scan_step_for_step(network):
     config, curves = network
+    assert greedy_allocate(config, curves) == reference_greedy(config, curves)
+
+
+def two_segment_curve(n: int, first: Fraction, second: Fraction) -> PiecewiseLinearTradeoff:
+    """The convex curve on corners 0, 1, n with slopes `first` then `second`."""
+    return PiecewiseLinearTradeoff(
+        n, (0, 1, n), (first, second), (second * n + first - second, second * n)
+    )
+
+
+@pytest.mark.parametrize("whole", [True, False])
+def test_greedy_orders_slopes_one_over_h_h_prime_apart(whole):
+    """20/7 and 17/6 are Farey neighbours at the network's two largest slope
+    denominators: 20 * 6 - 17 * 7 = 1, so they differ by exactly 1/(7 * 6),
+    just above 1/S = 1/49. At scale 49 // 2 both floor to 68, and the tie would
+    hand the shallower 17/6 of library 2 the first step. Libraries 2 and 4 run
+    equal but distinct curves, and the exact 2x2 curve of library 3 ties with
+    library 1's scheme curve at slope 1/2."""
+    shallow, twin = (two_segment_curve(2, F(17, 6), F(1, 3)) for _ in range(2))
+    steep = two_segment_curve(3, F(20, 7), F(5, 4))
+    scheme, exact = build_scheme_tradeoff(2, 2), build_by_kind("exact2x2", 2, 2)
+    curves = [scheme, shallow, exact, twin, steep]
+    assert twin == shallow and twin is not shallow
+    assert sorted({h for curve in curves for _, h in curve.slope_ratios})[-2:] == [6, 7]
+    weights = (F(1, 10), F(2, 10), F(3, 10), F(2, 10), F(2, 10))
+    config = make_config(counts=(2, 2, 2, 2, 3), weights=weights, users=2, cache=F(0))
+    content = total_content(config)
+    # without the whole content, stop halfway along the exact curve's last
+    # segment and leave the 1/3 segments unbought
+    alphas = config.alphas
+    budget = content if whole else content - alphas[2] / 2 - alphas[1] - alphas[3]
+    config = NetworkConfig(config.libraries, 2, budget)
+    trace = greedy_allocate(config, curves)
+    assert trace == reference_greedy(config, curves)
+    # (library, segment) by slope: 20/7, 17/6 twice, 2, 3/2, 5/4, 1, 1/2 twice, 1/3 twice
+    order = [(5, 0), (2, 0), (4, 0), (3, 0), (1, 0), (5, 1), (3, 1), (1, 1), (3, 2)]
+    order += [(2, 1), (4, 1)] if whole else []
+    assert [(step.library, step.segment) for step in trace.steps] == order
+    assert trace.steps[-1].allocated_total == budget
+
+
+def test_greedy_matches_scan_at_three_thousand_users():
+    rng = random.Random("greedy:L20:K3000")
+    counts = [rng.randint(1, 20) for _ in range(20)]
+    config = make_config(counts=counts, weights=random_weights(rng, 20), users=3000, cache=F(0))
+    config = NetworkConfig(config.libraries, 3000, total_content(config) / 2)
+    shapes = {n: build_scheme_tradeoff(n, 3000) for n in set(counts)}
+    curves = [shapes[n] for n in counts]
     assert greedy_allocate(config, curves) == reference_greedy(config, curves)
 
 
