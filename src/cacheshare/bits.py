@@ -34,12 +34,6 @@ class BitString:
         width = stop - start
         return BitString(width, (self.value >> (self.width - stop)) & ((1 << width) - 1))
 
-    def flip(self, index: int) -> "BitString":
-        """Copy with the bit at `index` toggled."""
-        if not 0 <= index < self.width:
-            raise ValueError(f"bit index {index} outside width {self.width}")
-        return BitString(self.width, self.value ^ (1 << (self.width - 1 - index)))
-
 
 def concat(parts: Iterable[BitString]) -> BitString:
     width = 0

@@ -15,6 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import click
@@ -49,7 +50,7 @@ from .sim import (
     required_base_size,
     verify_all,
 )
-from .tradeoff import build_by_kind, tradeoff_segments_to_json, tradeoff_to_json
+from .tradeoff import SEGMENT_KEYS, build_by_kind, tradeoff_segments_to_json, tradeoff_to_json
 
 
 class VerificationFailure(click.ClickException):
@@ -86,15 +87,69 @@ _escape = json.encoder.encode_basestring_ascii
 _scalar = json.JSONEncoder().encode  # bool, None and any other scalar
 
 
+@dataclass(frozen=True, slots=True)
+class Rows:
+    """A JSON array of rows: objects with the keys `keys`, in that order, or
+    arrays when `keys` is None. Each row is a tuple of the values."""
+
+    keys: tuple[str, ...] | None
+    rows: list[tuple]
+
+    def plain(self) -> list:
+        """The array as dicts or tuples, as `json.dumps` takes it."""
+        if self.keys is None:
+            return self.rows
+        return [dict(zip(self.keys, row, strict=True)) for row in self.rows]
+
+
+def _rows(value: Rows, pad: str) -> str:
+    """`_json(value.plain(), pad)`. When each column holds only int leaves or
+    only str leaves that need no escaping, the whole array is one `%` of a
+    template built from `pad`, the keys and the row count, with the rows'
+    values in place; any other array takes the generic path."""
+    keys, rows = value.keys, value.rows
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:  # rows of different lengths
+        columns = []
+    specs = []  # each column's placeholder; a bool is not an int here
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            specs.append("%d")
+        # escaping maps each character on its own, so a column needs none
+        # exactly when its concatenation needs none
+        elif kinds == {str} and len(_escape(text := "".join(column))) == len(text) + 2:
+            specs.append('"%s"')
+        else:
+            break
+    # keys must be distinct, as in the dicts `plain()` makes
+    if not specs or len(specs) != len(columns) or (
+        keys is not None and not len(set(keys)) == len(keys) == len(specs)
+    ):
+        return _json(value.plain(), pad)
+    inner, cell = pad + "  ", pad + "    "
+    if keys is None:
+        row = "[" + cell + ("," + cell).join(specs) + inner + "]"
+    else:
+        fields = [_escape(k).replace("%", "%%") + ": " + spec for k, spec in zip(keys, specs)]
+        row = "{" + cell + ("," + cell).join(fields) + inner + "}"
+    template = "[" + inner + ("," + inner).join([row] * len(rows)) + pad + "]"
+    return template % tuple(chain.from_iterable(rows))
+
+
 def _json(value, pad: str = "\n") -> str:
     """`json.dumps(value, indent=2)`, without the generator-based encoder that
-    json falls back to whenever it indents. `pad` is the newline and indent
-    of the line `value` starts on."""
+    json falls back to whenever it indents, with a `Rows` written as its
+    `plain()` array. `pad` is the newline and indent of the line `value`
+    starts on."""
     kind = type(value)
     if kind is str:
         return _escape(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is Rows:
+        return _rows(value, pad)
     if kind is dict or kind is list or kind is tuple:
         if not value:
             return "{}" if kind is dict else "[]"
@@ -249,8 +304,8 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
     result = {
         "label": curve.label,
         "exact": curve.exact,
-        "corners": corners,
-        "segments": tradeoff_segments_to_json(curve),
+        "corners": Rows(None, corners),
+        "segments": Rows(SEGMENT_KEYS, tradeoff_segments_to_json(curve)),
     }
     rows = (
         [m, r, format_decimal(to_fraction(m)), format_decimal(to_fraction(r))]
@@ -288,8 +343,13 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
             "allocation": [str(m) for m in best_alloc.per_library],
         }
     # each step's memories as text, straight from its integer units
-    texts = [
-        (ratio_text(s.delta_units, s.scale), ratio_text(s.total_units, s.scale))
+    steps = [
+        (
+            s.library,
+            s.segment,
+            ratio_text(s.delta_units, s.scale),
+            ratio_text(s.total_units, s.scale),
+        )
         for s in trace.steps
     ]
     result = {
@@ -297,10 +357,7 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
         "rate": str(trace.rate),
         "rate_decimal": format_decimal(trace.rate),
         "labels": list(trace.tradeoff_labels),
-        "steps": [
-            {"library": s.library, "segment": s.segment, "delta": delta, "allocated_total": total}
-            for s, (delta, total) in zip(trace.steps, texts)
-        ],
+        "steps": Rows(("library", "segment", "delta", "allocated_total"), steps),
         "structure_ok": True,
     }
     if oracle is not None:
@@ -308,14 +365,14 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
     rows = (
         [
             i + 1,
-            s.library,
-            s.segment,
+            library,
+            segment,
             delta,
             ratio_decimal(s.delta_units, s.scale),
             total,
             ratio_decimal(s.total_units, s.scale),
         ]
-        for i, (s, (delta, total)) in enumerate(zip(trace.steps, texts))
+        for i, (s, (library, segment, delta, total)) in enumerate(zip(trace.steps, steps))
     )
     header = [
         "step",
@@ -339,17 +396,15 @@ def cmd_sweep(state: CliState, samples: int, kinds: str) -> tuple:
     result = lambda_sweep(config, curves, num_samples=samples)
     share, rate = result.minimum()
     payload = {
-        "points": [[str(s), str(r)] for s, r in result.points],
+        "points": Rows(None, [(str(s), str(r)) for s, r in result.points]),
         "breakpoints": [str(b) for b in result.breakpoints],
-        "segments": [
-            {
-                "start": str(seg.start),
-                "end": str(seg.end),
-                "intercept": str(seg.intercept),
-                "slope": str(seg.slope),
-            }
-            for seg in result.segments
-        ],
+        "segments": Rows(
+            SEGMENT_KEYS,
+            [
+                (str(seg.start), str(seg.end), str(seg.intercept), str(seg.slope))
+                for seg in result.segments
+            ],
+        ),
         "minimum": {"lambda": str(share), "rate": str(rate)},
     }
     rows = ([str(s), str(r), format_decimal(s), format_decimal(r)] for s, r in result.points)

@@ -794,12 +794,17 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
     # per stacked file, the libraries (original 1-based indices) holding a piece of it
     keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
-    counts = config.file_counts
+    # per library, clamp[x] = min(x, N_l) for every stacked file id x
+    clamps = [[min(x, n) for x in range(n_max + 1)] for n in config.file_counts]
+    libraries = range(1, config.num_libraries + 1)
+    serve = rows.serve
     max_total = 0
     for prime in product(range(1, n_max + 1), repeat=k):
-        induced = tuple(tuple(min(x, n) for x in prime) for n in counts)
-        outcomes = [rows.serve(library, row) for library, row in enumerate(induced, start=1)]
-        max_total = max(max_total, sum(outcome.bits for outcome in outcomes))
+        induced = tuple([tuple(map(clamp.__getitem__, prime)) for clamp in clamps])
+        outcomes = [serve(library, row) for library, row in zip(libraries, induced)]
+        max_total = max(max_total, sum([outcome.bits for outcome in outcomes]))
+        if not any([outcome.failed for outcome in outcomes]):
+            continue
         for user, n in enumerate(prime, start=1):
             keep = keeps[n - 1]
             if any(user in outcomes[orig - 1].failed for orig in keep):

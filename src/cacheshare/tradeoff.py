@@ -317,23 +317,24 @@ def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
     return lower_convex_envelope(pts, 2, label="exact2x2", exact=True)
 
 
-def tradeoff_to_json(curve: PiecewiseLinearTradeoff) -> list[list[str]]:
-    """Corner-list serialization: [[memory, rate], ...] as exact strings."""
+SEGMENT_KEYS = ("start", "end", "intercept", "slope")
+
+
+def tradeoff_to_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, str]]:
+    """Corner-list serialization: [(memory, rate), ...] as exact strings."""
     memories, rates = zip(*curve.corner_ratios())
-    return [list(pt) for pt in zip(reduced_texts(memories), reduced_texts(rates))]
+    return list(zip(reduced_texts(memories), reduced_texts(rates)))
 
 
-def tradeoff_segments_to_json(curve: PiecewiseLinearTradeoff) -> list[dict[str, str]]:
+def tradeoff_segments_to_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, ...]]:
     """Each segment's memory range and its line rate = intercept + slope * memory,
-    as exact strings; the slope is the negated magnitude."""
+    as exact strings, one tuple per segment in `SEGMENT_KEYS` order; the slope
+    is the negated magnitude."""
     bp, ic, sl = map(
         reduced_texts, (curve.breakpoint_ratios, curve.intercept_ratios, curve.slope_ratios)
     )
     # magnitudes are positive, so "-" before one negates it
-    return [
-        {"start": start, "end": end, "intercept": intercept, "slope": "-" + slope}
-        for start, end, intercept, slope in zip(bp, bp[1:], ic, sl)
-    ]
+    return list(zip(bp, bp[1:], ic, ["-" + slope for slope in sl]))
 
 
 def build_by_kind(kind: str, num_files: int, num_users: int) -> PiecewiseLinearTradeoff:

@@ -8,6 +8,8 @@ import pytest
 
 from cacheshare.bits import BitString, concat, random_bits
 
+from util import flip
+
 
 def test_constructor_bounds():
     BitString(0, 0)
@@ -45,13 +47,13 @@ def test_slice_is_msb_first():
 def test_bit_and_flip():
     s = BitString(5, 0b10010)
     assert [s.slice(i, i + 1).value for i in range(5)] == [1, 0, 0, 1, 0]
-    flipped = s.flip(1)
+    flipped = flip(s, 1)
     assert flipped == BitString(5, 0b11010)
-    assert flipped.flip(1) == s
+    assert flip(flipped, 1) == s
     with pytest.raises(ValueError, match="outside width"):
-        s.flip(5)
+        flip(s, 5)
     with pytest.raises(ValueError, match="outside width"):
-        s.flip(-1)
+        flip(s, -1)
 
 
 def test_concat_appends_on_the_right():

@@ -5,16 +5,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cacheshare
 import cacheshare.cli as cli
 import cacheshare.sim as sim
 from cacheshare.cli import main
-from util import INEXACT_CONFIG_VALUES, config_with
+from util import INEXACT_CONFIG_VALUES, config_with, flip
 
 CONFIG_DIR = Path(cacheshare.__file__).parent / "configs"
 EXAMPLE = str(CONFIG_DIR / "reference.json")
@@ -147,6 +151,7 @@ def test_simulate_reports_the_claimed_rate_next_to_the_realized_one(runner, tmp_
         {"a": [], "b": {}, "c": ()},
         {"s": "tab\t quote\" é ✓", "n": [0, -7, 10**30], "flags": [True, False, None]},
         {"x": 1.5, "nested": [[{"deep": [1, [2, []]]}], ("t", 3)]},
+        [{"a": 1, "b": "x"}, {"b": "y", "a": 2}, {"a": 3}],
         "top",
         12,
         None,
@@ -154,6 +159,159 @@ def test_simulate_reports_the_claimed_rate_next_to_the_realized_one(runner, tmp_
 )
 def test_json_writer_matches_indented_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+ESCAPED = ['q"uote', "back\\slash", "nul\x00", "line\nbreak", "\x1f", "é", "✓", "\U0001f600"]
+
+# (keys, rows, whether the array is written by the template); every other
+# array must take the generic path and still give json.dumps' bytes
+ROW_ARRAYS = [
+    (("a", "b"), [("1/2", 3), ("-7", -4)], True),
+    (None, [("0", "2"), ("1/2", "1")], True),
+    (("n",), [(0,), (-1,), (10**30,), (-(10**30),)], True),
+    (("p%", "%s", "a%%b", "%d%"), [("50%", "%s", "%%", "%d")], True),
+    (None, [("%", 1, "%(x)s")], True),
+    (("k",), [("only",)], True),
+    (('"q"', "é\n"), [(1, "x"), (2, "y")], True),
+    (("library", "segment"), [], False),
+    (None, [], False),
+    (None, [(), ()], False),
+    ((), [(), ()], False),
+    (("s",), [(text,) for text in ESCAPED], False),
+    (("plain", "s"), [("ok", text) for text in ESCAPED], False),
+    (None, [("a", "b"), ("c",), ("d", "e", "f")], False),
+    (None, [(1, 2), (3,)], False),
+    (("v",), [(1,), ("1",)], False),
+    (("v",), [(1,), (True,)], False),
+    (("v",), [(True,), (False,)], False),
+    (("v",), [(0,), (None,)], False),
+    (("v",), [("x",), (None,)], False),
+    (("v",), [(1.5,), (2.5,)], False),
+    (None, [([1, 2], {"a": "b"}), ((), {})], False),
+    (("a", "a"), [(1, 2)], False),
+]
+
+
+def _nest(value, depth: int):
+    """`value` `depth` levels down, inside dicts and lists with other leaves."""
+    for level in range(depth):
+        value = {"pad": level, "inner": value} if level % 2 else ["x", value, None]
+    return value
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("keys, rows, templated", ROW_ARRAYS)
+def test_row_arrays_match_indented_json_dumps(monkeypatch, keys, rows, templated, depth):
+    value = cli.Rows(keys, rows)
+    expected = json.dumps(_nest(value.plain(), depth), indent=2)
+    calls = []
+    real = cli._json
+    monkeypatch.setattr(cli, "_json", lambda *a: calls.append(a[0]) or real(*a))
+    assert real(_nest(value, depth)) == expected
+    if depth == 0:
+        # the template writes the whole array without calling the writer again
+        assert (calls == []) is templated
+
+
+# per column: free text, digits and signs as in the CLI's arrays, ints, or any leaf
+COLUMNS = st.sampled_from(
+    [
+        st.text(),
+        st.text(alphabet="0123456789/-%"),
+        st.integers(),
+        st.one_of(st.text(), st.integers(), st.booleans(), st.none()),
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_random_row_arrays_match_indented_json_dumps(data):
+    width = data.draw(st.integers(0, 4))
+    keys = data.draw(st.none() | st.lists(st.text(), min_size=width, max_size=width).map(tuple))
+    columns = [data.draw(COLUMNS) for _ in range(width)]
+    rows = data.draw(st.lists(st.tuples(*columns), max_size=6))
+    depth = data.draw(st.integers(0, 3))
+    value = cli.Rows(keys, rows)
+    assert cli._json(_nest(value, depth)) == json.dumps(_nest(value.plain(), depth), indent=2)
+
+
+def test_row_arrays_reject_rows_that_do_not_fit_their_keys():
+    for rows in ([("a", "b", "c")], [("a",)], [("a", "b"), ("c",)]):
+        with pytest.raises(ValueError):
+            cli._json(cli.Rows(("x", "y"), rows))
+
+
+def _bench_like_network(path: Path, seed: int, libraries: int, budget_eighths: int) -> str:
+    """L libraries, K=200, N_l in 1..20, alpha numerators 1..9, and a budget of
+    `budget_eighths`/8 of the content."""
+    rng = random.Random(f"writer-network:{seed}")
+    counts = [rng.randint(1, 20) for _ in range(libraries)]
+    weights = [rng.randint(1, 9) for _ in range(libraries)]
+    content = Fraction(sum(n * w for n, w in zip(counts, weights)), sum(weights))
+    network = {
+        "libraries": [
+            {"num_files": n, "alpha": str(Fraction(w, sum(weights)))}
+            for n, w in zip(counts, weights)
+        ],
+        "num_users": 200,
+        "cache_size": str(content * budget_eighths / 8),
+    }
+    path.write_text(json.dumps(network))
+    return str(path)
+
+
+def assert_indented_json(output: str) -> dict:
+    payload = json.loads(output)
+    assert output == json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+@pytest.mark.parametrize("seed, budget_eighths", [(1, 0), (2, 1), (3, 4), (4, 7)])
+def test_allocate_prints_json_dumps_bytes(runner, tmp_path, seed, budget_eighths):
+    network = _bench_like_network(tmp_path / "net.json", seed, 20, budget_eighths)
+    result = runner.invoke(main, ["--config", network, "allocate"])
+    assert result.exit_code == 0, result.output
+    steps = assert_indented_json(result.output)["result"]["steps"]
+    assert (steps == []) is (budget_eighths == 0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--files", "1", "--users", "1"],
+        ["--files", "7", "--users", "3"],
+        ["--files", "2", "--users", "2", "--kind", "exact2x2"],
+        ["--files", "20", "--users", "3000"],
+    ],
+)
+def test_tradeoff_prints_json_dumps_bytes(runner, args):
+    result = runner.invoke(main, ["tradeoff", *args])
+    assert result.exit_code == 0, result.output
+    assert assert_indented_json(result.output)["result"]["segments"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sweep_prints_json_dumps_bytes(runner, tmp_path, seed):
+    network = _bench_like_network(tmp_path / "net.json", seed, 2, 3)
+    result = runner.invoke(main, ["--config", network, "sweep", "--samples", "101"])
+    assert result.exit_code == 0, result.output
+    assert len(assert_indented_json(result.output)["result"]["points"]) >= 101
+
+
+def test_writer_calls_do_not_grow_with_allocate_steps(runner, monkeypatch, tmp_path):
+    calls = []
+    real = cli._json
+    monkeypatch.setattr(cli, "_json", lambda *a: calls.append(a[0]) or real(*a))
+    counts, steps = [], []
+    for eighths in (1, 7):
+        calls.clear()
+        network = _bench_like_network(tmp_path / f"net{eighths}.json", 5, 50, eighths)
+        payload = run_json(runner, ["--config", network, "allocate"])
+        counts.append(len(calls))
+        steps.append(len(payload["result"]["steps"]))
+    assert steps[1] > steps[0] + 1000
+    assert counts[0] == counts[1]
 
 
 def test_tradeoff_csv_corners(runner):
@@ -369,7 +527,7 @@ def test_decode_mismatch_exits_one(runner, monkeypatch):
     real = sim.decode
 
     def corrupted(placement, parts, row, user, library):
-        return real(placement, parts, row, user, library).flip(0)
+        return flip(real(placement, parts, row, user, library), 0)
 
     monkeypatch.setattr(sim, "decode", corrupted)
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate"])

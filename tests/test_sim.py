@@ -34,6 +34,7 @@ from cacheshare.tradeoff import build_scheme_tradeoff
 
 from util import (
     curves_for,
+    flip,
     make_config,
     random_corner_allocation,
     random_sim_config,
@@ -242,7 +243,7 @@ def test_flipping_one_cached_bit_changes_only_that_users_decode(config, allocati
             for row in rows
         ]
         for index in range(placement.caches[1][library - 1].width):
-            segment = placement.caches[1][library - 1].flip(index)
+            segment = flip(placement.caches[1][library - 1], index)
             tampered = tampered_segment(placement, 2, library, segment)
             changed = set()
             for row, parts in zip(rows, transcripts):
@@ -263,7 +264,7 @@ def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
     for library in (1, 2):
         for index in (0, placement.caches[0][library - 1].width - 1):
             segments = list(placement.caches[0])
-            segments[library - 1] = segments[library - 1].flip(index)
+            segments[library - 1] = flip(segments[library - 1], index)
             tampered = dataclasses.replace(
                 placement, caches=(tuple(segments),) + placement.caches[1:]
             )
@@ -328,7 +329,7 @@ def test_libraries_do_not_interact():
     # flip a bit of library 2 file 1 inside the subfile indexed by subset {2}
     tampered = FileStore(
         base_size=10,
-        files=(store.files[0], (store.files[1][0].flip(3), store.files[1][1])),
+        files=(store.files[0], (flip(store.files[1][0], 3), store.files[1][1])),
     )
     allocation = Allocation((F(2, 5), F(3, 5)))
     demand = DemandVector(((1, 1), (1, 2)))
@@ -350,7 +351,7 @@ def test_decode_failure_reports_first_witness(monkeypatch):
     real = sim.decode
 
     def corrupted(placement, parts, row, user, library):
-        return real(placement, parts, row, user, library).flip(0)
+        return flip(real(placement, parts, row, user, library), 0)
 
     monkeypatch.setattr(sim, "decode", corrupted)
     with pytest.raises(DecodeMismatchError) as info:
@@ -360,7 +361,7 @@ def test_decode_failure_reports_first_witness(monkeypatch):
     assert err.user == 1
     assert err.library == 1
     assert err.expected == store.files[0][0]
-    assert err.actual == err.expected.flip(0)
+    assert err.actual == flip(err.expected, 0)
 
 
 def test_formula_rate_matches_memory_sharing_on_scheme_curves():
@@ -531,7 +532,7 @@ def test_witness_matches_full_product_reference(
     def corrupted(placement, parts, row, u, lib):
         out = real(placement, parts, row, u, lib)
         bad_users = failing.get(lib, {}).get(row, ())
-        return out.flip(0) if u in bad_users else out
+        return flip(out, 0) if u in bad_users else out
 
     monkeypatch.setattr(sim, "decode", corrupted)
     with pytest.raises(DecodeMismatchError) as reference:
@@ -584,7 +585,7 @@ def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witn
         out = real(placement, parts, row, u, lib)
         want = row[u - 1]
         if mutant == "flip" and (lib, u, want) == (3, 2, 2):
-            return out.flip(0)
+            return flip(out, 0)
         if mutant == "wrong_file" and (lib, u, want) == (1, 1, 3):
             return store.files[0][0]
         return out

@@ -19,7 +19,7 @@ F = Fraction
 
 def test_exact_two_by_two_corners():
     curve = build_exact_two_by_two()
-    assert tradeoff_to_json(curve) == [["0", "2"], ["1/2", "1"], ["1", "1/2"], ["2", "0"]]
+    assert tradeoff_to_json(curve) == [("0", "2"), ("1/2", "1"), ("1", "1/2"), ("2", "0")]
     assert curve.exact
     assert curve.label == "exact2x2"
     assert curve.slopes == (F(2), F(1), F(1, 2))

@@ -133,6 +133,14 @@ def random_corner_allocation(
     return rebuilt, Allocation(tuple(picks))
 
 
+def flip(bits: BitString, index: int) -> BitString:
+    """A copy of `bits` with the bit at `index` toggled; index 0 is the most
+    significant bit, as in `BitString.slice`."""
+    if not 0 <= index < bits.width:
+        raise ValueError(f"bit index {index} outside width {bits.width}")
+    return BitString(bits.width, bits.value ^ (1 << (bits.width - 1 - index)))
+
+
 def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation) -> sim.RowPass:
     """A fresh row pass over the store placed with `allocation`."""
     return sim.RowPass(store, config, sim.place(store, config, allocation))
@@ -519,23 +527,19 @@ def reference_right_slope(curve: PiecewiseLinearTradeoff, segment: int) -> Fract
     return curve.slopes[segment] if segment < curve.num_segments else Fraction(0)
 
 
-def reference_corners_json(curve: PiecewiseLinearTradeoff) -> list[list[str]]:
+def reference_corners_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, str]]:
     """`tradeoff_to_json`: str() of each corner's Fraction memory and rate."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
-    corners = [[str(m), str(z - g * m)] for m, g, z in zip(bp, sl, ic)]
-    return corners + [[str(bp[-1]), "0"]]
+    corners = [(str(m), str(z - g * m)) for m, g, z in zip(bp, sl, ic)]
+    return corners + [(str(bp[-1]), "0")]
 
 
-def reference_segments_json(curve: PiecewiseLinearTradeoff) -> list[dict[str, str]]:
-    """`tradeoff_segments_to_json`: str() of each segment's Fraction values."""
+def reference_segments_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, ...]]:
+    """`tradeoff_segments_to_json`: str() of each segment's Fraction start,
+    end, intercept and negated slope."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
     return [
-        {
-            "start": str(bp[i]),
-            "end": str(bp[i + 1]),
-            "intercept": str(ic[i]),
-            "slope": str(-sl[i]),
-        }
+        (str(bp[i]), str(bp[i + 1]), str(ic[i]), str(-sl[i]))
         for i in range(curve.num_segments)
     ]
 
