@@ -59,14 +59,12 @@ from .sim import (
     verify_all,
 )
 from .tradeoff import (
-    CornerPoint,
     PiecewiseLinearTradeoff,
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
     lower_convex_envelope,
-    tradeoff_segments_to_json,
-    tradeoff_to_json,
+    tradeoff_rows,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

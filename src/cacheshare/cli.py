@@ -32,6 +32,7 @@ from .allocation import (
 )
 from .converse import conjecture_gap
 from .model import (
+    DEFAULT_DEMAND_CAP,
     NetworkConfig,
     canonical_config_json,
     format_decimal,
@@ -50,7 +51,7 @@ from .sim import (
     required_base_size,
     verify_all,
 )
-from .tradeoff import SEGMENT_KEYS, build_by_kind, tradeoff_segments_to_json, tradeoff_to_json
+from .tradeoff import SEGMENT_KEYS, build_by_kind, tradeoff_rows
 
 
 class VerificationFailure(click.ClickException):
@@ -300,12 +301,12 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
     if files < 1 or users < 1:
         raise click.UsageError("--files and --users must be at least 1")
     curve = build_by_kind(kind, files, users)
-    corners = tradeoff_to_json(curve)
+    corners, segments = tradeoff_rows(curve)
     result = {
         "label": curve.label,
         "exact": curve.exact,
         "corners": Rows(None, corners),
-        "segments": Rows(SEGMENT_KEYS, tradeoff_segments_to_json(curve)),
+        "segments": Rows(SEGMENT_KEYS, segments),
     }
     rows = (
         [m, r, format_decimal(to_fraction(m)), format_decimal(to_fraction(r))]
@@ -442,7 +443,7 @@ def cmd_converse(state: CliState, kinds: str) -> tuple:
 @click.option("--explicit", default=None, help="Comma-separated per-library memories (fractions).")
 @click.option("--kinds", default="auto", show_default=True, help="Curves for the greedy split and claimed_rate.")
 @click.option("--base-size", type=int, default=None, help="Total bits per size unit (default: smallest usable).")
-@click.option("--demand-cap", type=int, default=4096, show_default=True)
+@click.option("--demand-cap", type=int, default=DEFAULT_DEMAND_CAP, show_default=True)
 @click.option("--stack/--no-stack", default=False, help="Also serve every stacked-library demand.")
 def cmd_simulate(
     state: CliState,
@@ -455,6 +456,8 @@ def cmd_simulate(
 ) -> tuple:
     """Run the scheme bit for bit over every demand and verify decoding."""
     config = state.load()
+    if explicit is not None and alloc != "explicit":
+        raise click.UsageError("--explicit needs --alloc explicit")
     claimed = None  # the split's rate on the --kinds curves
     if alloc == "greedy":
         trace = greedy_allocate(config, _curves(config, kinds))

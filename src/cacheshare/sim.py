@@ -257,14 +257,16 @@ def _plan_weights(
             raise ValueError(
                 f"library {idx} gets memory {budget}, more than its content {lib.alpha * n}"
             )
-        seg = env.segment_index(m) if m < n else env.num_segments
+        p, q = m.as_integer_ratio()
+        seg = env.segment_of(p, q)
+        bp = env.breakpoint_ratios
         parts: list[tuple[int, Fraction]]
-        if seg == env.num_segments or env.breakpoints[seg] == m:
+        if seg == env.num_segments or bp[seg] == (p, q):
             t = m * k / n
             assert t.denominator == 1
             parts = [(int(t), Fraction(1))]
         else:
-            lo, hi = env.breakpoints[seg], env.breakpoints[seg + 1]
+            lo, hi = Fraction(*bp[seg]), Fraction(*bp[seg + 1])
             t_lo, t_hi = lo * k / n, hi * k / n
             assert t_lo.denominator == 1 and t_hi.denominator == 1
             u = (hi - m) / (hi - lo)

@@ -4,7 +4,9 @@ A curve is stored in segment form: breakpoints 0 = theta_0 < ... < theta_r = N
 on the memory axis and, on each segment [theta_i, theta_{i+1}], the line
 R = zeta_i - gamma_i * m with slope magnitudes gamma_0 > ... > gamma_{r-1} > 0.
 That shape (convex, strictly decreasing, hitting zero exactly at m = N) is
-enforced at construction, so downstream code can lean on it.
+enforced at construction, so downstream code can lean on it. Every value is an
+integer (numerator, denominator) pair; `lower_convex_envelope` builds a curve
+from Fraction corner points.
 """
 
 from __future__ import annotations
@@ -12,37 +14,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .model import reduce_ratio, reduced_texts, to_fraction
+from .model import ratio_text, reduce_ratio, reduced_texts, to_fraction
 
 Ratio = tuple[int, int]  # (numerator, denominator): lowest terms, denominator > 0
 
 
-def _fractions(ratios: Iterable[Ratio]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(n, d) for n, d in ratios)
-
-
 @dataclass(frozen=True)
-class CornerPoint:
-    memory: Fraction
-    rate: Fraction
-
-
-@dataclass(frozen=True, init=False)
 class PiecewiseLinearTradeoff:
     """Convex decreasing memory-rate curve on [0, N], zero at N.
 
     `label` names the construction (for traces and reports); `exact` marks
     curves known to be the true optimum rather than just achievable.
 
-    The curve keeps its breakpoints, slopes and intercepts as integer
-    (numerator, denominator) pairs in lowest terms with positive
-    denominators, and every method works on those. Denominators are positive,
-    so a/b < c/d exactly when a*d < c*b: the same exact answers as Fraction
-    arithmetic, with no Fraction built on the way. `breakpoints`, `slopes` and
-    `intercepts` read the pairs as Fractions, built on first read.
+    The breakpoints, slopes and intercepts are integer (numerator,
+    denominator) pairs, each in lowest terms with a positive denominator;
+    the constructor checks the shape on them as given, without reducing
+    them, and every method works on them. Denominators are positive, so
+    a/b < c/d exactly when a*d < c*b: the same exact answers as Fraction
+    arithmetic, with no Fraction built on the way.
     """
 
     num_files: int
@@ -52,45 +43,16 @@ class PiecewiseLinearTradeoff:
     label: str = "custom"
     exact: bool = False
 
-    def __init__(
-        self,
-        num_files: int,
-        breakpoints: Iterable[Fraction | int | str],
-        slopes: Iterable[Fraction | int | str],
-        intercepts: Iterable[Fraction | int | str],
-        label: str = "custom",
-        exact: bool = False,
-    ) -> None:
-        ratios = (
-            tuple(to_fraction(v).as_integer_ratio() for v in values)
-            for values in (breakpoints, slopes, intercepts)
-        )
-        self._set(num_files, *ratios, label, exact)
-
-    @classmethod
-    def from_ratios(
-        cls,
-        num_files: int,
-        breakpoints: tuple[Ratio, ...],
-        slopes: tuple[Ratio, ...],
-        intercepts: tuple[Ratio, ...],
-        label: str = "custom",
-        exact: bool = False,
-    ) -> "PiecewiseLinearTradeoff":
-        """The curve of the given pairs, each in lowest terms with a positive
-        denominator; checked like any other."""
-        curve = cls.__new__(cls)
-        curve._set(num_files, breakpoints, slopes, intercepts, label, exact)
-        return curve
-
-    def _set(self, num_files, bpr, slr, icr, label, exact) -> None:
-        """Check the shape on the pairs, then store them."""
+    def __post_init__(self) -> None:
+        num_files, bpr = self.num_files, self.breakpoint_ratios
+        slr, icr = self.slope_ratios, self.intercept_ratios
         if num_files < 1:
             raise ValueError(f"num_files = {num_files} < 1")
         if len(bpr) < 2 or len(slr) != len(bpr) - 1 or len(icr) != len(slr):
             raise ValueError("need r >= 1 segments with matching slope/intercept counts")
         if bpr[0] != (0, 1) or bpr[-1] != (num_files, 1):
-            raise ValueError(f"breakpoints must run from 0 to {num_files}, got {_fractions(bpr)}")
+            got = tuple(Fraction(n, d) for n, d in bpr)
+            raise ValueError(f"breakpoints must run from 0 to {num_files}, got {got}")
         if any(a * d >= c * b for (a, b), (c, d) in zip(bpr, bpr[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(g <= 0 for g, _ in slr):
@@ -109,31 +71,14 @@ class PiecewiseLinearTradeoff:
         (z, w), (g, h), (p, q) = icr[-1], slr[-1], bpr[-1]
         if z * h * q != g * p * w:
             raise ValueError(f"curve must hit zero at memory {num_files}")
-        object.__setattr__(self, "num_files", num_files)
-        object.__setattr__(self, "breakpoint_ratios", bpr)
-        object.__setattr__(self, "slope_ratios", slr)
-        object.__setattr__(self, "intercept_ratios", icr)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "exact", exact)
-
-    @cached_property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return _fractions(self.breakpoint_ratios)
-
-    @cached_property
-    def slopes(self) -> tuple[Fraction, ...]:
-        return _fractions(self.slope_ratios)
-
-    @cached_property
-    def intercepts(self) -> tuple[Fraction, ...]:
-        return _fractions(self.intercept_ratios)
 
     @property
     def num_segments(self) -> int:
         return len(self.slope_ratios)
 
     def segment_of(self, p: int, q: int) -> int:
-        """`segment_index` of the memory p/q, q > 0."""
+        """Index of the segment containing the memory p/q, q > 0; num_segments
+        when full."""
         if p < 0:
             raise ValueError(f"memory {Fraction(p, q)} < 0")
         bp = self.breakpoint_ratios
@@ -150,10 +95,6 @@ class PiecewiseLinearTradeoff:
                 hi = mid
         return lo
 
-    def segment_index(self, memory: Fraction) -> int:
-        """Index of the segment containing `memory`; num_segments when full."""
-        return self.segment_of(*to_fraction(memory).as_integer_ratio())
-
     def evaluate(self, memory: Fraction) -> Fraction:
         """Rate at the given memory; zero for any memory at or beyond N."""
         p, q = to_fraction(memory).as_integer_ratio()
@@ -162,28 +103,6 @@ class PiecewiseLinearTradeoff:
             return Fraction(0)
         (z, w), (g, h) = self.intercept_ratios[i], self.slope_ratios[i]
         return Fraction(z * h * q - g * p * w, w * h * q)
-
-    def right_slope(self, segment: int) -> Fraction:
-        """Magnitude of the decrease on segment `segment`; zero past the end."""
-        if segment >= self.num_segments:
-            return Fraction(0)
-        return Fraction(*self.slope_ratios[segment])
-
-    def corner_ratios(self) -> list[tuple[Ratio, Ratio]]:
-        """(memory, rate) of every corner, as pairs."""
-        pts = [
-            ((p, q), reduce_ratio(z * h * q - g * p * w, w * h * q))
-            for (p, q), (g, h), (z, w) in zip(
-                self.breakpoint_ratios, self.slope_ratios, self.intercept_ratios
-            )
-        ]
-        pts.append(((self.num_files, 1), (0, 1)))
-        return pts
-
-    def corner_points(self) -> tuple[CornerPoint, ...]:
-        return tuple(
-            CornerPoint(Fraction(*m), Fraction(*r)) for m, r in self.corner_ratios()
-        )
 
 
 def shared_curve(tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> PiecewiseLinearTradeoff | None:
@@ -252,7 +171,7 @@ def lower_convex_envelope(
         run = (x2 * x1d - x1 * x2d) * y1d * y2d
         slopes.append(reduce_ratio((y1 * y2d - y2 * y1d) * x1d * x2d, run))
         intercepts.append(reduce_ratio(y1 * y2d * x2 * x1d - y2 * y1d * x2d * x1, run))
-    return PiecewiseLinearTradeoff.from_ratios(
+    return PiecewiseLinearTradeoff(
         num_files,
         tuple((x, xd) for x, xd, _, _ in corners),
         tuple(slopes),
@@ -296,7 +215,7 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
     rise = k * (k + 1)
     slopes += [(rise // (g := gcd(rise, x)), x // g) for x in (n * (t + 1) * (t + 2) for t in ts)]
     intercepts += [(x // (g := gcd(x, y)), y // g) for x, y in ((2 * k - t, t + 2) for t in ts)]
-    return PiecewiseLinearTradeoff.from_ratios(
+    return PiecewiseLinearTradeoff(
         n,
         tuple(breakpoints),
         tuple(slopes),
@@ -320,21 +239,22 @@ def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
 SEGMENT_KEYS = ("start", "end", "intercept", "slope")
 
 
-def tradeoff_to_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, str]]:
-    """Corner-list serialization: [(memory, rate), ...] as exact strings."""
-    memories, rates = zip(*curve.corner_ratios())
-    return list(zip(reduced_texts(memories), reduced_texts(rates)))
-
-
-def tradeoff_segments_to_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, ...]]:
-    """Each segment's memory range and its line rate = intercept + slope * memory,
-    as exact strings, one tuple per segment in `SEGMENT_KEYS` order; the slope
-    is the negated magnitude."""
-    bp, ic, sl = map(
-        reduced_texts, (curve.breakpoint_ratios, curve.intercept_ratios, curve.slope_ratios)
-    )
+def tradeoff_rows(
+    curve: PiecewiseLinearTradeoff,
+) -> tuple[list[tuple[str, str]], list[tuple[str, ...]]]:
+    """The curve as exact strings: its corners as (memory, rate) and its
+    segments as (start, end, intercept, slope) in `SEGMENT_KEYS` order, each
+    segment's line being rate = intercept + slope * memory with the slope the
+    negated magnitude. The corner memories are the breakpoints, texted once."""
+    bpr, slr, icr = curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios
+    bp, ic, sl = map(reduced_texts, (bpr, icr, slr))
+    rates = [
+        ratio_text(z * h * q - g * p * w, w * h * q)
+        for (p, q), (g, h), (z, w) in zip(bpr, slr, icr)
+    ]
+    rates.append("0")
     # magnitudes are positive, so "-" before one negates it
-    return list(zip(bp, bp[1:], ic, ["-" + slope for slope in sl]))
+    return list(zip(bp, rates)), list(zip(bp, bp[1:], ic, ["-" + slope for slope in sl]))
 
 
 def build_by_kind(kind: str, num_files: int, num_users: int) -> PiecewiseLinearTradeoff:

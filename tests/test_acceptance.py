@@ -35,6 +35,7 @@ from cacheshare.tradeoff import (
     build_exact_two_by_two,
     build_scheme_tradeoff,
     lower_convex_envelope,
+    tradeoff_rows,
 )
 
 from util import (
@@ -135,8 +136,9 @@ def test_greedy_structure_and_exhaustive_oracle():
         interior = 0
         for lib, share, curve in zip(config.libraries, trace.final.per_library, curves):
             m = share / lib.alpha
-            seg = curve.segment_index(m)
-            if seg != curve.num_segments and curve.breakpoints[seg] != m:
+            p, q = m.as_integer_ratio()
+            seg = curve.segment_of(p, q)
+            if seg != curve.num_segments and curve.breakpoint_ratios[seg] != (p, q):
                 interior += 1
         assert interior <= 1
         step = config.cache_size / 6 if config.cache_size else F(1)
@@ -243,11 +245,11 @@ def test_curve_algebra_properties():
         mid = (lo + hi) / 2
         assert 2 * curve.evaluate(mid) <= curve.evaluate(lo) + curve.evaluate(hi)
         again = lower_convex_envelope(
-            [(p.memory, p.rate) for p in curve.corner_points()], n
+            [(F(m), F(r)) for m, r in tradeoff_rows(curve)[0]], n
         )
-        assert again.breakpoints == curve.breakpoints
-        assert again.slopes == curve.slopes
-        assert again.intercepts == curve.intercepts
+        assert again.breakpoint_ratios == curve.breakpoint_ratios
+        assert again.slope_ratios == curve.slope_ratios
+        assert again.intercept_ratios == curve.intercept_ratios
         assert concatenated_cut_set_bound((F(1),) * n, k, lo) <= curve.evaluate(lo)
     _verdict(
         8,

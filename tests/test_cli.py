@@ -487,6 +487,16 @@ def test_bad_explicit_allocations(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("alloc", [[], ["--alloc", "greedy"], ["--alloc", "proportional"]])
+def test_explicit_without_alloc_explicit_is_refused(runner, alloc):
+    # it used to run the other split while the record listed the --explicit memories
+    args = ["--config", EXAMPLE, "simulate", *alloc, "--explicit", "1/2,1/2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Error: --explicit needs --alloc explicit\n" in result.stderr
+    assert result.stdout == ""
+
+
 def test_unusable_base_size(runner):
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate", "--base-size", "7"])
     assert result.exit_code == 2

@@ -45,10 +45,12 @@ from cacheshare.tradeoff import (
     build_by_kind,
     build_scheme_tradeoff,
     lower_convex_envelope,
-    tradeoff_segments_to_json,
-    tradeoff_to_json,
+    tradeoff_rows,
 )
 from util import (
+    FractionCurve,
+    fraction_curve,
+    fractions,
     make_config,
     random_weights,
     reference_check_curve,
@@ -56,11 +58,11 @@ from util import (
     reference_envelope,
     reference_evaluate,
     reference_greedy,
-    reference_right_slope,
-    reference_segment_index,
+    reference_segment_of,
     reference_segments_json,
     reference_structure_violations,
     reference_tabulated_oracle,
+    ratios,
 )
 
 F = Fraction
@@ -107,7 +109,10 @@ def test_integer_greedy_matches_scan_step_for_step(network):
 def two_segment_curve(n: int, first: Fraction, second: Fraction) -> PiecewiseLinearTradeoff:
     """The convex curve on corners 0, 1, n with slopes `first` then `second`."""
     return PiecewiseLinearTradeoff(
-        n, (0, 1, n), (first, second), (second * n + first - second, second * n)
+        n,
+        ratios((0, 1, n)),
+        ratios((first, second)),
+        ratios((second * n + first - second, second * n)),
     )
 
 
@@ -171,7 +176,8 @@ def perturbed_curves(draw):
         curve = build_scheme_tradeoff(draw(st.integers(1, 8)), draw(st.integers(1, 40)))
     else:
         curve = build_by_kind("exact2x2", 2, 2)
-    bp, sl, ic = list(curve.breakpoints), list(curve.slopes), list(curve.intercepts)
+    view = fraction_curve(curve)
+    bp, sl, ic = list(view.breakpoints), list(view.slopes), list(view.intercepts)
     r = len(sl)
     check = draw(st.sampled_from(("valid", "any") + CHECKS))
     nudge = F(draw(st.integers(1, 20)), draw(st.integers(1, 12)))
@@ -214,7 +220,7 @@ def test_integer_validator_matches_fraction_validator(case):
     n, *parts, check = case
     bp, sl, ic = map(tuple, parts)
     expected = outcome(reference_check_curve, n, bp, sl, ic)
-    got = outcome(PiecewiseLinearTradeoff, n, bp, sl, ic)
+    got = outcome(PiecewiseLinearTradeoff, n, *map(ratios, (bp, sl, ic)))
     assert got == expected
     if check == "valid":
         assert expected is None
@@ -239,7 +245,7 @@ def test_each_check_is_reached_with_the_same_message(check):
     bp, sl, ic = tuple(bp), tuple(sl), tuple(ic)
     expected = outcome(reference_check_curve, 2, bp, sl, ic)
     assert expected.startswith(MESSAGES[check])
-    assert outcome(PiecewiseLinearTradeoff, 2, bp, sl, ic) == expected
+    assert outcome(PiecewiseLinearTradeoff, 2, *map(ratios, (bp, sl, ic))) == expected
 
 
 @st.composite
@@ -368,7 +374,7 @@ def test_integer_oracle_at_three_thousand_users():
     )
 
 
-def probe_memories(curve: PiecewiseLinearTradeoff) -> list[Fraction]:
+def probe_memories(curve: FractionCurve) -> list[Fraction]:
     """0, every breakpoint, every midpoint, N and beyond N."""
     bp, n = curve.breakpoints, curve.num_files
     midpoints = [(a + b) / 2 for a, b in zip(bp, bp[1:])]
@@ -376,16 +382,14 @@ def probe_memories(curve: PiecewiseLinearTradeoff) -> list[Fraction]:
 
 
 def assert_pair_kernels_match_fractions(curve: PiecewiseLinearTradeoff) -> None:
-    for m in probe_memories(curve):
-        assert curve.segment_index(m) == reference_segment_index(curve, m)
-        assert curve.evaluate(m) == reference_evaluate(curve, m)
-    for seg in range(curve.num_segments + 2):
-        assert curve.right_slope(seg) == reference_right_slope(curve, seg)
+    view = fraction_curve(curve)
+    for m in probe_memories(view):
+        assert curve.segment_of(*m.as_integer_ratio()) == reference_segment_of(view, m)
+        assert curve.evaluate(m) == reference_evaluate(view, m)
     below = F(-1, 3)
-    assert outcome(curve.segment_index, below) == outcome(reference_segment_index, curve, below)
-    assert outcome(curve.evaluate, below) == outcome(reference_evaluate, curve, below)
-    assert tradeoff_to_json(curve) == reference_corners_json(curve)
-    assert tradeoff_segments_to_json(curve) == reference_segments_json(curve)
+    assert outcome(curve.segment_of, -1, 3) == outcome(reference_segment_of, view, below)
+    assert outcome(curve.evaluate, below) == outcome(reference_evaluate, view, below)
+    assert tradeoff_rows(curve) == (reference_corners_json(view), reference_segments_json(view))
 
 
 @pytest.mark.parametrize(
@@ -415,7 +419,7 @@ def test_pair_structure_check_matches_fraction_check(network, data):
     config, curves = network
     split = []
     for lib, curve in zip(config.libraries, curves):
-        bp = curve.breakpoints
+        bp = fractions(curve.breakpoint_ratios)
         i = data.draw(st.integers(0, len(bp) - 1))
         if i < len(bp) - 1 and data.draw(st.booleans()):
             split.append(lib.alpha * (bp[i] + bp[i + 1]) / 2)
@@ -478,7 +482,7 @@ def test_printed_step_strings_at_zero_full_and_partial_budgets(share):
         return
     last = steps[-1]
     lib = config.libraries[last.library - 1]
-    bp = curves[last.library - 1].breakpoints
+    bp = fractions(curves[last.library - 1].breakpoint_ratios)
     width = lib.alpha * (bp[last.segment + 1] - bp[last.segment])
     assert last.allocated_total == share * content
     # the full budget ends on the last corner; a third of it stops mid-segment

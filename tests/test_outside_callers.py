@@ -1,11 +1,14 @@
 """Names that callers outside the package rely on: the benchmark's tracing
-hooks and the library example in README.md."""
+hooks and the library example in README.md; and no exported name without a
+caller."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import re
+import types
 from pathlib import Path
 
 import cacheshare
@@ -20,20 +23,33 @@ def _bench_spans():
     return module
 
 
-def test_every_traced_name_resolves():
-    """`bench/run.py --trace 1` wraps these attributes by name; a deleted or
-    renamed one would break the traced run while the rest of tier 1 passes."""
+def _traced_hooks() -> list[tuple[str, str]]:
+    """(module, attribute) of every name `bench/run.py --trace 1` wraps or reads."""
     spans = _bench_spans()
     hooks = [(module, attribute) for module, attribute, _ in spans.SPANNED + spans.COUNTED]
     # the yield counter, the `sim.deliver` span's bit count, and the rebindings
     # the benchmark self-tests assert on
-    hooks += [
+    return hooks + [
         ("cacheshare.model", "enumerate_demands"),
         ("cacheshare.sim", "DeliveryTranscript.total_bits"),
         ("cacheshare.sim", "build_scheme_tradeoff"),
         ("cacheshare.sim", "concat"),
     ]
-    for module_name, attribute in hooks:
+
+
+def _readme_library_example() -> tuple[str, re.Match]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.compile(r"```python\n(.*?)```", re.DOTALL).search(
+        text, text.index("## Library use")
+    )
+    assert block is not None, "no python block under '## Library use'"
+    return text, block
+
+
+def test_every_traced_name_resolves():
+    """`bench/run.py --trace 1` wraps these attributes by name; a deleted or
+    renamed one would break the traced run while the rest of tier 1 passes."""
+    for module_name, attribute in _traced_hooks():
         owner = importlib.import_module(module_name)
         if "." in attribute:
             cls_name, attribute = attribute.split(".")
@@ -48,12 +64,49 @@ def test_every_traced_name_resolves():
 
 
 def test_readme_library_example_runs(monkeypatch):
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.compile(r"```python\n(.*?)```", re.DOTALL).search(
-        text, text.index("## Library use")
-    )
-    assert block is not None, "no python block under '## Library use'"
+    text, block = _readme_library_example()
     # pad with blank lines so a traceback names the README's own line numbers
     code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
     monkeypatch.chdir(ROOT)  # the example loads a shipped config by relative path
     exec(compile(code, "README.md", "exec"), {})
+
+
+def _names_read_in_src() -> set[str]:
+    """Every name or attribute read in a `cacheshare` module other than
+    `__init__.py`, except inside the top-level statement that binds it, so
+    that a function calling itself or a class naming itself does not count."""
+    read = set()
+    for path in (ROOT / "src" / "cacheshare").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                own = {statement.name}
+            else:
+                own = {
+                    node.id
+                    for node in ast.walk(statement)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                }
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            read |= names - own
+    return read
+
+
+def test_every_exported_name_has_a_caller():
+    """No code without a caller: each name `cacheshare` exports, submodules
+    aside, is read somewhere in `src/` outside its own definition, in the
+    README library example, or by a benchmark tracing hook."""
+    _, block = _readme_library_example()
+    callers = _names_read_in_src() | set(re.findall(r"\w+", block.group(1)))
+    callers |= {part for _, attribute in _traced_hooks() for part in attribute.split(".")}
+    exported = [
+        name
+        for name in cacheshare.__all__
+        if not isinstance(getattr(cacheshare, name), types.ModuleType)
+    ]
+    assert [name for name in exported if name not in callers] == []

@@ -35,6 +35,7 @@ from cacheshare.tradeoff import build_scheme_tradeoff
 from util import (
     curves_for,
     flip,
+    fractions,
     make_config,
     random_corner_allocation,
     random_sim_config,
@@ -421,7 +422,7 @@ def random_split_allocation(rng, config):
     for lib in config.libraries:
         env = build_scheme_tradeoff(lib.num_files, config.num_users)
         seg = rng.randrange(env.num_segments)
-        lo, hi = env.breakpoints[seg], env.breakpoints[seg + 1]
+        lo, hi = fractions(env.breakpoint_ratios[seg : seg + 2])
         picks.append((lo + rng.choice((F(1, 3), F(1, 2))) * (hi - lo)) * lib.alpha)
     total = sum(picks, F(0))
     rebuilt = dataclasses.replace(config, cache_size=total)

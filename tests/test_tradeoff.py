@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,19 +11,20 @@ from cacheshare.tradeoff import (
     build_exact_two_by_two,
     build_scheme_tradeoff,
     lower_convex_envelope,
-    tradeoff_to_json,
+    tradeoff_rows,
 )
-from util import reference_scheme_tradeoff, scheme_corner_points
+from util import fractions, ratios, reference_scheme_tradeoff, scheme_corner_points
 
 F = Fraction
 
 
 def test_exact_two_by_two_corners():
     curve = build_exact_two_by_two()
-    assert tradeoff_to_json(curve) == [("0", "2"), ("1/2", "1"), ("1", "1/2"), ("2", "0")]
+    corners, _ = tradeoff_rows(curve)
+    assert corners == [("0", "2"), ("1/2", "1"), ("1", "1/2"), ("2", "0")]
     assert curve.exact
     assert curve.label == "exact2x2"
-    assert curve.slopes == (F(2), F(1), F(1, 2))
+    assert fractions(curve.slope_ratios) == (F(2), F(1), F(1, 2))
 
 
 def test_exact_two_by_two_evaluations():
@@ -45,8 +47,8 @@ def test_scheme_corners_two_files_two_users():
         (F(2), F(0)),
     )
     env = build_scheme_tradeoff(2, 2)
-    assert env.breakpoints == (F(0), F(1), F(2))
-    assert env.slopes == (F(3, 2), F(1, 2))
+    assert fractions(env.breakpoint_ratios) == (F(0), F(1), F(2))
+    assert fractions(env.slope_ratios) == (F(3, 2), F(1, 2))
     assert not env.exact
     assert env.label == "scheme(N=2,K=2)"
 
@@ -56,7 +58,7 @@ def test_scheme_envelope_drops_dominated_corners():
     pts = scheme_corner_points(2, 4)
     assert (F(1, 2), F(3, 2)) in pts
     env = build_scheme_tradeoff(2, 4)
-    assert env.breakpoints == (F(0), F(1), F(3, 2), F(2))
+    assert fractions(env.breakpoint_ratios) == (F(0), F(1), F(3, 2), F(2))
     assert env.evaluate(F(1, 2)) == F(4, 3)
 
 
@@ -64,18 +66,17 @@ def test_scheme_envelope_merges_collinear_corners():
     # a single file is always served at rate 1 - m, whatever the user count
     for k in (1, 2, 3, 4):
         env = build_scheme_tradeoff(1, k)
-        assert env.breakpoints == (F(0), F(1))
-        assert env.slopes == (F(1),)
+        assert fractions(env.breakpoint_ratios) == (F(0), F(1))
+        assert fractions(env.slope_ratios) == (F(1),)
 
 
-def test_segment_index_and_right_slope():
+def test_segment_of_and_slope_ratios():
     curve = build_exact_two_by_two()
-    assert curve.segment_index(F(0)) == 0
-    assert curve.segment_index(F(1, 2)) == 1
-    assert curve.segment_index(F(3, 4)) == 1
-    assert curve.segment_index(F(2)) == 3
-    assert curve.right_slope(1) == 1
-    assert curve.right_slope(3) == 0
+    assert curve.segment_of(0, 1) == 0
+    assert curve.segment_of(1, 2) == 1
+    assert curve.segment_of(3, 4) == 1
+    assert curve.segment_of(2, 1) == 3 == curve.num_segments
+    assert curve.slope_ratios[1] == (1, 1)
 
 
 def test_envelope_requires_anchors():
@@ -108,21 +109,21 @@ def test_envelope_sits_under_every_input_point():
             assert env.evaluate(m) <= r
 
 
+def curve_of(num_files, breakpoints, slopes, intercepts) -> PiecewiseLinearTradeoff:
+    return PiecewiseLinearTradeoff(num_files, *map(ratios, (breakpoints, slopes, intercepts)))
+
+
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(ValueError, match="strictly increasing"):
-        PiecewiseLinearTradeoff(2, (F(0), F(0), F(2)), (F(2), F(1)), (F(2), F(2)))
+        curve_of(2, (F(0), F(0), F(2)), (F(2), F(1)), (F(2), F(2)))
     with pytest.raises(ValueError, match="positive"):
-        PiecewiseLinearTradeoff(2, (F(0), F(2)), (F(-1),), (F(-2),))
+        curve_of(2, (F(0), F(2)), (F(-1),), (F(-2),))
     with pytest.raises(ValueError, match="decreasing"):
-        PiecewiseLinearTradeoff(
-            2, (F(0), F(1), F(2)), (F(1), F(1)), (F(2), F(2))
-        )
+        curve_of(2, (F(0), F(1), F(2)), (F(1), F(1)), (F(2), F(2)))
     with pytest.raises(ValueError, match="discontinuity"):
-        PiecewiseLinearTradeoff(
-            2, (F(0), F(1), F(2)), (F(2), F(1)), (F(2), F(2))
-        )
+        curve_of(2, (F(0), F(1), F(2)), (F(2), F(1)), (F(2), F(2)))
     with pytest.raises(ValueError, match="zero"):
-        PiecewiseLinearTradeoff(2, (F(0), F(2)), (F(1, 2),), (F(3, 2),))
+        curve_of(2, (F(0), F(2)), (F(1, 2),), (F(3, 2),))
 
 
 def unit_cut_set_bound(num_files: int, num_users: int, memory: Fraction) -> Fraction:
@@ -162,11 +163,11 @@ def test_cut_set_never_exceeds_scheme_envelope():
 
 def test_corner_serialization_round_trip():
     env = build_scheme_tradeoff(3, 2)
-    corners = [(F(m), F(r)) for m, r in tradeoff_to_json(env)]
+    corners = [(F(m), F(r)) for m, r in tradeoff_rows(env)[0]]
     again = lower_convex_envelope(corners, env.num_files, label=env.label)
-    assert again.breakpoints == env.breakpoints
-    assert again.slopes == env.slopes
-    assert again.intercepts == env.intercepts
+    assert again.breakpoint_ratios == env.breakpoint_ratios
+    assert again.slope_ratios == env.slope_ratios
+    assert again.intercept_ratios == env.intercept_ratios
 
 
 def test_build_by_kind():
@@ -191,9 +192,43 @@ def test_closed_form_scheme_curve_on_large_shapes():
         assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
 
 
-def test_corner_points_match_evaluate():
+def test_corner_rows_match_evaluate():
     curves = [build_exact_two_by_two(), build_scheme_tradeoff(1, 1), build_scheme_tradeoff(7, 30)]
     for curve in curves:
-        corners = curve.corner_points()
-        assert [p.memory for p in corners] == list(curve.breakpoints)
-        assert [p.rate for p in corners] == [curve.evaluate(m) for m in curve.breakpoints]
+        corners, _ = tradeoff_rows(curve)
+        memories = fractions(curve.breakpoint_ratios)
+        assert [F(m) for m, _ in corners] == list(memories)
+        assert [F(r) for _, r in corners] == [curve.evaluate(m) for m in memories]
+
+
+def assert_pairs_in_lowest_terms(curve: PiecewiseLinearTradeoff) -> None:
+    """The constructor takes its pairs as given, so every builder must hand
+    it lowest terms with positive denominators."""
+    for pairs in (curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios):
+        assert type(pairs) is tuple
+        for n, d in pairs:
+            assert type(n) is int and type(d) is int, (curve.label, n, d)
+            assert d > 0 and math.gcd(n, d) == 1, (curve.label, n, d)
+
+
+def test_builders_hand_over_pairs_in_lowest_terms():
+    rng = random.Random("pairs:lowest-terms")
+    shapes = [(1, 1), (2, 2), (3, 2), (50, 3000), (3000, 50), (17, 1234)]
+    shapes += [(rng.randint(1, 60), rng.randint(1, 3000)) for _ in range(40)]
+    for n, k in shapes:
+        assert_pairs_in_lowest_terms(build_scheme_tradeoff(n, k))
+    assert_pairs_in_lowest_terms(build_exact_two_by_two())
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        grain = rng.randint(1, 12)
+        pts = {F(0): F(rng.randint(0, 60), rng.randint(1, 9)), F(n): F(0)}
+        for _ in range(rng.randint(0, 10)):
+            m = F(rng.randint(1, n * grain), grain)
+            if m < n:
+                pts[m] = F(rng.randint(0, 60), rng.randint(1, 9))
+        try:
+            env = lower_convex_envelope(pts.items(), n)
+        except ValueError as exc:  # a hull that rises somewhere is no curve
+            assert "slopes must be positive" in str(exc)
+            continue
+        assert_pairs_in_lowest_terms(env)

@@ -7,6 +7,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 import cacheshare.sim as sim
 from cacheshare.allocation import (
@@ -25,6 +26,34 @@ from cacheshare.tradeoff import (
     build_scheme_tradeoff,
     lower_convex_envelope,
 )
+
+
+def fractions(pairs) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, d) for n, d in pairs)
+
+
+def ratios(values) -> tuple[tuple[int, int], ...]:
+    """Each exact value as a (numerator, denominator) pair in lowest terms."""
+    return tuple(Fraction(v).as_integer_ratio() for v in values)
+
+
+class FractionCurve(NamedTuple):
+    """A curve's breakpoints, slopes and intercepts as Fractions, the form the
+    plain-Fraction references below read."""
+
+    num_files: int
+    breakpoints: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...]
+    intercepts: tuple[Fraction, ...]
+
+    @property
+    def num_segments(self) -> int:
+        return len(self.slopes)
+
+
+def fraction_curve(curve: PiecewiseLinearTradeoff) -> FractionCurve:
+    pairs = (curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios)
+    return FractionCurve(curve.num_files, *map(fractions, pairs))
 
 
 def make_config(*, counts, weights, users, cache) -> NetworkConfig:
@@ -124,7 +153,7 @@ def random_corner_allocation(
     picks = []
     for lib in config.libraries:
         env = build_scheme_tradeoff(lib.num_files, config.num_users)
-        theta = rng.choice(env.breakpoints)
+        theta = rng.choice(fractions(env.breakpoint_ratios))
         picks.append(theta * lib.alpha)
     total = sum(picks, Fraction(0))
     rebuilt = NetworkConfig(
@@ -342,6 +371,7 @@ def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
     on each step; ties to the smallest library index."""
     alphas = config.alphas
     budget = config.cache_size
+    views = [fraction_curve(curve) for curve in tradeoffs]
     cursor = [0] * config.num_libraries
     filled = [Fraction(0)] * config.num_libraries
     steps = []
@@ -350,11 +380,11 @@ def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
         best, best_slope = -1, Fraction(-1)
         for lib in range(config.num_libraries):
             seg = cursor[lib]
-            if seg < tradeoffs[lib].num_segments and tradeoffs[lib].slopes[seg] > best_slope:
-                best, best_slope = lib, tradeoffs[lib].slopes[seg]
+            if seg < views[lib].num_segments and views[lib].slopes[seg] > best_slope:
+                best, best_slope = lib, views[lib].slopes[seg]
         if best < 0:
             raise ValueError(f"budget {budget} exceeds total content")
-        bp = tradeoffs[best].breakpoints
+        bp = views[best].breakpoints
         seg = cursor[best]
         width = alphas[best] * (bp[seg + 1] - bp[seg])
         delta = min(width, budget - total)
@@ -396,7 +426,7 @@ def _oracle_candidates(config: NetworkConfig, tradeoffs, grid_step: Fraction) ->
             candidates.append(tuple(k * grid_step for k in comp))
     for free in range(L):
         axes = [
-            [bp * alphas[lib] for bp in tradeoffs[lib].breakpoints]
+            [bp * alphas[lib] for bp in fractions(tradeoffs[lib].breakpoint_ratios)]
             for lib in range(L)
             if lib != free
         ]
@@ -499,15 +529,15 @@ def reference_envelope(points, num_files: int, label: str = "envelope") -> Piece
         intercepts.append(r1 + gamma * m1)
     return PiecewiseLinearTradeoff(
         num_files=num_files,
-        breakpoints=tuple(m for m, _ in hull),
-        slopes=tuple(slopes),
-        intercepts=tuple(intercepts),
+        breakpoint_ratios=ratios(m for m, _ in hull),
+        slope_ratios=ratios(slopes),
+        intercept_ratios=ratios(intercepts),
         label=label,
     )
 
 
-def reference_segment_index(curve: PiecewiseLinearTradeoff, memory: Fraction) -> int:
-    """`segment_index` by a bisect over the curve's Fraction breakpoints."""
+def reference_segment_of(curve: FractionCurve, memory: Fraction) -> int:
+    """`segment_of` by a bisect over the curve's Fraction breakpoints."""
     if memory < 0:
         raise ValueError(f"memory {memory} < 0")
     if memory >= curve.num_files:
@@ -515,27 +545,27 @@ def reference_segment_index(curve: PiecewiseLinearTradeoff, memory: Fraction) ->
     return bisect_right(curve.breakpoints, memory) - 1
 
 
-def reference_evaluate(curve: PiecewiseLinearTradeoff, memory: Fraction) -> Fraction:
+def reference_evaluate(curve: FractionCurve, memory: Fraction) -> Fraction:
     """`evaluate` in Fraction arithmetic on the bisected segment."""
-    i = reference_segment_index(curve, memory)
+    i = reference_segment_of(curve, memory)
     if i == curve.num_segments:
         return Fraction(0)
     return curve.intercepts[i] - curve.slopes[i] * memory
 
 
-def reference_right_slope(curve: PiecewiseLinearTradeoff, segment: int) -> Fraction:
+def reference_right_slope(curve: FractionCurve, segment: int) -> Fraction:
     return curve.slopes[segment] if segment < curve.num_segments else Fraction(0)
 
 
-def reference_corners_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, str]]:
-    """`tradeoff_to_json`: str() of each corner's Fraction memory and rate."""
+def reference_corners_json(curve: FractionCurve) -> list[tuple[str, str]]:
+    """`tradeoff_rows`' corners: str() of each corner's Fraction memory and rate."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
     corners = [(str(m), str(z - g * m)) for m, g, z in zip(bp, sl, ic)]
     return corners + [(str(bp[-1]), "0")]
 
 
-def reference_segments_json(curve: PiecewiseLinearTradeoff) -> list[tuple[str, ...]]:
-    """`tradeoff_segments_to_json`: str() of each segment's Fraction start,
+def reference_segments_json(curve: FractionCurve) -> list[tuple[str, ...]]:
+    """`tradeoff_rows`' segments: str() of each segment's Fraction start,
     end, intercept and negated slope."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
     return [
@@ -549,12 +579,13 @@ def reference_structure_violations(
 ) -> list[str]:
     """`corner_structure_violations` in Fraction arithmetic: the same
     messages, in the same order."""
+    views = [fraction_curve(curve) for curve in tradeoffs]
     index, interior = [], []
-    for m, alpha, curve in zip(allocation.per_library, config.alphas, tradeoffs):
-        seg = reference_segment_index(curve, m / alpha)
+    for m, alpha, curve in zip(allocation.per_library, config.alphas, views):
+        seg = reference_segment_of(curve, m / alpha)
         index.append(seg)
         interior.append(seg < curve.num_segments and curve.breakpoints[seg] != m / alpha)
-    gains = [reference_right_slope(curve, seg) for curve, seg in zip(tradeoffs, index)]
+    gains = [reference_right_slope(curve, seg) for curve, seg in zip(views, index)]
     violations = []
     inside = [lib for lib, flag in enumerate(interior) if flag]
     if len(inside) > 1:
@@ -568,9 +599,9 @@ def reference_structure_violations(
                 f"library {lib + 1} next gain {gain} beats stopping gain {gains[pivot]}"
             )
         for other, seg in enumerate(index):
-            if seg > 0 and gain > tradeoffs[other].slopes[seg - 1]:
+            if seg > 0 and gain > views[other].slopes[seg - 1]:
                 violations.append(
                     f"library {lib + 1} next gain {gain} beats consumed segment "
-                    f"of library {other + 1} ({tradeoffs[other].slopes[seg - 1]})"
+                    f"of library {other + 1} ({views[other].slopes[seg - 1]})"
                 )
     return violations
