@@ -47,15 +47,16 @@ from .sim import (
     DivisibilityError,
     FileStore,
     PlacementState,
+    Plan,
     ReductionReport,
     RowPass,
     VerificationReport,
     decode,
     deliver,
     place,
+    plan_split,
     random_file_store,
     reduction_demo,
-    required_base_size,
     verify_all,
 )
 from .tradeoff import (

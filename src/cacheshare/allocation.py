@@ -49,8 +49,8 @@ class AllocationStep:
     memory added, and the running total afterwards.
 
     The greedy counts memory in integer units of 1/scale, and a step keeps its
-    two memories that way; `delta` and `allocated_total` read them as exact
-    Fractions. Steps are equal when these four values are, whatever the scale.
+    two memories that way. Steps are equal when their library, segment and
+    both memories in lowest terms are, whatever the scale.
     """
 
     library: int
@@ -59,16 +59,10 @@ class AllocationStep:
     total_units: int
     scale: int
 
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(self.delta_units, self.scale)
-
-    @property
-    def allocated_total(self) -> Fraction:
-        return Fraction(self.total_units, self.scale)
-
     def _values(self) -> tuple:
-        return self.library, self.segment, self.delta, self.allocated_total
+        scale = self.scale
+        delta, total = reduce_ratio(self.delta_units, scale), reduce_ratio(self.total_units, scale)
+        return self.library, self.segment, delta, total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AllocationStep):

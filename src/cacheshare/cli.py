@@ -46,9 +46,9 @@ from .sim import (
     DecodeMismatchError,
     RowPass,
     place,
+    plan_split,
     random_file_store,
     reduction_demo,
-    required_base_size,
     verify_all,
 )
 from .tradeoff import SEGMENT_KEYS, build_by_kind, tradeoff_rows
@@ -479,10 +479,11 @@ def cmd_simulate(
             )
     if claimed is None:
         claimed = memory_sharing_rate(config, allocation, _curves(config, kinds))
+    plan = plan_split(config, allocation)
     if base_size is None:
-        base_size = required_base_size(config, allocation)
+        base_size = plan.base_unit
     store = random_file_store(config, base_size, state.seed)
-    placement = place(store, config, allocation)
+    placement = place(store, plan)
     row_pass = RowPass(store, config, placement)
     report = verify_all(row_pass, demand_cap)
     if report.measured_rate != report.formula_rate:

@@ -1,7 +1,8 @@
 """Bit-exact placement, delivery, and decoding of the subset-coded scheme.
 
 Files are integer bit strings. A library running at per-library memory m
-splits between the two adjacent vertices of its scheme envelope: each file is
+splits between the two adjacent vertices of its scheme envelope, each of which
+carries the t that delivers it (`plan_split`, once per split): each file is
 cut into one or two parts, part p run at integer cache parameter t_p, and a
 part is divided into C(K, t_p) subfiles indexed by the size-t_p user subsets
 in lexicographic order. User k caches exactly the subfiles whose subset
@@ -118,19 +119,20 @@ ReadSlots = tuple[tuple[int, int], ...]
 class PlacementState:
     """Per-user caches, one segment per library: caches[user - 1][library - 1].
 
-    `formula_rate` is the split's rate on the scheme envelopes, the value
-    delivery must realize. `cached_subfiles[user - 1][library - 1]` is that
-    segment cut into subfile ints (`_split_segment`) when the state is built,
-    and `decode_images[user - 1][library - 1]` lays those ints out as the
+    `plan` is the split the caches were filled from (`plan_split`): its
+    allocation and its formula rate, the value delivery must realize.
+    `plans[library - 1]` is that library's bit layout at the store's base
+    size. `cached_subfiles[user - 1][library - 1]` is a cache segment cut
+    into subfile ints (`_split_segment`) when the state is built, and
+    `decode_images[user - 1][library - 1]` lays those ints out as the
     user's decode images (`_decode_sources`), built from nothing else; a copy
     made with `dataclasses.replace` cuts and lays out its own caches.
     `read_slots[user - 1][library - 1]` is, per plan part with t >= 1, where
     each message the user reads goes in its decode (`_read_slots`)."""
 
-    allocation: Allocation
+    plan: Plan
     plans: tuple[LibraryPlan, ...]
     caches: tuple[tuple[BitString, ...], ...]
-    formula_rate: Fraction
     cached_subfiles: tuple[tuple[SubfileTable, ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -234,20 +236,31 @@ def scheme_curves(config: NetworkConfig) -> list[PiecewiseLinearTradeoff]:
     return [built[n] for n in config.file_counts]
 
 
-def _plan_weights(
-    config: NetworkConfig,
-    allocation: Allocation,
-    curves: Sequence[PiecewiseLinearTradeoff],
-) -> list[list[tuple[int, Fraction]]]:
-    """Per library, the (t, fraction-of-file) parts realizing its memory slice
-    on its scheme curve in `curves`."""
-    if len(allocation.per_library) != config.num_libraries:
-        raise ValueError(
-            f"allocation has {len(allocation.per_library)} entries for "
-            f"{config.num_libraries} libraries"
-        )
+@dataclass(frozen=True)
+class Plan:
+    """A split planned on the libraries' scheme envelopes (`plan_split`).
+
+    `parts[l - 1]` holds library l's (t, fraction-of-file) parts; `base_unit`
+    is the smallest base size (total bits) giving whole-bit files, parts and
+    subfiles, and valid sizes are its multiples; `formula_rate` is the split's
+    rate on the envelopes, the value delivery must realize."""
+
+    config: NetworkConfig
+    allocation: Allocation
+    parts: tuple[tuple[tuple[int, Fraction], ...], ...]
+    base_unit: int
+    formula_rate: Fraction
+
+
+def plan_split(config: NetworkConfig, allocation: Allocation) -> Plan:
+    """Plan the split on the libraries' scheme envelopes, built once: each
+    library runs at the corner its memory slice sits on, or shares its files
+    between the two corners around it, at the ts the corners carry."""
+    curves = scheme_curves(config)
+    formula_rate = split_rate(config, allocation, curves)
     k = config.num_users
-    out: list[list[tuple[int, Fraction]]] = []
+    base_unit = library_bit_requirement(config)
+    per_library = []
     for idx, (lib, budget, env) in enumerate(
         zip(config.libraries, allocation.per_library, curves), start=1
     ):
@@ -259,36 +272,17 @@ def _plan_weights(
             )
         p, q = m.as_integer_ratio()
         seg = env.segment_of(p, q)
-        bp = env.breakpoint_ratios
-        parts: list[tuple[int, Fraction]]
+        bp, ts = env.breakpoint_ratios, env.corner_ts
         if seg == env.num_segments or bp[seg] == (p, q):
-            t = m * k / n
-            assert t.denominator == 1
-            parts = [(int(t), Fraction(1))]
+            parts = ((ts[seg], Fraction(1)),)
         else:
             lo, hi = Fraction(*bp[seg]), Fraction(*bp[seg + 1])
-            t_lo, t_hi = lo * k / n, hi * k / n
-            assert t_lo.denominator == 1 and t_hi.denominator == 1
             u = (hi - m) / (hi - lo)
-            parts = [(int(t_lo), u), (int(t_hi), 1 - u)]
-        out.append(parts)
-    return out
-
-
-def _base_requirement(config: NetworkConfig, weights: list[list[tuple[int, Fraction]]]) -> int:
-    req = library_bit_requirement(config)
-    k = config.num_users
-    for lib, parts in zip(config.libraries, weights):
+            parts = ((ts[seg], u), (ts[seg + 1], 1 - u))
         for t, weight in parts:
-            per_subfile = lib.alpha * weight / math.comb(k, t)
-            req = math.lcm(req, per_subfile.denominator)
-    return req
-
-
-def required_base_size(config: NetworkConfig, allocation: Allocation) -> int:
-    """Smallest base size (total bits) this split can run at; valid sizes are
-    its multiples. Covers whole-bit files, parts, and subfiles."""
-    return _base_requirement(config, _plan_weights(config, allocation, scheme_curves(config)))
+            base_unit = math.lcm(base_unit, (lib.alpha * weight / math.comb(k, t)).denominator)
+        per_library.append(parts)
+    return Plan(config, allocation, tuple(per_library), base_unit, formula_rate)
 
 
 @lru_cache(maxsize=None)
@@ -442,26 +436,24 @@ def _split_segment(
     return tuple(table)
 
 
-def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> PlacementState:
-    """Plan the split on the libraries' scheme curves and fill every user's
-    cache; deterministic given the store and the split.
+def place(store: FileStore, plan: Plan) -> PlacementState:
+    """Fill every user's cache with the planned split; deterministic given
+    the store and the plan.
 
     Cache layout per (user, library): parts in plan order, files in id order,
     cached subsets in lexicographic order.
     """
     base_size = store.base_size
     _check_positive(base_size)
-    curves = scheme_curves(config)
-    weights = _plan_weights(config, allocation, curves)
-    req = _base_requirement(config, weights)
-    if base_size % req:
+    if base_size % plan.base_unit:
         raise DivisibilityError(
             f"base size {base_size} bits cannot realize this split; "
-            f"use a multiple of {req}"
+            f"use a multiple of {plan.base_unit}"
         )
+    config = plan.config
     k = config.num_users
-    plans = []
-    for lib, parts in zip(config.libraries, weights):
+    layouts = []
+    for lib, parts in zip(config.libraries, plan.parts):
         scheme_parts = []
         for t, weight in parts:
             sub = lib.alpha * weight * base_size / math.comb(k, t)
@@ -469,28 +461,23 @@ def place(store: FileStore, config: NetworkConfig, allocation: Allocation) -> Pl
             scheme_parts.append(
                 SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
             )
-        plans.append(LibraryPlan(parts=tuple(scheme_parts), num_files=lib.num_files))
-    tables = [_split_files(files, plan, k) for files, plan in zip(store.files, plans)]
+        layouts.append(LibraryPlan(parts=tuple(scheme_parts), num_files=lib.num_files))
+    tables = [_split_files(files, layout, k) for files, layout in zip(store.files, layouts)]
     caches = []
     for user in range(1, k + 1):
         segments = []
-        for table, plan in zip(tables, plans):
+        for table, layout in zip(tables, layouts):
             value = 0
-            for part, per_file in zip(plan.parts, table):
+            for part, per_file in zip(layout.parts, table):
                 if part.t:
                     sub = part.subfile_bits
                     ranks = _user_subset_ranks(k, part.t, user)
                     for pieces in per_file:
                         for rank in ranks:
                             value = (value << sub) | pieces[rank]
-            segments.append(BitString(plan.cache_bits(k), value))
+            segments.append(BitString(layout.cache_bits(k), value))
         caches.append(tuple(segments))
-    return PlacementState(
-        allocation=allocation,
-        plans=tuple(plans),
-        caches=tuple(caches),
-        formula_rate=split_rate(config, allocation, curves),
-    )
+    return PlacementState(plan=plan, plans=tuple(layouts), caches=tuple(caches))
 
 
 def _library_send_images(table: SubfileTable, plan: LibraryPlan, num_users: int) -> ImageTable:
@@ -714,8 +701,8 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
         demands_checked=covered,
         demand_vectors_run=rows.served,
         base_size=store.base_size,
-        allocation=placement.allocation,
-        formula_rate=placement.formula_rate,
+        allocation=placement.plan.allocation,
+        formula_rate=placement.plan.formula_rate,
         measured_rate=Fraction(max_total, store.base_size),
         max_total_bits=max_total,
         per_library_max_bits=tuple(per_lib_max),

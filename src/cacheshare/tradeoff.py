@@ -26,7 +26,9 @@ class PiecewiseLinearTradeoff:
     """Convex decreasing memory-rate curve on [0, N], zero at N.
 
     `label` names the construction (for traces and reports); `exact` marks
-    curves known to be the true optimum rather than just achievable.
+    curves known to be the true optimum rather than just achievable;
+    `corner_ts` is empty or holds, per breakpoint, the subset-coding t whose
+    delivery reaches that corner (`build_scheme_tradeoff` sets it).
 
     The breakpoints, slopes and intercepts are integer (numerator,
     denominator) pairs, each in lowest terms with a positive denominator;
@@ -42,6 +44,7 @@ class PiecewiseLinearTradeoff:
     intercept_ratios: tuple[Ratio, ...]
     label: str = "custom"
     exact: bool = False
+    corner_ts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         num_files, bpr = self.num_files, self.breakpoint_ratios
@@ -50,6 +53,8 @@ class PiecewiseLinearTradeoff:
             raise ValueError(f"num_files = {num_files} < 1")
         if len(bpr) < 2 or len(slr) != len(bpr) - 1 or len(icr) != len(slr):
             raise ValueError("need r >= 1 segments with matching slope/intercept counts")
+        if self.corner_ts and len(self.corner_ts) != len(bpr):
+            raise ValueError(f"need no corner t or one per breakpoint, got {len(self.corner_ts)}")
         if bpr[0] != (0, 1) or bpr[-1] != (num_files, 1):
             got = tuple(Fraction(n, d) for n, d in bpr)
             raise ValueError(f"breakpoints must run from 0 to {num_files}, got {got}")
@@ -189,7 +194,9 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
     the anchor (0, min(N, K)) followed by the corners t*..K, where t* = 0 when
     N >= K and otherwise the first corner lying strictly below the chord from
     the anchor to the next corner (K when there is none). This equals the
-    lower convex envelope of the anchor and all K corners.
+    lower convex envelope of the anchor and all K corners. The anchor is
+    delivered uncoded (t = 0), so the corner ts are (0, t*, ..., K), or
+    (0, 1, ..., K) when the anchor is corner 0.
     """
     if num_files < 1 or num_users < 1:
         raise ValueError("need at least one file and one user")
@@ -222,6 +229,7 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
         tuple(intercepts),
         label=f"scheme(N={num_files},K={num_users})",
         exact=False,
+        corner_ts=(0, *range(first or 1, k + 1)),
     )
 
 

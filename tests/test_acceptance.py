@@ -30,7 +30,7 @@ from cacheshare.converse import (
     conjecture_gap,
     converse_bound,
 )
-from cacheshare.sim import random_file_store, required_base_size, verify_all
+from cacheshare.sim import plan_split, random_file_store, verify_all
 from cacheshare.tradeoff import (
     build_exact_two_by_two,
     build_scheme_tradeoff,
@@ -183,7 +183,7 @@ def test_bit_exact_delivery_and_decoding():
     for seed in range(25):
         shape = random_sim_config(rng)
         config, allocation = random_corner_allocation(rng, shape)
-        base = required_base_size(config, allocation)
+        base = plan_split(config, allocation).base_unit
         store = random_file_store(config, base, seed)
         report = verify_all(row_pass(store, config, allocation))
         assert report.measured_rate == report.formula_rate

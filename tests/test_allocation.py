@@ -5,6 +5,7 @@ import pytest
 
 from cacheshare.allocation import (
     Allocation,
+    AllocationStep,
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
@@ -23,6 +24,8 @@ from util import (
     reference_brute_force,
     reference_config,
     reference_greedy,
+    step_delta,
+    step_total,
     unequal_config,
 )
 
@@ -87,7 +90,7 @@ def test_rate_requires_matching_curves():
 
 def test_greedy_reference_trace():
     trace = greedy_allocate(reference_config(), reference_curves())
-    assert [(s.library, s.segment, s.delta, s.allocated_total) for s in trace.steps] == [
+    assert [(s.library, s.segment, step_delta(s), step_total(s)) for s in trace.steps] == [
         (1, 0, F(1, 5), F(1, 5)),
         (2, 0, F(3, 10), F(1, 2)),
         (1, 1, F(1, 5), F(7, 10)),
@@ -96,6 +99,17 @@ def test_greedy_reference_trace():
     assert trace.final.per_library == (F(2, 5), F(3, 5))
     assert trace.rate == F(1, 2)
     assert trace.tradeoff_labels == ("exact2x2", "exact2x2")
+
+
+def test_steps_compare_by_value_whatever_the_scale():
+    step = AllocationStep(2, 1, 3, 9, 12)  # 1/4 added, 3/4 in all
+    same = AllocationStep(2, 1, 1, 3, 4)
+    assert step == same and hash(step) == hash(same)
+    assert step != AllocationStep(2, 1, 3, 8, 12)
+    assert step != AllocationStep(2, 1, 2, 9, 12)
+    assert step != AllocationStep(1, 1, 3, 9, 12)
+    assert step != AllocationStep(2, 0, 3, 9, 12)
+    assert len({step, same, AllocationStep(2, 1, 6, 18, 24)}) == 1
 
 
 def test_greedy_zero_budget():
@@ -121,7 +135,7 @@ def test_greedy_partial_segment_stops_midway():
     cfg = reference_config(cache=F(2, 5))
     trace = greedy_allocate(cfg, reference_curves())
     assert trace.final.per_library == (F(1, 5), F(1, 5))
-    assert trace.steps[-1].delta == F(1, 5)
+    assert step_delta(trace.steps[-1]) == F(1, 5)
     # library two stopped inside its first segment
     assert trace.steps[-1].library == 2
     assert trace.rate == F(2, 5) * 1 + F(3, 5) * build_exact_two_by_two().evaluate(F(1, 3))

@@ -568,6 +568,23 @@ def test_simulate_stack_places_caches_once(runner, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["reference", "equal_n3", "unequal_n"])
+def test_simulate_builds_each_scheme_shape_once(runner, monkeypatch, name):
+    # the split is planned once, on one scheme envelope per distinct file count
+    calls = []
+    real = sim.build_scheme_tradeoff
+
+    def counted(num_files, num_users):
+        calls.append((num_files, num_users))
+        return real(num_files, num_users)
+
+    monkeypatch.setattr(sim, "build_scheme_tradeoff", counted)
+    path = CONFIG_DIR / f"{name}.json"
+    run_json(runner, ["--config", str(path), "simulate", "--stack"])
+    config = cacheshare.load_config(path)
+    assert sorted(calls) == sorted((n, config.num_users) for n in set(config.file_counts))
+
+
 @pytest.mark.parametrize("step", ["0", "-1/2"])
 def test_oracle_step_not_positive_is_usage_error(runner, step):
     result = runner.invoke(main, ["--config", EXAMPLE, "allocate", "--oracle-step", step])

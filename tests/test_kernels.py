@@ -53,6 +53,7 @@ from util import (
     fractions,
     make_config,
     random_weights,
+    ratios,
     reference_check_curve,
     reference_corners_json,
     reference_envelope,
@@ -62,7 +63,8 @@ from util import (
     reference_segments_json,
     reference_structure_violations,
     reference_tabulated_oracle,
-    ratios,
+    step_delta,
+    step_total,
 )
 
 F = Fraction
@@ -144,7 +146,7 @@ def test_greedy_orders_slopes_one_over_h_h_prime_apart(whole):
     order = [(5, 0), (2, 0), (4, 0), (3, 0), (1, 0), (5, 1), (3, 1), (1, 1), (3, 2)]
     order += [(2, 1), (4, 1)] if whole else []
     assert [(step.library, step.segment) for step in trace.steps] == order
-    assert trace.steps[-1].allocated_total == budget
+    assert step_total(trace.steps[-1]) == budget
 
 
 def test_greedy_matches_scan_at_three_thousand_users():
@@ -446,7 +448,7 @@ def assert_printed_steps(config: NetworkConfig, curves) -> tuple:
     assert (as_json.exit_code, as_csv.exit_code) == (0, 0)
     printed = json.loads(as_json.stdout)["result"]["steps"]
     assert [(s["delta"], s["allocated_total"]) for s in printed] == [
-        (str(s.delta), str(s.allocated_total)) for s in steps
+        (str(step_delta(s)), str(step_total(s))) for s in steps
     ]
     rows = list(csv.reader(io.StringIO(as_csv.stdout)))[1:]
     assert rows == [
@@ -454,10 +456,10 @@ def assert_printed_steps(config: NetworkConfig, curves) -> tuple:
             str(i + 1),
             str(s.library),
             str(s.segment),
-            str(s.delta),
-            format_decimal(s.delta),
-            str(s.allocated_total),
-            format_decimal(s.allocated_total),
+            str(step_delta(s)),
+            format_decimal(step_delta(s)),
+            str(step_total(s)),
+            format_decimal(step_total(s)),
         ]
         for i, s in enumerate(steps)
     ]
@@ -484,6 +486,6 @@ def test_printed_step_strings_at_zero_full_and_partial_budgets(share):
     lib = config.libraries[last.library - 1]
     bp = fractions(curves[last.library - 1].breakpoint_ratios)
     width = lib.alpha * (bp[last.segment + 1] - bp[last.segment])
-    assert last.allocated_total == share * content
+    assert step_total(last) == share * content
     # the full budget ends on the last corner; a third of it stops mid-segment
-    assert (last.delta == width) == (share == 1)
+    assert (step_delta(last) == width) == (share == 1)

@@ -10,7 +10,7 @@ from itertools import combinations, product
 import pytest
 
 import cacheshare.sim as sim
-from cacheshare.allocation import Allocation, greedy_allocate
+from cacheshare.allocation import Allocation, greedy_allocate, split_rate
 from cacheshare.bits import BitString, concat
 from cacheshare.model import CapExceededError, DemandVector
 from cacheshare.sim import (
@@ -24,9 +24,9 @@ from cacheshare.sim import (
     deliver,
     library_bit_requirement,
     place,
+    plan_split,
     random_file_store,
     reduction_demo,
-    required_base_size,
     verify_all,
 )
 
@@ -39,9 +39,11 @@ from util import (
     make_config,
     random_corner_allocation,
     random_sim_config,
+    reference_base_requirement,
     reference_config,
     reference_file_subfiles,
     reference_library_transcript,
+    reference_plan_weights,
     reference_reduction,
     reference_subfile_decode,
     reference_verify,
@@ -71,14 +73,36 @@ def test_library_bit_requirement_and_store_sizes():
 
 def test_required_base_size_frozen_examples():
     config = reference_config()
-    assert required_base_size(config, Allocation((F(2, 5), F(3, 5)))) == 10
-    assert required_base_size(config, Allocation((F(1, 5), F(4, 5)))) == 10
+    assert plan_split(config, Allocation((F(2, 5), F(3, 5)))).base_unit == 10
+    assert plan_split(config, Allocation((F(1, 5), F(4, 5)))).base_unit == 10
     unequal = unequal_config()
-    assert required_base_size(unequal, Allocation((F(1, 4), F(1, 4)))) == 8
+    assert plan_split(unequal, Allocation((F(1, 4), F(1, 4)))).base_unit == 8
+
+
+def test_plan_split_matches_the_reference_planner():
+    # the corners' ts give the parts, base unit and rate that recovering each
+    # t as m * K / N gave
+    rng = random.Random(1016)
+    seen = {"one_part": 0, "two_parts": 0}
+    for seed in range(80):
+        shape = random_sim_config(rng)
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, shape)
+        plan = plan_split(config, allocation)
+        weights = reference_plan_weights(config, allocation)
+        assert [list(parts) for parts in plan.parts] == weights, seed
+        assert plan.base_unit == reference_base_requirement(config, weights), seed
+        curves = curves_for(config, "scheme")
+        assert plan.formula_rate == split_rate(config, allocation, curves), seed
+        assert (plan.config, plan.allocation) == (config, allocation)
+        for parts in plan.parts:
+            seen["two_parts" if len(parts) == 2 else "one_part"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def plans_at(config, allocation, base_size):
-    return place(random_file_store(config, base_size, seed=1), config, allocation).plans
+    store = random_file_store(config, base_size, seed=1)
+    return place(store, plan_split(config, allocation)).plans
 
 
 def test_corner_plans_match_hand_layout():
@@ -119,6 +143,8 @@ def test_allocation_beyond_library_content_is_rejected():
     config = reference_config(cache="2")
     with pytest.raises(ValueError, match="more than its content"):
         plans_at(config, Allocation((F(9, 10), F(11, 10))), 40)
+    with pytest.raises(ValueError, match="^allocation has 3 entries for 2 libraries$"):
+        plan_split(config, Allocation((F(1, 2), F(1, 2), F(1))))
 
 
 @pytest.mark.parametrize("size", [0, -10])
@@ -127,7 +153,7 @@ def test_place_names_a_base_size_that_is_not_positive(size):
     config = reference_config()
     store = FileStore(base_size=size, files=((), ()))
     with pytest.raises(DivisibilityError, match=f"^base size {size} bits must be positive$"):
-        place(store, config, Allocation((F(2, 5), F(3, 5))))
+        place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
 
 
 def test_place_accepts_exactly_the_multiples_of_the_required_base_size():
@@ -137,11 +163,12 @@ def test_place_accepts_exactly_the_multiples_of_the_required_base_size():
         shape = random_sim_config(rng)
         pick = random_corner_allocation if seed % 2 else random_split_allocation
         config, allocation = pick(rng, shape)
-        need = required_base_size(config, allocation)
+        plan = plan_split(config, allocation)
+        need = plan.base_unit
         for size in (need, 2 * need):
-            plans = place(random_file_store(config, size, seed), config, allocation).plans
-            for lib, plan in zip(config.libraries, plans):
-                assert sum(part.file_bits for part in plan.parts) == lib.alpha * size
+            plans = place(random_file_store(config, size, seed), plan).plans
+            for lib, layout in zip(config.libraries, plans):
+                assert sum(part.file_bits for part in layout.parts) == lib.alpha * size
         # sizes that give whole-bit files but not whole-bit subfiles, if any
         files_only = library_bit_requirement(config)
         assert need % files_only == 0
@@ -149,14 +176,14 @@ def test_place_accepts_exactly_the_multiples_of_the_required_base_size():
             rejected += 1
             for bad in (files_only, need + files_only):
                 with pytest.raises(DivisibilityError, match=f"use a multiple of {need}$"):
-                    place(random_file_store(config, bad, seed), config, allocation)
+                    place(random_file_store(config, bad, seed), plan)
     assert rejected > 0
 
 
 def test_cache_layout_is_store_slices_in_declared_order():
     config = single_library_config()
     store = random_file_store(config, 4, seed=3)
-    placement = place(store, config, Allocation((F(1),)))
+    placement = place(store, plan_split(config, Allocation((F(1),))))
     file1, file2 = store.files[0]
     # t=1, subfile size 2: user k caches the half indexed by subset {k}
     assert placement.caches[0][0] == concat([file1.slice(0, 2), file2.slice(0, 2)])
@@ -166,7 +193,7 @@ def test_cache_layout_is_store_slices_in_declared_order():
 def test_delivery_message_is_the_cross_xor():
     config = single_library_config()
     store = random_file_store(config, 4, seed=4)
-    placement = place(store, config, Allocation((F(1),)))
+    placement = place(store, plan_split(config, Allocation((F(1),))))
     file1, file2 = store.files[0]
     transcript = deliver(store, config, placement, DemandVector(((1, 2),)))
     part = transcript.per_library[0][0]
@@ -178,7 +205,7 @@ def test_delivery_message_is_the_cross_xor():
 def test_decode_uses_only_own_cache_and_transcript():
     config = reference_config()
     store = random_file_store(config, 40, seed=5)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     demand = DemandVector(((1, 2), (2, 1)))
     transcript = deliver(store, config, placement, demand)
     for library in (1, 2):
@@ -232,8 +259,9 @@ def library_demand(config, library, row):
     ],
 )
 def test_flipping_one_cached_bit_changes_only_that_users_decode(config, allocation):
-    store = random_file_store(config, required_base_size(config, allocation), seed=7)
-    placement = place(store, config, allocation)
+    plan = plan_split(config, allocation)
+    store = random_file_store(config, plan.base_unit, seed=7)
+    placement = place(store, plan)
     k = config.num_users
     for library, lib in enumerate(config.libraries, start=1):
         rows = list(product(range(1, lib.num_files + 1), repeat=k))
@@ -260,8 +288,9 @@ def test_flipping_one_cached_bit_changes_only_that_users_decode(config, allocati
 def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
     config = reference_config()
     store = random_file_store(config, 40, seed=5)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
-    assert verify_all(RowPass(store, config, placement)).measured_rate == placement.formula_rate
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
+    report = verify_all(RowPass(store, config, placement))
+    assert report.measured_rate == placement.plan.formula_rate
     for library in (1, 2):
         for index in (0, placement.caches[0][library - 1].width - 1):
             segments = list(placement.caches[0])
@@ -283,7 +312,7 @@ def test_verify_reference_corner_run():
     assert report.per_library_max_bits == (8, 12)
     assert report.measured_rate == F(1, 2)
     assert report.formula_rate == F(1, 2)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     assert placement.cache_bits(1) == 40
     assert placement.cache_bits(2) == 40
 
@@ -294,7 +323,7 @@ def test_verify_split_allocation_run():
     report = verify_all(row_pass(store, config, Allocation((F(1, 5), F(4, 5)))))
     assert report.measured_rate == F(7, 10) == report.formula_rate
     assert report.per_library_max_bits == (5, 2)
-    placement = place(store, config, Allocation((F(1, 5), F(4, 5))))
+    placement = place(store, plan_split(config, Allocation((F(1, 5), F(4, 5)))))
     # envelope-vertex sharing uses the budget exactly, never just within rounding
     assert placement.cache_bits(1) == 10
 
@@ -305,7 +334,7 @@ def test_verify_zero_memory_sends_each_distinct_request_once():
     report = verify_all(row_pass(store, config, Allocation((F(0), F(0)))))
     assert report.measured_rate == F(2) == report.formula_rate
     assert report.per_library_max_bits == (4, 6)
-    assert place(store, config, Allocation((F(0), F(0)))).cache_bits(1) == 0
+    assert place(store, plan_split(config, Allocation((F(0), F(0))))).cache_bits(1) == 0
 
 
 def test_verify_full_cache_sends_nothing():
@@ -314,7 +343,7 @@ def test_verify_full_cache_sends_nothing():
     report = verify_all(row_pass(store, config, Allocation((F(4, 5), F(6, 5)))))
     assert report.measured_rate == 0 == report.formula_rate
     assert report.max_total_bits == 0
-    assert place(store, config, Allocation((F(4, 5), F(6, 5)))).cache_bits(1) == 20
+    assert place(store, plan_split(config, Allocation((F(4, 5), F(6, 5))))).cache_bits(1) == 20
 
 
 def test_verify_honours_demand_cap():
@@ -334,8 +363,9 @@ def test_libraries_do_not_interact():
     )
     allocation = Allocation((F(2, 5), F(3, 5)))
     demand = DemandVector(((1, 1), (1, 2)))
-    before = place(store, config, allocation)
-    after = place(tampered, config, allocation)
+    plan = plan_split(config, allocation)
+    before = place(store, plan)
+    after = place(tampered, plan)
     assert before.caches[0][0] == after.caches[0][0]
     assert before.caches[1][0] == after.caches[1][0]
     assert before.caches[0][1] == after.caches[0][1]
@@ -368,14 +398,15 @@ def test_decode_failure_reports_first_witness(monkeypatch):
 def test_formula_rate_matches_memory_sharing_on_scheme_curves():
     config = reference_config()
     trace = greedy_allocate(config, curves_for(config, "scheme"))
-    store = random_file_store(config, required_base_size(config, trace.final), seed=1)
-    assert place(store, config, trace.final).formula_rate == trace.rate
+    plan = plan_split(config, trace.final)
+    store = random_file_store(config, plan.base_unit, seed=1)
+    assert place(store, plan).plan.formula_rate == trace.rate
 
 
 def test_reduction_demo_equal_sizes():
     config = reference_config()
     store = random_file_store(config, 40, seed=13)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     report = reduction_demo(RowPass(store, config, placement))
     assert report.demands_checked == 4
     assert report.stacked_file_bits == (40, 40)
@@ -386,13 +417,13 @@ def test_reduction_demo_equal_sizes():
 def test_reduction_demo_unequal_sizes():
     config = unequal_config()
     store = random_file_store(config, 8, seed=14)
-    placement = place(store, config, Allocation((F(1, 4), F(1, 4))))
+    placement = place(store, plan_split(config, Allocation((F(1, 4), F(1, 4)))))
     report = reduction_demo(RowPass(store, config, placement))
     assert report.demands_checked == 4
     assert report.stacked_file_bits == (8, 4)
     assert report.cache_bits == 4
     # worst stacked transcript can be no longer than the multi-library worst case
-    assert F(report.max_total_bits, 8) <= placement.formula_rate
+    assert F(report.max_total_bits, 8) <= placement.plan.formula_rate
 
 
 def test_reduction_demo_honours_demand_cap():
@@ -435,9 +466,10 @@ def test_row_pass_agrees_with_full_product_reference():
         shape = random_sim_config(rng)
         pick = random_corner_allocation if seed % 2 else random_split_allocation
         config, allocation = pick(rng, shape)
-        store = random_file_store(config, required_base_size(config, allocation), seed)
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
         expected = reference_verify(store, config, allocation)
-        placement = place(store, config, allocation)
+        placement = place(store, plan)
         rows = RowPass(store, config, placement)
         report = verify_all(rows)
         for field in ("demands_checked", "measured_rate", "max_total_bits", "per_library_max_bits"):
@@ -459,8 +491,9 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
         shape = random_sim_config(rng)
         pick = random_corner_allocation if seed % 2 else random_split_allocation
         config, allocation = pick(rng, shape)
-        store = random_file_store(config, required_base_size(config, allocation), seed)
-        placement = place(store, config, allocation)
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        placement = place(store, plan)
         rows = RowPass(store, config, placement)
         k = config.num_users
         for library, (files, plan) in enumerate(zip(store.files, placement.plans), start=1):
@@ -551,7 +584,7 @@ def test_witness_matches_full_product_reference(
 def test_stack_reads_the_rows_verification_served():
     config = make_config(counts=(2,), weights=(F(1),), users=3, cache="1")
     allocation = Allocation((F(1),))
-    store = random_file_store(config, required_base_size(config, allocation), seed=16)
+    store = random_file_store(config, plan_split(config, allocation).base_unit, seed=16)
     rows = row_pass(store, config, allocation)
     assert verify_all(rows).demand_vectors_run == 8
     report = reduction_demo(rows)
@@ -563,7 +596,7 @@ def stack_run():
     # unsorted file counts, so the stacked files draw on different library sets
     config = make_config(counts=(3, 1, 2), weights=(F(1, 3),) * 3, users=2, cache="1")
     allocation = Allocation((F(1, 2), F(1, 6), F(1, 3)))
-    store = random_file_store(config, required_base_size(config, allocation), seed=22)
+    store = random_file_store(config, plan_split(config, allocation).base_unit, seed=22)
     return config, allocation, store
 
 
@@ -592,7 +625,7 @@ def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witn
         return out
 
     monkeypatch.setattr(sim, "decode", corrupted)
-    placement = place(store, config, allocation)
+    placement = place(store, plan_split(config, allocation))
     with pytest.raises(DecodeMismatchError) as reference:
         reference_reduction(store, config, placement)
     with pytest.raises(DecodeMismatchError) as info:
@@ -615,7 +648,7 @@ def tampered_segment(placement, user, library, segment):
 def test_placement_names_a_segment_wider_or_narrower_than_its_plan():
     config = reference_config()
     store = random_file_store(config, 10, seed=5)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     segment = placement.caches[1][0]
     assert segment.width == 4
     # one trailing zero bit more, one bit less: both are named, neither is decoded
@@ -631,7 +664,7 @@ def test_reduction_demo_rejects_uneven_caches():
     # uneven caches can no longer reach the stack: the width check stops the copy
     config = reference_config()
     store = random_file_store(config, 10, seed=18)
-    placement = place(store, config, Allocation((F(2, 5), F(3, 5))))
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     segment = placement.caches[1][0]
     with pytest.raises(
         ValueError, match="^user 2 library 1 cache segment has 3 bits; its plan places 4$"
@@ -646,8 +679,9 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
         shape = random_sim_config(rng)
         pick = random_corner_allocation if seed % 2 else random_split_allocation
         config, allocation = pick(rng, shape)
-        store = random_file_store(config, required_base_size(config, allocation), seed)
-        placement = place(store, config, allocation)
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        placement = place(store, plan)
         rows = RowPass(store, config, placement)
         k = config.num_users
         seen["one_user"] += k == 1

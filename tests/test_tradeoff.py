@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -188,8 +189,30 @@ def test_closed_form_scheme_curve_equals_envelope_of_all_corners():
 
 
 def test_closed_form_scheme_curve_on_large_shapes():
-    for n, k in [(50, 3000), (30, 3000), (17, 1234), (3000, 50)]:
+    rng = random.Random("scheme:large-shapes")
+    shapes = [(50, 3000), (30, 3000), (17, 1234), (3000, 50)]
+    shapes += [(rng.randint(1, 60), rng.randint(60, 3000)) for _ in range(6)]
+    for n, k in shapes:
         assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
+
+
+def test_corner_ts_are_empty_or_one_per_breakpoint():
+    # the scheme tags its anchor t = 0, then t* to K (t* = 1 when N >= K;
+    # with N = 1 < K only the corner t = K lies on the envelope)
+    assert build_scheme_tradeoff(2, 2).corner_ts == (0, 1, 2)
+    assert build_scheme_tradeoff(1, 3).corner_ts == (0, 3)
+    assert build_scheme_tradeoff(3, 2).corner_ts == (0, 1, 2)
+    assert build_scheme_tradeoff(2, 4).corner_ts == (0, 2, 3, 4)
+    assert build_scheme_tradeoff(3, 8).corner_ts == (0, 3, 4, 5, 6, 7, 8)
+    # hulls of given corners know no delivery
+    assert build_exact_two_by_two().corner_ts == ()
+    assert lower_convex_envelope(scheme_corner_points(2, 4), 2).corner_ts == ()
+    curve = build_scheme_tradeoff(2, 2)
+    for ts in ((0, 1), (0, 1, 2, 2)):
+        with pytest.raises(ValueError, match="one per breakpoint"):
+            dataclasses.replace(curve, corner_ts=ts)
+    # the tags are no part of what a curve prints
+    assert tradeoff_rows(curve) == tradeoff_rows(dataclasses.replace(curve, corner_ts=()))
 
 
 def test_corner_rows_match_evaluate():

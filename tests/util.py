@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from bisect import bisect_right
@@ -35,6 +36,16 @@ def fractions(pairs) -> tuple[Fraction, ...]:
 def ratios(values) -> tuple[tuple[int, int], ...]:
     """Each exact value as a (numerator, denominator) pair in lowest terms."""
     return tuple(Fraction(v).as_integer_ratio() for v in values)
+
+
+def step_delta(step: AllocationStep) -> Fraction:
+    """The memory a greedy step adds, as an exact Fraction."""
+    return Fraction(step.delta_units, step.scale)
+
+
+def step_total(step: AllocationStep) -> Fraction:
+    """The memory allocated after a greedy step, as an exact Fraction."""
+    return Fraction(step.total_units, step.scale)
 
 
 class FractionCurve(NamedTuple):
@@ -172,7 +183,7 @@ def flip(bits: BitString, index: int) -> BitString:
 
 def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation) -> sim.RowPass:
     """A fresh row pass over the store placed with `allocation`."""
-    return sim.RowPass(store, config, sim.place(store, config, allocation))
+    return sim.RowPass(store, config, sim.place(store, sim.plan_split(config, allocation)))
 
 
 def reference_decode(placement, transcript, user: int, library: int):
@@ -187,7 +198,7 @@ def reference_verify(
 ) -> sim.VerificationReport:
     """The full product loop: deliver and decode every demand vector end to end
     through the public `sim.deliver`/`sim.decode`, raising on the first failure."""
-    placement = sim.place(store, config, allocation)
+    placement = sim.place(store, sim.plan_split(config, allocation))
     L = config.num_libraries
     max_total = 0
     per_lib_max = [0] * L
@@ -358,12 +369,67 @@ def scheme_corner_points(num_files: int, num_users: int) -> tuple[tuple[Fraction
 
 
 def reference_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
-    """The scheme curve as the hull of all K + 1 corners."""
-    return lower_convex_envelope(
+    """The scheme curve as the hull of all K + 1 corners, each corner tagged
+    with its t = m * K / N, which must be a whole number."""
+    hull = lower_convex_envelope(
         scheme_corner_points(num_files, num_users),
         num_files,
         label=f"scheme(N={num_files},K={num_users})",
     )
+    ts = [divmod(p * num_users, q * num_files) for p, q in hull.breakpoint_ratios]
+    assert all(rest == 0 for _, rest in ts), (num_files, num_users)
+    return dataclasses.replace(hull, corner_ts=tuple(t for t, _ in ts))
+
+
+def reference_plan_weights(
+    config: NetworkConfig, allocation: Allocation
+) -> list[list[tuple[int, Fraction]]]:
+    """Per library, the (t, fraction-of-file) parts realizing its memory slice
+    on its scheme envelope, each corner's t recovered as m * K / N."""
+    if len(allocation.per_library) != config.num_libraries:
+        raise ValueError(
+            f"allocation has {len(allocation.per_library)} entries for "
+            f"{config.num_libraries} libraries"
+        )
+    k = config.num_users
+    out: list[list[tuple[int, Fraction]]] = []
+    for idx, (lib, budget) in enumerate(zip(config.libraries, allocation.per_library), start=1):
+        env = build_scheme_tradeoff(lib.num_files, k)
+        m = budget / lib.alpha
+        n = lib.num_files
+        if m > n:
+            raise ValueError(
+                f"library {idx} gets memory {budget}, more than its content {lib.alpha * n}"
+            )
+        p, q = m.as_integer_ratio()
+        seg = env.segment_of(p, q)
+        bp = env.breakpoint_ratios
+        parts: list[tuple[int, Fraction]]
+        if seg == env.num_segments or bp[seg] == (p, q):
+            t = m * k / n
+            assert t.denominator == 1
+            parts = [(int(t), Fraction(1))]
+        else:
+            lo, hi = Fraction(*bp[seg]), Fraction(*bp[seg + 1])
+            t_lo, t_hi = lo * k / n, hi * k / n
+            assert t_lo.denominator == 1 and t_hi.denominator == 1
+            u = (hi - m) / (hi - lo)
+            parts = [(int(t_lo), u), (int(t_hi), 1 - u)]
+        out.append(parts)
+    return out
+
+
+def reference_base_requirement(
+    config: NetworkConfig, weights: list[list[tuple[int, Fraction]]]
+) -> int:
+    """Smallest base size giving whole-bit files, parts and subfiles."""
+    req = sim.library_bit_requirement(config)
+    k = config.num_users
+    for lib, parts in zip(config.libraries, weights):
+        for t, weight in parts:
+            per_subfile = lib.alpha * weight / math.comb(k, t)
+            req = math.lcm(req, per_subfile.denominator)
+    return req
 
 
 def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
