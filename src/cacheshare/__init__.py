@@ -11,6 +11,7 @@ from .allocation import (
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
+    greedy_split,
     lambda_sweep,
     memory_sharing_rate,
     proportional_allocation,

@@ -10,7 +10,7 @@ sweep two-library splits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -141,31 +141,18 @@ def proportional_allocation(config: NetworkConfig) -> Allocation:
     )
 
 
-def greedy_allocate(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
-) -> AllocationTrace:
-    """Fill the budget segment by segment, always into the library whose next
-    segment lowers the total rate fastest per unit of cache.
+def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> tuple:
+    """Where the greedy stops, with no ordering: (scale, limit, weight, ranks,
+    top, final), memory in units of 1/scale as in `greedy_allocate`. `limit`
+    is the budget, `weight[l]` alpha_l, `ranks[l]` library l's segment ranks,
+    `top` the rank of the last segment bought and `final` the split the
+    greedy ends on.
 
-    Library l sitting on segment i contributes alpha_l * R_l(M_l / alpha_l)
-    to the rate, so one more unit of cache there buys a reduction of exactly
-    gamma_i — the alpha weight and the per-library memory rescaling cancel.
-    The ranking key is therefore the raw segment slope, and the buying order is
-    one sort of every segment on (-slope, library, segment): ties go to the
-    smallest library index, and each curve's strictly decreasing slopes keep
-    its segments in order. The last step may stop mid-segment; every other
-    library ends exactly on a corner.
-
-    A slope g/h sorts on the int -(g * S // h), where S = (max h)**2 over every
-    slope denominator: two different slopes differ by at least
-    1/(h * h') >= 1/S, so their floors at scale S differ, and equal slopes get
-    equal ranks. A rank has about bits(g) + 2 * bits(max h) bits.
-
-    Memory is counted in integer units of 1/scale, where scale is the lcm of
-    the budget's denominator and of each alpha_l's denominator times the lcm
-    of its curve's breakpoint denominators: every alpha_l * breakpoint and the
-    budget are whole there, so the running total is an int, and each step
-    keeps its memories as ints over scale.
+    Each curve's ranks ascend, so the memory in the segments ranked <= r is,
+    per library, its memory at the corner after the last of them: a bisect.
+    That sum grows with r, and a binary search finds the smallest r, `top`,
+    at which it reaches the budget. Every segment ranked below `top` is bought
+    whole; those ranked `top`, at most one per library, fill in library order.
     """
     check_pairing(config, tradeoffs)
     budget = config.cache_size
@@ -180,42 +167,112 @@ def greedy_allocate(
     )
     limit = budget.numerator * (scale // budget.denominator)
     weight = [n * (scale // d) for n, d in shares]  # alpha_l * scale, an int
-    filled = [0] * config.num_libraries  # alpha_l * (breakpoint at the cursor) * scale
-    steps: list[AllocationStep] = []
-    total = 0
-    inside = None  # library whose last step stopped inside a segment
     S = max((h for curve in distinct.values() for _, h in curve.slope_ratios), default=1) ** 2
     ranks = {
         key: [-(g * S // h) for g, h in curve.slope_ratios] for key, curve in distinct.items()
     }
+    # every alpha_l * corner is whole in units of 1/scale, so the libraries on
+    # one curve pool their weights and a probe bisects once per distinct curve
+    pooled = dict.fromkeys(distinct, 0)
+    for w, curve in zip(weight, tradeoffs):
+        pooled[id(curve)] += w
+    pools = [(ranks[key], distinct[key].breakpoint_ratios, w) for key, w in pooled.items()]
+
+    def bought(r: int) -> int:
+        """Memory in every segment ranked <= r."""
+        total = 0
+        for rank, corners, w in pools:
+            p, q = corners[bisect_right(rank, r)]
+            total += w * p // q
+        return total
+
+    lo = min((rank[0] for rank in ranks.values()), default=0) - 1  # nothing is bought at lo
+    hi = max((rank[-1] for rank in ranks.values()), default=0)  # everything is bought at hi
+    if bought(hi) < limit:
+        raise ValueError(f"budget {budget} exceeds total content")
+    while hi - lo > 1:  # bought(lo) < limit <= bought(hi), or limit is 0
+        mid = (lo + hi) // 2
+        if bought(mid) < limit:
+            lo = mid
+        else:
+            hi = mid
+    per_library = [ranks[id(curve)] for curve in tradeoffs]
+    left = limit - bought(hi - 1)  # the budget for the segments ranked `top`
+    filled = []
+    for w, rank, curve in zip(weight, per_library, tradeoffs):
+        seg = bisect_left(rank, hi)
+        p, q = curve.breakpoint_ratios[seg]
+        memory = w * p // q
+        if left > 0 and seg < len(rank) and rank[seg] == hi:
+            p, q = curve.breakpoint_ratios[seg + 1]
+            delta = min(w * p // q - memory, left)
+            memory += delta
+            left -= delta
+        filled.append(memory)
+    final = Allocation(tuple(Fraction(m, scale) for m in filled))
+    return scale, limit, weight, per_library, hi, final
+
+
+def greedy_split(
+    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
+) -> tuple[Allocation, Fraction]:
+    """The split `greedy_allocate` ends on and its rate, without its steps."""
+    *_, final = _greedy_cut(config, tradeoffs)
+    return final, memory_sharing_rate(config, final, tradeoffs)
+
+
+def greedy_allocate(
+    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
+) -> AllocationTrace:
+    """Fill the budget segment by segment, always into the library whose next
+    segment lowers the total rate fastest per unit of cache.
+
+    Library l sitting on segment i contributes alpha_l * R_l(M_l / alpha_l)
+    to the rate, so one more unit of cache there buys a reduction of exactly
+    gamma_i — the alpha weight and the per-library memory rescaling cancel.
+    The ranking key is therefore the raw segment slope, and the buying order is
+    a sort on (-slope, library, segment): ties go to the smallest library
+    index, and each curve's strictly decreasing slopes keep its segments in
+    order. The last step may stop mid-segment; every other library ends
+    exactly on a corner. Only the segments ranked at or before the last one
+    bought (`_greedy_cut`) are sorted.
+
+    A slope g/h sorts on the int -(g * S // h), where S = (max h)**2 over every
+    slope denominator: two different slopes differ by at least
+    1/(h * h') >= 1/S, so their floors at scale S differ, and equal slopes get
+    equal ranks. A rank has about bits(g) + 2 * bits(max h) bits.
+
+    Memory is counted in integer units of 1/scale, where scale is the lcm of
+    the budget's denominator and of each alpha_l's denominator times the lcm
+    of its curve's breakpoint denominators: every alpha_l * breakpoint and the
+    budget are whole there, so the running total is an int, and each step
+    keeps its memories as ints over scale.
+    """
+    scale, limit, weight, ranks, top, final = _greedy_cut(config, tradeoffs)
     order = sorted(
         (rank, lib, seg)
-        for lib, curve in enumerate(tradeoffs)
-        for seg, rank in enumerate(ranks[id(curve)])
+        for lib, per_segment in enumerate(ranks)
+        for seg, rank in enumerate(per_segment[: bisect_right(per_segment, top)])
     )
+    corners = [curve.breakpoint_ratios for curve in tradeoffs]
+    steps: list[AllocationStep] = []
+    total = 0
+    reached = [0] * len(ranks)  # each library's memory at the end of its last step
     for _, lib, seg in order:
         if total >= limit:
             break
-        p, q = tradeoffs[lib].breakpoint_ratios[seg + 1]
+        p, q = corners[lib][seg + 1]
         end = weight[lib] * p // q
-        delta = end - filled[lib]
-        if total + delta <= limit:
-            filled[lib] = end
-        else:
-            delta, inside = limit - total, lib
+        delta = end - reached[lib]
+        if total + delta > limit:
+            delta = limit - total  # the last step, partial
+        reached[lib] = end
         total += delta
         steps.append(AllocationStep(lib + 1, seg, delta, total, scale))
-    if total < limit:
-        # every curve exhausted; cannot happen while total < total content
-        raise ValueError(f"budget {budget} exceeds total content")
-    if inside is not None:
-        filled[inside] += delta  # the partial step is always the last one
-    final = Allocation(tuple(Fraction(m, scale) for m in filled))
-    rate = memory_sharing_rate(config, final, tradeoffs)
     return AllocationTrace(
         steps=tuple(steps),
         final=final,
-        rate=rate,
+        rate=memory_sharing_rate(config, final, tradeoffs),
         tradeoff_labels=tuple(curve.label for curve in tradeoffs),
     )
 

@@ -26,6 +26,7 @@ from .allocation import (
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
+    greedy_split,
     lambda_sweep,
     memory_sharing_rate,
     proportional_allocation,
@@ -425,12 +426,13 @@ def cmd_converse(state: CliState, kinds: str) -> tuple:
         )
     stack = report.stack
     payload = report.to_json()
+    rows = list(payload.items())  # the CSV rows: the gap fields alone
     payload["stack"] = {
         "betas": [str(b) for b in stack.betas],
         "library_order": list(stack.permutation),
         "scale": str(stack.scale),
     }
-    return config, payload, ["key", "value"], report.to_json().items()
+    return config, payload, ["key", "value"], rows
 
 
 @_command("simulate")
@@ -460,8 +462,7 @@ def cmd_simulate(
         raise click.UsageError("--explicit needs --alloc explicit")
     claimed = None  # the split's rate on the --kinds curves
     if alloc == "greedy":
-        trace = greedy_allocate(config, _curves(config, kinds))
-        allocation, claimed = trace.final, trace.rate
+        allocation, claimed = greedy_split(config, _curves(config, kinds))
     elif alloc == "proportional":
         allocation = proportional_allocation(config)
     else:
@@ -484,7 +485,7 @@ def cmd_simulate(
         base_size = plan.base_unit
     store = random_file_store(config, base_size, state.seed)
     placement = place(store, plan)
-    row_pass = RowPass(store, config, placement)
+    row_pass = RowPass(store, placement)
     report = verify_all(row_pass, demand_cap)
     if report.measured_rate != report.formula_rate:
         raise VerificationFailure(

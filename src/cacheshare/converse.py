@@ -180,18 +180,18 @@ def conjecture_gap(
     scheme may beat it, so otherwise the converse is the cut bound on the
     stack (kind "cutset"). Status is "tight" exactly when the gap is zero.
     """
-    from .allocation import greedy_allocate  # local import, avoids a cycle
+    from .allocation import greedy_split  # local import, avoids a cycle
 
-    trace = greedy_allocate(config, tradeoffs)
+    _, achievable = greedy_split(config, tradeoffs)
     curve = shared_curve(tradeoffs)
     stack = concatenate(config)
     if curve is not None and curve.exact:
         converse, kind = converse_bound(config, curve.evaluate, stack), "exact"
     else:
         converse, kind = converse_bound(config, stack=stack), "cutset"
-    gap = trace.rate - converse
+    gap = achievable - converse
     return GapReport(
-        achievable=trace.rate,
+        achievable=achievable,
         converse=converse,
         gap=gap,
         status="tight" if gap == 0 else "open",

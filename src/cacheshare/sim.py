@@ -93,7 +93,7 @@ class SchemePart:
 
 
 @dataclass(frozen=True)
-class LibraryPlan:
+class LibraryLayout:
     parts: tuple[SchemePart, ...]
     num_files: int
 
@@ -121,7 +121,7 @@ class PlacementState:
 
     `plan` is the split the caches were filled from (`plan_split`): its
     allocation and its formula rate, the value delivery must realize.
-    `plans[library - 1]` is that library's bit layout at the store's base
+    `layouts[library - 1]` is that library's bit layout at the store's base
     size. `cached_subfiles[user - 1][library - 1]` is a cache segment cut
     into subfile ints (`_split_segment`) when the state is built, and
     `decode_images[user - 1][library - 1]` lays those ints out as the
@@ -131,7 +131,7 @@ class PlacementState:
     each message the user reads goes in its decode (`_read_slots`)."""
 
     plan: Plan
-    plans: tuple[LibraryPlan, ...]
+    layouts: tuple[LibraryLayout, ...]
     caches: tuple[tuple[BitString, ...], ...]
     cached_subfiles: tuple[tuple[SubfileTable, ...], ...] = field(
         init=False, repr=False, compare=False
@@ -148,10 +148,10 @@ class PlacementState:
         tables, images, reads = [], [], []
         for user, segments in enumerate(self.caches, start=1):
             user_tables, user_images, user_reads = [], [], []
-            for library, (segment, plan) in enumerate(zip(segments, self.plans), start=1):
-                table = _split_segment(segment, plan, k, user, library)
+            for library, (segment, layout) in enumerate(zip(segments, self.layouts), start=1):
+                table = _split_segment(segment, layout, k, user, library)
                 part_images, part_reads = [], []
-                for part, per_file in zip(plan.parts, table):
+                for part, per_file in zip(layout.parts, table):
                     if part.t:
                         sources = _decode_sources(k, part.t, user)
                         part_images.append(_images(per_file, sources, part.subfile_bits))
@@ -390,13 +390,13 @@ def _images(
 
 
 def _split_files(
-    files: tuple[BitString, ...], plan: LibraryPlan, num_users: int
+    files: tuple[BitString, ...], layout: LibraryLayout, num_users: int
 ) -> SubfileTable:
     """One library's files cut into subfile ints: per plan part, per file, all
     C(K, t) subfiles in lexicographic subset order (t = 0: the whole part)."""
     table = []
     offset = 0
-    for part in plan.parts:
+    for part in layout.parts:
         sub = part.subfile_bits
         mask = (1 << sub) - 1
         count = math.comb(num_users, part.t)
@@ -411,24 +411,24 @@ def _split_files(
 
 
 def _split_segment(
-    segment: BitString, plan: LibraryPlan, num_users: int, user: int, library: int
+    segment: BitString, layout: LibraryLayout, num_users: int, user: int, library: int
 ) -> SubfileTable:
     """`user`'s cache segment of `library` cut back into the subfiles `place`
     put in it: per plan part, per file, the cached subsets in lexicographic
-    order (no pieces for t = 0). A width other than the plan's is an error."""
-    top = plan.cache_bits(num_users)
+    order (no pieces for t = 0). A width other than the layout's is an error."""
+    top = layout.cache_bits(num_users)
     if segment.width != top:
         raise ValueError(
             f"user {user} library {library} cache segment has {segment.width} bits; "
             f"its plan places {top}"
         )
     table = []
-    for part in plan.parts:
+    for part in layout.parts:
         sub = part.subfile_bits
         mask = (1 << sub) - 1
         count = math.comb(num_users - 1, part.t - 1) if part.t else 0
         per_file = []
-        for _ in range(plan.num_files):
+        for _ in range(layout.num_files):
             top -= count * sub
             block = segment.value >> top  # this file's pieces, the last in the low bits
             per_file.append(tuple([(block >> (i * sub)) & mask for i in reversed(range(count))]))
@@ -461,7 +461,7 @@ def place(store: FileStore, plan: Plan) -> PlacementState:
             scheme_parts.append(
                 SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
             )
-        layouts.append(LibraryPlan(parts=tuple(scheme_parts), num_files=lib.num_files))
+        layouts.append(LibraryLayout(parts=tuple(scheme_parts), num_files=lib.num_files))
     tables = [_split_files(files, layout, k) for files, layout in zip(store.files, layouts)]
     caches = []
     for user in range(1, k + 1):
@@ -477,28 +477,30 @@ def place(store: FileStore, plan: Plan) -> PlacementState:
                             value = (value << sub) | pieces[rank]
             segments.append(BitString(layout.cache_bits(k), value))
         caches.append(tuple(segments))
-    return PlacementState(plan=plan, plans=tuple(layouts), caches=tuple(caches))
+    return PlacementState(plan=plan, layouts=tuple(layouts), caches=tuple(caches))
 
 
-def _library_send_images(table: SubfileTable, plan: LibraryPlan, num_users: int) -> ImageTable:
+def _library_send_images(
+    table: SubfileTable, layout: LibraryLayout, num_users: int
+) -> ImageTable:
     """One library's send images (`_send_sources`), per plan part, from its
     subfile table: a row's messages of a part are the XOR of its members'
     images for their requested files."""
     return tuple(
         _images(per_file, _send_sources(num_users, part.t), part.subfile_bits) if part.t else None
-        for part, per_file in zip(plan.parts, table)
+        for part, per_file in zip(layout.parts, table)
     )
 
 
 def _library_transcript(
-    table: SubfileTable, images: ImageTable, plan: LibraryPlan, row: tuple[int, ...]
+    table: SubfileTable, images: ImageTable, layout: LibraryLayout, row: tuple[int, ...]
 ) -> tuple[PartTranscript, ...]:
     """One library's share of the broadcast for one demand row: t = 0 parts
     send whole parts from the subfile table (`_split_files`); every other part
     XORs its members' send images (`_library_send_images`) and cuts the
     result into its messages."""
     parts = []
-    for part, per_file, by_member in zip(plan.parts, table, images):
+    for part, per_file, by_member in zip(layout.parts, table, images):
         sub = part.subfile_bits
         if part.t == 0:
             messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
@@ -515,19 +517,18 @@ def _library_transcript(
 
 
 def deliver(
-    store: FileStore,
-    config: NetworkConfig,
-    placement: PlacementState,
-    demand: DemandVector,
+    store: FileStore, placement: PlacementState, demand: DemandVector
 ) -> DeliveryTranscript:
-    """Broadcast transcript serving every user's request in one shot."""
+    """Broadcast transcript serving every user's request in one shot, on the
+    network the placement was planned for."""
+    config = placement.plan.config
     demand.validate_for(config)
     k = config.num_users
     per_library = []
-    for files, plan, row in zip(store.files, placement.plans, demand.rows):
-        table = _split_files(files, plan, k)
-        images = _library_send_images(table, plan, k)
-        per_library.append(_library_transcript(table, images, plan, row))
+    for files, layout, row in zip(store.files, placement.layouts, demand.rows):
+        table = _split_files(files, layout, k)
+        images = _library_send_images(table, layout, k)
+        per_library.append(_library_transcript(table, images, layout, row))
     return DeliveryTranscript(demand=demand, per_library=tuple(per_library))
 
 
@@ -551,7 +552,7 @@ def decode(
     reads = placement.read_slots[user - 1][library - 1]
     value = width = 0
     for part, part_tr, by_member, slots in zip(
-        placement.plans[library - 1].parts, parts, images, reads
+        placement.layouts[library - 1].parts, parts, images, reads
     ):
         width += part.file_bits
         messages = part_tr.messages
@@ -587,24 +588,26 @@ class RowPass:
     decode with the stored file; the outcome is kept, so `verify_all` and
     `reduction_demo` can read the same rows without serving them twice. The
     row pass is the one context of a run: both read the store, the network
-    and the placement from it. `subfiles[l - 1]` is library l's files cut
-    into subfile ints once (`_split_files`); t = 0 deliveries read it whole.
+    and the placement from it; the network is the one the placement was
+    planned for (`placement.plan.config`). `subfiles[l - 1]` is library l's
+    files cut into subfile ints once (`_split_files`); t = 0 deliveries read
+    it whole.
     `send_images[l - 1]` lays that table out once per part, member and file
     as the member's share of every message (`_library_send_images`); every
     other delivery XORs one image per member.
     """
 
-    def __init__(self, store: FileStore, config: NetworkConfig, placement: PlacementState):
+    def __init__(self, store: FileStore, placement: PlacementState):
         self.store = store
-        self.config = config
+        self.config = config = placement.plan.config
         self.placement = placement
         self.subfiles = tuple(
-            _split_files(files, plan, config.num_users)
-            for files, plan in zip(store.files, placement.plans)
+            _split_files(files, layout, config.num_users)
+            for files, layout in zip(store.files, placement.layouts)
         )
         self.send_images = tuple(
-            _library_send_images(table, plan, config.num_users)
-            for table, plan in zip(self.subfiles, placement.plans)
+            _library_send_images(table, layout, config.num_users)
+            for table, layout in zip(self.subfiles, placement.layouts)
         )
         self.outcomes: tuple[dict[tuple[int, ...], RowOutcome], ...] = tuple(
             {} for _ in config.libraries
@@ -627,7 +630,7 @@ class RowPass:
         lib_idx = library - 1
         files = self.store.files[lib_idx]
         parts = _library_transcript(
-            self.subfiles[lib_idx], self.send_images[lib_idx], self.placement.plans[lib_idx], row
+            self.subfiles[lib_idx], self.send_images[lib_idx], self.placement.layouts[lib_idx], row
         )
         decoded = tuple(
             decode(self.placement, parts, row, user, library)

@@ -251,3 +251,4 @@ def test_converse_never_exceeds_greedy_rate():
         curves = curves_for(config)
         rate = greedy_allocate(config, curves).rate
         assert converse_bound(config) <= rate
+        assert conjecture_gap(config, curves).achievable == rate

@@ -1,14 +1,17 @@
 """Property tests: the integer kernels give the Fraction references' answers.
 
-`greedy_allocate` sorts slopes g/h on the int rank -(g * S // h) with
-S = (max h)**2 and counts memory as an integer over a common denominator;
+`greedy_split` and `greedy_allocate` rank slopes g/h on the int
+-(g * S // h) with S = (max h)**2, count memory as an integer over a common
+denominator and find where the budget runs out by a binary search on rank;
+`greedy_allocate` then sorts only the segments ranked up to that point;
 `PiecewiseLinearTradeoff` keeps its shape as (numerator, denominator) pairs,
 validates, locates, evaluates and prints on them; `lower_convex_envelope`
 runs its orientation test and edges on integers; `brute_force_allocate`
 counts candidate memories in 1/D units and rates each candidate as a sum of
 ints. Each must match its plain-Fraction reference in `util` exactly: same
 steps, same accept/reject with the same message, same curve, same segment,
-rate and strings, same split and rate.
+rate and strings, same split and rate. `greedy_split` must end on the
+reference greedy's final split and rate.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from cacheshare.allocation import (
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
+    greedy_split,
 )
 from cacheshare.cli import main
 from cacheshare.model import (
@@ -105,7 +109,9 @@ def networks(draw):
 @given(networks())
 def test_integer_greedy_matches_scan_step_for_step(network):
     config, curves = network
-    assert greedy_allocate(config, curves) == reference_greedy(config, curves)
+    reference = reference_greedy(config, curves)
+    assert greedy_allocate(config, curves) == reference
+    assert greedy_split(config, curves) == (reference.final, reference.rate)
 
 
 def two_segment_curve(n: int, first: Fraction, second: Fraction) -> PiecewiseLinearTradeoff:
@@ -142,6 +148,7 @@ def test_greedy_orders_slopes_one_over_h_h_prime_apart(whole):
     config = NetworkConfig(config.libraries, 2, budget)
     trace = greedy_allocate(config, curves)
     assert trace == reference_greedy(config, curves)
+    assert greedy_split(config, curves) == (trace.final, trace.rate)
     # (library, segment) by slope: 20/7, 17/6 twice, 2, 3/2, 5/4, 1, 1/2 twice, 1/3 twice
     order = [(5, 0), (2, 0), (4, 0), (3, 0), (1, 0), (5, 1), (3, 1), (1, 1), (3, 2)]
     order += [(2, 1), (4, 1)] if whole else []
@@ -156,7 +163,29 @@ def test_greedy_matches_scan_at_three_thousand_users():
     config = NetworkConfig(config.libraries, 3000, total_content(config) / 2)
     shapes = {n: build_scheme_tradeoff(n, 3000) for n in set(counts)}
     curves = [shapes[n] for n in counts]
-    assert greedy_allocate(config, curves) == reference_greedy(config, curves)
+    reference = reference_greedy(config, curves)
+    assert greedy_allocate(config, curves) == reference
+    assert greedy_split(config, curves) == (reference.final, reference.rate)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize(
+    "budget, split",
+    [(F(0), (0, 0)), (F(1, 2), (F(1, 3), F(1, 6))), (F(2), (F(2, 3), F(4, 3)))],
+    ids=["zero", "inside-tie", "full"],
+)
+def test_greedy_split_at_zero_full_and_tied_budgets(budget, split, shared):
+    """Two libraries on equal curves tie at slope 2 on their first segments,
+    which together hold memory 1/3 + 2/3. A budget of 1/2 runs out inside
+    that tied rank: library 1 takes its whole segment first, library 2 the
+    rest. The curves are one object or two equal copies."""
+    first = two_segment_curve(2, F(2), F(1, 2))
+    curves = [first, first if shared else two_segment_curve(2, F(2), F(1, 2))]
+    config = make_config(counts=(2, 2), weights=(F(1, 3), F(2, 3)), users=2, cache=budget)
+    reference = reference_greedy(config, curves)
+    assert reference.final.per_library == split
+    assert greedy_split(config, curves) == (reference.final, reference.rate)
+    assert greedy_allocate(config, curves) == reference
 
 
 CHECKS = ("increasing", "positive", "decreasing", "continuity", "zero")

@@ -17,7 +17,7 @@ from cacheshare.sim import (
     DecodeMismatchError,
     DivisibilityError,
     FileStore,
-    LibraryPlan,
+    LibraryLayout,
     RowPass,
     SchemePart,
     decode,
@@ -100,33 +100,33 @@ def test_plan_split_matches_the_reference_planner():
     assert min(seen.values()) > 20, seen
 
 
-def plans_at(config, allocation, base_size):
+def layouts_at(config, allocation, base_size):
     store = random_file_store(config, base_size, seed=1)
-    return place(store, plan_split(config, allocation)).plans
+    return place(store, plan_split(config, allocation)).layouts
 
 
 def test_corner_plans_match_hand_layout():
     config = reference_config()
     allocation = Allocation((F(2, 5), F(3, 5)))
-    plans = plans_at(config, allocation, 40)
-    assert plans[0] == LibraryPlan(
+    layouts = layouts_at(config, allocation, 40)
+    assert layouts[0] == LibraryLayout(
         parts=(SchemePart(t=1, file_bits=16, subfile_bits=8),), num_files=2
     )
-    assert plans[1] == LibraryPlan(
+    assert layouts[1] == LibraryLayout(
         parts=(SchemePart(t=1, file_bits=24, subfile_bits=12),), num_files=2
     )
 
 
 def test_split_plans_share_between_adjacent_vertices():
     config = reference_config()
-    plans = plans_at(config, Allocation((F(1, 5), F(4, 5))), 10)
+    layouts = layouts_at(config, Allocation((F(1, 5), F(4, 5))), 10)
     # library one runs halfway between t=0 and t=1
-    assert plans[0] == LibraryPlan(
+    assert layouts[0] == LibraryLayout(
         parts=(SchemePart(t=0, file_bits=2, subfile_bits=2), SchemePart(t=1, file_bits=2, subfile_bits=1)),
         num_files=2,
     )
     # library two runs a third of the way from t=1 to t=2
-    assert plans[1] == LibraryPlan(
+    assert layouts[1] == LibraryLayout(
         parts=(SchemePart(t=1, file_bits=4, subfile_bits=2), SchemePart(t=2, file_bits=2, subfile_bits=2)),
         num_files=2,
     )
@@ -136,13 +136,13 @@ def test_place_rejects_indivisible_base_size():
     config = reference_config()
     allocation = Allocation((F(2, 5), F(3, 5)))
     with pytest.raises(DivisibilityError, match="use a multiple of 10"):
-        plans_at(config, allocation, 15)
+        layouts_at(config, allocation, 15)
 
 
 def test_allocation_beyond_library_content_is_rejected():
     config = reference_config(cache="2")
     with pytest.raises(ValueError, match="more than its content"):
-        plans_at(config, Allocation((F(9, 10), F(11, 10))), 40)
+        layouts_at(config, Allocation((F(9, 10), F(11, 10))), 40)
     with pytest.raises(ValueError, match="^allocation has 3 entries for 2 libraries$"):
         plan_split(config, Allocation((F(1, 2), F(1, 2), F(1))))
 
@@ -166,8 +166,8 @@ def test_place_accepts_exactly_the_multiples_of_the_required_base_size():
         plan = plan_split(config, allocation)
         need = plan.base_unit
         for size in (need, 2 * need):
-            plans = place(random_file_store(config, size, seed), plan).plans
-            for lib, layout in zip(config.libraries, plans):
+            layouts = place(random_file_store(config, size, seed), plan).layouts
+            for lib, layout in zip(config.libraries, layouts):
                 assert sum(part.file_bits for part in layout.parts) == lib.alpha * size
         # sizes that give whole-bit files but not whole-bit subfiles, if any
         files_only = library_bit_requirement(config)
@@ -195,7 +195,7 @@ def test_delivery_message_is_the_cross_xor():
     store = random_file_store(config, 4, seed=4)
     placement = place(store, plan_split(config, Allocation((F(1),))))
     file1, file2 = store.files[0]
-    transcript = deliver(store, config, placement, DemandVector(((1, 2),)))
+    transcript = deliver(store, placement, DemandVector(((1, 2),)))
     part = transcript.per_library[0][0]
     # user 1 misses its half of file 1, user 2 misses its half of file 2
     assert part.messages == ((file1.slice(2, 4) ^ file2.slice(0, 2)).value,)
@@ -207,7 +207,7 @@ def test_decode_uses_only_own_cache_and_transcript():
     store = random_file_store(config, 40, seed=5)
     placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     demand = DemandVector(((1, 2), (2, 1)))
-    transcript = deliver(store, config, placement, demand)
+    transcript = deliver(store, placement, demand)
     for library in (1, 2):
         parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
         for user in (1, 2):
@@ -266,7 +266,7 @@ def test_flipping_one_cached_bit_changes_only_that_users_decode(config, allocati
     for library, lib in enumerate(config.libraries, start=1):
         rows = list(product(range(1, lib.num_files + 1), repeat=k))
         transcripts = [
-            deliver(store, config, placement, library_demand(config, library, row)).per_library[
+            deliver(store, placement, library_demand(config, library, row)).per_library[
                 library - 1
             ]
             for row in rows
@@ -289,7 +289,7 @@ def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
     config = reference_config()
     store = random_file_store(config, 40, seed=5)
     placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
-    report = verify_all(RowPass(store, config, placement))
+    report = verify_all(RowPass(store, placement))
     assert report.measured_rate == placement.plan.formula_rate
     for library in (1, 2):
         for index in (0, placement.caches[0][library - 1].width - 1):
@@ -299,7 +299,7 @@ def test_flipping_a_bit_of_a_users_own_cache_fails_that_user():
                 placement, caches=(tuple(segments),) + placement.caches[1:]
             )
             with pytest.raises(DecodeMismatchError) as info:
-                verify_all(RowPass(store, config, tampered))
+                verify_all(RowPass(store, tampered))
             assert (info.value.user, info.value.library) == (1, library)
 
 
@@ -370,8 +370,8 @@ def test_libraries_do_not_interact():
     assert before.caches[1][0] == after.caches[1][0]
     assert before.caches[0][1] == after.caches[0][1]
     assert before.caches[1][1] != after.caches[1][1]
-    t_before = deliver(store, config, before, demand)
-    t_after = deliver(tampered, config, after, demand)
+    t_before = deliver(store, before, demand)
+    t_after = deliver(tampered, after, demand)
     assert t_before.per_library[0] == t_after.per_library[0]
     assert t_before.per_library[1] != t_after.per_library[1]
 
@@ -407,7 +407,7 @@ def test_reduction_demo_equal_sizes():
     config = reference_config()
     store = random_file_store(config, 40, seed=13)
     placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
-    report = reduction_demo(RowPass(store, config, placement))
+    report = reduction_demo(RowPass(store, placement))
     assert report.demands_checked == 4
     assert report.stacked_file_bits == (40, 40)
     assert report.cache_bits == 40
@@ -418,7 +418,7 @@ def test_reduction_demo_unequal_sizes():
     config = unequal_config()
     store = random_file_store(config, 8, seed=14)
     placement = place(store, plan_split(config, Allocation((F(1, 4), F(1, 4)))))
-    report = reduction_demo(RowPass(store, config, placement))
+    report = reduction_demo(RowPass(store, placement))
     assert report.demands_checked == 4
     assert report.stacked_file_bits == (8, 4)
     assert report.cache_bits == 4
@@ -470,7 +470,7 @@ def test_row_pass_agrees_with_full_product_reference():
         store = random_file_store(config, plan.base_unit, seed)
         expected = reference_verify(store, config, allocation)
         placement = place(store, plan)
-        rows = RowPass(store, config, placement)
+        rows = RowPass(store, placement)
         report = verify_all(rows)
         for field in ("demands_checked", "measured_rate", "max_total_bits", "per_library_max_bits"):
             assert getattr(report, field) == getattr(expected, field), (seed, field)
@@ -494,12 +494,12 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
         placement = place(store, plan)
-        rows = RowPass(store, config, placement)
+        rows = RowPass(store, placement)
         k = config.num_users
-        for library, (files, plan) in enumerate(zip(store.files, placement.plans), start=1):
-            seen["two_parts"] += len(plan.parts) == 2
-            seen["t0"] += any(part.t == 0 for part in plan.parts)
-            slices = reference_file_subfiles(files, plan, k)
+        for library, (files, layout) in enumerate(zip(store.files, placement.layouts), start=1):
+            seen["two_parts"] += len(layout.parts) == 2
+            seen["t0"] += any(part.t == 0 for part in layout.parts)
+            slices = reference_file_subfiles(files, layout, k)
             server = rows.subfiles[library - 1]
             assert server == tuple(
                 tuple(tuple(piece.value for piece in pieces) for pieces in per_file)
@@ -509,12 +509,12 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
                 cached = placement.cached_subfiles[user - 1][library - 1]
                 assert placement.caches[user - 1][library - 1] == concat(
                     BitString(part.subfile_bits, piece)
-                    for part, per_file in zip(plan.parts, cached)
+                    for part, per_file in zip(layout.parts, cached)
                     for pieces in per_file
                     for piece in pieces
                 ), (seed, library, user)
                 # the user holds the server's subfiles of the subsets it is in
-                for part, mine, theirs in zip(plan.parts, cached, server):
+                for part, mine, theirs in zip(layout.parts, cached, server):
                     ranks = [
                         i
                         for i, subset in enumerate(combinations(range(1, k + 1), part.t))
@@ -526,7 +526,7 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
             # every message served for every row of this library is an int of
             # its part's subfile width (the other libraries ask for file 1)
             for row in product(range(1, len(files) + 1), repeat=k):
-                transcript = deliver(store, config, placement, library_demand(config, library, row))
+                transcript = deliver(store, placement, library_demand(config, library, row))
                 for part in transcript.per_library[library - 1]:
                     assert all(
                         type(m) is int and 0 <= m < 1 << part.subfile_bits
@@ -629,7 +629,7 @@ def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witn
     with pytest.raises(DecodeMismatchError) as reference:
         reference_reduction(store, config, placement)
     with pytest.raises(DecodeMismatchError) as info:
-        reduction_demo(RowPass(store, config, placement))
+        reduction_demo(RowPass(store, placement))
     want, got = reference.value, info.value
     assert (got.demand, got.user, got.library, got.expected, got.actual) == (
         want.demand, want.user, want.library, want.expected, want.actual
@@ -682,20 +682,20 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
         placement = place(store, plan)
-        rows = RowPass(store, config, placement)
+        rows = RowPass(store, placement)
         k = config.num_users
         seen["one_user"] += k == 1
-        for library, (files, plan) in enumerate(zip(store.files, placement.plans), start=1):
-            seen["t0"] += any(part.t == 0 for part in plan.parts)
-            seen["tK"] += any(part.t == k for part in plan.parts)
-            seen["two_parts"] += len(plan.parts) == 2
-            seen["one_file"] += plan.num_files == 1
+        for library, (files, layout) in enumerate(zip(store.files, placement.layouts), start=1):
+            seen["t0"] += any(part.t == 0 for part in layout.parts)
+            seen["tK"] += any(part.t == k for part in layout.parts)
+            seen["two_parts"] += len(layout.parts) == 2
+            seen["one_file"] += layout.num_files == 1
             table = rows.subfiles[library - 1]
-            for row in product(range(1, plan.num_files + 1), repeat=k):
-                expected = reference_library_transcript(table, plan, k, row)
-                parts = sim._library_transcript(table, rows.send_images[library - 1], plan, row)
+            for row in product(range(1, layout.num_files + 1), repeat=k):
+                expected = reference_library_transcript(table, layout, k, row)
+                parts = sim._library_transcript(table, rows.send_images[library - 1], layout, row)
                 assert parts == expected, (seed, library, row)
-                delivered = deliver(store, config, placement, library_demand(config, library, row))
+                delivered = deliver(store, placement, library_demand(config, library, row))
                 assert delivered.per_library[library - 1] == expected, (seed, library, row)
                 for part in parts:
                     if part.t == k:  # every user caches the whole part: nothing is sent

@@ -183,7 +183,7 @@ def flip(bits: BitString, index: int) -> BitString:
 
 def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation) -> sim.RowPass:
     """A fresh row pass over the store placed with `allocation`."""
-    return sim.RowPass(store, config, sim.place(store, sim.plan_split(config, allocation)))
+    return sim.RowPass(store, sim.place(store, sim.plan_split(config, allocation)))
 
 
 def reference_decode(placement, transcript, user: int, library: int):
@@ -204,7 +204,7 @@ def reference_verify(
     per_lib_max = [0] * L
     count = 0
     for demand in enumerate_demands(config):
-        transcript = sim.deliver(store, config, placement, demand)
+        transcript = sim.deliver(store, placement, demand)
         max_total = max(max_total, transcript.total_bits)
         for lib, parts in enumerate(transcript.per_library):
             per_lib_max[lib] = max(per_lib_max[lib], sum(part.bits for part in parts))
@@ -227,13 +227,13 @@ def reference_verify(
     )
 
 
-def reference_file_subfiles(files, plan: sim.LibraryPlan, num_users: int):
+def reference_file_subfiles(files, layout: sim.LibraryLayout, num_users: int):
     """One library's files cut with `BitString.slice`: per plan part, per file,
     subfile i of the part is the i-th slice of `subfile_bits` bits after the
     part's offset, in lexicographic subset order (t = 0: one slice, the part)."""
     table = []
     offset = 0
-    for part in plan.parts:
+    for part in layout.parts:
         sub = part.subfile_bits
         table.append(
             tuple(
@@ -248,12 +248,12 @@ def reference_file_subfiles(files, plan: sim.LibraryPlan, num_users: int):
     return tuple(table)
 
 
-def reference_library_transcript(table, plan: sim.LibraryPlan, num_users: int, row):
+def reference_library_transcript(table, layout: sim.LibraryLayout, num_users: int, row):
     """One library's transcript XORed one subfile at a time from its server
     subfile table: each size-(t + 1) group's message XORs, member by member,
     the subfile of that member's request indexed by the group without it."""
     parts = []
-    for part, per_file in zip(plan.parts, table):
+    for part, per_file in zip(layout.parts, table):
         if part.t == 0:
             messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
         else:
@@ -276,7 +276,7 @@ def reference_subfile_decode(placement: sim.PlacementState, parts, row, user: in
     k = len(row)
     table = placement.cached_subfiles[user - 1][library - 1]
     value = width = 0
-    for part, part_tr, per_file in zip(placement.plans[library - 1].parts, parts, table):
+    for part, part_tr, per_file in zip(placement.layouts[library - 1].parts, parts, table):
         sub = part.subfile_bits
         width += part.file_bits
         if part.t == 0:
@@ -325,7 +325,7 @@ def reference_reduction(
     checked = 0
     for prime in product(range(1, n_max + 1), repeat=k):
         induced = DemandVector(tuple(tuple(min(x, n) for x in prime) for n in config.file_counts))
-        transcript = sim.deliver(store, config, placement, induced)
+        transcript = sim.deliver(store, placement, induced)
         max_total = max(max_total, transcript.total_bits)
         for user, n in enumerate(prime, start=1):
             level = subfile_level(sorted_config, n)
