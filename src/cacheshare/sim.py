@@ -16,16 +16,25 @@ decoded files. Inside, everything is plain ints. A `PlacementState` cuts
 each cache segment into its subfile table once, when it is built, and checks
 its width against the plan; messages are ints of their part's subfile width.
 
-The scheme is linear over GF(2), so delivery and decoding XOR whole images,
-wide ints of subfile-wide slots laid out once per run, instead of one subfile
-at a time. Send images (`RowPass.send_images`, from the server's subfile
-table): per part, member and file, the member's share of every message at
-its group's slot, so a row's messages are the XOR of its K members' images,
-cut at the slots. Decode images (`PlacementState.decode_images`, from one
-user's own subfile table only): per part, member and file, in file order,
-the user's own pieces for itself and, for any other member, that member's
-share of each message the user reads. A decode XORs its K images, one per
-member's request, and the messages it reads, each at its subfile's slot.
+The scheme is linear over GF(2), so delivery and verification XOR whole
+images, wide ints of subfile-wide slots laid out once per run, instead of one
+subfile at a time. Slots follow the transcript: one per size-(t + 1) group,
+the first highest. Send images (`RowPass.send_images`, from the server's
+subfile table): per part, member and file, the member's share W_n(G - member)
+at the slot of every group G holding it, so a row's broadcast is the XOR of
+its K members' images. Verification images hold K blocks of such slots side
+by side, user u's block (u - 1) blocks up. Decode images
+(`PlacementState.decode_images`): per part, member and file, each user's own
+cached copy of the member's share at every group holding both. Expected
+images (`RowPass.expected_images`): the member's share, wanted by the member,
+in its own block. One row checks every user at once (`_recover`): the
+broadcast copied into all K blocks and masked to each user's groups, XORed
+with one decode image per member, leaves each user's recovered pieces; XORed
+with one expected image per member, it is zero exactly when every user
+recovers every piece it lacks. Each user's own cached pieces, and the server
+table's rejoin into each stored file, are checked once per run. So `decode`,
+which puts one user's recovered and cached pieces in file order, runs only to
+name the decoded file of a failure.
 """
 
 from __future__ import annotations
@@ -111,9 +120,6 @@ SubfileTable = tuple[tuple[tuple[int, ...], ...], ...]
 # per file: one wide int of subfile-wide slots (`_images`)
 ImageTable = tuple[tuple[tuple[int, ...], ...] | None, ...]
 
-# (message rank, shift) pairs: where a decode puts each message it reads
-ReadSlots = tuple[tuple[int, int], ...]
-
 
 @dataclass(frozen=True)
 class PlacementState:
@@ -124,11 +130,10 @@ class PlacementState:
     `layouts[library - 1]` is that library's bit layout at the store's base
     size. `cached_subfiles[user - 1][library - 1]` is a cache segment cut
     into subfile ints (`_split_segment`) when the state is built, and
-    `decode_images[user - 1][library - 1]` lays those ints out as the
-    user's decode images (`_decode_sources`), built from nothing else; a copy
-    made with `dataclasses.replace` cuts and lays out its own caches.
-    `read_slots[user - 1][library - 1]` is, per plan part with t >= 1, where
-    each message the user reads goes in its decode (`_read_slots`)."""
+    `decode_images[library - 1]` lays every user's table out in its own block
+    of the decode images (`_decode_sources`), each block built from that
+    user's cache alone; a copy made with `dataclasses.replace` cuts and lays
+    out its own caches."""
 
     plan: Plan
     layouts: tuple[LibraryLayout, ...]
@@ -136,38 +141,34 @@ class PlacementState:
     cached_subfiles: tuple[tuple[SubfileTable, ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    decode_images: tuple[tuple[ImageTable, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    read_slots: tuple[tuple[tuple[ReadSlots | None, ...], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    decode_images: tuple[ImageTable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.caches)
-        tables, images, reads = [], [], []
-        for user, segments in enumerate(self.caches, start=1):
-            user_tables, user_images, user_reads = [], [], []
-            for library, (segment, layout) in enumerate(zip(segments, self.layouts), start=1):
-                table = _split_segment(segment, layout, k, user, library)
-                part_images, part_reads = [], []
-                for part, per_file in zip(layout.parts, table):
-                    if part.t:
-                        sources = _decode_sources(k, part.t, user)
-                        part_images.append(_images(per_file, sources, part.subfile_bits))
-                        part_reads.append(_read_slots(k, part.t, user, part.subfile_bits))
-                    else:
-                        part_images.append(None)
-                        part_reads.append(None)
-                user_tables.append(table)
-                user_images.append(tuple(part_images))
-                user_reads.append(tuple(part_reads))
-            tables.append(tuple(user_tables))
-            images.append(tuple(user_images))
-            reads.append(tuple(user_reads))
-        object.__setattr__(self, "cached_subfiles", tuple(tables))
+        tables = tuple(
+            tuple(
+                _split_segment(segment, layout, k, user, library)
+                for library, (segment, layout) in enumerate(zip(segments, self.layouts), start=1)
+            )
+            for user, segments in enumerate(self.caches, start=1)
+        )
+        images = []
+        for library, layout in enumerate(self.layouts):
+            part_images = []
+            for index, part in enumerate(layout.parts):
+                if part.t:
+                    # per file: every user's cached pieces laid end to end
+                    per_file = [
+                        tuple(piece for table in tables for piece in table[library][index][n])
+                        for n in range(layout.num_files)
+                    ]
+                    sources = _decode_sources(k, part.t)
+                    part_images.append(_images(per_file, sources, part.subfile_bits))
+                else:
+                    part_images.append(None)
+            images.append(tuple(part_images))
+        object.__setattr__(self, "cached_subfiles", tables)
         object.__setattr__(self, "decode_images", tuple(images))
-        object.__setattr__(self, "read_slots", tuple(reads))
 
     def cache_bits(self, user: int) -> int:
         return sum(seg.width for seg in self.caches[user - 1])
@@ -325,25 +326,31 @@ def _send_sources(num_users: int, t: int) -> Sources:
 
 
 @lru_cache(maxsize=None)
-def _decode_sources(num_users: int, t: int, user: int) -> Sources:
-    """Per member, per size-t subset S that `user` fills from that member's
-    request: the slot of S (subsets in file order, the first highest) and the
-    position in `user`'s cached block of the piece it puts there.
-
-    The user itself: S, for every S holding `user` (its own pieces).
-    Any other member: S + {user} - {member}, for every S holding that member
-    but not `user` (the member's share of the message of group S + {user}).
-    """
+def _decode_sources(num_users: int, t: int) -> Sources:
+    """Per member, per other user u, per size-(t + 1) group G holding both:
+    the slot of G in u's block (blocks of one slot per group, user u's
+    block u - 1 blocks up) and the index of u's copy of the member's share
+    W(G - member) among every user's cached pieces of one file, laid end to
+    end (each user's C(K - 1, t - 1) in cache order)."""
+    groups = _subsets(num_users, t + 1)
     subsets = _subsets(num_users, t)
-    top = len(subsets) - 1
-    position = {s: p for p, s in enumerate(s for s in subsets if user in s)}
+    per_user = math.comb(num_users - 1, t - 1)
+    # (user, cached subset) -> its piece's index among every user's pieces
+    index = {}
+    for user in range(1, num_users + 1):
+        for p, rank in enumerate(_user_subset_ranks(num_users, t, user)):
+            index[user, subsets[rank]] = (user - 1) * per_user + p
+    top = len(groups) - 1
     return tuple(
-        tuple((top - i, position[s]) for i, s in enumerate(subsets) if user in s)
-        if member == user
-        else tuple(
-            (top - i, position[tuple(sorted({user, *s} - {member}))])
-            for i, s in enumerate(subsets)
-            if member in s and user not in s
+        tuple(
+            (
+                (user - 1) * len(groups) + top - g,
+                index[user, tuple(x for x in group if x != member)],
+            )
+            for user in range(1, num_users + 1)
+            if user != member
+            for g, group in enumerate(groups)
+            if member in group and user in group
         )
         for member in range(1, num_users + 1)
     )
@@ -357,17 +364,22 @@ def _send_shifts(num_users: int, t: int, slot_bits: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _read_slots(num_users: int, t: int, user: int, slot_bits: int) -> ReadSlots:
-    """Per size-t subset S without `user`: (rank of group S + {user}, the
-    message `user` reads for subfile S; shift of slot S in a file-order image
-    of `slot_bits`-bit slots)."""
-    subsets = _subsets(num_users, t)
-    group_rank = _subset_rank(num_users, t + 1)
-    return tuple(
-        (group_rank[tuple(sorted(subset + (user,)))], (len(subsets) - 1 - i) * slot_bits)
-        for i, subset in enumerate(subsets)
-        if user not in subset
-    )
+def _blocks(num_users: int, t: int, slot_bits: int) -> tuple[int, int, int]:
+    """One coded part's verification layout: (width of a block, one slot per
+    size-(t + 1) group, so also the bits the part sends per row; the spread
+    that copies a send-image-wide int into every block; the mask keeping, in
+    each user's block, the slots of the groups holding that user)."""
+    groups = _subsets(num_users, t + 1)
+    width = len(groups) * slot_bits
+    piece = (1 << slot_bits) - 1
+    spread = masks = 0
+    for user in range(1, num_users + 1):
+        base = (user - 1) * width
+        spread |= 1 << base
+        for g, group in enumerate(groups):
+            if user in group:
+                masks |= piece << (base + (len(groups) - 1 - g) * slot_bits)
+    return width, spread, masks
 
 
 def _images(
@@ -376,7 +388,7 @@ def _images(
     """Per member, per file: one wide int of `slot_bits`-bit slots holding
     the file's pieces[index] at each (slot, index) of the member's sources,
     zeros elsewhere. `per_file` is one part's subfile ints: the server's
-    (`_send_sources`) or one user's cached ones (`_decode_sources`)."""
+    (`_send_sources`) or every user's cached ones (`_decode_sources`)."""
     images = []
     for member_sources in sources:
         member_images = []
@@ -492,6 +504,24 @@ def _library_send_images(
     )
 
 
+def _library_expected_images(
+    images: ImageTable, layout: LibraryLayout, num_users: int
+) -> ImageTable:
+    """One library's expected images, per plan part, from its send images:
+    each member's image moved to the member's own block (`_blocks`), where it
+    holds the pieces W(G - member) the member wants."""
+    expected = []
+    for part, by_member in zip(layout.parts, images):
+        if part.t:
+            width = _blocks(num_users, part.t, part.subfile_bits)[0]
+            by_member = tuple(
+                tuple(image << (member * width) for image in per_file)
+                for member, per_file in enumerate(by_member)
+            )
+        expected.append(by_member)
+    return tuple(expected)
+
+
 def _library_transcript(
     table: SubfileTable, images: ImageTable, layout: LibraryLayout, row: tuple[int, ...]
 ) -> tuple[PartTranscript, ...]:
@@ -532,6 +562,26 @@ def deliver(
     return DeliveryTranscript(demand=demand, per_library=tuple(per_library))
 
 
+def _recover(
+    placement: PlacementState, library: int, part: int, row: tuple[int, ...], wide: int
+) -> int:
+    """Every user's recovered pieces of plan part `part` (an index, t >= 1) of
+    `library` under demand row `row`, in the users' blocks (`_blocks`).
+
+    `wide` is the part's broadcast, each message at its group's slot. Copied
+    into every block and masked to the user's groups, it is XORed with one
+    decode image per member's request: at each group G holding user u, block
+    u then holds the message of G with every other member's share, from u's
+    own cache, cancelled, which is u's piece W(G - u). Both the row check and
+    `decode` read this step."""
+    layout_part = placement.layouts[library - 1].parts[part]
+    _, spread, masks = _blocks(len(row), layout_part.t, layout_part.subfile_bits)
+    blocks = (wide * spread) & masks
+    for member_images, n in zip(placement.decode_images[library - 1][part], row):
+        blocks ^= member_images[n - 1]
+    return blocks
+
+
 def decode(
     placement: PlacementState,
     parts: Sequence[PartTranscript],
@@ -543,49 +593,86 @@ def decode(
     using only that user's cache and the library's transcript `parts` for
     demand row `row` (one file id per user).
 
-    Per part with t >= 1: the XOR of the user's decode images for every
-    member's request holds its own pieces and cancels the other members'
-    shares; the messages it reads, put at their subfiles' slots, complete it.
+    Per part with t >= 1: the messages, each at its group's slot, give the
+    user's recovered pieces (`_recover`), the piece of each size-t subset S
+    without the user at the slot of group S + {user}; they and the user's own
+    cached pieces go in file order. A t = 0 part is the message of the user's
+    request, sent in id order among the distinct requests.
     """
+    k = len(row)
     want = row[user - 1]
-    images = placement.decode_images[user - 1][library - 1]
-    reads = placement.read_slots[user - 1][library - 1]
     value = width = 0
-    for part, part_tr, by_member, slots in zip(
-        placement.layouts[library - 1].parts, parts, images, reads
+    cached = placement.cached_subfiles[user - 1][library - 1]
+    for index, (part, part_tr, per_file) in enumerate(
+        zip(placement.layouts[library - 1].parts, parts, cached)
     ):
+        sub = part.subfile_bits
         width += part.file_bits
-        messages = part_tr.messages
         if part.t == 0:
-            # sent in id order: count the distinct requests below `want`
-            piece = messages[len({n for n in row if n < want})]
-        else:
-            piece = 0
-            for member_images, n in zip(by_member, row):
-                piece ^= member_images[n - 1]
-            for group, shift in slots:
-                piece ^= messages[group] << shift
-        value = (value << part.file_bits) | piece
+            value = (value << sub) | part_tr.messages[sorted(set(row)).index(want)]
+            continue
+        wide = 0
+        for message, shift in zip(part_tr.messages, _send_shifts(k, part.t, sub)):
+            wide |= message << shift
+        block = _recover(placement, library, index, row, wide) >> (
+            (user - 1) * _blocks(k, part.t, sub)[0]
+        )
+        mask = (1 << sub) - 1
+        own = iter(per_file[want - 1])
+        groups = _subset_rank(k, part.t + 1)
+        for subset in _subsets(k, part.t):
+            if user in subset:
+                piece = next(own)
+            else:
+                slot = len(groups) - 1 - groups[tuple(sorted(subset + (user,)))]
+                piece = (block >> (slot * sub)) & mask
+            value = (value << sub) | piece
     return BitString(width, value)
 
 
 @dataclass(frozen=True)
 class RowOutcome:
-    """One library serving one demand row: its transcript bits, every user's
-    decode of that library, and the users whose decode differs from the file."""
+    """One library serving one demand row: its transcript bits and the users
+    who fail to decode their request."""
 
     bits: int
-    decoded: tuple[BitString, ...]
     failed: tuple[int, ...]
 
 
+def _unrecoverable(
+    files: tuple[BitString, ...], table: SubfileTable, placement: PlacementState, library: int
+) -> frozenset[tuple[int, int]]:
+    """The (user, file id) pairs of one library that fail whatever the row:
+    every user's for a file the server's subfile table does not rejoin into,
+    and one user's for a file whose cached pieces differ from the server's."""
+    layout = placement.layouts[library - 1]
+    k = len(placement.caches)
+    bad = set()
+    for n, content in enumerate(files, start=1):
+        value = 0
+        for part, per_file in zip(layout.parts, table):
+            for piece in per_file[n - 1]:
+                value = (value << part.subfile_bits) | piece
+        if BitString(content.width, value) != content:
+            bad.update((user, n) for user in range(1, k + 1))
+    for user, tables in enumerate(placement.cached_subfiles, start=1):
+        for part, theirs, mine in zip(layout.parts, table, tables[library - 1]):
+            if part.t:
+                ranks = _user_subset_ranks(k, part.t, user)
+                for n, (pieces, cached) in enumerate(zip(theirs, mine), start=1):
+                    if cached != tuple([pieces[i] for i in ranks]):
+                        bad.add((user, n))
+    return frozenset(bad)
+
+
 class RowPass:
-    """Library-by-library delivery and decoding, each (library, row) served once.
+    """Library-by-library delivery and verification, each (library, row)
+    served once.
 
     Libraries never interact: the library-l transcript and every library-l
-    decode read only row l of the demand and segment l of each cache. Serving a
-    row delivers that library once, decodes every user once and compares each
-    decode with the stored file; the outcome is kept, so `verify_all` and
+    decode read only row l of the demand and segment l of each cache. Serving
+    a row broadcasts that library once and checks every user's recovered
+    pieces at once (`_recover`); the outcome is kept, so `verify_all` and
     `reduction_demo` can read the same rows without serving them twice. The
     row pass is the one context of a run: both read the store, the network
     and the placement from it; the network is the one the placement was
@@ -594,20 +681,32 @@ class RowPass:
     it whole.
     `send_images[l - 1]` lays that table out once per part, member and file
     as the member's share of every message (`_library_send_images`); every
-    other delivery XORs one image per member.
+    other delivery XORs one image per member. `expected_images[l - 1]` puts
+    each send image in its member's block: the pieces the member wants.
+    `unrecoverable[l - 1]` holds the checks made once per run
+    (`_unrecoverable`), so a row's users fail exactly when `decode` would
+    not give their files.
     """
 
     def __init__(self, store: FileStore, placement: PlacementState):
         self.store = store
         self.config = config = placement.plan.config
         self.placement = placement
+        k = config.num_users
         self.subfiles = tuple(
-            _split_files(files, layout, config.num_users)
-            for files, layout in zip(store.files, placement.layouts)
+            _split_files(files, layout, k) for files, layout in zip(store.files, placement.layouts)
         )
         self.send_images = tuple(
-            _library_send_images(table, layout, config.num_users)
+            _library_send_images(table, layout, k)
             for table, layout in zip(self.subfiles, placement.layouts)
+        )
+        self.expected_images = tuple(
+            _library_expected_images(images, layout, k)
+            for images, layout in zip(self.send_images, placement.layouts)
+        )
+        self.unrecoverable = tuple(
+            _unrecoverable(files, table, placement, library)
+            for library, (files, table) in enumerate(zip(store.files, self.subfiles), start=1)
         )
         self.outcomes: tuple[dict[tuple[int, ...], RowOutcome], ...] = tuple(
             {} for _ in config.libraries
@@ -626,22 +725,53 @@ class RowPass:
         return outcome
 
     def _serve(self, library: int, row: tuple[int, ...]) -> RowOutcome:
-        config = self.config
         lib_idx = library - 1
-        files = self.store.files[lib_idx]
+        k = len(row)
+        bits = 0
+        failed = []
+        for index, (part, per_file, send, expected) in enumerate(
+            zip(
+                self.placement.layouts[lib_idx].parts,
+                self.subfiles[lib_idx],
+                self.send_images[lib_idx],
+                self.expected_images[lib_idx],
+            )
+        ):
+            if part.t == 0:
+                sent = sorted(set(row))
+                bits += len(sent) * part.subfile_bits
+                # each user reads the message at its request's place among those sent
+                messages = [per_file[n - 1] for n in sent]
+                failed += [
+                    user for user, n in enumerate(row, start=1)
+                    if messages[sent.index(n)] != per_file[n - 1]
+                ]
+                continue
+            wide = wanted = 0
+            for member_images, member_wanted, n in zip(send, expected, row):
+                wide ^= member_images[n - 1]
+                wanted ^= member_wanted[n - 1]
+            blocks = _recover(self.placement, library, index, row, wide) ^ wanted
+            width = _blocks(k, part.t, part.subfile_bits)[0]
+            bits += width
+            if blocks:
+                block = (1 << width) - 1
+                failed += [
+                    user for user in range(1, k + 1) if (blocks >> ((user - 1) * width)) & block
+                ]
+        bad = self.unrecoverable[lib_idx]
+        if bad:
+            failed += [user for user, n in enumerate(row, start=1) if (user, n) in bad]
+        return RowOutcome(bits=bits, failed=tuple(sorted(set(failed))) if failed else ())
+
+    def decoded(self, library: int, row: tuple[int, ...], user: int) -> BitString:
+        """`user`'s decode of `library` under `row` from a fresh transcript:
+        the actual file of a failure's witness."""
+        lib_idx = library - 1
         parts = _library_transcript(
             self.subfiles[lib_idx], self.send_images[lib_idx], self.placement.layouts[lib_idx], row
         )
-        decoded = tuple(
-            decode(self.placement, parts, row, user, library)
-            for user in range(1, config.num_users + 1)
-        )
-        failed = tuple(
-            user
-            for user, (actual, want) in enumerate(zip(decoded, row), start=1)
-            if actual != files[want - 1]
-        )
-        return RowOutcome(bits=sum(part.bits for part in parts), decoded=decoded, failed=failed)
+        return decode(self.placement, parts, row, user, library)
 
 
 @dataclass(frozen=True)
@@ -733,12 +863,9 @@ def _first_witness(
             outcome = rows.serve(lib_idx + 1, row)
             if user in outcome.failed:
                 expected = rows.store.files[lib_idx][row[user - 1] - 1]
+                actual = rows.decoded(lib_idx + 1, row, user)
                 return DecodeMismatchError(
-                    DemandVector(tuple(witness)),
-                    user,
-                    lib_idx + 1,
-                    expected,
-                    outcome.decoded[user - 1],
+                    DemandVector(tuple(witness)), user, lib_idx + 1, expected, actual
                 )
     raise AssertionError("a failing row has no failing user")
 
@@ -800,7 +927,7 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
         for user, n in enumerate(prime, start=1):
             keep = keeps[n - 1]
             if any(user in outcomes[orig - 1].failed for orig in keep):
-                actual = concat(outcomes[orig - 1].decoded[user - 1] for orig in keep)
+                actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
                 expected = concat(store.files[orig - 1][n - 1] for orig in keep)
                 raise DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
 

@@ -18,7 +18,7 @@ import cacheshare
 import cacheshare.cli as cli
 import cacheshare.sim as sim
 from cacheshare.cli import main
-from util import INEXACT_CONFIG_VALUES, config_with, flip
+from util import INEXACT_CONFIG_VALUES, config_with, flip_recovered
 
 CONFIG_DIR = Path(cacheshare.__file__).parent / "configs"
 EXAMPLE = str(CONFIG_DIR / "reference.json")
@@ -534,12 +534,7 @@ def test_demand_cap_exceeded(runner):
 
 
 def test_decode_mismatch_exits_one(runner, monkeypatch):
-    real = sim.decode
-
-    def corrupted(placement, parts, row, user, library):
-        return flip(real(placement, parts, row, user, library), 0)
-
-    monkeypatch.setattr(sim, "decode", corrupted)
+    flip_recovered(monkeypatch, lambda library, row: range(1, len(row) + 1))
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate"])
     assert result.exit_code == 1
     assert "decoded library" in result.output
@@ -583,6 +578,28 @@ def test_simulate_builds_each_scheme_shape_once(runner, monkeypatch, name):
     run_json(runner, ["--config", str(path), "simulate", "--stack"])
     config = cacheshare.load_config(path)
     assert sorted(calls) == sorted((n, config.num_users) for n in set(config.file_counts))
+
+
+@pytest.mark.parametrize("name", ["reference", "equal_n3", "unequal_n"])
+def test_simulate_decodes_only_witness_users(runner, monkeypatch, name):
+    # rows are checked without decoding; a failure decodes its witness alone
+    calls = []
+    real = sim.decode
+
+    def counted(placement, parts, row, user, library):
+        calls.append((user, library))
+        return real(placement, parts, row, user, library)
+
+    monkeypatch.setattr(sim, "decode", counted)
+    args = ["--config", str(CONFIG_DIR / f"{name}.json"), "simulate", "--stack"]
+    run_json(runner, args)
+    assert calls == []
+    # user 2 misreads library 2 whenever it asks for file 1
+    flip_recovered(monkeypatch, lambda library, row: [2] if (library, row[1]) == (2, 1) else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "user 2 decoded library 2 incorrectly" in result.output
+    assert calls == [(2, 2)]
 
 
 @pytest.mark.parametrize("step", ["0", "-1/2"])

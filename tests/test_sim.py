@@ -35,10 +35,12 @@ from cacheshare.tradeoff import build_scheme_tradeoff
 from util import (
     curves_for,
     flip,
+    flip_recovered,
     fractions,
     make_config,
     random_corner_allocation,
     random_sim_config,
+    recovered_piece_bit,
     reference_base_requirement,
     reference_config,
     reference_file_subfiles,
@@ -226,20 +228,24 @@ def test_decode_uses_only_own_cache_and_transcript():
         want = row[0]
         assert decode(zeroed, parts, row, 1, library) == store.files[library - 1][want - 1]
         # the copy cut its own caches: user 2 now sees only zero subfiles, and
-        # so are the decode images `decode` reads laid out from them
+        # so are its blocks of the decode images `decode` reads; user 1's
+        # blocks, laid out from its own cache alone, are unchanged
         assert {
             piece
             for part in zeroed.cached_subfiles[1][library - 1]
             for pieces in part
             for piece in pieces
         } == {0}
-        assert {
-            image
-            for by_member in zeroed.decode_images[1][library - 1]
-            for per_file in by_member
-            for image in per_file
-        } == {0}
-        assert zeroed.decode_images[0] == placement.decode_images[0]
+        for part, before, after in zip(
+            placement.layouts[library - 1].parts,
+            placement.decode_images[library - 1],
+            zeroed.decode_images[library - 1],
+        ):
+            width = sim._blocks(2, part.t, part.subfile_bits)[0]
+            for old_images, new_images in zip(before, after):
+                for old, new in zip(old_images, new_images):
+                    assert new >> width == 0
+                    assert new & ((1 << width) - 1) == old & ((1 << width) - 1)
         assert decode(zeroed, parts, row, 2, library) != store.files[library - 1][row[1] - 1]
 
 
@@ -379,12 +385,7 @@ def test_libraries_do_not_interact():
 def test_decode_failure_reports_first_witness(monkeypatch):
     config = reference_config()
     store = random_file_store(config, 10, seed=12)
-    real = sim.decode
-
-    def corrupted(placement, parts, row, user, library):
-        return flip(real(placement, parts, row, user, library), 0)
-
-    monkeypatch.setattr(sim, "decode", corrupted)
+    flip_recovered(monkeypatch, lambda library, row: range(1, len(row) + 1))
     with pytest.raises(DecodeMismatchError) as info:
         verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))))
     err = info.value
@@ -392,7 +393,8 @@ def test_decode_failure_reports_first_witness(monkeypatch):
     assert err.user == 1
     assert err.library == 1
     assert err.expected == store.files[0][0]
-    assert err.actual == flip(err.expected, 0)
+    # user 1 caches subfile {1} (bits 0-1) and recovers {2}, whose top bit is bit 2
+    assert err.actual == flip(err.expected, 2)
 
 
 def test_formula_rate_matches_memory_sharing_on_scheme_curves():
@@ -561,14 +563,7 @@ def test_witness_matches_full_product_reference(
     monkeypatch, failing, witness_rows, user, library
 ):
     config, allocation, store = three_library_run()
-    real = sim.decode
-
-    def corrupted(placement, parts, row, u, lib):
-        out = real(placement, parts, row, u, lib)
-        bad_users = failing.get(lib, {}).get(row, ())
-        return flip(out, 0) if u in bad_users else out
-
-    monkeypatch.setattr(sim, "decode", corrupted)
+    flip_recovered(monkeypatch, lambda lib, row: failing.get(lib, {}).get(row, ()))
     with pytest.raises(DecodeMismatchError) as reference:
         reference_verify(store, config, allocation)
     with pytest.raises(DecodeMismatchError) as info:
@@ -613,19 +608,21 @@ def stack_run():
 )
 def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witness_rows, user):
     config, allocation, store = stack_run()
-    real = sim.decode
-
-    def corrupted(placement, parts, row, u, lib):
-        out = real(placement, parts, row, u, lib)
-        want = row[u - 1]
-        if mutant == "flip" and (lib, u, want) == (3, 2, 2):
-            return flip(out, 0)
-        if mutant == "wrong_file" and (lib, u, want) == (1, 1, 3):
-            return store.files[0][0]
-        return out
-
-    monkeypatch.setattr(sim, "decode", corrupted)
     placement = place(store, plan_split(config, allocation))
+    # user 1's wanted pieces of each file of library 1, in its block
+    wanted = RowPass(store, placement).expected_images[0][0][0]
+    real = sim._recover
+
+    def corrupted(placement, lib, part, row, wide):
+        blocks = real(placement, lib, part, row, wide)
+        if mutant == "flip" and (lib, row[1]) == (3, 2):
+            return blocks ^ recovered_piece_bit(placement, lib, part, 2)
+        if mutant == "wrong_file" and (lib, row[0]) == (1, 3):
+            # user 1 recovers file 1's pieces where it wants file 3's
+            return blocks ^ wanted[2] ^ wanted[0]
+        return blocks
+
+    monkeypatch.setattr(sim, "_recover", corrupted)
     with pytest.raises(DecodeMismatchError) as reference:
         reference_reduction(store, config, placement)
     with pytest.raises(DecodeMismatchError) as info:
@@ -705,3 +702,77 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
                     assert got == reference_subfile_decode(placement, parts, row, user, library)
                     assert got == files[row[user - 1] - 1], (seed, library, row, user)
     assert all(seen.values()), seen
+
+
+def assert_rows_agree(rows, library):
+    """Every row of `library`: the one-pass check fails exactly the users
+    whose decode differs from their file; returns the users that failed."""
+    files = rows.store.files[library - 1]
+    k = rows.config.num_users
+    failing = set()
+    for row in product(range(1, len(files) + 1), repeat=k):
+        wrong = {
+            user
+            for user in range(1, k + 1)
+            if rows.decoded(library, row, user) != files[row[user - 1] - 1]
+        }
+        assert set(rows.serve(library, row).failed) == wrong, (library, row)
+        failing |= wrong
+    return failing
+
+
+def test_one_pass_check_fails_exactly_the_users_whose_decode_fails():
+    rng = random.Random(7340)
+    seen = dict.fromkeys(("t0", "tK", "two_parts", "one_user", "one_file"), 0)
+    for seed in range(40):
+        shape = random_sim_config(rng)
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, shape)
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        placement = place(store, plan)
+        k = config.num_users
+        seen["one_user"] += k == 1
+        for layout in placement.layouts:
+            seen["t0"] += any(part.t == 0 for part in layout.parts)
+            seen["tK"] += any(part.t == k for part in layout.parts)
+            seen["two_parts"] += len(layout.parts) == 2
+            seen["one_file"] += layout.num_files == 1
+        rows = RowPass(store, placement)
+        for library in range(1, config.num_libraries + 1):
+            assert assert_rows_agree(rows, library) == set(), (seed, library)
+        # each cached bit of one user, flipped alone, fails that user only
+        user = rng.randint(1, k)
+        for library in range(1, config.num_libraries + 1):
+            segment = placement.caches[user - 1][library - 1]
+            for index in range(segment.width):
+                tampered = tampered_segment(placement, user, library, flip(segment, index))
+                failing = assert_rows_agree(RowPass(store, tampered), library)
+                assert failing == {user}, (seed, library, index)
+    assert all(seen.values()), seen
+
+
+def test_a_mis_cut_file_fails_verification(monkeypatch):
+    # caches and broadcast both come from the mis-cut table, so every piece
+    # matches the server's: only the once-per-run rejoin check can catch it
+    config = reference_config()
+    store = random_file_store(config, 40, seed=5)
+    first = store.files[0][0]
+    halves = first.slice(0, 8), first.slice(8, 16)
+    assert halves[0] != halves[1]
+    real = sim._split_files
+
+    def mis_cut(files, layout, num_users):
+        table = real(files, layout, num_users)
+        if files is not store.files[0]:
+            return table
+        (one, two), *rest = table[0]
+        return (((two, one), *rest),) + table[1:]
+
+    monkeypatch.setattr(sim, "_split_files", mis_cut)
+    with pytest.raises(DecodeMismatchError) as info:
+        verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))))
+    err = info.value
+    assert (err.demand.rows, err.user, err.library) == (((1, 1), (1, 1)), 1, 1)
+    assert err.expected == first
+    assert err.actual == concat([halves[1], halves[0]])

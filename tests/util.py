@@ -181,6 +181,38 @@ def flip(bits: BitString, index: int) -> BitString:
     return BitString(bits.width, bits.value ^ (1 << (bits.width - 1 - index)))
 
 
+def recovered_piece_bit(placement: sim.PlacementState, library: int, part: int, user: int) -> int:
+    """The top bit of `user`'s first recovered piece in `sim._recover`'s output
+    for plan part `part` (an index) of `library`, 0 if the user recovers none.
+
+    The output holds one block per user, user 1's lowest; a block has one
+    subfile-wide slot per size-(t + 1) group in transcript order, the first
+    highest, and the user's first piece sits at the first group holding it."""
+    layout_part = placement.layouts[library - 1].parts[part]
+    k, sub = len(placement.caches), layout_part.subfile_bits
+    groups = list(combinations(range(1, k + 1), layout_part.t + 1))
+    holding = [g for g, group in enumerate(groups) if user in group]
+    if not holding:
+        return 0
+    slot = len(groups) - 1 - holding[0]
+    return 1 << ((user - 1) * len(groups) * sub + slot * sub + sub - 1)
+
+
+def flip_recovered(monkeypatch, bad_users) -> None:
+    """Patch `sim._recover`, the step both the row check and `sim.decode`
+    read, to flip the top bit of the first recovered piece of every user in
+    `bad_users(library, row)` on every coded part."""
+    real = sim._recover
+
+    def corrupted(placement, library, part, row, wide):
+        blocks = real(placement, library, part, row, wide)
+        for user in bad_users(library, row):
+            blocks ^= recovered_piece_bit(placement, library, part, user)
+        return blocks
+
+    monkeypatch.setattr(sim, "_recover", corrupted)
+
+
 def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation) -> sim.RowPass:
     """A fresh row pass over the store placed with `allocation`."""
     return sim.RowPass(store, sim.place(store, sim.plan_split(config, allocation)))
