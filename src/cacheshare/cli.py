@@ -494,9 +494,6 @@ def cmd_simulate(
     payload = report.to_json()
     payload["claimed_rate"] = str(claimed)
     payload["decode_ok"] = True
-    if stack:
-        stack_report = reduction_demo(row_pass, demand_cap)
-        payload["stack"] = stack_report.to_json()
     rows = [
         ["demands_checked", report.demands_checked],
         ["demand_vectors_run", report.demand_vectors_run],
@@ -505,7 +502,15 @@ def cmd_simulate(
         ["measured_rate_decimal", format_decimal(report.measured_rate)],
         ["formula_rate", str(report.formula_rate)],
         ["max_total_bits", report.max_total_bits],
+        ["claimed_rate", str(claimed)],
     ]
+    if stack:
+        payload["stack"] = stack_json = reduction_demo(row_pass, demand_cap).to_json()
+        # one row per field; a list's entries joined by spaces
+        rows += [
+            ["stack_" + key, " ".join(map(str, value)) if type(value) is list else value]
+            for key, value in stack_json.items()
+        ]
     return config, payload, ["key", "value"], rows, {"base_size": base_size}
 
 

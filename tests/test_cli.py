@@ -116,6 +116,26 @@ def test_simulate_reports_rates_and_stack(runner):
     }
 
 
+def test_simulate_csv_reports_the_claimed_rate_and_the_stack(runner):
+    path = str(CONFIG_DIR / "unequal_n.json")
+    result = runner.invoke(main, ["--config", path, "--format", "csv", "simulate", "--stack"])
+    assert result.exit_code == 0
+    rows = dict(list(csv.reader(io.StringIO(result.output)))[1:])
+    # the greedy's promise next to what the scheme realizes
+    assert (rows["claimed_rate"], rows["measured_rate"], rows["formula_rate"]) == (
+        "3/4", "7/8", "7/8"
+    )
+    assert {key: value for key, value in rows.items() if key.startswith("stack_")} == {
+        "stack_demands_checked": "4",
+        "stack_stacked_file_bits": "8 4",
+        "stack_cache_bits": "4",
+        "stack_max_total_bits": "7",
+    }
+    plain = runner.invoke(main, ["--config", path, "--format", "csv", "simulate"])
+    assert "claimed_rate,3/4" in plain.output
+    assert "stack_" not in plain.output
+
+
 def test_simulate_explicit_allocation(runner):
     result = run_json(
         runner,
