@@ -653,7 +653,7 @@ def _unrecoverable(
         for part, per_file in zip(layout.parts, table):
             for piece in per_file[n - 1]:
                 value = (value << part.subfile_bits) | piece
-        if BitString(content.width, value) != content:
+        if value != content.value:
             bad.update((user, n) for user in range(1, k + 1))
     for user, tables in enumerate(placement.cached_subfiles, start=1):
         for part, theirs, mine in zip(layout.parts, table, tables[library - 1]):
