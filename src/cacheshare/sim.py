@@ -35,6 +35,15 @@ recovers every piece it lacks. Each user's own cached pieces, and the server
 table's rejoin into each stored file, are checked once per run. So `decode`,
 which puts one user's recovered and cached pieces in file order, runs only to
 name the decoded file of a failure.
+
+A library's N^K rows are served in one pass (`RowPass`), in product order
+(the first user's request slowest) and in blocks of about a thousand rows
+that fix the first users' requests: a block's broadcasts and expected pieces
+are one prefix XOR with each entry of a tail table built once per part, and
+each row still goes through `_recover`. A t = 0 part sends each distinct
+request's part whole, so its rows are counted, not checked: the rejoin check
+covers them. The pass leaves one outcome table per library (`OutcomeTable`),
+which `verify_all` and the stack walk of `reduction_demo` read.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Sequence
 
 from .allocation import Allocation, split_rate
@@ -639,6 +648,48 @@ class RowOutcome:
     failed: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class OutcomeTable:
+    """One library serving all its N^K demand rows, in product order (the
+    first user's request slowest): each row's transcript bits, and the users
+    who fail each failing row, keyed by the row."""
+
+    bits: list[int]
+    failed: dict[tuple[int, ...], tuple[int, ...]]
+
+
+# rows served at once: a block fixes the first users' requests and lets the
+# last ones run through all their files, so a block's XORs are one prefix XOR
+# with each of a shared tail table's entries, and no list holds N^K images
+_BLOCK_ROWS = 1024
+
+
+def _tail_users(num_files: int, num_users: int) -> int:
+    """How many last users a block of rows lets vary: the most whose rows
+    fit in `_BLOCK_ROWS` (every user when there is one file)."""
+    tail = 0
+    while tail < num_users and num_files ** (tail + 1) <= _BLOCK_ROWS:
+        tail += 1
+    return tail
+
+
+def _tail_xors(per_user: Sequence[Sequence[int]]) -> list[int]:
+    """The XOR of one image per user over every choice of the users' files,
+    in product order (the first user slowest); [0] for no user."""
+    out = [0]
+    for images in per_user:
+        out = [x ^ image for x in out for image in images]
+    return out
+
+
+def _row_index(row: tuple[int, ...], num_files: int) -> int:
+    """The row's index in the product order of its library's rows."""
+    index = 0
+    for n in row:
+        index = index * num_files + n - 1
+    return index
+
+
 def _unrecoverable(
     files: tuple[BitString, ...], table: SubfileTable, placement: PlacementState, library: int
 ) -> frozenset[tuple[int, int]]:
@@ -666,26 +717,29 @@ def _unrecoverable(
 
 
 class RowPass:
-    """Library-by-library delivery and verification, each (library, row)
-    served once.
+    """Library-by-library delivery and verification, each library's rows
+    served once, all together.
 
     Libraries never interact: the library-l transcript and every library-l
-    decode read only row l of the demand and segment l of each cache. Serving
-    a row broadcasts that library once and checks every user's recovered
-    pieces at once (`_recover`); the outcome is kept, so `verify_all` and
-    `reduction_demo` can read the same rows without serving them twice. The
-    row pass is the one context of a run: both read the store, the network
-    and the placement from it; the network is the one the placement was
-    planned for (`placement.plan.config`). `subfiles[l - 1]` is library l's
-    files cut into subfile ints once (`_split_files`); t = 0 deliveries read
-    it whole.
-    `send_images[l - 1]` lays that table out once per part, member and file
-    as the member's share of every message (`_library_send_images`); every
-    other delivery XORs one image per member. `expected_images[l - 1]` puts
-    each send image in its member's block: the pieces the member wants.
+    decode read only row l of the demand and segment l of each cache. So a
+    library is served on its own, over all its N_l^K rows in product order
+    (`OutcomeTable`), the first time any of its rows is asked for; the table
+    is kept, so `verify_all` and `reduction_demo` read the same rows without
+    serving them twice. The row pass is the one context of a run: both read
+    the store, the network and the placement from it; the network is the one
+    the placement was planned for (`placement.plan.config`).
+    `subfiles[l - 1]` is library l's files cut into subfile ints once
+    (`_split_files`). `send_images[l - 1]` lays that table out once per
+    part, member and file as the member's share of every message
+    (`_library_send_images`), so a row's broadcast of a coded part is the XOR
+    of one image per member. `expected_images[l - 1]` puts each send image in
+    its member's block: the pieces the member wants. Rows go in blocks that
+    fix the first users' requests (`_tail_users`), so a block XORs one prefix
+    with each entry of a tail table, and `_recover` checks each row's users.
+    t = 0 parts only count each row's distinct requests.
     `unrecoverable[l - 1]` holds the checks made once per run
-    (`_unrecoverable`), so a row's users fail exactly when `decode` would
-    not give their files.
+    (`_unrecoverable`), among them the table's rejoin into each stored file,
+    so a row's users fail exactly when `decode` would not give their files.
     """
 
     def __init__(self, store: FileStore, placement: PlacementState):
@@ -708,61 +762,76 @@ class RowPass:
             _unrecoverable(files, table, placement, library)
             for library, (files, table) in enumerate(zip(store.files, self.subfiles), start=1)
         )
-        self.outcomes: tuple[dict[tuple[int, ...], RowOutcome], ...] = tuple(
-            {} for _ in config.libraries
-        )
+        self.tables: list[OutcomeTable | None] = [None] * config.num_libraries
 
     @property
     def served(self) -> int:
         """Library rows served so far."""
-        return sum(len(rows) for rows in self.outcomes)
+        return sum(len(table.bits) for table in self.tables if table is not None)
 
     def serve(self, library: int, row: tuple[int, ...]) -> RowOutcome:
-        known = self.outcomes[library - 1]
-        outcome = known.get(row)
-        if outcome is None:
-            outcome = known[row] = self._serve(library, row)
-        return outcome
+        """`library`'s outcome under demand row `row`. One call serves the
+        whole library: the first request for any of its rows serves all
+        N_l^K of them (`table`), and later requests read the kept table."""
+        table = self.table(library)
+        index = _row_index(row, self.placement.layouts[library - 1].num_files)
+        return RowOutcome(table.bits[index], table.failed.get(row, ()))
 
-    def _serve(self, library: int, row: tuple[int, ...]) -> RowOutcome:
+    def table(self, library: int) -> OutcomeTable:
+        """`library`'s outcome table, serving all its rows on first request."""
+        table = self.tables[library - 1]
+        if table is None:
+            table = self.tables[library - 1] = self._serve_library(library)
+        return table
+
+    def _serve_library(self, library: int) -> OutcomeTable:
         lib_idx = library - 1
-        k = len(row)
-        bits = 0
-        failed = []
-        for index, (part, per_file, send, expected) in enumerate(
-            zip(
-                self.placement.layouts[lib_idx].parts,
-                self.subfiles[lib_idx],
-                self.send_images[lib_idx],
-                self.expected_images[lib_idx],
+        placement = self.placement
+        layout = placement.layouts[lib_idx]
+        n, k = layout.num_files, len(placement.caches)
+        head = k - _tail_users(n, k)
+        # per coded part: its block width and the tail users' XORs of its images
+        coded = [
+            (index, _blocks(k, part.t, part.subfile_bits)[0], send, expected,
+             _tail_xors(send[head:]), _tail_xors(expected[head:]))
+            for index, (part, send, expected) in enumerate(
+                zip(layout.parts, self.send_images[lib_idx], self.expected_images[lib_idx])
             )
-        ):
-            if part.t == 0:
-                sent = sorted(set(row))
-                bits += len(sent) * part.subfile_bits
-                # each user reads the message at its request's place among those sent
-                messages = [per_file[n - 1] for n in sent]
-                failed += [
-                    user for user, n in enumerate(row, start=1)
-                    if messages[sent.index(n)] != per_file[n - 1]
-                ]
-                continue
-            wide = wanted = 0
-            for member_images, member_wanted, n in zip(send, expected, row):
-                wide ^= member_images[n - 1]
-                wanted ^= member_wanted[n - 1]
-            blocks = _recover(self.placement, library, index, row, wide) ^ wanted
-            width = _blocks(k, part.t, part.subfile_bits)[0]
-            bits += width
-            if blocks:
-                block = (1 << width) - 1
-                failed += [
-                    user for user in range(1, k + 1) if (blocks >> ((user - 1) * width)) & block
-                ]
+            if part.t
+        ]
+        coded_bits = sum(width for _, width, *_ in coded)
+        uncoded_bits = sum(part.subfile_bits for part in layout.parts if not part.t)
         bad = self.unrecoverable[lib_idx]
-        if bad:
-            failed += [user for user, n in enumerate(row, start=1) if (user, n) in bad]
-        return RowOutcome(bits=bits, failed=tuple(sorted(set(failed))) if failed else ())
+        recover = _recover
+        bits: list[int] = []
+        failed: dict[tuple[int, ...], set[int]] = {}
+        rows = product(range(1, n + 1), repeat=k)
+        size = n ** (k - head)
+        for _ in range(0, n**k, size):
+            block = list(islice(rows, size))
+            if uncoded_bits:
+                bits += [coded_bits + uncoded_bits * len(set(row)) for row in block]
+            else:
+                bits += [coded_bits] * size
+            for index, width, send, expected, send_tail, expected_tail in coded:
+                wide = wanted = 0
+                for member_images, member_wanted, file_id in zip(send, expected, block[0][:head]):
+                    wide ^= member_images[file_id - 1]
+                    wanted ^= member_wanted[file_id - 1]
+                mask = (1 << width) - 1
+                for row, sent, piece in zip(block, send_tail, expected_tail):
+                    blocks = recover(placement, library, index, row, wide ^ sent) ^ wanted ^ piece
+                    if blocks:
+                        failed.setdefault(row, set()).update(
+                            user for user in range(1, k + 1)
+                            if (blocks >> ((user - 1) * width)) & mask
+                        )
+            if bad:
+                for row in block:
+                    users = [user for user in range(1, k + 1) if (user, row[user - 1]) in bad]
+                    if users:
+                        failed.setdefault(row, set()).update(users)
+        return OutcomeTable(bits, {row: tuple(sorted(users)) for row, users in failed.items()})
 
     def decoded(self, library: int, row: tuple[int, ...], user: int) -> BitString:
         """`user`'s decode of `library` under `row` from a fresh transcript:
@@ -804,29 +873,22 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     with the lexicographically first witness, else report exact rates.
 
     Libraries never interact (see `RowPass`), so each library is served over
-    its own N_l^K rows and every combination of per-library rows is a demand
-    vector. A vector decodes exactly when each of its rows does, and its
-    transcript length is the sum of its rows' lengths, so the worst case over
-    all vectors is the sum of the per-library maxima. The measured rate is
+    its own N_l^K rows, all at once (`RowPass.table`), and every combination
+    of per-library rows is a demand vector. A vector decodes exactly when
+    each of its rows does, and its transcript length is the sum of its rows'
+    lengths, so the worst case over all vectors is the sum of the
+    per-library maxima. The measured rate is
     that sum divided by the base size; it must equal the formula rate bit for
     bit. `demands_checked` counts the vectors covered, the product of N_l^K;
     `demand_vectors_run` counts the library rows served, the sum of N_l^K.
-    `cap` still bounds the covered vectors, with enumeration's error message.
+    `cap` still bounds the covered vectors, with enumeration's error message,
+    and is checked before any row is served.
     """
     config, store, placement = rows.config, rows.store, rows.placement
     covered = check_demand_cap(config, cap)
-    k = config.num_users
-    per_lib_max = []
-    first_failing: list[tuple[int, ...] | None] = []
-    for library, lib in enumerate(config.libraries, start=1):
-        most, failing = 0, None
-        for row in product(range(1, lib.num_files + 1), repeat=k):
-            outcome = rows.serve(library, row)
-            most = max(most, outcome.bits)
-            if failing is None and outcome.failed:
-                failing = row
-        per_lib_max.append(most)
-        first_failing.append(failing)
+    tables = [rows.table(library) for library in range(1, config.num_libraries + 1)]
+    per_lib_max = [max(table.bits) for table in tables]
+    first_failing = [min(table.failed, default=None) for table in tables]
     if any(first_failing):
         raise _first_witness(rows, first_failing)
     max_total = sum(per_lib_max)
@@ -898,10 +960,16 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     ascending-file-count order) from the same caches and a transcript no longer
     than the multi-library worst case.
 
-    Each library's clamped row is read from `rows`, so rows `verify_all`
-    already served are not served again. A library kept for stacked file n
-    holds at least n files, so it serves file n itself, and its row outcome
-    already says which users decoded their piece wrongly.
+    Each library's clamped rows are read from its outcome table in `rows`
+    (`RowPass.table`), so rows `verify_all` already served are not served
+    again. The clamped rows' indices in each library's product order are
+    expanded user by user, in the stack demands' own product order, and the
+    worst stacked transcript is the largest sum over the libraries of those
+    rows' bits; at L = 1, the largest of the library's rows. A library kept
+    for stacked file n holds at least n files, so it serves file n itself,
+    and its row outcome already says which users decoded their piece wrongly;
+    only when some row failed are the stack demands walked one by one, for
+    the first witness (`_first_stack_witness`).
     """
     config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
@@ -913,23 +981,19 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
     # per stacked file, the libraries (original 1-based indices) holding a piece of it
     keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
-    # per library, clamp[x] = min(x, N_l) for every stacked file id x
-    clamps = [[min(x, n) for x in range(n_max + 1)] for n in config.file_counts]
-    libraries = range(1, config.num_libraries + 1)
-    serve = rows.serve
-    max_total = 0
-    for prime in product(range(1, n_max + 1), repeat=k):
-        induced = tuple([tuple(map(clamp.__getitem__, prime)) for clamp in clamps])
-        outcomes = [serve(library, row) for library, row in zip(libraries, induced)]
-        max_total = max(max_total, sum([outcome.bits for outcome in outcomes]))
-        if not any([outcome.failed for outcome in outcomes]):
-            continue
-        for user, n in enumerate(prime, start=1):
-            keep = keeps[n - 1]
-            if any(user in outcomes[orig - 1].failed for orig in keep):
-                actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
-                expected = concat(store.files[orig - 1][n - 1] for orig in keep)
-                raise DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
+    tables = [rows.table(library) for library in range(1, config.num_libraries + 1)]
+    if any(table.failed for table in tables):
+        raise _first_stack_witness(rows, keeps)
+    # per library, each stack demand's clamped row as its index in the
+    # library's product order: min(x, N_l) - 1 in each user's place value
+    columns = []
+    for table, n in zip(tables, config.file_counts):
+        digits = [min(x, n) - 1 for x in range(1, n_max + 1)]
+        index = [0]
+        for _ in range(k):
+            index = [i * n + digit for i in index for digit in digits]
+        columns.append([table.bits[i] for i in index])
+    max_total = max(map(sum, zip(*columns)))
 
     stacked_bits = [
         sum(store.files[orig - 1][n - 1].width for orig in keep)
@@ -941,3 +1005,24 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
         cache_bits=placement.cache_bits(1),
         max_total_bits=max_total,
     )
+
+
+def _first_stack_witness(rows: RowPass, keeps: list[tuple[int, ...]]) -> DecodeMismatchError:
+    """The failure a walk over the stack demands in product order meets
+    first: at the first demand some user of which fails a library kept for
+    the user's stacked file, the first such user, with every kept library's
+    decode joined as the actual file."""
+    config, store = rows.config, rows.store
+    n_max = len(keeps)
+    # per library, clamp[x] = min(x, N_l) for every stacked file id x
+    clamps = [[min(x, n) for x in range(n_max + 1)] for n in config.file_counts]
+    for prime in product(range(1, n_max + 1), repeat=config.num_users):
+        induced = tuple([tuple(map(clamp.__getitem__, prime)) for clamp in clamps])
+        outcomes = [rows.serve(library, row) for library, row in enumerate(induced, start=1)]
+        for user, n in enumerate(prime, start=1):
+            keep = keeps[n - 1]
+            if any(user in outcomes[orig - 1].failed for orig in keep):
+                actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
+                expected = concat(store.files[orig - 1][n - 1] for orig in keep)
+                return DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
+    raise AssertionError("a failing row is met by no stack demand")

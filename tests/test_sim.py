@@ -47,6 +47,8 @@ from util import (
     reference_library_transcript,
     reference_plan_weights,
     reference_reduction,
+    reference_serve,
+    reference_stack_delivery,
     reference_subfile_decode,
     reference_verify,
     row_pass,
@@ -481,7 +483,7 @@ def test_row_pass_agrees_with_full_product_reference():
             n**config.num_users for n in config.file_counts
         )
         stack = reduction_demo(rows)
-        assert stack == reference_reduction(store, config, placement)
+        assert stack == reference_stack_delivery(store, config, placement)
         # every clamped stack row is a library row verification already served
         assert rows.served == report.demand_vectors_run
 
@@ -624,7 +626,7 @@ def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witn
 
     monkeypatch.setattr(sim, "_recover", corrupted)
     with pytest.raises(DecodeMismatchError) as reference:
-        reference_reduction(store, config, placement)
+        reference_stack_delivery(store, config, placement)
     with pytest.raises(DecodeMismatchError) as info:
         reduction_demo(RowPass(store, placement))
     want, got = reference.value, info.value
@@ -776,3 +778,157 @@ def test_a_mis_cut_file_fails_verification(monkeypatch):
     assert (err.demand.rows, err.user, err.library) == (((1, 1), (1, 1)), 1, 1)
     assert err.expected == first
     assert err.actual == concat([halves[1], halves[0]])
+
+
+def batched_pass_networks(rng):
+    """Seeded (config, allocation) pairs for the batched row pass: one-library
+    networks of several row blocks, at a corner and between two corners, then
+    small random networks (K = 1, N = 1, t = 0 and two-part plans occur)."""
+    for counts, users in (((2,), 11), ((3,), 7)):
+        shape = make_config(counts=counts, weights=(F(1),), users=users, cache="0")
+        yield random_corner_allocation(rng, shape)
+        yield random_split_allocation(rng, shape)
+    for seed in range(30):
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        yield pick(rng, random_sim_config(rng))
+
+
+def test_batched_pass_matches_the_per_row_reference(monkeypatch):
+    rng = random.Random(8190)
+    faults = {}
+    flip_recovered(monkeypatch, lambda library, row: faults.get((library, row), ()))
+    seen = dict.fromkeys(("blocks", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
+    for seed, (config, allocation) in enumerate(batched_pass_networks(rng)):
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        placement = place(store, plan)
+        k = config.num_users
+        all_rows = [
+            list(product(range(1, n + 1), repeat=k)) for n in config.file_counts
+        ]
+        seen["one_user"] += k == 1
+        for layout, rows_of in zip(placement.layouts, all_rows):
+            seen["blocks"] += len(rows_of) > sim._BLOCK_ROWS
+            seen["t0"] += any(part.t == 0 for part in layout.parts)
+            seen["two_parts"] += len(layout.parts) == 2
+            seen["one_file"] += layout.num_files == 1
+        # clean, then with the first recovered piece of chosen users flipped
+        faults.clear()
+        for attempt in range(2):
+            rows = RowPass(store, placement)
+            for library, rows_of in enumerate(all_rows, start=1):
+                expected = [reference_serve(rows, library, row) for row in rows_of]
+                got = [rows.serve(library, row) for row in rows_of]
+                assert got == expected, (seed, library, attempt)
+                # one entry per row in product order, and failed rows only
+                table = rows.table(library)
+                assert len(table.bits) == len(rows_of)
+                assert set(table.failed) == {row for row, o in zip(rows_of, expected) if o.failed}
+                seen["failed"] += bool(table.failed)
+            assert rows.served == sum(map(len, all_rows))
+            for _ in range(3):
+                library = rng.randint(1, config.num_libraries)
+                row = rng.choice(all_rows[library - 1])
+                faults.setdefault((library, row), set()).add(rng.randint(1, k))
+    assert all(seen.values()), seen
+
+
+def test_a_corrupted_t0_piece_fails_through_the_rejoin_check(monkeypatch):
+    # the broadcast sends the corrupted piece and no cache holds t = 0 parts,
+    # so only the once-per-run rejoin of the table into each file can catch it
+    config = single_library_config(cache="1/2")
+    allocation = Allocation((F(1, 2),))
+    plan = plan_split(config, allocation)
+    assert [t for t, _ in plan.parts[0]] == [0, 1]
+    store = random_file_store(config, 8, seed=7)
+    real = sim._split_files
+
+    def corrupted(files, layout, num_users):
+        (uncoded, *coded) = real(files, layout, num_users)
+        (piece,) = uncoded[1]
+        return (uncoded[0], (piece ^ 1,)), *coded
+
+    monkeypatch.setattr(sim, "_split_files", corrupted)
+    with pytest.raises(DecodeMismatchError) as info:
+        verify_all(RowPass(store, place(store, plan)))
+    err = info.value
+    # the first row asking for file 2 is (1, 2): user 2 reads the bad piece
+    assert (err.demand.rows, err.user, err.library) == (((1, 2),), 2, 1)
+    assert err.expected == store.files[0][1]
+    # the t = 0 part is the file's first 4 bits; the flipped bit is its last
+    assert err.actual == flip(err.expected, 3)
+
+
+def reduction_or_witness(run):
+    """`run()`'s report, or the fields of the DecodeMismatchError it raises."""
+    try:
+        return run()
+    except DecodeMismatchError as err:
+        return (err.demand, err.user, err.library, err.expected, err.actual)
+
+
+def stack_networks(rng, count):
+    """Seeded (config, allocation) pairs for the stack walk: unsorted file
+    counts, 3^7 stack demands over several blocks (each library with a t = 0
+    part, so the rows' bits differ), then `count` small random networks."""
+    deep = make_config(counts=(3, 2), weights=(F(1, 2), F(1, 2)), users=7, cache="0")
+    picks = [
+        fractions(build_scheme_tradeoff(lib.num_files, 7).breakpoint_ratios)[1] / 2 * lib.alpha
+        for lib in deep.libraries
+    ]
+    networks = [
+        stack_run()[:2],
+        (dataclasses.replace(deep, cache_size=sum(picks, F(0))), Allocation(tuple(picks))),
+    ]
+    for seed in range(count):
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        networks.append(pick(rng, random_sim_config(rng)))
+    return networks
+
+
+def test_reduction_demo_matches_the_per_row_walk(monkeypatch):
+    rng = random.Random(9273)
+    faults = {}
+    flip_recovered(monkeypatch, lambda library, row: faults.get((library, row), ()))
+    seen = dict.fromkeys(("blocks", "unsorted", "one_user", "one_file", "failed"), 0)
+    for seed, (config, allocation) in enumerate(stack_networks(rng, 40)):
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        placement = place(store, plan)
+        counts = list(config.file_counts)
+        seen["blocks"] += max(counts) ** config.num_users > sim._BLOCK_ROWS
+        seen["unsorted"] += counts != sorted(counts)
+        seen["one_user"] += config.num_users == 1
+        seen["one_file"] += config.num_libraries > 1 and 1 in counts
+        faults.clear()
+        for attempt in range(2):
+            want = reduction_or_witness(lambda: reference_reduction(RowPass(store, placement)))
+            got = reduction_or_witness(lambda: reduction_demo(RowPass(store, placement)))
+            assert got == want, (seed, attempt)
+            seen["failed"] += type(want) is tuple
+            library = rng.randint(1, config.num_libraries)
+            row = tuple(rng.randint(1, counts[library - 1]) for _ in range(config.num_users))
+            faults[library, row] = {rng.randint(1, config.num_users)}
+    assert all(seen.values()), seen
+
+
+def test_stack_walk_reads_each_demands_clamped_rows():
+    # arbitrary bits per row, so only the right rows give the worst stack demand
+    rng = random.Random(9516)
+    for seed, (config, allocation) in enumerate(stack_networks(rng, 10)):
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        rows = RowPass(store, place(store, plan))
+        k = config.num_users
+        for library, n in enumerate(config.file_counts, start=1):
+            rows.tables[library - 1] = sim.OutcomeTable(
+                [rng.randrange(1 << 20) for _ in range(n**k)], {}
+            )
+        worst = max(
+            sum(
+                rows.serve(library, tuple(min(x, n) for x in prime)).bits
+                for library, n in enumerate(config.file_counts, start=1)
+            )
+            for prime in product(range(1, max(config.file_counts) + 1), repeat=k)
+        )
+        assert reduction_demo(rows).max_total_bits == worst, seed

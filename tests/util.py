@@ -346,7 +346,87 @@ def reference_betas(config: NetworkConfig) -> tuple[Fraction, ...]:
     )
 
 
-def reference_reduction(
+def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> sim.RowOutcome:
+    """One library row served on its own, the way the row pass once served
+    each row: per coded part, the K members' send and expected images XORed
+    for this row and `sim._recover` checked against them; per t = 0 part,
+    each user's message read back at its request's place among those sent."""
+    lib_idx = library - 1
+    k = len(row)
+    bits = 0
+    failed = []
+    for index, (part, per_file, send, expected) in enumerate(
+        zip(
+            rows.placement.layouts[lib_idx].parts,
+            rows.subfiles[lib_idx],
+            rows.send_images[lib_idx],
+            rows.expected_images[lib_idx],
+        )
+    ):
+        if part.t == 0:
+            sent = sorted(set(row))
+            bits += len(sent) * part.subfile_bits
+            messages = [per_file[n - 1] for n in sent]
+            failed += [
+                user for user, n in enumerate(row, start=1)
+                if messages[sent.index(n)] != per_file[n - 1]
+            ]
+            continue
+        wide = wanted = 0
+        for member_images, member_wanted, n in zip(send, expected, row):
+            wide ^= member_images[n - 1]
+            wanted ^= member_wanted[n - 1]
+        blocks = sim._recover(rows.placement, library, index, row, wide) ^ wanted
+        width = sim._blocks(k, part.t, part.subfile_bits)[0]
+        bits += width
+        if blocks:
+            block = (1 << width) - 1
+            failed += [
+                user for user in range(1, k + 1) if (blocks >> ((user - 1) * width)) & block
+            ]
+    bad = rows.unrecoverable[lib_idx]
+    failed += [user for user, n in enumerate(row, start=1) if (user, n) in bad]
+    return sim.RowOutcome(bits=bits, failed=tuple(sorted(set(failed))))
+
+
+def reference_reduction(rows: sim.RowPass) -> sim.ReductionReport:
+    """The stack walk one stacked demand at a time: each library's clamped
+    row served on its own (`reference_serve`), the bits summed per demand,
+    and the first user failing a library kept for its stacked file raised
+    with every kept library's decode joined."""
+    config, store = rows.config, rows.store
+    sorted_config, permutation = sort_by_library_size(config)
+    k = config.num_users
+    n_max = sorted_config.file_counts[-1]
+    keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
+    served = {}
+    max_total = 0
+    for prime in product(range(1, n_max + 1), repeat=k):
+        induced = tuple(tuple(min(x, n) for x in prime) for n in config.file_counts)
+        outcomes = []
+        for library, row in enumerate(induced, start=1):
+            if (library, row) not in served:
+                served[library, row] = reference_serve(rows, library, row)
+            outcomes.append(served[library, row])
+        max_total = max(max_total, sum(outcome.bits for outcome in outcomes))
+        for user, n in enumerate(prime, start=1):
+            keep = keeps[n - 1]
+            if any(user in outcomes[orig - 1].failed for orig in keep):
+                actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
+                expected = concat(store.files[orig - 1][n - 1] for orig in keep)
+                raise sim.DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
+    return sim.ReductionReport(
+        demands_checked=n_max**k,
+        stacked_file_bits=tuple(
+            sum(store.files[orig - 1][n - 1].width for orig in keep)
+            for n, keep in enumerate(keeps, start=1)
+        ),
+        cache_bits=rows.placement.cache_bits(1),
+        max_total_bits=max_total,
+    )
+
+
+def reference_stack_delivery(
     store: sim.FileStore, config: NetworkConfig, placement: sim.PlacementState
 ) -> sim.ReductionReport:
     """Serve every stacked demand with its own full delivery and decodes."""
