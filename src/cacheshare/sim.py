@@ -37,8 +37,8 @@ which puts one user's recovered and cached pieces in file order, runs only to
 name the decoded file of a failure.
 
 A library's N^K rows are served in one pass (`RowPass`), in product order
-(the first user's request slowest) and in blocks of about a thousand rows
-that fix the first users' requests: a block's broadcasts and expected pieces
+(the first user's request slowest) and in batches of about a thousand rows
+that fix the first users' requests: a batch's broadcasts and expected pieces
 are one prefix XOR with each entry of a tail table built once per part, and
 each row still goes through `_recover`. A t = 0 part sends each distinct
 request's part whole, so its rows are counted, not checked: the rejoin check
@@ -658,17 +658,17 @@ class OutcomeTable:
     failed: dict[tuple[int, ...], tuple[int, ...]]
 
 
-# rows served at once: a block fixes the first users' requests and lets the
-# last ones run through all their files, so a block's XORs are one prefix XOR
+# rows served at once: a batch fixes the first users' requests and lets the
+# last ones run through all their files, so a batch's XORs are one prefix XOR
 # with each of a shared tail table's entries, and no list holds N^K images
-_BLOCK_ROWS = 1024
+_BATCH_ROWS = 1024
 
 
 def _tail_users(num_files: int, num_users: int) -> int:
-    """How many last users a block of rows lets vary: the most whose rows
-    fit in `_BLOCK_ROWS` (every user when there is one file)."""
+    """How many last users a batch of rows lets vary: the most whose rows
+    fit in `_BATCH_ROWS` (every user when there is one file)."""
     tail = 0
-    while tail < num_users and num_files ** (tail + 1) <= _BLOCK_ROWS:
+    while tail < num_users and num_files ** (tail + 1) <= _BATCH_ROWS:
         tail += 1
     return tail
 
@@ -733,8 +733,8 @@ class RowPass:
     part, member and file as the member's share of every message
     (`_library_send_images`), so a row's broadcast of a coded part is the XOR
     of one image per member. `expected_images[l - 1]` puts each send image in
-    its member's block: the pieces the member wants. Rows go in blocks that
-    fix the first users' requests (`_tail_users`), so a block XORs one prefix
+    its member's block: the pieces the member wants. Rows go in batches that
+    fix the first users' requests (`_tail_users`), so a batch XORs one prefix
     with each entry of a tail table, and `_recover` checks each row's users.
     t = 0 parts only count each row's distinct requests.
     `unrecoverable[l - 1]` holds the checks made once per run
@@ -807,19 +807,19 @@ class RowPass:
         failed: dict[tuple[int, ...], set[int]] = {}
         rows = product(range(1, n + 1), repeat=k)
         size = n ** (k - head)
-        for _ in range(0, n**k, size):
-            block = list(islice(rows, size))
+        for _ in range(n**head):
+            batch = list(islice(rows, size))
             if uncoded_bits:
-                bits += [coded_bits + uncoded_bits * len(set(row)) for row in block]
+                bits += [coded_bits + uncoded_bits * len(set(row)) for row in batch]
             else:
                 bits += [coded_bits] * size
             for index, width, send, expected, send_tail, expected_tail in coded:
                 wide = wanted = 0
-                for member_images, member_wanted, file_id in zip(send, expected, block[0][:head]):
+                for member_images, member_wanted, file_id in zip(send, expected, batch[0][:head]):
                     wide ^= member_images[file_id - 1]
                     wanted ^= member_wanted[file_id - 1]
                 mask = (1 << width) - 1
-                for row, sent, piece in zip(block, send_tail, expected_tail):
+                for row, sent, piece in zip(batch, send_tail, expected_tail):
                     blocks = recover(placement, library, index, row, wide ^ sent) ^ wanted ^ piece
                     if blocks:
                         failed.setdefault(row, set()).update(
@@ -827,7 +827,7 @@ class RowPass:
                             if (blocks >> ((user - 1) * width)) & mask
                         )
             if bad:
-                for row in block:
+                for row in batch:
                     users = [user for user in range(1, k + 1) if (user, row[user - 1]) in bad]
                     if users:
                         failed.setdefault(row, set()).update(users)
@@ -877,10 +877,10 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     of per-library rows is a demand vector. A vector decodes exactly when
     each of its rows does, and its transcript length is the sum of its rows'
     lengths, so the worst case over all vectors is the sum of the
-    per-library maxima. The measured rate is
-    that sum divided by the base size; it must equal the formula rate bit for
-    bit. `demands_checked` counts the vectors covered, the product of N_l^K;
-    `demand_vectors_run` counts the library rows served, the sum of N_l^K.
+    per-library maxima. The measured rate is that sum divided by the base
+    size; it must equal the formula rate bit for bit. `demands_checked`
+    counts the vectors covered, the product of N_l^K; `demand_vectors_run`
+    counts the library rows served, the sum of N_l^K.
     `cap` still bounds the covered vectors, with enumeration's error message,
     and is checked before any row is served.
     """
@@ -1009,9 +1009,9 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
 def _first_stack_witness(rows: RowPass, keeps: list[tuple[int, ...]]) -> DecodeMismatchError:
     """The failure a walk over the stack demands in product order meets
-    first: at the first demand some user of which fails a library kept for
-    the user's stacked file, the first such user, with every kept library's
-    decode joined as the actual file."""
+    first: the first demand where a user fails a library kept for the
+    user's stacked file, and its first such user, with the kept libraries'
+    decodes joined as the actual file."""
     config, store = rows.config, rows.store
     n_max = len(keeps)
     # per library, clamp[x] = min(x, N_l) for every stacked file id x

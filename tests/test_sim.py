@@ -782,7 +782,7 @@ def test_a_mis_cut_file_fails_verification(monkeypatch):
 
 def batched_pass_networks(rng):
     """Seeded (config, allocation) pairs for the batched row pass: one-library
-    networks of several row blocks, at a corner and between two corners, then
+    networks of several row batches, at a corner and between two corners, then
     small random networks (K = 1, N = 1, t = 0 and two-part plans occur)."""
     for counts, users in (((2,), 11), ((3,), 7)):
         shape = make_config(counts=counts, weights=(F(1),), users=users, cache="0")
@@ -797,24 +797,27 @@ def test_batched_pass_matches_the_per_row_reference(monkeypatch):
     rng = random.Random(8190)
     faults = {}
     flip_recovered(monkeypatch, lambda library, row: faults.get((library, row), ()))
-    seen = dict.fromkeys(("blocks", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
+    seen = dict.fromkeys(("batches", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(batched_pass_networks(rng)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
         placement = place(store, plan)
         k = config.num_users
-        all_rows = [
-            list(product(range(1, n + 1), repeat=k)) for n in config.file_counts
-        ]
+        all_rows = [list(product(range(1, n + 1), repeat=k)) for n in config.file_counts]
         seen["one_user"] += k == 1
         for layout, rows_of in zip(placement.layouts, all_rows):
-            seen["blocks"] += len(rows_of) > sim._BLOCK_ROWS
+            seen["batches"] += len(rows_of) > sim._BATCH_ROWS
             seen["t0"] += any(part.t == 0 for part in layout.parts)
             seen["two_parts"] += len(layout.parts) == 2
             seen["one_file"] += layout.num_files == 1
-        # clean, then with the first recovered piece of chosen users flipped
         faults.clear()
-        for attempt in range(2):
+        for attempt in ("clean", "faulty"):
+            if attempt == "faulty":
+                # flip the first recovered piece of chosen (library, row, user)s
+                for _ in range(3):
+                    library = rng.randint(1, config.num_libraries)
+                    row = rng.choice(all_rows[library - 1])
+                    faults.setdefault((library, row), set()).add(rng.randint(1, k))
             rows = RowPass(store, placement)
             for library, rows_of in enumerate(all_rows, start=1):
                 expected = [reference_serve(rows, library, row) for row in rows_of]
@@ -826,10 +829,6 @@ def test_batched_pass_matches_the_per_row_reference(monkeypatch):
                 assert set(table.failed) == {row for row, o in zip(rows_of, expected) if o.failed}
                 seen["failed"] += bool(table.failed)
             assert rows.served == sum(map(len, all_rows))
-            for _ in range(3):
-                library = rng.randint(1, config.num_libraries)
-                row = rng.choice(all_rows[library - 1])
-                faults.setdefault((library, row), set()).add(rng.randint(1, k))
     assert all(seen.values()), seen
 
 
@@ -869,8 +868,9 @@ def reduction_or_witness(run):
 
 def stack_networks(rng, count):
     """Seeded (config, allocation) pairs for the stack walk: unsorted file
-    counts, 3^7 stack demands over several blocks (each library with a t = 0
-    part, so the rows' bits differ), then `count` small random networks."""
+    counts, 3^7 stack demands whose rows span several batches (each library
+    with a t = 0 part, so the rows' bits differ), then `count` small random
+    networks."""
     deep = make_config(counts=(3, 2), weights=(F(1, 2), F(1, 2)), users=7, cache="0")
     picks = [
         fractions(build_scheme_tradeoff(lib.num_files, 7).breakpoint_ratios)[1] / 2 * lib.alpha
@@ -890,25 +890,26 @@ def test_reduction_demo_matches_the_per_row_walk(monkeypatch):
     rng = random.Random(9273)
     faults = {}
     flip_recovered(monkeypatch, lambda library, row: faults.get((library, row), ()))
-    seen = dict.fromkeys(("blocks", "unsorted", "one_user", "one_file", "failed"), 0)
+    seen = dict.fromkeys(("batches", "unsorted", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(stack_networks(rng, 40)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
         placement = place(store, plan)
         counts = list(config.file_counts)
-        seen["blocks"] += max(counts) ** config.num_users > sim._BLOCK_ROWS
+        seen["batches"] += max(counts) ** config.num_users > sim._BATCH_ROWS
         seen["unsorted"] += counts != sorted(counts)
         seen["one_user"] += config.num_users == 1
         seen["one_file"] += config.num_libraries > 1 and 1 in counts
         faults.clear()
-        for attempt in range(2):
+        for attempt in ("clean", "faulty"):
+            if attempt == "faulty":
+                library = rng.randint(1, config.num_libraries)
+                row = tuple(rng.randint(1, counts[library - 1]) for _ in range(config.num_users))
+                faults[library, row] = {rng.randint(1, config.num_users)}
             want = reduction_or_witness(lambda: reference_reduction(RowPass(store, placement)))
             got = reduction_or_witness(lambda: reduction_demo(RowPass(store, placement)))
             assert got == want, (seed, attempt)
             seen["failed"] += type(want) is tuple
-            library = rng.randint(1, config.num_libraries)
-            row = tuple(rng.randint(1, counts[library - 1]) for _ in range(config.num_users))
-            faults[library, row] = {rng.randint(1, config.num_users)}
     assert all(seen.values()), seen
 
 
