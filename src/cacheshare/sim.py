@@ -25,25 +25,27 @@ at the slot of every group G holding it, so a row's broadcast is the XOR of
 its K members' images. Verification images hold K blocks of such slots side
 by side, user u's block (u - 1) blocks up. Decode images
 (`PlacementState.decode_images`): per part, member and file, each user's own
-cached copy of the member's share at every group holding both. Expected
-images (`RowPass.expected_images`): the member's share, wanted by the member,
-in its own block. One row checks every user at once (`_recover`): the
-broadcast copied into all K blocks and masked to each user's groups, XORed
-with one decode image per member, leaves each user's recovered pieces; XORed
-with one expected image per member, it is zero exactly when every user
-recovers every piece it lacks. Each user's own cached pieces, and the server
-table's rejoin into each stored file, are checked once per run. So `decode`,
-which puts one user's recovered and cached pieces in file order, runs only to
-name the decoded file of a failure.
+cached copy of the member's share at every group holding both. `_recover`
+copies a broadcast into all K blocks, masks it to each user's groups and
+XORs one decode image per member, which leaves each user's recovered pieces.
+Copy and mask distribute over XOR, so the row check folds each member's
+send, decode and wanted pieces into one residual image per part, member and
+file (`RowPass.residuals`): a row's K residual images XOR to zero exactly
+when every user recovers every piece it lacks. Each user's own cached
+pieces, and the server table's rejoin into each stored file, are checked
+once per run. So `decode`, which puts one user's recovered (`_recover`) and
+cached pieces in file order, runs only to name the decoded file of a
+failure.
 
 A library's N^K rows are served in one pass (`RowPass`), in product order
 (the first user's request slowest) and in batches of about a thousand rows
-that fix the first users' requests: a batch's broadcasts and expected pieces
-are one prefix XOR with each entry of a tail table built once per part, and
-each row still goes through `_recover`. A t = 0 part sends each distinct
-request's part whole, so its rows are counted, not checked: the rejoin check
-covers them. The pass leaves one outcome table per library (`OutcomeTable`),
-which `verify_all` and the stack walk of `reduction_demo` read.
+that fix the first users' requests: per coded part, a batch XORs its fixed
+users' residual images into one prefix, and a row passes when its entry of
+a tail table, the last users' residual XORs built once per part, equals
+that prefix. A t = 0 part sends each distinct request's part whole, so its
+rows are counted, not checked: the rejoin check covers them. The pass leaves
+one outcome table per library (`OutcomeTable`), which `verify_all` and the
+stack walk of `reduction_demo` read.
 """
 
 from __future__ import annotations
@@ -340,29 +342,27 @@ def _decode_sources(num_users: int, t: int) -> Sources:
     the slot of G in u's block (blocks of one slot per group, user u's
     block u - 1 blocks up) and the index of u's copy of the member's share
     W(G - member) among every user's cached pieces of one file, laid end to
-    end (each user's C(K - 1, t - 1) in cache order)."""
-    groups = _subsets(num_users, t + 1)
+    end (each user's C(K - 1, t - 1) in cache order).
+
+    Each member's groups are walked once, from its send sources: the users
+    holding W(G - member) are the members of G - member. Entries go user by
+    user, so `_images` fills an image from its low blocks up."""
+    num_groups = math.comb(num_users, t + 1)
     subsets = _subsets(num_users, t)
     per_user = math.comb(num_users - 1, t - 1)
-    # (user, cached subset) -> its piece's index among every user's pieces
+    # (user, rank of a cached subset) -> its piece's index among every user's pieces
     index = {}
     for user in range(1, num_users + 1):
         for p, rank in enumerate(_user_subset_ranks(num_users, t, user)):
-            index[user, subsets[rank]] = (user - 1) * per_user + p
-    top = len(groups) - 1
-    return tuple(
-        tuple(
-            (
-                (user - 1) * len(groups) + top - g,
-                index[user, tuple(x for x in group if x != member)],
-            )
-            for user in range(1, num_users + 1)
-            if user != member
-            for g, group in enumerate(groups)
-            if member in group and user in group
-        )
-        for member in range(1, num_users + 1)
-    )
+            index[user, rank] = (user - 1) * per_user + p
+    out = []
+    for member_sources in _send_sources(num_users, t):
+        by_user: list[list[tuple[int, int]]] = [[] for _ in range(num_users)]
+        for slot, rank in member_sources:
+            for user in subsets[rank]:
+                by_user[user - 1].append(((user - 1) * num_groups + slot, index[user, rank]))
+        out.append(tuple(entry for entries in by_user for entry in entries))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -513,22 +513,28 @@ def _library_send_images(
     )
 
 
-def _library_expected_images(
-    images: ImageTable, layout: LibraryLayout, num_users: int
+def _library_residuals(
+    send_images: ImageTable, decode_images: ImageTable, layout: LibraryLayout, num_users: int
 ) -> ImageTable:
-    """One library's expected images, per plan part, from its send images:
-    each member's image moved to the member's own block (`_blocks`), where it
-    holds the pieces W(G - member) the member wants."""
-    expected = []
-    for part, by_member in zip(layout.parts, images):
+    """One library's residual images, per plan part, member and file: the
+    send image copied into every block and masked to each user's groups
+    (`_blocks`), XORed with the decode image and with the send image moved
+    into the member's own block, the pieces W(G - member) it wants. Copy and
+    mask distribute over XOR, so a row's residual images XOR to every user's
+    recovered pieces XOR wanted ones: zero exactly when every user decodes."""
+    residuals = []
+    for part, by_member, by_member_decode in zip(layout.parts, send_images, decode_images):
         if part.t:
-            width = _blocks(num_users, part.t, part.subfile_bits)[0]
+            width, spread, masks = _blocks(num_users, part.t, part.subfile_bits)
             by_member = tuple(
-                tuple(image << (member * width) for image in per_file)
-                for member, per_file in enumerate(by_member)
+                tuple(
+                    ((image * spread) & masks) ^ own ^ (image << (member * width))
+                    for image, own in zip(images, owns)
+                )
+                for member, (images, owns) in enumerate(zip(by_member, by_member_decode))
             )
-        expected.append(by_member)
-    return tuple(expected)
+        residuals.append(by_member)
+    return tuple(residuals)
 
 
 def _library_transcript(
@@ -575,14 +581,16 @@ def _recover(
     placement: PlacementState, library: int, part: int, row: tuple[int, ...], wide: int
 ) -> int:
     """Every user's recovered pieces of plan part `part` (an index, t >= 1) of
-    `library` under demand row `row`, in the users' blocks (`_blocks`).
+    `library` under demand row `row`, in the users' blocks (`_blocks`): the
+    step of `decode`.
 
     `wide` is the part's broadcast, each message at its group's slot. Copied
     into every block and masked to the user's groups, it is XORed with one
     decode image per member's request: at each group G holding user u, block
     u then holds the message of G with every other member's share, from u's
-    own cache, cancelled, which is u's piece W(G - u). Both the row check and
-    `decode` read this step."""
+    own cache, cancelled, which is u's piece W(G - u). The row check reads
+    the same decode images through the residual images
+    (`_library_residuals`) and never calls this."""
     layout_part = placement.layouts[library - 1].parts[part]
     _, spread, masks = _blocks(len(row), layout_part.t, layout_part.subfile_bits)
     blocks = (wide * spread) & masks
@@ -732,11 +740,12 @@ class RowPass:
     (`_split_files`). `send_images[l - 1]` lays that table out once per
     part, member and file as the member's share of every message
     (`_library_send_images`), so a row's broadcast of a coded part is the XOR
-    of one image per member. `expected_images[l - 1]` puts each send image in
-    its member's block: the pieces the member wants. Rows go in batches that
-    fix the first users' requests (`_tail_users`), so a batch XORs one prefix
-    with each entry of a tail table, and `_recover` checks each row's users.
-    t = 0 parts only count each row's distinct requests.
+    of one image per member. `residuals[l - 1]` holds one residual image per
+    part, member and file (`_library_residuals`): a row's users all decode
+    exactly when its members' residual images XOR to zero. Rows go in
+    batches that fix the first users' requests (`_tail_users`): a row passes
+    when its entry of a part's tail table of residual XORs equals the
+    batch's prefix XOR. t = 0 parts only count each row's distinct requests.
     `unrecoverable[l - 1]` holds the checks made once per run
     (`_unrecoverable`), among them the table's rejoin into each stored file,
     so a row's users fail exactly when `decode` would not give their files.
@@ -754,9 +763,11 @@ class RowPass:
             _library_send_images(table, layout, k)
             for table, layout in zip(self.subfiles, placement.layouts)
         )
-        self.expected_images = tuple(
-            _library_expected_images(images, layout, k)
-            for images, layout in zip(self.send_images, placement.layouts)
+        self.residuals = tuple(
+            _library_residuals(images, decode_images, layout, k)
+            for images, decode_images, layout in zip(
+                self.send_images, placement.decode_images, placement.layouts
+            )
         )
         self.unrecoverable = tuple(
             _unrecoverable(files, table, placement, library)
@@ -790,19 +801,16 @@ class RowPass:
         layout = placement.layouts[lib_idx]
         n, k = layout.num_files, len(placement.caches)
         head = k - _tail_users(n, k)
-        # per coded part: its block width and the tail users' XORs of its images
+        # per coded part: its block width, its residual images and the tail
+        # users' XORs of them
         coded = [
-            (index, _blocks(k, part.t, part.subfile_bits)[0], send, expected,
-             _tail_xors(send[head:]), _tail_xors(expected[head:]))
-            for index, (part, send, expected) in enumerate(
-                zip(layout.parts, self.send_images[lib_idx], self.expected_images[lib_idx])
-            )
+            (_blocks(k, part.t, part.subfile_bits)[0], residual, _tail_xors(residual[head:]))
+            for part, residual in zip(layout.parts, self.residuals[lib_idx])
             if part.t
         ]
-        coded_bits = sum(width for _, width, *_ in coded)
+        coded_bits = sum(width for width, _, _ in coded)
         uncoded_bits = sum(part.subfile_bits for part in layout.parts if not part.t)
         bad = self.unrecoverable[lib_idx]
-        recover = _recover
         bits: list[int] = []
         failed: dict[tuple[int, ...], set[int]] = {}
         rows = product(range(1, n + 1), repeat=k)
@@ -813,15 +821,17 @@ class RowPass:
                 bits += [coded_bits + uncoded_bits * len(set(row)) for row in batch]
             else:
                 bits += [coded_bits] * size
-            for index, width, send, expected, send_tail, expected_tail in coded:
-                wide = wanted = 0
-                for member_images, member_wanted, file_id in zip(send, expected, batch[0][:head]):
-                    wide ^= member_images[file_id - 1]
-                    wanted ^= member_wanted[file_id - 1]
+            for width, residual, tail in coded:
+                # a row decodes when its tail entry cancels the batch's prefix
+                prefix = 0
+                for member_residuals, file_id in zip(residual, batch[0][:head]):
+                    prefix ^= member_residuals[file_id - 1]
+                if tail.count(prefix) == size:
+                    continue
                 mask = (1 << width) - 1
-                for row, sent, piece in zip(batch, send_tail, expected_tail):
-                    blocks = recover(placement, library, index, row, wide ^ sent) ^ wanted ^ piece
-                    if blocks:
+                for row, entry in zip(batch, tail):
+                    if entry != prefix:
+                        blocks = entry ^ prefix
                         failed.setdefault(row, set()).update(
                             user for user in range(1, k + 1)
                             if (blocks >> ((user - 1) * width)) & mask

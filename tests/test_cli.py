@@ -18,7 +18,7 @@ import cacheshare
 import cacheshare.cli as cli
 import cacheshare.sim as sim
 from cacheshare.cli import main
-from util import INEXACT_CONFIG_VALUES, config_with, flip_recovered
+from util import INEXACT_CONFIG_VALUES, config_with, faulty_place
 
 CONFIG_DIR = Path(cacheshare.__file__).parent / "configs"
 EXAMPLE = str(CONFIG_DIR / "reference.json")
@@ -554,7 +554,8 @@ def test_demand_cap_exceeded(runner):
 
 
 def test_decode_mismatch_exits_one(runner, monkeypatch):
-    flip_recovered(monkeypatch, lambda library, row: range(1, len(row) + 1))
+    # user 1 misreads library 1 whenever user 2 asks for file 1
+    faulty_place(monkeypatch, [(1, 0, 2, 1, 1)], cli)
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate"])
     assert result.exit_code == 1
     assert "decoded library" in result.output
@@ -614,8 +615,11 @@ def test_simulate_decodes_only_witness_users(runner, monkeypatch, name):
     args = ["--config", str(CONFIG_DIR / f"{name}.json"), "simulate", "--stack"]
     run_json(runner, args)
     assert calls == []
-    # user 2 misreads library 2 whenever it asks for file 1
-    flip_recovered(monkeypatch, lambda library, row: [2] if (library, row[1]) == (2, 1) else [])
+    # user 2 misreads library 2 whenever it asks for file 1: one bit of its
+    # decode image of its own share of file 1 in the plan's coded part (after
+    # a t = 0 part on unequal_n) is wrong
+    part = 1 if name == "unequal_n" else 0
+    faulty_place(monkeypatch, [(2, part, 2, 1, 2)], cli)
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "user 2 decoded library 2 incorrectly" in result.output

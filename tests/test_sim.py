@@ -34,15 +34,16 @@ from cacheshare.tradeoff import build_scheme_tradeoff
 
 from util import (
     curves_for,
+    faulty_place,
     flip,
-    flip_recovered,
+    flip_decode_image,
     fractions,
     make_config,
     random_corner_allocation,
     random_sim_config,
-    recovered_piece_bit,
     reference_base_requirement,
     reference_config,
+    reference_decode_sources,
     reference_file_subfiles,
     reference_library_transcript,
     reference_plan_weights,
@@ -53,6 +54,7 @@ from util import (
     reference_verify,
     row_pass,
     unequal_config,
+    wrong_file_decode_image,
 )
 
 F = Fraction
@@ -387,7 +389,8 @@ def test_libraries_do_not_interact():
 def test_decode_failure_reports_first_witness(monkeypatch):
     config = reference_config()
     store = random_file_store(config, 10, seed=12)
-    flip_recovered(monkeypatch, lambda library, row: range(1, len(row) + 1))
+    # user 1 misreads user 2's share of library 1's file 1
+    faulty_place(monkeypatch, [(1, 0, 2, 1, 1)])
     with pytest.raises(DecodeMismatchError) as info:
         verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))))
     err = info.value
@@ -551,21 +554,21 @@ def three_library_run():
 @pytest.mark.parametrize(
     "failing, witness_rows, user, library",
     [
-        # only library 2 fails, off its all-ones row, and only for user 2
-        ({2: {(2, 1): {2}}}, ((1, 1), (2, 1), (1, 1)), 2, 2),
+        # (library, part, member, file, user): `user` misreads `member`'s share
+        # of `file`, so it fails every row of `library` where `member` asks for it.
+        # Only library 2 fails, off its all-ones row, and only for user 2
+        ([(2, 0, 1, 2, 2)], ((1, 1), (2, 1), (1, 1)), 2, 2),
         # the last failing library's first failing row is put in
-        ({1: {(1, 2): {1}}, 2: {(2, 2): {1, 2}}}, ((1, 1), (2, 2), (1, 1)), 1, 2),
+        ([(1, 0, 2, 2, 1), (2, 0, 1, 2, 2), (2, 0, 1, 2, 1)], ((1, 1), (2, 1), (1, 1)), 1, 2),
         # an all-ones failure wins; user-major order picks library 3 for user 1
-        ({2: {(1, 2): {1}, (1, 1): {2}}, 3: {(1, 1): {1}}}, ((1, 1), (1, 1), (1, 1)), 1, 3),
+        ([(2, 0, 2, 2, 1), (2, 0, 1, 1, 2), (3, 0, 2, 1, 1)], ((1, 1), (1, 1), (1, 1)), 1, 3),
         # an all-ones failure also beats a later library's failure off all-ones
-        ({1: {(1, 1): {2}}, 3: {(2, 1): {1}}}, ((1, 1), (1, 1), (1, 1)), 2, 1),
+        ([(1, 0, 1, 1, 2), (3, 0, 1, 2, 1)], ((1, 1), (1, 1), (1, 1)), 2, 1),
     ],
 )
-def test_witness_matches_full_product_reference(
-    monkeypatch, failing, witness_rows, user, library
-):
+def test_witness_matches_full_product_reference(monkeypatch, failing, witness_rows, user, library):
     config, allocation, store = three_library_run()
-    flip_recovered(monkeypatch, lambda lib, row: failing.get(lib, {}).get(row, ()))
+    faulty_place(monkeypatch, failing)
     with pytest.raises(DecodeMismatchError) as reference:
         reference_verify(store, config, allocation)
     with pytest.raises(DecodeMismatchError) as info:
@@ -600,31 +603,22 @@ def stack_run():
 @pytest.mark.parametrize(
     "mutant, witness_rows, user",
     [
-        # library 3 flips a bit for user 2 asking for its file 2: stacked file 2
+        # user 2 misreads its own share of library 3's file 2: stacked file 2
         # draws on libraries 3 and 1, so user 2 fails at stack demand (1, 2)
         ("flip", ((1, 2), (1, 1), (1, 2)), 2),
-        # library 1 hands user 1 file 1 for file 3: stacked file 3 lies in
-        # library 1 alone, so user 1 fails at stack demand (3, 1)
-        ("wrong_file", ((3, 1), (1, 1), (2, 1)), 1),
+        # user 1 cancels file 1's share where user 2 asks for library 1's file 3:
+        # library 1 holds a piece of every stacked file, so user 1 fails at
+        # stack demand (1, 3)
+        ("wrong_file", ((1, 3), (1, 1), (1, 2)), 1),
     ],
 )
-def test_stack_witness_matches_full_delivery_reference(monkeypatch, mutant, witness_rows, user):
+def test_stack_witness_matches_full_delivery_reference(mutant, witness_rows, user):
     config, allocation, store = stack_run()
     placement = place(store, plan_split(config, allocation))
-    # user 1's wanted pieces of each file of library 1, in its block
-    wanted = RowPass(store, placement).expected_images[0][0][0]
-    real = sim._recover
-
-    def corrupted(placement, lib, part, row, wide):
-        blocks = real(placement, lib, part, row, wide)
-        if mutant == "flip" and (lib, row[1]) == (3, 2):
-            return blocks ^ recovered_piece_bit(placement, lib, part, 2)
-        if mutant == "wrong_file" and (lib, row[0]) == (1, 3):
-            # user 1 recovers file 1's pieces where it wants file 3's
-            return blocks ^ wanted[2] ^ wanted[0]
-        return blocks
-
-    monkeypatch.setattr(sim, "_recover", corrupted)
+    if mutant == "flip":
+        placement = flip_decode_image(placement, 3, 0, 2, 2, 2)
+    else:
+        placement = wrong_file_decode_image(placement, 1, 0, 2, 3, 1)
     with pytest.raises(DecodeMismatchError) as reference:
         reference_stack_delivery(store, config, placement)
     with pytest.raises(DecodeMismatchError) as info:
@@ -706,6 +700,13 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
     assert all(seen.values()), seen
 
 
+def test_decode_sources_match_the_group_scan_builder():
+    # the one-pass builder gives the scan's entries in the scan's order
+    for k in range(1, 9):
+        for t in range(1, k + 1):
+            assert sim._decode_sources(k, t) == reference_decode_sources(k, t), (k, t)
+
+
 def assert_rows_agree(rows, library):
     """Every row of `library`: the one-pass check fails exactly the users
     whose decode differs from their file; returns the users that failed."""
@@ -782,47 +783,71 @@ def test_a_mis_cut_file_fails_verification(monkeypatch):
 
 def batched_pass_networks(rng):
     """Seeded (config, allocation) pairs for the batched row pass: one-library
-    networks of several row batches, at a corner and between two corners, then
-    small random networks (K = 1, N = 1, t = 0 and two-part plans occur)."""
+    networks of several row batches, at a corner and between two corners, the
+    `sim-multi` bench network at its greedy split, then small random networks
+    (K = 1, N = 1, t = 0 and two-part plans occur)."""
     for counts, users in (((2,), 11), ((3,), 7)):
         shape = make_config(counts=counts, weights=(F(1),), users=users, cache="0")
         yield random_corner_allocation(rng, shape)
         yield random_split_allocation(rng, shape)
+    multi = make_config(
+        counts=(4, 3, 2), weights=(F(1, 5), F(2, 5), F(2, 5)), users=3, cache="3/2"
+    )
+    yield multi, greedy_allocate(multi, curves_for(multi, "scheme")).final
     for seed in range(30):
         pick = random_corner_allocation if seed % 2 else random_split_allocation
         yield pick(rng, random_sim_config(rng))
 
 
-def test_batched_pass_matches_the_per_row_reference(monkeypatch):
+def random_decode_faults(rng, placement, count):
+    """`placement` with `count` seeded decode-image faults: each flips one
+    bit of a random user's copy of a random member's share
+    (`flip_decode_image`) or, where the library has two files or more, gives
+    a member's share the decode image of another file
+    (`wrong_file_decode_image`). Only coded parts with t < K have groups to
+    fault; a placement with none is returned unchanged."""
+    k = len(placement.caches)
+    sites = [
+        (library, index, layout.num_files)
+        for library, layout in enumerate(placement.layouts, start=1)
+        for index, part in enumerate(layout.parts)
+        if 1 <= part.t < k
+    ]
+    for _ in range(count if sites else 0):
+        library, index, n = rng.choice(sites)
+        member, file_id = rng.randint(1, k), rng.randint(1, n)
+        if n > 1 and rng.random() < 0.25:
+            other = rng.choice([x for x in range(1, n + 1) if x != file_id])
+            placement = wrong_file_decode_image(placement, library, index, member, file_id, other)
+        else:
+            user = rng.randint(1, k)
+            placement = flip_decode_image(placement, library, index, member, file_id, user)
+    return placement
+
+
+def test_batched_pass_matches_the_per_row_reference():
+    # the residual pass against `reference_serve`, which calls `sim._recover`
+    # on each row, clean and with faults in the decode images both read
     rng = random.Random(8190)
-    faults = {}
-    flip_recovered(monkeypatch, lambda library, row: faults.get((library, row), ()))
     seen = dict.fromkeys(("batches", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(batched_pass_networks(rng)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
-        placement = place(store, plan)
+        clean = place(store, plan)
         k = config.num_users
         all_rows = [list(product(range(1, n + 1), repeat=k)) for n in config.file_counts]
         seen["one_user"] += k == 1
-        for layout, rows_of in zip(placement.layouts, all_rows):
+        for layout, rows_of in zip(clean.layouts, all_rows):
             seen["batches"] += len(rows_of) > sim._BATCH_ROWS
             seen["t0"] += any(part.t == 0 for part in layout.parts)
             seen["two_parts"] += len(layout.parts) == 2
             seen["one_file"] += layout.num_files == 1
-        faults.clear()
-        for attempt in ("clean", "faulty"):
-            if attempt == "faulty":
-                # flip the first recovered piece of chosen (library, row, user)s
-                for _ in range(3):
-                    library = rng.randint(1, config.num_libraries)
-                    row = rng.choice(all_rows[library - 1])
-                    faults.setdefault((library, row), set()).add(rng.randint(1, k))
+        for placement in (clean, random_decode_faults(rng, clean, 3)):
             rows = RowPass(store, placement)
             for library, rows_of in enumerate(all_rows, start=1):
                 expected = [reference_serve(rows, library, row) for row in rows_of]
                 got = [rows.serve(library, row) for row in rows_of]
-                assert got == expected, (seed, library, attempt)
+                assert got == expected, (seed, library, placement is clean)
                 # one entry per row in product order, and failed rows only
                 table = rows.table(library)
                 assert len(table.bits) == len(rows_of)
@@ -886,29 +911,22 @@ def stack_networks(rng, count):
     return networks
 
 
-def test_reduction_demo_matches_the_per_row_walk(monkeypatch):
+def test_reduction_demo_matches_the_per_row_walk():
     rng = random.Random(9273)
-    faults = {}
-    flip_recovered(monkeypatch, lambda library, row: faults.get((library, row), ()))
     seen = dict.fromkeys(("batches", "unsorted", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(stack_networks(rng, 40)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
-        placement = place(store, plan)
+        clean = place(store, plan)
         counts = list(config.file_counts)
         seen["batches"] += max(counts) ** config.num_users > sim._BATCH_ROWS
         seen["unsorted"] += counts != sorted(counts)
         seen["one_user"] += config.num_users == 1
         seen["one_file"] += config.num_libraries > 1 and 1 in counts
-        faults.clear()
-        for attempt in ("clean", "faulty"):
-            if attempt == "faulty":
-                library = rng.randint(1, config.num_libraries)
-                row = tuple(rng.randint(1, counts[library - 1]) for _ in range(config.num_users))
-                faults[library, row] = {rng.randint(1, config.num_users)}
+        for placement in (clean, random_decode_faults(rng, clean, 1)):
             want = reduction_or_witness(lambda: reference_reduction(RowPass(store, placement)))
             got = reduction_or_witness(lambda: reduction_demo(RowPass(store, placement)))
-            assert got == want, (seed, attempt)
+            assert got == want, (seed, placement is clean)
             seen["failed"] += type(want) is tuple
     assert all(seen.values()), seen
 
@@ -933,3 +951,27 @@ def test_stack_walk_reads_each_demands_clamped_rows():
             for prime in product(range(1, max(config.file_counts) + 1), repeat=k)
         )
         assert reduction_demo(rows).max_total_bits == worst, seed
+
+
+def test_stack_worst_case_equals_the_multi_library_worst_case():
+    """The stack's worst transcript is the multi-library worst case.
+
+    The stack demand asking for files 1, 2, …, K (capped at N_max) is clamped
+    to min(x, N_l) in library l, so it gives every library min(K, N_l)
+    distinct requests at once, the most any of its rows can hold. Only a
+    t = 0 part's bits vary with the row (one message per distinct request),
+    so that one demand reaches every library's largest row at once, and
+    `reduction_demo` and `verify_all` report the same worst case."""
+    rng = random.Random(1120)
+    varied = 0
+    for seed in range(120):
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, random_sim_config(rng))
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        rows = RowPass(store, place(store, plan))
+        report = verify_all(rows)
+        assert reduction_demo(rows).max_total_bits == report.max_total_bits, seed
+        # networks whose rows differ in bits, so the equality says something
+        varied += any(len(set(table.bits)) > 1 for table in rows.tables)
+    assert varied >= 20, varied

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import random
@@ -181,36 +182,74 @@ def flip(bits: BitString, index: int) -> BitString:
     return BitString(bits.width, bits.value ^ (1 << (bits.width - 1 - index)))
 
 
-def recovered_piece_bit(placement: sim.PlacementState, library: int, part: int, user: int) -> int:
-    """The top bit of `user`'s first recovered piece in `sim._recover`'s output
-    for plan part `part` (an index) of `library`, 0 if the user recovers none.
+def _with_decode_image(placement, library: int, part: int, member: int, file_id: int, image: int):
+    """A copy of `placement` whose decode image of `member`'s share of file
+    `file_id`, plan part `part` (an index) of `library`, is `image`."""
 
-    The output holds one block per user, user 1's lowest; a block has one
-    subfile-wide slot per size-(t + 1) group in transcript order, the first
-    highest, and the user's first piece sits at the first group holding it."""
+    def put(items, index, value):
+        return items[:index] + (value,) + items[index + 1 :]
+
+    by_part = placement.decode_images[library - 1]
+    by_member = by_part[part]
+    by_file = put(by_member[member - 1], file_id - 1, image)
+    by_part = put(by_part, part, put(by_member, member - 1, by_file))
+    changed = copy.copy(placement)
+    object.__setattr__(
+        changed, "decode_images", put(placement.decode_images, library - 1, by_part)
+    )
+    return changed
+
+
+def flip_decode_image(
+    placement: sim.PlacementState, library: int, part: int, member: int, file_id: int, user: int
+) -> sim.PlacementState:
+    """A copy of `placement` with one bit of one decode image flipped: the
+    top bit of `user`'s copy of `member`'s share of file `file_id` at the
+    first group holding both (plan part `part`, an index, of `library`).
+
+    Both the row check (through `RowPass.residuals`) and `sim.decode` read
+    that image, so `user` fails exactly the rows of `library` in which
+    `member` asks for `file_id`. With `member == user` the bit sits where
+    `user`'s own share is recovered: it fails when it asks for the file
+    itself. A decode image has one block per user, user 1's lowest; a block
+    has one subfile-wide slot per size-(t + 1) group in transcript order,
+    the first highest."""
     layout_part = placement.layouts[library - 1].parts[part]
     k, sub = len(placement.caches), layout_part.subfile_bits
     groups = list(combinations(range(1, k + 1), layout_part.t + 1))
-    holding = [g for g, group in enumerate(groups) if user in group]
-    if not holding:
-        return 0
+    holding = [g for g, group in enumerate(groups) if member in group and user in group]
+    if not layout_part.t or not holding:
+        raise ValueError(f"no group of part {part} holds users {member} and {user}")
     slot = len(groups) - 1 - holding[0]
-    return 1 << ((user - 1) * len(groups) * sub + slot * sub + sub - 1)
+    bit = 1 << ((user - 1) * len(groups) * sub + slot * sub + sub - 1)
+    image = placement.decode_images[library - 1][part][member - 1][file_id - 1]
+    return _with_decode_image(placement, library, part, member, file_id, image ^ bit)
 
 
-def flip_recovered(monkeypatch, bad_users) -> None:
-    """Patch `sim._recover`, the step both the row check and `sim.decode`
-    read, to flip the top bit of the first recovered piece of every user in
-    `bad_users(library, row)` on every coded part."""
-    real = sim._recover
+def wrong_file_decode_image(
+    placement: sim.PlacementState, library: int, part: int, member: int, file_id: int, other: int
+) -> sim.PlacementState:
+    """A copy of `placement` whose decode image of `member`'s share of file
+    `file_id` is that of file `other`: when `member` asks for `file_id`, every
+    other user cancels the wrong file's share from the messages it shares
+    with `member`, and fails unless the two files' shares agree."""
+    image = placement.decode_images[library - 1][part][member - 1][other - 1]
+    return _with_decode_image(placement, library, part, member, file_id, image)
 
-    def corrupted(placement, library, part, row, wide):
-        blocks = real(placement, library, part, row, wide)
-        for user in bad_users(library, row):
-            blocks ^= recovered_piece_bit(placement, library, part, user)
-        return blocks
 
-    monkeypatch.setattr(sim, "_recover", corrupted)
+def faulty_place(monkeypatch, faults, module=sim) -> None:
+    """Patch `module.place` to apply `faults`, a list of
+    (library, part, member, file_id, user) decode-image bit flips
+    (`flip_decode_image`), to every placement it makes."""
+    real = sim.place
+
+    def place(store, plan):
+        placement = real(store, plan)
+        for fault in faults:
+            placement = flip_decode_image(placement, *fault)
+        return placement
+
+    monkeypatch.setattr(module, "place", place)
 
 
 def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation) -> sim.RowPass:
@@ -348,20 +387,16 @@ def reference_betas(config: NetworkConfig) -> tuple[Fraction, ...]:
 
 def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> sim.RowOutcome:
     """One library row served on its own, the way the row pass once served
-    each row: per coded part, the K members' send and expected images XORed
-    for this row and `sim._recover` checked against them; per t = 0 part,
-    each user's message read back at its request's place among those sent."""
+    each row: per coded part, the K members' send images XORed for this row,
+    `sim._recover` of that broadcast, and each member's send image moved into
+    its own block as the pieces it wants; per t = 0 part, each user's message
+    read back at its request's place among those sent."""
     lib_idx = library - 1
     k = len(row)
     bits = 0
     failed = []
-    for index, (part, per_file, send, expected) in enumerate(
-        zip(
-            rows.placement.layouts[lib_idx].parts,
-            rows.subfiles[lib_idx],
-            rows.send_images[lib_idx],
-            rows.expected_images[lib_idx],
-        )
+    for index, (part, per_file, send) in enumerate(
+        zip(rows.placement.layouts[lib_idx].parts, rows.subfiles[lib_idx], rows.send_images[lib_idx])
     ):
         if part.t == 0:
             sent = sorted(set(row))
@@ -372,12 +407,12 @@ def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> si
                 if messages[sent.index(n)] != per_file[n - 1]
             ]
             continue
-        wide = wanted = 0
-        for member_images, member_wanted, n in zip(send, expected, row):
-            wide ^= member_images[n - 1]
-            wanted ^= member_wanted[n - 1]
-        blocks = sim._recover(rows.placement, library, index, row, wide) ^ wanted
         width = sim._blocks(k, part.t, part.subfile_bits)[0]
+        wide = wanted = 0
+        for member, (member_images, n) in enumerate(zip(send, row)):
+            wide ^= member_images[n - 1]
+            wanted ^= member_images[n - 1] << (member * width)
+        blocks = sim._recover(rows.placement, library, index, row, wide) ^ wanted
         bits += width
         if blocks:
             block = (1 << width) - 1
@@ -387,6 +422,35 @@ def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> si
     bad = rows.unrecoverable[lib_idx]
     failed += [user for user, n in enumerate(row, start=1) if (user, n) in bad]
     return sim.RowOutcome(bits=bits, failed=tuple(sorted(set(failed))))
+
+
+def reference_decode_sources(num_users: int, t: int) -> sim.Sources:
+    """The decode sources by a scan: per member, per other user, every
+    size-(t + 1) group is tested for holding both, and each one that does is
+    rebuilt without the member to find the user's cached copy of that share.
+    `sim._decode_sources` walks each member's groups once instead."""
+    groups = list(combinations(range(1, num_users + 1), t + 1))
+    subsets = list(combinations(range(1, num_users + 1), t))
+    per_user = math.comb(num_users - 1, t - 1)
+    index = {}
+    for user in range(1, num_users + 1):
+        cached = [subset for subset in subsets if user in subset]
+        for p, subset in enumerate(cached):
+            index[user, subset] = (user - 1) * per_user + p
+    top = len(groups) - 1
+    return tuple(
+        tuple(
+            (
+                (user - 1) * len(groups) + top - g,
+                index[user, tuple(x for x in group if x != member)],
+            )
+            for user in range(1, num_users + 1)
+            if user != member
+            for g, group in enumerate(groups)
+            if member in group and user in group
+        )
+        for member in range(1, num_users + 1)
+    )
 
 
 def reference_reduction(rows: sim.RowPass) -> sim.ReductionReport:
