@@ -240,6 +240,13 @@ def config_to_json(config: NetworkConfig) -> dict:
 
 def config_from_json(data: dict) -> NetworkConfig:
     try:
+        if not isinstance(data, dict):
+            raise TypeError("the config must be a JSON object")
+        if not isinstance(data["libraries"], list):
+            raise TypeError("libraries must be a list of objects")
+        for i, lib in enumerate(data["libraries"], start=1):
+            if not isinstance(lib, dict) or not {"num_files", "alpha"} <= lib.keys():
+                raise TypeError(f"library {i} must be an object with num_files and alpha")
         libraries = tuple(
             LibrarySpec(
                 num_files=_to_count(lib["num_files"], "num_files"), alpha=to_fraction(lib["alpha"])

@@ -37,15 +37,17 @@ once per run. So `decode`, which puts one user's recovered (`_recover`) and
 cached pieces in file order, runs only to name the decoded file of a
 failure.
 
-A library's N^K rows are served in one pass (`RowPass`), in product order
-(the first user's request slowest) and in batches of about a thousand rows
-that fix the first users' requests: per coded part, a batch XORs its fixed
-users' residual images into one prefix, and a row passes when its entry of
-a tail table, the last users' residual XORs built once per part, equals
-that prefix. A t = 0 part sends each distinct request's part whole, so its
-rows are counted, not checked: the rejoin check covers them. The pass leaves
-one outcome table per library (`OutcomeTable`), which `verify_all` and the
-stack walk of `reduction_demo` read.
+A library's N^K rows are judged at once (`RowPass`). On a correct
+placement every residual image is zero by itself, not only XORed over a
+row, so when all of a library's are zero and the once-per-run checks find
+nothing, every row passes and none is walked. Otherwise the rows are walked
+in product order (the first user's request slowest), each checked as the XOR
+of its members' residual images, and the failing ones are kept per library
+for `verify_all` and `reduction_demo`. A t = 0 part sends each distinct
+request's part whole, so its rows need no check: the rejoin check covers
+them. A row's bits are structural, one slot per group per coded part and one
+whole part per distinct request per t = 0 part, so a library's worst row
+(`LibraryLayout.max_row_bits`) is read off its layout.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Sequence
 
 from .allocation import Allocation, split_rate
@@ -121,6 +123,16 @@ class LibraryLayout:
         """Bits one user caches: C(K - 1, t - 1) subfiles per file and part."""
         return self.num_files * sum(
             math.comb(num_users - 1, p.t - 1) * p.subfile_bits for p in self.parts if p.t
+        )
+
+    def max_row_bits(self, num_users: int) -> int:
+        """Bits of the library's longest share of a broadcast: one subfile per
+        size-(t + 1) group of a coded part, and one whole t = 0 part per
+        distinct request, of which a row holds at most min(N, K)."""
+        return sum(
+            (math.comb(num_users, p.t + 1) if p.t else min(self.num_files, num_users))
+            * p.subfile_bits
+            for p in self.parts
         )
 
 
@@ -316,6 +328,9 @@ def _user_subset_ranks(num_users: int, size: int, user: int) -> tuple[int, ...]:
 
 # per member: (slot, index) pairs, slots counted from the low end of an image
 Sources = tuple[tuple[tuple[int, int], ...], ...]
+
+# one library's failing demand rows, each with the users who fail it
+Failures = dict[tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -647,55 +662,33 @@ def decode(
     return BitString(width, value)
 
 
-@dataclass(frozen=True)
-class RowOutcome:
-    """One library serving one demand row: its transcript bits and the users
-    who fail to decode their request."""
-
-    bits: int
-    failed: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """One library serving all its N^K demand rows, in product order (the
-    first user's request slowest): each row's transcript bits, and the users
-    who fail each failing row, keyed by the row."""
-
-    bits: list[int]
-    failed: dict[tuple[int, ...], tuple[int, ...]]
-
-
-# rows served at once: a batch fixes the first users' requests and lets the
-# last ones run through all their files, so a batch's XORs are one prefix XOR
-# with each of a shared tail table's entries, and no list holds N^K images
-_BATCH_ROWS = 1024
-
-
-def _tail_users(num_files: int, num_users: int) -> int:
-    """How many last users a batch of rows lets vary: the most whose rows
-    fit in `_BATCH_ROWS` (every user when there is one file)."""
-    tail = 0
-    while tail < num_users and num_files ** (tail + 1) <= _BATCH_ROWS:
-        tail += 1
-    return tail
-
-
-def _tail_xors(per_user: Sequence[Sequence[int]]) -> list[int]:
-    """The XOR of one image per user over every choice of the users' files,
-    in product order (the first user slowest); [0] for no user."""
-    out = [0]
-    for images in per_user:
-        out = [x ^ image for x in out for image in images]
-    return out
-
-
-def _row_index(row: tuple[int, ...], num_files: int) -> int:
-    """The row's index in the product order of its library's rows."""
-    index = 0
-    for n in row:
-        index = index * num_files + n - 1
-    return index
+def _walk_rows(
+    layout: LibraryLayout, residuals: ImageTable, bad: frozenset[tuple[int, int]], num_users: int
+) -> Failures:
+    """Every row of one library, in product order, with the users who fail it:
+    per coded part, those whose block of the row's K residual images XORed
+    is nonzero, and those asking for a file in `bad` (`_unrecoverable`)."""
+    coded = [
+        (_blocks(num_users, part.t, part.subfile_bits)[0], residual)
+        for part, residual in zip(layout.parts, residuals)
+        if part.t
+    ]
+    failed = {}
+    for row in product(range(1, layout.num_files + 1), repeat=num_users):
+        users = {user for user, n in enumerate(row, start=1) if (user, n) in bad}
+        for width, residual in coded:
+            blocks = 0
+            for member_residuals, n in zip(residual, row):
+                blocks ^= member_residuals[n - 1]
+            if blocks:
+                mask = (1 << width) - 1
+                users.update(
+                    user for user in range(1, num_users + 1)
+                    if (blocks >> ((user - 1) * width)) & mask
+                )
+        if users:
+            failed[row] = tuple(sorted(users))
+    return failed
 
 
 def _unrecoverable(
@@ -726,29 +719,29 @@ def _unrecoverable(
 
 class RowPass:
     """Library-by-library delivery and verification, each library's rows
-    served once, all together.
+    judged once, all together.
 
     Libraries never interact: the library-l transcript and every library-l
     decode read only row l of the demand and segment l of each cache. So a
-    library is served on its own, over all its N_l^K rows in product order
-    (`OutcomeTable`), the first time any of its rows is asked for; the table
-    is kept, so `verify_all` and `reduction_demo` read the same rows without
-    serving them twice. The row pass is the one context of a run: both read
-    the store, the network and the placement from it; the network is the one
-    the placement was planned for (`placement.plan.config`).
+    library is judged on its own, over all its N_l^K rows, the first time any
+    of its rows is asked for; its failing rows are kept (`failing_rows`), so
+    `verify_all` and `reduction_demo` read the same verdicts without judging
+    twice. The row pass is the one context of a run: both read the store,
+    the network and the placement from it; the network is the one the
+    placement was planned for (`placement.plan.config`).
     `subfiles[l - 1]` is library l's files cut into subfile ints once
     (`_split_files`). `send_images[l - 1]` lays that table out once per
     part, member and file as the member's share of every message
     (`_library_send_images`), so a row's broadcast of a coded part is the XOR
     of one image per member. `residuals[l - 1]` holds one residual image per
     part, member and file (`_library_residuals`): a row's users all decode
-    exactly when its members' residual images XOR to zero. Rows go in
-    batches that fix the first users' requests (`_tail_users`): a row passes
-    when its entry of a part's tail table of residual XORs equals the
-    batch's prefix XOR. t = 0 parts only count each row's distinct requests.
+    exactly when its members' residual images XOR to zero.
     `unrecoverable[l - 1]` holds the checks made once per run
     (`_unrecoverable`), among them the table's rejoin into each stored file,
     so a row's users fail exactly when `decode` would not give their files.
+    A clean library, every residual image zero and nothing unrecoverable, is
+    proved from those K·N_l images alone; only another is walked row by row
+    (`_walk_rows`).
     """
 
     def __init__(self, store: FileStore, placement: PlacementState):
@@ -773,75 +766,45 @@ class RowPass:
             _unrecoverable(files, table, placement, library)
             for library, (files, table) in enumerate(zip(store.files, self.subfiles), start=1)
         )
-        self.tables: list[OutcomeTable | None] = [None] * config.num_libraries
+        self.failing: list[Failures | None] = [None] * config.num_libraries
 
     @property
     def served(self) -> int:
-        """Library rows served so far."""
-        return sum(len(table.bits) for table in self.tables if table is not None)
+        """Library rows judged so far: N_l^K for each library judged."""
+        k = self.config.num_users
+        return sum(
+            layout.num_files**k
+            for layout, failing in zip(self.placement.layouts, self.failing)
+            if failing is not None
+        )
 
-    def serve(self, library: int, row: tuple[int, ...]) -> RowOutcome:
-        """`library`'s outcome under demand row `row`. One call serves the
-        whole library: the first request for any of its rows serves all
-        N_l^K of them (`table`), and later requests read the kept table."""
-        table = self.table(library)
-        index = _row_index(row, self.placement.layouts[library - 1].num_files)
-        return RowOutcome(table.bits[index], table.failed.get(row, ()))
+    def failed(self, library: int, row: tuple[int, ...]) -> tuple[int, ...]:
+        """The users who fail to decode `library` under demand row `row`."""
+        return self.failing_rows(library).get(row, ())
 
-    def table(self, library: int) -> OutcomeTable:
-        """`library`'s outcome table, serving all its rows on first request."""
-        table = self.tables[library - 1]
-        if table is None:
-            table = self.tables[library - 1] = self._serve_library(library)
-        return table
-
-    def _serve_library(self, library: int) -> OutcomeTable:
-        lib_idx = library - 1
-        placement = self.placement
-        layout = placement.layouts[lib_idx]
-        n, k = layout.num_files, len(placement.caches)
-        head = k - _tail_users(n, k)
-        # per coded part: its block width, its residual images and the tail
-        # users' XORs of them
-        coded = [
-            (_blocks(k, part.t, part.subfile_bits)[0], residual, _tail_xors(residual[head:]))
-            for part, residual in zip(layout.parts, self.residuals[lib_idx])
-            if part.t
-        ]
-        coded_bits = sum(width for width, _, _ in coded)
-        uncoded_bits = sum(part.subfile_bits for part in layout.parts if not part.t)
-        bad = self.unrecoverable[lib_idx]
-        bits: list[int] = []
-        failed: dict[tuple[int, ...], set[int]] = {}
-        rows = product(range(1, n + 1), repeat=k)
-        size = n ** (k - head)
-        for _ in range(n**head):
-            batch = list(islice(rows, size))
-            if uncoded_bits:
-                bits += [coded_bits + uncoded_bits * len(set(row)) for row in batch]
+    def failing_rows(self, library: int) -> Failures:
+        """`library`'s failing rows with their failing users, judging all its
+        rows on first request: none fails when every residual image is zero
+        and no (user, file) is unrecoverable, since a row's check is the XOR
+        of its members' residual images; otherwise the rows are walked."""
+        failing = self.failing[library - 1]
+        if failing is None:
+            residuals = self.residuals[library - 1]
+            bad = self.unrecoverable[library - 1]
+            images = (
+                image
+                for by_member in residuals
+                if by_member is not None
+                for by_file in by_member
+                for image in by_file
+            )
+            if bad or any(images):
+                layout = self.placement.layouts[library - 1]
+                failing = _walk_rows(layout, residuals, bad, self.config.num_users)
             else:
-                bits += [coded_bits] * size
-            for width, residual, tail in coded:
-                # a row decodes when its tail entry cancels the batch's prefix
-                prefix = 0
-                for member_residuals, file_id in zip(residual, batch[0][:head]):
-                    prefix ^= member_residuals[file_id - 1]
-                if tail.count(prefix) == size:
-                    continue
-                mask = (1 << width) - 1
-                for row, entry in zip(batch, tail):
-                    if entry != prefix:
-                        blocks = entry ^ prefix
-                        failed.setdefault(row, set()).update(
-                            user for user in range(1, k + 1)
-                            if (blocks >> ((user - 1) * width)) & mask
-                        )
-            if bad:
-                for row in batch:
-                    users = [user for user in range(1, k + 1) if (user, row[user - 1]) in bad]
-                    if users:
-                        failed.setdefault(row, set()).update(users)
-        return OutcomeTable(bits, {row: tuple(sorted(users)) for row, users in failed.items()})
+                failing = {}
+            self.failing[library - 1] = failing
+        return failing
 
     def decoded(self, library: int, row: tuple[int, ...], user: int) -> BitString:
         """`user`'s decode of `library` under `row` from a fresh transcript:
@@ -882,25 +845,29 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     """Verify every demand vector, library by library; raise DecodeMismatchError
     with the lexicographically first witness, else report exact rates.
 
-    Libraries never interact (see `RowPass`), so each library is served over
-    its own N_l^K rows, all at once (`RowPass.table`), and every combination
-    of per-library rows is a demand vector. A vector decodes exactly when
-    each of its rows does, and its transcript length is the sum of its rows'
-    lengths, so the worst case over all vectors is the sum of the
-    per-library maxima. The measured rate is that sum divided by the base
-    size; it must equal the formula rate bit for bit. `demands_checked`
-    counts the vectors covered, the product of N_l^K; `demand_vectors_run`
-    counts the library rows served, the sum of N_l^K.
+    Libraries never interact (see `RowPass`), so each library is judged over
+    its own N_l^K rows, all at once (`RowPass.failing_rows`): a clean one from
+    its residual images, with no row walked. Every combination of per-library
+    rows is a demand vector. A vector decodes exactly when each of its rows
+    does, and its transcript length is the sum of its rows' lengths, so the
+    worst case over all vectors is the sum of the per-library maxima, each
+    read off the library's layout (`LibraryLayout.max_row_bits`). The
+    measured rate is that sum divided by the base size; it must equal the
+    formula rate bit for bit. `demands_checked` counts the vectors covered,
+    the product of N_l^K; `demand_vectors_run` counts the library rows
+    judged, the sum of N_l^K.
     `cap` still bounds the covered vectors, with enumeration's error message,
-    and is checked before any row is served.
+    and is checked before any row is judged.
     """
     config, store, placement = rows.config, rows.store, rows.placement
     covered = check_demand_cap(config, cap)
-    tables = [rows.table(library) for library in range(1, config.num_libraries + 1)]
-    per_lib_max = [max(table.bits) for table in tables]
-    first_failing = [min(table.failed, default=None) for table in tables]
+    first_failing = [
+        min(rows.failing_rows(library), default=None)
+        for library in range(1, config.num_libraries + 1)
+    ]
     if any(first_failing):
         raise _first_witness(rows, first_failing)
+    per_lib_max = [layout.max_row_bits(config.num_users) for layout in placement.layouts]
     max_total = sum(per_lib_max)
     return VerificationReport(
         demands_checked=covered,
@@ -932,8 +899,7 @@ def _first_witness(
         witness[last] = first_failing[last]
     for user in range(1, config.num_users + 1):
         for lib_idx, row in enumerate(witness):
-            outcome = rows.serve(lib_idx + 1, row)
-            if user in outcome.failed:
+            if user in rows.failed(lib_idx + 1, row):
                 expected = rows.store.files[lib_idx][row[user - 1] - 1]
                 actual = rows.decoded(lib_idx + 1, row, user)
                 return DecodeMismatchError(
@@ -970,16 +936,16 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     ascending-file-count order) from the same caches and a transcript no longer
     than the multi-library worst case.
 
-    Each library's clamped rows are read from its outcome table in `rows`
-    (`RowPass.table`), so rows `verify_all` already served are not served
-    again. The clamped rows' indices in each library's product order are
-    expanded user by user, in the stack demands' own product order, and the
-    worst stacked transcript is the largest sum over the libraries of those
-    rows' bits; at L = 1, the largest of the library's rows. A library kept
-    for stacked file n holds at least n files, so it serves file n itself,
-    and its row outcome already says which users decoded their piece wrongly;
+    Each library's verdicts are read from `rows` (`RowPass.failing_rows`), so
+    libraries `verify_all` already judged are not judged again. A library kept
+    for stacked file n holds at least n files, so it serves file n itself, and
+    its row verdicts already say which users decoded their piece wrongly;
     only when some row failed are the stack demands walked one by one, for
-    the first witness (`_first_stack_witness`).
+    the first witness (`_first_stack_witness`). Otherwise the worst stacked
+    transcript is the multi-library worst case, the sum of the libraries'
+    longest rows: the stack demand (1, 2, …, min(N_max, K)) is clamped to
+    min(N_l, K) distinct requests in library l, its longest row, and no
+    stack demand's rows sum to more.
     """
     config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
@@ -991,19 +957,9 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
     # per stacked file, the libraries (original 1-based indices) holding a piece of it
     keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
-    tables = [rows.table(library) for library in range(1, config.num_libraries + 1)]
-    if any(table.failed for table in tables):
+    if any(rows.failing_rows(library) for library in range(1, config.num_libraries + 1)):
         raise _first_stack_witness(rows, keeps)
-    # per library, each stack demand's clamped row as its index in the
-    # library's product order: min(x, N_l) - 1 in each user's place value
-    columns = []
-    for table, n in zip(tables, config.file_counts):
-        digits = [min(x, n) - 1 for x in range(1, n_max + 1)]
-        index = [0]
-        for _ in range(k):
-            index = [i * n + digit for i in index for digit in digits]
-        columns.append([table.bits[i] for i in index])
-    max_total = max(map(sum, zip(*columns)))
+    max_total = sum(layout.max_row_bits(k) for layout in placement.layouts)
 
     stacked_bits = [
         sum(store.files[orig - 1][n - 1].width for orig in keep)
@@ -1028,10 +984,10 @@ def _first_stack_witness(rows: RowPass, keeps: list[tuple[int, ...]]) -> DecodeM
     clamps = [[min(x, n) for x in range(n_max + 1)] for n in config.file_counts]
     for prime in product(range(1, n_max + 1), repeat=config.num_users):
         induced = tuple([tuple(map(clamp.__getitem__, prime)) for clamp in clamps])
-        outcomes = [rows.serve(library, row) for library, row in enumerate(induced, start=1)]
+        failed = [rows.failed(library, row) for library, row in enumerate(induced, start=1)]
         for user, n in enumerate(prime, start=1):
             keep = keeps[n - 1]
-            if any(user in outcomes[orig - 1].failed for orig in keep):
+            if any(user in failed[orig - 1] for orig in keep):
                 actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
                 expected = concat(store.files[orig - 1][n - 1] for orig in keep)
                 return DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)

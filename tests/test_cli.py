@@ -648,6 +648,33 @@ def test_zero_denominator_in_config_is_usage_error(runner, tmp_path, field):
     assert "malformed network config" in result.output
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1, 2], "the config must be a JSON object"),
+        (
+            {"libraries": [3], "num_users": 2, "cache_size": "1"},
+            "library 1 must be an object with num_files and alpha",
+        ),
+        (
+            {"libraries": None, "num_users": 2, "cache_size": "1"},
+            "libraries must be a list of objects",
+        ),
+        (
+            {"libraries": [{"num_files": 2, "alpha": "1"}, {"num_files": 2}], "num_users": 2},
+            "library 2 must be an object with num_files and alpha",
+        ),
+    ],
+)
+def test_malformed_config_shape_names_the_expected_shape(runner, tmp_path, data, message):
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["--config", str(bad), "allocate"])
+    assert result.exit_code == 2
+    assert f"malformed network config: {message}\n" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("field, value, message", INEXACT_CONFIG_VALUES)
 def test_inexact_count_or_boolean_in_config_is_usage_error(
     runner, tmp_path, field, value, message

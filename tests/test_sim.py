@@ -719,7 +719,7 @@ def assert_rows_agree(rows, library):
             for user in range(1, k + 1)
             if rows.decoded(library, row, user) != files[row[user - 1] - 1]
         }
-        assert set(rows.serve(library, row).failed) == wrong, (library, row)
+        assert set(rows.failed(library, row)) == wrong, (library, row)
         failing |= wrong
     return failing
 
@@ -826,10 +826,11 @@ def random_decode_faults(rng, placement, count):
 
 
 def test_batched_pass_matches_the_per_row_reference():
-    # the residual pass against `reference_serve`, which calls `sim._recover`
-    # on each row, clean and with faults in the decode images both read
+    # the residual judgement against `reference_serve`, which calls
+    # `sim._recover` on each row, clean and with faults in the decode images
+    # both read; the closed-form worst row against every row's transcript
     rng = random.Random(8190)
-    seen = dict.fromkeys(("batches", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
+    seen = dict.fromkeys(("many_rows", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(batched_pass_networks(rng)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
@@ -838,23 +839,111 @@ def test_batched_pass_matches_the_per_row_reference():
         all_rows = [list(product(range(1, n + 1), repeat=k)) for n in config.file_counts]
         seen["one_user"] += k == 1
         for layout, rows_of in zip(clean.layouts, all_rows):
-            seen["batches"] += len(rows_of) > sim._BATCH_ROWS
+            seen["many_rows"] += len(rows_of) > 1024
             seen["t0"] += any(part.t == 0 for part in layout.parts)
             seen["two_parts"] += len(layout.parts) == 2
             seen["one_file"] += layout.num_files == 1
         for placement in (clean, random_decode_faults(rng, clean, 3)):
             rows = RowPass(store, placement)
-            for library, rows_of in enumerate(all_rows, start=1):
+            for library, (layout, rows_of) in enumerate(zip(placement.layouts, all_rows), start=1):
                 expected = [reference_serve(rows, library, row) for row in rows_of]
-                got = [rows.serve(library, row) for row in rows_of]
-                assert got == expected, (seed, library, placement is clean)
-                # one entry per row in product order, and failed rows only
-                table = rows.table(library)
-                assert len(table.bits) == len(rows_of)
-                assert set(table.failed) == {row for row, o in zip(rows_of, expected) if o.failed}
-                seen["failed"] += bool(table.failed)
+                got = [rows.failed(library, row) for row in rows_of]
+                assert got == [o.failed for o in expected], (seed, library, placement is clean)
+                # failed rows only, keyed by the row
+                failing = rows.failing_rows(library)
+                assert failing == {row: o.failed for row, o in zip(rows_of, expected) if o.failed}
+                assert layout.max_row_bits(k) == max(o.bits for o in expected), (seed, library)
+                seen["failed"] += bool(failing)
             assert rows.served == sum(map(len, all_rows))
     assert all(seen.values()), seen
+
+
+def forbid_walk(monkeypatch):
+    """Make any row walk fail the test; returns the real `sim._walk_rows`."""
+    real = sim._walk_rows
+
+    def walk(*args):
+        raise AssertionError("a clean library's rows were walked")
+
+    monkeypatch.setattr(sim, "_walk_rows", walk)
+    return real
+
+
+def test_a_clean_run_is_proved_from_its_residual_images(monkeypatch):
+    # every residual image of a correct placement is zero by itself, so no row
+    # is walked, and the verdicts and the worst row are the per-row walk's
+    walk = forbid_walk(monkeypatch)
+    rng = random.Random(4417)
+    seen = dict.fromkeys(("t0", "two_parts", "coded"), 0)
+    for seed in range(40):
+        pick = random_corner_allocation if seed % 2 else random_split_allocation
+        config, allocation = pick(rng, random_sim_config(rng))
+        plan = plan_split(config, allocation)
+        store = random_file_store(config, plan.base_unit, seed)
+        rows = RowPass(store, place(store, plan))
+        k = config.num_users
+        for library, layout in enumerate(rows.placement.layouts, start=1):
+            seen["t0"] += any(part.t == 0 for part in layout.parts)
+            seen["two_parts"] += len(layout.parts) == 2
+            residuals = rows.residuals[library - 1]
+            for part, by_member in zip(layout.parts, residuals):
+                if part.t:
+                    seen["coded"] += 1
+                    assert all(image == 0 for images in by_member for image in images), seed
+            assert rows.unrecoverable[library - 1] == frozenset()
+            every_row = list(product(range(1, layout.num_files + 1), repeat=k))
+            expected = [reference_serve(rows, library, row) for row in every_row]
+            assert all(outcome.failed == () for outcome in expected), (seed, library)
+            assert rows.failing_rows(library) == walk(layout, residuals, frozenset(), k) == {}
+            assert layout.max_row_bits(k) == max(outcome.bits for outcome in expected)
+        report = verify_all(rows)
+        assert report.measured_rate == report.formula_rate, seed
+        assert reduction_demo(rows).max_total_bits == report.max_total_bits, seed
+    assert all(seen.values()), seen
+
+
+def test_decode_faults_that_cancel_fail_exactly_the_walks_rows(monkeypatch):
+    # group (1, 2, 3) holds user 1 and members 2 and 3, so both faults flip
+    # the same bit of user 1's block: their residual images cancel on the
+    # rows where members 2 and 3 both ask for file 1
+    config = make_config(counts=(3,), weights=(F(1),), users=4, cache="3/2")
+    allocation = Allocation((F(3, 2),))
+    plan = plan_split(config, allocation)
+    assert plan.parts == (((2, F(1)),),)
+    store = random_file_store(config, plan.base_unit, seed=31)
+    faulty_place(monkeypatch, [(1, 0, 2, 1, 1), (1, 0, 3, 1, 1)])
+    rows = RowPass(store, sim.place(store, plan))
+    residual = rows.residuals[0][0]
+    assert residual[1][0] == residual[2][0] != 0
+    every_row = list(product(range(1, 4), repeat=4))
+    outcomes = [reference_serve(rows, 1, row) for row in every_row]
+    walked = {row: outcome.failed for row, outcome in zip(every_row, outcomes) if outcome.failed}
+    assert walked == {row: (1,) for row in every_row if (row[1] == 1) != (row[2] == 1)}
+    assert rows.failing_rows(1) == walked
+    with pytest.raises(DecodeMismatchError) as reference:
+        reference_verify(store, config, allocation)
+    with pytest.raises(DecodeMismatchError) as info:
+        verify_all(rows)
+    want, got = reference.value, info.value
+    assert (got.demand, got.user, got.library, got.expected, got.actual) == (
+        want.demand, want.user, want.library, want.expected, want.actual
+    )
+    assert (got.demand.rows, got.user) == (((1, 1, 2, 1),), 1)
+
+
+def test_a_clean_run_at_scale_walks_no_row(monkeypatch):
+    # N = 3, K = 13: 1594323 rows, each judged and none walked
+    forbid_walk(monkeypatch)
+    config = make_config(counts=(3,), weights=(F(1),), users=13, cache="1")
+    allocation = Allocation((F(1),))
+    store = random_file_store(config, plan_split(config, allocation).base_unit, seed=13)
+    rows = row_pass(store, config, allocation)
+    report = verify_all(rows, cap=10**9)
+    assert report.demands_checked == report.demand_vectors_run == 1594323
+    assert report.measured_rate == report.formula_rate
+    stack = reduction_demo(rows, cap=10**9)
+    assert stack.demands_checked == 1594323
+    assert stack.max_total_bits == report.max_total_bits
 
 
 def test_a_corrupted_t0_piece_fails_through_the_rejoin_check(monkeypatch):
@@ -913,13 +1002,13 @@ def stack_networks(rng, count):
 
 def test_reduction_demo_matches_the_per_row_walk():
     rng = random.Random(9273)
-    seen = dict.fromkeys(("batches", "unsorted", "one_user", "one_file", "failed"), 0)
+    seen = dict.fromkeys(("many_rows", "unsorted", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(stack_networks(rng, 40)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
         clean = place(store, plan)
         counts = list(config.file_counts)
-        seen["batches"] += max(counts) ** config.num_users > sim._BATCH_ROWS
+        seen["many_rows"] += max(counts) ** config.num_users > 1024
         seen["unsorted"] += counts != sorted(counts)
         seen["one_user"] += config.num_users == 1
         seen["one_file"] += config.num_libraries > 1 and 1 in counts
@@ -932,24 +1021,23 @@ def test_reduction_demo_matches_the_per_row_walk():
 
 
 def test_stack_walk_reads_each_demands_clamped_rows():
-    # arbitrary bits per row, so only the right rows give the worst stack demand
+    # the closed-form stack worst case against every stack demand's clamped
+    # rows, each row's bits counted from its own transcript
     rng = random.Random(9516)
     for seed, (config, allocation) in enumerate(stack_networks(rng, 10)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
         rows = RowPass(store, place(store, plan))
-        k = config.num_users
-        for library, n in enumerate(config.file_counts, start=1):
-            rows.tables[library - 1] = sim.OutcomeTable(
-                [rng.randrange(1 << 20) for _ in range(n**k)], {}
-            )
-        worst = max(
-            sum(
-                rows.serve(library, tuple(min(x, n) for x in prime)).bits
-                for library, n in enumerate(config.file_counts, start=1)
-            )
-            for prime in product(range(1, max(config.file_counts) + 1), repeat=k)
-        )
+        bits = {}
+        worst = 0
+        for prime in product(range(1, max(config.file_counts) + 1), repeat=config.num_users):
+            total = 0
+            for library, n in enumerate(config.file_counts, start=1):
+                row = tuple(min(x, n) for x in prime)
+                if (library, row) not in bits:
+                    bits[library, row] = reference_serve(rows, library, row).bits
+                total += bits[library, row]
+            worst = max(worst, total)
         assert reduction_demo(rows).max_total_bits == worst, seed
 
 
@@ -973,5 +1061,10 @@ def test_stack_worst_case_equals_the_multi_library_worst_case():
         report = verify_all(rows)
         assert reduction_demo(rows).max_total_bits == report.max_total_bits, seed
         # networks whose rows differ in bits, so the equality says something
-        varied += any(len(set(table.bits)) > 1 for table in rows.tables)
+        k = config.num_users
+        spreads = [
+            {reference_serve(rows, library, row).bits for row in product(range(1, n + 1), repeat=k)}
+            for library, n in enumerate(config.file_counts, start=1)
+        ]
+        varied += any(len(bits) > 1 for bits in spreads)
     assert varied >= 20, varied

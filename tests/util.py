@@ -385,22 +385,31 @@ def reference_betas(config: NetworkConfig) -> tuple[Fraction, ...]:
     )
 
 
-def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> sim.RowOutcome:
+class RowOutcome(NamedTuple):
+    """One library serving one demand row: its transcript bits and the users
+    who fail to decode their request."""
+
+    bits: int
+    failed: tuple[int, ...]
+
+
+def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> RowOutcome:
     """One library row served on its own, the way the row pass once served
-    each row: per coded part, the K members' send images XORed for this row,
+    each row: its transcript built (`sim._library_transcript`) and its bits
+    counted; per coded part, the K members' send images XORed for this row,
     `sim._recover` of that broadcast, and each member's send image moved into
     its own block as the pieces it wants; per t = 0 part, each user's message
     read back at its request's place among those sent."""
     lib_idx = library - 1
     k = len(row)
-    bits = 0
+    layout, table, images = (
+        rows.placement.layouts[lib_idx], rows.subfiles[lib_idx], rows.send_images[lib_idx]
+    )
+    bits = sum(part.bits for part in sim._library_transcript(table, images, layout, row))
     failed = []
-    for index, (part, per_file, send) in enumerate(
-        zip(rows.placement.layouts[lib_idx].parts, rows.subfiles[lib_idx], rows.send_images[lib_idx])
-    ):
+    for index, (part, per_file, send) in enumerate(zip(layout.parts, table, images)):
         if part.t == 0:
             sent = sorted(set(row))
-            bits += len(sent) * part.subfile_bits
             messages = [per_file[n - 1] for n in sent]
             failed += [
                 user for user, n in enumerate(row, start=1)
@@ -413,7 +422,6 @@ def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> si
             wide ^= member_images[n - 1]
             wanted ^= member_images[n - 1] << (member * width)
         blocks = sim._recover(rows.placement, library, index, row, wide) ^ wanted
-        bits += width
         if blocks:
             block = (1 << width) - 1
             failed += [
@@ -421,7 +429,7 @@ def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> si
             ]
     bad = rows.unrecoverable[lib_idx]
     failed += [user for user, n in enumerate(row, start=1) if (user, n) in bad]
-    return sim.RowOutcome(bits=bits, failed=tuple(sorted(set(failed))))
+    return RowOutcome(bits=bits, failed=tuple(sorted(set(failed))))
 
 
 def reference_decode_sources(num_users: int, t: int) -> sim.Sources:
