@@ -240,8 +240,10 @@ def config_to_json(config: NetworkConfig) -> dict:
 
 def config_from_json(data: dict) -> NetworkConfig:
     try:
-        if not isinstance(data, dict):
-            raise TypeError("the config must be a JSON object")
+        if not isinstance(data, dict) or not {"libraries", "num_users", "cache_size"} <= data.keys():
+            raise TypeError(
+                "the config must be a JSON object with libraries, num_users and cache_size"
+            )
         if not isinstance(data["libraries"], list):
             raise TypeError("libraries must be a list of objects")
         for i, lib in enumerate(data["libraries"], start=1):

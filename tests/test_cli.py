@@ -651,7 +651,11 @@ def test_zero_denominator_in_config_is_usage_error(runner, tmp_path, field):
 @pytest.mark.parametrize(
     "data, message",
     [
-        ([1, 2], "the config must be a JSON object"),
+        ([1, 2], "the config must be a JSON object with libraries, num_users and cache_size"),
+        (
+            {"libraries": [{"num_files": 2, "alpha": "1"}], "num_users": 2},
+            "the config must be a JSON object with libraries, num_users and cache_size",
+        ),
         (
             {"libraries": [3], "num_users": 2, "cache_size": "1"},
             "library 1 must be an object with num_files and alpha",
@@ -661,7 +665,11 @@ def test_zero_denominator_in_config_is_usage_error(runner, tmp_path, field):
             "libraries must be a list of objects",
         ),
         (
-            {"libraries": [{"num_files": 2, "alpha": "1"}, {"num_files": 2}], "num_users": 2},
+            {
+                "libraries": [{"num_files": 2, "alpha": "1"}, {"num_files": 2}],
+                "num_users": 2,
+                "cache_size": "1",
+            },
             "library 2 must be an object with num_files and alpha",
         ),
     ],
