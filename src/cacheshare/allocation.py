@@ -13,7 +13,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from operator import add
 from typing import Sequence
 
 from .model import (
@@ -293,9 +295,12 @@ def brute_force_allocate(
     interior probes. Ties resolve to the lexicographically smallest split.
 
     The search runs on integers and stays exact: memories are counted in 1/D
-    units and each library's rate share is tabulated once per memory, then
-    cleared to an int over a common denominator Q, so a candidate's rate is a
-    sum of ints. Only the winner becomes Fractions again.
+    units and each library's rate share is tabulated as an int over a common
+    denominator Q, once per distinct memory, so a candidate's rate is a sum of
+    ints. The grid is searched by a min-plus pass over those tables, not
+    listed split by split; corner-aligned splits are rated from the same
+    tables. The cap still counts every grid and corner-aligned split. Only
+    the winner becomes Fractions again.
     """
     check_pairing(config, tradeoffs)
     grid_step = to_fraction(grid_step)
@@ -309,13 +314,10 @@ def brute_force_allocate(
     grid_count = 0
     if ratio.denominator == 1:
         grid_count = math.comb(int(ratio) + L - 1, L - 1)
-    corner_count = 0
-    for free in range(L):
-        combo = 1
-        for lib in range(L):
-            if lib != free:
-                combo *= len(tradeoffs[lib].breakpoint_ratios)
-        corner_count += combo
+    corner_count = sum(
+        math.prod(len(c.breakpoint_ratios) for lib, c in enumerate(tradeoffs) if lib != free)
+        for free in range(L)
+    )
     if grid_count + corner_count > cap:
         raise CapExceededError(
             f"oracle would evaluate {grid_count + corner_count} splits, cap is {cap}"
@@ -323,9 +325,10 @@ def brute_force_allocate(
 
     # every candidate memory as an int count of 1/D units: D clears the
     # budget, the step and every corner alpha_l * breakpoint
+    ab = [alpha.as_integer_ratio() for alpha in alphas]
     corners = [
         [(a * p, b * q) for p, q in curve.breakpoint_ratios]
-        for (a, b), curve in zip(map(Fraction.as_integer_ratio, alphas), tradeoffs)
+        for (a, b), curve in zip(ab, tradeoffs)
     ]
     D = math.lcm(
         budget.denominator,
@@ -335,47 +338,58 @@ def brute_force_allocate(
     corner_units = [[p * D // q for p, q in axis] for axis in corners]
     total = budget.numerator * (D // budget.denominator)
 
-    candidates: list[tuple[int, ...]] = []
+    # library l's share alpha_l * R_l(m / alpha_l) of the rate at memory m/D, as
+    # an int over Q: with alpha_l = a/b on segment (z/w, g/h) it is
+    # az/(bw) - gm/(hD), and 0 past the library's content. Q is the lcm of
+    # every bw and hD; each library locates each distinct memory once.
+    Q = math.lcm(
+        *(b * w for (_, b), curve in zip(ab, tradeoffs) for _, w in curve.intercept_ratios),
+        *(h * D for curve in tradeoffs for _, h in curve.slope_ratios),
+    )
+
+    @cache
+    def share(lib: int, m: int) -> int:
+        (a, b), curve = ab[lib], tradeoffs[lib]
+        seg = curve.segment_of(m * b, D * a)
+        if seg == curve.num_segments:
+            return 0
+        (z, w), (g, h) = curve.intercept_ratios[seg], curve.slope_ratios[seg]
+        return a * z * (Q // (b * w)) - g * m * (Q // (h * D))
+
+    # (rate, split) pairs: int splits over one D order as the Fraction splits
+    # do, so the least pair has the lowest rate, ties to the smallest split
+    found: list[tuple[int, tuple[int, ...]]] = []
     if ratio.denominator == 1:
-        # grid splits in lexicographic order: (prefix, units left) grows by one
-        # library at a time, and the last library takes what is left
+        # grid splits of S steps: after[l][s] is the lowest rate of libraries
+        # l+1.. sharing s steps, a min-plus pass from the last library back;
+        # then each library in turn takes the fewest steps that still reach
+        # the optimum, which gives the smallest optimal grid split
         unit = grid_step.numerator * (D // grid_step.denominator)
-        rows = [((), total)]
-        for _ in range(L - 1):
-            rows = [
-                (prefix + (m,), left - m)
-                for prefix, left in rows
-                for m in range(0, left + 1, unit)
-            ]
-        candidates = [prefix + (left,) for prefix, left in rows]
+        S = int(ratio)
+        cols = [[share(lib, i * unit) for i in range(S + 1)] for lib in range(L)]
+        after = [cols[-1]]
+        for col in reversed(cols[1:-1]):
+            rest = after[0]
+            after.insert(0, [min(map(add, col, reversed(rest[: s + 1]))) for s in range(S + 1)])
+        picks, s = [], S
+        for col, rest in zip(cols, after[: L - 1]):
+            sums = list(map(add, col, reversed(rest[: s + 1])))
+            picks.append(sums.index(min(sums)))
+            s -= picks[-1]
+        picks.append(s)
+        found.append((sum(col[i] for col, i in zip(cols, picks)), tuple(i * unit for i in picks)))
     for free in range(L):
         content_free = corner_units[free][-1]  # alpha_free * N_free
         others = corner_units[:free] + corner_units[free + 1 :]
         for combo in product(*others):
             remainder = total - sum(combo)
             if 0 <= remainder <= content_free:
-                candidates.append(combo[:free] + (remainder,) + combo[free:])
-    if not candidates:
+                split = combo[:free] + (remainder,) + combo[free:]
+                found.append((sum(map(share, range(L), split)), split))
+    if not found:
         raise ValueError("no feasible split on the grid")
-
-    # library l's share alpha_l * R_l(m / alpha_l) of the rate, once per memory
-    # m, then cleared to ints over Q, the lcm of the shares' denominators
-    columns = list(zip(*candidates))
-    shares = [
-        {m: alpha * curve.evaluate(Fraction(m, D) / alpha) for m in set(column)}
-        for alpha, curve, column in zip(alphas, tradeoffs, columns)
-    ]
-    Q = math.lcm(*(r.denominator for share in shares for r in share.values()))
-    cleared = [
-        map({m: r.numerator * (Q // r.denominator) for m, r in share.items()}.__getitem__, column)
-        for share, column in zip(shares, columns)
-    ]
-    rates = map(sum, zip(*cleared))
-    # the lowest rate, ties to the lexicographically smallest split: int
-    # tuples over one D order as the Fraction splits do
-    best_rate, best_split = min(zip(rates, candidates))
-    best = Allocation(tuple(Fraction(m, D) for m in best_split))
-    return best, memory_sharing_rate(config, best, tradeoffs)
+    best_rate, best_split = min(found)
+    return Allocation(tuple(Fraction(m, D) for m in best_split)), Fraction(best_rate, Q)
 
 
 def corner_structure_violations(

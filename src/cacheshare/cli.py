@@ -195,7 +195,9 @@ def _emit(state: CliState, record: dict, result: dict, header: list, rows: Itera
 
 def _curves(config: NetworkConfig, kinds: str):
     """One curve per library; each distinct (kind, file count) is built once."""
-    names = [part.strip() for part in kinds.split(",") if part.strip()]
+    names = [part.strip() for part in kinds.split(",")]
+    if "" in names:
+        raise click.UsageError(f"--kinds entry {names.index('') + 1} of {kinds!r} is empty")
     if len(names) == 1:
         names = names * config.num_libraries
     if len(names) != config.num_libraries:
@@ -344,12 +346,14 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
             "rate": str(best_rate),
             "allocation": [str(m) for m in best_alloc.per_library],
         }
-    # each step's memories as text, straight from its integer units
+    # each step's memories as text, straight from its integer units; a curve's
+    # full steps past its first corner repeat one delta, texted once
+    delta_text = functools.cache(ratio_text)
     steps = [
         (
             s.library,
             s.segment,
-            ratio_text(s.delta_units, s.scale),
+            delta_text(s.delta_units, s.scale),
             ratio_text(s.total_units, s.scale),
         )
         for s in trace.steps

@@ -474,6 +474,15 @@ def test_kinds_count_mismatch(runner):
     assert "3 entries for 2 libraries" in result.output
 
 
+@pytest.mark.parametrize("kinds", ["auto,,auto", "auto,,scheme", "auto,", ",auto", " "])
+def test_kinds_with_an_empty_entry_is_bad_input(runner, kinds):
+    # the example config has two libraries: dropping the empty entry would
+    # leave a count that fits, or one kind for both
+    result = runner.invoke(main, ["--config", EXAMPLE, "allocate", "--kinds", kinds])
+    assert result.exit_code == 2
+    assert "--kinds" in result.stderr and "empty" in result.stderr
+
+
 def test_sweep_needs_two_libraries(runner, tmp_path):
     three = tmp_path / "three.json"
     three.write_text(

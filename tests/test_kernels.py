@@ -7,10 +7,11 @@ denominator and find where the budget runs out by a binary search on rank;
 `PiecewiseLinearTradeoff` keeps its shape as (numerator, denominator) pairs,
 validates, locates, evaluates and prints on them; `lower_convex_envelope`
 runs its orientation test and edges on integers; `brute_force_allocate`
-counts candidate memories in 1/D units and rates each candidate as a sum of
-ints. Each must match its plain-Fraction reference in `util` exactly: same
-steps, same accept/reject with the same message, same curve, same segment,
-rate and strings, same split and rate. `greedy_split` must end on the
+counts candidate memories in 1/D units, tabulates each library's rate
+share as an int and searches the grid with a min-plus pass. Each must match
+its plain-Fraction reference in `util` exactly: same steps, same
+accept/reject with the same message, same curve, same segment, rate and
+strings, same split and rate. `greedy_split` must end on the
 reference greedy's final split and rate.
 """
 
@@ -19,9 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -29,12 +33,14 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cacheshare import allocation
 from cacheshare.allocation import (
     Allocation,
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
     greedy_split,
+    memory_sharing_rate,
 )
 from cacheshare.cli import main
 from cacheshare.model import (
@@ -55,9 +61,11 @@ from util import (
     FractionCurve,
     fraction_curve,
     fractions,
+    curves_for,
     make_config,
     random_weights,
     ratios,
+    reference_brute_force,
     reference_check_curve,
     reference_corners_json,
     reference_envelope,
@@ -66,7 +74,6 @@ from util import (
     reference_segment_of,
     reference_segments_json,
     reference_structure_violations,
-    reference_tabulated_oracle,
     step_delta,
     step_total,
 )
@@ -342,7 +349,7 @@ def _oracle_network(rng: random.Random, L: int, kind: str):
 
 
 @pytest.mark.parametrize("kind", ["auto", "scheme", "exact2x2"])
-@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_integer_oracle_matches_fraction_oracle(L, kind):
     rng = random.Random(f"oracle:{L}:{kind}")
     for _ in range(30):
@@ -352,7 +359,7 @@ def test_integer_oracle_matches_fraction_oracle(L, kind):
         # no corner's denominator has, and steps that need not divide it
         step = budget / rng.choice((2, 7, 11, 13)) if budget else F(1, 7)
         for grid_step in (step, F(1, 10), F(3, 7)):
-            expected = reference_tabulated_oracle(config, curves, grid_step)
+            expected = reference_brute_force(config, curves, grid_step)
             assert brute_force_allocate(config, curves, grid_step) == expected
 
 
@@ -361,7 +368,7 @@ def test_integer_oracle_skips_the_grid_when_the_step_does_not_divide_the_budget(
     curves = [build_by_kind("scheme", n, 3) for n in (2, 3)]
     step = F(3, 10)
     assert (config.cache_size / step).denominator != 1
-    assert brute_force_allocate(config, curves, step) == reference_tabulated_oracle(
+    assert brute_force_allocate(config, curves, step) == reference_brute_force(
         config, curves, step
     )
 
@@ -376,7 +383,7 @@ def test_integer_oracle_keeps_a_remainder_equal_to_the_free_content(L):
     curves = [build_by_kind("auto", lib.num_files, 3) for lib in config.libraries]
     step = config.cache_size / F(5, 2)
     alloc, rate = brute_force_allocate(config, curves, step)
-    assert (alloc, rate) == reference_tabulated_oracle(config, curves, step)
+    assert (alloc, rate) == reference_brute_force(config, curves, step)
     assert alloc.per_library == tuple(lib.alpha * lib.num_files for lib in config.libraries)
     assert rate == 0
 
@@ -391,16 +398,124 @@ def test_integer_oracle_breaks_ties_to_the_smallest_split(counts, cache, step):
     config = make_config(counts=counts, weights=(F(1, L),) * L, users=3, cache=cache)
     curves = [build_by_kind("auto", counts[0], 3)] * L
     alloc, rate = brute_force_allocate(config, curves, step)
-    assert (alloc, rate) == reference_tabulated_oracle(config, curves, step)
+    assert (alloc, rate) == reference_brute_force(config, curves, step)
     mirrored = tuple(reversed(alloc.per_library))
     assert alloc.per_library < mirrored  # the tie is real and went to the smaller split
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_integer_oracle_at_budget_zero(L):
+    # one grid split, all zeros, and the corner-aligned splits that put every
+    # other library at its zero corner
+    config = make_config(counts=(3, 1, 2, 5)[:L], weights=(F(1, L),) * L, users=4, cache=F(0))
+    curves = curves_for(config)
+    for step in (F(1, 10), F(2, 3)):
+        alloc, rate = brute_force_allocate(config, curves, step)
+        assert (alloc, rate) == reference_brute_force(config, curves, step)
+        assert alloc.per_library == (F(0),) * L
+
+
+@pytest.mark.parametrize(
+    "counts, weights",
+    [((1, 3), (F(1, 10), F(9, 10))), ((1, 2, 3, 1), (F(1, 20), F(1, 20), F(3, 5), F(3, 10)))],
+)
+def test_integer_oracle_rates_grid_memories_past_a_librarys_content(counts, weights):
+    # library one holds 1/10 or 1/20 of a unit; the grid puts up to the whole
+    # budget there, where its share of the rate is 0
+    config = make_config(counts=counts, weights=weights, users=3, cache=F(1))
+    curves = curves_for(config, "scheme")
+    step = F(1, 20)
+    assert config.cache_size > config.libraries[0].alpha * counts[0] + step
+    assert brute_force_allocate(config, curves, step) == reference_brute_force(
+        config, curves, step
+    )
+
+
+@pytest.mark.parametrize("step", [F(1, 4), F(1, 6)])
+def test_integer_oracle_breaks_a_tie_between_a_grid_and_a_corner_split(step):
+    # two equal libraries on the N=2, K=3 scheme curve, corners at memory 0,
+    # 1/3, 2/3 and 1 each: at budget 1 every split from (1/3, 2/3) to
+    # (2/3, 1/3) rates the same. The corner-aligned (1/3, 2/3) wins; the grid
+    # split (1/2, 1/2) ties it at both steps, and step 1/6 has it on the grid
+    config = make_config(counts=(2, 2), weights=(F(1, 2),) * 2, users=3, cache=F(1))
+    curves = [build_scheme_tradeoff(2, 3)] * 2
+    alloc, rate = brute_force_allocate(config, curves, step)
+    assert (alloc, rate) == reference_brute_force(config, curves, step)
+    assert alloc.per_library == (F(1, 3), F(2, 3))
+    assert memory_sharing_rate(config, Allocation((F(1, 2), F(1, 2))), curves) == rate
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_grid_pass_finds_the_smallest_optimal_grid_split(L, monkeypatch):
+    # the corner-aligned family always holds the smallest optimal split, so
+    # the grid's own answer shows only with that family switched off
+    monkeypatch.setattr(allocation, "product", lambda *axes: iter(()))
+    rng = random.Random(f"grid:{L}")
+    cases = []  # (config, curves, grid steps in the budget)
+    for _ in range(20):
+        config, curves = _oracle_network(rng, L, "auto")
+        cases.append((config, curves, rng.randint(1, 6) if config.cache_size else 0))
+    # equal libraries on one curve: ties all along the optimal face
+    tied = make_config(counts=(2,) * L, weights=(F(1, L),) * L, users=3, cache=F(1))
+    cases.append((tied, [build_scheme_tradeoff(2, 3)] * L, 6 * L))
+    for config, curves, S in cases:
+        step = config.cache_size / S if S else F(1, 7)
+        splits = [
+            tuple(k * step for k in steps)
+            for steps in product(range(S + 1), repeat=L)
+            if sum(steps) == S
+        ]
+        rate, split = min(
+            (memory_sharing_rate(config, Allocation(split), curves), split) for split in splits
+        )
+        assert brute_force_allocate(config, curves, step) == (Allocation(split), rate)
+
+
+def test_oracle_locates_each_distinct_memory_once_per_library(monkeypatch):
+    # four libraries at step 1/100: 176851 grid splits, under the cap. The
+    # work must follow the distinct memories the candidates give a library
+    # (grid, corners and corner-aligned remainders), not the split count
+    libs = tuple(LibrarySpec(n, F(w, 10)) for n, w in zip((3, 5, 7, 2), (1, 2, 3, 4)))
+    config = NetworkConfig(libs, 6, F(1))
+    curves = curves_for(config)
+    step = F(1, 100)
+    assert math.comb(100 + 3, 3) == 176851
+    memories = {k * step for k in range(101)}
+    axes = [
+        [lib.alpha * bp for bp in fractions(curve.breakpoint_ratios)]
+        for lib, curve in zip(libs, curves)
+    ]
+    memories.update(m for axis in axes for m in axis)
+    for free, lib in enumerate(libs):
+        for combo in product(*axes[:free], *axes[free + 1 :]):
+            if 0 <= (left := config.cache_size - sum(combo)) <= lib.alpha * lib.num_files:
+                memories.add(left)
+    locate, calls = PiecewiseLinearTradeoff.segment_of, 0
+
+    def counted(curve, p, q):
+        nonlocal calls
+        calls += 1
+        return locate(curve, p, q)
+
+    monkeypatch.setattr(PiecewiseLinearTradeoff, "segment_of", counted)
+    tracemalloc.start()
+    try:
+        alloc, rate = brute_force_allocate(config, curves, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls <= len(libs) * len(memories)
+    assert peak < 2**21  # no list of the grid's splits: 2 MiB against about 50 at the split count
+    monkeypatch.undo()
+    assert rate == greedy_allocate(config, curves).rate
+    assert corner_structure_violations(config, curves, alloc) == []
 
 
 def test_integer_oracle_at_three_thousand_users():
     config = make_config(counts=(5, 20), weights=(F(2, 7), F(5, 7)), users=3000, cache=F(3, 2))
     curves = [build_by_kind("auto", n, 3000) for n in (5, 20)]
     step = F(1, 40)
-    assert brute_force_allocate(config, curves, step) == reference_tabulated_oracle(
+    assert brute_force_allocate(config, curves, step) == reference_brute_force(
         config, curves, step
     )
 

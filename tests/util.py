@@ -702,28 +702,6 @@ def reference_brute_force(
     return Allocation(best_split), best_rate
 
 
-def reference_tabulated_oracle(
-    config: NetworkConfig, tradeoffs, grid_step: Fraction
-) -> tuple[Allocation, Fraction]:
-    """The oracle on Fractions: each library's rate share tabulated once per
-    Fraction memory, candidates rated as Fraction sums; ties to the
-    lexicographically smallest split."""
-    alphas = config.alphas
-    parts: list[dict[Fraction, Fraction]] = [{} for _ in alphas]
-    best_split, best_rate = None, None
-    for split in _oracle_candidates(config, tradeoffs, grid_step):
-        for lib, m in enumerate(split):
-            if m not in parts[lib]:
-                parts[lib][m] = alphas[lib] * tradeoffs[lib].evaluate(m / alphas[lib])
-        rate = sum(part[m] for part, m in zip(parts, split))
-        if best_rate is None or rate < best_rate or (rate == best_rate and split < best_split):
-            best_split, best_rate = split, rate
-    if best_split is None:
-        raise ValueError("no feasible split on the grid")
-    best = Allocation(best_split)
-    return best, memory_sharing_rate(config, best, tradeoffs)
-
-
 def reference_check_curve(num_files: int, bp, sl, ic) -> None:
     """The shape checks of `PiecewiseLinearTradeoff`, in Fraction arithmetic:
     raise the same ValueError for the same first violation, else return."""
