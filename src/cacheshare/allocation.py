@@ -314,10 +314,13 @@ def brute_force_allocate(
     grid_count = 0
     if ratio.denominator == 1:
         grid_count = math.comb(int(ratio) + L - 1, L - 1)
-    corner_count = sum(
-        math.prod(len(c.breakpoint_ratios) for lib, c in enumerate(tradeoffs) if lib != free)
-        for free in range(L)
-    )
+    corner_count = 0
+    for free in range(L):
+        combo = 1
+        for lib in range(L):
+            if lib != free:
+                combo *= len(tradeoffs[lib].breakpoint_ratios)
+        corner_count += combo
     if grid_count + corner_count > cap:
         raise CapExceededError(
             f"oracle would evaluate {grid_count + corner_count} splits, cap is {cap}"
@@ -359,7 +362,9 @@ def brute_force_allocate(
     # (rate, split) pairs: int splits over one D order as the Fraction splits
     # do, so the least pair has the lowest rate, ties to the smallest split
     found: list[tuple[int, tuple[int, ...]]] = []
-    if ratio.denominator == 1:
+    if ratio.denominator == 1 and L == 1:
+        found.append((share(0, total), (total,)))  # one library: one grid split
+    elif ratio.denominator == 1:
         # grid splits of S steps: after[l][s] is the lowest rate of libraries
         # l+1.. sharing s steps, a min-plus pass from the last library back;
         # then each library in turn takes the fewest steps that still reach

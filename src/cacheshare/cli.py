@@ -346,14 +346,12 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
             "rate": str(best_rate),
             "allocation": [str(m) for m in best_alloc.per_library],
         }
-    # each step's memories as text, straight from its integer units; a curve's
-    # full steps past its first corner repeat one delta, texted once
-    delta_text = functools.cache(ratio_text)
+    # each step's memories as text, straight from its integer units
     steps = [
         (
             s.library,
             s.segment,
-            delta_text(s.delta_units, s.scale),
+            ratio_text(s.delta_units, s.scale),
             ratio_text(s.total_units, s.scale),
         )
         for s in trace.steps

@@ -511,6 +511,36 @@ def test_oracle_locates_each_distinct_memory_once_per_library(monkeypatch):
     assert corner_structure_violations(config, curves, alloc) == []
 
 
+@pytest.mark.parametrize("cache", [F(0), F(5, 2), F(4)])
+def test_oracle_rates_one_librarys_grid_split_alone(cache, monkeypatch):
+    # one library has one grid split, the whole budget, however fine the step:
+    # the cap counts 1 + 1 splits at step 1/10**9, and the work must stay that
+    # small, not one share per grid memory
+    config = make_config(counts=(4,), weights=(F(1),), users=3, cache=cache)
+    curves = curves_for(config)
+    corners = set(fractions(curves[0].breakpoint_ratios))
+    locate, calls = PiecewiseLinearTradeoff.segment_of, 0
+
+    def counted(curve, p, q):
+        nonlocal calls
+        calls += 1
+        return locate(curve, p, q)
+
+    monkeypatch.setattr(PiecewiseLinearTradeoff, "segment_of", counted)
+    tracemalloc.start()
+    try:
+        found = brute_force_allocate(config, curves, F(1, 10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls <= len(corners | {cache})
+    assert peak < 2**20
+    monkeypatch.undo()
+    # the whole budget is the only split at any step that divides it
+    assert found == reference_brute_force(config, curves, cache or F(1))
+    assert found[0].per_library == (cache,)
+
+
 def test_integer_oracle_at_three_thousand_users():
     config = make_config(counts=(5, 20), weights=(F(2, 7), F(5, 7)), users=3000, cache=F(3, 2))
     curves = [build_by_kind("auto", n, 3000) for n in (5, 20)]
