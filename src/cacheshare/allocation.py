@@ -13,19 +13,20 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     CapExceededError,
     NetworkConfig,
+    ratio_sum,
     reduce_ratio,
     to_fraction,
     total_content,
 )
-from .tradeoff import PiecewiseLinearTradeoff
+from .tradeoff import PiecewiseLinearTradeoff, Ratio
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class Allocation:
 
     @property
     def total(self) -> Fraction:
-        return sum(self.per_library, Fraction(0))
+        return Fraction(*ratio_sum(map(Fraction.as_integer_ratio, self.per_library)))
 
 
 @dataclass(slots=True, eq=False)
@@ -105,18 +106,25 @@ def split_rate(
     tradeoffs: Sequence[PiecewiseLinearTradeoff],
 ) -> Fraction:
     """Total delivery rate sum_l alpha_l * R_l(M_l / alpha_l) of any split,
-    whatever it totals: library l runs on allocation.per_library[l], and rates
-    are weighted by each library's size share."""
+    whatever it totals: library l, with alpha_l = a/b and M_l = p/q on segment
+    (z/w, g/h), adds the int pair az/(bw) - gp/(hq), or nothing past its content,
+    and only the sum is a Fraction. An alpha that is not positive is refused."""
     check_pairing(config, tradeoffs)
     if len(allocation.per_library) != config.num_libraries:
         raise ValueError(
             f"allocation has {len(allocation.per_library)} entries for "
             f"{config.num_libraries} libraries"
         )
-    rate = Fraction(0)
-    for lib, m, curve in zip(config.libraries, allocation.per_library, tradeoffs):
-        rate += lib.alpha * curve.evaluate(m / lib.alpha)
-    return rate
+    terms = []
+    for idx, (lib, m, curve) in enumerate(zip(config.libraries, allocation.per_library, tradeoffs)):
+        (a, b), (p, q) = lib.alpha.as_integer_ratio(), m.as_integer_ratio()
+        if a <= 0:
+            raise ValueError(f"library {idx + 1}: alpha = {lib.alpha} <= 0")
+        seg = curve.segment_of(p * b, q * a)
+        if seg < curve.num_segments:
+            (z, w), (g, h) = curve.intercept_ratios[seg], curve.slope_ratios[seg]
+            terms.append((a * z * h * q - g * p * b * w, b * w * h * q))
+    return Fraction(*ratio_sum(terms))
 
 
 def memory_sharing_rate(
@@ -445,13 +453,16 @@ def corner_structure_violations(
         for other in range(L)
         if index[other] > 0
     ]
+    # a gain beats some consumed slope exactly when it beats the flattest one
+    # (1/0, steeper than any, when none is consumed): only then are pairs walked
+    flattest = reduce(lambda f, s: s if beats(f, s) else f, (s for _, s in consumed), (1, 0))
     for lib, gain in enumerate(gains):
         if beats(gain, pivot_gain):
             violations.append(
                 f"library {lib + 1} next gain {Fraction(*gain)} beats stopping gain "
                 f"{Fraction(*pivot_gain)}"
             )
-        for other, slope in consumed:
+        for other, slope in consumed if beats(gain, flattest) else ():
             if beats(gain, slope):
                 violations.append(
                     f"library {lib + 1} next gain {Fraction(*gain)} beats consumed segment "
@@ -460,25 +471,29 @@ def corner_structure_violations(
     return violations
 
 
-@dataclass(frozen=True)
-class SweepSegment:
-    """Rate as intercept + slope * share on [start, end]."""
+class SweepSegment(NamedTuple):
+    """Rate as intercept + slope * share on [start, end], as `SweepResult` pairs."""
 
-    start: Fraction
-    end: Fraction
-    intercept: Fraction
-    slope: Fraction
+    start: Ratio
+    end: Ratio
+    intercept: Ratio
+    slope: Ratio
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    points: tuple[tuple[Fraction, Fraction], ...]
-    breakpoints: tuple[Fraction, ...]
+    """Values as int pairs (n, d) in lowest terms, d > 0; `points` ascend in share."""
+
+    points: tuple[tuple[Ratio, Ratio], ...]
+    breakpoints: tuple[Ratio, ...]
     segments: tuple[SweepSegment, ...]
 
-    def minimum(self) -> tuple[Fraction, Fraction]:
+    def minimum(self) -> tuple[Ratio, Ratio]:
         """(share, rate) of the lowest sampled point; ties to the smallest share."""
-        best = min(self.points, key=lambda p: (p[1], p[0]))
+        best = self.points[0]
+        for point in self.points:  # in ascending share, so a tie keeps the smaller
+            if point[1][0] * best[1][1] < best[1][0] * point[1][1]:
+                best = point
         return best
 
 
@@ -492,6 +507,7 @@ def lambda_sweep(
     Share l puts l * M into library one and the rest into library two. The
     sampled points always include every breakpoint of the piecewise-linear
     rate, and `segments` gives the exact line on each stretch between them.
+    Every value is an int pair (see `SweepResult`); no Fraction is built.
     """
     check_pairing(config, tradeoffs)
     if config.num_libraries != 2:
@@ -522,12 +538,8 @@ def lambda_sweep(
         | {total - c for c in corners2 if 0 < c < total}
     )
 
-    def segment_line(curve: PiecewiseLinearTradeoff, seg: int) -> tuple[tuple[int, int], ...]:
-        """(intercept, slope) of segment `seg` as pairs; zero past the end."""
-        if seg == curve.num_segments:
-            return (0, 1), (0, 1)
-        return curve.intercept_ratios[seg], curve.slope_ratios[seg]
-
+    # each segment's (intercept, slope) pairs, and a zero line past the end
+    line1, line2 = ([*zip(c.intercept_ratios, c.slope_ratios), ((0, 1), (0, 1))] for c in tradeoffs)
     # No corner lies strictly between two cuts, so on (lo, hi) library one sits
     # on the segment of its memory at lo and library two on that of its memory
     # at hi: the count of corners past 0 at or below that memory.
@@ -535,8 +547,8 @@ def lambda_sweep(
     for lo, hi in zip(cuts, cuts[1:]):
         i = bisect_right(corners1, lo * total // den) - 1
         j = bisect_right(corners2, (den - hi) * total // den) - 1
-        (z1, w1), (g1, h1) = segment_line(t1, i)
-        (z2, w2), (g2, h2) = segment_line(t2, j)
+        (z1, w1), (g1, h1) = line1[i]
+        (z2, w2), (g2, h2) = line2[j]
         # rate = alpha_1 zeta_1 + alpha_2 zeta_2 - gamma_2 M + (gamma_2 - gamma_1) M * share
         intercept = reduce_ratio(
             (A1 * z1 * B2 * w2 + A2 * z2 * B1 * w1) * h2 * Q - g2 * P * B1 * w1 * B2 * w2,
@@ -548,7 +560,7 @@ def lambda_sweep(
         else:
             lines.append((lo, hi, intercept, slope))
     segments = tuple(
-        SweepSegment(Fraction(lo, den), Fraction(hi, den), Fraction(*ic), Fraction(*sl))
+        SweepSegment(reduce_ratio(lo, den), reduce_ratio(hi, den), ic, sl)
         for lo, hi, ic, sl in lines
     )
     breakpoints = (segments[0].start,) + tuple(seg.end for seg in segments)
@@ -564,5 +576,5 @@ def lambda_sweep(
     points = []
     for u in sorted(shares):
         _, _, (a, b), (c, d) = lines[bisect_right(starts, u) - 1]
-        points.append((Fraction(u, D), Fraction(a * d * D + c * u * b, b * d * D)))
+        points.append((reduce_ratio(u, D), reduce_ratio(a * d * D + c * u * b, b * d * D)))
     return SweepResult(points=tuple(points), breakpoints=breakpoints, segments=segments)

@@ -40,6 +40,7 @@ from .model import (
     load_config,
     ratio_decimal,
     ratio_text,
+    reduced_texts,
     to_fraction,
     validate,
 )
@@ -52,7 +53,7 @@ from .sim import (
     reduction_demo,
     verify_all,
 )
-from .tradeoff import SEGMENT_KEYS, build_by_kind, tradeoff_rows
+from .tradeoff import SEGMENT_KEYS, build_by_kind, corner_rates, tradeoff_rows
 
 
 class VerificationFailure(click.ClickException):
@@ -311,11 +312,12 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
         "corners": Rows(None, corners),
         "segments": Rows(SEGMENT_KEYS, segments),
     }
-    rows = (
-        [m, r, format_decimal(to_fraction(m)), format_decimal(to_fraction(r))]
-        for m, r in corners
-    )
-    return None, result, ["memory", "rate", "memory_decimal", "rate_decimal"], rows
+
+    def rows():  # read for CSV only
+        for (m, r), memory, rate in zip(corners, curve.breakpoint_ratios, corner_rates(curve)):
+            yield [m, r, ratio_decimal(*memory), ratio_decimal(*rate)]
+
+    return None, result, ["memory", "rate", "memory_decimal", "rate_decimal"], rows()
 
 
 @_command("allocate")
@@ -398,20 +400,17 @@ def cmd_sweep(state: CliState, samples: int, kinds: str) -> tuple:
     config = state.load()
     curves = _curves(config, kinds)
     result = lambda_sweep(config, curves, num_samples=samples)
-    share, rate = result.minimum()
+    # every value is a pair in lowest terms, so it is texted with no gcd
+    shares, rates = zip(*result.points)
+    points = list(zip(reduced_texts(shares), reduced_texts(rates)))
+    share, rate = reduced_texts(result.minimum())
     payload = {
-        "points": Rows(None, [(str(s), str(r)) for s, r in result.points]),
-        "breakpoints": [str(b) for b in result.breakpoints],
-        "segments": Rows(
-            SEGMENT_KEYS,
-            [
-                (str(seg.start), str(seg.end), str(seg.intercept), str(seg.slope))
-                for seg in result.segments
-            ],
-        ),
-        "minimum": {"lambda": str(share), "rate": str(rate)},
+        "points": Rows(None, points),
+        "breakpoints": reduced_texts(result.breakpoints),
+        "segments": Rows(SEGMENT_KEYS, [tuple(reduced_texts(seg)) for seg in result.segments]),
+        "minimum": {"lambda": share, "rate": rate},
     }
-    rows = ([str(s), str(r), format_decimal(s), format_decimal(r)] for s, r in result.points)
+    rows = ([*t, ratio_decimal(*s), ratio_decimal(*r)] for t, (s, r) in zip(points, result.points))
     return config, payload, ["lambda", "rate", "lambda_decimal", "rate_decimal"], rows
 
 

@@ -11,8 +11,10 @@ down by c = N_max / sum(alpha_l * N_l) when crossing over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .model import NetworkConfig, to_fraction, total_content
@@ -72,16 +74,18 @@ def concatenate(config: NetworkConfig) -> ConcatenatedLibrary:
     sorted_config, permutation = sort_by_library_size(config)
     scale = concatenation_scale(sorted_config)
     # stacked file n draws on every library holding at least n files, so its
-    # size is a suffix sum of the sorted alphas: walking the libraries down
-    # from the largest, library i adds its alpha and sizes the stacked files
-    # above the next smaller library's count, up to its own
-    counts = sorted_config.file_counts
+    # size is the scale times a suffix sum of the sorted alphas, as ints over
+    # their lcm B: walking down from the largest, library i adds its alpha and
+    # sizes the stacked files above the next smaller library's count
+    counts, alphas = sorted_config.file_counts, sorted_config.alphas
+    B = math.lcm(*(alpha.denominator for alpha in alphas))
+    c, d = scale.as_integer_ratio()
     betas: list[Fraction] = []
-    raw = Fraction(0)
+    raw = 0
     for i in range(len(counts) - 1, -1, -1):
-        raw += sorted_config.libraries[i].alpha
+        raw += alphas[i].numerator * (B // alphas[i].denominator)
         below = counts[i - 1] if i else 0
-        betas += [raw * scale] * (counts[i] - below)
+        betas += [Fraction(raw * c, B * d)] * (counts[i] - below)
     betas.reverse()
     return ConcatenatedLibrary(
         config=sorted_config, permutation=permutation, betas=tuple(betas), scale=scale
@@ -105,22 +109,23 @@ def concatenated_cut_set_bound(
     plus s caches covering the first s*b files in the given order, so
     R >= (beta_1 + ... + beta_{s*b} - s*M) / b for every s, b; clamped at 0.
     Sound for any order; strongest when sizes come largest first, which is the
-    stack's natural order.
+    stack's natural order. The sums are ints over one lcm D and candidates
+    are compared by cross-multiplying; only the bound returned is a Fraction.
     """
     memory = to_fraction(memory)
     if memory < 0:
         raise ValueError(f"memory {memory} < 0")
     n = len(betas)
-    prefix = [Fraction(0)]
-    for b in betas:
-        prefix.append(prefix[-1] + b)
-    best = Fraction(0)
-    for s in range(1, num_users + 1):
+    D = math.lcm(memory.denominator, *(beta.denominator for beta in betas))
+    m = memory.numerator * (D // memory.denominator)
+    prefix = [0, *accumulate(beta.numerator * (D // beta.denominator) for beta in betas)]
+    best, best_rounds = 0, 1  # the bound is best / (best_rounds * D), at least 0
+    for s in range(1, min(num_users, n) + 1):  # a larger group has no full round
         for rounds in range(1, n // s + 1):
-            value = (prefix[s * rounds] - s * memory) / rounds
-            if value > best:
-                best = value
-    return best
+            value = prefix[s * rounds] - s * m
+            if value * best_rounds > best * rounds:
+                best, best_rounds = value, rounds
+    return Fraction(best, best_rounds * D)
 
 
 def converse_bound(

@@ -82,6 +82,13 @@ def reduced_texts(ratios: Iterable[tuple[int, int]]) -> list[str]:
     return [str(n) if d == 1 else f"{n}/{d}" for n, d in ratios]
 
 
+def ratio_sum(ratios: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of pairs (n, d), d > 0, as a pair over the lcm of the d's, not reduced."""
+    ratios = list(ratios)
+    common = math.lcm(*(d for _, d in ratios))
+    return sum(n * (common // d) for n, d in ratios), common
+
+
 def _caller_stacklevel() -> int:
     """The `warnings.warn` stacklevel, for the function that calls this one, of
     the nearest frame outside the package, so that a warning names the line of
@@ -181,9 +188,9 @@ def validate(config: NetworkConfig) -> list[str]:
             violations.append(f"library {idx}: num_files = {lib.num_files} < 1")
         if lib.alpha <= 0:
             violations.append(f"library {idx}: alpha = {lib.alpha} <= 0")
-    alpha_sum = sum(config.alphas, Fraction(0))
-    if config.libraries and alpha_sum != 1:
-        violations.append(f"normalization sum = {alpha_sum} != 1")
+    alpha_sum = ratio_sum(map(Fraction.as_integer_ratio, config.alphas))
+    if config.libraries and alpha_sum[0] != alpha_sum[1]:
+        violations.append(f"normalization sum = {ratio_text(*alpha_sum)} != 1")
     if config.num_users < 1:
         violations.append(f"num_users = {config.num_users} < 1")
     if config.cache_size < 0:
@@ -193,7 +200,8 @@ def validate(config: NetworkConfig) -> list[str]:
 
 def total_content(config: NetworkConfig) -> Fraction:
     """Combined size of all files across libraries, in file-size units."""
-    return sum((lib.alpha * lib.num_files for lib in config.libraries), Fraction(0))
+    shares = ((s.alpha.numerator * s.num_files, s.alpha.denominator) for s in config.libraries)
+    return Fraction(*ratio_sum(shares))
 
 
 def demand_count(config: NetworkConfig) -> int:

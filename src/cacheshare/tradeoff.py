@@ -247,6 +247,13 @@ def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
 SEGMENT_KEYS = ("start", "end", "intercept", "slope")
 
 
+def corner_rates(curve: PiecewiseLinearTradeoff) -> list[Ratio]:
+    """Each corner's rate zeta - gamma * theta as a pair over w h q, not reduced."""
+    bpr, slr, icr = curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios
+    rates = [(z * h * q - g * p * w, w * h * q) for (p, q), (g, h), (z, w) in zip(bpr, slr, icr)]
+    return rates + [(0, 1)]  # the last corner, N
+
+
 def tradeoff_rows(
     curve: PiecewiseLinearTradeoff,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, ...]]]:
@@ -256,11 +263,7 @@ def tradeoff_rows(
     negated magnitude. The corner memories are the breakpoints, texted once."""
     bpr, slr, icr = curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios
     bp, ic, sl = map(reduced_texts, (bpr, icr, slr))
-    rates = [
-        ratio_text(z * h * q - g * p * w, w * h * q)
-        for (p, q), (g, h), (z, w) in zip(bpr, slr, icr)
-    ]
-    rates.append("0")
+    rates = [ratio_text(n, d) for n, d in corner_rates(curve)]
     # magnitudes are positive, so "-" before one negates it
     return list(zip(bp, rates)), list(zip(bp, bp[1:], ic, ["-" + slope for slope in sl]))
 

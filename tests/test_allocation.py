@@ -18,6 +18,7 @@ from cacheshare.model import CapExceededError, LibrarySpec, NetworkConfig, total
 from cacheshare.tradeoff import build_exact_two_by_two, build_scheme_tradeoff
 from util import (
     curves_for,
+    fractions,
     make_config,
     random_config,
     random_weights,
@@ -216,16 +217,16 @@ def test_greedy_rate_is_permutation_invariant():
 
 def test_sweep_reproduces_reference_segments():
     result = lambda_sweep(reference_config(), reference_curves(), num_samples=11)
-    assert result.breakpoints == (F(0), F(1, 5), F(2, 5), F(7, 10), F(4, 5), F(1))
-    assert [(s.intercept, s.slope) for s in result.segments] == [
+    assert fractions(result.breakpoints) == (F(0), F(1, 5), F(2, 5), F(7, 10), F(4, 5), F(1))
+    assert [fractions((s.intercept, s.slope)) for s in result.segments] == [
         (F(9, 10), F(-3, 2)),
         (F(7, 10), F(-1, 2)),
         (F(3, 10), F(1, 2)),
         (F(-2, 5), F(3, 2)),
         (F(-4, 5), F(2)),
     ]
-    assert result.minimum() == (F(2, 5), F(1, 2))
-    rates = dict(result.points)
+    assert fractions(result.minimum()) == (F(2, 5), F(1, 2))
+    rates = dict(map(fractions, result.points))
     assert rates[F(0)] == F(9, 10)
     assert rates[F(3, 10)] == F(11, 20)
     assert rates[F(1)] == F(6, 5)
@@ -234,8 +235,8 @@ def test_sweep_reproduces_reference_segments():
 def test_sweep_zero_budget_is_flat():
     result = lambda_sweep(reference_config(cache=0), reference_curves(), num_samples=5)
     assert len(result.segments) == 1
-    assert result.segments[0].slope == 0
-    assert all(r == 2 for _, r in result.points)
+    assert fractions([result.segments[0].slope]) == (0,)
+    assert all(r == 2 for _, r in map(fractions, result.points))
 
 
 def test_sweep_needs_two_libraries():
@@ -252,14 +253,16 @@ def test_sweep_endpoints_match_rate_function():
             continue
         curves = curves_for(cfg)
         result = lambda_sweep(cfg, curves, num_samples=7)
-        for share, rate in result.points:
+        points = [fractions(point) for point in result.points]
+        for share, rate in points:
             alloc = Allocation((share * cfg.cache_size, (1 - share) * cfg.cache_size))
             assert rate == memory_sharing_rate(cfg, alloc, curves)
         # each sampled point lies on its segment's line
         for seg in result.segments:
-            for share, rate in result.points:
-                if seg.start <= share <= seg.end:
-                    assert rate == seg.intercept + seg.slope * share
+            start, end, intercept, slope = fractions((seg.start, seg.end, seg.intercept, seg.slope))
+            for share, rate in points:
+                if start <= share <= end:
+                    assert rate == intercept + slope * share
 
 
 def _shared_curve_network(rng: random.Random, max_libraries: int, max_users: int):

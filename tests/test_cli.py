@@ -18,6 +18,7 @@ import cacheshare
 import cacheshare.cli as cli
 import cacheshare.sim as sim
 from cacheshare.cli import main
+from cacheshare.model import format_decimal
 from util import INEXACT_CONFIG_VALUES, config_with, faulty_place
 
 CONFIG_DIR = Path(cacheshare.__file__).parent / "configs"
@@ -70,6 +71,25 @@ def test_sweep_csv_rows(runner):
     assert by_share["3/10"] == "11/20"
     assert by_share["2/5"] == "1/2"
     assert by_share["1"] == "6/5"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_csv_decimals_are_those_of_the_printed_fractions(runner, tmp_path, seed):
+    """`tradeoff` and `sweep` print their CSV decimals from int pairs; each
+    must be `format_decimal` of the Fraction its exact text names, on large
+    seeded shapes."""
+    rng = random.Random(f"csv-decimals:{seed}")
+    files, users = rng.randint(10, 50), rng.randint(1000, 3000)
+    shape = ["tradeoff", "--files", str(files), "--users", str(users)]
+    network = _bench_like_network(tmp_path / "net.json", seed, 2, rng.randint(1, 7))
+    for args in (shape, ["--config", network, "sweep", "--samples", "101"]):
+        result = runner.invoke(main, ["--format", "csv", *args])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.reader(io.StringIO(result.output)))[1:]
+        assert len(rows) > 100
+        for text, value, text_decimal, value_decimal in rows:
+            assert text_decimal == format_decimal(Fraction(text))
+            assert value_decimal == format_decimal(Fraction(value))
 
 
 def test_allocate_with_oracle(runner):
@@ -707,8 +727,9 @@ def test_inexact_count_or_boolean_in_config_is_usage_error(
 
 def test_csv_rows_are_built_only_for_csv(runner, monkeypatch):
     calls = []
-    real = cli.format_decimal
-    monkeypatch.setattr(cli, "format_decimal", lambda v: calls.append(v) or real(v))
+    for name in ("format_decimal", "ratio_decimal"):  # decimals of Fractions and of pairs
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *v, real=real: calls.append(v) or real(*v))
     run_json(runner, ["tradeoff", "--files", "3", "--users", "40"])
     run_json(runner, ["--config", EXAMPLE, "sweep"])
     assert calls == []

@@ -8,10 +8,13 @@ denominator and find where the budget runs out by a binary search on rank;
 validates, locates, evaluates and prints on them; `lower_convex_envelope`
 runs its orientation test and edges on integers; `brute_force_allocate`
 counts candidate memories in 1/D units, tabulates each library's rate
-share as an int and searches the grid with a min-plus pass. Each must match
-its plain-Fraction reference in `util` exactly: same steps, same
-accept/reject with the same message, same curve, same segment, rate and
-strings, same split and rate. `greedy_split` must end on the
+share as an int and searches the grid with a min-plus pass; `lambda_sweep`,
+`split_rate` and `concatenated_cut_set_bound` work on int pairs over common
+denominators, and `corner_structure_violations` walks the consumed slopes
+only past the flattest. Each must match its plain-Fraction reference in
+`util` exactly: same steps, same accept/reject with the same message, same
+curve, same segment, rate and strings, same split and rate, same sweep and
+bound. `greedy_split` must end on the
 reference greedy's final split and rate.
 """
 
@@ -40,9 +43,12 @@ from cacheshare.allocation import (
     corner_structure_violations,
     greedy_allocate,
     greedy_split,
+    lambda_sweep,
     memory_sharing_rate,
+    split_rate,
 )
 from cacheshare.cli import main
+from cacheshare.converse import concatenate, concatenated_cut_set_bound, converse_bound
 from cacheshare.model import (
     LibrarySpec,
     NetworkConfig,
@@ -61,18 +67,23 @@ from util import (
     FractionCurve,
     fraction_curve,
     fractions,
+    fractions_built,
     curves_for,
     make_config,
     random_weights,
     ratios,
+    reference_betas,
     reference_brute_force,
     reference_check_curve,
+    reference_cut_set_bound,
     reference_corners_json,
     reference_envelope,
     reference_evaluate,
     reference_greedy,
+    reference_lambda_sweep,
     reference_segment_of,
     reference_segments_json,
+    reference_split_rate,
     reference_structure_violations,
     step_delta,
     step_total,
@@ -663,3 +674,159 @@ def test_printed_step_strings_at_zero_full_and_partial_budgets(share):
     assert step_total(last) == share * content
     # the full budget ends on the last corner; a third of it stops mid-segment
     assert (step_delta(last) == width) == (share == 1)
+
+
+LARGE_PRIMES = (7919, 7927, 7933, 7937, 7949, 7951, 7963)
+
+
+def _alphas(rng: random.Random, count: int, coprime: bool) -> list[Fraction]:
+    """Size weights summing to 1: small random ones, or ones over distinct large
+    primes, the last over their product."""
+    if not coprime:
+        return random_weights(rng, count)
+    primes = rng.sample(LARGE_PRIMES, count - 1)
+    alphas = [F(rng.randint(p // (2 * count), p // count), p) for p in primes]
+    return alphas + [1 - sum(alphas, F(0))]
+
+
+def _edge_network(rng: random.Random, count: int) -> tuple[NetworkConfig, list]:
+    """A seeded network at the edges the integer paths must get right: one-file
+    libraries, K = 1 or K above N_max, alphas over large coprime denominators,
+    and a budget of 0, the whole content or a share over a large prime."""
+    counts = [rng.choice((1, 1, 2, 3, 5)) for _ in range(count)]
+    k = rng.choice((1, 2, 3, max(counts) + rng.randint(1, 4)))
+    libraries = tuple(
+        LibrarySpec(n, a) for n, a in zip(counts, _alphas(rng, count, rng.random() < 0.5))
+    )
+    content = total_content(NetworkConfig(libraries, k, F(0)))
+    share = rng.choice((F(0), F(1), F(rng.randint(1, 7918), 7919), F(rng.randint(1, 7), 8)))
+    config = NetworkConfig(libraries, k, share * content)
+    return config, curves_for(config, rng.choice(("auto", "scheme")))
+
+
+def test_edge_networks_reach_every_edge():
+    rng = random.Random(2301)
+    seen = set()
+    for _ in range(400):
+        config, _ = _edge_network(rng, rng.randint(1, 3))
+        seen.add(("budget 0", config.cache_size == 0))
+        seen.add(("whole content", config.cache_size == total_content(config)))
+        seen.add(("K = 1", config.num_users == 1))
+        seen.add(("K > N_max", config.num_users > max(config.file_counts)))
+        seen.add(("one-file library", 1 in config.file_counts))
+        seen.add(("large denominator", max(a.denominator for a in config.alphas) > 7000))
+    assert all((edge, True) in seen for edge, _ in seen)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_sweep_matches_fraction_sweep(seed):
+    rng = random.Random(f"sweep:{seed}")
+    for _ in range(40):
+        config, curves = _edge_network(rng, 2)
+        samples = rng.choice((2, 3, 11, 101))
+        result = lambda_sweep(config, curves, num_samples=samples)
+        expected = reference_lambda_sweep(config, curves, samples)
+        assert tuple(map(fractions, result.points)) == expected.points
+        assert fractions(result.breakpoints) == expected.breakpoints
+        assert tuple(map(fractions, result.segments)) == expected.segments
+        # every pair is in lowest terms with a positive denominator
+        pairs = [*result.breakpoints, *(x for point in result.points for x in point)]
+        pairs += [x for seg in result.segments for x in seg]
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in pairs)
+        share, rate = fractions(result.minimum())
+        assert (rate, share) == min((r, s) for s, r in expected.points)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_cut_set_bound_matches_fraction_bound(seed):
+    rng = random.Random(f"cutset:{seed}")
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        betas = [F(rng.randint(1, 3 * p), p) for p in rng.choices(LARGE_PRIMES + (1, 2, 3), k=n)]
+        if rng.random() < 0.5:
+            betas.sort(reverse=True)  # the stack's order
+        k = rng.choice((1, rng.randint(1, n), n + rng.randint(1, 5)))
+        memory = rng.choice((F(0), sum(betas, F(0)), F(rng.randint(0, 40 * 7907), 7907)))
+        got = concatenated_cut_set_bound(tuple(betas), k, memory)
+        assert got == reference_cut_set_bound(betas, k, memory), (betas, k, memory)
+    for _ in range(40):
+        config, curves = _edge_network(rng, rng.randint(1, 3))
+        stack = concatenate(config)
+        assert stack.betas == reference_betas(config)
+        c = stack.scale
+        expected = reference_cut_set_bound(stack.betas, config.num_users, c * config.cache_size) / c
+        assert converse_bound(config, stack=stack) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_split_rate_matches_fraction_rate(seed):
+    rng = random.Random(f"rate:{seed}")
+    for _ in range(60):
+        config, curves = _edge_network(rng, rng.randint(1, 4))
+        # any split, memories up to half again past each library's content
+        split = Allocation(tuple(
+            lib.alpha * lib.num_files * F(rng.randint(0, 3 * q), 2 * q)
+            for lib, q in zip(config.libraries, rng.choices((1, 4, 7919), k=config.num_libraries))
+        ))
+        assert split_rate(config, split, curves) == reference_split_rate(config, curves, split)
+        final, rate = greedy_split(config, curves)
+        assert rate == reference_split_rate(config, curves, final)
+        assert memory_sharing_rate(config, final, curves) == rate
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(-1, 2)])
+def test_split_rate_refuses_a_non_positive_alpha(alpha):
+    libraries = (LibrarySpec(2, F(1)), LibrarySpec(3, alpha))
+    config = NetworkConfig(libraries, 2, F(0))
+    curves = curves_for(config)
+    with pytest.raises(ValueError, match=f"^library 2: alpha = {alpha} <= 0$"):
+        split_rate(config, Allocation((F(0), F(0))), curves)
+
+
+def test_sweep_builds_no_more_fractions_for_more_samples():
+    config = NetworkConfig((LibrarySpec(7, F(2, 7)), LibrarySpec(4, F(5, 7))), 9, F(3))
+    curves = curves_for(config)
+    built = [
+        fractions_built(lambda: lambda_sweep(config, curves, num_samples=samples))
+        for samples in (11, 1001)
+    ]
+    assert built[0] == built[1]
+
+
+def test_cut_set_bound_builds_no_more_fractions_for_more_users():
+    stack = concatenate(
+        NetworkConfig((LibrarySpec(9, F(3, 8)), LibrarySpec(20, F(5, 8))), 1, F(0))
+    )
+    built = [
+        fractions_built(lambda: concatenated_cut_set_bound(stack.betas, k, F(7, 3)))
+        for k in (1, 20, 400)
+    ]
+    assert built[0] == built[1] == built[2]
+
+
+def test_structure_check_matches_fraction_check_with_zero_one_and_several_violations():
+    """Greedy splits hold the structure; moving libraries a corner off them
+    breaks it once or many times. The check compares each gain with the
+    flattest consumed slope and walks the pairs only past it, which must
+    give the reference's messages in its order."""
+    rng = random.Random(2302)
+    found = set()
+    for _ in range(120):
+        count, k = rng.choice((2, 3, 8, 40)), rng.randint(2, 12)
+        libraries = tuple(
+            LibrarySpec(rng.choice((1, 2, 3, 6)), a) for a in random_weights(rng, count)
+        )
+        content = total_content(NetworkConfig(libraries, k, F(0)))
+        config = NetworkConfig(libraries, k, F(rng.randint(0, 16), 16) * content)
+        curves = curves_for(config)
+        final, _ = greedy_split(config, curves)
+        split = list(final.per_library)
+        moved = min(config.num_libraries, rng.choice((0, 1, 1, 2, 5)))
+        for lib in rng.sample(range(config.num_libraries), moved):
+            alpha, bp = config.alphas[lib], fractions(curves[lib].breakpoint_ratios)
+            split[lib] = alpha * rng.choice(bp)
+        allocation = Allocation(tuple(split))
+        expected = reference_structure_violations(config, curves, allocation)
+        assert corner_structure_violations(config, curves, allocation) == expected
+        found.add(min(len(expected), 2))
+    assert found == {0, 1, 2}

@@ -833,3 +833,97 @@ def reference_structure_violations(
                     f"of library {other + 1} ({views[other].slopes[seg - 1]})"
                 )
     return violations
+
+
+def reference_split_rate(config: NetworkConfig, tradeoffs, allocation: Allocation) -> Fraction:
+    """`split_rate` in Fraction arithmetic: each library's alpha times its
+    curve's rate at its memory over alpha, summed one Fraction at a time."""
+    rate = Fraction(0)
+    for lib, m, curve in zip(config.libraries, allocation.per_library, tradeoffs):
+        rate += lib.alpha * reference_evaluate(fraction_curve(curve), m / lib.alpha)
+    return rate
+
+
+def reference_cut_set_bound(betas, num_users: int, memory: Fraction) -> Fraction:
+    """`concatenated_cut_set_bound` in Fraction arithmetic: every (s, b) with
+    s up to K, each candidate (beta_1 + ... + beta_{s*b} - s*M) / b a Fraction."""
+    n = len(betas)
+    prefix = [Fraction(0)]
+    for b in betas:
+        prefix.append(prefix[-1] + b)
+    best = Fraction(0)
+    for s in range(1, num_users + 1):
+        for rounds in range(1, n // s + 1):
+            best = max(best, (prefix[s * rounds] - s * memory) / rounds)
+    return best
+
+
+class FractionSweep(NamedTuple):
+    """A sweep as Fractions: (share, rate) points, breakpoints and
+    (start, end, intercept, slope) segments."""
+
+    points: tuple[tuple[Fraction, Fraction], ...]
+    breakpoints: tuple[Fraction, ...]
+    segments: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
+
+
+def reference_lambda_sweep(
+    config: NetworkConfig, tradeoffs, num_samples: int = 11
+) -> FractionSweep:
+    """`lambda_sweep` in Fraction arithmetic. The cuts are the shares at which
+    either library's memory reaches one of its corners; on each stretch both
+    libraries sit on the segment holding their memory at its midpoint, which
+    gives the line, and equal lines in a row merge. Every point is rated on
+    its own by `reference_split_rate`."""
+    budget = config.cache_size
+    (a1, a2), (v1, v2) = config.alphas, [fraction_curve(curve) for curve in tradeoffs]
+    cuts = {Fraction(0), Fraction(1)}
+    if budget > 0:
+        cuts |= {a1 * t / budget for t in v1.breakpoints if 0 < a1 * t < budget}
+        cuts |= {1 - a2 * t / budget for t in v2.breakpoints if 0 < a2 * t < budget}
+    cuts = sorted(cuts)
+
+    def line(curve: FractionCurve, memory: Fraction) -> tuple[Fraction, Fraction]:
+        seg = reference_segment_of(curve, memory)
+        if seg == curve.num_segments:
+            return Fraction(0), Fraction(0)
+        return curve.intercepts[seg], curve.slopes[seg]
+
+    segments: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        z1, g1 = line(v1, mid * budget / a1)
+        z2, g2 = line(v2, (1 - mid) * budget / a2)
+        # a1 (z1 - g1 s M / a1) + a2 (z2 - g2 (1 - s) M / a2)
+        intercept, slope = a1 * z1 + a2 * z2 - g2 * budget, (g2 - g1) * budget
+        if segments and segments[-1][2:] == (intercept, slope):
+            segments[-1] = (segments[-1][0], hi, intercept, slope)
+        else:
+            segments.append((lo, hi, intercept, slope))
+    samples = {Fraction(k, num_samples - 1) for k in range(num_samples)}
+    shares = sorted({seg[0] for seg in segments} | samples)
+    points = tuple(
+        (s, reference_split_rate(config, tradeoffs, Allocation((s * budget, (1 - s) * budget))))
+        for s in shares
+    )
+    breakpoints = (segments[0][0],) + tuple(seg[1] for seg in segments)
+    return FractionSweep(points, breakpoints, tuple(segments))
+
+
+def fractions_built(call) -> int:
+    """How many Fractions `call()` constructs, anywhere: `Fraction.__new__`
+    counts while it runs, arithmetic results included."""
+    original = vars(Fraction)["__new__"]
+    count = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        call()
+    finally:
+        Fraction.__new__ = original
+    return count
