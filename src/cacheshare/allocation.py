@@ -241,16 +241,18 @@ def greedy_allocate(
     to the rate, so one more unit of cache there buys a reduction of exactly
     gamma_i — the alpha weight and the per-library memory rescaling cancel.
     The ranking key is therefore the raw segment slope, and the buying order is
-    a sort on (-slope, library, segment): ties go to the smallest library
-    index, and each curve's strictly decreasing slopes keep its segments in
-    order. The last step may stop mid-segment; every other library ends
-    exactly on a corner. Only the segments ranked at or before the last one
-    bought (`_greedy_cut`) are sorted.
+    by (-slope, library): ties go to the smallest library index, and each
+    curve's strictly decreasing slopes keep its segments in order. The last
+    step may stop mid-segment; every other library ends exactly on a corner.
+    Only the segments ranked at or before the last one bought (`_greedy_cut`)
+    are sorted.
 
     A slope g/h sorts on the int -(g * S // h), where S = (max h)**2 over every
     slope denominator: two different slopes differ by at least
     1/(h * h') >= 1/S, so their floors at scale S differ, and equal slopes get
-    equal ranks. A rank has about bits(g) + 2 * bits(max h) bits.
+    equal ranks. A rank has about bits(g) + 2 * bits(max h) bits. Each segment
+    sorts on the one int rank * L + library: a library's ranks strictly ascend,
+    so that int orders as (rank, library), and a count per library names the segment.
 
     Memory is counted in integer units of 1/scale, where scale is the lcm of
     the budget's denominator and of each alpha_l's denominator times the lcm
@@ -259,18 +261,23 @@ def greedy_allocate(
     keeps its memories as ints over scale.
     """
     scale, limit, weight, ranks, top, final = _greedy_cut(config, tradeoffs)
+    L = len(ranks)
     order = sorted(
-        (rank, lib, seg)
+        rank * L + lib
         for lib, per_segment in enumerate(ranks)
-        for seg, rank in enumerate(per_segment[: bisect_right(per_segment, top)])
+        for rank in per_segment[: bisect_right(per_segment, top)]
     )
     corners = [curve.breakpoint_ratios for curve in tradeoffs]
     steps: list[AllocationStep] = []
     total = 0
-    reached = [0] * len(ranks)  # each library's memory at the end of its last step
-    for _, lib, seg in order:
+    bought = [0] * L  # each library's segments bought so far: the index of its next
+    reached = [0] * L  # each library's memory at the end of its last step
+    for key in order:
         if total >= limit:
             break
+        lib = key % L
+        seg = bought[lib]
+        bought[lib] = seg + 1
         p, q = corners[lib][seg + 1]
         end = weight[lib] * p // q
         delta = end - reached[lib]

@@ -348,16 +348,15 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
             "rate": str(best_rate),
             "allocation": [str(m) for m in best_alloc.per_library],
         }
-    # each step's memories as text, straight from its integer units
-    steps = [
-        (
-            s.library,
-            s.segment,
-            ratio_text(s.delta_units, s.scale),
-            ratio_text(s.total_units, s.scale),
-        )
-        for s in trace.steps
-    ]
+    # each step's memories as text, straight from its integer units; the
+    # steps repeat few deltas, so each distinct delta is texted once
+    deltas: dict[int, str] = {}
+    steps = []
+    for s in trace.steps:
+        delta = deltas.get(s.delta_units)
+        if delta is None:
+            delta = deltas[s.delta_units] = ratio_text(s.delta_units, s.scale)
+        steps.append((s.library, s.segment, delta, ratio_text(s.total_units, s.scale)))
     result = {
         "allocation": [str(m) for m in trace.final.per_library],
         "rate": str(trace.rate),

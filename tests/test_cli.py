@@ -354,6 +354,19 @@ def test_writer_calls_do_not_grow_with_allocate_steps(runner, monkeypatch, tmp_p
     assert counts[0] == counts[1]
 
 
+def test_allocate_texts_each_distinct_step_delta_once(runner, monkeypatch, tmp_path):
+    """Each step's total is texted, and each distinct delta once: the steps
+    repeat few deltas, and texting them twice per step doubles the work."""
+    calls = []
+    real = cli.ratio_text
+    monkeypatch.setattr(cli, "ratio_text", lambda *v: calls.append(v) or real(*v))
+    network = _bench_like_network(tmp_path / "net.json", 6, 50, 3)
+    steps = run_json(runner, ["--config", network, "allocate"])["result"]["steps"]
+    distinct = {step["delta"] for step in steps}
+    assert len(steps) > 1000 and len(distinct) < len(steps) // 2
+    assert len(calls) <= len(steps) + len(distinct)
+
+
 def test_tradeoff_csv_corners(runner):
     result = runner.invoke(
         main, ["--format", "csv", "tradeoff", "--files", "2", "--users", "2", "--kind", "exact2x2"]

@@ -3,7 +3,8 @@
 `greedy_split` and `greedy_allocate` rank slopes g/h on the int
 -(g * S // h) with S = (max h)**2, count memory as an integer over a common
 denominator and find where the budget runs out by a binary search on rank;
-`greedy_allocate` then sorts only the segments ranked up to that point;
+`greedy_allocate` then sorts only the segments ranked up to that point,
+on one int rank * L + library each;
 `PiecewiseLinearTradeoff` keeps its shape as (numerator, denominator) pairs,
 validates, locates, evaluates and prints on them; `lower_convex_envelope`
 runs its orientation test and edges on integers; `brute_force_allocate`
@@ -206,6 +207,49 @@ def test_greedy_split_at_zero_full_and_tied_budgets(budget, split, shared):
     assert greedy_allocate(config, curves) == reference
 
 
+def tied_curve(rng: random.Random, n: int) -> PiecewiseLinearTradeoff:
+    """A hand-built convex curve on [0, n] with up to four slopes drawn from
+    one small pool, so curves of different file counts tie on some slopes."""
+    slopes = sorted(rng.sample((F(3), F(2), F(3, 2), F(1), F(1, 2), F(1, 3)), rng.randint(1, 4)))
+    cuts = sorted(rng.sample(range(1, 4 * n), len(slopes) - 1))
+    bp = [F(n), *(F(c, 4) for c in reversed(cuts)), F(0)]
+    rates = [F(0)]  # from memory n back to 0, the flattest slope last
+    for g, end, start in zip(slopes, bp, bp[1:]):
+        rates.append(rates[-1] + g * (end - start))
+    return lower_convex_envelope(zip(bp, rates), n, label=f"tied(N={n})")
+
+
+@pytest.mark.parametrize("seed, libraries", [(0, 60), (1, 60), (2, 59), (3, 41), (4, 23), (5, 7)])
+def test_int_key_greedy_matches_scan_on_many_libraries(seed, libraries):
+    """Up to 60 libraries, ranked on one int rank * L + library each: scheme
+    curves shared by several libraries as one object, equal copies of them,
+    and hand-built curves of different file counts that tie on a slope. The
+    steps, final split and rate are the scan's."""
+    rng = random.Random(f"greedy:int-key:{seed}")
+    k = rng.randint(2, 30)
+    pool = rng.sample(range(1, 13), 4)
+    shared = {n: build_scheme_tradeoff(n, k) for n in pool}
+    hand = {n: tied_curve(rng, n) for n in pool}
+    curves = []
+    for _ in range(libraries):
+        n = rng.choice(pool)
+        curves.append(rng.choice((shared[n], hand[n], build_scheme_tradeoff(n, k))))
+    counts = [curve.num_files for curve in curves]
+    config = make_config(counts=counts, weights=random_weights(rng, libraries), users=k, cache=0)
+    share = F(1) if seed == 0 else F(rng.randint(1, 15), 16)
+    config = NetworkConfig(config.libraries, k, share * total_content(config))
+    reference = reference_greedy(config, curves)
+    trace = greedy_allocate(config, curves)
+    # the int key must order a tie between curves of different file counts
+    bought = [(curves[step.library - 1], step.segment) for step in trace.steps]
+    assert any(
+        a.slope_ratios[i] == b.slope_ratios[j] and a.num_files != b.num_files
+        for (a, i), (b, j) in zip(bought, bought[1:])
+    )
+    assert trace.steps == reference.steps
+    assert (trace.final, trace.rate) == (reference.final, reference.rate)
+
+
 CHECKS = ("increasing", "positive", "decreasing", "continuity", "zero")
 MESSAGES = {
     "increasing": "breakpoints must be strictly increasing",
@@ -295,6 +339,67 @@ def test_each_check_is_reached_with_the_same_message(check):
     expected = outcome(reference_check_curve, 2, bp, sl, ic)
     assert expected.startswith(MESSAGES[check])
     assert outcome(PiecewiseLinearTradeoff, 2, *map(ratios, (bp, sl, ic))) == expected
+
+
+def faulty_curve(*faults):
+    """The scheme curve N=3, K=6, theta = (0, 1, 3/2, 2, 5/2, 3),
+    gamma = (5/3, 7/6, 7/10, 7/15, 1/3), zeta = (3, 5/2, 9/5, 4/3, 1), with
+    each (check, end) fault: end 0 fails the check at the first pair of
+    segments (or the first segment), end -1 at the last. A breakpoint or
+    slope fault keeps the curve continuous where it can, so that no other
+    check but the zero at N sees it."""
+    view = fraction_curve(build_scheme_tradeoff(3, 6))
+    bp, sl, ic = list(view.breakpoints), list(view.slopes), list(view.intercepts)
+    for check, end in faults:
+        if check == "increasing" and end == 0:
+            bp[1], ic[0] = F(0), ic[1]
+        elif check == "increasing":
+            bp[-2] = bp[-1]
+            ic[-1] = ic[-2] - (sl[-2] - sl[-1]) * bp[-2]
+        elif check == "positive":
+            sl[end] = -sl[end] if end else F(0)
+        elif check == "decreasing" and end == 0:
+            sl[0], ic[0] = sl[1], ic[1]
+        elif check == "decreasing":
+            sl[-1], ic[-1] = sl[-2], ic[-2]
+        else:
+            ic[end] += F(1, 7)
+    return tuple(bp), tuple(sl), tuple(ic)
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [
+        ((a, at), (b, -1 - at))
+        for i, a in enumerate(CHECKS[:4])
+        for b in CHECKS[i + 1 : 4]
+        for at in (0, -1)
+    ],
+    ids=lambda fault: f"{fault[0]}@{'first' if fault[1] == 0 else 'last'}",
+)
+def test_two_faults_keep_the_first_listed_checks_message(first, later):
+    """A check listed earlier fails at one end of the curve and one listed
+    later at the other, so the later check's fault can come first along the
+    curve; the message is still the earlier check's, as in the reference."""
+    expected = {}
+    for faults in ((first,), (later,), (first, later)):
+        bp, sl, ic = faulty_curve(*faults)
+        expected[faults] = outcome(reference_check_curve, 3, bp, sl, ic)
+        got = outcome(PiecewiseLinearTradeoff, 3, *map(ratios, (bp, sl, ic)))
+        assert got == expected[faults]
+    assert expected[(first,)].startswith(MESSAGES[first[0]])
+    assert expected[(later,)].startswith(MESSAGES[later[0]])
+    assert expected[(first, later)] == expected[(first,)]
+
+
+def test_a_pair_with_a_negative_denominator_keeps_its_message():
+    """Pairs are meant to have positive denominators, but the constructor does
+    not reduce them. The slope -1/-4 reads as non-positive to the ordered
+    checks, and on these pairs only that check fails: the pass must not let
+    the curve through."""
+    slopes, intercepts = ((-1, -4), (1, 1)), ((5, 4), (2, 1))
+    got = outcome(PiecewiseLinearTradeoff, 2, ratios((0, 1, 2)), slopes, intercepts)
+    assert got == "slopes must be positive"
 
 
 @st.composite
