@@ -65,6 +65,7 @@ from .tradeoff import (
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
+    build_scheme_tradeoffs,
     lower_convex_envelope,
     tradeoff_rows,
 )

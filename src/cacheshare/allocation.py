@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import product
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
     CapExceededError,
@@ -115,9 +115,20 @@ def split_rate(
             f"allocation has {len(allocation.per_library)} entries for "
             f"{config.num_libraries} libraries"
         )
+    memories = map(Fraction.as_integer_ratio, allocation.per_library)
+    return _pairs_rate(config, memories, tradeoffs)
+
+
+def _pairs_rate(
+    config: NetworkConfig,
+    memories: Iterable[Ratio],
+    tradeoffs: Sequence[PiecewiseLinearTradeoff],
+) -> Fraction:
+    """`split_rate` of the split whose memories are the pairs p/q, q > 0, not
+    necessarily in lowest terms, one per library, on curves already paired."""
     terms = []
-    for idx, (lib, m, curve) in enumerate(zip(config.libraries, allocation.per_library, tradeoffs)):
-        (a, b), (p, q) = lib.alpha.as_integer_ratio(), m.as_integer_ratio()
+    for idx, (lib, (p, q), curve) in enumerate(zip(config.libraries, memories, tradeoffs)):
+        a, b = lib.alpha.as_integer_ratio()
         if a <= 0:
             raise ValueError(f"library {idx + 1}: alpha = {lib.alpha} <= 0")
         seg = curve.segment_of(p * b, q * a)
@@ -153,10 +164,11 @@ def proportional_allocation(config: NetworkConfig) -> Allocation:
 
 def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> tuple:
     """Where the greedy stops, with no ordering: (scale, limit, weight, ranks,
-    top, final), memory in units of 1/scale as in `greedy_allocate`. `limit`
-    is the budget, `weight[l]` alpha_l, `ranks[l]` library l's segment ranks,
-    `top` the rank of the last segment bought and `final` the split the
-    greedy ends on.
+    top, filled, rate), memory in units of 1/scale as in `greedy_allocate`.
+    `limit` is the budget, `weight[l]` alpha_l, `ranks[l]` library l's
+    segment ranks, `top` the rank of the last segment bought, `filled[l]`
+    library l's memory in the split the greedy ends on, which must total
+    `limit`, and `rate` that split's rate, read from the int units.
 
     Each curve's ranks ascend, so the memory in the segments ranked <= r is,
     per library, its memory at the corner after the last of them: a bisect.
@@ -219,16 +231,25 @@ def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeo
             memory += delta
             left -= delta
         filled.append(memory)
-    final = Allocation(tuple(Fraction(m, scale) for m in filled))
-    return scale, limit, weight, per_library, hi, final
+    if sum(filled) != limit:
+        raise ValueError(
+            f"allocation totals {Fraction(sum(filled), scale)}, budget is {budget}"
+        )
+    rate = _pairs_rate(config, [(m, scale) for m in filled], tradeoffs)
+    return scale, limit, weight, per_library, hi, filled, rate
+
+
+def greedy_rate(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> Fraction:
+    """The rate of the split `greedy_allocate` ends on, without the split."""
+    return _greedy_cut(config, tradeoffs)[-1]
 
 
 def greedy_split(
     config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
 ) -> tuple[Allocation, Fraction]:
     """The split `greedy_allocate` ends on and its rate, without its steps."""
-    *_, final = _greedy_cut(config, tradeoffs)
-    return final, memory_sharing_rate(config, final, tradeoffs)
+    scale, *_, filled, rate = _greedy_cut(config, tradeoffs)
+    return Allocation(tuple(Fraction(m, scale) for m in filled)), rate
 
 
 def greedy_allocate(
@@ -260,7 +281,7 @@ def greedy_allocate(
     budget are whole there, so the running total is an int, and each step
     keeps its memories as ints over scale.
     """
-    scale, limit, weight, ranks, top, final = _greedy_cut(config, tradeoffs)
+    scale, limit, weight, ranks, top, filled, rate = _greedy_cut(config, tradeoffs)
     L = len(ranks)
     order = sorted(
         rank * L + lib
@@ -288,8 +309,8 @@ def greedy_allocate(
         steps.append(AllocationStep(lib + 1, seg, delta, total, scale))
     return AllocationTrace(
         steps=tuple(steps),
-        final=final,
-        rate=memory_sharing_rate(config, final, tradeoffs),
+        final=Allocation(tuple(Fraction(m, scale) for m in filled)),
+        rate=rate,
         tradeoff_labels=tuple(curve.label for curve in tradeoffs),
     )
 

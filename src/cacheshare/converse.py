@@ -185,9 +185,9 @@ def conjecture_gap(
     scheme may beat it, so otherwise the converse is the cut bound on the
     stack (kind "cutset"). Status is "tight" exactly when the gap is zero.
     """
-    from .allocation import greedy_split  # local import, avoids a cycle
+    from .allocation import greedy_rate  # local import, avoids a cycle
 
-    _, achievable = greedy_split(config, tradeoffs)
+    achievable = greedy_rate(config, tradeoffs)
     curve = shared_curve(tradeoffs)
     stack = concatenate(config)
     if curve is not None and curve.exact:

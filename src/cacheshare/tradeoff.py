@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .model import ratio_text, reduce_ratio, reduced_texts, to_fraction
@@ -204,6 +205,70 @@ def lower_convex_envelope(
     )
 
 
+def _first_corner(n: int, k: int) -> int:
+    """t* of `build_scheme_tradeoff`, 0 when N >= K: the smallest t >= 1 whose
+    corner is below the chord from the anchor to corner t + 1, (N(1+t) -
+    (K-t))(t+2) > (K+1)t, capped at K. That is f(t) = at^2 - bt - c > 0 with
+    a = 1+N, b = 2K-3N-1, c = 2(K-N); f(0) < 0, so t* = floor(r) + 1 for f's
+    positive root r, and s = isqrt(b^2 + 4ac) gives (b + s) // 2a <= r < it + 1."""
+    if n >= k:
+        return 0
+    a, b, c = 1 + n, 2 * k - 3 * n - 1, 2 * (k - n)
+    return min((b + math.isqrt(b * b + 4 * a * c)) // (2 * a) + 1, k)
+
+
+def build_scheme_tradeoffs(
+    file_counts: Sequence[int], num_users: int
+) -> list[PiecewiseLinearTradeoff]:
+    """`build_scheme_tradeoff` of each count at one K, in order; a repeated
+    count gets the same curve. The counts share reduced tables over t from the
+    smallest t*, built for u = gcd of the counts: intercepts (2K-t)/(t+2),
+    breakpoints (t+1)u/K and slopes K(K+1)/(u(t+1)(t+2)). A count N = mu
+    slices them at its own t* and scales the breakpoints by m and the slopes
+    by 1/m, taking a gcd only where m shares a factor with K or K(K+1); a lone
+    count (m = 1) takes its slices as they are. Each curve is shape-checked."""
+    distinct = list(dict.fromkeys(file_counts))
+    if num_users < 1 or distinct and min(distinct) < 1:
+        raise ValueError("need at least one file and one user")
+    if not distinct:
+        return []
+    k, gcd = num_users, math.gcd
+    firsts = [_first_corner(n, k) for n in distinct]
+    low, unit, rise = min(firsts), gcd(*distinct), k * (k + 1)
+    # for t = low..K-1, corner t + 1 is at (t + 1)N/K; from corner t to t + 1
+    # the slope is K(K+1) / (N(t+1)(t+2)) and the intercept (2K - t)/(t + 2)
+    steps, twos = range((low + 1) * unit, k * unit + 1, unit), range(low + 2, k + 2)
+    intercepts = [(x // (g := gcd(x, y)), y // g) for x, y in zip(range(2 * k - low, k, -1), twos)]
+    breakpoints = [(x // (g := gcd(x, k)), k // g) for x in steps]
+    slopes = [(rise // (g := gcd(rise, x)), x // g) for x in map(mul, steps, twos)]
+    built = {}
+    for n, first in zip(distinct, firsts):
+        cut, m = first - low, n // unit
+        bp, sl = breakpoints[cut:], slopes[cut:]
+        if m > 1:  # each q below divides K, and each g divides K(K+1)
+            if gcd(m, k) == 1:
+                bp = [(p * m, q) for p, q in bp]
+            else:
+                bp = [(p * (m // (g := gcd(m, q))), q // g) for p, q in bp]
+            if gcd(m, rise) == 1:
+                sl = [(g, h * m) for g, h in sl]
+            else:
+                sl = [(g // (d := gcd(g, m)), h * (m // d)) for g, h in sl]
+        ic = intercepts[cut:]
+        if first:
+            # the anchor (0, N) lies below corner 0; its segment runs to corner t*
+            # with slope (N - (K - t*)/(1 + t*)) / (t* N / K)
+            x, y = (n * (1 + first) - (k - first)) * k, (1 + first) * first * n
+            bp = ((0, 1), reduce_ratio(first * n, k), *bp)
+            sl, ic = (reduce_ratio(x, y), *sl), ((n, 1), *ic)
+        else:
+            bp, sl, ic = ((0, 1), *bp), tuple(sl), tuple(ic)
+        built[n] = PiecewiseLinearTradeoff(
+            n, bp, sl, ic, label=f"scheme(N={n},K={k})", corner_ts=(0, *range(first or 1, k + 1))
+        )
+    return list(map(built.__getitem__, file_counts))
+
+
 def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
     """Envelope of the subset-coded scheme's corners for one library, in closed form.
 
@@ -214,41 +279,10 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
     the anchor to the next corner (K when there is none). This equals the
     lower convex envelope of the anchor and all K corners. The anchor is
     delivered uncoded (t = 0), so the corner ts are (0, t*, ..., K), or
-    (0, 1, ..., K) when the anchor is corner 0.
+    (0, 1, ..., K) when the anchor is corner 0. Built as the one-count case
+    of `build_scheme_tradeoffs`.
     """
-    if num_files < 1 or num_users < 1:
-        raise ValueError("need at least one file and one user")
-    n, k = num_files, num_users
-    breakpoints, slopes, intercepts = [(0, 1)], [], []
-    first = 0
-    if n < k:
-        # the anchor (0, N) lies below corner 0; corner t is a hull vertex iff the
-        # anchor-to-t slope beats the t-to-(t+1) slope: (N(1+t) - (K-t))(t+2) > (K+1)t
-        first = next(
-            (t for t in range(1, k) if (k - t - n - n * t) * (t + 2) < -(k + 1) * t), k
-        )
-        # slope (N - (K - t*)/(1 + t*)) / (t* N / K)
-        breakpoints.append(reduce_ratio(first * n, k))
-        slopes.append(reduce_ratio((n * (1 + first) - (k - first)) * k, (1 + first) * first * n))
-        intercepts.append((n, 1))
-    # corner t + 1 sits at (t + 1)N/K; the segment from corner t to t + 1 has
-    # slope K(K+1) / (N(t+1)(t+2)) and intercept (2Kt + 2K - t^2 - t) / ((t+1)(t+2)),
-    # which is (2K - t)/(t + 2). Each value is reduced with one gcd.
-    ts = range(first, k)
-    gcd = math.gcd
-    breakpoints += [(x // (g := gcd(x, k)), k // g) for x in range((first + 1) * n, k * n + 1, n)]
-    rise = k * (k + 1)
-    slopes += [(rise // (g := gcd(rise, x)), x // g) for x in (n * (t + 1) * (t + 2) for t in ts)]
-    intercepts += [(x // (g := gcd(x, y)), y // g) for x, y in ((2 * k - t, t + 2) for t in ts)]
-    return PiecewiseLinearTradeoff(
-        n,
-        tuple(breakpoints),
-        tuple(slopes),
-        tuple(intercepts),
-        label=f"scheme(N={num_files},K={num_users})",
-        exact=False,
-        corner_ts=(0, *range(first or 1, k + 1)),
-    )
+    return build_scheme_tradeoffs((num_files,), num_users)[0]
 
 
 def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
@@ -286,15 +320,17 @@ def tradeoff_rows(
     return list(zip(bp, rates)), list(zip(bp, bp[1:], ic, ["-" + slope for slope in sl]))
 
 
+def is_scheme_kind(kind: str, num_files: int, num_users: int) -> bool:
+    """Whether `build_by_kind` gives this shape the scheme curve: 'scheme',
+    and 'auto' wherever no exact curve is known."""
+    return kind == "scheme" or kind == "auto" and not num_files == num_users == 2
+
+
 def build_by_kind(kind: str, num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
     """Construct a named curve: 'scheme', 'exact2x2', or 'auto' (exact when known)."""
-    if kind == "auto":
-        if num_files == 2 and num_users == 2:
-            return build_exact_two_by_two()
+    if is_scheme_kind(kind, num_files, num_users):
         return build_scheme_tradeoff(num_files, num_users)
-    if kind == "scheme":
-        return build_scheme_tradeoff(num_files, num_users)
-    if kind == "exact2x2":
+    if kind == "auto" or kind == "exact2x2":
         if num_files != 2 or num_users != 2:
             raise ValueError("exact2x2 applies only to two files and two users")
         return build_exact_two_by_two()

@@ -754,25 +754,40 @@ def test_csv_rows_are_built_only_for_csv(runner, monkeypatch):
 
 
 def test_allocate_builds_each_curve_shape_once(runner, monkeypatch, tmp_path):
-    built = []
-    real = cli.build_by_kind
-    monkeypatch.setattr(cli, "build_by_kind", lambda *a: built.append(a) or real(*a))
-    network = tmp_path / "repeat.json"
-    network.write_text(
-        json.dumps(
-            {
-                "libraries": [
-                    {"num_files": 2, "alpha": "1/4"},
-                    {"num_files": 3, "alpha": "1/4"},
-                    {"num_files": 2, "alpha": "1/4"},
-                    {"num_files": 2, "alpha": "1/4"},
-                ],
-                "num_users": 3,
-                "cache_size": "1",
-            }
-        )
+    # a command's scheme curves come from one builder call, and each distinct
+    # curve is constructed, and so shape-checked, exactly once
+    calls, checked = [], []
+    real = cli.build_scheme_tradeoffs
+    monkeypatch.setattr(
+        cli, "build_scheme_tradeoffs", lambda *a: calls.append(a) or real(*a)
     )
-    run_json(runner, ["--config", str(network), "allocate"])
-    assert sorted(built) == [("auto", 2, 3), ("auto", 3, 3)]
-    run_json(runner, ["--config", str(network), "converse", "--kinds", "scheme,auto,auto,auto"])
-    assert sorted(built[2:]) == [("auto", 2, 3), ("auto", 3, 3), ("scheme", 2, 3)]
+    check = cacheshare.PiecewiseLinearTradeoff.__post_init__
+    monkeypatch.setattr(
+        cacheshare.PiecewiseLinearTradeoff,
+        "__post_init__",
+        lambda curve: checked.append(curve.label) or check(curve),
+    )
+
+    def network(counts, users):
+        path = tmp_path / f"{users}.json"
+        libraries = [{"num_files": n, "alpha": f"1/{len(counts)}"} for n in counts]
+        path.write_text(json.dumps({"libraries": libraries, "num_users": users, "cache_size": "1"}))
+        return str(path)
+
+    def command(*args):
+        calls.clear()
+        checked.clear()
+        run_json(runner, list(args))
+        return len(calls), sorted(checked)
+
+    repeat = network((2, 3, 2, 2), 3)
+    shapes = ["scheme(N=2,K=3)", "scheme(N=3,K=3)"]
+    assert command("--config", repeat, "allocate") == (1, shapes)
+    # "scheme" and "auto" give one curve at N=2, K=3
+    kinds = ["--kinds", "scheme,auto,auto,auto"]
+    assert command("--config", repeat, "converse", *kinds) == (1, shapes)
+    # "auto" at N = K = 2 is the exact curve, built by kind
+    assert command("--config", network((2, 3, 2), 2), "allocate") == (
+        1,
+        ["exact2x2", "scheme(N=3,K=2)"],
+    )

@@ -43,6 +43,7 @@ from cacheshare.allocation import (
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
+    greedy_rate,
     greedy_split,
     lambda_sweep,
     memory_sharing_rate,
@@ -877,6 +878,7 @@ def test_integer_split_rate_matches_fraction_rate(seed):
         final, rate = greedy_split(config, curves)
         assert rate == reference_split_rate(config, curves, final)
         assert memory_sharing_rate(config, final, curves) == rate
+        assert greedy_rate(config, curves) == rate
 
 
 @pytest.mark.parametrize("alpha", [F(0), F(-1, 2)])
@@ -895,6 +897,21 @@ def test_sweep_builds_no_more_fractions_for_more_samples():
         fractions_built(lambda: lambda_sweep(config, curves, num_samples=samples))
         for samples in (11, 1001)
     ]
+    assert built[0] == built[1]
+
+
+def test_greedy_rate_builds_no_more_fractions_for_more_libraries():
+    # the final split is rated from its int units: no Fraction per library
+    built = []
+    for count in (2, 40):
+        config = make_config(
+            counts=[1 + i % 7 for i in range(count)],
+            weights=random_weights(random.Random(count), count),
+            users=12,
+            cache="1",
+        )
+        curves = curves_for(config)
+        built.append(fractions_built(lambda: greedy_rate(config, curves)))
     assert built[0] == built[1]
 
 

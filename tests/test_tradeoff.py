@@ -5,16 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+import cacheshare.cli as cli
 from cacheshare.converse import concatenated_cut_set_bound
+from cacheshare.model import LibrarySpec, NetworkConfig
 from cacheshare.tradeoff import (
     PiecewiseLinearTradeoff,
+    _first_corner,
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
+    build_scheme_tradeoffs,
     lower_convex_envelope,
     tradeoff_rows,
 )
-from util import fractions, ratios, reference_scheme_tradeoff, scheme_corner_points
+from util import (
+    fractions,
+    ratios,
+    reference_first_corner,
+    reference_scheme_tradeoff,
+    scheme_corner_points,
+)
 
 F = Fraction
 
@@ -188,12 +198,69 @@ def test_closed_form_scheme_curve_equals_envelope_of_all_corners():
             assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
 
 
-def test_closed_form_scheme_curve_on_large_shapes():
+def large_shapes() -> list[tuple[int, int]]:
     rng = random.Random("scheme:large-shapes")
     shapes = [(50, 3000), (30, 3000), (17, 1234), (3000, 50)]
-    shapes += [(rng.randint(1, 60), rng.randint(60, 3000)) for _ in range(6)]
-    for n, k in shapes:
+    return shapes + [(rng.randint(1, 60), rng.randint(60, 3000)) for _ in range(6)]
+
+
+def test_closed_form_scheme_curve_on_large_shapes():
+    for n, k in large_shapes():
         assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
+
+
+def test_first_corner_in_closed_form_matches_the_scan():
+    for k in range(2, 400):
+        for n in range(1, k):
+            assert _first_corner(n, k) == reference_first_corner(n, k), (n, k)
+    for n, k in large_shapes() + [(1, 1), (5, 5), (9, 4)]:
+        assert _first_corner(n, k) == reference_first_corner(n, k), (n, k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_table_builds_equal_the_envelope_of_all_corners(seed):
+    rng = random.Random(f"scheme-tables:{seed}")
+    k = rng.choice((1, 2, 3, 12, 60, 210))
+    sets = [
+        [],
+        [1],
+        [rng.randint(1, 9)] * 3,  # one count repeated
+        [k, k + 1, 2 * k + 3],  # N >= K only
+        [rng.randint(1, 3 * k) for _ in range(8)],  # repeats likely at small K
+        [1, k, 6, 10, 15, 4, 4, 1],  # shared factors with K and K + 1
+    ]
+    for counts in sets:
+        curves = build_scheme_tradeoffs(counts, k)
+        # curves compare on every field: label, `exact` and `corner_ts` too
+        assert curves == [reference_scheme_tradeoff(n, k) for n in counts], (counts, k)
+        first = {}  # a repeated count gets the same curve
+        assert all(first.setdefault(n, c) is c for n, c in zip(counts, curves))
+    assert build_scheme_tradeoffs([1], 1) == [reference_scheme_tradeoff(1, 1)]
+    with pytest.raises(ValueError, match="at least one file"):
+        build_scheme_tradeoffs([3, 0], k)
+
+
+@pytest.mark.parametrize(
+    "kinds, counts, users",
+    [
+        ("auto", (2, 3, 2, 1), 2),  # "auto" at N = K = 2 is the exact curve
+        ("scheme", (2, 3, 2, 1), 2),
+        ("scheme,auto,exact2x2,auto", (2, 2, 2, 5), 2),  # mixed kinds
+        ("auto,scheme,scheme,auto,scheme", (7, 7, 40, 1, 13), 30),
+    ],
+)
+def test_command_curves_equal_one_build_per_library(kinds, counts, users):
+    libraries = tuple(LibrarySpec(n, Fraction(1, len(counts))) for n in counts)
+    config = NetworkConfig(libraries, users, Fraction(1))
+    names = kinds.split(",")
+    names = names * len(counts) if len(names) == 1 else names
+    expected = [
+        build_exact_two_by_two()
+        if kind == "exact2x2" or kind == "auto" and n == users == 2
+        else reference_scheme_tradeoff(n, users)
+        for kind, n in zip(names, counts)
+    ]
+    assert cli._curves(config, kinds) == expected
 
 
 def test_corner_ts_are_empty_or_one_per_breakpoint():

@@ -565,6 +565,16 @@ def reference_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinear
     return dataclasses.replace(hull, corner_ts=tuple(t for t, _ in ts))
 
 
+def reference_first_corner(num_files: int, num_users: int) -> int:
+    """t* of the scheme curve by scanning t = 1, 2, ...: the first corner
+    below the chord from the anchor (0, N) to the next corner, or K; 0 when
+    N >= K."""
+    n, k = num_files, num_users
+    if n >= k:
+        return 0
+    return next((t for t in range(1, k) if (k - t - n - n * t) * (t + 2) < -(k + 1) * t), k)
+
+
 def reference_plan_weights(
     config: NetworkConfig, allocation: Allocation
 ) -> list[list[tuple[int, Fraction]]]:
