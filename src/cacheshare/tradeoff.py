@@ -217,56 +217,63 @@ def _first_corner(n: int, k: int) -> int:
     return min((b + math.isqrt(b * b + 4 * a * c)) // (2 * a) + 1, k)
 
 
+def _scheme_tables(k: int, low: int, unit: int) -> tuple[list, list, list]:
+    """The scheme's segments from corner t to t + 1, t = low..K-1, for N = u:
+    corner t + 1 sits at (t + 1)u/K, and the segment has slope K(K+1) /
+    (u(t+1)(t+2)) and intercept (2K - t)/(t + 2), which does not depend on N.
+    Returns the breakpoints, slopes and intercepts, each reduced with one gcd."""
+    gcd, rise = math.gcd, k * (k + 1)
+    steps, twos = range((low + 1) * unit, k * unit + 1, unit), range(low + 2, k + 2)
+    return (
+        [(x // (g := gcd(x, k)), k // g) for x in steps],
+        [(rise // (g := gcd(rise, x)), x // g) for x in map(mul, steps, twos)],
+        [(x // (g := gcd(x, y)), y // g) for x, y in zip(range(2 * k - low, k, -1), twos)],
+    )
+
+
+def _scheme_curve(
+    n: int, k: int, first: int, breakpoints: Sequence, slopes: Sequence, intercepts: Sequence
+) -> PiecewiseLinearTradeoff:
+    """The scheme curve of N files from its segments t*..K-1 (`_scheme_tables`
+    at N, from t*), with the anchor's segment put in front."""
+    if first:
+        # the anchor (0, N) lies below corner 0; its segment runs to corner t*
+        # with slope (N - (K - t*)/(1 + t*)) / (t* N / K)
+        x, y = (n * (1 + first) - (k - first)) * k, (1 + first) * first * n
+        bp = ((0, 1), reduce_ratio(first * n, k), *breakpoints)
+        sl, ic = (reduce_ratio(x, y), *slopes), ((n, 1), *intercepts)
+    else:
+        bp, sl, ic = ((0, 1), *breakpoints), tuple(slopes), tuple(intercepts)
+    return PiecewiseLinearTradeoff(
+        n, bp, sl, ic, label=f"scheme(N={n},K={k})", corner_ts=(0, *range(first or 1, k + 1))
+    )
+
+
 def build_scheme_tradeoffs(
     file_counts: Sequence[int], num_users: int
 ) -> list[PiecewiseLinearTradeoff]:
     """`build_scheme_tradeoff` of each count at one K, in order; a repeated
-    count gets the same curve. The counts share reduced tables over t from the
-    smallest t*, built for u = gcd of the counts: intercepts (2K-t)/(t+2),
-    breakpoints (t+1)u/K and slopes K(K+1)/(u(t+1)(t+2)). A count N = mu
-    slices them at its own t* and scales the breakpoints by m and the slopes
-    by 1/m, taking a gcd only where m shares a factor with K or K(K+1); a lone
-    count (m = 1) takes its slices as they are. Each curve is shape-checked."""
-    distinct = list(dict.fromkeys(file_counts))
-    if num_users < 1 or distinct and min(distinct) < 1:
+    count gets the same curve. The counts share one `_scheme_tables` from the
+    smallest t*, built for u = gcd of the counts. A count N = mu slices them
+    at its own t* and scales the breakpoints by m and the slopes by 1/m, with
+    one gcd per value. Each curve is shape-checked."""
+    built = dict.fromkeys(file_counts)
+    if num_users < 1 or built and min(built) < 1:
         raise ValueError("need at least one file and one user")
-    if not distinct:
+    if not built:
         return []
     k, gcd = num_users, math.gcd
-    firsts = [_first_corner(n, k) for n in distinct]
-    low, unit, rise = min(firsts), gcd(*distinct), k * (k + 1)
-    # for t = low..K-1, corner t + 1 is at (t + 1)N/K; from corner t to t + 1
-    # the slope is K(K+1) / (N(t+1)(t+2)) and the intercept (2K - t)/(t + 2)
-    steps, twos = range((low + 1) * unit, k * unit + 1, unit), range(low + 2, k + 2)
-    intercepts = [(x // (g := gcd(x, y)), y // g) for x, y in zip(range(2 * k - low, k, -1), twos)]
-    breakpoints = [(x // (g := gcd(x, k)), k // g) for x in steps]
-    slopes = [(rise // (g := gcd(rise, x)), x // g) for x in map(mul, steps, twos)]
-    built = {}
-    for n, first in zip(distinct, firsts):
+    firsts = [_first_corner(n, k) for n in built]
+    low, unit = min(firsts), gcd(*built)
+    breakpoints, slopes, intercepts = _scheme_tables(k, low, unit)
+    for n, first in zip(built, firsts):
         cut, m = first - low, n // unit
         bp, sl = breakpoints[cut:], slopes[cut:]
-        if m > 1:  # each q below divides K, and each g divides K(K+1)
-            if gcd(m, k) == 1:
-                bp = [(p * m, q) for p, q in bp]
-            else:
-                bp = [(p * (m // (g := gcd(m, q))), q // g) for p, q in bp]
-            if gcd(m, rise) == 1:
-                sl = [(g, h * m) for g, h in sl]
-            else:
-                sl = [(g // (d := gcd(g, m)), h * (m // d)) for g, h in sl]
-        ic = intercepts[cut:]
-        if first:
-            # the anchor (0, N) lies below corner 0; its segment runs to corner t*
-            # with slope (N - (K - t*)/(1 + t*)) / (t* N / K)
-            x, y = (n * (1 + first) - (k - first)) * k, (1 + first) * first * n
-            bp = ((0, 1), reduce_ratio(first * n, k), *bp)
-            sl, ic = (reduce_ratio(x, y), *sl), ((n, 1), *ic)
-        else:
-            bp, sl, ic = ((0, 1), *bp), tuple(sl), tuple(ic)
-        built[n] = PiecewiseLinearTradeoff(
-            n, bp, sl, ic, label=f"scheme(N={n},K={k})", corner_ts=(0, *range(first or 1, k + 1))
-        )
-    return list(map(built.__getitem__, file_counts))
+        if m > 1:  # p/q and g/h are in lowest terms, so gcd(pm, q) = gcd(m, q)
+            bp = [(p * (m // (g := gcd(m, q))), q // g) for p, q in bp]
+            sl = [(g // (d := gcd(g, m)), h * (m // d)) for g, h in sl]
+        built[n] = _scheme_curve(n, k, first, bp, sl, intercepts[cut:])
+    return [built[n] for n in file_counts]
 
 
 def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
@@ -279,10 +286,14 @@ def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTrad
     the anchor to the next corner (K when there is none). This equals the
     lower convex envelope of the anchor and all K corners. The anchor is
     delivered uncoded (t = 0), so the corner ts are (0, t*, ..., K), or
-    (0, 1, ..., K) when the anchor is corner 0. Built as the one-count case
-    of `build_scheme_tradeoffs`.
+    (0, 1, ..., K) when the anchor is corner 0. The one-count case of
+    `build_scheme_tradeoffs`: its tables built at N from t*, used as they are.
     """
-    return build_scheme_tradeoffs((num_files,), num_users)[0]
+    if num_files < 1 or num_users < 1:
+        raise ValueError("need at least one file and one user")
+    first = _first_corner(num_files, num_users)
+    tables = _scheme_tables(num_users, first, num_files)
+    return _scheme_curve(num_files, num_users, first, *tables)
 
 
 def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
