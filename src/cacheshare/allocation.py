@@ -76,12 +76,32 @@ class AllocationStep:
         return hash(self._values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationTrace:
-    steps: tuple[AllocationStep, ...]
+    """The greedy's buying order as four int columns over one scale, an entry
+    per step, as in `AllocationStep`. Traces are equal when their steps, final
+    split, rate and labels are, whatever their scales."""
+
+    libraries: Sequence[int]
+    segments: Sequence[int]
+    delta_units: Sequence[int]
+    total_units: Sequence[int]
+    scale: int
     final: Allocation
     rate: Fraction
     tradeoff_labels: tuple[str, ...]
+
+    @property
+    def steps(self) -> tuple[AllocationStep, ...]:
+        """The columns as one `AllocationStep` per step, built on each read."""
+        columns = self.libraries, self.segments, self.delta_units, self.total_units
+        return tuple(AllocationStep(*step, self.scale) for step in zip(*columns, strict=True))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AllocationTrace):
+            return NotImplemented
+        fields = ("steps", "final", "rate", "tradeoff_labels")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
 def check_pairing(
@@ -278,8 +298,8 @@ def greedy_allocate(
     Memory is counted in integer units of 1/scale, where scale is the lcm of
     the budget's denominator and of each alpha_l's denominator times the lcm
     of its curve's breakpoint denominators: every alpha_l * breakpoint and the
-    budget are whole there, so the running total is an int, and each step
-    keeps its memories as ints over scale.
+    budget are whole there, so the running total is an int, and the trace
+    keeps each step's memories as ints over scale.
     """
     scale, limit, weight, ranks, top, filled, rate = _greedy_cut(config, tradeoffs)
     L = len(ranks)
@@ -289,7 +309,7 @@ def greedy_allocate(
         for rank in per_segment[: bisect_right(per_segment, top)]
     )
     corners = [curve.breakpoint_ratios for curve in tradeoffs]
-    steps: list[AllocationStep] = []
+    libraries, segments, deltas, totals = [], [], [], []
     total = 0
     bought = [0] * L  # each library's segments bought so far: the index of its next
     reached = [0] * L  # each library's memory at the end of its last step
@@ -306,13 +326,13 @@ def greedy_allocate(
             delta = limit - total  # the last step, partial
         reached[lib] = end
         total += delta
-        steps.append(AllocationStep(lib + 1, seg, delta, total, scale))
-    return AllocationTrace(
-        steps=tuple(steps),
-        final=Allocation(tuple(Fraction(m, scale) for m in filled)),
-        rate=rate,
-        tradeoff_labels=tuple(curve.label for curve in tradeoffs),
-    )
+        libraries.append(lib + 1)
+        segments.append(seg)
+        deltas.append(delta)
+        totals.append(total)
+    final = Allocation(tuple(Fraction(m, scale) for m in filled))
+    labels = tuple(curve.label for curve in tradeoffs)
+    return AllocationTrace(libraries, segments, deltas, totals, scale, final, rate, labels)
 
 
 def brute_force_allocate(
@@ -529,6 +549,7 @@ def lambda_sweep(
     config: NetworkConfig,
     tradeoffs: Sequence[PiecewiseLinearTradeoff],
     num_samples: int = 11,
+    cap: int = 250_000,
 ) -> SweepResult:
     """Rate of a two-library network as the first library's budget share runs 0..1.
 
@@ -536,12 +557,15 @@ def lambda_sweep(
     sampled points always include every breakpoint of the piecewise-linear
     rate, and `segments` gives the exact line on each stretch between them.
     Every value is an int pair (see `SweepResult`); no Fraction is built.
+    More than `cap` samples are refused before anything is built.
     """
     check_pairing(config, tradeoffs)
     if config.num_libraries != 2:
         raise ValueError(f"sweep needs exactly two libraries, got {config.num_libraries}")
     if num_samples < 2:
         raise ValueError("need at least two samples")
+    if num_samples > cap:
+        raise CapExceededError(f"sweep would take {num_samples} samples, cap is {cap}")
     (P, Q), (A1, B1), (A2, B2) = (
         value.as_integer_ratio() for value in (config.cache_size, *config.alphas)
     )

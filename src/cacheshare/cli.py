@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import click
 
@@ -100,28 +100,26 @@ _scalar = json.JSONEncoder().encode  # bool, None and any other scalar
 @dataclass(frozen=True, slots=True)
 class Rows:
     """A JSON array of rows: objects with the keys `keys`, in that order, or
-    arrays when `keys` is None. Each row is a tuple of the values."""
+    arrays when `keys` is None. `columns` holds the values, one sequence per
+    key, each as long as the array."""
 
     keys: tuple[str, ...] | None
-    rows: list[tuple]
+    columns: Sequence[Sequence]
 
     def plain(self) -> list:
         """The array as dicts or tuples, as `json.dumps` takes it."""
+        rows = list(zip(*self.columns, strict=True))
         if self.keys is None:
-            return self.rows
-        return [dict(zip(self.keys, row, strict=True)) for row in self.rows]
+            return rows
+        return [dict(zip(self.keys, row, strict=True)) for row in rows]
 
 
 def _rows(value: Rows, pad: str) -> str:
-    """`_json(value.plain(), pad)`. When each column holds only int leaves or
-    only str leaves that need no escaping, the whole array is one `%` of a
-    template built from `pad`, the keys and the row count, with the rows'
-    values in place; any other array takes the generic path."""
-    keys, rows = value.keys, value.rows
-    try:
-        columns = list(zip(*rows, strict=True))
-    except ValueError:  # rows of different lengths
-        columns = []
+    """`_json(value.plain(), pad)`. When the columns are of one length and each
+    holds only int leaves or only str leaves that need no escaping, the whole
+    array is one `%` of a template built from `pad`, the keys and the length,
+    with the columns' values in place; any other array takes the generic path."""
+    keys, columns = value.keys, value.columns
     specs = []  # each column's placeholder; a bool is not an int here
     for column in columns:
         kinds = set(map(type, column))
@@ -134,7 +132,7 @@ def _rows(value: Rows, pad: str) -> str:
         else:
             break
     # keys must be distinct, as in the dicts `plain()` makes
-    if not specs or len(specs) != len(columns) or (
+    if len(specs) != len(columns) or len(set(map(len, columns))) != 1 or (
         keys is not None and not len(set(keys)) == len(keys) == len(specs)
     ):
         return _json(value.plain(), pad)
@@ -144,8 +142,8 @@ def _rows(value: Rows, pad: str) -> str:
     else:
         fields = [_escape(k).replace("%", "%%") + ": " + spec for k, spec in zip(keys, specs)]
         row = "{" + cell + ("," + cell).join(fields) + inner + "}"
-    template = "[" + inner + ("," + inner).join([row] * len(rows)) + pad + "]"
-    return template % tuple(chain.from_iterable(rows))
+    template = "[" + inner + ("," + inner).join([row] * len(columns[0])) + pad + "]"
+    return template % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -326,7 +324,7 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
     }
 
     def rows():  # read for CSV only
-        for (m, r), memory, rate in zip(corners, curve.breakpoint_ratios, corner_rates(curve)):
+        for m, r, memory, rate in zip(*corners, curve.breakpoint_ratios, corner_rates(curve)):
             yield [m, r, ratio_decimal(*memory), ratio_decimal(*rate)]
 
     return None, result, ["memory", "rate", "memory_decimal", "rate_decimal"], rows()
@@ -347,60 +345,39 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
     problems = corner_structure_violations(config, curves, trace.final)
     if problems:
         raise VerificationFailure("allocation structure broken: " + "; ".join(problems))
-    oracle = None
-    if oracle_step is not None:
-        step = _fraction(oracle_step, "--oracle-step")
-        best_alloc, best_rate = brute_force_allocate(config, curves, step)
-        if best_rate != trace.rate:
-            raise VerificationFailure(
-                f"greedy rate {trace.rate} differs from oracle rate {best_rate} "
-                f"at split {[str(m) for m in best_alloc.per_library]}"
-            )
-        oracle = {
-            "rate": str(best_rate),
-            "allocation": [str(m) for m in best_alloc.per_library],
-        }
-    # each step's memories as text, straight from its integer units; the
-    # steps repeat few deltas, so each distinct delta is texted once
-    deltas: dict[int, str] = {}
-    steps = []
-    for s in trace.steps:
-        delta = deltas.get(s.delta_units)
-        if delta is None:
-            delta = deltas[s.delta_units] = ratio_text(s.delta_units, s.scale)
-        steps.append((s.library, s.segment, delta, ratio_text(s.total_units, s.scale)))
+    # each step's memories as text, straight from its integer units: the
+    # totals in one pass, and each distinct delta once
+    scale = trace.scale
+    delta_texts = {d: ratio_text(d, scale) for d in set(trace.delta_units)}
+    deltas = [delta_texts[d] for d in trace.delta_units]
+    totals = [ratio_text(t, scale) for t in trace.total_units]
+    keys = ("library", "segment", "delta", "allocated_total")
     result = {
         "allocation": [str(m) for m in trace.final.per_library],
         "rate": str(trace.rate),
         "rate_decimal": format_decimal(trace.rate),
         "labels": list(trace.tradeoff_labels),
-        "steps": Rows(("library", "segment", "delta", "allocated_total"), steps),
+        "steps": Rows(keys, (trace.libraries, trace.segments, deltas, totals)),
         "structure_ok": True,
     }
-    if oracle is not None:
-        result["oracle"] = oracle
-    rows = (
-        [
-            i + 1,
-            library,
-            segment,
-            delta,
-            ratio_decimal(s.delta_units, s.scale),
-            total,
-            ratio_decimal(s.total_units, s.scale),
-        ]
-        for i, (s, (library, segment, delta, total)) in enumerate(zip(trace.steps, steps))
-    )
-    header = [
-        "step",
-        "library",
-        "segment",
-        "delta",
-        "delta_decimal",
-        "allocated_total",
-        "allocated_total_decimal",
-    ]
-    return config, result, header, rows
+    if oracle_step is not None:
+        step = _fraction(oracle_step, "--oracle-step")
+        best_alloc, best_rate = brute_force_allocate(config, curves, step)
+        split = [str(m) for m in best_alloc.per_library]
+        if best_rate != trace.rate:
+            raise VerificationFailure(
+                f"greedy rate {trace.rate} differs from oracle rate {best_rate} at split {split}"
+            )
+        result["oracle"] = {"rate": str(best_rate), "allocation": split}
+
+    def rows():  # read for CSV only
+        decimals = {d: ratio_decimal(d, scale) for d in delta_texts}
+        columns = trace.libraries, trace.segments, trace.delta_units, totals, trace.total_units
+        for i, (library, segment, d, total, t) in enumerate(zip(*columns), start=1):
+            yield [i, library, segment, delta_texts[d], decimals[d], total, ratio_decimal(t, scale)]
+
+    header = ["step", *keys[:3], "delta_decimal", keys[3], "allocated_total_decimal"]
+    return config, result, header, rows()
 
 
 @_command("sweep")
@@ -412,16 +389,16 @@ def cmd_sweep(state: CliState, samples: int, kinds: str) -> tuple:
     curves = _curves(config, kinds)
     result = lambda_sweep(config, curves, num_samples=samples)
     # every value is a pair in lowest terms, so it is texted with no gcd
-    shares, rates = zip(*result.points)
-    points = list(zip(reduced_texts(shares), reduced_texts(rates)))
+    points = [reduced_texts(column) for column in zip(*result.points)]
     share, rate = reduced_texts(result.minimum())
     payload = {
         "points": Rows(None, points),
         "breakpoints": reduced_texts(result.breakpoints),
-        "segments": Rows(SEGMENT_KEYS, [tuple(reduced_texts(seg)) for seg in result.segments]),
+        "segments": Rows(SEGMENT_KEYS, [reduced_texts(c) for c in zip(*result.segments)]),
         "minimum": {"lambda": share, "rate": rate},
     }
-    rows = ([*t, ratio_decimal(*s), ratio_decimal(*r)] for t, (s, r) in zip(points, result.points))
+    texts = zip(*points, result.points)
+    rows = ([a, b, ratio_decimal(*s), ratio_decimal(*r)] for a, b, (s, r) in texts)
     return config, payload, ["lambda", "rate", "lambda_decimal", "rate_decimal"], rows
 
 

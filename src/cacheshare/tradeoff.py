@@ -317,18 +317,16 @@ def corner_rates(curve: PiecewiseLinearTradeoff) -> list[Ratio]:
     return rates + [(0, 1)]  # the last corner, N
 
 
-def tradeoff_rows(
-    curve: PiecewiseLinearTradeoff,
-) -> tuple[list[tuple[str, str]], list[tuple[str, ...]]]:
-    """The curve as exact strings: its corners as (memory, rate) and its
-    segments as (start, end, intercept, slope) in `SEGMENT_KEYS` order, each
+def tradeoff_rows(curve: PiecewiseLinearTradeoff) -> tuple[list[list[str]], list[list[str]]]:
+    """The curve as columns of exact strings: its corners' (memory, rate) and
+    its segments' (start, end, intercept, slope) in `SEGMENT_KEYS` order, each
     segment's line being rate = intercept + slope * memory with the slope the
     negated magnitude. The corner memories are the breakpoints, texted once."""
     bpr, slr, icr = curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios
     bp, ic, sl = map(reduced_texts, (bpr, icr, slr))
     rates = [ratio_text(n, d) for n, d in corner_rates(curve)]
     # magnitudes are positive, so "-" before one negates it
-    return list(zip(bp, rates)), list(zip(bp, bp[1:], ic, ["-" + slope for slope in sl]))
+    return [bp, rates], [bp[:-1], bp[1:], ic, ["-" + slope for slope in sl]]
 
 
 def is_scheme_kind(kind: str, num_files: int, num_users: int) -> bool:

@@ -245,7 +245,7 @@ def test_curve_algebra_properties():
         mid = (lo + hi) / 2
         assert 2 * curve.evaluate(mid) <= curve.evaluate(lo) + curve.evaluate(hi)
         again = lower_convex_envelope(
-            [(F(m), F(r)) for m, r in tradeoff_rows(curve)[0]], n
+            [(F(m), F(r)) for m, r in zip(*tradeoff_rows(curve)[0])], n
         )
         assert again.breakpoint_ratios == curve.breakpoint_ratios
         assert again.slope_ratios == curve.slope_ratios

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cacheshare import allocation
 from cacheshare.allocation import (
     Allocation,
     AllocationStep,
@@ -243,6 +244,20 @@ def test_sweep_needs_two_libraries():
     cfg = make_config(counts=(2,), weights=(F(1),), users=2, cache=1)
     with pytest.raises(ValueError, match="two"):
         lambda_sweep(cfg, [build_exact_two_by_two()], num_samples=5)
+
+
+def test_sweep_refuses_samples_past_its_cap_before_building(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def stop(*_):  # the first call that builds the sweep's lines
+        raise Built
+
+    monkeypatch.setattr(allocation, "reduce_ratio", stop)
+    with pytest.raises(CapExceededError, match="250001 samples, cap is 250000"):
+        lambda_sweep(reference_config(), reference_curves(), num_samples=250_001)
+    with pytest.raises(Built):  # at the cap it goes on to build
+        lambda_sweep(reference_config(), reference_curves(), num_samples=250_000)
 
 
 def test_sweep_endpoints_match_rate_function():

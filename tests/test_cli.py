@@ -204,7 +204,8 @@ def test_json_writer_matches_indented_json_dumps(value):
 ESCAPED = ['q"uote', "back\\slash", "nul\x00", "line\nbreak", "\x1f", "é", "✓", "\U0001f600"]
 
 # (keys, rows, whether the array is written by the template); every other
-# array must take the generic path and still give json.dumps' bytes
+# array must take the generic path and still give json.dumps' bytes. `Rows`
+# takes the rows' columns (`_columns`).
 ROW_ARRAYS = [
     (("a", "b"), [("1/2", 3), ("-7", -4)], True),
     (None, [("0", "2"), ("1/2", "1")], True),
@@ -215,12 +216,12 @@ ROW_ARRAYS = [
     (('"q"', "é\n"), [(1, "x"), (2, "y")], True),
     (("library", "segment"), [], False),
     (None, [], False),
-    (None, [(), ()], False),
-    ((), [(), ()], False),
+    (None, [("tab\t", 1), ("x", 2)], False),
+    ((), [], False),
     (("s",), [(text,) for text in ESCAPED], False),
     (("plain", "s"), [("ok", text) for text in ESCAPED], False),
-    (None, [("a", "b"), ("c",), ("d", "e", "f")], False),
-    (None, [(1, 2), (3,)], False),
+    (None, [("a", [1]), ("b", [])], False),
+    (None, [(1, "x"), (2, 3)], False),
     (("v",), [(1,), ("1",)], False),
     (("v",), [(1,), (True,)], False),
     (("v",), [(True,), (False,)], False),
@@ -230,6 +231,13 @@ ROW_ARRAYS = [
     (None, [([1, 2], {"a": "b"}), ((), {})], False),
     (("a", "a"), [(1, 2)], False),
 ]
+
+
+def _columns(keys, rows) -> list[list]:
+    """The rows' columns; with no rows, one empty column per key."""
+    if not rows:
+        return [[] for _ in keys or ()]
+    return [list(column) for column in zip(*rows, strict=True)]
 
 
 def _nest(value, depth: int):
@@ -242,7 +250,7 @@ def _nest(value, depth: int):
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 @pytest.mark.parametrize("keys, rows, templated", ROW_ARRAYS)
 def test_row_arrays_match_indented_json_dumps(monkeypatch, keys, rows, templated, depth):
-    value = cli.Rows(keys, rows)
+    value = cli.Rows(keys, _columns(keys, rows))
     expected = json.dumps(_nest(value.plain(), depth), indent=2)
     calls = []
     real = cli._json
@@ -267,19 +275,23 @@ COLUMNS = st.sampled_from(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_random_row_arrays_match_indented_json_dumps(data):
-    width = data.draw(st.integers(0, 4))
+    width, length = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 6))
     keys = data.draw(st.none() | st.lists(st.text(), min_size=width, max_size=width).map(tuple))
-    columns = [data.draw(COLUMNS) for _ in range(width)]
-    rows = data.draw(st.lists(st.tuples(*columns), max_size=6))
+    leaves = [data.draw(COLUMNS) for _ in range(width)]
+    columns = [data.draw(st.lists(leaf, min_size=length, max_size=length)) for leaf in leaves]
     depth = data.draw(st.integers(0, 3))
-    value = cli.Rows(keys, rows)
+    value = cli.Rows(keys, columns)
     assert cli._json(_nest(value, depth)) == json.dumps(_nest(value.plain(), depth), indent=2)
 
 
 def test_row_arrays_reject_rows_that_do_not_fit_their_keys():
-    for rows in ([("a", "b", "c")], [("a",)], [("a", "b"), ("c",)]):
+    # three columns, one column, and columns of different lengths, for two keys
+    for columns in ([["a"], ["b"], ["c"]], [["a"]], [["a", "c"], ["b"]]):
         with pytest.raises(ValueError):
-            cli._json(cli.Rows(("x", "y"), rows))
+            cli._json(cli.Rows(("x", "y"), columns))
+    for columns in ([["a", "b"], ["c"]], [[1], [2, 3]]):  # arrays of no keys too
+        with pytest.raises(ValueError):
+            cli._json(cli.Rows(None, columns))
 
 
 def _bench_like_network(path: Path, seed: int, libraries: int, budget_eighths: int) -> str:
@@ -365,6 +377,26 @@ def test_allocate_texts_each_distinct_step_delta_once(runner, monkeypatch, tmp_p
     distinct = {step["delta"] for step in steps}
     assert len(steps) > 1000 and len(distinct) < len(steps) // 2
     assert len(calls) <= len(steps) + len(distinct)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_allocate_steps_reach_the_writer_as_columns(runner, monkeypatch, tmp_path, fmt):
+    """The greedy's steps go to the writer as columns: no `AllocationStep` is
+    built, and each printed array is written by one `_rows` call."""
+    built, written = [], []
+    step_init, rows = cacheshare.AllocationStep.__init__, cli._rows
+    monkeypatch.setattr(
+        cacheshare.AllocationStep, "__init__", lambda s, *a: built.append(a) or step_init(s, *a)
+    )
+    monkeypatch.setattr(cli, "_rows", lambda value, pad: written.append(value.keys) or rows(value, pad))
+    network = _bench_like_network(tmp_path / "net.json", 6, 50, 3)
+    result = runner.invoke(main, ["--config", network, "--format", fmt, "allocate"])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("\n") > 1000 * (7 if fmt == "json" else 1)  # every step printed
+    assert built == []
+    assert written == ([("library", "segment", "delta", "allocated_total")] if fmt == "json" else [])
+    cacheshare.AllocationStep(1, 0, 1, 1, 1)  # the guard sees a step when one is built
+    assert len(built) == 1
 
 
 def test_tradeoff_csv_corners(runner):
@@ -588,6 +620,12 @@ def test_zero_denominator_in_explicit_is_named(runner):
     assert result.exit_code == 2
     assert "Error: bad --explicit: 1/0 has a zero denominator\n" in result.stderr
     assert "Fraction(" not in result.stderr
+
+
+def test_sweep_samples_past_the_cap_exit_two(runner):
+    result = runner.invoke(main, ["--config", EXAMPLE, "sweep", "--samples", "250001"])
+    assert result.exit_code == 2
+    assert "Error: sweep would take 250001 samples, cap is 250000\n" in result.stderr
 
 
 def test_demand_cap_exceeded(runner):

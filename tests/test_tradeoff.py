@@ -32,7 +32,7 @@ F = Fraction
 def test_exact_two_by_two_corners():
     curve = build_exact_two_by_two()
     corners, _ = tradeoff_rows(curve)
-    assert corners == [("0", "2"), ("1/2", "1"), ("1", "1/2"), ("2", "0")]
+    assert corners == [["0", "1/2", "1", "2"], ["2", "1", "1/2", "0"]]
     assert curve.exact
     assert curve.label == "exact2x2"
     assert fractions(curve.slope_ratios) == (F(2), F(1), F(1, 2))
@@ -174,7 +174,7 @@ def test_cut_set_never_exceeds_scheme_envelope():
 
 def test_corner_serialization_round_trip():
     env = build_scheme_tradeoff(3, 2)
-    corners = [(F(m), F(r)) for m, r in tradeoff_rows(env)[0]]
+    corners = [(F(m), F(r)) for m, r in zip(*tradeoff_rows(env)[0])]
     again = lower_convex_envelope(corners, env.num_files, label=env.label)
     assert again.breakpoint_ratios == env.breakpoint_ratios
     assert again.slope_ratios == env.slope_ratios
@@ -285,10 +285,10 @@ def test_corner_ts_are_empty_or_one_per_breakpoint():
 def test_corner_rows_match_evaluate():
     curves = [build_exact_two_by_two(), build_scheme_tradeoff(1, 1), build_scheme_tradeoff(7, 30)]
     for curve in curves:
-        corners, _ = tradeoff_rows(curve)
+        (memory_texts, rate_texts), _ = tradeoff_rows(curve)
         memories = fractions(curve.breakpoint_ratios)
-        assert [F(m) for m, _ in corners] == list(memories)
-        assert [F(r) for _, r in corners] == [curve.evaluate(m) for m in memories]
+        assert [F(m) for m in memory_texts] == list(memories)
+        assert [F(r) for r in rate_texts] == [curve.evaluate(m) for m in memories]
 
 
 def assert_pairs_in_lowest_terms(curve: PiecewiseLinearTradeoff) -> None:

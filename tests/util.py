@@ -634,7 +634,7 @@ def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
     views = [fraction_curve(curve) for curve in tradeoffs]
     cursor = [0] * config.num_libraries
     filled = [Fraction(0)] * config.num_libraries
-    steps = []
+    libraries, segments, deltas, totals = [], [], [], []
     total = Fraction(0)
     while total < budget:
         best, best_slope = -1, Fraction(-1)
@@ -650,14 +650,22 @@ def reference_greedy(config: NetworkConfig, tradeoffs) -> AllocationTrace:
         delta = min(width, budget - total)
         filled[best] += delta
         total += delta
-        # the step's memories as ints over the lcm of their denominators
-        scale = math.lcm(delta.denominator, total.denominator)
-        steps.append(AllocationStep(best + 1, seg, int(delta * scale), int(total * scale), scale))
+        libraries.append(best + 1)
+        segments.append(seg)
+        deltas.append(delta)
+        totals.append(total)
         if delta == width:
             cursor[best] += 1
     final = Allocation(tuple(filled))
+    # the memories as ints over the lcm of their denominators, which need not
+    # be the greedy's scale: traces compare their steps by value
+    scale = math.lcm(*(m.denominator for m in deltas + totals))
     return AllocationTrace(
-        steps=tuple(steps),
+        libraries,
+        segments,
+        [int(m * scale) for m in deltas],
+        [int(m * scale) for m in totals],
+        scale,
         final=final,
         rate=memory_sharing_rate(config, final, tradeoffs),
         tradeoff_labels=tuple(curve.label for curve in tradeoffs),
@@ -795,20 +803,23 @@ def reference_right_slope(curve: FractionCurve, segment: int) -> Fraction:
     return curve.slopes[segment] if segment < curve.num_segments else Fraction(0)
 
 
-def reference_corners_json(curve: FractionCurve) -> list[tuple[str, str]]:
-    """`tradeoff_rows`' corners: str() of each corner's Fraction memory and rate."""
+def reference_corners_json(curve: FractionCurve) -> list[list[str]]:
+    """`tradeoff_rows`' corner columns: str() of each corner's Fraction memory,
+    and of its rate."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
-    corners = [(str(m), str(z - g * m)) for m, g, z in zip(bp, sl, ic)]
-    return corners + [(str(bp[-1]), "0")]
+    rates = [str(z - g * m) for m, g, z in zip(bp, sl, ic)]
+    return [[str(m) for m in bp], rates + ["0"]]
 
 
-def reference_segments_json(curve: FractionCurve) -> list[tuple[str, ...]]:
-    """`tradeoff_rows`' segments: str() of each segment's Fraction start,
-    end, intercept and negated slope."""
+def reference_segments_json(curve: FractionCurve) -> list[list[str]]:
+    """`tradeoff_rows`' segment columns: str() of each segment's Fraction
+    start, end, intercept and negated slope."""
     bp, sl, ic = curve.breakpoints, curve.slopes, curve.intercepts
     return [
-        (str(bp[i]), str(bp[i + 1]), str(ic[i]), str(-sl[i]))
-        for i in range(curve.num_segments)
+        [str(m) for m in bp[: curve.num_segments]],
+        [str(m) for m in bp[1:]],
+        [str(z) for z in ic],
+        [str(-g) for g in sl],
     ]
 
 
