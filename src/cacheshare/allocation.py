@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import product
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
@@ -27,6 +27,8 @@ from .model import (
     total_content,
 )
 from .tradeoff import PiecewiseLinearTradeoff, Ratio
+
+CAP = 250_000  # the most splits the oracle rates, and the most samples a sweep takes
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class AllocationTrace:
     rate: Fraction
     tradeoff_labels: tuple[str, ...]
 
-    @property
+    @cached_property
     def steps(self) -> tuple[AllocationStep, ...]:
-        """The columns as one `AllocationStep` per step, built on each read."""
+        """The columns as one `AllocationStep` per step, built on first read."""
         columns = self.libraries, self.segments, self.delta_units, self.total_units
         return tuple(AllocationStep(*step, self.scale) for step in zip(*columns, strict=True))
 
@@ -339,7 +341,7 @@ def brute_force_allocate(
     config: NetworkConfig,
     tradeoffs: Sequence[PiecewiseLinearTradeoff],
     grid_step: Fraction,
-    cap: int = 250_000,
+    cap: int = CAP,
 ) -> tuple[Allocation, Fraction]:
     """Exhaustive oracle over grid splits plus corner-aligned splits.
 
@@ -549,7 +551,6 @@ def lambda_sweep(
     config: NetworkConfig,
     tradeoffs: Sequence[PiecewiseLinearTradeoff],
     num_samples: int = 11,
-    cap: int = 250_000,
 ) -> SweepResult:
     """Rate of a two-library network as the first library's budget share runs 0..1.
 
@@ -557,15 +558,15 @@ def lambda_sweep(
     sampled points always include every breakpoint of the piecewise-linear
     rate, and `segments` gives the exact line on each stretch between them.
     Every value is an int pair (see `SweepResult`); no Fraction is built.
-    More than `cap` samples are refused before anything is built.
+    More than `CAP` samples are refused before anything is built.
     """
     check_pairing(config, tradeoffs)
     if config.num_libraries != 2:
         raise ValueError(f"sweep needs exactly two libraries, got {config.num_libraries}")
     if num_samples < 2:
         raise ValueError("need at least two samples")
-    if num_samples > cap:
-        raise CapExceededError(f"sweep would take {num_samples} samples, cap is {cap}")
+    if num_samples > CAP:
+        raise CapExceededError(f"sweep would take {num_samples} samples, cap is {CAP}")
     (P, Q), (A1, B1), (A2, B2) = (
         value.as_integer_ratio() for value in (config.cache_size, *config.alphas)
     )

@@ -100,8 +100,7 @@ _scalar = json.JSONEncoder().encode  # bool, None and any other scalar
 @dataclass(frozen=True, slots=True)
 class Rows:
     """A JSON array of rows: objects with the keys `keys`, in that order, or
-    arrays when `keys` is None. `columns` holds the values, one sequence per
-    key, each as long as the array."""
+    arrays when `keys` is None. `columns` holds the values, a sequence per field."""
 
     keys: tuple[str, ...] | None
     columns: Sequence[Sequence]

@@ -368,37 +368,27 @@ def test_writer_calls_do_not_grow_with_allocate_steps(runner, monkeypatch, tmp_p
 
 def test_allocate_texts_each_distinct_step_delta_once(runner, monkeypatch, tmp_path):
     """Each step's total is texted, and each distinct delta once: the steps
-    repeat few deltas, and texting them twice per step doubles the work."""
-    calls = []
-    real = cli.ratio_text
+    repeat few deltas, and texting them twice per step doubles the work. The
+    steps reach the writer as the greedy's columns: no `AllocationStep` is built."""
+    calls, built = [], []
+    real, step_init = cli.ratio_text, cacheshare.AllocationStep.__init__
     monkeypatch.setattr(cli, "ratio_text", lambda *v: calls.append(v) or real(*v))
-    network = _bench_like_network(tmp_path / "net.json", 6, 50, 3)
-    steps = run_json(runner, ["--config", network, "allocate"])["result"]["steps"]
-    distinct = {step["delta"] for step in steps}
-    assert len(steps) > 1000 and len(distinct) < len(steps) // 2
-    assert len(calls) <= len(steps) + len(distinct)
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_allocate_steps_reach_the_writer_as_columns(runner, monkeypatch, tmp_path, fmt):
-    """The greedy's steps go to the writer as columns: no `AllocationStep` is
-    built, and each printed array is written by one `_rows` call."""
-    built, written = [], []
-    step_init, rows = cacheshare.AllocationStep.__init__, cli._rows
     monkeypatch.setattr(
         cacheshare.AllocationStep, "__init__", lambda s, *a: built.append(a) or step_init(s, *a)
     )
-    monkeypatch.setattr(cli, "_rows", lambda value, pad: written.append(value.keys) or rows(value, pad))
     network = _bench_like_network(tmp_path / "net.json", 6, 50, 3)
-    result = runner.invoke(main, ["--config", network, "--format", fmt, "allocate"])
-    assert result.exit_code == 0, result.output
-    if fmt == "json":
-        steps = json.loads(result.output)["result"]["steps"]
-    else:
-        steps = result.output.splitlines()[1:]
-    assert len(steps) > 1000
+    for fmt in ("json", "csv"):
+        calls.clear()
+        result = runner.invoke(main, ["--config", network, "--format", fmt, "allocate"])
+        assert result.exit_code == 0, result.output
+        if fmt == "json":
+            deltas = [step["delta"] for step in json.loads(result.output)["result"]["steps"]]
+        else:
+            deltas = [row[3] for row in csv.reader(io.StringIO(result.output))][1:]
+        distinct = set(deltas)
+        assert len(deltas) > 1000 and len(distinct) < len(deltas) // 2
+        assert len(calls) <= len(deltas) + len(distinct), fmt
     assert built == []
-    assert written == ([("library", "segment", "delta", "allocated_total")] if fmt == "json" else [])
     cacheshare.AllocationStep(1, 0, 1, 1, 1)  # the guard sees a step when one is built
     assert len(built) == 1
 
