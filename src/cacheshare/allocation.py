@@ -3,8 +3,8 @@
 Serving each library with its own single-library scheme on a slice of the
 cache gives total rate sum_l alpha_l * R_l(M_l / alpha_l) for any split
 (M_1, ..., M_L) of the budget. The functions here evaluate that rate, find
-the best split (greedy, provably optimal; brute force as an oracle) and
-sweep two-library splits.
+the best split (greedy, provably optimal; the slope threshold as an
+independent oracle) and sweep two-library splits.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
-from itertools import product
-from operator import add
+from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
@@ -28,7 +26,7 @@ from .model import (
 )
 from .tradeoff import PiecewiseLinearTradeoff, Ratio
 
-CAP = 250_000  # the most splits the oracle rates, and the most samples a sweep takes
+CAP = 250_000  # the most samples a sweep takes
 
 
 @dataclass(frozen=True)
@@ -338,121 +336,47 @@ def greedy_allocate(
 
 
 def brute_force_allocate(
-    config: NetworkConfig,
-    tradeoffs: Sequence[PiecewiseLinearTradeoff],
-    grid_step: Fraction,
-    cap: int = CAP,
+    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
 ) -> tuple[Allocation, Fraction]:
-    """Exhaustive oracle over grid splits plus corner-aligned splits.
+    """The oracle: the lexicographically smallest optimal split, found by its
+    slope threshold without the greedy, and its rate.
 
-    Grid: every split whose entries are multiples of grid_step. Corner-aligned:
-    for each choice of one free library, every combination of the others'
-    corner memories, remainder to the free library (kept when it fits inside
-    that library's content). The best split has at most one library off a
-    corner, so the corner-aligned family contains an optimum; the grid adds
-    interior probes. Ties resolve to the lexicographically smallest split.
-
-    The search runs on integers and stays exact: memories are counted in 1/D
-    units and each library's rate share is tabulated as an int over a common
-    denominator Q, once per distinct memory, so a candidate's rate is a sum of
-    ints. The grid is searched by a min-plus pass over those tables, not
-    listed split by split; corner-aligned splits are rated from the same
-    tables. The cap still counts every grid and corner-aligned split. Only
-    the winner becomes Fractions again.
+    Library l's share alpha_l * R_l(M_l / alpha_l) is convex and piecewise
+    linear in M_l, with the curve's slopes, so a split of the budget is optimal
+    exactly when one threshold lam holds it (the KKT condition of a separable
+    convex allocation): library l holds every segment steeper than lam, lo_l
+    of memory, and at most its segment of slope lam, up to hi_l. lam is the
+    steepest slope at which the hi_l reach the budget. Library l, in order,
+    then takes the least the libraries after it leave room for:
+    M_l = max(lo_l, rest - sum of hi_j over j > l). So every library but one
+    sits on a corner.
     """
     check_pairing(config, tradeoffs)
-    grid_step = to_fraction(grid_step)
-    if grid_step <= 0:
-        raise ValueError(f"grid step {grid_step} must be positive")
-    L = config.num_libraries
     budget = config.cache_size
-    alphas = config.alphas
+    # each curve's slopes negated, so they ascend: a bisect on -lam counts the
+    # segments strictly steeper than lam (left) or at least as steep (right)
+    climbs = [[-Fraction(g, h) for g, h in curve.slope_ratios] for curve in tradeoffs]
+    libraries = list(zip(config.alphas, climbs, tradeoffs))
 
-    ratio = budget / grid_step
-    grid_count = 0
-    if ratio.denominator == 1:
-        grid_count = math.comb(int(ratio) + L - 1, L - 1)
-    corner_count = 0
-    for free in range(L):
-        combo = 1
-        for lib in range(L):
-            if lib != free:
-                combo *= len(tradeoffs[lib].breakpoint_ratios)
-        corner_count += combo
-    if grid_count + corner_count > cap:
-        raise CapExceededError(
-            f"oracle would evaluate {grid_count + corner_count} splits, cap is {cap}"
-        )
+    def held(lam: Fraction, side) -> list[Fraction]:
+        """Each library's memory at the corner after the segments `side` counts."""
+        return [
+            alpha * Fraction(*curve.breakpoint_ratios[side(climb, -lam)])
+            for alpha, climb, curve in libraries
+        ]
 
-    # every candidate memory as an int count of 1/D units: D clears the
-    # budget, the step and every corner alpha_l * breakpoint
-    ab = [alpha.as_integer_ratio() for alpha in alphas]
-    corners = [
-        [(a * p, b * q) for p, q in curve.breakpoint_ratios]
-        for (a, b), curve in zip(ab, tradeoffs)
-    ]
-    D = math.lcm(
-        budget.denominator,
-        grid_step.denominator,
-        *(q // math.gcd(p, q) for axis in corners for p, q in axis),
-    )
-    corner_units = [[p * D // q for p, q in axis] for axis in corners]
-    total = budget.numerator * (D // budget.denominator)
-
-    # library l's share alpha_l * R_l(m / alpha_l) of the rate at memory m/D, as
-    # an int over Q: with alpha_l = a/b on segment (z/w, g/h) it is
-    # az/(bw) - gm/(hD), and 0 past the library's content. Q is the lcm of
-    # every bw and hD; each library locates each distinct memory once.
-    Q = math.lcm(
-        *(b * w for (_, b), curve in zip(ab, tradeoffs) for _, w in curve.intercept_ratios),
-        *(h * D for curve in tradeoffs for _, h in curve.slope_ratios),
-    )
-
-    @cache
-    def share(lib: int, m: int) -> int:
-        (a, b), curve = ab[lib], tradeoffs[lib]
-        seg = curve.segment_of(m * b, D * a)
-        if seg == curve.num_segments:
-            return 0
-        (z, w), (g, h) = curve.intercept_ratios[seg], curve.slope_ratios[seg]
-        return a * z * (Q // (b * w)) - g * m * (Q // (h * D))
-
-    # (rate, split) pairs: int splits over one D order as the Fraction splits
-    # do, so the least pair has the lowest rate, ties to the smallest split
-    found: list[tuple[int, tuple[int, ...]]] = []
-    if ratio.denominator == 1 and L == 1:
-        found.append((share(0, total), (total,)))  # one library: one grid split
-    elif ratio.denominator == 1:
-        # grid splits of S steps: after[l][s] is the lowest rate of libraries
-        # l+1.. sharing s steps, a min-plus pass from the last library back;
-        # then each library in turn takes the fewest steps that still reach
-        # the optimum, which gives the smallest optimal grid split
-        unit = grid_step.numerator * (D // grid_step.denominator)
-        S = int(ratio)
-        cols = [[share(lib, i * unit) for i in range(S + 1)] for lib in range(L)]
-        after = [cols[-1]]
-        for col in reversed(cols[1:-1]):
-            rest = after[0]
-            after.insert(0, [min(map(add, col, reversed(rest[: s + 1]))) for s in range(S + 1)])
-        picks, s = [], S
-        for col, rest in zip(cols, after[: L - 1]):
-            sums = list(map(add, col, reversed(rest[: s + 1])))
-            picks.append(sums.index(min(sums)))
-            s -= picks[-1]
-        picks.append(s)
-        found.append((sum(col[i] for col, i in zip(cols, picks)), tuple(i * unit for i in picks)))
-    for free in range(L):
-        content_free = corner_units[free][-1]  # alpha_free * N_free
-        others = corner_units[:free] + corner_units[free + 1 :]
-        for combo in product(*others):
-            remainder = total - sum(combo)
-            if 0 <= remainder <= content_free:
-                split = combo[:free] + (remainder,) + combo[free:]
-                found.append((sum(map(share, range(L), split)), split))
-    if not found:
-        raise ValueError("no feasible split on the grid")
-    best_rate, best_split = min(found)
-    return Allocation(tuple(Fraction(m, D) for m in best_split)), Fraction(best_rate, Q)
+    # the hi_l grow as the slope flattens: the first slope, steepest first,
+    # whose hi_l reach the budget
+    slopes = sorted({-s for climb in climbs for s in climb}, reverse=True)
+    reach = bisect_left(slopes, True, key=lambda lam: sum(held(lam, bisect_right)) >= budget)
+    lo, hi = held(slopes[reach], bisect_left), held(slopes[reach], bisect_right)
+    split, rest, room = [], budget, sum(hi)
+    for low, high in zip(lo, hi):
+        room -= high
+        split.append(max(low, rest - room))
+        rest -= split[-1]
+    allocation = Allocation(tuple(split))
+    return allocation, split_rate(config, allocation, tradeoffs)
 
 
 def corner_structure_violations(

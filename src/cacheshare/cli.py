@@ -334,7 +334,7 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
 @click.option(
     "--oracle-step",
     default=None,
-    help="Cross-check against exhaustive search on this grid step (exact fraction).",
+    help="Cross-check the greedy rate against the slope-threshold oracle; any positive fraction turns it on.",
 )
 def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
     """Split the cache budget across libraries greedily and rate the result."""
@@ -361,7 +361,9 @@ def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
     }
     if oracle_step is not None:
         step = _fraction(oracle_step, "--oracle-step")
-        best_alloc, best_rate = brute_force_allocate(config, curves, step)
+        if step <= 0:
+            raise ValueError(f"grid step {step} must be positive")
+        best_alloc, best_rate = brute_force_allocate(config, curves)
         split = [str(m) for m in best_alloc.per_library]
         if best_rate != trace.rate:
             raise VerificationFailure(

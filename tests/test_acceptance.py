@@ -45,6 +45,7 @@ from util import (
     random_equal_n_config,
     random_corner_allocation,
     random_sim_config,
+    reference_brute_force,
     reference_config,
     row_pass,
     unequal_config,
@@ -90,10 +91,11 @@ def test_reference_budget_split_optimum():
     trace = greedy_allocate(config, curves)
     assert trace.rate == F(1, 2)
     assert trace.final.per_library == (F(2, 5), F(3, 5))
-    alloc, rate = brute_force_allocate(config, curves, F(1, 100))
+    alloc, rate = brute_force_allocate(config, curves)
+    assert (alloc, rate) == reference_brute_force(config, curves, F(1, 100))
     assert rate == F(1, 2)
     assert alloc.per_library == (F(2, 5), F(3, 5))
-    _verdict(2, "greedy and 1/100-grid search agree on rate 1/2 at (2/5, 3/5)", started, 1.0)
+    _verdict(2, "greedy, oracle and 1/100-grid search agree on rate 1/2 at (2/5, 3/5)", started, 1.0)
 
 
 def test_equal_library_counts_make_pooling_optimal():
@@ -113,7 +115,7 @@ def test_equal_library_counts_make_pooling_optimal():
         bound = converse_bound(config, curve.evaluate)
         assert proportional == pooled == greedy == bound
         if config in fixed:
-            assert pooled == F(1, 2) == brute_force_allocate(config, curves, F(1, 10))[1]
+            assert pooled == F(1, 2) == brute_force_allocate(config, curves)[1]
         checked += 1
     assert checked >= 100
     _verdict(
@@ -142,8 +144,8 @@ def test_greedy_structure_and_exhaustive_oracle():
                 interior += 1
         assert interior <= 1
         step = config.cache_size / 6 if config.cache_size else F(1)
-        _, best_rate = brute_force_allocate(config, curves, step)
-        assert trace.rate == best_rate
+        _, best_rate = brute_force_allocate(config, curves)
+        assert trace.rate == best_rate == reference_brute_force(config, curves, step)[1]
     _verdict(
         4,
         f"greedy splits are corner-structured and match exhaustive search on {len(suite)} networks",

@@ -145,20 +145,15 @@ def test_greedy_partial_segment_stops_midway():
 
 def test_brute_force_matches_reference():
     cfg = reference_config()
-    alloc, rate = brute_force_allocate(cfg, reference_curves(), F(1, 20))
+    alloc, rate = brute_force_allocate(cfg, reference_curves())
     assert alloc.per_library == (F(2, 5), F(3, 5))
     assert rate == F(1, 2)
-
-
-def test_brute_force_cap():
-    with pytest.raises(CapExceededError, match="cap"):
-        brute_force_allocate(reference_config(), reference_curves(), F(1, 20), cap=10)
 
 
 def test_brute_force_single_library():
     cfg = make_config(counts=(4,), weights=(F(1),), users=2, cache=1)
     curves = curves_for(cfg)
-    alloc, rate = brute_force_allocate(cfg, curves, F(1, 8))
+    alloc, rate = brute_force_allocate(cfg, curves)
     assert alloc.per_library == (F(1),)
     assert rate == curves[0].evaluate(F(1))
 
@@ -174,8 +169,7 @@ def test_greedy_matches_brute_force_on_random_configs():
         cfg = random_config(rng, max_libraries=3)
         curves = curves_for(cfg)
         trace = greedy_allocate(cfg, curves)
-        step = cfg.cache_size / 6 if cfg.cache_size > 0 else F(1)
-        _, best = brute_force_allocate(cfg, curves, step)
+        _, best = brute_force_allocate(cfg, curves)
         assert trace.rate == best
         assert corner_structure_violations(cfg, curves, trace.final) == []
 
@@ -320,8 +314,7 @@ def test_tabulated_oracle_equals_per_candidate_rating():
             cfg = NetworkConfig(libs, rng.randint(1, 4), F(rng.randint(0, 8), 8) * content)
             curves = curves_for(cfg, rng.choice(("auto", "scheme")))
             step = cfg.cache_size / rng.choice((3, 6, 10)) if cfg.cache_size > 0 else F(1, 4)
-            got = brute_force_allocate(cfg, curves, step)
-            assert got == reference_brute_force(cfg, curves, step)
+            assert brute_force_allocate(cfg, curves) == reference_brute_force(cfg, curves, step)
 
 
 def test_tabulated_oracle_keeps_tie_break_on_tied_optima():
@@ -332,6 +325,6 @@ def test_tabulated_oracle_keeps_tie_break_on_tied_optima():
         cfg = make_config(counts=counts, weights=(F(1, L),) * L, users=3, cache=cache)
         curves = curves_for(cfg)
         step = F(1, 20)
-        alloc, rate = brute_force_allocate(cfg, curves, step)
+        alloc, rate = brute_force_allocate(cfg, curves)
         assert (alloc, rate) == reference_brute_force(cfg, curves, step)
         assert rate == greedy_allocate(cfg, curves).rate

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -105,6 +106,27 @@ def test_allocate_with_oracle(runner):
         (1, "1/5"),
         (2, "3/10"),
     ]
+
+
+def test_oracle_step_only_turns_the_oracle_on(runner):
+    # the step no longer sets a grid, so no step is too fine
+    args = ["--config", EXAMPLE, "allocate", "--oracle-step"]
+    coarse = run_json(runner, [*args, "1/10"])["result"]
+    fine = run_json(runner, [*args, "1/1000000"])["result"]
+    assert fine["oracle"] == coarse["oracle"] == {"rate": "1/2", "allocation": ["2/5", "3/5"]}
+
+
+def test_greedy_rate_off_the_oracle_rate_is_a_failed_check(runner, monkeypatch):
+    real = cli.greedy_allocate
+
+    def one_off(config, curves):
+        trace = real(config, curves)
+        return dataclasses.replace(trace, rate=trace.rate + 1)
+
+    monkeypatch.setattr(cli, "greedy_allocate", one_off)
+    result = runner.invoke(main, ["--config", EXAMPLE, "allocate", "--oracle-step", "1/10"])
+    assert result.exit_code == 1
+    assert "greedy rate 3/2 differs from oracle rate 1/2 at split ['2/5', '3/5']" in result.output
 
 
 def test_converse_unequal_payload(runner):

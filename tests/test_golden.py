@@ -62,7 +62,6 @@ def _error_cases() -> dict[str, list[str]]:
         "allocate-kind-shape": unequal + ["allocate", "--kinds", "exact2x2"],
         "oracle-step-zero": ref + ["allocate", "--oracle-step", "0"],
         "oracle-step-zero-denominator": ref + ["allocate", "--oracle-step", "1/0"],
-        "oracle-step-too-fine": ref + ["allocate", "--oracle-step", "1/1000000"],
         "sweep-one-sample": ref + ["sweep", "--samples", "1"],
         "simulate-base-size-7": ref + ["simulate", "--base-size", "7"],
         "simulate-base-size-5": ref + ["simulate", "--base-size", "5"],

@@ -8,14 +8,13 @@ on one int rank * L + library each;
 `PiecewiseLinearTradeoff` keeps its shape as (numerator, denominator) pairs,
 validates, locates, evaluates and prints on them; `lower_convex_envelope`
 runs its orientation test and edges on integers; `brute_force_allocate`
-counts candidate memories in 1/D units, tabulates each library's rate
-share as an int and searches the grid with a min-plus pass; `lambda_sweep`,
+bisects the slopes for the threshold that holds the optimal splits; `lambda_sweep`,
 `split_rate` and `concatenated_cut_set_bound` work on int pairs over common
 denominators, and `corner_structure_violations` walks the consumed slopes
 only past the flattest. Each must match its plain-Fraction reference in
 `util` exactly: same steps, same accept/reject with the same message, same
-curve, same segment, rate and strings, same split and rate, same sweep and
-bound. `greedy_split` must end on the
+curve, same segment, rate and strings, same split and rate (the exhaustive
+grid-and-corner search's, for the oracle), same sweep and bound. `greedy_split` must end on the
 reference greedy's final split and rate.
 """
 
@@ -29,7 +28,6 @@ import random
 import tempfile
 import tracemalloc
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -37,7 +35,6 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cacheshare import allocation
 from cacheshare.allocation import (
     Allocation,
     brute_force_allocate,
@@ -452,54 +449,66 @@ def test_integer_hull_rejects_like_fraction_hull(pts, n):
 
 def _oracle_network(rng: random.Random, L: int, kind: str):
     """A seeded network of L libraries and its curves. `exact2x2` runs every
-    two-file library at K = 2 on the exact curve, the others on scheme."""
+    two-file library at K = 2 on the exact curve, the others on scheme. One in
+    four networks gives every library one file count, weight and curve, so
+    optimal splits tie along a whole face; its budget, as in every network,
+    is often 0 or the whole content."""
     k = 2 if kind == "exact2x2" else rng.randint(1, 5)
     counts = [rng.choice((1, 2, 3)) for _ in range(L)]
-    libs = tuple(LibrarySpec(n, w) for n, w in zip(counts, random_weights(rng, L)))
+    weights = random_weights(rng, L)
+    if rng.random() < 0.25:
+        counts, weights = [counts[0]] * L, [F(1, L)] * L
+    libs = tuple(LibrarySpec(n, w) for n, w in zip(counts, weights))
     config = NetworkConfig(libs, k, F(0))
     config = NetworkConfig(libs, k, F(rng.randint(0, 12), 12) * total_content(config))
     if kind == "exact2x2":
         curves = [build_by_kind("exact2x2" if n == 2 else "scheme", n, k) for n in counts]
     else:
         curves = [build_by_kind(kind, n, k) for n in counts]
+    if counts == [counts[0]] * L:
+        curves = [curves[0]] * L
     return config, curves
 
 
 @pytest.mark.parametrize("kind", ["auto", "scheme", "exact2x2"])
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_integer_oracle_matches_fraction_oracle(L, kind):
+    # 90 networks per case, 1080 in all: the threshold split must be the
+    # split the exhaustive grid-and-corner reference picks, and its rate
     rng = random.Random(f"oracle:{L}:{kind}")
-    for _ in range(30):
+    tied = 0
+    for _ in range(90):
         config, curves = _oracle_network(rng, L, kind)
+        tied += len(set(map(id, curves))) == 1 < L
         budget = config.cache_size
         # a step that divides the budget, often with a prime (7, 11, 13) that
-        # no corner's denominator has, and steps that need not divide it
-        step = budget / rng.choice((2, 7, 11, 13)) if budget else F(1, 7)
-        for grid_step in (step, F(1, 10), F(3, 7)):
-            expected = reference_brute_force(config, curves, grid_step)
-            assert brute_force_allocate(config, curves, grid_step) == expected
+        # no corner's denominator has, or one that need not divide it
+        step = rng.choice((budget / rng.choice((2, 7, 11, 13)) if budget else F(1, 7), F(3, 7)))
+        found = brute_force_allocate(config, curves)
+        assert found == reference_brute_force(config, curves, step)
+        assert found[0].total == budget
+    assert L == 1 or tied >= 10
 
 
 def test_integer_oracle_skips_the_grid_when_the_step_does_not_divide_the_budget():
+    # the reference has no grid split at this step, only its corner family
     config = make_config(counts=(2, 3), weights=(F(1, 3), F(2, 3)), users=3, cache=F(1))
     curves = [build_by_kind("scheme", n, 3) for n in (2, 3)]
     step = F(3, 10)
     assert (config.cache_size / step).denominator != 1
-    assert brute_force_allocate(config, curves, step) == reference_brute_force(
-        config, curves, step
-    )
+    assert brute_force_allocate(config, curves) == reference_brute_force(config, curves, step)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_integer_oracle_keeps_a_remainder_equal_to_the_free_content(L):
-    # the whole content as budget, and a step that skips the grid: the only
-    # feasible split fills every library, the free one to exactly its content
+    # the whole content as budget: the only feasible split fills every
+    # library, the last one to exactly its content
     weights = (F(1, 7), F(2, 7), F(4, 7))[:L]
     config = make_config(counts=(2, 3, 1)[:L], weights=weights, users=3, cache=F(0))
     config = NetworkConfig(config.libraries, 3, total_content(config))
     curves = [build_by_kind("auto", lib.num_files, 3) for lib in config.libraries]
     step = config.cache_size / F(5, 2)
-    alloc, rate = brute_force_allocate(config, curves, step)
+    alloc, rate = brute_force_allocate(config, curves)
     assert (alloc, rate) == reference_brute_force(config, curves, step)
     assert alloc.per_library == tuple(lib.alpha * lib.num_files for lib in config.libraries)
     assert rate == 0
@@ -514,7 +523,7 @@ def test_integer_oracle_breaks_ties_to_the_smallest_split(counts, cache, step):
     L = len(counts)
     config = make_config(counts=counts, weights=(F(1, L),) * L, users=3, cache=cache)
     curves = [build_by_kind("auto", counts[0], 3)] * L
-    alloc, rate = brute_force_allocate(config, curves, step)
+    alloc, rate = brute_force_allocate(config, curves)
     assert (alloc, rate) == reference_brute_force(config, curves, step)
     mirrored = tuple(reversed(alloc.per_library))
     assert alloc.per_library < mirrored  # the tie is real and went to the smaller split
@@ -522,14 +531,13 @@ def test_integer_oracle_breaks_ties_to_the_smallest_split(counts, cache, step):
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_integer_oracle_at_budget_zero(L):
-    # one grid split, all zeros, and the corner-aligned splits that put every
-    # other library at its zero corner
+    # every library at its zero corner
     config = make_config(counts=(3, 1, 2, 5)[:L], weights=(F(1, L),) * L, users=4, cache=F(0))
     curves = curves_for(config)
+    alloc, rate = brute_force_allocate(config, curves)
     for step in (F(1, 10), F(2, 3)):
-        alloc, rate = brute_force_allocate(config, curves, step)
         assert (alloc, rate) == reference_brute_force(config, curves, step)
-        assert alloc.per_library == (F(0),) * L
+    assert alloc.per_library == (F(0),) * L
 
 
 @pytest.mark.parametrize(
@@ -537,15 +545,13 @@ def test_integer_oracle_at_budget_zero(L):
     [((1, 3), (F(1, 10), F(9, 10))), ((1, 2, 3, 1), (F(1, 20), F(1, 20), F(3, 5), F(3, 10)))],
 )
 def test_integer_oracle_rates_grid_memories_past_a_librarys_content(counts, weights):
-    # library one holds 1/10 or 1/20 of a unit; the grid puts up to the whole
-    # budget there, where its share of the rate is 0
+    # library one holds 1/10 or 1/20 of a unit; the reference's grid puts up
+    # to the whole budget there, where its share of the rate is 0
     config = make_config(counts=counts, weights=weights, users=3, cache=F(1))
     curves = curves_for(config, "scheme")
     step = F(1, 20)
     assert config.cache_size > config.libraries[0].alpha * counts[0] + step
-    assert brute_force_allocate(config, curves, step) == reference_brute_force(
-        config, curves, step
-    )
+    assert brute_force_allocate(config, curves) == reference_brute_force(config, curves, step)
 
 
 @pytest.mark.parametrize("step", [F(1, 4), F(1, 6)])
@@ -556,73 +562,39 @@ def test_integer_oracle_breaks_a_tie_between_a_grid_and_a_corner_split(step):
     # split (1/2, 1/2) ties it at both steps, and step 1/6 has it on the grid
     config = make_config(counts=(2, 2), weights=(F(1, 2),) * 2, users=3, cache=F(1))
     curves = [build_scheme_tradeoff(2, 3)] * 2
-    alloc, rate = brute_force_allocate(config, curves, step)
+    alloc, rate = brute_force_allocate(config, curves)
     assert (alloc, rate) == reference_brute_force(config, curves, step)
     assert alloc.per_library == (F(1, 3), F(2, 3))
     assert memory_sharing_rate(config, Allocation((F(1, 2), F(1, 2))), curves) == rate
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_grid_pass_finds_the_smallest_optimal_grid_split(L, monkeypatch):
-    # the corner-aligned family always holds the smallest optimal split, so
-    # the grid's own answer shows only with that family switched off
-    monkeypatch.setattr(allocation, "product", lambda *axes: iter(()))
-    rng = random.Random(f"grid:{L}")
-    cases = []  # (config, curves, grid steps in the budget)
-    for _ in range(20):
-        config, curves = _oracle_network(rng, L, "auto")
-        cases.append((config, curves, rng.randint(1, 6) if config.cache_size else 0))
-    # equal libraries on one curve: ties all along the optimal face
-    tied = make_config(counts=(2,) * L, weights=(F(1, L),) * L, users=3, cache=F(1))
-    cases.append((tied, [build_scheme_tradeoff(2, 3)] * L, 6 * L))
-    for config, curves, S in cases:
-        step = config.cache_size / S if S else F(1, 7)
-        splits = [
-            tuple(k * step for k in steps)
-            for steps in product(range(S + 1), repeat=L)
-            if sum(steps) == S
-        ]
-        rate, split = min(
-            (memory_sharing_rate(config, Allocation(split), curves), split) for split in splits
-        )
-        assert brute_force_allocate(config, curves, step) == (Allocation(split), rate)
-
-
-def test_oracle_locates_each_distinct_memory_once_per_library(monkeypatch):
-    # four libraries at step 1/100: 176851 grid splits, under the cap. The
-    # work must follow the distinct memories the candidates give a library
-    # (grid, corners and corner-aligned remainders), not the split count
-    libs = tuple(LibrarySpec(n, F(w, 10)) for n, w in zip((3, 5, 7, 2), (1, 2, 3, 4)))
-    config = NetworkConfig(libs, 6, F(1))
-    curves = curves_for(config)
-    step = F(1, 100)
-    assert math.comb(100 + 3, 3) == 176851
-    memories = {k * step for k in range(101)}
-    axes = [
-        [lib.alpha * bp for bp in fractions(curve.breakpoint_ratios)]
-        for lib, curve in zip(libs, curves)
-    ]
-    memories.update(m for axis in axes for m in axis)
-    for free, lib in enumerate(libs):
-        for combo in product(*axes[:free], *axes[free + 1 :]):
-            if 0 <= (left := config.cache_size - sum(combo)) <= lib.alpha * lib.num_files:
-                memories.add(left)
-    locate, calls = PiecewiseLinearTradeoff.segment_of, 0
+def _counted_locates(monkeypatch) -> list[int]:
+    """Count `segment_of` calls into the returned one-entry list."""
+    locate, calls = PiecewiseLinearTradeoff.segment_of, [0]
 
     def counted(curve, p, q):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return locate(curve, p, q)
 
     monkeypatch.setattr(PiecewiseLinearTradeoff, "segment_of", counted)
+    return calls
+
+
+def test_oracle_locates_each_distinct_memory_once_per_library(monkeypatch):
+    # four libraries, where a 1/100 grid has 176851 splits: the oracle bisects
+    # slopes, so it locates only its answer's memory, once per library
+    libs = tuple(LibrarySpec(n, F(w, 10)) for n, w in zip((3, 5, 7, 2), (1, 2, 3, 4)))
+    config = NetworkConfig(libs, 6, F(1))
+    curves = curves_for(config)
+    calls = _counted_locates(monkeypatch)
     tracemalloc.start()
     try:
-        alloc, rate = brute_force_allocate(config, curves, step)
+        alloc, rate = brute_force_allocate(config, curves)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls <= len(libs) * len(memories)
-    assert peak < 2**21  # no list of the grid's splits: 2 MiB against about 50 at the split count
+    assert calls == [len(libs)]
+    assert peak < 2**16
     monkeypatch.undo()
     assert rate == greedy_allocate(config, curves).rate
     assert corner_structure_violations(config, curves, alloc) == []
@@ -630,30 +602,14 @@ def test_oracle_locates_each_distinct_memory_once_per_library(monkeypatch):
 
 @pytest.mark.parametrize("cache", [F(0), F(5, 2), F(4)])
 def test_oracle_rates_one_librarys_grid_split_alone(cache, monkeypatch):
-    # one library has one grid split, the whole budget, however fine the step:
-    # the cap counts 1 + 1 splits at step 1/10**9, and the work must stay that
-    # small, not one share per grid memory
+    # one library takes the whole budget, the reference's one grid split at
+    # any step that divides it, and its memory is located once
     config = make_config(counts=(4,), weights=(F(1),), users=3, cache=cache)
     curves = curves_for(config)
-    corners = set(fractions(curves[0].breakpoint_ratios))
-    locate, calls = PiecewiseLinearTradeoff.segment_of, 0
-
-    def counted(curve, p, q):
-        nonlocal calls
-        calls += 1
-        return locate(curve, p, q)
-
-    monkeypatch.setattr(PiecewiseLinearTradeoff, "segment_of", counted)
-    tracemalloc.start()
-    try:
-        found = brute_force_allocate(config, curves, F(1, 10**9))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert calls <= len(corners | {cache})
-    assert peak < 2**20
+    calls = _counted_locates(monkeypatch)
+    found = brute_force_allocate(config, curves)
+    assert calls == [1]
     monkeypatch.undo()
-    # the whole budget is the only split at any step that divides it
     assert found == reference_brute_force(config, curves, cache or F(1))
     assert found[0].per_library == (cache,)
 
@@ -662,9 +618,7 @@ def test_integer_oracle_at_three_thousand_users():
     config = make_config(counts=(5, 20), weights=(F(2, 7), F(5, 7)), users=3000, cache=F(3, 2))
     curves = [build_by_kind("auto", n, 3000) for n in (5, 20)]
     step = F(1, 40)
-    assert brute_force_allocate(config, curves, step) == reference_brute_force(
-        config, curves, step
-    )
+    assert brute_force_allocate(config, curves) == reference_brute_force(config, curves, step)
 
 
 def probe_memories(curve: FractionCurve) -> list[Fraction]:
