@@ -334,7 +334,10 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
 @click.option(
     "--oracle-step",
     default=None,
-    help="Cross-check the greedy rate against the slope-threshold oracle; any positive fraction turns it on.",
+    help=(
+        "Cross-check the greedy rate against the slope-threshold oracle; "
+        "any positive fraction turns it on."
+    ),
 )
 def cmd_allocate(state: CliState, kinds: str, oracle_step: str | None) -> tuple:
     """Split the cache budget across libraries greedily and rate the result."""

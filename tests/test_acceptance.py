@@ -95,7 +95,8 @@ def test_reference_budget_split_optimum():
     assert (alloc, rate) == reference_brute_force(config, curves, F(1, 100))
     assert rate == F(1, 2)
     assert alloc.per_library == (F(2, 5), F(3, 5))
-    _verdict(2, "greedy, oracle and 1/100-grid search agree on rate 1/2 at (2/5, 3/5)", started, 1.0)
+    verdict = "greedy, oracle and 1/100-grid search agree on rate 1/2 at (2/5, 3/5)"
+    _verdict(2, verdict, started, 1.0)
 
 
 def test_equal_library_counts_make_pooling_optimal():

@@ -476,18 +476,20 @@ def test_integer_oracle_matches_fraction_oracle(L, kind):
     # 90 networks per case, 1080 in all: the threshold split must be the
     # split the exhaustive grid-and-corner reference picks, and its rate
     rng = random.Random(f"oracle:{L}:{kind}")
-    tied = 0
+    tied = empty = full = 0
     for _ in range(90):
         config, curves = _oracle_network(rng, L, kind)
-        tied += len(set(map(id, curves))) == 1 < L
         budget = config.cache_size
+        tied += len(set(map(id, curves))) == 1 < L
+        empty += budget == 0
+        full += budget == total_content(config)
         # a step that divides the budget, often with a prime (7, 11, 13) that
         # no corner's denominator has, or one that need not divide it
         step = rng.choice((budget / rng.choice((2, 7, 11, 13)) if budget else F(1, 7), F(3, 7)))
         found = brute_force_allocate(config, curves)
         assert found == reference_brute_force(config, curves, step)
         assert found[0].total == budget
-    assert L == 1 or tied >= 10
+    assert (L == 1 or tied >= 10) and empty and full
 
 
 def test_integer_oracle_skips_the_grid_when_the_step_does_not_divide_the_budget():
