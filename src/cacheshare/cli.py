@@ -36,6 +36,7 @@ from .model import (
     DEFAULT_DEMAND_CAP,
     NetworkConfig,
     canonical_config_json,
+    check_demand_cap,
     format_decimal,
     load_config,
     ratio_decimal,
@@ -473,6 +474,8 @@ def cmd_simulate(
             )
     if claimed is None:
         claimed = memory_sharing_rate(config, allocation, _curves(config, kinds))
+    # before any bits are laid out; N_max^K <= prod N_l^K, so --stack is covered too
+    check_demand_cap(config, demand_cap)
     plan = plan_split(config, allocation)
     if base_size is None:
         base_size = plan.base_unit

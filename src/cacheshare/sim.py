@@ -28,6 +28,9 @@ by side, user u's block (u - 1) blocks up. Decode images
 cached copy of the member's share at every group holding both. `_recover`
 copies a broadcast into all K blocks, masks it to each user's groups and
 XORs one decode image per member, which leaves each user's recovered pieces.
+Every index these images use at one (K, t), the users' cached subset ranks
+and the send and decode sources, is one cached record (`IndexTable`);
+`_blocks` adds what depends on the slot width.
 Copy and mask distribute over XOR, so the row check folds each member's
 send, decode and wanted pieces into one residual image per part, member and
 file (`RowPass.residuals`): a row's K residual images XOR to zero exactly
@@ -154,9 +157,9 @@ class PlacementState:
     size. `cached_subfiles[user - 1][library - 1]` is a cache segment cut
     into subfile ints (`_split_segment`) when the state is built, and
     `decode_images[library - 1]` lays every user's table out in its own block
-    of the decode images (`_decode_sources`), each block built from that
-    user's cache alone; a copy made with `dataclasses.replace` cuts and lays
-    out its own caches."""
+    of the decode images (`IndexTable.decode_sources`), each block built from
+    that user's cache alone; a copy made with `dataclasses.replace` cuts and
+    lays out its own caches."""
 
     plan: Plan
     layouts: tuple[LibraryLayout, ...]
@@ -185,7 +188,7 @@ class PlacementState:
                         tuple(piece for table in tables for piece in table[library][index][n])
                         for n in range(layout.num_files)
                     ]
-                    sources = _decode_sources(k, part.t)
+                    sources = _index_table(k, part.t).decode_sources
                     part_images.append(_images(per_file, sources, part.subfile_bits))
                 else:
                     part_images.append(None)
@@ -309,23 +312,6 @@ def plan_split(config: NetworkConfig, allocation: Allocation) -> Plan:
     return Plan(config, allocation, tuple(per_library), base_unit, formula_rate)
 
 
-@lru_cache(maxsize=None)
-def _subsets(num_users: int, size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(1, num_users + 1), size))
-
-
-@lru_cache(maxsize=None)
-def _subset_rank(num_users: int, size: int) -> dict:
-    return {s: i for i, s in enumerate(_subsets(num_users, size))}
-
-
-@lru_cache(maxsize=None)
-def _user_subset_ranks(num_users: int, size: int, user: int) -> tuple[int, ...]:
-    """Lexicographic ranks of the size-`size` subsets containing `user`: the
-    subfiles of one file that user caches, in cache order."""
-    return tuple(i for i, s in enumerate(_subsets(num_users, size)) if user in s)
-
-
 # per member: (slot, index) pairs, slots counted from the low end of an image
 Sources = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -333,77 +319,82 @@ Sources = tuple[tuple[tuple[int, int], ...], ...]
 Failures = dict[tuple[int, ...], tuple[int, ...]]
 
 
+@dataclass(frozen=True)
+class IndexTable:
+    """The scheme's index tables at one (K, t) (`_index_table`): size-t
+    subsets ranked in lexicographic order, size-(t + 1) groups one slot each
+    in transcript order, the first highest.
+
+    `cached_ranks`: per user, the ranks of the subsets holding it, the
+    subfiles of a file it caches, in cache order. `send_sources`: per member,
+    per group G holding it, G's slot and the rank of G - member, the subfile
+    of the member's request that G's message XORs. `decode_sources`: per
+    member, per other user u, per group G holding both, G's slot in u's block
+    (user u's block u - 1 blocks up) and the index of u's copy of the share
+    W(G - member) among every user's cached pieces of a file laid end to end;
+    entries go user by user, so `_images` fills an image from its low end up."""
+
+    num_groups: int
+    cached_ranks: tuple[tuple[int, ...], ...]
+    send_sources: Sources
+    decode_sources: Sources
+
+
 @lru_cache(maxsize=None)
-def _send_sources(num_users: int, t: int) -> Sources:
-    """Per member, per size-(t + 1) group holding it: the group's slot (groups
-    in transcript order, the first highest) and the rank of the group without
-    the member among the size-t subsets, the subfile of the member's request
-    that the group's message XORs."""
-    groups = _subsets(num_users, t + 1)
-    rank = _subset_rank(num_users, t)
-    return tuple(
-        tuple(
-            (len(groups) - 1 - g, rank[tuple(x for x in group if x != member)])
-            for g, group in enumerate(groups)
-            if member in group
-        )
-        for member in range(1, num_users + 1)
+def _index_table(num_users: int, t: int) -> IndexTable:
+    """One walk over the subsets and one over the groups; the users holding
+    W(G - member) are the members of G - member, so each member's decode
+    sources come from its send sources. Only the tables outlive the call."""
+    users = range(1, num_users + 1)
+    subsets = list(combinations(users, t))
+    rank = {subset: i for i, subset in enumerate(subsets)}
+    cached: list[list[int]] = [[] for _ in users]
+    per_user = math.comb(num_users - 1, t - 1)
+    # (user, rank of a cached subset) -> its piece's index among every user's pieces
+    index = {}
+    for i, subset in enumerate(subsets):
+        for user in subset:
+            index[user, i] = (user - 1) * per_user + len(cached[user - 1])
+            cached[user - 1].append(i)
+    groups = list(combinations(users, t + 1))
+    send: list[list[tuple[int, int]]] = [[] for _ in users]
+    for g, group in enumerate(groups):
+        slot = len(groups) - 1 - g
+        for member in group:
+            send[member - 1].append((slot, rank[tuple(x for x in group if x != member)]))
+    decode = []
+    for member_sources in send:
+        by_user: list[list[tuple[int, int]]] = [[] for _ in users]
+        for slot, i in member_sources:
+            for user in subsets[i]:
+                by_user[user - 1].append(((user - 1) * len(groups) + slot, index[user, i]))
+        decode.append(tuple(entry for entries in by_user for entry in entries))
+    return IndexTable(
+        num_groups=len(groups),
+        cached_ranks=tuple(map(tuple, cached)),
+        send_sources=tuple(map(tuple, send)),
+        decode_sources=tuple(decode),
     )
 
 
 @lru_cache(maxsize=None)
-def _decode_sources(num_users: int, t: int) -> Sources:
-    """Per member, per other user u, per size-(t + 1) group G holding both:
-    the slot of G in u's block (blocks of one slot per group, user u's
-    block u - 1 blocks up) and the index of u's copy of the member's share
-    W(G - member) among every user's cached pieces of one file, laid end to
-    end (each user's C(K - 1, t - 1) in cache order).
-
-    Each member's groups are walked once, from its send sources: the users
-    holding W(G - member) are the members of G - member. Entries go user by
-    user, so `_images` fills an image from its low blocks up."""
-    num_groups = math.comb(num_users, t + 1)
-    subsets = _subsets(num_users, t)
-    per_user = math.comb(num_users - 1, t - 1)
-    # (user, rank of a cached subset) -> its piece's index among every user's pieces
-    index = {}
-    for user in range(1, num_users + 1):
-        for p, rank in enumerate(_user_subset_ranks(num_users, t, user)):
-            index[user, rank] = (user - 1) * per_user + p
-    out = []
-    for member_sources in _send_sources(num_users, t):
-        by_user: list[list[tuple[int, int]]] = [[] for _ in range(num_users)]
-        for slot, rank in member_sources:
-            for user in subsets[rank]:
-                by_user[user - 1].append(((user - 1) * num_groups + slot, index[user, rank]))
-        out.append(tuple(entry for entries in by_user for entry in entries))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _send_shifts(num_users: int, t: int, slot_bits: int) -> tuple[int, ...]:
-    """Per size-(t + 1) group, in transcript order: the shift of its slot in
-    a send image of `slot_bits`-bit slots."""
-    return tuple(i * slot_bits for i in reversed(range(math.comb(num_users, t + 1))))
-
-
-@lru_cache(maxsize=None)
-def _blocks(num_users: int, t: int, slot_bits: int) -> tuple[int, int, int]:
-    """One coded part's verification layout: (width of a block, one slot per
-    size-(t + 1) group, so also the bits the part sends per row; the spread
-    that copies a send-image-wide int into every block; the mask keeping, in
-    each user's block, the slots of the groups holding that user)."""
-    groups = _subsets(num_users, t + 1)
-    width = len(groups) * slot_bits
+def _blocks(num_users: int, t: int, slot_bits: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """One coded part's layout at `slot_bits`-bit slots: (width of a
+    verification block, one slot per size-(t + 1) group, so also the bits
+    the part sends per row; the spread that copies a send-image-wide int into
+    every block; the mask keeping, in each user's block, the slots of the
+    groups holding that user, read off its send sources; per group, in
+    transcript order, the shift of its slot in a send image)."""
+    table = _index_table(num_users, t)
+    width = table.num_groups * slot_bits
     piece = (1 << slot_bits) - 1
     spread = masks = 0
-    for user in range(1, num_users + 1):
-        base = (user - 1) * width
+    for user, sources in enumerate(table.send_sources):
+        base = user * width
         spread |= 1 << base
-        for g, group in enumerate(groups):
-            if user in group:
-                masks |= piece << (base + (len(groups) - 1 - g) * slot_bits)
-    return width, spread, masks
+        for slot, _ in sources:
+            masks |= piece << (base + slot * slot_bits)
+    return width, spread, masks, tuple(i * slot_bits for i in reversed(range(table.num_groups)))
 
 
 def _images(
@@ -411,8 +402,9 @@ def _images(
 ) -> tuple[tuple[int, ...], ...]:
     """Per member, per file: one wide int of `slot_bits`-bit slots holding
     the file's pieces[index] at each (slot, index) of the member's sources,
-    zeros elsewhere. `per_file` is one part's subfile ints: the server's
-    (`_send_sources`) or every user's cached ones (`_decode_sources`)."""
+    zeros elsewhere. `per_file` is one part's subfile ints: the server's, at
+    the send sources, or every user's cached ones, at the decode sources
+    (`IndexTable`)."""
     images = []
     for member_sources in sources:
         member_images = []
@@ -507,7 +499,7 @@ def place(store: FileStore, plan: Plan) -> PlacementState:
             for part, per_file in zip(layout.parts, table):
                 if part.t:
                     sub = part.subfile_bits
-                    ranks = _user_subset_ranks(k, part.t, user)
+                    ranks = _index_table(k, part.t).cached_ranks[user - 1]
                     for pieces in per_file:
                         for rank in ranks:
                             value = (value << sub) | pieces[rank]
@@ -519,11 +511,13 @@ def place(store: FileStore, plan: Plan) -> PlacementState:
 def _library_send_images(
     table: SubfileTable, layout: LibraryLayout, num_users: int
 ) -> ImageTable:
-    """One library's send images (`_send_sources`), per plan part, from its
-    subfile table: a row's messages of a part are the XOR of its members'
-    images for their requested files."""
+    """One library's send images (`IndexTable.send_sources`), per plan part,
+    from its subfile table: a row's messages of a part are the XOR of its
+    members' images for their requested files."""
     return tuple(
-        _images(per_file, _send_sources(num_users, part.t), part.subfile_bits) if part.t else None
+        _images(per_file, _index_table(num_users, part.t).send_sources, part.subfile_bits)
+        if part.t
+        else None
         for part, per_file in zip(layout.parts, table)
     )
 
@@ -540,7 +534,7 @@ def _library_residuals(
     residuals = []
     for part, by_member, by_member_decode in zip(layout.parts, send_images, decode_images):
         if part.t:
-            width, spread, masks = _blocks(num_users, part.t, part.subfile_bits)
+            width, spread, masks, _ = _blocks(num_users, part.t, part.subfile_bits)
             by_member = tuple(
                 tuple(
                     ((image * spread) & masks) ^ own ^ (image << (member * width))
@@ -569,7 +563,7 @@ def _library_transcript(
             for member_images, n in zip(by_member, row):
                 wide ^= member_images[n - 1]
             mask = (1 << sub) - 1
-            shifts = _send_shifts(len(row), part.t, sub)
+            shifts = _blocks(len(row), part.t, sub)[3]
             # a list, not a generator: cheaper on the many tiny transcripts of small K
             messages = tuple([(wide >> shift) & mask for shift in shifts])
         parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=messages))
@@ -607,7 +601,7 @@ def _recover(
     the same decode images through the residual images
     (`_library_residuals`) and never calls this."""
     layout_part = placement.layouts[library - 1].parts[part]
-    _, spread, masks = _blocks(len(row), layout_part.t, layout_part.subfile_bits)
+    _, spread, masks, _ = _blocks(len(row), layout_part.t, layout_part.subfile_bits)
     blocks = (wide * spread) & masks
     for member_images, n in zip(placement.decode_images[library - 1][part], row):
         blocks ^= member_images[n - 1]
@@ -628,8 +622,10 @@ def decode(
     Per part with t >= 1: the messages, each at its group's slot, give the
     user's recovered pieces (`_recover`), the piece of each size-t subset S
     without the user at the slot of group S + {user}; they and the user's own
-    cached pieces go in file order. A t = 0 part is the message of the user's
-    request, sent in id order among the distinct requests.
+    cached pieces go in file order, placed by subset rank from the user's
+    cached ranks and its own send sources (`IndexTable`). A t = 0 part is the
+    message of the user's request, sent in id order among the distinct
+    requests.
     """
     k = len(row)
     want = row[user - 1]
@@ -643,21 +639,19 @@ def decode(
         if part.t == 0:
             value = (value << sub) | part_tr.messages[sorted(set(row)).index(want)]
             continue
+        block_bits, _, _, shifts = _blocks(k, part.t, sub)
         wide = 0
-        for message, shift in zip(part_tr.messages, _send_shifts(k, part.t, sub)):
+        for message, shift in zip(part_tr.messages, shifts):
             wide |= message << shift
-        block = _recover(placement, library, index, row, wide) >> (
-            (user - 1) * _blocks(k, part.t, sub)[0]
-        )
+        block = _recover(placement, library, index, row, wide) >> ((user - 1) * block_bits)
         mask = (1 << sub) - 1
-        own = iter(per_file[want - 1])
-        groups = _subset_rank(k, part.t + 1)
-        for subset in _subsets(k, part.t):
-            if user in subset:
-                piece = next(own)
-            else:
-                slot = len(groups) - 1 - groups[tuple(sorted(subset + (user,)))]
-                piece = (block >> (slot * sub)) & mask
+        table = _index_table(k, part.t)
+        pieces = [0] * math.comb(k, part.t)  # by subset rank
+        for rank, piece in zip(table.cached_ranks[user - 1], per_file[want - 1]):
+            pieces[rank] = piece
+        for slot, rank in table.send_sources[user - 1]:
+            pieces[rank] = (block >> (slot * sub)) & mask
+        for piece in pieces:
             value = (value << sub) | piece
     return BitString(width, value)
 
@@ -710,7 +704,7 @@ def _unrecoverable(
     for user, tables in enumerate(placement.cached_subfiles, start=1):
         for part, theirs, mine in zip(layout.parts, table, tables[library - 1]):
             if part.t:
-                ranks = _user_subset_ranks(k, part.t, user)
+                ranks = _index_table(k, part.t).cached_ranks[user - 1]
                 for n, (pieces, cached) in enumerate(zip(theirs, mine), start=1):
                     if cached != tuple([pieces[i] for i in ranks]):
                         bad.add((user, n))

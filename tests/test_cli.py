@@ -644,9 +644,18 @@ def test_sweep_samples_past_the_cap_exit_two(runner):
     assert "Error: sweep would take 250001 samples, cap is 250000\n" in result.stderr
 
 
-def test_demand_cap_exceeded(runner):
-    result = runner.invoke(main, ["--config", EXAMPLE, "simulate", "--demand-cap", "3"])
-    assert result.exit_code == 2
+def test_demand_cap_exceeded(runner, monkeypatch):
+    # refused before the store is drawn or the caches placed, with or without --stack
+    def unreachable(*args):
+        raise AssertionError("set-up ran on an over-cap network")
+
+    monkeypatch.setattr(cli, "random_file_store", unreachable)
+    monkeypatch.setattr(cli, "place", unreachable)
+    for stack in ([], ["--stack"]):
+        args = ["--config", EXAMPLE, "simulate", "--demand-cap", "3"] + stack
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: demand enumeration needs 16 vectors, cap is 3\n")
 
 
 def test_decode_mismatch_exits_one(runner, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -42,12 +43,15 @@ from util import (
     random_corner_allocation,
     random_sim_config,
     reference_base_requirement,
+    reference_blocks,
+    reference_cached_ranks,
     reference_config,
     reference_decode_sources,
     reference_file_subfiles,
     reference_library_transcript,
     reference_plan_weights,
     reference_reduction,
+    reference_send_sources,
     reference_serve,
     reference_stack_delivery,
     reference_subfile_decode,
@@ -701,10 +705,19 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
 
 
 def test_decode_sources_match_the_group_scan_builder():
-    # the one-pass builder gives the scan's entries in the scan's order
+    # the one-pass builder gives every field of the scans, entries in the
+    # scans' order, and `_blocks` reads the scan's masks off the send sources
     for k in range(1, 9):
         for t in range(1, k + 1):
-            assert sim._decode_sources(k, t) == reference_decode_sources(k, t), (k, t)
+            assert sim._index_table(k, t) == sim.IndexTable(
+                num_groups=math.comb(k, t + 1),
+                cached_ranks=reference_cached_ranks(k, t),
+                send_sources=reference_send_sources(k, t),
+                decode_sources=reference_decode_sources(k, t),
+            ), (k, t)
+            for slot_bits in (1, 3, 8):
+                expected = reference_blocks(k, t, slot_bits)
+                assert sim._blocks(k, t, slot_bits) == expected, (k, t, slot_bits)
 
 
 def assert_rows_agree(rows, library):

@@ -432,11 +432,56 @@ def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> Ro
     return RowOutcome(bits=bits, failed=tuple(sorted(set(failed))))
 
 
+def reference_cached_ranks(num_users: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Per user, by a scan over every size-t subset: the lexicographic ranks
+    of those holding the user (`sim.IndexTable.cached_ranks`)."""
+    subsets = list(combinations(range(1, num_users + 1), t))
+    return tuple(
+        tuple(i for i, subset in enumerate(subsets) if user in subset)
+        for user in range(1, num_users + 1)
+    )
+
+
+def reference_send_sources(num_users: int, t: int) -> sim.Sources:
+    """The send sources by a scan: per member, every size-(t + 1) group is
+    tested for holding it, and each one that does gives its slot (the first
+    group highest) and the rank of the group rebuilt without the member."""
+    groups = list(combinations(range(1, num_users + 1), t + 1))
+    rank = {subset: i for i, subset in enumerate(combinations(range(1, num_users + 1), t))}
+    return tuple(
+        tuple(
+            (len(groups) - 1 - g, rank[tuple(x for x in group if x != member)])
+            for g, group in enumerate(groups)
+            if member in group
+        )
+        for member in range(1, num_users + 1)
+    )
+
+
+def reference_blocks(
+    num_users: int, t: int, slot_bits: int
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """`sim._blocks` by a scan: per user, every size-(t + 1) group is tested
+    for holding it, and each one that does is masked in the user's block;
+    the send shifts count the groups down from the highest slot."""
+    groups = list(combinations(range(1, num_users + 1), t + 1))
+    width = len(groups) * slot_bits
+    piece = (1 << slot_bits) - 1
+    spread = masks = 0
+    for user in range(1, num_users + 1):
+        base = (user - 1) * width
+        spread |= 1 << base
+        for g, group in enumerate(groups):
+            if user in group:
+                masks |= piece << (base + (len(groups) - 1 - g) * slot_bits)
+    return width, spread, masks, tuple(i * slot_bits for i in reversed(range(len(groups))))
+
+
 def reference_decode_sources(num_users: int, t: int) -> sim.Sources:
     """The decode sources by a scan: per member, per other user, every
     size-(t + 1) group is tested for holding both, and each one that does is
     rebuilt without the member to find the user's cached copy of that share.
-    `sim._decode_sources` walks each member's groups once instead."""
+    `sim._index_table` walks each member's send sources once instead."""
     groups = list(combinations(range(1, num_users + 1), t + 1))
     subsets = list(combinations(range(1, num_users + 1), t))
     per_user = math.comb(num_users - 1, t - 1)
