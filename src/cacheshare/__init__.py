@@ -62,10 +62,10 @@ from .sim import (
 )
 from .tradeoff import (
     PiecewiseLinearTradeoff,
+    SchemeCurve,
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
-    build_scheme_tradeoffs,
     lower_convex_envelope,
     tradeoff_rows,
 )

@@ -17,6 +17,7 @@ from functools import cached_property, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
+    CAP,
     CapExceededError,
     NetworkConfig,
     ratio_sum,
@@ -24,9 +25,7 @@ from .model import (
     to_fraction,
     total_content,
 )
-from .tradeoff import PiecewiseLinearTradeoff, Ratio
-
-CAP = 250_000  # the most samples a sweep takes
+from .tradeoff import Curve, Ratio
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,7 @@ class AllocationTrace:
         return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
-def check_pairing(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
-) -> None:
+def check_pairing(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> None:
     """Each library needs a curve built for its own file count."""
     if len(tradeoffs) != config.num_libraries:
         raise ValueError(
@@ -121,9 +118,7 @@ def check_pairing(
 
 
 def split_rate(
-    config: NetworkConfig,
-    allocation: Allocation,
-    tradeoffs: Sequence[PiecewiseLinearTradeoff],
+    config: NetworkConfig, allocation: Allocation, tradeoffs: Sequence[Curve]
 ) -> Fraction:
     """Total delivery rate sum_l alpha_l * R_l(M_l / alpha_l) of any split,
     whatever it totals: library l, with alpha_l = a/b and M_l = p/q on segment
@@ -140,9 +135,7 @@ def split_rate(
 
 
 def _pairs_rate(
-    config: NetworkConfig,
-    memories: Iterable[Ratio],
-    tradeoffs: Sequence[PiecewiseLinearTradeoff],
+    config: NetworkConfig, memories: Iterable[Ratio], tradeoffs: Sequence[Curve]
 ) -> Fraction:
     """`split_rate` of the split whose memories are the pairs p/q, q > 0, not
     necessarily in lowest terms, one per library, on curves already paired."""
@@ -153,15 +146,13 @@ def _pairs_rate(
             raise ValueError(f"library {idx + 1}: alpha = {lib.alpha} <= 0")
         seg = curve.segment_of(p * b, q * a)
         if seg < curve.num_segments:
-            (z, w), (g, h) = curve.intercept_ratios[seg], curve.slope_ratios[seg]
+            (z, w), (g, h) = curve.intercept(seg), curve.slope(seg)
             terms.append((a * z * h * q - g * p * b * w, b * w * h * q))
     return Fraction(*ratio_sum(terms))
 
 
 def memory_sharing_rate(
-    config: NetworkConfig,
-    allocation: Allocation,
-    tradeoffs: Sequence[PiecewiseLinearTradeoff],
+    config: NetworkConfig, allocation: Allocation, tradeoffs: Sequence[Curve]
 ) -> Fraction:
     """`split_rate` of a split that uses the whole budget exactly."""
     rate = split_rate(config, allocation, tradeoffs)
@@ -182,71 +173,75 @@ def proportional_allocation(config: NetworkConfig) -> Allocation:
     )
 
 
-def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> tuple:
-    """Where the greedy stops, with no ordering: (scale, limit, weight, ranks,
-    top, filled, rate), memory in units of 1/scale as in `greedy_allocate`.
-    `limit` is the budget, `weight[l]` alpha_l, `ranks[l]` library l's
-    segment ranks, `top` the rank of the last segment bought, `filled[l]`
-    library l's memory in the split the greedy ends on, which must total
-    `limit`, and `rate` that split's rate, read from the int units.
+def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> tuple:
+    """Where the greedy stops, with no ordering: (scale, limit, weight, S,
+    counts, filled, rate) as in `greedy_allocate`: the budget `limit` and each
+    `weight[l]` alpha_l in units of 1/scale; `counts[l]` library l's segments
+    ranked at most `top`, the rank of the last one bought; `filled[l]` its
+    memory in the split the greedy ends on, which must total `limit`; and
+    that split's rate, read from the int units.
 
-    Each curve's ranks ascend, so the memory in the segments ranked <= r is,
-    per library, its memory at the corner after the last of them: a bisect.
-    That sum grows with r, and a binary search finds the smallest r, `top`,
-    at which it reaches the budget. Every segment ranked below `top` is bought
-    whole; those ranked `top`, at most one per library, fill in library order.
+    A library's segments ranked <= r are its first `steep_segments(-r, S)`;
+    the memory they hold grows with r, and `top` is the smallest r at which
+    it reaches the budget. Between a rank below `top` and one at or above it,
+    the search probes the median rank of each curve's middle segment ranked
+    between them. Segments ranked below `top` are bought whole; those ranked
+    `top`, at most one per library, fill in library order.
     """
     check_pairing(config, tradeoffs)
     budget = config.cache_size
     shares = [alpha.as_integer_ratio() for alpha in config.alphas]
-    distinct = {id(curve): curve for curve in tradeoffs}  # libraries often share a curve
-    spacing = {
-        key: math.lcm(*(q for _, q in curve.breakpoint_ratios))
-        for key, curve in distinct.items()
-    }
     scale = math.lcm(
-        budget.denominator, *(d * spacing[id(curve)] for (_, d), curve in zip(shares, tradeoffs))
+        budget.denominator, *(d * curve.breakpoint_lcm for (_, d), curve in zip(shares, tradeoffs))
     )
     limit = budget.numerator * (scale // budget.denominator)
     weight = [n * (scale // d) for n, d in shares]  # alpha_l * scale, an int
-    S = max((h for curve in distinct.values() for _, h in curve.slope_ratios), default=1) ** 2
-    ranks = {
-        key: [-(g * S // h) for g, h in curve.slope_ratios] for key, curve in distinct.items()
-    }
     # every alpha_l * corner is whole in units of 1/scale, so the libraries on
-    # one curve pool their weights and a probe bisects once per distinct curve
-    pooled = dict.fromkeys(distinct, 0)
-    for w, curve in zip(weight, tradeoffs):
-        pooled[id(curve)] += w
-    pools = [(ranks[key], distinct[key].breakpoint_ratios, w) for key, w in pooled.items()]
+    # one curve pool their weights and a probe reads each distinct curve once
+    distinct = {id(curve): curve for curve in tradeoffs}
+    curves, index = list(distinct.values()), dict(zip(distinct, range(len(distinct))))
+    pool_of = [index[id(curve)] for curve in tradeoffs]
+    pooled = [0] * len(curves)
+    for w, i in zip(weight, pool_of):
+        pooled[i] += w
+    S = max(curve.slope_bound for curve in curves) ** 2
 
-    def bought(r: int) -> int:
-        """Memory in every segment ranked <= r."""
-        total = 0
-        for rank, corners, w in pools:
-            p, q = corners[bisect_right(rank, r)]
-            total += w * p // q
-        return total
+    def rank(slope: Ratio) -> int:
+        g, h = slope
+        return -(g * S // h)
 
-    lo = min((rank[0] for rank in ranks.values()), default=0) - 1  # nothing is bought at lo
-    hi = max((rank[-1] for rank in ranks.values()), default=0)  # everything is bought at hi
-    if bought(hi) < limit:
+    def probe(r: int) -> tuple[list[int], int]:  # each curve's segments ranked <= r, their memory
+        counts = [curve.steep_segments(-r, S) for curve in curves]
+        memory = 0
+        for curve, w, count in zip(curves, pooled, counts):
+            p, q = curve.breakpoint(count)
+            memory += w * p // q
+        return counts, memory
+
+    below, held = [0] * len(curves), 0  # nothing is bought below every rank, at lo
+    hi = max(rank(curve.slope(curve.num_segments - 1)) for curve in curves)
+    above, memory = probe(hi)  # everything is bought at hi
+    if memory < limit:
         raise ValueError(f"budget {budget} exceeds total content")
-    while hi - lo > 1:  # bought(lo) < limit <= bought(hi), or limit is 0
-        mid = (lo + hi) // 2
-        if bought(mid) < limit:
-            lo = mid
+    while True:  # held, the memory at lo, < limit <= the memory at hi, or limit is 0
+        # each curve's middle segment ranked in (lo, hi], if any; its rank is below
+        # hi unless that segment is its only one there
+        mids = [c.slope((a + b - 1) // 2) for c, a, b in zip(curves, below, above) if a < b]
+        ranks = sorted({rank(slope) for slope in mids} - {hi})
+        if not ranks:  # every segment ranked in (lo, hi] ranks hi: hi is `top`
+            break
+        counts, memory = probe(r := ranks[len(ranks) // 2])
+        if memory < limit:
+            below, held = counts, memory  # r is the new lo
         else:
-            hi = mid
-    per_library = [ranks[id(curve)] for curve in tradeoffs]
-    left = limit - bought(hi - 1)  # the budget for the segments ranked `top`
+            hi, above = r, counts
+    left = limit - held  # the budget for the segments ranked `top`
     filled = []
-    for w, rank, curve in zip(weight, per_library, tradeoffs):
-        seg = bisect_left(rank, hi)
-        p, q = curve.breakpoint_ratios[seg]
+    for w, i, curve in zip(weight, pool_of, tradeoffs):
+        p, q = curve.breakpoint(below[i])
         memory = w * p // q
-        if left > 0 and seg < len(rank) and rank[seg] == hi:
-            p, q = curve.breakpoint_ratios[seg + 1]
+        if left > 0 and above[i] > below[i]:  # its segment below[i] ranks `top`
+            p, q = curve.breakpoint(below[i] + 1)
             delta = min(w * p // q - memory, left)
             memory += delta
             left -= delta
@@ -256,25 +251,21 @@ def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeo
             f"allocation totals {Fraction(sum(filled), scale)}, budget is {budget}"
         )
     rate = _pairs_rate(config, [(m, scale) for m in filled], tradeoffs)
-    return scale, limit, weight, per_library, hi, filled, rate
+    return scale, limit, weight, S, [above[i] for i in pool_of], filled, rate
 
 
-def greedy_rate(config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> Fraction:
+def greedy_rate(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> Fraction:
     """The rate of the split `greedy_allocate` ends on, without the split."""
     return _greedy_cut(config, tradeoffs)[-1]
 
 
-def greedy_split(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
-) -> tuple[Allocation, Fraction]:
+def greedy_split(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> tuple[Allocation, Fraction]:
     """The split `greedy_allocate` ends on and its rate, without its steps."""
     scale, *_, filled, rate = _greedy_cut(config, tradeoffs)
     return Allocation(tuple(Fraction(m, scale) for m in filled)), rate
 
 
-def greedy_allocate(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
-) -> AllocationTrace:
+def greedy_allocate(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> AllocationTrace:
     """Fill the budget segment by segment, always into the library whose next
     segment lowers the total rate fastest per unit of cache.
 
@@ -288,12 +279,13 @@ def greedy_allocate(
     Only the segments ranked at or before the last one bought (`_greedy_cut`)
     are sorted.
 
-    A slope g/h sorts on the int -(g * S // h), where S = (max h)**2 over every
-    slope denominator: two different slopes differ by at least
-    1/(h * h') >= 1/S, so their floors at scale S differ, and equal slopes get
-    equal ranks. A rank has about bits(g) + 2 * bits(max h) bits. Each segment
-    sorts on the one int rank * L + library: a library's ranks strictly ascend,
-    so that int orders as (rank, library), and a count per library names the segment.
+    A slope g/h sorts on the int rank -(g * S // h), where S = B**2 for a
+    bound B on every slope denominator (each curve's `slope_bound`): two
+    different slopes differ by at least 1/(h * h') >= 1/S, so their floors at
+    scale S differ, and equal slopes get equal ranks. Any such S gives the
+    same order. Each segment sorts on the one int rank * L + library: a
+    library's ranks strictly ascend, so that int orders as (rank, library),
+    and a count per library names the segment.
 
     Memory is counted in integer units of 1/scale, where scale is the lcm of
     the budget's denominator and of each alpha_l's denominator times the lcm
@@ -301,14 +293,18 @@ def greedy_allocate(
     budget are whole there, so the running total is an int, and the trace
     keeps each step's memories as ints over scale.
     """
-    scale, limit, weight, ranks, top, filled, rate = _greedy_cut(config, tradeoffs)
-    L = len(ranks)
+    scale, limit, weight, S, counts, filled, rate = _greedy_cut(config, tradeoffs)
+    L = len(tradeoffs)
+    # each distinct curve's ranks and corners, up to its last segment ranked <= top
+    read = {}
+    for curve, count in zip(tradeoffs, counts):
+        if id(curve) not in read:
+            ends, slopes = curve.head(count)
+            read[id(curve)] = [-(g * S // h) for g, h in slopes], ends
     order = sorted(
-        rank * L + lib
-        for lib, per_segment in enumerate(ranks)
-        for rank in per_segment[: bisect_right(per_segment, top)]
+        rank * L + lib for lib, curve in enumerate(tradeoffs) for rank in read[id(curve)][0]
     )
-    corners = [curve.breakpoint_ratios for curve in tradeoffs]
+    corners = [read[id(curve)][1] for curve in tradeoffs]
     libraries, segments, deltas, totals = [], [], [], []
     total = 0
     bought = [0] * L  # each library's segments bought so far: the index of its next
@@ -319,7 +315,7 @@ def greedy_allocate(
         lib = key % L
         seg = bought[lib]
         bought[lib] = seg + 1
-        p, q = corners[lib][seg + 1]
+        p, q = corners[lib][seg]
         end = weight[lib] * p // q
         delta = end - reached[lib]
         if total + delta > limit:
@@ -336,7 +332,7 @@ def greedy_allocate(
 
 
 def brute_force_allocate(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
+    config: NetworkConfig, tradeoffs: Sequence[Curve]
 ) -> tuple[Allocation, Fraction]:
     """The oracle: the lexicographically smallest optimal split, found by its
     slope threshold without the greedy, and its rate.
@@ -349,9 +345,10 @@ def brute_force_allocate(
     steepest slope at which the hi_l reach the budget. Library l, in order,
     then takes the least the libraries after it leave room for:
     M_l = max(lo_l, rest - sum of hi_j over j > l). So every library but one
-    sits on a corner.
+    sits on a corner. It reads every segment, so it materializes each curve.
     """
     check_pairing(config, tradeoffs)
+    tradeoffs = [curve.materialize() for curve in tradeoffs]
     budget = config.cache_size
     # each curve's slopes negated, so they ascend: a bisect on -lam counts the
     # segments strictly steeper than lam (left) or at least as steep (right)
@@ -380,9 +377,7 @@ def brute_force_allocate(
 
 
 def corner_structure_violations(
-    config: NetworkConfig,
-    tradeoffs: Sequence[PiecewiseLinearTradeoff],
-    allocation: Allocation,
+    config: NetworkConfig, tradeoffs: Sequence[Curve], allocation: Allocation
 ) -> list[str]:
     """Check the shape an optimal split must have; empty list means it holds.
 
@@ -402,8 +397,8 @@ def corner_structure_violations(
         if seg == curve.num_segments:
             gains.append((0, 1))
         else:
-            gains.append(curve.slope_ratios[seg])
-            if curve.breakpoint_ratios[seg] != (p, q):
+            gains.append(curve.slope(seg))
+            if curve.breakpoint(seg) != (p, q):
                 inside.append(lib)
 
     def beats(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -423,7 +418,7 @@ def corner_structure_violations(
                 pivot = lib
     pivot_gain = gains[pivot]
     consumed = [
-        (other, tradeoffs[other].slope_ratios[index[other] - 1])
+        (other, tradeoffs[other].slope(index[other] - 1))
         for other in range(L)
         if index[other] > 0
     ]
@@ -472,9 +467,7 @@ class SweepResult:
 
 
 def lambda_sweep(
-    config: NetworkConfig,
-    tradeoffs: Sequence[PiecewiseLinearTradeoff],
-    num_samples: int = 11,
+    config: NetworkConfig, tradeoffs: Sequence[Curve], num_samples: int = 11
 ) -> SweepResult:
     """Rate of a two-library network as the first library's budget share runs 0..1.
 
@@ -482,7 +475,8 @@ def lambda_sweep(
     sampled points always include every breakpoint of the piecewise-linear
     rate, and `segments` gives the exact line on each stretch between them.
     Every value is an int pair (see `SweepResult`); no Fraction is built.
-    More than `CAP` samples are refused before anything is built.
+    More than `CAP` samples are refused before anything is built; then each
+    curve is materialized.
     """
     check_pairing(config, tradeoffs)
     if config.num_libraries != 2:
@@ -494,14 +488,10 @@ def lambda_sweep(
     (P, Q), (A1, B1), (A2, B2) = (
         value.as_integer_ratio() for value in (config.cache_size, *config.alphas)
     )
-    t1, t2 = tradeoffs
+    t1, t2 = tradeoffs = [curve.materialize() for curve in tradeoffs]
     # Memory in integer units of 1/E, as in greedy_allocate: E clears the budget
     # and every alpha_l * breakpoint, so each library's corners are whole.
-    E = math.lcm(
-        Q,
-        B1 * math.lcm(*(q for _, q in t1.breakpoint_ratios)),
-        B2 * math.lcm(*(q for _, q in t2.breakpoint_ratios)),
-    )
+    E = math.lcm(Q, B1 * t1.breakpoint_lcm, B2 * t2.breakpoint_lcm)
     total = P * (E // Q)
     corners1 = [A1 * (E // B1) * p // q for p, q in t1.breakpoint_ratios]
     corners2 = [A2 * (E // B2) * p // q for p, q in t2.breakpoint_ratios]

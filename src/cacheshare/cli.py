@@ -54,14 +54,7 @@ from .sim import (
     reduction_demo,
     verify_all,
 )
-from .tradeoff import (
-    SEGMENT_KEYS,
-    build_by_kind,
-    build_scheme_tradeoffs,
-    corner_rates,
-    is_scheme_kind,
-    tradeoff_rows,
-)
+from .tradeoff import SEGMENT_KEYS, build_by_kind, corner_rates, tradeoff_rows
 
 
 class VerificationFailure(click.ClickException):
@@ -200,8 +193,7 @@ def _emit(state: CliState, record: dict, result: dict, header: list, rows: Itera
 
 
 def _curves(config: NetworkConfig, kinds: str):
-    """One curve per library; each distinct (kind, file count) is built once, the
-    scheme curves all in one `build_scheme_tradeoffs` call."""
+    """One curve per library; each distinct (kind, file count) is built once."""
     names = [part.strip() for part in kinds.split(",")]
     if "" in names:
         raise click.UsageError(f"--kinds entry {names.index('') + 1} of {kinds!r} is empty")
@@ -212,11 +204,7 @@ def _curves(config: NetworkConfig, kinds: str):
             f"--kinds lists {len(names)} entries for {config.num_libraries} libraries"
         )
     shapes = list(zip(names, config.file_counts))
-    k, distinct = config.num_users, dict.fromkeys(shapes)
-    # the scheme shapes share one build; any other goes by kind, which names a bad one
-    scheme = [shape for shape in distinct if is_scheme_kind(*shape, k)]
-    built = dict(zip(scheme, build_scheme_tradeoffs([n for _, n in scheme], k)))
-    built.update((shape, build_by_kind(*shape, k)) for shape in distinct if shape not in built)
+    built = {shape: build_by_kind(*shape, config.num_users) for shape in dict.fromkeys(shapes)}
     return [built[s] for s in shapes]
 
 
@@ -314,7 +302,7 @@ def cmd_tradeoff(state: CliState, files: int, users: int, kind: str) -> tuple:
     """Print one library's memory-rate curve (corners and exact segments)."""
     if files < 1 or users < 1:
         raise click.UsageError("--files and --users must be at least 1")
-    curve = build_by_kind(kind, files, users)
+    curve = build_by_kind(kind, files, users).materialize()
     corners, segments = tradeoff_rows(curve)
     result = {
         "label": curve.label,

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .model import NetworkConfig, to_fraction, total_content
-from .tradeoff import PiecewiseLinearTradeoff, shared_curve
+from .tradeoff import Curve
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ class GapReport:
         }
 
 
-def conjecture_gap(
-    config: NetworkConfig, tradeoffs: Sequence[PiecewiseLinearTradeoff]
-) -> GapReport:
+def conjecture_gap(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> GapReport:
     """Compare the greedy split's rate against the best available converse.
 
     Equal-size libraries sharing one exact curve: the stacked network IS
@@ -188,9 +186,9 @@ def conjecture_gap(
     from .allocation import greedy_rate  # local import, avoids a cycle
 
     achievable = greedy_rate(config, tradeoffs)
-    curve = shared_curve(tradeoffs)
+    curve = tradeoffs[0]
     stack = concatenate(config)
-    if curve is not None and curve.exact:
+    if curve.exact and all(other == curve for other in tradeoffs):
         converse, kind = converse_bound(config, curve.evaluate, stack), "exact"
     else:
         converse, kind = converse_bound(config, stack=stack), "cutset"

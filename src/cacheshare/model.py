@@ -17,6 +17,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 DEFAULT_DEMAND_CAP = 4096
+CAP = 250_000  # the most samples a sweep takes, and segments a curve materializes
 
 
 class CapExceededError(ValueError):

@@ -74,7 +74,7 @@ from .model import (
     check_demand_cap,
     format_decimal,
 )
-from .tradeoff import PiecewiseLinearTradeoff, build_scheme_tradeoff
+from .tradeoff import build_scheme_tradeoff
 
 
 class DivisibilityError(ValueError):
@@ -256,13 +256,6 @@ def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileS
     return FileStore(base_size=base_size, files=files)
 
 
-def scheme_curves(config: NetworkConfig) -> list[PiecewiseLinearTradeoff]:
-    """Each library's scheme envelope, built once per distinct file count."""
-    k = config.num_users
-    built = {n: build_scheme_tradeoff(n, k) for n in dict.fromkeys(config.file_counts)}
-    return [built[n] for n in config.file_counts]
-
-
 @dataclass(frozen=True)
 class Plan:
     """A split planned on the libraries' scheme envelopes (`plan_split`).
@@ -280,12 +273,13 @@ class Plan:
 
 
 def plan_split(config: NetworkConfig, allocation: Allocation) -> Plan:
-    """Plan the split on the libraries' scheme envelopes, built once: each
-    library runs at the corner its memory slice sits on, or shares its files
-    between the two corners around it, at the ts the corners carry."""
-    curves = scheme_curves(config)
-    formula_rate = split_rate(config, allocation, curves)
+    """Plan the split on the libraries' scheme envelopes, one per file count:
+    each library runs at the corner its memory slice sits on, or shares its
+    files between the two corners around it, at the ts the corners carry."""
     k = config.num_users
+    built = {n: build_scheme_tradeoff(n, k) for n in dict.fromkeys(config.file_counts)}
+    curves = [built[n] for n in config.file_counts]
+    formula_rate = split_rate(config, allocation, curves)
     base_unit = library_bit_requirement(config)
     per_library = []
     for idx, (lib, budget, env) in enumerate(
@@ -299,13 +293,12 @@ def plan_split(config: NetworkConfig, allocation: Allocation) -> Plan:
             )
         p, q = m.as_integer_ratio()
         seg = env.segment_of(p, q)
-        bp, ts = env.breakpoint_ratios, env.corner_ts
-        if seg == env.num_segments or bp[seg] == (p, q):
-            parts = ((ts[seg], Fraction(1)),)
+        if seg == env.num_segments or env.breakpoint(seg) == (p, q):
+            parts = ((env.corner_t(seg), Fraction(1)),)
         else:
-            lo, hi = Fraction(*bp[seg]), Fraction(*bp[seg + 1])
+            lo, hi = Fraction(*env.breakpoint(seg)), Fraction(*env.breakpoint(seg + 1))
             u = (hi - m) / (hi - lo)
-            parts = ((ts[seg], u), (ts[seg + 1], 1 - u))
+            parts = ((env.corner_t(seg), u), (env.corner_t(seg + 1), 1 - u))
         for t, weight in parts:
             base_unit = math.lcm(base_unit, (lib.alpha * weight / math.comb(k, t)).denominator)
         per_library.append(parts)

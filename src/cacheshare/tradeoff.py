@@ -7,17 +7,22 @@ That shape (convex, strictly decreasing, hitting zero exactly at m = N) is
 enforced at construction, so downstream code can lean on it. Every value is an
 integer (numerator, denominator) pair; `lower_convex_envelope` builds a curve
 from Fraction corner points.
+
+The scheme's curve (`SchemeCurve`) answers the same queries in closed form,
+and builds its tuples only when something reads it whole (`materialize`).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .model import ratio_text, reduce_ratio, reduced_texts, to_fraction
+from .model import CAP, CapExceededError, ratio_text, reduce_ratio, reduced_texts, to_fraction
 
 Ratio = tuple[int, int]  # (numerator, denominator): lowest terms, denominator > 0
 
@@ -29,7 +34,7 @@ class PiecewiseLinearTradeoff:
     `label` names the construction (for traces and reports); `exact` marks
     curves known to be the true optimum rather than just achievable;
     `corner_ts` is empty or holds, per breakpoint, the subset-coding t whose
-    delivery reaches that corner (`build_scheme_tradeoff` sets it).
+    delivery reaches that corner (`SchemeCurve.materialize` sets it).
 
     The breakpoints, slopes and intercepts are integer (numerator,
     denominator) pairs, each in lowest terms with a positive denominator;
@@ -100,24 +105,46 @@ class PiecewiseLinearTradeoff:
     def num_segments(self) -> int:
         return len(self.slope_ratios)
 
+    def breakpoint(self, i: int) -> Ratio:
+        return self.breakpoint_ratios[i]
+
+    def slope(self, i: int) -> Ratio:
+        return self.slope_ratios[i]
+
+    def intercept(self, i: int) -> Ratio:
+        return self.intercept_ratios[i]
+
+    @property
+    def breakpoint_lcm(self) -> int:
+        """The lcm of the breakpoint denominators."""
+        return math.lcm(*(q for _, q in self.breakpoint_ratios))
+
+    @property
+    def slope_bound(self) -> int:
+        """A bound on every slope denominator: here the largest."""
+        return max(h for _, h in self.slope_ratios)
+
+    def steep_segments(self, c: int, s: int) -> int:
+        """How many segments are at least as steep as c/s, s > 0: the slopes
+        fall, so a bisect."""
+        return bisect_left(self.slope_ratios, True, key=lambda slope: slope[0] * s < c * slope[1])
+
+    def head(self, count: int) -> tuple[Sequence[Ratio], Sequence[Ratio]]:
+        """The first `count` segments' end breakpoints and slopes."""
+        return self.breakpoint_ratios[1 : count + 1], self.slope_ratios[:count]
+
+    def materialize(self) -> PiecewiseLinearTradeoff:
+        """The curve itself: it holds its tuples already."""
+        return self
+
     def segment_of(self, p: int, q: int) -> int:
         """Index of the segment containing the memory p/q, q > 0; num_segments
-        when full."""
+        when full: a bisect for the last breakpoint at or below p/q."""
         if p < 0:
             raise ValueError(f"memory {Fraction(p, q)} < 0")
-        bp = self.breakpoint_ratios
-        hi = len(bp) - 1
         if p >= self.num_files * q:
-            return hi
-        lo = 0  # bp[lo] <= p/q < bp[hi]: the last breakpoint at or below p/q
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            a, b = bp[mid]
-            if a * q <= p * b:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+            return self.num_segments
+        return bisect_right(self.breakpoint_ratios, False, key=lambda b: b[0] * q > p * b[1]) - 1
 
     def evaluate(self, memory: Fraction) -> Fraction:
         """Rate at the given memory; zero for any memory at or beyond N."""
@@ -125,20 +152,8 @@ class PiecewiseLinearTradeoff:
         i = self.segment_of(p, q)
         if i == self.num_segments:
             return Fraction(0)
-        (z, w), (g, h) = self.intercept_ratios[i], self.slope_ratios[i]
+        (z, w), (g, h) = self.intercept(i), self.slope(i)
         return Fraction(z * h * q - g * p * w, w * h * q)
-
-
-def shared_curve(tradeoffs: Sequence[PiecewiseLinearTradeoff]) -> PiecewiseLinearTradeoff | None:
-    """The first curve if all have its file count, breakpoints, slopes and intercepts."""
-    first = tradeoffs[0]
-    shape = (first.num_files, first.breakpoint_ratios, first.slope_ratios, first.intercept_ratios)
-    same = all(
-        c is first
-        or (c.num_files, c.breakpoint_ratios, c.slope_ratios, c.intercept_ratios) == shape
-        for c in tradeoffs
-    )
-    return first if same else None
 
 
 def lower_convex_envelope(
@@ -217,83 +232,140 @@ def _first_corner(n: int, k: int) -> int:
     return min((b + math.isqrt(b * b + 4 * a * c)) // (2 * a) + 1, k)
 
 
-def _scheme_tables(k: int, low: int, unit: int) -> tuple[list, list, list]:
-    """The scheme's segments from corner t to t + 1, t = low..K-1, for N = u:
-    corner t + 1 sits at (t + 1)u/K, and the segment has slope K(K+1) /
-    (u(t+1)(t+2)) and intercept (2K - t)/(t + 2), which does not depend on N.
-    Returns the breakpoints, slopes and intercepts, each reduced with one gcd."""
-    gcd, rise = math.gcd, k * (k + 1)
-    steps, twos = range((low + 1) * unit, k * unit + 1, unit), range(low + 2, k + 2)
-    return (
-        [(x // (g := gcd(x, k)), k // g) for x in steps],
-        [(rise // (g := gcd(rise, x)), x // g) for x in map(mul, steps, twos)],
-        [(x // (g := gcd(x, y)), y // g) for x, y in zip(range(2 * k - low, k, -1), twos)],
-    )
+@dataclass(frozen=True)
+class SchemeCurve:
+    """The subset-coded scheme's curve for N files and K users, held as (N, K, t*).
 
-
-def _scheme_curve(
-    n: int, k: int, first: int, breakpoints: Sequence, slopes: Sequence, intercepts: Sequence
-) -> PiecewiseLinearTradeoff:
-    """The scheme curve of N files from its segments t*..K-1 (`_scheme_tables`
-    at N, from t*), with the anchor's segment put in front."""
-    if first:
-        # the anchor (0, N) lies below corner 0; its segment runs to corner t*
-        # with slope (N - (K - t*)/(1 + t*)) / (t* N / K)
-        x, y = (n * (1 + first) - (k - first)) * k, (1 + first) * first * n
-        bp = ((0, 1), reduce_ratio(first * n, k), *breakpoints)
-        sl, ic = (reduce_ratio(x, y), *slopes), ((n, 1), *intercepts)
-    else:
-        bp, sl, ic = ((0, 1), *breakpoints), tuple(slopes), tuple(intercepts)
-    return PiecewiseLinearTradeoff(
-        n, bp, sl, ic, label=f"scheme(N={n},K={k})", corner_ts=(0, *range(first or 1, k + 1))
-    )
-
-
-def build_scheme_tradeoffs(
-    file_counts: Sequence[int], num_users: int
-) -> list[PiecewiseLinearTradeoff]:
-    """`build_scheme_tradeoff` of each count at one K, in order; a repeated
-    count gets the same curve. The counts share one `_scheme_tables` from the
-    smallest t*, built for u = gcd of the counts. A count N = mu slices them
-    at its own t* and scales the breakpoints by m and the slopes by 1/m, with
-    one gcd per value. Each curve is shape-checked."""
-    built = dict.fromkeys(file_counts)
-    if num_users < 1 or built and min(built) < 1:
-        raise ValueError("need at least one file and one user")
-    if not built:
-        return []
-    k, gcd = num_users, math.gcd
-    firsts = [_first_corner(n, k) for n in built]
-    low, unit = min(firsts), gcd(*built)
-    breakpoints, slopes, intercepts = _scheme_tables(k, low, unit)
-    for n, first in zip(built, firsts):
-        cut, m = first - low, n // unit
-        bp, sl = breakpoints[cut:], slopes[cut:]
-        if m > 1:  # p/q and g/h are in lowest terms, so gcd(pm, q) = gcd(m, q)
-            bp = [(p * (m // (g := gcd(m, q))), q // g) for p, q in bp]
-            sl = [(g // (d := gcd(g, m)), h * (m // d)) for g, h in sl]
-        built[n] = _scheme_curve(n, k, first, bp, sl, intercepts[cut:])
-    return [built[n] for n in file_counts]
-
-
-def build_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
-    """Envelope of the subset-coded scheme's corners for one library, in closed form.
-
-    For t >= 1 the corners (tN/K, (K-t)/(1+t)) are strictly convex: the slope
-    magnitude from t to t+1 is K(K+1) / (N(t+1)(t+2)). The envelope is therefore
-    the anchor (0, min(N, K)) followed by the corners t*..K, where t* = 0 when
-    N >= K and otherwise the first corner lying strictly below the chord from
-    the anchor to the next corner (K when there is none). This equals the
-    lower convex envelope of the anchor and all K corners. The anchor is
-    delivered uncoded (t = 0), so the corner ts are (0, t*, ..., K), or
-    (0, 1, ..., K) when the anchor is corner 0. The one-count case of
-    `build_scheme_tradeoffs`: its tables built at N from t*, used as they are.
+    The corners (tN/K, (K-t)/(1+t)), t >= 1, are strictly convex, so the hull
+    of them and the anchor (0, min(N, K)) is the anchor, then corners t*..K
+    (`_first_corner`; t* = 0 when N >= K: the anchor is corner 0). Breakpoint
+    i is corner `corner_t(i)`, delivered at that t; the segment from corner t
+    has slope K(K+1) / (N(t+1)(t+2)) and intercept (2K - t)/(t + 2), after
+    the anchor's own when t* >= 1. Each query is O(1) and answers as
+    `PiecewiseLinearTradeoff`'s does on the tuples of `materialize`.
     """
+
+    num_files: int
+    num_users: int
+    first: int
+    exact = False  # only achievable
+
+    @property
+    def label(self) -> str:
+        return f"scheme(N={self.num_files},K={self.num_users})"
+
+    @cached_property
+    def _shift(self) -> int:  # corner_t(i) - i for i >= 1
+        return max(self.first - 1, 0)
+
+    @property
+    def num_segments(self) -> int:
+        return self.num_users - self._shift
+
+    def corner_t(self, i: int) -> int:
+        return i + self._shift if i else 0
+
+    def breakpoint(self, i: int) -> Ratio:
+        k = self.num_users
+        x = (i + self._shift) * self.num_files if i else 0
+        g = math.gcd(x, k)
+        return x // g, k // g
+
+    def slope(self, i: int) -> Ratio:
+        n, k, first = self.num_files, self.num_users, self.first
+        if first and not i:  # the anchor (0, N) to corner t*
+            return reduce_ratio((n * (1 + first) - (k - first)) * k, (1 + first) * first * n)
+        t = self.corner_t(i)
+        return reduce_ratio(k * (k + 1), n * (t + 1) * (t + 2))
+
+    def intercept(self, i: int) -> Ratio:
+        if self.first and not i:
+            return self.num_files, 1
+        t = self.corner_t(i)
+        return reduce_ratio(2 * self.num_users - t, t + 2)
+
+    @property
+    def breakpoint_lcm(self) -> int:
+        """The last breakpoint before N's denominator: K / gcd(N, K) at corner
+        K - 1, which every corner's divides, or 1 at the anchor when t* = K."""
+        return self.breakpoint(self.num_segments - 1)[1]
+
+    @property
+    def slope_bound(self) -> int:
+        """N K (K + 1): (t+1)(t+2) and (1 + t*) t* are at most K(K + 1)."""
+        return self.num_files * self.num_users * (self.num_users + 1)
+
+    def steep_segments(self, c: int, s: int) -> int:
+        """How many segments are at least as steep as c/s, s > 0: corner t's is
+        when (t+1)(t+2) <= X = floor(K(K+1)s / (cN)), so when t + 1 <= u =
+        (isqrt(4X + 1) - 1) // 2. The anchor's, the steepest, is checked alone."""
+        if c <= 0:
+            return self.num_segments
+        n, k, first = self.num_files, self.num_users, self.first
+        u = (math.isqrt(4 * (k * (k + 1) * s // (c * n)) + 1) - 1) // 2
+        coded = max(min(u, k) - first, 0)
+        if first and not coded:
+            g, h = self.slope(0)
+            return int(g * s >= c * h)
+        return coded + (first > 0)
+
+    def segment_of(self, p: int, q: int) -> int:
+        """As `PiecewiseLinearTradeoff.segment_of`: corner floor(pK / (qN)) is the
+        last at or below p/q, and any memory short of corner t* is on the anchor's."""
+        if p < 0:
+            raise ValueError(f"memory {Fraction(p, q)} < 0")
+        n = self.num_files
+        if p >= n * q:
+            return self.num_segments
+        return max(p * self.num_users // (q * n) - self._shift, 0)
+
+    evaluate = PiecewiseLinearTradeoff.evaluate  # reads only the queries above
+
+    def head(self, count: int) -> tuple[list[Ratio], list[Ratio]]:
+        """The first `count` segments' end breakpoints and slopes, each reduced
+        with one gcd: the anchor's, when t* >= 1, then corner t's from t*."""
+        n, k, first = self.num_files, self.num_users, self.first
+        lead = 1 if first and count else 0
+        gcd, rise, high = math.gcd, k * (k + 1), first + count - lead
+        steps = range((first + 1) * n, (high + 1) * n, n)  # (t + 1)N, t = t*..high-1
+        ends = [(x // (g := gcd(x, k)), k // g) for x in steps]
+        runs = map(mul, steps, range(first + 2, high + 2))  # N(t + 1)(t + 2)
+        slopes = [(rise // (g := gcd(rise, x)), x // g) for x in runs]
+        if lead:
+            return [self.breakpoint(1), *ends], [self.slope(0), *slopes]
+        return ends, slopes
+
+    def materialize(self) -> PiecewiseLinearTradeoff:
+        """The curve as tuples, shape-checked, built on the first call. More
+        than `CAP` segments are refused before any is built."""
+        return self._tuples
+
+    @cached_property
+    def _tuples(self) -> PiecewiseLinearTradeoff:
+        n, k, first = self.num_files, self.num_users, self.first
+        if (r := self.num_segments) > CAP:
+            raise CapExceededError(f"curve {self.label} would take {r} segments, cap is {CAP}")
+        ends, slopes = self.head(r)
+        coded = zip(range(2 * k - first, k, -1), range(first + 2, k + 2))  # 2K - t, t + 2 from t*
+        intercepts = [(x // (g := math.gcd(x, y)), y // g) for x, y in coded]
+        return PiecewiseLinearTradeoff(
+            n,
+            ((0, 1), *ends),
+            tuple(slopes),
+            ((n, 1), *intercepts) if first else tuple(intercepts),
+            label=self.label,
+            corner_ts=(0, *range(first or 1, k + 1)),
+        )
+
+
+Curve = PiecewiseLinearTradeoff | SchemeCurve
+
+
+def build_scheme_tradeoff(num_files: int, num_users: int) -> SchemeCurve:
+    """The subset-coded scheme's curve for one library, in closed form."""
     if num_files < 1 or num_users < 1:
         raise ValueError("need at least one file and one user")
-    first = _first_corner(num_files, num_users)
-    tables = _scheme_tables(num_users, first, num_files)
-    return _scheme_curve(num_files, num_users, first, *tables)
+    return SchemeCurve(num_files, num_users, _first_corner(num_files, num_users))
 
 
 def build_exact_two_by_two() -> PiecewiseLinearTradeoff:
@@ -311,17 +383,20 @@ SEGMENT_KEYS = ("start", "end", "intercept", "slope")
 
 
 def corner_rates(curve: PiecewiseLinearTradeoff) -> list[Ratio]:
-    """Each corner's rate zeta - gamma * theta as a pair over w h q, not reduced."""
+    """Each corner's rate zeta - gamma * theta of a materialized curve, as a
+    pair over w h q, not reduced."""
     bpr, slr, icr = curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios
     rates = [(z * h * q - g * p * w, w * h * q) for (p, q), (g, h), (z, w) in zip(bpr, slr, icr)]
     return rates + [(0, 1)]  # the last corner, N
 
 
-def tradeoff_rows(curve: PiecewiseLinearTradeoff) -> tuple[list[list[str]], list[list[str]]]:
-    """The curve as columns of exact strings: its corners' (memory, rate) and
-    its segments' (start, end, intercept, slope) in `SEGMENT_KEYS` order, each
-    segment's line being rate = intercept + slope * memory with the slope the
-    negated magnitude. The corner memories are the breakpoints, texted once."""
+def tradeoff_rows(curve: Curve) -> tuple[list[list[str]], list[list[str]]]:
+    """The curve, materialized, as columns of exact strings: its corners'
+    (memory, rate) and its segments' (start, end, intercept, slope) in
+    `SEGMENT_KEYS` order, each segment's line being rate = intercept + slope *
+    memory with the slope the negated magnitude. The corner memories are the
+    breakpoints, texted once."""
+    curve = curve.materialize()
     bpr, slr, icr = curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios
     bp, ic, sl = map(reduced_texts, (bpr, icr, slr))
     rates = [ratio_text(n, d) for n, d in corner_rates(curve)]
@@ -329,15 +404,9 @@ def tradeoff_rows(curve: PiecewiseLinearTradeoff) -> tuple[list[list[str]], list
     return [bp, rates], [bp[:-1], bp[1:], ic, ["-" + slope for slope in sl]]
 
 
-def is_scheme_kind(kind: str, num_files: int, num_users: int) -> bool:
-    """Whether `build_by_kind` gives this shape the scheme curve: 'scheme',
-    and 'auto' wherever no exact curve is known."""
-    return kind == "scheme" or kind == "auto" and not num_files == num_users == 2
-
-
-def build_by_kind(kind: str, num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
+def build_by_kind(kind: str, num_files: int, num_users: int) -> Curve:
     """Construct a named curve: 'scheme', 'exact2x2', or 'auto' (exact when known)."""
-    if is_scheme_kind(kind, num_files, num_users):
+    if kind == "scheme" or kind == "auto" and not num_files == num_users == 2:
         return build_scheme_tradeoff(num_files, num_users)
     if kind == "auto" or kind == "exact2x2":
         if num_files != 2 or num_users != 2:

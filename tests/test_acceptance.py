@@ -141,7 +141,7 @@ def test_greedy_structure_and_exhaustive_oracle():
             m = share / lib.alpha
             p, q = m.as_integer_ratio()
             seg = curve.segment_of(p, q)
-            if seg != curve.num_segments and curve.breakpoint_ratios[seg] != (p, q):
+            if seg != curve.num_segments and curve.breakpoint(seg) != (p, q):
                 interior += 1
         assert interior <= 1
         step = config.cache_size / 6 if config.cache_size else F(1)
@@ -250,9 +250,10 @@ def test_curve_algebra_properties():
         again = lower_convex_envelope(
             [(F(m), F(r)) for m, r in zip(*tradeoff_rows(curve)[0])], n
         )
-        assert again.breakpoint_ratios == curve.breakpoint_ratios
-        assert again.slope_ratios == curve.slope_ratios
-        assert again.intercept_ratios == curve.intercept_ratios
+        whole = curve.materialize()
+        assert again.breakpoint_ratios == whole.breakpoint_ratios
+        assert again.slope_ratios == whole.slope_ratios
+        assert again.intercept_ratios == whole.intercept_ratios
         assert concatenated_cut_set_bound((F(1),) * n, k, lo) <= curve.evaluate(lo)
     _verdict(
         8,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cacheshare
 import cacheshare.cli as cli
 import cacheshare.sim as sim
+import cacheshare.tradeoff as tradeoff
 from cacheshare.cli import main
 from cacheshare.model import format_decimal
 from util import INEXACT_CONFIG_VALUES, config_with, faulty_place
@@ -817,13 +818,12 @@ def test_csv_rows_are_built_only_for_csv(runner, monkeypatch):
 
 
 def test_allocate_builds_each_curve_shape_once(runner, monkeypatch, tmp_path):
-    # a command's scheme curves come from one builder call, and each distinct
-    # curve is constructed, and so shape-checked, exactly once
-    calls, checked = [], []
-    real = cli.build_scheme_tradeoffs
-    monkeypatch.setattr(
-        cli, "build_scheme_tradeoffs", lambda *a: calls.append(a) or real(*a)
-    )
+    # each distinct (kind, file count) is built once, by kind; allocate and
+    # converse read the scheme curves in closed form and shape-check none, while
+    # tradeoff and sweep materialize, and so check, each distinct curve once
+    built, checked = [], []
+    real = cli.build_by_kind
+    monkeypatch.setattr(cli, "build_by_kind", lambda *a: built.append(a) or real(*a))
     check = cacheshare.PiecewiseLinearTradeoff.__post_init__
     monkeypatch.setattr(
         cacheshare.PiecewiseLinearTradeoff,
@@ -832,25 +832,68 @@ def test_allocate_builds_each_curve_shape_once(runner, monkeypatch, tmp_path):
     )
 
     def network(counts, users):
-        path = tmp_path / f"{users}.json"
+        path = tmp_path / f"{len(counts)}-{users}.json"
         libraries = [{"num_files": n, "alpha": f"1/{len(counts)}"} for n in counts]
         path.write_text(json.dumps({"libraries": libraries, "num_users": users, "cache_size": "1"}))
         return str(path)
 
     def command(*args):
-        calls.clear()
+        built.clear()
         checked.clear()
         run_json(runner, list(args))
-        return len(calls), sorted(checked)
+        return len(built), sorted(checked)
 
     repeat = network((2, 3, 2, 2), 3)
-    shapes = ["scheme(N=2,K=3)", "scheme(N=3,K=3)"]
-    assert command("--config", repeat, "allocate") == (1, shapes)
-    # "scheme" and "auto" give one curve at N=2, K=3
+    assert command("--config", repeat, "allocate") == (2, [])
+    # "scheme" and "auto" are distinct kinds, though both give the scheme curve
     kinds = ["--kinds", "scheme,auto,auto,auto"]
-    assert command("--config", repeat, "converse", *kinds) == (1, shapes)
-    # "auto" at N = K = 2 is the exact curve, built by kind
-    assert command("--config", network((2, 3, 2), 2), "allocate") == (
-        1,
+    assert command("--config", repeat, "converse", *kinds) == (3, [])
+    # "auto" at N = K = 2 is the exact curve, built by kind and checked once
+    assert command("--config", network((2, 3, 2), 2), "allocate") == (2, ["exact2x2"])
+    assert command("--config", network((2, 2), 3), "sweep") == (1, ["scheme(N=2,K=3)"])
+    assert command("--config", network((3, 2), 2), "sweep", "--kinds", "scheme,exact2x2") == (
+        2,
         ["exact2x2", "scheme(N=3,K=2)"],
     )
+    assert command("tradeoff", "--files", "3", "--users", "5") == (1, ["scheme(N=3,K=5)"])
+
+
+@pytest.mark.parametrize("name", ["sim-deep", "sim-multi"])
+def test_simulate_materializes_no_curve(runner, monkeypatch, tmp_path, name):
+    # the greedy split, the claimed rate and the plan all read closed-form curves
+    networks = {
+        "sim-deep": ([(2, "1")], 8, "7/8"),
+        "sim-multi": ([(4, "1/5"), (3, "2/5"), (2, "2/5")], 3, "3/2"),
+    }
+    libraries, users, cache = networks[name]
+    path = tmp_path / "network.json"
+    libraries = [{"num_files": n, "alpha": alpha} for n, alpha in libraries]
+    path.write_text(json.dumps({"libraries": libraries, "num_users": users, "cache_size": cache}))
+
+    def unreachable(curve):
+        raise AssertionError(f"{curve.label} was materialized")
+
+    monkeypatch.setattr(cacheshare.PiecewiseLinearTradeoff, "__post_init__", unreachable)
+    args = ["--config", str(path), "simulate", "--stack", "--demand-cap", "20000"]
+    assert run_json(runner, args)["result"]["decode_ok"] is True
+
+
+def test_tradeoff_refuses_segments_past_the_cap_before_building(runner, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def stop(*_):  # the list build of a materialized scheme curve
+        raise Built
+
+    monkeypatch.setattr(tradeoff.SchemeCurve, "head", stop)
+    # N >= K: K segments
+    result = runner.invoke(main, ["tradeoff", "--files", "250001", "--users", "250001"])
+    assert result.exit_code == 2
+    message = "curve scheme(N=250001,K=250001) would take 250001 segments, cap is 250000\n"
+    assert "Error: " + message in result.stderr
+    result = runner.invoke(main, ["tradeoff", "--files", "250000", "--users", "250000"])
+    assert isinstance(result.exception, Built)  # at the cap it goes on to build
+    # N < K: K - t* + 1 segments, refused before a list of about K pairs is built
+    result = runner.invoke(main, ["tradeoff", "--files", "3", "--users", "100000000"])
+    assert result.exit_code == 2
+    assert "segments, cap is 250000\n" in result.stderr

@@ -154,7 +154,8 @@ def test_greedy_orders_slopes_one_over_h_h_prime_apart(whole):
     scheme, exact = build_scheme_tradeoff(2, 2), build_by_kind("exact2x2", 2, 2)
     curves = [scheme, shallow, exact, twin, steep]
     assert twin == shallow and twin is not shallow
-    assert sorted({h for curve in curves for _, h in curve.slope_ratios})[-2:] == [6, 7]
+    denominators = {h for curve in curves for _, h in curve.materialize().slope_ratios}
+    assert sorted(denominators)[-2:] == [6, 7]
     weights = (F(1, 10), F(2, 10), F(3, 10), F(2, 10), F(2, 10))
     config = make_config(counts=(2, 2, 2, 2, 3), weights=weights, users=2, cache=F(0))
     content = total_content(config)
@@ -241,7 +242,7 @@ def test_int_key_greedy_matches_scan_on_many_libraries(seed, libraries):
     # the int key must order a tie between curves of different file counts
     bought = [(curves[step.library - 1], step.segment) for step in trace.steps]
     assert any(
-        a.slope_ratios[i] == b.slope_ratios[j] and a.num_files != b.num_files
+        a.slope(i) == b.slope(j) and a.num_files != b.num_files
         for (a, i), (b, j) in zip(bought, bought[1:])
     )
     assert trace.steps == reference.steps
@@ -668,7 +669,7 @@ def test_pair_structure_check_matches_fraction_check(network, data):
     config, curves = network
     split = []
     for lib, curve in zip(config.libraries, curves):
-        bp = fractions(curve.breakpoint_ratios)
+        bp = fractions(curve.materialize().breakpoint_ratios)
         i = data.draw(st.integers(0, len(bp) - 1))
         if i < len(bp) - 1 and data.draw(st.booleans()):
             split.append(lib.alpha * (bp[i] + bp[i + 1]) / 2)
@@ -731,7 +732,7 @@ def test_printed_step_strings_at_zero_full_and_partial_budgets(share):
         return
     last = steps[-1]
     lib = config.libraries[last.library - 1]
-    bp = fractions(curves[last.library - 1].breakpoint_ratios)
+    bp = fractions(curves[last.library - 1].materialize().breakpoint_ratios)
     width = lib.alpha * (bp[last.segment + 1] - bp[last.segment])
     assert step_total(last) == share * content
     # the full budget ends on the last corner; a third of it stops mid-segment
@@ -901,7 +902,7 @@ def test_structure_check_matches_fraction_check_with_zero_one_and_several_violat
         split = list(final.per_library)
         moved = min(config.num_libraries, rng.choice((0, 1, 1, 2, 5)))
         for lib in rng.sample(range(config.num_libraries), moved):
-            alpha, bp = config.alphas[lib], fractions(curves[lib].breakpoint_ratios)
+            alpha, bp = config.alphas[lib], fractions(curves[lib].materialize().breakpoint_ratios)
             split[lib] = alpha * rng.choice(bp)
         allocation = Allocation(tuple(split))
         expected = reference_structure_violations(config, curves, allocation)

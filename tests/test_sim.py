@@ -464,7 +464,7 @@ def random_split_allocation(rng, config):
     for lib in config.libraries:
         env = build_scheme_tradeoff(lib.num_files, config.num_users)
         seg = rng.randrange(env.num_segments)
-        lo, hi = fractions(env.breakpoint_ratios[seg : seg + 2])
+        lo, hi = fractions((env.breakpoint(seg), env.breakpoint(seg + 1)))
         picks.append((lo + rng.choice((F(1, 3), F(1, 2))) * (hi - lo)) * lib.alpha)
     total = sum(picks, F(0))
     rebuilt = dataclasses.replace(config, cache_size=total)
@@ -998,7 +998,7 @@ def stack_networks(rng, count):
     networks."""
     deep = make_config(counts=(3, 2), weights=(F(1, 2), F(1, 2)), users=7, cache="0")
     picks = [
-        fractions(build_scheme_tradeoff(lib.num_files, 7).breakpoint_ratios)[1] / 2 * lib.alpha
+        F(*build_scheme_tradeoff(lib.num_files, 7).breakpoint(1)) / 2 * lib.alpha
         for lib in deep.libraries
     ]
     networks = [

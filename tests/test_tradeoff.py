@@ -14,7 +14,6 @@ from cacheshare.tradeoff import (
     build_by_kind,
     build_exact_two_by_two,
     build_scheme_tradeoff,
-    build_scheme_tradeoffs,
     lower_convex_envelope,
     tradeoff_rows,
 )
@@ -57,7 +56,7 @@ def test_scheme_corners_two_files_two_users():
         (F(1), F(1, 2)),
         (F(2), F(0)),
     )
-    env = build_scheme_tradeoff(2, 2)
+    env = build_scheme_tradeoff(2, 2).materialize()
     assert fractions(env.breakpoint_ratios) == (F(0), F(1), F(2))
     assert fractions(env.slope_ratios) == (F(3, 2), F(1, 2))
     assert not env.exact
@@ -68,7 +67,7 @@ def test_scheme_envelope_drops_dominated_corners():
     # two files, four users: the t=1 corner (1/2, 3/2) lies above the hull
     pts = scheme_corner_points(2, 4)
     assert (F(1, 2), F(3, 2)) in pts
-    env = build_scheme_tradeoff(2, 4)
+    env = build_scheme_tradeoff(2, 4).materialize()
     assert fractions(env.breakpoint_ratios) == (F(0), F(1), F(3, 2), F(2))
     assert env.evaluate(F(1, 2)) == F(4, 3)
 
@@ -76,7 +75,7 @@ def test_scheme_envelope_drops_dominated_corners():
 def test_scheme_envelope_merges_collinear_corners():
     # a single file is always served at rate 1 - m, whatever the user count
     for k in (1, 2, 3, 4):
-        env = build_scheme_tradeoff(1, k)
+        env = build_scheme_tradeoff(1, k).materialize()
         assert fractions(env.breakpoint_ratios) == (F(0), F(1))
         assert fractions(env.slope_ratios) == (F(1),)
 
@@ -173,7 +172,7 @@ def test_cut_set_never_exceeds_scheme_envelope():
 
 
 def test_corner_serialization_round_trip():
-    env = build_scheme_tradeoff(3, 2)
+    env = build_scheme_tradeoff(3, 2).materialize()
     corners = [(F(m), F(r)) for m, r in zip(*tradeoff_rows(env)[0])]
     again = lower_convex_envelope(corners, env.num_files, label=env.label)
     assert again.breakpoint_ratios == env.breakpoint_ratios
@@ -195,7 +194,8 @@ def test_closed_form_scheme_curve_equals_envelope_of_all_corners():
     # covers N >= K, N = 1 and K = 1
     for n in range(1, 41):
         for k in range(1, 121):
-            assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
+            curve = build_scheme_tradeoff(n, k).materialize()
+            assert curve == reference_scheme_tradeoff(n, k), (n, k)
 
 
 def large_shapes() -> list[tuple[int, int]]:
@@ -206,7 +206,7 @@ def large_shapes() -> list[tuple[int, int]]:
 
 def test_closed_form_scheme_curve_on_large_shapes():
     for n, k in large_shapes():
-        assert build_scheme_tradeoff(n, k) == reference_scheme_tradeoff(n, k), (n, k)
+        assert build_scheme_tradeoff(n, k).materialize() == reference_scheme_tradeoff(n, k), (n, k)
 
 
 def test_first_corner_in_closed_form_matches_the_scan():
@@ -217,27 +217,76 @@ def test_first_corner_in_closed_form_matches_the_scan():
         assert _first_corner(n, k) == reference_first_corner(n, k), (n, k)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_shared_table_builds_equal_the_envelope_of_all_corners(seed):
-    rng = random.Random(f"scheme-tables:{seed}")
-    k = rng.choice((1, 2, 3, 12, 60, 210))
-    sets = [
-        [],
-        [1],
-        [rng.randint(1, 9)] * 3,  # one count repeated
-        [k, k + 1, 2 * k + 3],  # N >= K only
-        [rng.randint(1, 3 * k) for _ in range(8)],  # repeats likely at small K
-        [1, k, 6, 10, 15, 4, 4, 1],  # shared factors with K and K + 1
-    ]
-    for counts in sets:
-        curves = build_scheme_tradeoffs(counts, k)
-        # curves compare on every field: label, `exact` and `corner_ts` too
-        assert curves == [reference_scheme_tradeoff(n, k) for n in counts], (counts, k)
-        first = {}  # a repeated count gets the same curve
-        assert all(first.setdefault(n, c) is c for n, c in zip(counts, curves))
-    assert build_scheme_tradeoffs([1], 1) == [reference_scheme_tradeoff(1, 1)]
-    with pytest.raises(ValueError, match="at least one file"):
-        build_scheme_tradeoffs([3, 0], k)
+def corner(n: int, k: int, t: int) -> tuple[Fraction, Fraction]:
+    """Corner t of the scheme, or the anchor (0, min(N, K)) at t = 0."""
+    return (F(t * n, k), F(k - t, 1 + t)) if t else (F(0), F(min(n, k)))
+
+
+def assert_closed_form_queries(curve, indices, *wholes) -> None:
+    """`curve`'s queries at each segment in `indices` equal the envelope's,
+    the anchor then the corners t*..K with t* from the scan
+    `reference_first_corner`, and each tuple-held curve's in `wholes`: the
+    breakpoints, slope, intercept and corner t; `segment_of` at the first
+    breakpoint, between and just short of the next, and beyond N; `evaluate`
+    between them; and the steepness count at, just above and just below the
+    slope."""
+    n, k = curve.num_files, curve.num_users
+    first = reference_first_corner(n, k)
+    ts = [0, *range(first or 1, k + 1)]
+    r = len(ts) - 1
+    views = (curve, *wholes)
+    assert [view.num_segments for view in views] == [r] * len(views)
+    M = curve.slope_bound + 1  # above every slope denominator
+    for i in indices:
+        (m0, r0), (m1, r1) = corner(n, k, ts[i]), corner(n, k, ts[i + 1])
+        slope = (r0 - r1) / (m1 - m0)
+        g, h = slope.as_integer_ratio()
+        assert h < M and curve.breakpoint_lcm % m0.denominator == 0, (n, k, i)
+        assert curve.corner_t(i) == ts[i] and all(w.corner_ts[i] == ts[i] for w in wholes)
+        zeta, mid = r0 + slope * m0, (m0 + m1) / 2
+        expected = tuple(v.as_integer_ratio() for v in (m0, m1, slope, zeta))
+        inside = [m.as_integer_ratio() for m in (m0, mid, m1 - (m1 - m0) / 1000)]
+        for view in views:
+            got = (view.breakpoint(i), view.breakpoint(i + 1), view.slope(i), view.intercept(i))
+            assert got == expected, (n, k, i, type(view).__name__)
+            assert [view.segment_of(*m) for m in inside] == [i] * 3, (n, k, i)
+            assert view.evaluate(mid) == zeta - slope * mid, (n, k, i)
+            around = ((g, h), (g * M + 1, h * M), (g * M - 1, h * M))  # at, above, below
+            steep = [view.steep_segments(*q) for q in around]
+            assert steep == [i + 1, i, i + 1], (n, k, i, type(view).__name__)
+    for view in views:
+        assert view.segment_of(n, 1) == view.segment_of(3 * n + 1, 3) == r
+        assert view.evaluate(F(n)) == 0 and view.steep_segments(0, 1) == r
+        with pytest.raises(ValueError, match="< 0"):
+            view.segment_of(-1, 3)
+
+
+def test_closed_form_queries_match_the_materialized_and_reference_curves():
+    # every segment of N < K, N >= K, N = 1 and K = 1 shapes and the large shapes
+    shapes = [(n, k) for k in range(1, 21) for n in range(1, 25)] + large_shapes()
+    for n, k in shapes:
+        curve = build_scheme_tradeoff(n, k)
+        reference = reference_scheme_tradeoff(n, k)
+        assert curve.materialize() == reference, (n, k)
+        assert_closed_form_queries(curve, range(curve.num_segments), curve.materialize(), reference)
+        assert curve.breakpoint_lcm == math.lcm(*(q for _, q in reference.breakpoint_ratios))
+        assert curve.evaluate(F(0)) == min(n, k)
+        r = curve.num_segments
+        for count in {0, 1, r // 2, r}:  # prefixes, as the greedy reads them
+            assert [list(part) for part in curve.head(count)] == [
+                list(part) for part in reference.head(count)
+            ], (n, k, count)
+    for shape in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="at least one file"):
+            build_scheme_tradeoff(*shape)
+
+
+def test_closed_form_anchor_segment_of_every_small_shape():
+    # materializing all 79401 shapes with N < K < 400 would take minutes; the
+    # anchor's segment, which ends at corner t*, is checked on every one
+    for k in range(2, 400):
+        for n in range(1, k):
+            assert_closed_form_queries(build_scheme_tradeoff(n, k), [0])
 
 
 @pytest.mark.parametrize(
@@ -260,21 +309,29 @@ def test_command_curves_equal_one_build_per_library(kinds, counts, users):
         else reference_scheme_tradeoff(n, users)
         for kind, n in zip(names, counts)
     ]
-    assert cli._curves(config, kinds) == expected
+    curves = cli._curves(config, kinds)
+    assert [curve.materialize() for curve in curves] == expected
+    first = {}  # a repeated (kind, count) gets the same curve
+    assert all(first.setdefault(s, c) is c for s, c in zip(zip(names, counts), curves))
 
 
 def test_corner_ts_are_empty_or_one_per_breakpoint():
     # the scheme tags its anchor t = 0, then t* to K (t* = 1 when N >= K;
     # with N = 1 < K only the corner t = K lies on the envelope)
-    assert build_scheme_tradeoff(2, 2).corner_ts == (0, 1, 2)
-    assert build_scheme_tradeoff(1, 3).corner_ts == (0, 3)
-    assert build_scheme_tradeoff(3, 2).corner_ts == (0, 1, 2)
-    assert build_scheme_tradeoff(2, 4).corner_ts == (0, 2, 3, 4)
-    assert build_scheme_tradeoff(3, 8).corner_ts == (0, 3, 4, 5, 6, 7, 8)
+    for shape, ts in [
+        ((2, 2), (0, 1, 2)),
+        ((1, 3), (0, 3)),
+        ((3, 2), (0, 1, 2)),
+        ((2, 4), (0, 2, 3, 4)),
+        ((3, 8), (0, 3, 4, 5, 6, 7, 8)),
+    ]:
+        curve = build_scheme_tradeoff(*shape)
+        assert curve.materialize().corner_ts == ts
+        assert tuple(map(curve.corner_t, range(len(ts)))) == ts
     # hulls of given corners know no delivery
     assert build_exact_two_by_two().corner_ts == ()
     assert lower_convex_envelope(scheme_corner_points(2, 4), 2).corner_ts == ()
-    curve = build_scheme_tradeoff(2, 2)
+    curve = build_scheme_tradeoff(2, 2).materialize()
     for ts in ((0, 1), (0, 1, 2, 2)):
         with pytest.raises(ValueError, match="one per breakpoint"):
             dataclasses.replace(curve, corner_ts=ts)
@@ -284,7 +341,7 @@ def test_corner_ts_are_empty_or_one_per_breakpoint():
 
 def test_corner_rows_match_evaluate():
     curves = [build_exact_two_by_two(), build_scheme_tradeoff(1, 1), build_scheme_tradeoff(7, 30)]
-    for curve in curves:
+    for curve in (c.materialize() for c in curves):
         (memory_texts, rate_texts), _ = tradeoff_rows(curve)
         memories = fractions(curve.breakpoint_ratios)
         assert [F(m) for m in memory_texts] == list(memories)
@@ -306,7 +363,7 @@ def test_builders_hand_over_pairs_in_lowest_terms():
     shapes = [(1, 1), (2, 2), (3, 2), (50, 3000), (3000, 50), (17, 1234)]
     shapes += [(rng.randint(1, 60), rng.randint(1, 3000)) for _ in range(40)]
     for n, k in shapes:
-        assert_pairs_in_lowest_terms(build_scheme_tradeoff(n, k))
+        assert_pairs_in_lowest_terms(build_scheme_tradeoff(n, k).materialize())
     assert_pairs_in_lowest_terms(build_exact_two_by_two())
     for _ in range(300):
         n = rng.randint(1, 8)

@@ -63,7 +63,8 @@ class FractionCurve(NamedTuple):
         return len(self.slopes)
 
 
-def fraction_curve(curve: PiecewiseLinearTradeoff) -> FractionCurve:
+def fraction_curve(curve) -> FractionCurve:
+    curve = curve.materialize()
     pairs = (curve.breakpoint_ratios, curve.slope_ratios, curve.intercept_ratios)
     return FractionCurve(curve.num_files, *map(fractions, pairs))
 
@@ -151,7 +152,7 @@ def random_sim_config(rng: random.Random) -> NetworkConfig:
     return NetworkConfig(libraries=libs, num_users=k, cache_size=Fraction(0))
 
 
-def curves_for(config: NetworkConfig, kind: str = "auto") -> list[PiecewiseLinearTradeoff]:
+def curves_for(config: NetworkConfig, kind: str = "auto") -> list:
     return [
         build_by_kind(kind, lib.num_files, config.num_users) for lib in config.libraries
     ]
@@ -165,7 +166,7 @@ def random_corner_allocation(
     picks = []
     for lib in config.libraries:
         env = build_scheme_tradeoff(lib.num_files, config.num_users)
-        theta = rng.choice(fractions(env.breakpoint_ratios))
+        theta = rng.choice(fractions(env.materialize().breakpoint_ratios))
         picks.append(theta * lib.alpha)
     total = sum(picks, Fraction(0))
     rebuilt = NetworkConfig(
@@ -642,7 +643,7 @@ def reference_plan_weights(
             )
         p, q = m.as_integer_ratio()
         seg = env.segment_of(p, q)
-        bp = env.breakpoint_ratios
+        bp = env.materialize().breakpoint_ratios
         parts: list[tuple[int, Fraction]]
         if seg == env.num_segments or bp[seg] == (p, q):
             t = m * k / n
@@ -739,7 +740,7 @@ def _oracle_candidates(config: NetworkConfig, tradeoffs, grid_step: Fraction) ->
             candidates.append(tuple(k * grid_step for k in comp))
     for free in range(L):
         axes = [
-            [bp * alphas[lib] for bp in fractions(tradeoffs[lib].breakpoint_ratios)]
+            [bp * alphas[lib] for bp in fractions(tradeoffs[lib].materialize().breakpoint_ratios)]
             for lib in range(L)
             if lib != free
         ]
