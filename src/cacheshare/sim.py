@@ -40,17 +40,16 @@ once per run. So `decode`, which puts one user's recovered (`_recover`) and
 cached pieces in file order, runs only to name the decoded file of a
 failure.
 
-A library's N^K rows are judged at once (`RowPass`). On a correct
-placement every residual image is zero by itself, not only XORed over a
-row, so when all of a library's are zero and the once-per-run checks find
-nothing, every row passes and none is walked. Otherwise the rows are walked
-in product order (the first user's request slowest), each checked as the XOR
-of its members' residual images, and the failing ones are kept per library
-for `verify_all` and `reduction_demo`. A t = 0 part sends each distinct
-request's part whole, so its rows need no check: the rejoin check covers
-them. A row's bits are structural, one slot per group per coded part and one
-whole part per distinct request per t = 0 part, so a library's worst row
-(`LibraryLayout.max_row_bits`) is read off its layout.
+A library's N^K rows are judged from its fault set (`RowPass.faulty`): the
+members with a nonzero residual image and the users the once-per-run checks
+name. No other request changes a row's verdict, so on a correct placement,
+where every residual image is zero by itself and the checks find nothing, no
+row is built. Otherwise a row is judged when asked for, and the first failing
+row is found among the fault set's N^|F| requests. A t = 0 part sends each
+distinct request's part whole, so its rows need no check: the rejoin check
+covers them. A row's bits are structural, one slot per group per coded part
+and one whole part per distinct request per t = 0 part, so a library's worst
+row (`LibraryLayout.max_row_bits`) is read off its layout.
 """
 
 from __future__ import annotations
@@ -308,8 +307,8 @@ def plan_split(config: NetworkConfig, allocation: Allocation) -> Plan:
 # per member: (slot, index) pairs, slots counted from the low end of an image
 Sources = tuple[tuple[tuple[int, int], ...], ...]
 
-# one library's failing demand rows, each with the users who fail it
-Failures = dict[tuple[int, ...], tuple[int, ...]]
+# a failing demand row of one library, with the users who fail it
+Failure = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -649,35 +648,6 @@ def decode(
     return BitString(width, value)
 
 
-def _walk_rows(
-    layout: LibraryLayout, residuals: ImageTable, bad: frozenset[tuple[int, int]], num_users: int
-) -> Failures:
-    """Every row of one library, in product order, with the users who fail it:
-    per coded part, those whose block of the row's K residual images XORed
-    is nonzero, and those asking for a file in `bad` (`_unrecoverable`)."""
-    coded = [
-        (_blocks(num_users, part.t, part.subfile_bits)[0], residual)
-        for part, residual in zip(layout.parts, residuals)
-        if part.t
-    ]
-    failed = {}
-    for row in product(range(1, layout.num_files + 1), repeat=num_users):
-        users = {user for user, n in enumerate(row, start=1) if (user, n) in bad}
-        for width, residual in coded:
-            blocks = 0
-            for member_residuals, n in zip(residual, row):
-                blocks ^= member_residuals[n - 1]
-            if blocks:
-                mask = (1 << width) - 1
-                users.update(
-                    user for user in range(1, num_users + 1)
-                    if (blocks >> ((user - 1) * width)) & mask
-                )
-        if users:
-            failed[row] = tuple(sorted(users))
-    return failed
-
-
 def _unrecoverable(
     files: tuple[BitString, ...], table: SubfileTable, placement: PlacementState, library: int
 ) -> frozenset[tuple[int, int]]:
@@ -704,16 +674,24 @@ def _unrecoverable(
     return frozenset(bad)
 
 
+def _fault_set(residuals: ImageTable, bad: frozenset[tuple[int, int]]) -> tuple[int, ...]:
+    """One library's faulty users, sorted: the members with a nonzero residual
+    image, of any part and file, and the users `_unrecoverable` names."""
+    users = {user for user, _ in bad}
+    for by_member in residuals:
+        if by_member is not None:
+            users.update(m for m, by_file in enumerate(by_member, start=1) if any(by_file))
+    return tuple(sorted(users))
+
+
 class RowPass:
-    """Library-by-library delivery and verification, each library's rows
-    judged once, all together.
+    """Library-by-library delivery and verification, each library judged
+    from its fault set.
 
     Libraries never interact: the library-l transcript and every library-l
     decode read only row l of the demand and segment l of each cache. So a
-    library is judged on its own, over all its N_l^K rows, the first time any
-    of its rows is asked for; its failing rows are kept (`failing_rows`), so
-    `verify_all` and `reduction_demo` read the same verdicts without judging
-    twice. The row pass is the one context of a run: both read the store,
+    library is judged on its own, over its N_l^K rows. The row pass is the
+    one context of a run: `verify_all` and `reduction_demo` read the store,
     the network and the placement from it; the network is the one the
     placement was planned for (`placement.plan.config`).
     `subfiles[l - 1]` is library l's files cut into subfile ints once
@@ -726,9 +704,10 @@ class RowPass:
     `unrecoverable[l - 1]` holds the checks made once per run
     (`_unrecoverable`), among them the table's rejoin into each stored file,
     so a row's users fail exactly when `decode` would not give their files.
-    A clean library, every residual image zero and nothing unrecoverable, is
-    proved from those K·N_l images alone; only another is walked row by row
-    (`_walk_rows`).
+    `faulty[l - 1]` is library l's fault set (`_fault_set`): only those
+    users' requests can fail a row, so a library with none is proved from its
+    K·N_l residual images alone. Nothing changes after construction; each
+    verdict is computed from its row when asked for.
     """
 
     def __init__(self, store: FileStore, placement: PlacementState):
@@ -753,45 +732,48 @@ class RowPass:
             _unrecoverable(files, table, placement, library)
             for library, (files, table) in enumerate(zip(store.files, self.subfiles), start=1)
         )
-        self.failing: list[Failures | None] = [None] * config.num_libraries
-
-    @property
-    def served(self) -> int:
-        """Library rows judged so far: N_l^K for each library judged."""
-        k = self.config.num_users
-        return sum(
-            layout.num_files**k
-            for layout, failing in zip(self.placement.layouts, self.failing)
-            if failing is not None
+        self.faulty = tuple(
+            _fault_set(residuals, bad) for residuals, bad in zip(self.residuals, self.unrecoverable)
         )
 
     def failed(self, library: int, row: tuple[int, ...]) -> tuple[int, ...]:
-        """The users who fail to decode `library` under demand row `row`."""
-        return self.failing_rows(library).get(row, ())
+        """The users who fail to decode `library` under demand row `row`: per
+        coded part, those whose block of the faulty members' residual images
+        XORed is nonzero, and those asking for an unrecoverable file."""
+        faulty = self.faulty[library - 1]
+        if not faulty:
+            return ()
+        k, layout = self.config.num_users, self.placement.layouts[library - 1]
+        users = {u for u in faulty if (u, row[u - 1]) in self.unrecoverable[library - 1]}
+        for part, residual in zip(layout.parts, self.residuals[library - 1]):
+            if part.t:
+                blocks = 0
+                for member in faulty:
+                    blocks ^= residual[member - 1][row[member - 1] - 1]
+                if blocks:
+                    width = _blocks(k, part.t, part.subfile_bits)[0]
+                    mask = (1 << width) - 1
+                    users.update(u for u in range(1, k + 1) if (blocks >> (u - 1) * width) & mask)
+        return tuple(sorted(users))
 
-    def failing_rows(self, library: int) -> Failures:
-        """`library`'s failing rows with their failing users, judging all its
-        rows on first request: none fails when every residual image is zero
-        and no (user, file) is unrecoverable, since a row's check is the XOR
-        of its members' residual images; otherwise the rows are walked."""
-        failing = self.failing[library - 1]
-        if failing is None:
-            residuals = self.residuals[library - 1]
-            bad = self.unrecoverable[library - 1]
-            images = (
-                image
-                for by_member in residuals
-                if by_member is not None
-                for by_file in by_member
-                for image in by_file
-            )
-            if bad or any(images):
-                layout = self.placement.layouts[library - 1]
-                failing = _walk_rows(layout, residuals, bad, self.config.num_users)
-            else:
-                failing = {}
-            self.failing[library - 1] = failing
-        return failing
+    def first_failing(self, library: int) -> Failure | None:
+        """`library`'s lexicographically first failing row with its failing
+        users, or None. A row's verdict reads only the requests of the fault
+        set, so a failing row with every other request reset to file 1 still
+        fails and comes no later: the fault set's N^|F| requests are walked in
+        product order, every other user asking for file 1, and no row is built
+        for a library without faulty users."""
+        faulty = self.faulty[library - 1]
+        if not faulty:
+            return None
+        row = [1] * self.config.num_users
+        files = range(1, self.placement.layouts[library - 1].num_files + 1)
+        for requests in product(files, repeat=len(faulty)):
+            for member, n in zip(faulty, requests):
+                row[member - 1] = n
+            if users := self.failed(library, tuple(row)):
+                return tuple(row), users
+        return None
 
     def decoded(self, library: int, row: tuple[int, ...], user: int) -> BitString:
         """`user`'s decode of `library` under `row` from a fresh transcript:
@@ -833,32 +815,32 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     with the lexicographically first witness, else report exact rates.
 
     Libraries never interact (see `RowPass`), so each library is judged over
-    its own N_l^K rows, all at once (`RowPass.failing_rows`): a clean one from
-    its residual images, with no row walked. Every combination of per-library
-    rows is a demand vector. A vector decodes exactly when each of its rows
-    does, and its transcript length is the sum of its rows' lengths, so the
-    worst case over all vectors is the sum of the per-library maxima, each
-    read off the library's layout (`LibraryLayout.max_row_bits`). The
-    measured rate is that sum divided by the base size; it must equal the
-    formula rate bit for bit. `demands_checked` counts the vectors covered,
-    the product of N_l^K; `demand_vectors_run` counts the library rows
-    judged, the sum of N_l^K.
+    its own N_l^K rows: a clean one, with no faulty user, at once, and any
+    other over the requests of its fault set (`RowPass.first_failing`). Every
+    combination of per-library rows is a demand vector. A vector decodes
+    exactly when each of its rows does, and its transcript length is the sum
+    of its rows' lengths, so the worst case over all vectors is the sum of
+    the per-library maxima, each read off the library's layout
+    (`LibraryLayout.max_row_bits`). The measured rate is that sum divided by
+    the base size; it must equal the formula rate bit for bit.
+    `demands_checked` counts the vectors covered, the product of N_l^K;
+    `demand_vectors_run` counts the library rows judged, the sum of N_l^K.
     `cap` still bounds the covered vectors, with enumeration's error message,
     and is checked before any row is judged.
     """
     config, store, placement = rows.config, rows.store, rows.placement
     covered = check_demand_cap(config, cap)
     first_failing = [
-        min(rows.failing_rows(library), default=None)
-        for library in range(1, config.num_libraries + 1)
+        rows.first_failing(library) for library in range(1, config.num_libraries + 1)
     ]
     if any(first_failing):
         raise _first_witness(rows, first_failing)
-    per_lib_max = [layout.max_row_bits(config.num_users) for layout in placement.layouts]
+    k = config.num_users
+    per_lib_max = [layout.max_row_bits(k) for layout in placement.layouts]
     max_total = sum(per_lib_max)
     return VerificationReport(
         demands_checked=covered,
-        demand_vectors_run=rows.served,
+        demand_vectors_run=sum(n**k for n in config.file_counts),
         base_size=store.base_size,
         allocation=placement.plan.allocation,
         formula_rate=placement.plan.formula_rate,
@@ -868,31 +850,29 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     )
 
 
-def _first_witness(
-    rows: RowPass, first_failing: list[tuple[int, ...] | None]
-) -> DecodeMismatchError:
+def _first_witness(rows: RowPass, first_failing: list[Failure | None]) -> DecodeMismatchError:
     """The failure a full product enumeration would meet first.
 
     Vectors run in lexicographic order, the last library's row fastest. So the
-    first failing vector is all ones if any library fails on its all-ones row;
-    otherwise it is all ones with the last failing library's first failing row
-    put in. At that vector users are checked in turn, each over all libraries.
+    first failing vector is all ones if any library fails on its all-ones row,
+    and those libraries fail there; otherwise it is all ones with the last
+    failing library's first failing row put in, and only that library fails.
+    Users are checked in turn, each over all libraries, so the witness is the
+    least user failing there, at the first library it fails.
     """
     config = rows.config
     ones = (1,) * config.num_users
-    witness = [ones] * config.num_libraries
-    if ones not in first_failing:
-        last = max(i for i, row in enumerate(first_failing) if row is not None)
-        witness[last] = first_failing[last]
-    for user in range(1, config.num_users + 1):
-        for lib_idx, row in enumerate(witness):
-            if user in rows.failed(lib_idx + 1, row):
-                expected = rows.store.files[lib_idx][row[user - 1] - 1]
-                actual = rows.decoded(lib_idx + 1, row, user)
-                return DecodeMismatchError(
-                    DemandVector(tuple(witness)), user, lib_idx + 1, expected, actual
-                )
-    raise AssertionError("a failing row has no failing user")
+    failing = {i: first for i, first in enumerate(first_failing) if first and first[0] == ones}
+    if not failing:
+        last = max(i for i, first in enumerate(first_failing) if first)
+        failing = {last: first_failing[last]}
+    witness = [failing[i][0] if i in failing else ones for i in range(config.num_libraries)]
+    user = min(users[0] for _, users in failing.values())
+    lib_idx = next(i for i, (_, users) in failing.items() if user in users)
+    row = witness[lib_idx]
+    expected = rows.store.files[lib_idx][row[user - 1] - 1]
+    actual = rows.decoded(lib_idx + 1, row, user)
+    return DecodeMismatchError(DemandVector(tuple(witness)), user, lib_idx + 1, expected, actual)
 
 
 @dataclass(frozen=True)
@@ -923,11 +903,10 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     ascending-file-count order) from the same caches and a transcript no longer
     than the multi-library worst case.
 
-    Each library's verdicts are read from `rows` (`RowPass.failing_rows`), so
-    libraries `verify_all` already judged are not judged again. A library kept
-    for stacked file n holds at least n files, so it serves file n itself, and
-    its row verdicts already say which users decoded their piece wrongly;
-    only when some row failed are the stack demands walked one by one, for
+    A library kept for stacked file n holds at least n files, so it serves
+    file n itself, and its row verdicts (`RowPass.failed`) say which users
+    decoded their piece wrongly. Only when some library has a failing row
+    (`RowPass.first_failing`) are the stack demands walked one by one, for
     the first witness (`_first_stack_witness`). Otherwise the worst stacked
     transcript is the multi-library worst case, the sum of the libraries'
     longest rows: the stack demand (1, 2, …, min(N_max, K)) is clamped to
@@ -944,7 +923,7 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
     # per stacked file, the libraries (original 1-based indices) holding a piece of it
     keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
-    if any(rows.failing_rows(library) for library in range(1, config.num_libraries + 1)):
+    if any(rows.first_failing(library) for library in range(1, config.num_libraries + 1)):
         raise _first_stack_witness(rows, keeps)
     max_total = sum(layout.max_row_bits(k) for layout in placement.layouts)
 

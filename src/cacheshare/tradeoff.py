@@ -32,9 +32,7 @@ class PiecewiseLinearTradeoff:
     """Convex decreasing memory-rate curve on [0, N], zero at N.
 
     `label` names the construction (for traces and reports); `exact` marks
-    curves known to be the true optimum rather than just achievable;
-    `corner_ts` is empty or holds, per breakpoint, the subset-coding t whose
-    delivery reaches that corner (`SchemeCurve.materialize` sets it).
+    curves known to be the true optimum rather than just achievable.
 
     The breakpoints, slopes and intercepts are integer (numerator,
     denominator) pairs, each in lowest terms with a positive denominator;
@@ -50,7 +48,6 @@ class PiecewiseLinearTradeoff:
     intercept_ratios: tuple[Ratio, ...]
     label: str = "custom"
     exact: bool = False
-    corner_ts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         num_files, bpr = self.num_files, self.breakpoint_ratios
@@ -59,8 +56,6 @@ class PiecewiseLinearTradeoff:
             raise ValueError(f"num_files = {num_files} < 1")
         if len(bpr) < 2 or len(slr) != len(bpr) - 1 or len(icr) != len(slr):
             raise ValueError("need r >= 1 segments with matching slope/intercept counts")
-        if self.corner_ts and len(self.corner_ts) != len(bpr):
-            raise ValueError(f"need no corner t or one per breakpoint, got {len(self.corner_ts)}")
         if bpr[0] != (0, 1) or bpr[-1] != (num_files, 1):
             got = tuple(Fraction(n, d) for n, d in bpr)
             raise ValueError(f"breakpoints must run from 0 to {num_files}, got {got}")
@@ -354,7 +349,6 @@ class SchemeCurve:
             tuple(slopes),
             ((n, 1), *intercepts) if first else tuple(intercepts),
             label=self.label,
-            corner_ts=(0, *range(first or 1, k + 1)),
         )
 
 

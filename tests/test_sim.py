@@ -437,13 +437,14 @@ def test_reduction_demo_unequal_sizes():
     assert F(report.max_total_bits, 8) <= placement.plan.formula_rate
 
 
-def test_reduction_demo_honours_demand_cap():
+def test_reduction_demo_honours_demand_cap(monkeypatch):
     config = reference_config()
     store = random_file_store(config, 10, seed=15)
     rows = row_pass(store, config, Allocation((F(2, 5), F(3, 5))))
+    # the cap is checked before any verdict is asked for
+    forbid_verdicts(monkeypatch, "failed", "first_failing")
     with pytest.raises(CapExceededError, match="stack enumeration needs 4 vectors, cap is 3"):
         reduction_demo(rows, cap=3)
-    assert rows.served == 0
 
 
 def test_verify_counts_covered_vectors_and_served_rows():
@@ -491,8 +492,6 @@ def test_row_pass_agrees_with_full_product_reference():
         )
         stack = reduction_demo(rows)
         assert stack == reference_stack_delivery(store, config, placement)
-        # every clamped stack row is a library row verification already served
-        assert rows.served == report.demand_vectors_run
 
 
 def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
@@ -585,15 +584,17 @@ def test_witness_matches_full_product_reference(monkeypatch, failing, witness_ro
     assert (got.user, got.library) == (user, library)
 
 
-def test_stack_reads_the_rows_verification_served():
+def test_stack_reads_the_rows_verification_served(monkeypatch):
     config = make_config(counts=(2,), weights=(F(1),), users=3, cache="1")
     allocation = Allocation((F(1),))
     store = random_file_store(config, plan_split(config, allocation).base_unit, seed=16)
     rows = row_pass(store, config, allocation)
     assert verify_all(rows).demand_vectors_run == 8
+    calls = count_verdicts(monkeypatch)
     report = reduction_demo(rows)
     assert report.demands_checked == 8
-    assert rows.served == 8
+    # the library has no faulty user, so no row of it is judged again
+    assert calls == []
 
 
 def stack_run():
@@ -862,30 +863,43 @@ def test_batched_pass_matches_the_per_row_reference():
                 expected = [reference_serve(rows, library, row) for row in rows_of]
                 got = [rows.failed(library, row) for row in rows_of]
                 assert got == [o.failed for o in expected], (seed, library, placement is clean)
-                # failed rows only, keyed by the row
-                failing = rows.failing_rows(library)
-                assert failing == {row: o.failed for row, o in zip(rows_of, expected) if o.failed}
+                # the first failing row in product order, the least, with its users
+                first = rows.first_failing(library)
+                failing = ((row, o.failed) for row, o in zip(rows_of, expected) if o.failed)
+                assert first == next(failing, None), (seed, library, placement is clean)
                 assert layout.max_row_bits(k) == max(o.bits for o in expected), (seed, library)
-                seen["failed"] += bool(failing)
-            assert rows.served == sum(map(len, all_rows))
+                seen["failed"] += bool(first)
     assert all(seen.values()), seen
 
 
-def forbid_walk(monkeypatch):
-    """Make any row walk fail the test; returns the real `sim._walk_rows`."""
-    real = sim._walk_rows
+def forbid_verdicts(monkeypatch, *names):
+    """Make any call of the named `RowPass` verdict methods fail the test."""
 
-    def walk(*args):
-        raise AssertionError("a clean library's rows were walked")
+    def judged(self, library, *args):
+        raise AssertionError(f"a row of library {library} was judged")
 
-    monkeypatch.setattr(sim, "_walk_rows", walk)
-    return real
+    for name in names:
+        monkeypatch.setattr(RowPass, name, judged)
+
+
+def count_verdicts(monkeypatch):
+    """Record the (library, row) of every `RowPass.failed` call, the walk of
+    `RowPass.first_failing` included, in the returned list."""
+    calls = []
+    real = RowPass.failed
+
+    def failed(self, library, row):
+        calls.append((library, row))
+        return real(self, library, row)
+
+    monkeypatch.setattr(RowPass, "failed", failed)
+    return calls
 
 
 def test_a_clean_run_is_proved_from_its_residual_images(monkeypatch):
-    # every residual image of a correct placement is zero by itself, so no row
-    # is walked, and the verdicts are the per-row walk's
-    walk = forbid_walk(monkeypatch)
+    # every residual image of a correct placement is zero by itself, so no
+    # user is faulty, no row is judged, and every row passes the per-row walk
+    forbid_verdicts(monkeypatch, "failed")
     rng = random.Random(4417)
     seen = dict.fromkeys(("t0", "two_parts", "coded"), 0)
     for seed in range(40):
@@ -907,7 +921,7 @@ def test_a_clean_run_is_proved_from_its_residual_images(monkeypatch):
             every_row = list(product(range(1, layout.num_files + 1), repeat=k))
             expected = [reference_serve(rows, library, row) for row in every_row]
             assert all(outcome.failed == () for outcome in expected), (seed, library)
-            assert rows.failing_rows(library) == walk(layout, residuals, frozenset(), k) == {}
+            assert rows.faulty[library - 1] == (), (seed, library)
         report = verify_all(rows)
         assert report.measured_rate == report.formula_rate, seed
     assert all(seen.values()), seen
@@ -930,7 +944,9 @@ def test_decode_faults_that_cancel_fail_exactly_the_walks_rows(monkeypatch):
     outcomes = [reference_serve(rows, 1, row) for row in every_row]
     walked = {row: outcome.failed for row, outcome in zip(every_row, outcomes) if outcome.failed}
     assert walked == {row: (1,) for row in every_row if (row[1] == 1) != (row[2] == 1)}
-    assert rows.failing_rows(1) == walked
+    assert rows.faulty == ((2, 3),)
+    assert [rows.failed(1, row) for row in every_row] == [walked.get(row, ()) for row in every_row]
+    assert rows.first_failing(1) == (min(walked), walked[min(walked)])
     with pytest.raises(DecodeMismatchError) as reference:
         reference_verify(store, config, allocation)
     with pytest.raises(DecodeMismatchError) as info:
@@ -943,18 +959,39 @@ def test_decode_faults_that_cancel_fail_exactly_the_walks_rows(monkeypatch):
 
 
 def test_a_clean_run_at_scale_walks_no_row(monkeypatch):
-    # N = 3, K = 13: 1594323 rows, each judged and none walked
-    forbid_walk(monkeypatch)
+    # N = 3, K = 13: 1594323 rows, all proved with no user faulty and none judged
+    forbid_verdicts(monkeypatch, "failed")
     config = make_config(counts=(3,), weights=(F(1),), users=13, cache="1")
     allocation = Allocation((F(1),))
     store = random_file_store(config, plan_split(config, allocation).base_unit, seed=13)
     rows = row_pass(store, config, allocation)
+    assert rows.faulty == ((),)
     report = verify_all(rows, cap=10**9)
     assert report.demands_checked == report.demand_vectors_run == 1594323
     assert report.measured_rate == report.formula_rate
     stack = reduction_demo(rows, cap=10**9)
     assert stack.demands_checked == 1594323
     assert stack.max_total_bits == report.max_total_bits
+
+
+def test_one_fault_at_scale_is_judged_over_its_members_requests(monkeypatch):
+    # N = 3, K = 12: 531441 rows, 177147 of them failing (member 2 asks for
+    # file 3); member 2 alone is faulty, so its 3 requests are all that is judged
+    config = make_config(counts=(3,), weights=(F(1),), users=12, cache="1")
+    allocation = Allocation((F(1),))
+    plan = plan_split(config, allocation)
+    assert [t for t, _ in plan.parts[0]] == [0, 5]
+    store = random_file_store(config, plan.base_unit, seed=18)
+    rows = RowPass(store, flip_decode_image(place(store, plan), 1, 1, 2, 3, 5))
+    assert rows.faulty == ((2,),)
+    calls = count_verdicts(monkeypatch)
+    with pytest.raises(DecodeMismatchError) as info:
+        verify_all(rows, cap=10**9)
+    err = info.value
+    assert (err.demand.rows, err.user, err.library) == (((1, 3) + (1,) * 10,), 5, 1)
+    # user 5 asks for file 1 and misreads member 2's share of file 3
+    assert err.expected == store.files[0][0] != err.actual
+    assert len(calls) <= 3
 
 
 def test_a_corrupted_t0_piece_fails_through_the_rejoin_check(monkeypatch):

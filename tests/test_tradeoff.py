@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -190,12 +189,17 @@ def test_build_by_kind():
         build_by_kind("best", 2, 2)
 
 
+def corner_ts(curve) -> tuple[int, ...]:
+    """The closed-form curve's t at every corner (`SchemeCurve.corner_t`)."""
+    return tuple(map(curve.corner_t, range(curve.num_segments + 1)))
+
+
 def test_closed_form_scheme_curve_equals_envelope_of_all_corners():
     # covers N >= K, N = 1 and K = 1
     for n in range(1, 41):
         for k in range(1, 121):
-            curve = build_scheme_tradeoff(n, k).materialize()
-            assert curve == reference_scheme_tradeoff(n, k), (n, k)
+            curve = build_scheme_tradeoff(n, k)
+            assert (curve.materialize(), corner_ts(curve)) == reference_scheme_tradeoff(n, k), (n, k)
 
 
 def large_shapes() -> list[tuple[int, int]]:
@@ -206,7 +210,8 @@ def large_shapes() -> list[tuple[int, int]]:
 
 def test_closed_form_scheme_curve_on_large_shapes():
     for n, k in large_shapes():
-        assert build_scheme_tradeoff(n, k).materialize() == reference_scheme_tradeoff(n, k), (n, k)
+        curve = build_scheme_tradeoff(n, k)
+        assert (curve.materialize(), corner_ts(curve)) == reference_scheme_tradeoff(n, k), (n, k)
 
 
 def test_first_corner_in_closed_form_matches_the_scan():
@@ -226,10 +231,10 @@ def assert_closed_form_queries(curve, indices, *wholes) -> None:
     """`curve`'s queries at each segment in `indices` equal the envelope's,
     the anchor then the corners t*..K with t* from the scan
     `reference_first_corner`, and each tuple-held curve's in `wholes`: the
-    breakpoints, slope, intercept and corner t; `segment_of` at the first
-    breakpoint, between and just short of the next, and beyond N; `evaluate`
-    between them; and the steepness count at, just above and just below the
-    slope."""
+    breakpoints, slope and intercept; `segment_of` at the first breakpoint,
+    between and just short of the next, and beyond N; `evaluate` between
+    them; and the steepness count at, just above and just below the slope.
+    The curve's corner t is checked against the envelope's too."""
     n, k = curve.num_files, curve.num_users
     first = reference_first_corner(n, k)
     ts = [0, *range(first or 1, k + 1)]
@@ -242,7 +247,7 @@ def assert_closed_form_queries(curve, indices, *wholes) -> None:
         slope = (r0 - r1) / (m1 - m0)
         g, h = slope.as_integer_ratio()
         assert h < M and curve.breakpoint_lcm % m0.denominator == 0, (n, k, i)
-        assert curve.corner_t(i) == ts[i] and all(w.corner_ts[i] == ts[i] for w in wholes)
+        assert curve.corner_t(i) == ts[i], (n, k, i)
         zeta, mid = r0 + slope * m0, (m0 + m1) / 2
         expected = tuple(v.as_integer_ratio() for v in (m0, m1, slope, zeta))
         inside = [m.as_integer_ratio() for m in (m0, mid, m1 - (m1 - m0) / 1000)]
@@ -266,8 +271,8 @@ def test_closed_form_queries_match_the_materialized_and_reference_curves():
     shapes = [(n, k) for k in range(1, 21) for n in range(1, 25)] + large_shapes()
     for n, k in shapes:
         curve = build_scheme_tradeoff(n, k)
-        reference = reference_scheme_tradeoff(n, k)
-        assert curve.materialize() == reference, (n, k)
+        reference, ts = reference_scheme_tradeoff(n, k)
+        assert curve.materialize() == reference and corner_ts(curve) == ts, (n, k)
         assert_closed_form_queries(curve, range(curve.num_segments), curve.materialize(), reference)
         assert curve.breakpoint_lcm == math.lcm(*(q for _, q in reference.breakpoint_ratios))
         assert curve.evaluate(F(0)) == min(n, k)
@@ -306,7 +311,7 @@ def test_command_curves_equal_one_build_per_library(kinds, counts, users):
     expected = [
         build_exact_two_by_two()
         if kind == "exact2x2" or kind == "auto" and n == users == 2
-        else reference_scheme_tradeoff(n, users)
+        else reference_scheme_tradeoff(n, users)[0]
         for kind, n in zip(names, counts)
     ]
     curves = cli._curves(config, kinds)
@@ -315,7 +320,7 @@ def test_command_curves_equal_one_build_per_library(kinds, counts, users):
     assert all(first.setdefault(s, c) is c for s, c in zip(zip(names, counts), curves))
 
 
-def test_corner_ts_are_empty_or_one_per_breakpoint():
+def test_corner_t_is_one_per_breakpoint():
     # the scheme tags its anchor t = 0, then t* to K (t* = 1 when N >= K;
     # with N = 1 < K only the corner t = K lies on the envelope)
     for shape, ts in [
@@ -326,17 +331,8 @@ def test_corner_ts_are_empty_or_one_per_breakpoint():
         ((3, 8), (0, 3, 4, 5, 6, 7, 8)),
     ]:
         curve = build_scheme_tradeoff(*shape)
-        assert curve.materialize().corner_ts == ts
-        assert tuple(map(curve.corner_t, range(len(ts)))) == ts
-    # hulls of given corners know no delivery
-    assert build_exact_two_by_two().corner_ts == ()
-    assert lower_convex_envelope(scheme_corner_points(2, 4), 2).corner_ts == ()
-    curve = build_scheme_tradeoff(2, 2).materialize()
-    for ts in ((0, 1), (0, 1, 2, 2)):
-        with pytest.raises(ValueError, match="one per breakpoint"):
-            dataclasses.replace(curve, corner_ts=ts)
-    # the tags are no part of what a curve prints
-    assert tradeoff_rows(curve) == tradeoff_rows(dataclasses.replace(curve, corner_ts=()))
+        assert len(curve.materialize().breakpoint_ratios) == len(ts)
+        assert corner_ts(curve) == ts == reference_scheme_tradeoff(*shape)[1]
 
 
 def test_corner_rows_match_evaluate():

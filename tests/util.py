@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import random
 from bisect import bisect_right
@@ -598,9 +597,11 @@ def scheme_corner_points(num_files: int, num_users: int) -> tuple[tuple[Fraction
     return tuple(pts)
 
 
-def reference_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinearTradeoff:
-    """The scheme curve as the hull of all K + 1 corners, each corner tagged
-    with its t = m * K / N, which must be a whole number."""
+def reference_scheme_tradeoff(
+    num_files: int, num_users: int
+) -> tuple[PiecewiseLinearTradeoff, tuple[int, ...]]:
+    """The scheme curve as the hull of all K + 1 corners, and each corner's
+    t = m * K / N, which must be a whole number."""
     hull = lower_convex_envelope(
         scheme_corner_points(num_files, num_users),
         num_files,
@@ -608,7 +609,7 @@ def reference_scheme_tradeoff(num_files: int, num_users: int) -> PiecewiseLinear
     )
     ts = [divmod(p * num_users, q * num_files) for p, q in hull.breakpoint_ratios]
     assert all(rest == 0 for _, rest in ts), (num_files, num_users)
-    return dataclasses.replace(hull, corner_ts=tuple(t for t, _ in ts))
+    return hull, tuple(t for t, _ in ts)
 
 
 def reference_first_corner(num_files: int, num_users: int) -> int:
