@@ -175,11 +175,12 @@ def proportional_allocation(config: NetworkConfig) -> Allocation:
 
 def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> tuple:
     """Where the greedy stops, with no ordering: (scale, limit, weight, S,
-    counts, filled, rate) as in `greedy_allocate`: the budget `limit` and each
-    `weight[l]` alpha_l in units of 1/scale; `counts[l]` library l's segments
-    ranked at most `top`, the rank of the last one bought; `filled[l]` its
-    memory in the split the greedy ends on, which must total `limit`; and
-    that split's rate, read from the int units.
+    counts, steps, filled, rate) as in `greedy_allocate`: the budget `limit`
+    and each `weight[l]` alpha_l in units of 1/scale; `counts[l]` library l's
+    segments ranked at most `top`, the rank of the last one bought; `steps`
+    the segments bought; `filled[l]` its memory in the split the greedy ends
+    on, which must total `limit`; and that split's rate, read from the int
+    units.
 
     A library's segments ranked <= r are its first `steep_segments(-r, S)`;
     the memory they hold grows with r, and `top` is the smallest r at which
@@ -237,21 +238,24 @@ def _greedy_cut(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> tuple:
             hi, above = r, counts
     left = limit - held  # the budget for the segments ranked `top`
     filled = []
+    steps = 0
     for w, i, curve in zip(weight, pool_of, tradeoffs):
         p, q = curve.breakpoint(below[i])
         memory = w * p // q
+        steps += below[i]
         if left > 0 and above[i] > below[i]:  # its segment below[i] ranks `top`
             p, q = curve.breakpoint(below[i] + 1)
             delta = min(w * p // q - memory, left)
             memory += delta
             left -= delta
+            steps += 1
         filled.append(memory)
     if sum(filled) != limit:
         raise ValueError(
             f"allocation totals {Fraction(sum(filled), scale)}, budget is {budget}"
         )
     rate = _pairs_rate(config, [(m, scale) for m in filled], tradeoffs)
-    return scale, limit, weight, S, [above[i] for i in pool_of], filled, rate
+    return scale, limit, weight, S, [above[i] for i in pool_of], steps, filled, rate
 
 
 def greedy_rate(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> Fraction:
@@ -291,9 +295,12 @@ def greedy_allocate(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> Alloca
     the budget's denominator and of each alpha_l's denominator times the lcm
     of its curve's breakpoint denominators: every alpha_l * breakpoint and the
     budget are whole there, so the running total is an int, and the trace
-    keeps each step's memories as ints over scale.
+    keeps each step's memories as ints over scale. More than `CAP` steps are
+    refused before any is built.
     """
-    scale, limit, weight, S, counts, filled, rate = _greedy_cut(config, tradeoffs)
+    scale, limit, weight, S, counts, steps, filled, rate = _greedy_cut(config, tradeoffs)
+    if steps > CAP:
+        raise CapExceededError(f"greedy would take {steps} steps, cap is {CAP}")
     L = len(tradeoffs)
     # each distinct curve's ranks and corners, up to its last segment ranked <= top
     read = {}

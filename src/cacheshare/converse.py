@@ -26,11 +26,10 @@ class ConcatenatedLibrary:
     """The stacked library: file n has relative size betas[n-1].
 
     `permutation[i]` is the original 1-based index of the i-th library after
-    sorting by file count; `config` is the sorted network; `scale` is its
+    sorting by file count; `scale` is the sorted network's
     `concatenation_scale`.
     """
 
-    config: NetworkConfig
     permutation: tuple[int, ...]
     betas: tuple[Fraction, ...]
     scale: Fraction
@@ -87,9 +86,7 @@ def concatenate(config: NetworkConfig) -> ConcatenatedLibrary:
         below = counts[i - 1] if i else 0
         betas += [Fraction(raw * c, B * d)] * (counts[i] - below)
     betas.reverse()
-    return ConcatenatedLibrary(
-        config=sorted_config, permutation=permutation, betas=tuple(betas), scale=scale
-    )
+    return ConcatenatedLibrary(permutation=permutation, betas=tuple(betas), scale=scale)
 
 
 def concatenation_scale(config: NetworkConfig) -> Fraction:

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 DEFAULT_DEMAND_CAP = 4096
 CAP = 250_000  # the most samples a sweep takes, and segments a curve materializes
+PRINTED_DIGITS = 4300  # the longest count a message prints, Python's int-to-str limit
 
 
 class CapExceededError(ValueError):
@@ -214,11 +215,29 @@ def demand_count(config: NetworkConfig) -> int:
 
 def check_demand_cap(config: NetworkConfig, cap: int) -> int:
     """Return the number of demand vectors; raise CapExceededError, naming it,
-    when it exceeds `cap`."""
-    count = demand_count(config)
-    if count > cap:
-        raise CapExceededError(f"demand enumeration needs {count} vectors, cap is {cap}")
-    return count
+    when it exceeds `cap`.
+
+    On a valid network every factor N_l^K is at least 1, so the product is
+    decided factor by factor and stops once it is over the cap; a factor
+    with N_l >= 2 and 2^K > cap is over it whatever the others, and is never
+    built. A count of more than `PRINTED_DIGITS` digits is named by its
+    factors."""
+    k = config.num_users
+    count = 1
+    for n in config.file_counts:
+        count = cap + 1 if n > 1 and k >= max(cap, 1).bit_length() else count * n**k
+        if count > cap:
+            break
+    else:
+        return count
+    # 2^(bit_length - 1) <= N_l, so at 4 * PRINTED_DIGITS floor bits the count
+    # is at least 16^PRINTED_DIGITS, too long to print; below, it is cheap to build
+    floor_bits = sum(k * (n.bit_length() - 1) for n in config.file_counts if n > 1)
+    if floor_bits < 4 * PRINTED_DIGITS and (total := demand_count(config)) < 10**PRINTED_DIGITS:
+        text = str(total)
+    else:
+        text = "·".join(f"{n}^{k}" for n in config.file_counts)
+    raise CapExceededError(f"demand enumeration needs {text} vectors, cap is {cap}")
 
 
 def enumerate_demands(

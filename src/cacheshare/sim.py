@@ -226,15 +226,15 @@ class DeliveryTranscript:
 
 def library_bit_requirement(config: NetworkConfig) -> int:
     """Base sizes must be multiples of this just to give files integer bits."""
-    req = 1
-    for lib in config.libraries:
-        req = math.lcm(req, lib.alpha.denominator)
-    return req
+    return math.lcm(*(lib.alpha.denominator for lib in config.libraries))
 
 
 def _check_positive(base_size: int) -> None:
     if base_size < 1:
         raise DivisibilityError(f"base size {base_size} bits must be positive")
+
+
+MAX_FILE_BITS = 2**31 - 1  # the widest file `random.getrandbits` draws in one call
 
 
 def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileStore:
@@ -245,12 +245,16 @@ def random_file_store(config: NetworkConfig, base_size: int, seed: int) -> FileS
         raise DivisibilityError(
             f"base size {base_size} bits leaves fractional files; use a multiple of {req}"
         )
+    widths = [int(lib.alpha * base_size) for lib in config.libraries]
+    if (widest := max(widths)) > MAX_FILE_BITS:
+        raise ValueError(
+            f"base size {base_size} bits gives library {widths.index(widest) + 1} files of "
+            f"{widest} bits; at most {MAX_FILE_BITS} bits can be drawn per file"
+        )
     rng = random.Random(seed)
     files = tuple(
-        tuple(
-            random_bits(int(lib.alpha * base_size), rng) for _ in range(lib.num_files)
-        )
-        for lib in config.libraries
+        tuple(random_bits(width, rng) for _ in range(lib.num_files))
+        for lib, width in zip(config.libraries, widths)
     )
     return FileStore(base_size=base_size, files=files)
 
@@ -775,15 +779,6 @@ class RowPass:
                 return tuple(row), users
         return None
 
-    def decoded(self, library: int, row: tuple[int, ...], user: int) -> BitString:
-        """`user`'s decode of `library` under `row` from a fresh transcript:
-        the actual file of a failure's witness."""
-        lib_idx = library - 1
-        parts = _library_transcript(
-            self.subfiles[lib_idx], self.send_images[lib_idx], self.placement.layouts[lib_idx], row
-        )
-        return decode(self.placement, parts, row, user, library)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -830,9 +825,7 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     """
     config, store, placement = rows.config, rows.store, rows.placement
     covered = check_demand_cap(config, cap)
-    first_failing = [
-        rows.first_failing(library) for library in range(1, config.num_libraries + 1)
-    ]
+    first_failing = [rows.first_failing(lib) for lib in range(1, config.num_libraries + 1)]
     if any(first_failing):
         raise _first_witness(rows, first_failing)
     k = config.num_users
@@ -869,10 +862,11 @@ def _first_witness(rows: RowPass, first_failing: list[Failure | None]) -> Decode
     witness = [failing[i][0] if i in failing else ones for i in range(config.num_libraries)]
     user = min(users[0] for _, users in failing.values())
     lib_idx = next(i for i, (_, users) in failing.items() if user in users)
-    row = witness[lib_idx]
+    row, demand = witness[lib_idx], DemandVector(tuple(witness))
     expected = rows.store.files[lib_idx][row[user - 1] - 1]
-    actual = rows.decoded(lib_idx + 1, row, user)
-    return DecodeMismatchError(DemandVector(tuple(witness)), user, lib_idx + 1, expected, actual)
+    parts = deliver(rows.store, rows.placement, demand).per_library[lib_idx]
+    actual = decode(rows.placement, parts, row, user, lib_idx + 1)
+    return DecodeMismatchError(demand, user, lib_idx + 1, expected, actual)
 
 
 @dataclass(frozen=True)
@@ -905,13 +899,13 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
     A library kept for stacked file n holds at least n files, so it serves
     file n itself, and its row verdicts (`RowPass.failed`) say which users
-    decoded their piece wrongly. Only when some library has a failing row
-    (`RowPass.first_failing`) are the stack demands walked one by one, for
-    the first witness (`_first_stack_witness`). Otherwise the worst stacked
-    transcript is the multi-library worst case, the sum of the libraries'
-    longest rows: the stack demand (1, 2, …, min(N_max, K)) is clamped to
-    min(N_l, K) distinct requests in library l, its longest row, and no
-    stack demand's rows sum to more.
+    decoded their piece wrongly. When some library has a failing row
+    (`RowPass.first_failing`), the least such row is the first failing stack
+    demand (`_first_stack_witness`), and no stack demand is walked. Otherwise
+    the worst stacked transcript is the multi-library worst case, the sum of
+    the libraries' longest rows: the stack demand (1, 2, …, min(N_max, K)) is
+    clamped to min(N_l, K) distinct requests in library l, its longest row,
+    and no stack demand's rows sum to more.
     """
     config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
@@ -923,8 +917,9 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
 
     # per stacked file, the libraries (original 1-based indices) holding a piece of it
     keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
-    if any(rows.first_failing(library) for library in range(1, config.num_libraries + 1)):
-        raise _first_stack_witness(rows, keeps)
+    first_failing = [rows.first_failing(lib) for lib in range(1, config.num_libraries + 1)]
+    if any(first_failing):
+        raise _first_stack_witness(rows, keeps, first_failing)
     max_total = sum(layout.max_row_bits(k) for layout in placement.layouts)
 
     stacked_bits = [
@@ -939,22 +934,26 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     )
 
 
-def _first_stack_witness(rows: RowPass, keeps: list[tuple[int, ...]]) -> DecodeMismatchError:
+def _first_stack_witness(
+    rows: RowPass, keeps: list[tuple[int, ...]], first_failing: list[Failure | None]
+) -> DecodeMismatchError:
     """The failure a walk over the stack demands in product order meets
-    first: the first demand where a user fails a library kept for the
-    user's stacked file, and its first such user, with the kept libraries'
-    decodes joined as the actual file."""
-    config, store = rows.config, rows.store
-    n_max = len(keeps)
-    # per library, clamp[x] = min(x, N_l) for every stacked file id x
-    clamps = [[min(x, n) for x in range(n_max + 1)] for n in config.file_counts]
-    for prime in product(range(1, n_max + 1), repeat=config.num_users):
-        induced = tuple([tuple(map(clamp.__getitem__, prime)) for clamp in clamps])
-        failed = [rows.failed(library, row) for library, row in enumerate(induced, start=1)]
-        for user, n in enumerate(prime, start=1):
-            keep = keeps[n - 1]
-            if any(user in failed[orig - 1] for orig in keep):
-                actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
-                expected = concat(store.files[orig - 1][n - 1] for orig in keep)
-                return DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
-    raise AssertionError("a failing row is met by no stack demand")
+    first, with the kept libraries' decodes of its delivery joined as the
+    actual file. Clamping only lowers requests, so a stack demand failing in
+    library l clamps to a failing row of l no later than itself; and l's
+    first failing row, read as a stack demand, fails in l for a user l is
+    kept for. So the first failing stack demand is the least of those rows,
+    and only its L rows are judged."""
+    config, store, placement = rows.config, rows.store, rows.placement
+    prime = min(first[0] for first in first_failing if first)
+    induced = tuple(tuple(min(x, n) for x in prime) for n in config.file_counts)
+    failed = [rows.failed(library, row) for library, row in enumerate(induced, start=1)]
+    user, n = next(
+        (user, n) for user, n in enumerate(prime, start=1)
+        if any(user in failed[orig - 1] for orig in keeps[n - 1])
+    )
+    demand, keep = DemandVector(induced), keeps[n - 1]
+    parts = deliver(store, placement, demand).per_library
+    actual = concat(decode(placement, parts[o - 1], induced[o - 1], user, o) for o in keep)
+    expected = concat(store.files[o - 1][n - 1] for o in keep)
+    return DecodeMismatchError(demand, user, 0, expected, actual)

@@ -254,6 +254,27 @@ def test_sweep_refuses_samples_past_its_cap_before_building(monkeypatch):
         lambda_sweep(reference_config(), reference_curves(), num_samples=250_000)
 
 
+def test_greedy_refuses_steps_past_its_cap_before_building(monkeypatch):
+    # K = 10^12 users: each scheme curve has about 10^12 segments to buy
+    config = make_config(counts=(3, 5), weights=(F(1, 2), F(1, 2)), users=10**12, cache="1")
+    curves = [build_scheme_tradeoff(n, config.num_users) for n in config.file_counts]
+    message = r"^greedy would take \d+ steps, cap is 250000$"
+    with pytest.raises(CapExceededError, match=message) as info:
+        greedy_allocate(config, curves)
+    assert int(str(info.value).split()[3]) > 10**9
+    # at the cap itself the greedy runs: one network's steps against a lowered cap
+    small = make_config(counts=(3, 5), weights=(F(1, 2), F(1, 2)), users=6, cache="2")
+    curves = curves_for(small, "scheme")
+    steps = len(greedy_allocate(small, curves).steps)
+    assert steps > 2
+    monkeypatch.setattr(allocation, "CAP", steps)
+    assert len(greedy_allocate(small, curves).steps) == steps
+    monkeypatch.setattr(allocation, "CAP", steps - 1)
+    message = f"^greedy would take {steps} steps, cap is {steps - 1}$"
+    with pytest.raises(CapExceededError, match=message):
+        greedy_allocate(small, curves)
+
+
 def test_sweep_endpoints_match_rate_function():
     rng = random.Random(31)
     for _ in range(25):

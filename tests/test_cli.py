@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import random
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -612,6 +614,51 @@ def test_unusable_base_size(runner):
     result = runner.invoke(main, ["--config", EXAMPLE, "simulate", "--base-size", "7"])
     assert result.exit_code == 2
     assert "use a multiple of" in result.output
+
+
+def test_a_base_size_too_wide_to_draw_is_refused_before_any_bits(runner, monkeypatch):
+    # 3/5 of 6 * 10^10 bits is wider than one `random.getrandbits` call draws
+    def drawn(*_):
+        raise AssertionError("file bits were drawn")
+
+    monkeypatch.setattr(sim, "random_bits", drawn)
+    args = ["--config", EXAMPLE, "simulate", "--base-size", "60000000000"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.endswith(
+        "Error: base size 60000000000 bits gives library 2 files of 36000000000 bits; "
+        "at most 2147483647 bits can be drawn per file\n"
+    )
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["allocate"], r"greedy would take \d+ steps, cap is 250000"),
+        (["simulate"], "demand enumeration needs {factors} vectors, cap is 4096"),
+        (["simulate", "--alloc", "proportional", "--stack"],
+         "demand enumeration needs {factors} vectors, cap is 4096"),
+    ],
+)
+def test_a_network_of_a_trillion_users_is_refused_at_once(runner, tmp_path, command, message):
+    # files 3 and 5, K = 10^12: the greedy's steps and the demand count are
+    # counted, not built, and each refusal is a message with exit 2
+    k = 10**12
+    data = {
+        "libraries": [{"num_files": 3, "alpha": "1/2"}, {"num_files": 5, "alpha": "1/2"}],
+        "num_users": k,
+        "cache_size": "1",
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["--config", str(path), *command])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    pattern = message.format(factors=re.escape(f"3^{k}·5^{k}"))
+    assert re.fullmatch(rf"(?s).*\nError: {pattern}\n", result.stderr), result.stderr
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("size", ["0", "-5"])

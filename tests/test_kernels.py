@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 
 from cacheshare.allocation import (
     Allocation,
+    _greedy_cut,
     brute_force_allocate,
     corner_structure_violations,
     greedy_allocate,
@@ -129,6 +130,8 @@ def test_integer_greedy_matches_scan_step_for_step(network):
     reference = reference_greedy(config, curves)
     assert greedy_allocate(config, curves) == reference
     assert greedy_split(config, curves) == (reference.final, reference.rate)
+    # the steps the cap counts before any is built are the steps bought
+    assert _greedy_cut(config, curves)[-3] == len(reference.steps)
 
 
 def two_segment_curve(n: int, first: Fraction, second: Fraction) -> PiecewiseLinearTradeoff:
@@ -184,6 +187,8 @@ def test_greedy_matches_scan_at_three_thousand_users():
     reference = reference_greedy(config, curves)
     assert greedy_allocate(config, curves) == reference
     assert greedy_split(config, curves) == (reference.final, reference.rate)
+    # the steps the cap counts before any is built are the steps bought
+    assert _greedy_cut(config, curves)[-3] == len(reference.steps)
 
 
 @pytest.mark.parametrize("shared", [True, False])

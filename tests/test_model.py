@@ -13,6 +13,7 @@ from cacheshare.model import (
     LibrarySpec,
     NetworkConfig,
     canonical_config_json,
+    check_demand_cap,
     config_from_json,
     config_to_json,
     demand_count,
@@ -138,6 +139,39 @@ def test_demand_enumeration_is_lexicographic_and_complete():
 def test_demand_cap_error_names_the_count():
     with pytest.raises(CapExceededError, match="16"):
         list(enumerate_demands(reference_config(), cap=10))
+
+
+def test_demand_cap_is_decided_factor_by_factor_with_the_full_count_named():
+    # every count the product gives in full: returned at the cap, named above it
+    rng = random.Random(4300)
+    for _ in range(300):
+        cfg = random_config(rng)
+        count = demand_count(cfg)
+        for cap in (count - 1, count, count + 1, 0, -1, 1, 4096):
+            if count <= cap:
+                assert check_demand_cap(cfg, cap) == count
+            else:
+                message = f"^demand enumeration needs {count} vectors, cap is {cap}$"
+                with pytest.raises(CapExceededError, match=message):
+                    check_demand_cap(cfg, cap)
+
+
+@pytest.mark.parametrize(
+    "counts, users, named",
+    [
+        # 10^4299 has 4300 digits, the most Python prints: named in full
+        ((10,), 4299, "1" + "0" * 4299),
+        ((10,), 4300, "10^4300"),
+        ((3, 5), 10**4, "3^10000·5^10000"),
+        ((1, 3, 5), 10**12, "1^1000000000000·3^1000000000000·5^1000000000000"),
+    ],
+)
+def test_a_count_too_long_to_print_is_named_by_its_factors(counts, users, named):
+    weights = (Fraction(1, len(counts)),) * len(counts)
+    cfg = make_config(counts=counts, weights=weights, users=users, cache="0")
+    with pytest.raises(CapExceededError) as info:
+        check_demand_cap(cfg, 4096)
+    assert str(info.value) == f"demand enumeration needs {named} vectors, cap is 4096"
 
 
 def test_demand_validation():

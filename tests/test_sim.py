@@ -46,6 +46,7 @@ from util import (
     reference_blocks,
     reference_cached_ranks,
     reference_config,
+    reference_decode,
     reference_decode_sources,
     reference_file_subfiles,
     reference_library_transcript,
@@ -725,13 +726,15 @@ def assert_rows_agree(rows, library):
     """Every row of `library`: the one-pass check fails exactly the users
     whose decode differs from their file; returns the users that failed."""
     files = rows.store.files[library - 1]
-    k = rows.config.num_users
+    config, k = rows.config, rows.config.num_users
     failing = set()
     for row in product(range(1, len(files) + 1), repeat=k):
+        transcript = deliver(rows.store, rows.placement, library_demand(config, library, row))
         wrong = {
             user
             for user in range(1, k + 1)
-            if rows.decoded(library, row, user) != files[row[user - 1] - 1]
+            if reference_decode(rows.placement, transcript, user, library)
+            != files[row[user - 1] - 1]
         }
         assert set(rows.failed(library, row)) == wrong, (library, row)
         failing |= wrong
@@ -974,9 +977,10 @@ def test_a_clean_run_at_scale_walks_no_row(monkeypatch):
     assert stack.max_total_bits == report.max_total_bits
 
 
-def test_one_fault_at_scale_is_judged_over_its_members_requests(monkeypatch):
-    # N = 3, K = 12: 531441 rows, 177147 of them failing (member 2 asks for
-    # file 3); member 2 alone is faulty, so its 3 requests are all that is judged
+def one_fault_at_scale():
+    """N = 3, K = 12: 531441 rows, 177147 of them failing (member 2 asks for
+    file 3, and user 5 misreads its share of that file); the store and the
+    row pass."""
     config = make_config(counts=(3,), weights=(F(1),), users=12, cache="1")
     allocation = Allocation((F(1),))
     plan = plan_split(config, allocation)
@@ -984,6 +988,12 @@ def test_one_fault_at_scale_is_judged_over_its_members_requests(monkeypatch):
     store = random_file_store(config, plan.base_unit, seed=18)
     rows = RowPass(store, flip_decode_image(place(store, plan), 1, 1, 2, 3, 5))
     assert rows.faulty == ((2,),)
+    return store, rows
+
+
+def test_one_fault_at_scale_is_judged_over_its_members_requests(monkeypatch):
+    # member 2 alone is faulty, so its 3 requests are all that is judged
+    store, rows = one_fault_at_scale()
     calls = count_verdicts(monkeypatch)
     with pytest.raises(DecodeMismatchError) as info:
         verify_all(rows, cap=10**9)
@@ -992,6 +1002,21 @@ def test_one_fault_at_scale_is_judged_over_its_members_requests(monkeypatch):
     # user 5 asks for file 1 and misreads member 2's share of file 3
     assert err.expected == store.files[0][0] != err.actual
     assert len(calls) <= 3
+
+
+def test_one_fault_at_scale_gives_the_stack_witness_from_the_first_failing_row(monkeypatch):
+    # 3^12 stack demands; the first failing one is the library's first failing
+    # row, so the 3 requests of member 2 and that demand's one row are judged
+    store, rows = one_fault_at_scale()
+    calls = count_verdicts(monkeypatch)
+    with pytest.raises(DecodeMismatchError) as info:
+        reduction_demo(rows, cap=10**9)
+    err = info.value
+    assert (err.demand.rows, err.user, err.library) == (((1, 3) + (1,) * 10,), 5, 0)
+    # one library holds every stacked file; one flipped bit of user 5's decode
+    assert err.expected == store.files[0][0]
+    assert bin(err.expected.value ^ err.actual.value).count("1") == 1
+    assert len(calls) <= 4
 
 
 def test_a_corrupted_t0_piece_fails_through_the_rejoin_check(monkeypatch):
@@ -1049,8 +1074,11 @@ def stack_networks(rng, count):
 
 
 def test_reduction_demo_matches_the_per_row_walk():
+    # the closed-form stack witness against the walk over every stack demand,
+    # clean and with 1, 2 and 4 decode faults
     rng = random.Random(9273)
-    seen = dict.fromkeys(("many_rows", "unsorted", "one_user", "one_file", "failed"), 0)
+    keys = ("many_rows", "unsorted", "one_user", "one_file", "failed", "least_not_last")
+    seen = dict.fromkeys(keys, 0)
     for seed, (config, allocation) in enumerate(stack_networks(rng, 40)):
         plan = plan_split(config, allocation)
         store = random_file_store(config, plan.base_unit, seed)
@@ -1060,11 +1088,18 @@ def test_reduction_demo_matches_the_per_row_walk():
         seen["unsorted"] += counts != sorted(counts)
         seen["one_user"] += config.num_users == 1
         seen["one_file"] += config.num_libraries > 1 and 1 in counts
-        for placement in (clean, random_decode_faults(rng, clean, 1)):
+        for faults in (0, 1, 2, 4):
+            placement = random_decode_faults(rng, clean, faults)
             want = reduction_or_witness(lambda: reference_reduction(RowPass(store, placement)))
-            got = reduction_or_witness(lambda: reduction_demo(RowPass(store, placement)))
-            assert got == want, (seed, placement is clean)
+            rows = RowPass(store, placement)
+            got = reduction_or_witness(lambda: reduction_demo(rows))
+            assert got == want, (seed, faults)
             seen["failed"] += type(want) is tuple
+            # several libraries fail, and the least first failing row is not
+            # the last failing library's, the row `verify_all` puts in
+            firsts = [rows.first_failing(library) for library in range(1, len(counts) + 1)]
+            firsts = [first[0] for first in firsts if first]
+            seen["least_not_last"] += len(firsts) > 1 and min(firsts) != firsts[-1]
     assert all(seen.values()), seen
 
 

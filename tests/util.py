@@ -529,9 +529,12 @@ def reference_reduction(rows: sim.RowPass) -> sim.ReductionReport:
         for user, n in enumerate(prime, start=1):
             keep = keeps[n - 1]
             if any(user in outcomes[orig - 1].failed for orig in keep):
-                actual = concat(rows.decoded(orig, induced[orig - 1], user) for orig in keep)
+                demand = DemandVector(induced)
+                transcript = sim.deliver(store, rows.placement, demand)
+                decoded = (reference_decode(rows.placement, transcript, user, o) for o in keep)
+                actual = concat(decoded)
                 expected = concat(store.files[orig - 1][n - 1] for orig in keep)
-                raise sim.DecodeMismatchError(DemandVector(induced), user, 0, expected, actual)
+                raise sim.DecodeMismatchError(demand, user, 0, expected, actual)
     return sim.ReductionReport(
         demands_checked=n_max**k,
         stacked_file_bits=tuple(
