@@ -12,6 +12,7 @@ import functools
 import hashlib
 import io
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +81,7 @@ class CliState:
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load config: {exc}") from exc
         for warning in caught:  # an oversized cache, clamped
-            click.echo(f"warning: {warning.message}", err=True)
+            click.echo(f"warning: {warning.message}", file=sys.stderr)
         problems = validate(config)
         if problems:
             raise click.UsageError("invalid config: " + "; ".join(problems))
@@ -176,7 +177,8 @@ def _json(value, pad: str = "\n") -> str:
 
 def _emit(state: CliState, record: dict, result: dict, header: list, rows: Iterable) -> None:
     """Write JSON (record + result) or CSV (header, rows) to --out. `rows` is
-    lazy and consumed only for CSV."""
+    lazy and consumed only for CSV. Each destination is written with its own
+    `write`: `click.echo` keeps every stdout it sees, and its text, alive."""
     if state.fmt == "json":
         text = _json({"record": record, "result": result})
     else:
@@ -186,7 +188,8 @@ def _emit(state: CliState, record: dict, result: dict, header: list, rows: Itera
         writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
     if state.out == "-":
-        click.echo(text)
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
     else:
         with open(state.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")

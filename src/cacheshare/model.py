@@ -7,6 +7,7 @@ Floats are refused at the boundary rather than silently truncated.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import sys
@@ -54,13 +55,25 @@ def _to_count(value: int | str, name: str) -> int:
 
 def format_decimal(value: Fraction) -> str:
     """Render a rational as a decimal string with 17 significant digits."""
-    return f"{float(value):.17g}"
+    return ratio_decimal(value.numerator, value.denominator)
+
+
+_WIDE = decimal.Context(prec=17, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def ratio_decimal(numerator: int, denominator: int) -> str:
-    """`format_decimal(Fraction(numerator, denominator))` without building the
-    Fraction: int true division rounds correctly, as a Fraction's float does."""
-    return f"{numerator / denominator:.17g}"
+    """numerator/denominator to 17 significant digits, as `%.17g` of the float
+    (int true division rounds correctly, as a Fraction's float does). A value
+    that overflows the float, or falls below its normal range, has the exact
+    quotient rounded to 17 digits by `decimal` instead."""
+    try:
+        value = numerator / denominator
+    except OverflowError:
+        value = math.inf
+    if sys.float_info.min <= abs(value) <= sys.float_info.max or not numerator:
+        return f"{value:.17g}"
+    exact = _WIDE.divide(decimal.Decimal(numerator), decimal.Decimal(denominator))
+    return f"{exact.normalize(_WIDE):.17g}"
 
 
 def reduce_ratio(numerator: int, denominator: int) -> tuple[int, int]:

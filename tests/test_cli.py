@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import random
 import re
+import sys
 import time
+import weakref
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +28,7 @@ import cacheshare.sim as sim
 import cacheshare.tradeoff as tradeoff
 from cacheshare.cli import main
 from cacheshare.model import format_decimal
-from util import INEXACT_CONFIG_VALUES, config_with, faulty_place
+from util import INEXACT_CONFIG_VALUES, config_with, faulty_place, reference_decimal
 
 CONFIG_DIR = Path(cacheshare.__file__).parent / "configs"
 EXAMPLE = str(CONFIG_DIR / "reference.json")
@@ -94,6 +99,42 @@ def test_csv_decimals_are_those_of_the_printed_fractions(runner, tmp_path, seed)
         for text, value, text_decimal, value_decimal in rows:
             assert text_decimal == format_decimal(Fraction(text))
             assert value_decimal == format_decimal(Fraction(value))
+
+
+@pytest.mark.parametrize(
+    "case, columns",
+    [
+        ("tradeoff-overflow", [(0, 2), (1, 3)]),
+        ("allocate-overflow", [(3, 4), (5, 6)]),
+        ("allocate-underflow", [(3, 4), (5, 6)]),
+    ],
+)
+def test_csv_decimals_beyond_float_range(runner, tmp_path, case, columns):
+    """A decimal column of a value past the float's range is the exact value
+    to 17 digits, and one inside it is still `%.17g` of the float."""
+    big = 10**320
+    if case == "tradeoff-overflow":
+        args = ["tradeoff", "--files", str(big), "--users", "2"]
+    else:
+        network = {"libraries": [{"num_files": big, "alpha": "1"}], "cache_size": str(big // 10)}
+        if case == "allocate-underflow":
+            libraries = [{"num_files": 2, "alpha": "1/2"}, {"num_files": 3, "alpha": "1/2"}]
+            network = {"libraries": libraries, "cache_size": f"1/{10**400}"}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({**network, "num_users": 2}))
+        args = ["--config", str(path), "allocate"]
+    result = runner.invoke(main, ["--format", "csv", *args])
+    assert result.exit_code == 0, result.output
+    outside = 0
+    for row in list(csv.reader(io.StringIO(result.output)))[1:]:
+        for exact, decimal in columns:
+            value = Fraction(row[exact])
+            if not value or sys.float_info.min <= abs(value) <= sys.float_info.max:
+                assert row[decimal] == f"{float(value):.17g}"
+            else:
+                outside += 1
+                assert Decimal(row[decimal]) == reference_decimal(value) != 0
+    assert outside > 0
 
 
 def test_allocate_with_oracle(runner):
@@ -488,6 +529,54 @@ def test_out_writes_file(runner, tmp_path):
     assert result.output == ""
     payload = json.loads(target.read_text())
     assert payload["record"]["command"] == "sweep"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tradeoff", "--files", "3", "--users", "4"],
+        ["allocate", "--oracle-step", "1/10"],
+        ["sweep"],
+        ["converse"],
+        ["simulate", "--stack"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_file_holds_the_stdout_bytes(runner, tmp_path, fmt, args):
+    head = ["--config", EXAMPLE, "--format", fmt]
+    printed = runner.invoke(main, head + args)
+    target = tmp_path / "out"
+    written = runner.invoke(main, head + ["--out", str(target)] + args)
+    assert printed.exit_code == written.exit_code == 0
+    assert written.stdout_bytes == b""
+    assert target.read_bytes() == printed.stdout_bytes
+
+
+@pytest.mark.parametrize("case", ["tradeoff-json", "allocate-csv", "warning"])
+def test_in_process_calls_keep_no_output_stream_alive(tmp_path, case):
+    """A caller that runs commands in its own process, each with fresh stdout
+    and stderr buffers, gets every buffer freed once it drops it."""
+    # a cache of 7 over a content of 5/2 is clamped, with a warning on stderr
+    big = tmp_path / "big.json"
+    libraries = [{"num_files": 2, "alpha": "1/2"}, {"num_files": 3, "alpha": "1/2"}]
+    big.write_text(json.dumps({"libraries": libraries, "num_users": 2, "cache_size": "7"}))
+    args = {
+        "tradeoff-json": ["tradeoff", "--files", "3", "--users", "40"],
+        "allocate-csv": ["--config", EXAMPLE, "--format", "csv", "allocate"],
+        "warning": ["--config", str(big), "allocate"],
+    }[case]
+    refs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main.main(args, prog_name="cacheshare", standalone_mode=False)
+        assert out.getvalue().endswith("\n")
+        assert err.getvalue().startswith("warning: ") == (case == "warning")
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_out_that_cannot_be_opened_is_usage_error(runner, tmp_path):

@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,9 @@ from cacheshare.model import (
     config_to_json,
     demand_count,
     enumerate_demands,
+    format_decimal,
     load_config,
+    ratio_decimal,
     to_fraction,
     total_content,
     validate,
@@ -29,8 +33,32 @@ from util import (
     make_config,
     random_config,
     reference_config,
+    reference_decimal,
     unequal_config,
 )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(10**320, 3),  # past the float's maximum: the division overflows
+        Fraction(10**400 + 1, 10**80),
+        Fraction(1, 10**400),  # rounds to the float 0
+        Fraction(-7, 10**330),
+        Fraction(2, 3 * 10**310),  # subnormal: fewer than 17 digits survive
+    ],
+)
+def test_decimal_outside_float_range_is_the_exact_value_to_17_digits(value):
+    assert Decimal(format_decimal(value)) == reference_decimal(value)
+    assert Decimal(ratio_decimal(value.numerator, value.denominator)) == reference_decimal(value)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(0), Fraction(2), Fraction(-2, 3), Fraction(10**300, 7), Fraction(1, 10**300)]
+)
+def test_decimal_inside_float_range_is_that_of_the_float(value):
+    assert sys.float_info.min <= abs(value) <= sys.float_info.max or not value
+    assert format_decimal(value) == f"{float(value):.17g}"
 
 
 def test_to_fraction_accepts_exact_forms():

@@ -6,6 +6,7 @@ import copy
 import math
 import random
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
@@ -31,6 +32,21 @@ from cacheshare.tradeoff import (
 
 def fractions(pairs) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, d) for n, d in pairs)
+
+
+def reference_decimal(value: Fraction) -> Decimal:
+    """`value` rounded half to even to 17 significant digits, by integer
+    arithmetic alone."""
+    magnitude = abs(value)
+    if not magnitude:
+        return Decimal(0)
+    e = len(str(magnitude.numerator)) - len(str(magnitude.denominator)) - 16
+    while magnitude >= Fraction(10) ** (e + 17):
+        e += 1
+    while magnitude < Fraction(10) ** (e + 16):
+        e -= 1
+    digits = round(magnitude / Fraction(10) ** e)
+    return Decimal(digits if value > 0 else -digits).scaleb(e)
 
 
 def ratios(values) -> tuple[tuple[int, int], ...]:
