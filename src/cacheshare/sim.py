@@ -22,23 +22,22 @@ subfile at a time. Slots follow the transcript: one per size-(t + 1) group,
 the first highest. Send images (`RowPass.send_images`, from the server's
 subfile table): per part, member and file, the member's share W_n(G - member)
 at the slot of every group G holding it, so a row's broadcast is the XOR of
-its K members' images. Verification images hold K blocks of such slots side
-by side, user u's block (u - 1) blocks up. Decode images
-(`PlacementState.decode_images`): per part, member and file, each user's own
-cached copy of the member's share at every group holding both. `_recover`
-copies a broadcast into all K blocks, masks it to each user's groups and
-XORs one decode image per member, which leaves each user's recovered pieces.
-Every index these images use at one (K, t), the users' cached subset ranks
-and the send and decode sources, is one cached record (`IndexTable`);
-`_blocks` adds what depends on the slot width.
-Copy and mask distribute over XOR, so the row check folds each member's
-send, decode and wanted pieces into one residual image per part, member and
-file (`RowPass.residuals`): a row's K residual images XOR to zero exactly
-when every user recovers every piece it lacks. Each user's own cached
-pieces, and the server table's rejoin into each stored file, are checked
-once per run. So `decode`, which puts one user's recovered (`_recover`) and
-cached pieces in file order, runs only to name the decoded file of a
-failure.
+its K members' images; `deliver` reads them, and the subfile table, off the
+row pass. Verification images hold K blocks of such slots side by side, user
+u's block (u - 1) blocks up. Decode images (`PlacementState.decode_images`):
+per part, member and file, each user's own cached copy of the member's share
+at every group holding both. `decode` copies a broadcast into all K blocks,
+masks it to each user's groups and XORs one decode image per member, which
+leaves each user's recovered pieces. Every index these images use at one
+(K, t), the users' cached subset ranks and the send and decode sources, is
+one cached record (`IndexTable`); `_blocks` adds what depends on the slot
+width. Copy and mask distribute over XOR, so the row check folds each
+member's send, decode and wanted pieces into one residual image per part,
+member and file (`RowPass.residuals`): a row's K residual images XOR to zero
+exactly when every user recovers every piece it lacks. Each user's own cached
+pieces, and the server table's rejoin into each stored file, are checked once
+per run. So `deliver` and `decode`, which puts one user's recovered and
+cached pieces in file order, run only to name the decoded file of a failure.
 
 A library's N^K rows are judged from its fault set (`RowPass.faulty`): the
 members with a nonzero residual image and the users the once-per-run checks
@@ -542,66 +541,32 @@ def _library_residuals(
     return tuple(residuals)
 
 
-def _library_transcript(
-    table: SubfileTable, images: ImageTable, layout: LibraryLayout, row: tuple[int, ...]
-) -> tuple[PartTranscript, ...]:
-    """One library's share of the broadcast for one demand row: t = 0 parts
-    send whole parts from the subfile table (`_split_files`); every other part
-    XORs its members' send images (`_library_send_images`) and cuts the
-    result into its messages."""
-    parts = []
-    for part, per_file, by_member in zip(layout.parts, table, images):
-        sub = part.subfile_bits
-        if part.t == 0:
-            messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
-        else:
-            wide = 0
-            for member_images, n in zip(by_member, row):
-                wide ^= member_images[n - 1]
-            mask = (1 << sub) - 1
-            shifts = _blocks(len(row), part.t, sub)[3]
-            # a list, not a generator: cheaper on the many tiny transcripts of small K
-            messages = tuple([(wide >> shift) & mask for shift in shifts])
-        parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=messages))
-    return tuple(parts)
-
-
-def deliver(
-    store: FileStore, placement: PlacementState, demand: DemandVector
-) -> DeliveryTranscript:
+def deliver(rows: RowPass, demand: DemandVector) -> DeliveryTranscript:
     """Broadcast transcript serving every user's request in one shot, on the
-    network the placement was planned for."""
-    config = placement.plan.config
-    demand.validate_for(config)
-    k = config.num_users
+    row pass's network, read off the run's tables (`RowPass`): per library,
+    t = 0 parts send whole parts from the subfile table; every other part
+    XORs its members' send images and cuts the result into its messages."""
+    demand.validate_for(rows.config)
     per_library = []
-    for files, layout, row in zip(store.files, placement.layouts, demand.rows):
-        table = _split_files(files, layout, k)
-        images = _library_send_images(table, layout, k)
-        per_library.append(_library_transcript(table, images, layout, row))
+    for table, images, layout, row in zip(
+        rows.subfiles, rows.send_images, rows.placement.layouts, demand.rows
+    ):
+        parts = []
+        for part, per_file, by_member in zip(layout.parts, table, images):
+            sub = part.subfile_bits
+            if part.t == 0:
+                messages = tuple(per_file[n - 1][0] for n in sorted(set(row)))
+            else:
+                wide = 0
+                for member_images, n in zip(by_member, row):
+                    wide ^= member_images[n - 1]
+                mask = (1 << sub) - 1
+                shifts = _blocks(len(row), part.t, sub)[3]
+                # a list, not a generator: cheaper on the many tiny transcripts of small K
+                messages = tuple([(wide >> shift) & mask for shift in shifts])
+            parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=messages))
+        per_library.append(tuple(parts))
     return DeliveryTranscript(demand=demand, per_library=tuple(per_library))
-
-
-def _recover(
-    placement: PlacementState, library: int, part: int, row: tuple[int, ...], wide: int
-) -> int:
-    """Every user's recovered pieces of plan part `part` (an index, t >= 1) of
-    `library` under demand row `row`, in the users' blocks (`_blocks`): the
-    step of `decode`.
-
-    `wide` is the part's broadcast, each message at its group's slot. Copied
-    into every block and masked to the user's groups, it is XORed with one
-    decode image per member's request: at each group G holding user u, block
-    u then holds the message of G with every other member's share, from u's
-    own cache, cancelled, which is u's piece W(G - u). The row check reads
-    the same decode images through the residual images
-    (`_library_residuals`) and never calls this."""
-    layout_part = placement.layouts[library - 1].parts[part]
-    _, spread, masks, _ = _blocks(len(row), layout_part.t, layout_part.subfile_bits)
-    blocks = (wide * spread) & masks
-    for member_images, n in zip(placement.decode_images[library - 1][part], row):
-        blocks ^= member_images[n - 1]
-    return blocks
 
 
 def decode(
@@ -615,13 +580,15 @@ def decode(
     using only that user's cache and the library's transcript `parts` for
     demand row `row` (one file id per user).
 
-    Per part with t >= 1: the messages, each at its group's slot, give the
-    user's recovered pieces (`_recover`), the piece of each size-t subset S
-    without the user at the slot of group S + {user}; they and the user's own
-    cached pieces go in file order, placed by subset rank from the user's
-    cached ranks and its own send sources (`IndexTable`). A t = 0 part is the
-    message of the user's request, sent in id order among the distinct
-    requests.
+    Per part with t >= 1: the messages, each at its group's slot, are copied
+    into every user's block and masked to the user's groups (`_blocks`), then
+    XORed with one decode image per member's request. At each group G holding
+    the user, its block then holds G's message with every other member's
+    share, from the user's own cache, cancelled: the user's piece of size-t
+    subset G - user. These recovered pieces and the user's own cached pieces
+    go in file order, placed by subset rank from the user's cached ranks and
+    its own send sources (`IndexTable`). A t = 0 part is the message of the
+    user's request, sent in id order among the distinct requests.
     """
     k = len(row)
     want = row[user - 1]
@@ -635,11 +602,14 @@ def decode(
         if part.t == 0:
             value = (value << sub) | part_tr.messages[sorted(set(row)).index(want)]
             continue
-        block_bits, _, _, shifts = _blocks(k, part.t, sub)
+        block_bits, spread, masks, shifts = _blocks(k, part.t, sub)
         wide = 0
         for message, shift in zip(part_tr.messages, shifts):
             wide |= message << shift
-        block = _recover(placement, library, index, row, wide) >> ((user - 1) * block_bits)
+        block = (wide * spread) & masks
+        for member_images, n in zip(placement.decode_images[library - 1][index], row):
+            block ^= member_images[n - 1]
+        block >>= (user - 1) * block_bits
         mask = (1 << sub) - 1
         table = _index_table(k, part.t)
         pieces = [0] * math.comb(k, part.t)  # by subset rank
@@ -695,16 +665,16 @@ class RowPass:
     Libraries never interact: the library-l transcript and every library-l
     decode read only row l of the demand and segment l of each cache. So a
     library is judged on its own, over its N_l^K rows. The row pass is the
-    one context of a run: `verify_all` and `reduction_demo` read the store,
-    the network and the placement from it; the network is the one the
-    placement was planned for (`placement.plan.config`).
-    `subfiles[l - 1]` is library l's files cut into subfile ints once
-    (`_split_files`). `send_images[l - 1]` lays that table out once per
-    part, member and file as the member's share of every message
-    (`_library_send_images`), so a row's broadcast of a coded part is the XOR
-    of one image per member. `residuals[l - 1]` holds one residual image per
-    part, member and file (`_library_residuals`): a row's users all decode
-    exactly when its members' residual images XOR to zero.
+    one context of a run: `verify_all`, `reduction_demo` and `deliver` read
+    the store, the network, the placement and the tables below from it; the
+    network is the one the placement was planned for
+    (`placement.plan.config`). `subfiles[l - 1]` is library l's files cut
+    into subfile ints once (`_split_files`). `send_images[l - 1]` lays that
+    table out once per part, member and file as the member's share of every
+    message (`_library_send_images`), so a row's broadcast of a coded part
+    is the XOR of one image per member. `residuals[l - 1]` holds one
+    residual image per part, member and file (`_library_residuals`): a row's
+    users all decode exactly when its members' residual images XOR to zero.
     `unrecoverable[l - 1]` holds the checks made once per run
     (`_unrecoverable`), among them the table's rejoin into each stored file,
     so a row's users fail exactly when `decode` would not give their files.
@@ -864,7 +834,7 @@ def _first_witness(rows: RowPass, first_failing: list[Failure | None]) -> Decode
     lib_idx = next(i for i, (_, users) in failing.items() if user in users)
     row, demand = witness[lib_idx], DemandVector(tuple(witness))
     expected = rows.store.files[lib_idx][row[user - 1] - 1]
-    parts = deliver(rows.store, rows.placement, demand).per_library[lib_idx]
+    parts = deliver(rows, demand).per_library[lib_idx]
     actual = decode(rows.placement, parts, row, user, lib_idx + 1)
     return DecodeMismatchError(demand, user, lib_idx + 1, expected, actual)
 
@@ -953,7 +923,7 @@ def _first_stack_witness(
         if any(user in failed[orig - 1] for orig in keeps[n - 1])
     )
     demand, keep = DemandVector(induced), keeps[n - 1]
-    parts = deliver(store, placement, demand).per_library
+    parts = deliver(rows, demand).per_library
     actual = concat(decode(placement, parts[o - 1], induced[o - 1], user, o) for o in keep)
     expected = concat(store.files[o - 1][n - 1] for o in keep)
     return DecodeMismatchError(demand, user, 0, expected, actual)

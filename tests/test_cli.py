@@ -13,6 +13,7 @@ import re
 import sys
 import time
 import weakref
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -862,10 +863,27 @@ def test_simulate_decodes_only_witness_users(runner, monkeypatch, name):
     # a t = 0 part on unequal_n) is wrong
     part = 1 if name == "unequal_n" else 0
     faulty_place(monkeypatch, [(2, part, 2, 1, 2)], cli)
+    # the witness is delivered from the row pass's tables: files are cut once
+    # by `place` and once by the row pass, send images laid out once
+    cuts = Counter()
+
+    def counting(helper):
+        real_helper = getattr(sim, helper)
+
+        def counted_helper(*args):
+            cuts[helper] += 1
+            return real_helper(*args)
+
+        return counted_helper
+
+    for helper in ("_split_files", "_library_send_images"):
+        monkeypatch.setattr(sim, helper, counting(helper))
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "user 2 decoded library 2 incorrectly" in result.output
     assert calls == [(2, 2)]
+    libraries = cacheshare.load_config(CONFIG_DIR / f"{name}.json").num_libraries
+    assert cuts == {"_split_files": 2 * libraries, "_library_send_images": libraries}
 
 
 @pytest.mark.parametrize("step", ["0", "-1/2"])

@@ -1,6 +1,6 @@
 """Names that callers outside the package rely on: the benchmark's tracing
-hooks and the library example in README.md; and no exported name without a
-caller."""
+hooks and the library example in README.md; and no exported name or
+top-level definition without a caller."""
 
 from __future__ import annotations
 
@@ -97,13 +97,53 @@ def _names_read_in_src() -> set[str]:
     return read
 
 
-def test_every_exported_name_has_a_caller():
-    """No code without a caller: each name `cacheshare` exports, submodules
-    aside, is read somewhere in `src/` outside its own definition, in the
-    README library example, or by a benchmark tracing hook."""
+def _callers() -> set[str]:
+    """Every name read in `src/` outside its own definition, in the README
+    library example, or by a benchmark tracing hook."""
     _, block = _readme_library_example()
     callers = _names_read_in_src() | set(re.findall(r"\w+", block.group(1)))
-    callers |= {part for _, attribute in _traced_hooks() for part in attribute.split(".")}
+    return callers | {part for _, attribute in _traced_hooks() for part in attribute.split(".")}
+
+
+def _registered(definition: ast.FunctionDef | ast.ClassDef) -> bool:
+    """A CLI command, registered by its `_command(...)` decorator and called
+    through the click group alone."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_command"
+        for d in definition.decorator_list
+    )
+
+
+def test_every_top_level_definition_has_a_caller():
+    """No code without a caller: each top-level function, class and assigned
+    name of a `cacheshare` module, private ones included, has a caller
+    (`_callers`). `__init__.py` only re-exports: its names are the exported
+    ones of the test below."""
+    callers = _callers()
+    uncalled = []
+    for path in sorted((ROOT / "src" / "cacheshare").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [] if _registered(statement) else [statement.name]
+            elif isinstance(statement, ast.Assign):
+                names = [
+                    node.id
+                    for target in statement.targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                ]
+            else:
+                continue
+            uncalled += [f"{path.name}:{name}" for name in names if name not in callers]
+    assert uncalled == []
+
+
+def test_every_exported_name_has_a_caller():
+    """No code without a caller: each name `cacheshare` exports, submodules
+    aside, has a caller (`_callers`)."""
+    callers = _callers()
     exported = [
         name
         for name in cacheshare.__all__

@@ -39,6 +39,7 @@ from util import (
     flip,
     flip_decode_image,
     fractions,
+    library_demand,
     make_config,
     random_corner_allocation,
     random_sim_config,
@@ -206,11 +207,27 @@ def test_delivery_message_is_the_cross_xor():
     store = random_file_store(config, 4, seed=4)
     placement = place(store, plan_split(config, Allocation((F(1),))))
     file1, file2 = store.files[0]
-    transcript = deliver(store, placement, DemandVector(((1, 2),)))
+    transcript = deliver(RowPass(store, placement), DemandVector(((1, 2),)))
     part = transcript.per_library[0][0]
     # user 1 misses its half of file 1, user 2 misses its half of file 2
     assert part.messages == ((file1.slice(2, 4) ^ file2.slice(0, 2)).value,)
     assert transcript.total_bits == 2
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((1, 2),), "demand has 1 rows, config has 2 libraries"),
+        (((1, 2), (2, 1, 1)), "demand row 2 has 3 entries, config has 2 users"),
+        (((1, 2), (3, 1)), "demand entry 3 out of range 1..2 in library 2"),
+    ],
+)
+def test_deliver_validates_the_demand_against_the_row_pass_network(rows, message):
+    config = reference_config()
+    store = random_file_store(config, 10, seed=5)
+    # `DemandVector.validate_for`'s messages, against the network the row pass serves
+    with pytest.raises(ValueError, match=message):
+        deliver(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))), DemandVector(rows))
 
 
 def test_decode_uses_only_own_cache_and_transcript():
@@ -218,7 +235,7 @@ def test_decode_uses_only_own_cache_and_transcript():
     store = random_file_store(config, 40, seed=5)
     placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
     demand = DemandVector(((1, 2), (2, 1)))
-    transcript = deliver(store, placement, demand)
+    transcript = deliver(RowPass(store, placement), demand)
     for library in (1, 2):
         parts, row = transcript.per_library[library - 1], demand.rows[library - 1]
         for user in (1, 2):
@@ -258,13 +275,6 @@ def test_decode_uses_only_own_cache_and_transcript():
         assert decode(zeroed, parts, row, 2, library) != store.files[library - 1][row[1] - 1]
 
 
-def library_demand(config, library, row):
-    """The demand vector asking `row` of `library` and file 1 of every other."""
-    rows = [(1,) * config.num_users] * config.num_libraries
-    rows[library - 1] = row
-    return DemandVector(tuple(rows))
-
-
 @pytest.mark.parametrize(
     "config, allocation",
     [
@@ -278,12 +288,11 @@ def test_flipping_one_cached_bit_changes_only_that_users_decode(config, allocati
     store = random_file_store(config, plan.base_unit, seed=7)
     placement = place(store, plan)
     k = config.num_users
+    served = RowPass(store, placement)
     for library, lib in enumerate(config.libraries, start=1):
         rows = list(product(range(1, lib.num_files + 1), repeat=k))
         transcripts = [
-            deliver(store, placement, library_demand(config, library, row)).per_library[
-                library - 1
-            ]
+            deliver(served, library_demand(config, library, row)).per_library[library - 1]
             for row in rows
         ]
         for index in range(placement.caches[1][library - 1].width):
@@ -385,8 +394,8 @@ def test_libraries_do_not_interact():
     assert before.caches[1][0] == after.caches[1][0]
     assert before.caches[0][1] == after.caches[0][1]
     assert before.caches[1][1] != after.caches[1][1]
-    t_before = deliver(store, before, demand)
-    t_after = deliver(tampered, after, demand)
+    t_before = deliver(RowPass(store, before), demand)
+    t_after = deliver(RowPass(tampered, after), demand)
     assert t_before.per_library[0] == t_after.per_library[0]
     assert t_before.per_library[1] != t_after.per_library[1]
 
@@ -492,7 +501,7 @@ def test_row_pass_agrees_with_full_product_reference():
             n**config.num_users for n in config.file_counts
         )
         stack = reduction_demo(rows)
-        assert stack == reference_stack_delivery(store, config, placement)
+        assert stack == reference_stack_delivery(rows)
 
 
 def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
@@ -537,7 +546,7 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
             # every message served for every row of this library is an int of
             # its part's subfile width (the other libraries ask for file 1)
             for row in product(range(1, len(files) + 1), repeat=k):
-                transcript = deliver(store, placement, library_demand(config, library, row))
+                transcript = deliver(rows, library_demand(config, library, row))
                 for part in transcript.per_library[library - 1]:
                     assert all(
                         type(m) is int and 0 <= m < 1 << part.subfile_bits
@@ -626,7 +635,7 @@ def test_stack_witness_matches_full_delivery_reference(mutant, witness_rows, use
     else:
         placement = wrong_file_decode_image(placement, 1, 0, 2, 3, 1)
     with pytest.raises(DecodeMismatchError) as reference:
-        reference_stack_delivery(store, config, placement)
+        reference_stack_delivery(RowPass(store, placement))
     with pytest.raises(DecodeMismatchError) as info:
         reduction_demo(RowPass(store, placement))
     want, got = reference.value, info.value
@@ -692,10 +701,9 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
             table = rows.subfiles[library - 1]
             for row in product(range(1, layout.num_files + 1), repeat=k):
                 expected = reference_library_transcript(table, layout, k, row)
-                parts = sim._library_transcript(table, rows.send_images[library - 1], layout, row)
+                delivered = deliver(rows, library_demand(config, library, row))
+                parts = delivered.per_library[library - 1]
                 assert parts == expected, (seed, library, row)
-                delivered = deliver(store, placement, library_demand(config, library, row))
-                assert delivered.per_library[library - 1] == expected, (seed, library, row)
                 for part in parts:
                     if part.t == k:  # every user caches the whole part: nothing is sent
                         assert part.messages == ()
@@ -729,7 +737,7 @@ def assert_rows_agree(rows, library):
     config, k = rows.config, rows.config.num_users
     failing = set()
     for row in product(range(1, len(files) + 1), repeat=k):
-        transcript = deliver(rows.store, rows.placement, library_demand(config, library, row))
+        transcript = deliver(rows, library_demand(config, library, row))
         wrong = {
             user
             for user in range(1, k + 1)
@@ -843,9 +851,10 @@ def random_decode_faults(rng, placement, count):
 
 
 def test_batched_pass_matches_the_per_row_reference():
-    # the residual judgement against `reference_serve`, which calls
-    # `sim._recover` on each row, clean and with faults in the decode images
-    # both read; the closed-form worst row against every row's transcript
+    # the residual judgement against `reference_serve`, which recovers each
+    # row's pieces from its delivered transcript and the decode images, clean
+    # and with faults in the decode images both read; the closed-form worst
+    # row against every row's transcript
     rng = random.Random(8190)
     seen = dict.fromkeys(("many_rows", "t0", "two_parts", "one_user", "one_file", "failed"), 0)
     for seed, (config, allocation) in enumerate(batched_pass_networks(rng)):

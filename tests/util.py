@@ -273,6 +273,13 @@ def row_pass(store: sim.FileStore, config: NetworkConfig, allocation: Allocation
     return sim.RowPass(store, sim.place(store, sim.plan_split(config, allocation)))
 
 
+def library_demand(config: NetworkConfig, library: int, row) -> DemandVector:
+    """The demand vector asking `row` of `library` and file 1 of every other."""
+    rows = [(1,) * config.num_users] * config.num_libraries
+    rows[library - 1] = row
+    return DemandVector(tuple(rows))
+
+
 def reference_decode(placement, transcript, user: int, library: int):
     """`sim.decode` of one library read off a full delivery transcript."""
     parts = transcript.per_library[library - 1]
@@ -285,13 +292,14 @@ def reference_verify(
 ) -> sim.VerificationReport:
     """The full product loop: deliver and decode every demand vector end to end
     through the public `sim.deliver`/`sim.decode`, raising on the first failure."""
-    placement = sim.place(store, sim.plan_split(config, allocation))
+    rows = row_pass(store, config, allocation)
+    placement = rows.placement
     L = config.num_libraries
     max_total = 0
     per_lib_max = [0] * L
     count = 0
     for demand in enumerate_demands(config):
-        transcript = sim.deliver(store, placement, demand)
+        transcript = sim.deliver(rows, demand)
         max_total = max(max_total, transcript.total_bits)
         for lib, parts in enumerate(transcript.per_library):
             per_lib_max[lib] = max(per_lib_max[lib], sum(part.bits for part in parts))
@@ -411,33 +419,38 @@ class RowOutcome(NamedTuple):
 
 def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> RowOutcome:
     """One library row served on its own, the way the row pass once served
-    each row: its transcript built (`sim._library_transcript`) and its bits
-    counted; per coded part, the K members' send images XORed for this row,
-    `sim._recover` of that broadcast, and each member's send image moved into
-    its own block as the pieces it wants; per t = 0 part, each user's message
-    read back at its request's place among those sent."""
+    each row: its transcript delivered (`sim.deliver`, file 1 asked of every
+    other library) and its bits counted; per coded part, the row's messages
+    put at their groups' slots, copied into every block and masked to each
+    user's groups (`sim._blocks`), XORed with one decode image per member's
+    request, and with each member's send image moved into its own block as
+    the pieces it wants; per t = 0 part, each user's message read back at its
+    request's place among those sent."""
     lib_idx = library - 1
     k = len(row)
     layout, table, images = (
         rows.placement.layouts[lib_idx], rows.subfiles[lib_idx], rows.send_images[lib_idx]
     )
-    bits = sum(part.bits for part in sim._library_transcript(table, images, layout, row))
+    parts = sim.deliver(rows, library_demand(rows.config, library, row)).per_library[lib_idx]
+    bits = sum(part.bits for part in parts)
     failed = []
-    for index, (part, per_file, send) in enumerate(zip(layout.parts, table, images)):
+    for part, per_file, send, own, sent_part in zip(
+        layout.parts, table, images, rows.placement.decode_images[lib_idx], parts
+    ):
         if part.t == 0:
             sent = sorted(set(row))
-            messages = [per_file[n - 1] for n in sent]
             failed += [
                 user for user, n in enumerate(row, start=1)
-                if messages[sent.index(n)] != per_file[n - 1]
+                if sent_part.messages[sent.index(n)] != per_file[n - 1][0]
             ]
             continue
-        width = sim._blocks(k, part.t, part.subfile_bits)[0]
-        wide = wanted = 0
-        for member, (member_images, n) in enumerate(zip(send, row)):
-            wide ^= member_images[n - 1]
-            wanted ^= member_images[n - 1] << (member * width)
-        blocks = sim._recover(rows.placement, library, index, row, wide) ^ wanted
+        width, spread, masks, shifts = sim._blocks(k, part.t, part.subfile_bits)
+        wide = 0
+        for message, shift in zip(sent_part.messages, shifts):
+            wide |= message << shift
+        blocks = (wide * spread) & masks
+        for member, (member_images, member_own, n) in enumerate(zip(send, own, row)):
+            blocks ^= member_own[n - 1] ^ (member_images[n - 1] << (member * width))
         if blocks:
             block = (1 << width) - 1
             failed += [
@@ -546,7 +559,7 @@ def reference_reduction(rows: sim.RowPass) -> sim.ReductionReport:
             keep = keeps[n - 1]
             if any(user in outcomes[orig - 1].failed for orig in keep):
                 demand = DemandVector(induced)
-                transcript = sim.deliver(store, rows.placement, demand)
+                transcript = sim.deliver(rows, demand)
                 decoded = (reference_decode(rows.placement, transcript, user, o) for o in keep)
                 actual = concat(decoded)
                 expected = concat(store.files[orig - 1][n - 1] for orig in keep)
@@ -562,10 +575,9 @@ def reference_reduction(rows: sim.RowPass) -> sim.ReductionReport:
     )
 
 
-def reference_stack_delivery(
-    store: sim.FileStore, config: NetworkConfig, placement: sim.PlacementState
-) -> sim.ReductionReport:
+def reference_stack_delivery(rows: sim.RowPass) -> sim.ReductionReport:
     """Serve every stacked demand with its own full delivery and decodes."""
+    config, store, placement = rows.config, rows.store, rows.placement
     sorted_config, permutation = sort_by_library_size(config)
     n_max = concatenate(config).num_files
     k = config.num_users
@@ -573,7 +585,7 @@ def reference_stack_delivery(
     checked = 0
     for prime in product(range(1, n_max + 1), repeat=k):
         induced = DemandVector(tuple(tuple(min(x, n) for x in prime) for n in config.file_counts))
-        transcript = sim.deliver(store, placement, induced)
+        transcript = sim.deliver(rows, induced)
         max_total = max(max_total, transcript.total_bits)
         for user, n in enumerate(prime, start=1):
             level = subfile_level(sorted_config, n)
