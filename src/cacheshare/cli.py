@@ -465,7 +465,7 @@ def cmd_simulate(
             )
     if claimed is None:
         claimed = memory_sharing_rate(config, allocation, _curves(config, kinds))
-    # before any bits are laid out; N_max^K <= prod N_l^K, so --stack is covered too
+    # the one count check, before any bits are laid out; N_max^K, N_l^|F| <= prod N_l^K
     check_demand_cap(config, demand_cap)
     plan = plan_split(config, allocation)
     if base_size is None:
@@ -473,7 +473,7 @@ def cmd_simulate(
     store = random_file_store(config, base_size, state.seed)
     placement = place(store, plan)
     row_pass = RowPass(store, placement)
-    report = verify_all(row_pass, demand_cap)
+    report = verify_all(row_pass)
     if report.measured_rate != report.formula_rate:
         raise VerificationFailure(
             f"measured rate {report.measured_rate} != formula rate {report.formula_rate}"
@@ -492,7 +492,7 @@ def cmd_simulate(
         ["claimed_rate", str(claimed)],
     ]
     if stack:
-        payload["stack"] = stack_json = reduction_demo(row_pass, demand_cap).to_json()
+        payload["stack"] = stack_json = reduction_demo(row_pass).to_json()
         # one row per field; a list's entries joined by spaces
         rows += [
             ["stack_" + key, " ".join(map(str, value)) if type(value) is list else value]

@@ -12,11 +12,13 @@ down by c = N_max / sum(alpha_l * N_l) when crossing over.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Sequence
 
+from .allocation import greedy_rate
 from .model import NetworkConfig, to_fraction, total_content
 from .tradeoff import Curve
 
@@ -61,10 +63,7 @@ def subfile_level(config: NetworkConfig, n: int) -> int:
         raise ValueError(f"libraries must be sorted by file count, got {counts}")
     if not 1 <= n <= counts[-1]:
         raise ValueError(f"file index {n} out of range 1..{counts[-1]}")
-    for idx, count in enumerate(counts, start=1):
-        if n <= count:
-            return idx
-    raise AssertionError("unreachable")
+    return bisect_left(counts, n) + 1
 
 
 def concatenate(config: NetworkConfig) -> ConcatenatedLibrary:
@@ -180,8 +179,6 @@ def conjecture_gap(config: NetworkConfig, tradeoffs: Sequence[Curve]) -> GapRepo
     scheme may beat it, so otherwise the converse is the cut bound on the
     stack (kind "cutset"). Status is "tight" exactly when the gap is zero.
     """
-    from .allocation import greedy_rate  # local import, avoids a cycle
-
     achievable = greedy_rate(config, tradeoffs)
     curve = tradeoffs[0]
     stack = concatenate(config)

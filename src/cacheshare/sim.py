@@ -64,14 +64,7 @@ from typing import Sequence
 from .allocation import Allocation, split_rate
 from .bits import BitString, concat, random_bits
 from .converse import sort_by_library_size, subfile_level
-from .model import (
-    DEFAULT_DEMAND_CAP,
-    CapExceededError,
-    DemandVector,
-    NetworkConfig,
-    check_demand_cap,
-    format_decimal,
-)
+from .model import DemandVector, NetworkConfig, demand_count, format_decimal
 from .tradeoff import build_scheme_tradeoff
 
 
@@ -562,7 +555,6 @@ def deliver(rows: RowPass, demand: DemandVector) -> DeliveryTranscript:
                     wide ^= member_images[n - 1]
                 mask = (1 << sub) - 1
                 shifts = _blocks(len(row), part.t, sub)[3]
-                # a list, not a generator: cheaper on the many tiny transcripts of small K
                 messages = tuple([(wide >> shift) & mask for shift in shifts])
             parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=messages))
         per_library.append(tuple(parts))
@@ -775,7 +767,7 @@ class VerificationReport:
         }
 
 
-def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationReport:
+def verify_all(rows: RowPass) -> VerificationReport:
     """Verify every demand vector, library by library; raise DecodeMismatchError
     with the lexicographically first witness, else report exact rates.
 
@@ -790,11 +782,8 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     the base size; it must equal the formula rate bit for bit.
     `demands_checked` counts the vectors covered, the product of N_l^K;
     `demand_vectors_run` counts the library rows judged, the sum of N_l^K.
-    `cap` still bounds the covered vectors, with enumeration's error message,
-    and is checked before any row is judged.
     """
     config, store, placement = rows.config, rows.store, rows.placement
-    covered = check_demand_cap(config, cap)
     first_failing = [rows.first_failing(lib) for lib in range(1, config.num_libraries + 1)]
     if any(first_failing):
         raise _first_witness(rows, first_failing)
@@ -802,7 +791,7 @@ def verify_all(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> VerificationRepo
     per_lib_max = [layout.max_row_bits(k) for layout in placement.layouts]
     max_total = sum(per_lib_max)
     return VerificationReport(
-        demands_checked=covered,
+        demands_checked=demand_count(config),
         demand_vectors_run=sum(n**k for n in config.file_counts),
         base_size=store.base_size,
         allocation=placement.plan.allocation,
@@ -857,7 +846,7 @@ class ReductionReport:
         }
 
 
-def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionReport:
+def reduction_demo(rows: RowPass) -> ReductionReport:
     """Serve the stacked single library with the unchanged multi-library scheme.
 
     A stack demand gives each user one file id in 1..N_max; each library serves
@@ -881,9 +870,6 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
     sorted_config, permutation = sort_by_library_size(config)
     k = config.num_users
     n_max = sorted_config.file_counts[-1]
-    total = n_max**k
-    if total > cap:
-        raise CapExceededError(f"stack enumeration needs {total} vectors, cap is {cap}")
 
     # per stacked file, the libraries (original 1-based indices) holding a piece of it
     keeps = [permutation[subfile_level(sorted_config, n) - 1 :] for n in range(1, n_max + 1)]
@@ -897,7 +883,7 @@ def reduction_demo(rows: RowPass, cap: int = DEFAULT_DEMAND_CAP) -> ReductionRep
         for n, keep in enumerate(keeps, start=1)
     ]
     return ReductionReport(
-        demands_checked=total,
+        demands_checked=n_max**k,
         stacked_file_bits=tuple(stacked_bits),
         cache_bits=placement.cache_bits(1),
         max_total_bits=max_total,

@@ -59,35 +59,15 @@ class PiecewiseLinearTradeoff:
         if bpr[0] != (0, 1) or bpr[-1] != (num_files, 1):
             got = tuple(Fraction(n, d) for n, d in bpr)
             raise ValueError(f"breakpoints must run from 0 to {num_files}, got {got}")
-        # `_name_fault`'s checks in one pass: theta_1 and the last slope, then each pair
-        # of segments i, i+1; continuity at theta = p/q: zeta_i - zeta_{i+1} == (gamma_i
-        # - gamma_{i+1}) * theta, with zeta = z/w and gamma = g/h, times w_i w_{i+1} h_i h_{i+1} q
-        fault = bpr[1][0] <= 0 or slr[-1][0] <= 0
-        pairs = zip(bpr[1:], bpr[2:], slr, slr[1:], icr, icr[1:])
-        for (p, q), (c, d), (g0, h0), (g1, h1), (z0, w0), (z1, w1) in pairs:
-            turn = g0 * h1 - g1 * h0  # (gamma_i - gamma_{i+1}) h_i h_{i+1}
-            if p * d >= c * q or g0 <= 0 or turn <= 0 or (
-                (z0 * w1 - z1 * w0) * h0 * h1 * q != turn * p * w0 * w1
-            ):
-                fault = True
-                break
-        if fault:
-            self._name_fault()
-            raise AssertionError("the shape pass found a fault that no ordered check names")
-        (z, w), (g, h), (p, q) = icr[-1], slr[-1], bpr[-1]
-        if z * h * q != g * p * w:
-            raise ValueError(f"curve must hit zero at memory {num_files}")
-
-    def _name_fault(self) -> None:
-        """Raise the first failed shape check's message, checking in the order
-        increasing breakpoints, positive slopes, convexity, continuity."""
-        bpr, slr, icr = self.breakpoint_ratios, self.slope_ratios, self.intercept_ratios
+        # in this order, so that a curve with several faults gets the first check's message
         if any(a * d >= c * b for (a, b), (c, d) in zip(bpr, bpr[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(g <= 0 for g, _ in slr):
             raise ValueError("slopes must be positive")
         if any(a * d <= c * b for (a, b), (c, d) in zip(slr, slr[1:])):
             raise ValueError("slopes must be strictly decreasing (convexity)")
+        # at theta = p/q: zeta_i - zeta_{i+1} == (gamma_i - gamma_{i+1}) * theta, with
+        # zeta = z/w and gamma = g/h, times w_i w_{i+1} h_i h_{i+1} q
         pairs = zip(icr, icr[1:], slr, slr[1:], bpr[1:])
         for (z0, w0), (z1, w1), (g0, h0), (g1, h1), (p, q) in pairs:
             if (z0 * w1 - z1 * w0) * h0 * h1 * q != (g0 * h1 - g1 * h0) * p * w0 * w1:
@@ -95,6 +75,9 @@ class PiecewiseLinearTradeoff:
                 left = Fraction(z0, w0) - Fraction(g0, h0) * theta
                 right = Fraction(z1, w1) - Fraction(g1, h1) * theta
                 raise ValueError(f"discontinuity at breakpoint {theta}: {left} != {right}")
+        (z, w), (g, h), (p, q) = icr[-1], slr[-1], bpr[-1]
+        if z * h * q != g * p * w:
+            raise ValueError(f"curve must hit zero at memory {num_files}")
 
     @property
     def num_segments(self) -> int:

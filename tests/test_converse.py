@@ -56,6 +56,9 @@ def test_subfile_level_examples():
     assert subfile_level(config, 2) == 2
     assert subfile_level(config, 3) == 3
     assert subfile_level(config, 4) == 3
+    # equal counts: the first of them is the smallest library holding the file
+    ties = make_config(counts=(2, 2, 3, 3), weights=(F(1, 4),) * 4, users=2, cache=0)
+    assert [subfile_level(ties, n) for n in range(1, 4)] == [1, 1, 3]
 
 
 def test_subfile_level_rejects_unsorted_and_out_of_range():

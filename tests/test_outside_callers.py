@@ -150,3 +150,26 @@ def test_every_exported_name_has_a_caller():
         if not isinstance(getattr(cacheshare, name), types.ModuleType)
     ]
     assert [name for name in exported if name not in callers] == []
+
+
+def test_every_import_is_read():
+    """No import without a reader: each name a `cacheshare` module other than
+    `__init__.py` imports (`import a.b` binds `a`) is read in that module.
+    `__init__.py` only re-exports; `from __future__` imports bind no name."""
+    unread = []
+    for path in sorted((ROOT / "src" / "cacheshare").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{name}" for name in bound if name not in read]
+    assert unread == []

@@ -13,7 +13,7 @@ import pytest
 import cacheshare.sim as sim
 from cacheshare.allocation import Allocation, greedy_allocate, split_rate
 from cacheshare.bits import BitString, concat
-from cacheshare.model import CapExceededError, DemandVector
+from cacheshare.model import DemandVector
 from cacheshare.sim import (
     DecodeMismatchError,
     DivisibilityError,
@@ -370,13 +370,6 @@ def test_verify_full_cache_sends_nothing():
     assert place(store, plan_split(config, Allocation((F(4, 5), F(6, 5))))).cache_bits(1) == 20
 
 
-def test_verify_honours_demand_cap():
-    config = reference_config()
-    store = random_file_store(config, 10, seed=10)
-    with pytest.raises(CapExceededError):
-        verify_all(row_pass(store, config, Allocation((F(2, 5), F(3, 5)))), cap=3)
-
-
 def test_libraries_do_not_interact():
     config = reference_config()
     store = random_file_store(config, 10, seed=11)
@@ -445,16 +438,6 @@ def test_reduction_demo_unequal_sizes():
     assert report.cache_bits == 4
     # worst stacked transcript can be no longer than the multi-library worst case
     assert F(report.max_total_bits, 8) <= placement.plan.formula_rate
-
-
-def test_reduction_demo_honours_demand_cap(monkeypatch):
-    config = reference_config()
-    store = random_file_store(config, 10, seed=15)
-    rows = row_pass(store, config, Allocation((F(2, 5), F(3, 5))))
-    # the cap is checked before any verdict is asked for
-    forbid_verdicts(monkeypatch, "failed", "first_failing")
-    with pytest.raises(CapExceededError, match="stack enumeration needs 4 vectors, cap is 3"):
-        reduction_demo(rows, cap=3)
 
 
 def test_verify_counts_covered_vectors_and_served_rows():
@@ -978,10 +961,10 @@ def test_a_clean_run_at_scale_walks_no_row(monkeypatch):
     store = random_file_store(config, plan_split(config, allocation).base_unit, seed=13)
     rows = row_pass(store, config, allocation)
     assert rows.faulty == ((),)
-    report = verify_all(rows, cap=10**9)
+    report = verify_all(rows)
     assert report.demands_checked == report.demand_vectors_run == 1594323
     assert report.measured_rate == report.formula_rate
-    stack = reduction_demo(rows, cap=10**9)
+    stack = reduction_demo(rows)
     assert stack.demands_checked == 1594323
     assert stack.max_total_bits == report.max_total_bits
 
@@ -1005,7 +988,7 @@ def test_one_fault_at_scale_is_judged_over_its_members_requests(monkeypatch):
     store, rows = one_fault_at_scale()
     calls = count_verdicts(monkeypatch)
     with pytest.raises(DecodeMismatchError) as info:
-        verify_all(rows, cap=10**9)
+        verify_all(rows)
     err = info.value
     assert (err.demand.rows, err.user, err.library) == (((1, 3) + (1,) * 10,), 5, 1)
     # user 5 asks for file 1 and misreads member 2's share of file 3
@@ -1019,7 +1002,7 @@ def test_one_fault_at_scale_gives_the_stack_witness_from_the_first_failing_row(m
     store, rows = one_fault_at_scale()
     calls = count_verdicts(monkeypatch)
     with pytest.raises(DecodeMismatchError) as info:
-        reduction_demo(rows, cap=10**9)
+        reduction_demo(rows)
     err = info.value
     assert (err.demand.rows, err.user, err.library) == (((1, 3) + (1,) * 10,), 5, 0)
     # one library holds every stacked file; one flipped bit of user 5's decode
