@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import click
 
@@ -221,7 +221,34 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise click.UsageError(f"bad {flag}: {exc}") from exc
 
 
-@click.group()
+def _print_and_exit(text: Callable[[click.Context], str]) -> Callable:
+    """The callback of an eager flag that prints `text(ctx)` and exits. It
+    writes with the destination's own `write`, as `_emit` does."""
+
+    def callback(ctx: click.Context, _param: click.Parameter, value: bool) -> None:
+        if value and not ctx.resilient_parsing:
+            sys.stdout.write(text(ctx) + "\n")
+            sys.stdout.flush()
+            ctx.exit()
+
+    return callback
+
+
+class _Command(click.Command):
+    """A command whose --help is printed by `_print_and_exit`."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _print_and_exit(click.Context.get_help)
+        return option
+
+
+class _Group(click.Group, _Command):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option(
     "--config",
     "config_path",
@@ -239,7 +266,14 @@ def _fraction(text: str, flag: str) -> Fraction:
     help="Output format.",
 )
 @click.option("--seed", type=int, default=0, show_default=True, help="RNG seed for file contents.")
-@click.version_option(version=__version__, prog_name="cacheshare")
+@click.option(
+    "--version",
+    is_flag=True,
+    expose_value=False,
+    is_eager=True,
+    help="Show the version and exit.",
+    callback=_print_and_exit(lambda _ctx: f"cacheshare, version {__version__}"),
+)
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None, out: str, fmt: str, seed: int) -> None:
     """Memory-rate tradeoffs and bit-exact simulation for multi-library caching."""

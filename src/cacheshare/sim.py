@@ -12,9 +12,10 @@ distinct requested part once. Decoding uses only the user's own cache and the
 transcript.
 
 `BitString` marks the bit-layer boundary: stored files, cache segments and
-decoded files. Inside, everything is plain ints. A `PlacementState` cuts
-each cache segment into its subfile table once, when it is built, and checks
-its width against the plan; messages are ints of their part's subfile width.
+decoded files. Inside, everything is plain ints, and set-up is linear in the
+bits: wide ints are cut (`_cut`) and joined (`_join`) in halves down to
+CHUNK_BITS, and a `PlacementState` checks its segments' widths and cuts each
+library's segments once. Messages are ints of their part's subfile width.
 
 The scheme is linear over GF(2), so delivery and verification XOR whole
 images, wide ints of subfile-wide slots laid out once per run, instead of one
@@ -29,15 +30,16 @@ per part, member and file, each user's own cached copy of the member's share
 at every group holding both. `decode` copies a broadcast into all K blocks,
 masks it to each user's groups and XORs one decode image per member, which
 leaves each user's recovered pieces. Every index these images use at one
-(K, t), the users' cached subset ranks and the send and decode sources, is
-one cached record (`IndexTable`); `_blocks` adds what depends on the slot
-width. Copy and mask distribute over XOR, so the row check folds each
-member's send, decode and wanted pieces into one residual image per part,
-member and file (`RowPass.residuals`): a row's K residual images XOR to zero
-exactly when every user recovers every piece it lacks. Each user's own cached
-pieces, and the server table's rejoin into each stored file, are checked once
-per run. So `deliver` and `decode`, which puts one user's recovered and
-cached pieces in file order, run only to name the decoded file of a failure.
+(K, t) is one cached record of flat tables (`IndexTable`); `_blocks` adds
+what depends on the slot width, the masks and the sources cut into chunks,
+so an image is ORed chunk by chunk and its chunks joined once. Copy and mask
+distribute over XOR, so the row check folds each member's send, decode and
+wanted pieces into one residual image per part, member and file
+(`RowPass.residuals`): a row's K residual images XOR to zero exactly when
+every user recovers every piece it lacks. Each user's own cached pieces, and
+the server table's rejoin into each stored file, are checked once per run.
+So `deliver` and `decode`, which puts one user's recovered and cached pieces
+in file order, run only to name the decoded file of a failure.
 
 A library's N^K rows are judged from its fault set (`RowPass.faulty`): the
 members with a nonzero residual image and the users the once-per-run checks
@@ -55,10 +57,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Sequence
 
 from .allocation import Allocation, split_rate
@@ -107,6 +111,10 @@ class SchemePart:
     file_bits: int
     subfile_bits: int
 
+    def cached(self, num_users: int) -> int:
+        """Subfiles of a file one user caches: C(K - 1, t - 1), none for t = 0."""
+        return math.comb(num_users - 1, self.t - 1) if self.t else 0
+
 
 @dataclass(frozen=True)
 class LibraryLayout:
@@ -114,10 +122,8 @@ class LibraryLayout:
     num_files: int
 
     def cache_bits(self, num_users: int) -> int:
-        """Bits one user caches: C(K - 1, t - 1) subfiles per file and part."""
-        return self.num_files * sum(
-            math.comb(num_users - 1, p.t - 1) * p.subfile_bits for p in self.parts if p.t
-        )
+        """Bits one user caches: its subfiles of every file and part."""
+        return self.num_files * sum(p.cached(num_users) * p.subfile_bits for p in self.parts)
 
     def max_row_bits(self, num_users: int) -> int:
         """Bits of the library's longest share of a broadcast: one subfile per
@@ -145,47 +151,40 @@ class PlacementState:
     `plan` is the split the caches were filled from (`plan_split`): its
     allocation and its formula rate, the value delivery must realize.
     `layouts[library - 1]` is that library's bit layout at the store's base
-    size. `cached_subfiles[user - 1][library - 1]` is a cache segment cut
-    into subfile ints (`_split_segment`) when the state is built, and
-    `decode_images[library - 1]` lays every user's table out in its own block
-    of the decode images (`IndexTable.decode_sources`), each block built from
-    that user's cache alone; a copy made with `dataclasses.replace` cuts and
-    lays out its own caches."""
+    size. Built, the state checks every segment's width against its layout,
+    user by user, and cuts each library's segments once (`_cached_pieces`):
+    `cached_pieces[library - 1]` holds, per plan part and file, every user's
+    cached subfiles, user u's the u-th run of C(K - 1, t - 1) in each tuple.
+    `decode_images[library - 1]` lays them out (`IndexTable`), each
+    user's block from that user's cache alone. A copy made with
+    `dataclasses.replace` cuts and lays out its own caches."""
 
     plan: Plan
     layouts: tuple[LibraryLayout, ...]
     caches: tuple[tuple[BitString, ...], ...]
-    cached_subfiles: tuple[tuple[SubfileTable, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    cached_pieces: tuple[SubfileTable, ...] = field(init=False, repr=False, compare=False)
     decode_images: tuple[ImageTable, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.caches)
-        tables = tuple(
+        widths = [layout.cache_bits(k) for layout in self.layouts]
+        for user, segments in enumerate(self.caches, start=1):
+            for library, (segment, bits) in enumerate(zip(segments, widths), start=1):
+                if segment.width != bits:
+                    raise ValueError(
+                        f"user {user} library {library} cache segment has {segment.width} bits; "
+                        f"its plan places {bits}"
+                    )
+        by_library = zip(zip(*self.caches), self.layouts)  # each library's segments, user by user
+        pieces = tuple(_cached_pieces(segments, layout, k) for segments, layout in by_library)
+        object.__setattr__(self, "cached_pieces", pieces)
+        object.__setattr__(self, "decode_images", tuple(
             tuple(
-                _split_segment(segment, layout, k, user, library)
-                for library, (segment, layout) in enumerate(zip(segments, self.layouts), start=1)
+                _images(per_file, _blocks(k, part.t, part.subfile_bits)[4]) if part.t else None
+                for part, per_file in zip(layout.parts, by_part)
             )
-            for user, segments in enumerate(self.caches, start=1)
-        )
-        images = []
-        for library, layout in enumerate(self.layouts):
-            part_images = []
-            for index, part in enumerate(layout.parts):
-                if part.t:
-                    # per file: every user's cached pieces laid end to end
-                    per_file = [
-                        tuple(piece for table in tables for piece in table[library][index][n])
-                        for n in range(layout.num_files)
-                    ]
-                    sources = _index_table(k, part.t).decode_sources
-                    part_images.append(_images(per_file, sources, part.subfile_bits))
-                else:
-                    part_images.append(None)
-            images.append(tuple(part_images))
-        object.__setattr__(self, "cached_subfiles", tables)
-        object.__setattr__(self, "decode_images", tuple(images))
+            for layout, by_part in zip(self.layouts, pieces)
+        ))
 
     def cache_bits(self, user: int) -> int:
         return sum(seg.width for seg in self.caches[user - 1])
@@ -300,11 +299,16 @@ def plan_split(config: NetworkConfig, allocation: Allocation) -> Plan:
     return Plan(config, allocation, tuple(per_library), base_unit, formula_rate)
 
 
-# per member: (slot, index) pairs, slots counted from the low end of an image
-Sources = tuple[tuple[tuple[int, int], ...], ...]
+# per member: its slots, ascending from an image's low end, and each slot's piece index
+Sources = tuple[tuple[array, tuple[int, ...]], ...]
+
+# (chunk bits, per member, per chunk from the highest: its pieces' shifts and indices)
+Chunks = tuple[int, tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]]
 
 # a failing demand row of one library, with the users who fail it
 Failure = tuple[tuple[int, ...], tuple[int, ...]]
+
+CHUNK_BITS = 1024  # wide ints are cut and joined this many bits (or one piece) at a time
 
 
 @dataclass(frozen=True)
@@ -313,142 +317,159 @@ class IndexTable:
     subsets ranked in lexicographic order, size-(t + 1) groups one slot each
     in transcript order, the first highest.
 
-    `cached_ranks`: per user, the ranks of the subsets holding it, the
-    subfiles of a file it caches, in cache order. `send_sources`: per member,
-    per group G holding it, G's slot and the rank of G - member, the subfile
-    of the member's request that G's message XORs. `decode_sources`: per
-    member, per other user u, per group G holding both, G's slot in u's block
-    (user u's block u - 1 blocks up) and the index of u's copy of the share
-    W(G - member) among every user's cached pieces of a file laid end to end;
-    entries go user by user, so `_images` fills an image from its low end up."""
+    `cached_ranks`: user by user, the ranks of the subsets holding the user,
+    the subfiles of a file it caches, in cache order. `send_sources`: per
+    member, per group G holding it, G's slot and the rank of G - member, the
+    subfile of the member's request that G's message XORs. `decode_sources`:
+    per member, per other user u, per group G holding both, G's slot in u's
+    block (u - 1 blocks up) and the index in `cached_ranks` of u's copy of
+    W(G - member), its index among every user's cached pieces of a file. The
+    tables are flat, and the sources' slots ascend: entries go user by user,
+    so `_chunks` cuts them into an image's chunks from its low end up."""
 
     num_groups: int
-    cached_ranks: tuple[tuple[int, ...], ...]
+    cached_ranks: tuple[int, ...]
     send_sources: Sources
     decode_sources: Sources
 
 
 @lru_cache(maxsize=None)
 def _index_table(num_users: int, t: int) -> IndexTable:
-    """One walk over the subsets and one over the groups; the users holding
-    W(G - member) are the members of G - member, so each member's decode
-    sources come from its send sources. Only the tables outlive the call."""
-    users = range(1, num_users + 1)
+    """One walk over the subsets and one over the groups; W(G - member) is
+    held by the members of G - member, so each member's decode sources come
+    from its send sources. Users count from 0 here."""
+    users = range(num_users)
     subsets = list(combinations(users, t))
     rank = {subset: i for i, subset in enumerate(subsets)}
-    cached: list[list[int]] = [[] for _ in users]
     per_user = math.comb(num_users - 1, t - 1)
-    # (user, rank of a cached subset) -> its piece's index among every user's pieces
-    index = {}
+    cached: list[list[int]] = [[] for _ in users]
+    copies = []  # per subset, its members' copies in `cached_ranks`
     for i, subset in enumerate(subsets):
+        copies.append([user * per_user + len(cached[user]) for user in subset])
         for user in subset:
-            index[user, i] = (user - 1) * per_user + len(cached[user - 1])
-            cached[user - 1].append(i)
+            cached[user].append(i)
     groups = list(combinations(users, t + 1))
-    send: list[list[tuple[int, int]]] = [[] for _ in users]
-    for g, group in enumerate(groups):
-        slot = len(groups) - 1 - g
-        for member in group:
-            send[member - 1].append((slot, rank[tuple(x for x in group if x != member)]))
+    send: list[tuple[array, list[int]]] = [(array("I"), []) for _ in users]
+    for slot, group in enumerate(reversed(groups)):
+        # G - member for each member of G, the last member first
+        for member, subset in zip(reversed(group), combinations(group, t)):
+            send[member][0].append(slot)
+            send[member][1].append(rank[subset])
     decode = []
-    for member_sources in send:
-        by_user: list[list[tuple[int, int]]] = [[] for _ in users]
-        for slot, i in member_sources:
-            for user in subsets[i]:
-                by_user[user - 1].append(((user - 1) * len(groups) + slot, index[user, i]))
-        decode.append(tuple(entry for entries in by_user for entry in entries))
-    return IndexTable(
-        num_groups=len(groups),
-        cached_ranks=tuple(map(tuple, cached)),
-        send_sources=tuple(map(tuple, send)),
-        decode_sources=tuple(decode),
-    )
+    for slots, ranks in send:
+        by_slot, by_index = [array("I") for _ in users], [[] for _ in users]
+        for slot, i in zip(slots, ranks):
+            for user, index in zip(subsets[i], copies[i]):
+                by_slot[user].append(user * len(groups) + slot)
+                by_index[user].append(index)
+        decode.append((array("I", chain(*by_slot)), tuple(chain(*by_index))))
+    send_sources = tuple((slots, tuple(ranks)) for slots, ranks in send)
+    return IndexTable(len(groups), tuple(chain(*cached)), send_sources, tuple(decode))
+
+
+def _chunks(sources: Sources, num_slots: int, slot_bits: int) -> Chunks:
+    """`sources` cut, per member, into chunks of CHUNK_BITS, or of one slot
+    where slots are wider, with each piece's shift inside its chunk."""
+    span = max(1, CHUNK_BITS // slot_bits)
+    shifts = [i * slot_bits for i in range(span)]
+    chunked = []
+    for slots, indices in sources:
+        cuts = [bisect_left(slots, start) for start in range(0, num_slots + span, span)]
+        chunked.append(tuple(
+            (tuple([shifts[slot % span] for slot in slots[lo:hi]]), indices[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])
+        )[::-1])
+    return span * slot_bits, tuple(chunked)
 
 
 @lru_cache(maxsize=None)
-def _blocks(num_users: int, t: int, slot_bits: int) -> tuple[int, int, int, tuple[int, ...]]:
+def _blocks(num_users: int, t: int, slot_bits: int) -> tuple[int, int, int, Chunks, Chunks]:
     """One coded part's layout at `slot_bits`-bit slots: (width of a
     verification block, one slot per size-(t + 1) group, so also the bits
     the part sends per row; the spread that copies a send-image-wide int into
-    every block; the mask keeping, in each user's block, the slots of the
-    groups holding that user, read off its send sources; per group, in
-    transcript order, the shift of its slot in a send image)."""
+    every block; the masks keeping, in each user's block, the slots of the
+    groups holding that user, its send image of all-ones pieces; the send
+    and the decode sources in chunks, `_chunks`)."""
     table = _index_table(num_users, t)
     width = table.num_groups * slot_bits
-    piece = (1 << slot_bits) - 1
-    spread = masks = 0
-    for user, sources in enumerate(table.send_sources):
-        base = user * width
-        spread |= 1 << base
-        for slot, _ in sources:
-            masks |= piece << (base + slot * slot_bits)
-    return width, spread, masks, tuple(i * slot_bits for i in reversed(range(table.num_groups)))
+    send = _chunks(table.send_sources, table.num_groups, slot_bits)
+    ones = ([(1 << slot_bits) - 1] * math.comb(num_users, t),)
+    masks = _join([images[0] for images in reversed(_images(ones, send))], width)
+    decode = _chunks(table.decode_sources, num_users * table.num_groups, slot_bits)
+    return width, _join([1] * num_users, width), masks, send, decode
 
 
-def _images(
-    per_file: tuple[tuple[int, ...], ...], sources: Sources, slot_bits: int
-) -> tuple[tuple[int, ...], ...]:
-    """Per member, per file: one wide int of `slot_bits`-bit slots holding
-    the file's pieces[index] at each (slot, index) of the member's sources,
-    zeros elsewhere. `per_file` is one part's subfile ints: the server's, at
-    the send sources, or every user's cached ones, at the decode sources
-    (`IndexTable`)."""
+def _images(per_file: Sequence[Sequence[int]], chunks: Chunks) -> tuple[tuple[int, ...], ...]:
+    """Per member, per file: one wide int holding the file's pieces[index]
+    at each of the member's sources, zeros elsewhere, ORed chunk by chunk
+    and the chunks joined once. `per_file` is one part's subfile ints: the
+    server's, at the send sources, or every user's cached ones, at the
+    decode sources (`IndexTable`)."""
+    chunk_bits, by_member = chunks
     images = []
-    for member_sources in sources:
+    for member_chunks in by_member:
         member_images = []
         for pieces in per_file:
-            value = 0
-            for slot, index in member_sources:
-                value |= pieces[index] << (slot * slot_bits)
-            member_images.append(value)
+            values = []
+            for shifts, indices in member_chunks:
+                value = 0
+                for shift, index in zip(shifts, indices):
+                    if piece := pieces[index]:  # a zero piece adds nothing
+                        value |= piece << shift
+                values.append(value)
+            member_images.append(values[0] if len(values) == 1 else _join(values, chunk_bits))
         images.append(tuple(member_images))
     return tuple(images)
 
 
-def _split_files(
-    files: tuple[BitString, ...], layout: LibraryLayout, num_users: int
-) -> SubfileTable:
+def _join(values: Sequence[int], width: int) -> int:
+    """`values`, each under `width` bits, end to end, the first highest: in
+    halves down to CHUNK_BITS or one value, so each level is linear."""
+    if len(values) * width <= CHUNK_BITS or len(values) < 2:
+        value = 0
+        for piece in values:
+            value = value << width | piece
+        return value
+    low = values[len(values) // 2 :]
+    return _join(values[: len(values) // 2], width) << len(low) * width | _join(low, width)
+
+
+def _cut(value: int, count: int, width: int) -> list[int]:
+    """The low `count` `width`-bit pieces of `value`, the first highest: in
+    halves down to CHUNK_BITS or one piece, so each level is linear."""
+    value &= (1 << count * width) - 1
+    if count * width <= CHUNK_BITS or count < 2:
+        mask = (1 << width) - 1
+        return [value >> shift & mask for shift in range((count - 1) * width, -1, -width)]
+    low = count // 2
+    return _cut(value >> low * width, count - low, width) + _cut(value, low, width)
+
+
+def _split_files(files: Sequence[BitString], layout: LibraryLayout, num_users: int) -> SubfileTable:
     """One library's files cut into subfile ints: per plan part, per file, all
     C(K, t) subfiles in lexicographic subset order (t = 0: the whole part)."""
-    table = []
-    offset = 0
+    table, offset = [], 0
     for part in layout.parts:
-        sub = part.subfile_bits
-        mask = (1 << sub) - 1
-        count = math.comb(num_users, part.t)
-        per_file = []
-        for content in files:
-            # shifting right by `top - i * sub` leaves subfile i in the low bits
-            top = content.width - offset - sub
-            per_file.append(tuple([(content.value >> (top - i * sub)) & mask for i in range(count)]))
-        table.append(tuple(per_file))
         offset += part.file_bits
+        count, sub = math.comb(num_users, part.t), part.subfile_bits
+        table.append(tuple(tuple(_cut(f.value >> f.width - offset, count, sub)) for f in files))
     return tuple(table)
 
 
-def _split_segment(
-    segment: BitString, layout: LibraryLayout, num_users: int, user: int, library: int
-) -> SubfileTable:
-    """`user`'s cache segment of `library` cut back into the subfiles `place`
-    put in it: per plan part, per file, the cached subsets in lexicographic
-    order (no pieces for t = 0). A width other than the layout's is an error."""
-    top = layout.cache_bits(num_users)
-    if segment.width != top:
-        raise ValueError(
-            f"user {user} library {library} cache segment has {segment.width} bits; "
-            f"its plan places {top}"
-        )
-    table = []
+def _cached_pieces(segments: Sequence[BitString], layout: LibraryLayout, k: int) -> SubfileTable:
+    """One library's cache segments, one per user, cut once: per plan part,
+    per file, every user's cached pieces, user by user, each user's in cache
+    order (none for t = 0)."""
+    table, top = [], layout.cache_bits(k)
     for part in layout.parts:
-        sub = part.subfile_bits
-        mask = (1 << sub) - 1
-        count = math.comb(num_users - 1, part.t - 1) if part.t else 0
-        per_file = []
-        for _ in range(layout.num_files):
-            top -= count * sub
-            block = segment.value >> top  # this file's pieces, the last in the low bits
-            per_file.append(tuple([(block >> (i * sub)) & mask for i in reversed(range(count))]))
-        table.append(tuple(per_file))
+        count = part.cached(k)
+        top -= count * layout.num_files * part.subfile_bits
+        by_file: list[list[int]] = [[] for _ in range(layout.num_files)]
+        for segment in segments if count else ():
+            pieces = _cut(segment.value >> top, count * layout.num_files, part.subfile_bits)
+            for n, every in enumerate(by_file):
+                every += pieces[n * count : (n + 1) * count]
+        table.append(tuple(map(tuple, by_file)))
     return tuple(table)
 
 
@@ -470,42 +491,33 @@ def place(store: FileStore, plan: Plan) -> PlacementState:
     k = config.num_users
     layouts = []
     for lib, parts in zip(config.libraries, plan.parts):
-        scheme_parts = []
-        for t, weight in parts:
-            sub = lib.alpha * weight * base_size / math.comb(k, t)
-            assert sub.denominator == 1
-            scheme_parts.append(
-                SchemePart(t=t, file_bits=int(sub) * math.comb(k, t), subfile_bits=int(sub))
-            )
+        subs = [(t, lib.alpha * weight * base_size / math.comb(k, t)) for t, weight in parts]
+        assert all(sub.denominator == 1 for _, sub in subs)
+        scheme_parts = (SchemePart(t, int(sub) * math.comb(k, t), int(sub)) for t, sub in subs)
         layouts.append(LibraryLayout(parts=tuple(scheme_parts), num_files=lib.num_files))
     tables = [_split_files(files, layout, k) for files, layout in zip(store.files, layouts)]
-    caches = []
-    for user in range(1, k + 1):
-        segments = []
-        for table, layout in zip(tables, layouts):
-            value = 0
-            for part, per_file in zip(layout.parts, table):
-                if part.t:
-                    sub = part.subfile_bits
-                    ranks = _index_table(k, part.t).cached_ranks[user - 1]
-                    for pieces in per_file:
-                        for rank in ranks:
-                            value = (value << sub) | pieces[rank]
-            segments.append(BitString(layout.cache_bits(k), value))
-        caches.append(tuple(segments))
-    return PlacementState(plan=plan, layouts=tuple(layouts), caches=tuple(caches))
+    caches: list[list[BitString]] = [[] for _ in range(k)]
+    for table, layout in zip(tables, layouts):
+        values = [0] * k
+        for part, per_file in zip(layout.parts, table):
+            if count := part.cached(k):
+                ranks, sub = _index_table(k, part.t).cached_ranks, part.subfile_bits
+                for user in range(k):
+                    mine = ranks[user * count : (user + 1) * count]
+                    pieces = [by_rank[rank] for by_rank in per_file for rank in mine]
+                    values[user] = values[user] << len(pieces) * sub | _join(pieces, sub)
+        width = layout.cache_bits(k)
+        for cache, value in zip(caches, values):
+            cache.append(BitString(width, value))
+    return PlacementState(plan=plan, layouts=tuple(layouts), caches=tuple(map(tuple, caches)))
 
 
-def _library_send_images(
-    table: SubfileTable, layout: LibraryLayout, num_users: int
-) -> ImageTable:
+def _library_send_images(table: SubfileTable, layout: LibraryLayout, num_users: int) -> ImageTable:
     """One library's send images (`IndexTable.send_sources`), per plan part,
     from its subfile table: a row's messages of a part are the XOR of its
     members' images for their requested files."""
     return tuple(
-        _images(per_file, _index_table(num_users, part.t).send_sources, part.subfile_bits)
-        if part.t
-        else None
+        _images(per_file, _blocks(num_users, part.t, part.subfile_bits)[3]) if part.t else None
         for part, per_file in zip(layout.parts, table)
     )
 
@@ -522,7 +534,7 @@ def _library_residuals(
     residuals = []
     for part, by_member, by_member_decode in zip(layout.parts, send_images, decode_images):
         if part.t:
-            width, spread, masks, _ = _blocks(num_users, part.t, part.subfile_bits)
+            width, spread, masks, *_ = _blocks(num_users, part.t, part.subfile_bits)
             by_member = tuple(
                 tuple(
                     ((image * spread) & masks) ^ own ^ (image << (member * width))
@@ -553,20 +565,15 @@ def deliver(rows: RowPass, demand: DemandVector) -> DeliveryTranscript:
                 wide = 0
                 for member_images, n in zip(by_member, row):
                     wide ^= member_images[n - 1]
-                mask = (1 << sub) - 1
-                shifts = _blocks(len(row), part.t, sub)[3]
-                messages = tuple([(wide >> shift) & mask for shift in shifts])
+                messages = tuple(_cut(wide, math.comb(len(row), part.t + 1), sub))
             parts.append(PartTranscript(t=part.t, subfile_bits=sub, messages=messages))
         per_library.append(tuple(parts))
     return DeliveryTranscript(demand=demand, per_library=tuple(per_library))
 
 
 def decode(
-    placement: PlacementState,
-    parts: Sequence[PartTranscript],
-    row: tuple[int, ...],
-    user: int,
-    library: int,
+    placement: PlacementState, parts: Sequence[PartTranscript], row: tuple[int, ...],
+    user: int, library: int,
 ) -> BitString:
     """Reconstruct the file `user` requested from `library` (both 1-based),
     using only that user's cache and the library's transcript `parts` for
@@ -585,32 +592,28 @@ def decode(
     k = len(row)
     want = row[user - 1]
     value = width = 0
-    cached = placement.cached_subfiles[user - 1][library - 1]
     for index, (part, part_tr, per_file) in enumerate(
-        zip(placement.layouts[library - 1].parts, parts, cached)
+        zip(placement.layouts[library - 1].parts, parts, placement.cached_pieces[library - 1])
     ):
         sub = part.subfile_bits
         width += part.file_bits
         if part.t == 0:
             value = (value << sub) | part_tr.messages[sorted(set(row)).index(want)]
             continue
-        block_bits, spread, masks, shifts = _blocks(k, part.t, sub)
-        wide = 0
-        for message, shift in zip(part_tr.messages, shifts):
-            wide |= message << shift
-        block = (wide * spread) & masks
+        block_bits, spread, masks, *_ = _blocks(k, part.t, sub)
+        block = (_join(part_tr.messages, sub) * spread) & masks
         for member_images, n in zip(placement.decode_images[library - 1][index], row):
             block ^= member_images[n - 1]
-        block >>= (user - 1) * block_bits
-        mask = (1 << sub) - 1
         table = _index_table(k, part.t)
+        # the user's block, slot by slot, the highest first
+        recovered = _cut(block >> (user - 1) * block_bits, table.num_groups, sub)
         pieces = [0] * math.comb(k, part.t)  # by subset rank
-        for rank, piece in zip(table.cached_ranks[user - 1], per_file[want - 1]):
+        mine = slice((user - 1) * part.cached(k), user * part.cached(k))
+        for rank, piece in zip(table.cached_ranks[mine], per_file[want - 1][mine]):
             pieces[rank] = piece
-        for slot, rank in table.send_sources[user - 1]:
-            pieces[rank] = (block >> (slot * sub)) & mask
-        for piece in pieces:
-            value = (value << sub) | piece
+        for slot, rank in zip(*table.send_sources[user - 1]):
+            pieces[rank] = recovered[~slot]
+        value = value << part.file_bits | _join(pieces, sub)
     return BitString(width, value)
 
 
@@ -620,23 +623,20 @@ def _unrecoverable(
     """The (user, file id) pairs of one library that fail whatever the row:
     every user's for a file the server's subfile table does not rejoin into,
     and one user's for a file whose cached pieces differ from the server's."""
-    layout = placement.layouts[library - 1]
-    k = len(placement.caches)
+    layout, k = placement.layouts[library - 1], len(placement.caches)
     bad = set()
     for n, content in enumerate(files, start=1):
         value = 0
         for part, per_file in zip(layout.parts, table):
-            for piece in per_file[n - 1]:
-                value = (value << part.subfile_bits) | piece
+            value = value << part.file_bits | _join(per_file[n - 1], part.subfile_bits)
         if value != content.value:
             bad.update((user, n) for user in range(1, k + 1))
-    for user, tables in enumerate(placement.cached_subfiles, start=1):
-        for part, theirs, mine in zip(layout.parts, table, tables[library - 1]):
-            if part.t:
-                ranks = _index_table(k, part.t).cached_ranks[user - 1]
-                for n, (pieces, cached) in enumerate(zip(theirs, mine), start=1):
-                    if cached != tuple([pieces[i] for i in ranks]):
-                        bad.add((user, n))
+    for part, theirs, mine in zip(layout.parts, table, placement.cached_pieces[library - 1]):
+        ranks, count = _index_table(k, part.t).cached_ranks if part.t else (), part.cached(k)
+        users = [slice(u * count, (u + 1) * count) for u in range(k)]
+        for n, (pieces, cached) in enumerate(zip(theirs, mine), start=1):
+            if cached != (expected := tuple([pieces[i] for i in ranks])):
+                bad.update((u + 1, n) for u, s in enumerate(users) if cached[s] != expected[s])
     return frozenset(bad)
 
 

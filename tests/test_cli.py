@@ -554,10 +554,11 @@ def test_out_file_holds_the_stdout_bytes(runner, tmp_path, fmt, args):
     assert target.read_bytes() == printed.stdout_bytes
 
 
-@pytest.mark.parametrize("case", ["tradeoff-json", "allocate-csv", "warning"])
+@pytest.mark.parametrize("case", ["tradeoff-json", "allocate-csv", "warning", "version", "help"])
 def test_in_process_calls_keep_no_output_stream_alive(tmp_path, case):
     """A caller that runs commands in its own process, each with fresh stdout
-    and stderr buffers, gets every buffer freed once it drops it."""
+    and stderr buffers, gets every buffer freed once it drops it; so does one
+    that asks for the version or a command's help."""
     # a cache of 7 over a content of 5/2 is clamped, with a warning on stderr
     big = tmp_path / "big.json"
     libraries = [{"num_files": 2, "alpha": "1/2"}, {"num_files": 3, "alpha": "1/2"}]
@@ -566,6 +567,8 @@ def test_in_process_calls_keep_no_output_stream_alive(tmp_path, case):
         "tradeoff-json": ["tradeoff", "--files", "3", "--users", "40"],
         "allocate-csv": ["--config", EXAMPLE, "--format", "csv", "allocate"],
         "warning": ["--config", str(big), "allocate"],
+        "version": ["--version"],
+        "help": ["tradeoff", "--help"],
     }[case]
     refs = []
     for _ in range(2):
@@ -864,7 +867,8 @@ def test_simulate_decodes_only_witness_users(runner, monkeypatch, name):
     part = 1 if name == "unequal_n" else 0
     faulty_place(monkeypatch, [(2, part, 2, 1, 2)], cli)
     # the witness is delivered from the row pass's tables: files are cut once
-    # by `place` and once by the row pass, send images laid out once
+    # by `place` and once by the row pass, each library's caches once by the
+    # placement, and send images laid out once
     cuts = Counter()
 
     def counting(helper):
@@ -876,14 +880,18 @@ def test_simulate_decodes_only_witness_users(runner, monkeypatch, name):
 
         return counted_helper
 
-    for helper in ("_split_files", "_library_send_images"):
+    for helper in ("_split_files", "_cached_pieces", "_library_send_images"):
         monkeypatch.setattr(sim, helper, counting(helper))
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "user 2 decoded library 2 incorrectly" in result.output
     assert calls == [(2, 2)]
     libraries = cacheshare.load_config(CONFIG_DIR / f"{name}.json").num_libraries
-    assert cuts == {"_split_files": 2 * libraries, "_library_send_images": libraries}
+    assert cuts == {
+        "_split_files": 2 * libraries,
+        "_cached_pieces": libraries,
+        "_library_send_images": libraries,
+    }
 
 
 @pytest.mark.parametrize("step", ["0", "-1/2"])

@@ -12,7 +12,7 @@ import pytest
 
 import cacheshare.sim as sim
 from cacheshare.allocation import Allocation, greedy_allocate, split_rate
-from cacheshare.bits import BitString, concat
+from cacheshare.bits import BitString, concat, random_bits
 from cacheshare.model import DemandVector
 from cacheshare.sim import (
     DecodeMismatchError,
@@ -34,6 +34,7 @@ from cacheshare.sim import (
 from cacheshare.tradeoff import build_scheme_tradeoff
 
 from util import (
+    cached_subfiles,
     curves_for,
     faulty_place,
     flip,
@@ -50,6 +51,7 @@ from util import (
     reference_decode,
     reference_decode_sources,
     reference_file_subfiles,
+    reference_layout,
     reference_library_transcript,
     reference_plan_weights,
     reference_reduction,
@@ -59,6 +61,7 @@ from util import (
     reference_subfile_decode,
     reference_verify,
     row_pass,
+    source_pairs,
     unequal_config,
     wrong_file_decode_image,
 )
@@ -258,7 +261,7 @@ def test_decode_uses_only_own_cache_and_transcript():
         # blocks, laid out from its own cache alone, are unchanged
         assert {
             piece
-            for part in zeroed.cached_subfiles[1][library - 1]
+            for part in cached_subfiles(zeroed, 2, library)
             for pieces in part
             for piece in pieces
         } == {0}
@@ -509,7 +512,7 @@ def test_subfile_tables_are_file_slices_and_cut_the_caches_exactly():
                 for per_file in slices
             ), (seed, library)
             for user in range(1, k + 1):
-                cached = placement.cached_subfiles[user - 1][library - 1]
+                cached = cached_subfiles(placement, user, library)
                 assert placement.caches[user - 1][library - 1] == concat(
                     BitString(part.subfile_bits, piece)
                     for part, per_file in zip(layout.parts, cached)
@@ -651,6 +654,24 @@ def test_placement_names_a_segment_wider_or_narrower_than_its_plan():
             tampered_segment(placement, 2, 1, changed)
 
 
+def test_placement_names_the_first_wrong_segment_user_by_user():
+    # user 2's segment of library 1 and user 1's of library 2 are both wrong:
+    # segments are checked user by user, so user 1's is named
+    config = reference_config()
+    store = random_file_store(config, 10, seed=5)
+    placement = place(store, plan_split(config, Allocation((F(2, 5), F(3, 5)))))
+    caches = [list(segments) for segments in placement.caches]
+    first, second = caches[1][0], caches[0][1]
+    caches[1][0] = first.slice(0, first.width - 1)
+    caches[0][1] = BitString(second.width + 1, second.value << 1)
+    with pytest.raises(
+        ValueError,
+        match=f"^user 1 library 2 cache segment has {second.width + 1} bits; "
+        f"its plan places {second.width}$",
+    ):
+        dataclasses.replace(placement, caches=tuple(map(tuple, caches)))
+
+
 def test_reduction_demo_rejects_uneven_caches():
     # uneven caches can no longer reach the stack: the width check stops the copy
     config = reference_config()
@@ -699,18 +720,44 @@ def test_image_delivery_and_decode_match_the_per_subfile_reference():
 
 def test_decode_sources_match_the_group_scan_builder():
     # the one-pass builder gives every field of the scans, entries in the
-    # scans' order, and `_blocks` reads the scan's masks off the send sources
+    # scans' order, and `_blocks` lays out the scan's masks from the send sources
     for k in range(1, 9):
         for t in range(1, k + 1):
-            assert sim._index_table(k, t) == sim.IndexTable(
-                num_groups=math.comb(k, t + 1),
-                cached_ranks=reference_cached_ranks(k, t),
-                send_sources=reference_send_sources(k, t),
-                decode_sources=reference_decode_sources(k, t),
-            ), (k, t)
+            table = sim._index_table(k, t)
+            assert table.num_groups == math.comb(k, t + 1), (k, t)
+            assert table.cached_ranks == sum(reference_cached_ranks(k, t), ()), (k, t)
+            assert source_pairs(table.send_sources) == reference_send_sources(k, t), (k, t)
+            assert source_pairs(table.decode_sources) == reference_decode_sources(k, t), (k, t)
             for slot_bits in (1, 3, 8):
                 expected = reference_blocks(k, t, slot_bits)
-                assert sim._blocks(k, t, slot_bits) == expected, (k, t, slot_bits)
+                assert sim._blocks(k, t, slot_bits)[:3] == expected, (k, t, slot_bits)
+
+
+def test_laid_out_tables_match_the_per_piece_reference_at_wide_slots():
+    # every K <= 6 and t, with slots up to 2048 bits wide, so that caches and
+    # images span many chunks; random caches make every decode image and
+    # residual image depend on the bits
+    rng = random.Random(3607)
+    for k in range(1, 7):
+        for t in range(1, k + 1):
+            config = make_config(counts=(k,), weights=(F(1),), users=k, cache=str(t))
+            plan = plan_split(config, Allocation((F(t),)))
+            assert plan.parts == (((t, F(1)),),)
+            for slot_bits in (1, 3, 8, 64, 2048):
+                store = random_file_store(config, slot_bits * math.comb(k, t), rng.randrange(99))
+                placed = place(store, plan)
+                caches = tuple(
+                    tuple(random_bits(segment.width, rng) for segment in segments)
+                    for segments in placed.caches
+                )
+                rows = RowPass(store, dataclasses.replace(placed, caches=caches))
+                laid_out = (
+                    rows.placement.cached_pieces,
+                    rows.send_images,
+                    rows.placement.decode_images,
+                    rows.residuals,
+                )
+                assert laid_out == reference_layout(rows), (k, t, slot_bits)
 
 
 def assert_rows_agree(rows, library):

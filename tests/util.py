@@ -364,12 +364,24 @@ def reference_library_transcript(table, layout: sim.LibraryLayout, num_users: in
     return tuple(parts)
 
 
+def cached_subfiles(placement: sim.PlacementState, user: int, library: int):
+    """`user`'s cached subfiles of `library`, per plan part, per file: its
+    slices of the placement's cached pieces, laid end to end user by user."""
+    k = len(placement.caches)
+    return tuple(
+        tuple(every[(user - 1) * (c := part.cached(k)) : user * c] for every in per_file)
+        for part, per_file in zip(
+            placement.layouts[library - 1].parts, placement.cached_pieces[library - 1]
+        )
+    )
+
+
 def reference_subfile_decode(placement: sim.PlacementState, parts, row, user: int, library: int):
     """`user`'s decode rebuilt one subfile at a time from its own subfile table
     (`cached_subfiles`): a cached subfile is read, any other subfile S is the
     message of group S + {user} XORed with every other member's cached piece."""
     k = len(row)
-    table = placement.cached_subfiles[user - 1][library - 1]
+    table = cached_subfiles(placement, user, library)
     value = width = 0
     for part, part_tr, per_file in zip(placement.layouts[library - 1].parts, parts, table):
         sub = part.subfile_bits
@@ -444,10 +456,10 @@ def reference_serve(rows: sim.RowPass, library: int, row: tuple[int, ...]) -> Ro
                 if sent_part.messages[sent.index(n)] != per_file[n - 1][0]
             ]
             continue
-        width, spread, masks, shifts = sim._blocks(k, part.t, part.subfile_bits)
+        width, spread, masks, *_ = sim._blocks(k, part.t, part.subfile_bits)
         wide = 0
-        for message, shift in zip(sent_part.messages, shifts):
-            wide |= message << shift
+        for message in sent_part.messages:  # the first group's message highest
+            wide = wide << part.subfile_bits | message
         blocks = (wide * spread) & masks
         for member, (member_images, member_own, n) in enumerate(zip(send, own, row)):
             blocks ^= member_own[n - 1] ^ (member_images[n - 1] << (member * width))
@@ -471,28 +483,32 @@ def reference_cached_ranks(num_users: int, t: int) -> tuple[tuple[int, ...], ...
     )
 
 
-def reference_send_sources(num_users: int, t: int) -> sim.Sources:
-    """The send sources by a scan: per member, every size-(t + 1) group is
-    tested for holding it, and each one that does gives its slot (the first
-    group highest) and the rank of the group rebuilt without the member."""
+def reference_send_sources(num_users: int, t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The send sources by a scan, as (slot, rank) pairs: per member, every
+    size-(t + 1) group from the lowest slot up (the first group highest) is
+    tested for holding it, and each one that does gives its slot and the
+    rank of the group rebuilt without the member."""
     groups = list(combinations(range(1, num_users + 1), t + 1))
     rank = {subset: i for i, subset in enumerate(combinations(range(1, num_users + 1), t))}
     return tuple(
         tuple(
             (len(groups) - 1 - g, rank[tuple(x for x in group if x != member)])
-            for g, group in enumerate(groups)
+            for g, group in reversed(list(enumerate(groups)))
             if member in group
         )
         for member in range(1, num_users + 1)
     )
 
 
-def reference_blocks(
-    num_users: int, t: int, slot_bits: int
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """`sim._blocks` by a scan: per user, every size-(t + 1) group is tested
-    for holding it, and each one that does is masked in the user's block;
-    the send shifts count the groups down from the highest slot."""
+def source_pairs(sources: sim.Sources) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """`sim.IndexTable` sources, kept in flat arrays, as (slot, index) pairs."""
+    return tuple(tuple(zip(slots, indices)) for slots, indices in sources)
+
+
+def reference_blocks(num_users: int, t: int, slot_bits: int) -> tuple[int, int, int]:
+    """`sim._blocks`' width, spread and masks by a scan: per user, every
+    size-(t + 1) group is tested for holding it, and each one that does is
+    masked in the user's block."""
     groups = list(combinations(range(1, num_users + 1), t + 1))
     width = len(groups) * slot_bits
     piece = (1 << slot_bits) - 1
@@ -503,14 +519,15 @@ def reference_blocks(
         for g, group in enumerate(groups):
             if user in group:
                 masks |= piece << (base + (len(groups) - 1 - g) * slot_bits)
-    return width, spread, masks, tuple(i * slot_bits for i in reversed(range(len(groups))))
+    return width, spread, masks
 
 
-def reference_decode_sources(num_users: int, t: int) -> sim.Sources:
-    """The decode sources by a scan: per member, per other user, every
-    size-(t + 1) group is tested for holding both, and each one that does is
-    rebuilt without the member to find the user's cached copy of that share.
-    `sim._index_table` walks each member's send sources once instead."""
+def reference_decode_sources(num_users: int, t: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The decode sources by a scan, as (slot, index) pairs: per member, per
+    other user, every size-(t + 1) group from the lowest slot up is tested
+    for holding both, and each one that does is rebuilt without the member
+    to find the user's cached copy of that share. `sim._index_table` walks
+    each member's send sources once instead."""
     groups = list(combinations(range(1, num_users + 1), t + 1))
     subsets = list(combinations(range(1, num_users + 1), t))
     per_user = math.comb(num_users - 1, t - 1)
@@ -528,11 +545,69 @@ def reference_decode_sources(num_users: int, t: int) -> sim.Sources:
             )
             for user in range(1, num_users + 1)
             if user != member
-            for g, group in enumerate(groups)
+            for g, group in reversed(list(enumerate(groups)))
             if member in group and user in group
         )
         for member in range(1, num_users + 1)
     )
+
+
+def reference_layout(rows: sim.RowPass) -> tuple:
+    """The row pass's laid-out tables rebuilt one piece at a time, each piece
+    a bit slice of a stored file or a cache segment and each slot found by a
+    scan over the groups: per library, per plan part, per file, every user's
+    cached pieces, user by user (`PlacementState.cached_pieces`); and per
+    member, per file, the send, decode and residual images (None for t = 0),
+    as `(cached_pieces, send_images, decode_images, residuals)`."""
+    placement, k = rows.placement, rows.config.num_users
+    users = range(1, k + 1)
+    tables: tuple[list, list, list, list] = ([], [], [], [])
+    for lib_idx, (files, layout) in enumerate(zip(rows.store.files, placement.layouts)):
+        segments = [caches[lib_idx] for caches in placement.caches]
+        by_part: tuple[list, list, list, list] = ([], [], [], [])
+        file_offset = cache_offset = 0
+        for part in layout.parts:
+            w, t, n_files = part.subfile_bits, part.t, layout.num_files
+            subsets = list(combinations(users, t))
+            mine = {u: [s for s in subsets if u in s] for u in users}  # in cache order
+
+            def server(n, subset):
+                start = file_offset + subsets.index(subset) * w
+                return files[n - 1].slice(start, start + w).value
+
+            def cached(u, n, subset):
+                start = cache_offset + ((n - 1) * len(mine[u]) + mine[u].index(subset)) * w
+                return segments[u - 1].slice(start, start + w).value
+
+            by_part[0].append(tuple(
+                tuple(cached(u, n, s) for u in users for s in mine[u]) for n in range(1, n_files + 1)
+            ))
+            if t == 0:
+                for images in by_part[1:]:
+                    images.append(None)
+            else:
+                groups = list(combinations(users, t + 1))
+                send, decode, residual = ([[0] * n_files for _ in users] for _ in range(3))
+                for m, n, (g, group) in product(users, range(1, n_files + 1), enumerate(groups)):
+                    if m not in group:
+                        continue
+                    share, slot = tuple(x for x in group if x != m), len(groups) - 1 - g
+                    send[m - 1][n - 1] |= server(n, share) << (slot * w)
+                    for u in group:
+                        # in u's block: the send image copied and masked, XOR
+                        # u's decode image or, in the member's own, its wanted piece
+                        other = cached(u, n, share) if u != m else server(n, share)
+                        if u != m:
+                            decode[m - 1][n - 1] |= other << ((u - 1) * len(groups) + slot) * w
+                        term = server(n, share) ^ other
+                        residual[m - 1][n - 1] |= term << ((u - 1) * len(groups) + slot) * w
+                for images, built in zip(by_part[1:], (send, decode, residual)):
+                    images.append(tuple(map(tuple, built)))
+            file_offset += part.file_bits
+            cache_offset += n_files * len(mine[1]) * w
+        for table, built in zip(tables, by_part):
+            table.append(tuple(built))
+    return tuple(map(tuple, tables))
 
 
 def reference_reduction(rows: sim.RowPass) -> sim.ReductionReport:
